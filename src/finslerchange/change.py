@@ -135,19 +135,6 @@ class ChangedPair:
     def at(self, x, y):
         return ChangedPoint(self, x, y)
 
-    def validate_positivity(self, points):
-        """Check Lc > 0 and positive-definite changed metric at sample
-        points; raises JetDomainError on the first violation."""
-        for x, y in points:
-            cp = self.at(x, y)
-            g = cp.star.g_low()
-            try:
-                np.linalg.cholesky(g)
-            except np.linalg.LinAlgError:
-                raise JetDomainError(
-                    f"changed metric loses positive-definiteness at "
-                    f"x={list(x)}, y={list(y)}") from None
-
 
 class ChangedPoint:
     """All pointwise data of a change: base tensors, directly computed

@@ -16,6 +16,7 @@ import numpy as np
 
 from .jets import Jet, JetDomainError, jet_linear_solve, lift
 from .lang import MetricSpec
+from .memo import cached
 
 
 def central_diff(f, t, h=1e-5):
@@ -49,14 +50,6 @@ def lift_xy_env(x, y, order):
     env = {f"x{i + 1}": jets[i] for i in range(n)}
     env.update({f"y{i + 1}": jets[n + i] for i in range(n)})
     return env, jets[:n], jets[n:]
-
-
-def is_positive_definite(mat):
-    try:
-        np.linalg.cholesky(mat)
-        return True
-    except np.linalg.LinAlgError:
-        return False
 
 
 class FinslerSpace:
@@ -95,7 +88,7 @@ class PointGeometry:
         if self.x.shape != (self.n,) or self.y.shape != (self.n,):
             raise ValueError(f"expected {self.n} coordinates")
         self._jets = {}
-        self._vals = {}
+        self._cache = {}
         l2 = space.l2(self.x, self.y)
         if not l2 > 0.0:
             raise JetDomainError(
@@ -202,126 +195,117 @@ class PointGeometry:
 
     # -- numeric tensors ---------------------------------------------------
 
-    def _memo(self, name, build):
-        if name not in self._vals:
-            self._vals[name] = build()
-        return self._vals[name]
-
+    @cached
     def L2(self):
-        return self._memo("L2", lambda: self._f2(0)[2].value)
+        return self._f2(0)[2].value
 
+    @cached
     def L(self):
-        return self._memo("L", lambda: float(np.sqrt(self.L2())))
+        return float(np.sqrt(self.L2()))
 
+    @cached
     def y_low(self):
         """Covariant y: g_ij y^j = (1/2) dL^2/dy^i."""
-        def build():
-            _, _, f2 = self._f2(1)
-            return np.array([0.5 * f2.extract(self._mi(self._ys(i)))
-                             for i in range(self.n)])
-        return self._memo("y_low", build)
+        _, _, f2 = self._f2(1)
+        return np.array([0.5 * f2.extract(self._mi(self._ys(i)))
+                         for i in range(self.n)])
 
+    @cached
     def l_low(self):
         """Unit covector l_i = dL/dy^i = y_i / L."""
-        return self._memo("l_low", lambda: self.y_low() / self.L())
+        return self.y_low() / self.L()
 
+    @cached
     def g_low(self):
-        def build():
-            _, _, f2 = self._f2(2)
-            n = self.n
-            g = np.empty((n, n))
-            for i in range(n):
-                for j in range(i, n):
-                    g[i, j] = g[j, i] = 0.5 * f2.extract(
-                        self._mi(self._ys(i), self._ys(j)))
-            return g
-        return self._memo("g_low", build)
+        _, _, f2 = self._f2(2)
+        n = self.n
+        g = np.empty((n, n))
+        for i in range(n):
+            for j in range(i, n):
+                g[i, j] = g[j, i] = 0.5 * f2.extract(
+                    self._mi(self._ys(i), self._ys(j)))
+        return g
 
+    @cached
     def g_up(self):
-        return self._memo("g_up", lambda: np.linalg.inv(self.g_low()))
+        return np.linalg.inv(self.g_low())
 
+    @cached
     def h_low(self):
         """Angular metric h_ij = g_ij - l_i l_j."""
-        def build():
-            l = self.l_low()
-            return self.g_low() - np.outer(l, l)
-        return self._memo("h_low", build)
+        l = self.l_low()
+        return self.g_low() - np.outer(l, l)
 
+    @cached
     def C_low(self):
         """Cartan torsion C_ijk = (1/4) third y-derivatives of L^2."""
-        def build():
-            _, _, f2 = self._f2(3)
-            n = self.n
-            C = np.empty((n, n, n))
-            for i in range(n):
-                for j in range(i, n):
-                    for k in range(j, n):
-                        v = 0.25 * f2.extract(
-                            self._mi(self._ys(i), self._ys(j), self._ys(k)))
-                        C[i, j, k] = C[i, k, j] = C[j, i, k] = v
-                        C[j, k, i] = C[k, i, j] = C[k, j, i] = v
-            return C
-        return self._memo("C_low", build)
+        _, _, f2 = self._f2(3)
+        n = self.n
+        C = np.empty((n, n, n))
+        for i in range(n):
+            for j in range(i, n):
+                for k in range(j, n):
+                    v = 0.25 * f2.extract(
+                        self._mi(self._ys(i), self._ys(j), self._ys(k)))
+                    C[i, j, k] = C[i, k, j] = C[j, i, k] = v
+                    C[j, k, i] = C[k, i, j] = C[k, j, i] = v
+        return C
 
+    @cached
     def C_up(self):
         """C^i_jk = g^{ir} C_rjk."""
-        return self._memo(
-            "C_up", lambda: np.einsum("ir,rjk->ijk", self.g_up(), self.C_low()))
+        return np.einsum("ir,rjk->ijk", self.g_up(), self.C_low())
 
+    @cached
     def spray(self):
-        def build():
-            return np.array([G.value for G in self._spray_jets(0)])
-        return self._memo("spray", build)
+        return np.array([G.value for G in self._spray_jets(0)])
 
+    @cached
     def n_conn(self):
         """Nonlinear connection N^i_j = dG^i/dy^j."""
-        def build():
-            G = self._spray_jets(1)
-            return np.array([[G[i].deriv(self._ys(j)).value
-                              for j in range(self.n)] for i in range(self.n)])
-        return self._memo("n_conn", build)
+        G = self._spray_jets(1)
+        return np.array([[G[i].deriv(self._ys(j)).value
+                          for j in range(self.n)] for i in range(self.n)])
 
+    @cached
     def berwald(self):
         """Berwald connection G^i_jk = d2 G^i / dy^j dy^k."""
-        def build():
-            G = self._spray_jets(2)
-            n = self.n
-            out = np.empty((n, n, n))
-            for i in range(n):
-                for j in range(n):
-                    dj = G[i].deriv(self._ys(j))
-                    for k in range(j, n):
-                        out[i, j, k] = out[i, k, j] = dj.deriv(self._ys(k)).value
-            return out
-        return self._memo("berwald", build)
+        G = self._spray_jets(2)
+        n = self.n
+        out = np.empty((n, n, n))
+        for i in range(n):
+            for j in range(n):
+                dj = G[i].deriv(self._ys(j))
+                for k in range(j, n):
+                    out[i, j, k] = out[i, k, j] = dj.deriv(self._ys(k)).value
+        return out
 
+    @cached
     def cartan_hconn(self):
         """Horizontal connection F^i_jk built from delta-derivatives of g,
         where delta_j = d/dx^j - N^m_j d/dy^m.  Reduces to the Christoffel
         symbols when the metric is quadratic in y."""
-        def build():
-            n = self.n
-            _, _, f2 = self._f2(3)
-            N = self.n_conn()
-            dg = np.empty((n, n, n))    # dg[r, k, j] = d g_rk / dx^j
-            dgy = np.empty((n, n, n))   # dgy[r, k, m] = d g_rk / dy^m
-            for r in range(n):
-                for k in range(r, n):
-                    for j in range(n):
-                        dg[r, k, j] = dg[k, r, j] = 0.5 * f2.extract(
-                            self._mi(self._ys(r), self._ys(k), self._xs(j)))
-                        dgy[r, k, j] = dgy[k, r, j] = 0.5 * f2.extract(
-                            self._mi(self._ys(r), self._ys(k), self._ys(j)))
-            delta = dg - np.einsum("rkm,mj->rkj", dgy, N)
-            low = np.empty((n, n, n))
-            for r in range(n):
+        n = self.n
+        _, _, f2 = self._f2(3)
+        N = self.n_conn()
+        dg = np.empty((n, n, n))    # dg[r, k, j] = d g_rk / dx^j
+        dgy = np.empty((n, n, n))   # dgy[r, k, m] = d g_rk / dy^m
+        for r in range(n):
+            for k in range(r, n):
                 for j in range(n):
-                    for k in range(n):
-                        # (delta_j g_rk + delta_k g_rj - delta_r g_jk) / 2
-                        low[r, j, k] = 0.5 * (delta[r, k, j] + delta[r, j, k]
-                                              - delta[j, k, r])
-            return np.einsum("ir,rjk->ijk", self.g_up(), low)
-        return self._memo("cartan_hconn", build)
+                    dg[r, k, j] = dg[k, r, j] = 0.5 * f2.extract(
+                        self._mi(self._ys(r), self._ys(k), self._xs(j)))
+                    dgy[r, k, j] = dgy[k, r, j] = 0.5 * f2.extract(
+                        self._mi(self._ys(r), self._ys(k), self._ys(j)))
+        delta = dg - np.einsum("rkm,mj->rkj", dgy, N)
+        low = np.empty((n, n, n))
+        for r in range(n):
+            for j in range(n):
+                for k in range(n):
+                    # (delta_j g_rk + delta_k g_rj - delta_r g_jk) / 2
+                    low[r, j, k] = 0.5 * (delta[r, k, j] + delta[r, j, k]
+                                          - delta[j, k, r])
+        return np.einsum("ir,rjk->ijk", self.g_up(), low)
 
     def h_cov_covector(self, b_vals, db_vals):
         """Horizontal covariant derivative of an x-dependent covector:
@@ -331,65 +315,62 @@ class PointGeometry:
         return np.asarray(db_vals, dtype=float) - np.einsum(
             "r,rij->ij", np.asarray(b_vals, dtype=float), F)
 
+    @cached
     def douglas(self):
         """Douglas tensor: third y-derivatives of the trace-adjusted spray,
         D^h_ijk = d3/dy^i dy^j dy^k (G^h - (dG^m/dy^m) y^h / (n + 1))."""
-        def build():
-            n = self.n
-            G = self._spray_jets(4)
-            _, yj, _ = self._f2(6)
-            tr = None
-            for m in range(n):
-                t = G[m].deriv(self._ys(m))
-                tr = t if tr is None else tr + t
-            out = np.empty((n, n, n, n))
-            for h in range(n):
-                P = G[h] - yj[h] * tr * (1.0 / (n + 1))
-                for i in range(n):
-                    di = P.deriv(self._ys(i))
-                    for j in range(i, n):
-                        dij = di.deriv(self._ys(j))
-                        for k in range(j, n):
-                            v = dij.deriv(self._ys(k)).value
-                            out[h, i, j, k] = out[h, i, k, j] = v
-                            out[h, j, i, k] = out[h, j, k, i] = v
-                            out[h, k, i, j] = out[h, k, j, i] = v
-            return out
-        return self._memo("douglas", build)
+        n = self.n
+        G = self._spray_jets(4)
+        _, yj, _ = self._f2(6)
+        tr = None
+        for m in range(n):
+            t = G[m].deriv(self._ys(m))
+            tr = t if tr is None else tr + t
+        out = np.empty((n, n, n, n))
+        for h in range(n):
+            P = G[h] - yj[h] * tr * (1.0 / (n + 1))
+            for i in range(n):
+                di = P.deriv(self._ys(i))
+                for j in range(i, n):
+                    dij = di.deriv(self._ys(j))
+                    for k in range(j, n):
+                        v = dij.deriv(self._ys(k)).value
+                        out[h, i, j, k] = out[h, i, k, j] = v
+                        out[h, j, i, k] = out[h, j, k, i] = v
+                        out[h, k, i, j] = out[h, k, j, i] = v
+        return out
 
+    @cached
     def riemann(self):
         """Curvature deviation R^i_k (y-dependent Jacobi operator)."""
-        def build():
-            R = self._riemann_jets(0)
-            return np.array([[R[i][k].value for k in range(self.n)]
-                             for i in range(self.n)])
-        return self._memo("riemann", build)
+        R = self._riemann_jets(0)
+        return np.array([[R[i][k].value for k in range(self.n)]
+                         for i in range(self.n)])
 
+    @cached
     def ric(self):
-        return self._memo("ric", lambda: float(np.trace(self.riemann())))
+        return float(np.trace(self.riemann()))
 
+    @cached
     def weyl_proj(self):
         """Projectively invariant part of the curvature deviation."""
-        def build():
-            W = self._weyl_jets(0)
-            return np.array([[W[i][k].value for k in range(self.n)]
-                             for i in range(self.n)])
-        return self._memo("weyl_proj", build)
+        W = self._weyl_jets(0)
+        return np.array([[W[i][k].value for k in range(self.n)]
+                         for i in range(self.n)])
 
+    @cached
     def weyl_torsion(self):
         """Antisymmetrised y-derivative of the projective curvature,
         (1/3)(d W^h_j / dy^i - d W^h_i / dy^j)."""
-        def build():
-            n = self.n
-            W = self._weyl_jets(1)
-            out = np.zeros((n, n, n))
-            for h in range(n):
-                dW = [[W[h][j].deriv(self._ys(i)).value for j in range(n)]
-                      for i in range(n)]
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        v = (dW[i][j] - dW[j][i]) / 3.0
-                        out[h, i, j] = v
-                        out[h, j, i] = -v
-            return out
-        return self._memo("weyl_torsion", build)
+        n = self.n
+        W = self._weyl_jets(1)
+        out = np.zeros((n, n, n))
+        for h in range(n):
+            dW = [[W[h][j].deriv(self._ys(i)).value for j in range(n)]
+                  for i in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    v = (dW[i][j] - dW[j][i]) / 3.0
+                    out[h, i, j] = v
+                    out[h, j, i] = -v
+        return out

@@ -21,6 +21,7 @@ from .change import ChangedPair
 from .core import FinslerSpace
 from .jets import Jet, JetDomainError
 from .lang import HypersurfaceSpec, evaluate
+from .memo import cached
 
 
 class HypersurfaceGeometry:
@@ -69,59 +70,53 @@ class HyperPoint:
                     self.B2[i, a, b] = self.B2[i, b, a] = d2
         self.y = self.B @ self.v
         self.pg = geom.space.point(self.x, self.y)
-        self._vals = {}
+        self._cache = {}
 
-    def _memo(self, name, build):
-        if name not in self._vals:
-            self._vals[name] = build()
-        return self._vals[name]
-
+    @cached
     def induced_metric(self):
         """g_ab = B^i_a g_ij B^j_b."""
-        return self._memo(
-            "g_ind", lambda: self.B.T @ self.pg.g_low() @ self.B)
+        return self.B.T @ self.pg.g_low() @ self.B
 
+    @cached
     def normal_up(self):
         """Unit normal N^i: g-orthogonal to every tangent, unit g-length."""
-        def build():
-            M = self.B.T @ self.pg.g_low()        # (m, n); kernel is span(N)
-            _, s, vt = np.linalg.svd(M)
-            if s[-1] < 1e-10 * max(1.0, s[0]):
+        M = self.B.T @ self.pg.g_low()        # (m, n); kernel is span(N)
+        _, s, vt = np.linalg.svd(M)
+        if s[-1] < 1e-10 * max(1.0, s[0]):
+            raise JetDomainError(
+                "embedding is rank-deficient here; normal direction "
+                "is not unique")
+        k = vt[-1]
+        norm2 = float(k @ self.pg.g_low() @ k)
+        if norm2 <= 0.0:
+            raise JetDomainError(
+                f"no unit normal: candidate has g-norm^2 {norm2:.3g}")
+        N = k / np.sqrt(norm2)
+        ref = self.geom.spec.normal_ref
+        if ref is not None:
+            dot = float(N @ ref)
+            if dot == 0.0:
                 raise JetDomainError(
-                    "embedding is rank-deficient here; normal direction "
-                    "is not unique")
-            k = vt[-1]
-            norm2 = float(k @ self.pg.g_low() @ k)
-            if norm2 <= 0.0:
-                raise JetDomainError(
-                    f"no unit normal: candidate has g-norm^2 {norm2:.3g}")
-            N = k / np.sqrt(norm2)
-            ref = self.geom.spec.normal_ref
-            if ref is not None:
-                dot = float(N @ ref)
-                if dot == 0.0:
-                    raise JetDomainError(
-                        "normal_ref is orthogonal to the normal here; "
-                        "cannot fix a sign")
-                if dot < 0.0:
-                    N = -N
-            else:
-                frame = np.column_stack([self.B, N])
-                if np.linalg.det(frame) < 0.0:
-                    N = -N
-            return N
-        return self._memo("N_up", build)
+                    "normal_ref is orthogonal to the normal here; "
+                    "cannot fix a sign")
+            if dot < 0.0:
+                N = -N
+        else:
+            frame = np.column_stack([self.B, N])
+            if np.linalg.det(frame) < 0.0:
+                N = -N
+        return N
 
+    @cached
     def normal_low(self):
-        return self._memo("N_low", lambda: self.pg.g_low() @ self.normal_up())
+        return self.pg.g_low() @ self.normal_up()
 
+    @cached
     def tangent_inverse(self):
         """B_i^a = g^{ab} B^j_b g_ji, the tangential part of the inverse
         frame; rows are surface indices."""
-        def build():
-            g_ind_inv = np.linalg.inv(self.induced_metric())
-            return g_ind_inv @ self.B.T @ self.pg.g_low()
-        return self._memo("B_inv", build)
+        g_ind_inv = np.linalg.inv(self.induced_metric())
+        return g_ind_inv @ self.B.T @ self.pg.g_low()
 
     def frame_residuals(self):
         """Max deviations of the standard frame identities:
@@ -136,14 +131,13 @@ class HyperPoint:
         r4 = np.max(np.abs(self.B @ Binv + np.outer(N, Nl) - np.eye(self.n)))
         return max(r1, r2, r3, r4)
 
+    @cached
     def normal_curvature(self):
         """H_a = N_i (v^b B^i_ba + N^i_j B^j_a); identically zero exactly
         for totally geodesic hypersurfaces."""
-        def build():
-            B0 = np.einsum("b,iba->ia", self.v, self.B2)
-            inner = B0 + self.pg.n_conn() @ self.B
-            return self.normal_low() @ inner
-        return self._memo("H", build)
+        B0 = np.einsum("b,iba->ia", self.v, self.B2)
+        inner = B0 + self.pg.n_conn() @ self.B
+        return self.normal_low() @ inner
 
 
 def _u_jets(u, order):

@@ -22,8 +22,6 @@ import numpy as np
 # Resource guard: coefficient counts grow like C(nvars+K, K).
 MAX_ORDER = 12
 
-_FUNCTIONS = ("add", "sub", "mul", "div", "pow", "sqrt", "exp", "log", "sin", "cos")
-
 
 class JetError(Exception):
     """Base class for jet arithmetic failures."""
@@ -397,27 +395,6 @@ def lift(values, active, order):
             c[sp.position[tuple(e)]] = 1.0
         jets.append(Jet(sp, c))
     return jets
-
-
-def jet_apply(op, args):
-    """Apply a named elementary operation to jets (scalars coerce)."""
-    if op not in _FUNCTIONS:
-        raise ValueError(f"unknown jet operation {op!r}")
-    if op in ("add", "sub", "mul", "div", "pow"):
-        a, b = args
-        if not isinstance(a, Jet) and isinstance(b, Jet):
-            a = b._like(float(a))
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        if op == "div":
-            return a / b
-        return a.powf(b)
-    (a,) = args
-    return getattr(a, op)()
 
 
 def jet_linear_solve(A, rhs):

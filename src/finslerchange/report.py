@@ -83,22 +83,6 @@ def errors_between(got, want):
     return abs_err, abs_err / den
 
 
-def record_from_errors(check_id, law, samples, abs_err, rel_err, tol,
-                       residual=False, notes=""):
-    """Build a record, deciding the verdict from the relative error.
-
-    ``residual=True`` marks checks that report a known discrepancy: the
-    verdict is ``reported-residual`` regardless of the tolerance, and
-    the measured size stays in the record.
-    """
-    if residual:
-        verdict = "reported-residual"
-    else:
-        verdict = "pass" if rel_err <= tol else "fail"
-    return CheckRecord(check_id, law, samples, abs_err, rel_err, tol,
-                       verdict, notes)
-
-
 def environment_block(seed, extra=None):
     env = {
         "record": "environment",

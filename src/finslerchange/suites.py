@@ -1,11 +1,13 @@
-"""Verification suites.
+"""Verification suites, declared as one check table.
 
-Each suite takes one configuration (metric, change, optional
-hypersurface, sample budget, seed, tolerances) and emits a fixed list of
-check records.  Checks that do not apply to the configuration — e.g.
-projective-transfer laws under a change that is not projective — are
-emitted with verdict ``skipped`` and a note, so the record set for a
-given suite selection is always the same.
+``CHECKS`` gives each suite as a tuple of rows ``(check id, law,
+tolerance name, gates, measurement)``.  A gate is a function of the run
+that returns None when the check applies, else the note of a
+``skipped`` record; the first closed gate supplies the note.  A
+measurement maps ``(run, tol)`` to ``(samples, max abs error, max rel
+error, verdict, notes)``.  ``_record`` turns a row into its record, so
+every configuration emits the same ids in the same order, each with its
+own tolerance.  Adding a check means adding a row.
 
 Verdict policy: ``fail`` is reserved for violations of laws the
 configuration is supposed to satisfy (these drive the exit status).
@@ -21,12 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .change import ChangedPair
-from .core import FinslerSpace, central_partial
+from .core import central_partial
 from .geodesics import (GeodesicError, curve_set_deviation,
                         integrate_geodesic, retrace_deviation)
 from .hypersurface import ChangedHypersurface
 from .jets import JetDomainError
-from .report import CheckRecord, errors_between, record_from_errors
+from .memo import cached
+from .report import CheckRecord, errors_between
 from .sampling import sample_hyper_points, sample_pair_points
 
 SUITE_NAMES = ("core-identities", "change-identities", "projectivity",
@@ -55,7 +58,6 @@ DEFAULT_TOLS = {
     "tangency": 1e-10,          # |b_i N^i| for the tangential gate
 }
 
-
 @dataclass
 class SuiteConfig:
     metric: object
@@ -78,132 +80,275 @@ class SuiteConfig:
         return float(self.tols.get(name, DEFAULT_TOLS[name]))
 
 
-class _Acc:
-    """Running max of absolute/relative deviations."""
-
-    def __init__(self):
-        self.abs = 0.0
-        self.rel = 0.0
-
-    def add(self, got, want=0.0):
-        a, r = errors_between(got, want)
-        self.abs = max(self.abs, a)
-        self.rel = max(self.rel, r)
-
-
 class SuiteRun:
     """Shared state for one verification run: the changed pair, the
-    sampled points, and lazily computed per-point data."""
+    sampled points, and the lazily computed data the checks share."""
 
     def __init__(self, config: SuiteConfig):
         self.cfg = config
-        self.pair = ChangedPair(config.metric, config.change)
-        self.n = self.pair.n
         self.hyper = (ChangedHypersurface(config.metric, config.change,
                                           config.hyper)
                       if config.hyper is not None else None)
+        self.pair = (self.hyper.pair if self.hyper is not None
+                     else ChangedPair(config.metric, config.change))
+        self.n = self.pair.n
         self._cache = {}
 
-    def tol(self, name):
-        return self.cfg.tol(name)
-
-    def _memo(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+    @cached
+    def sampled(self):
+        """(points, rejected draw count) of the pair sampler."""
+        return sample_pair_points(self.pair, self.cfg.samples, self.cfg.seed)
 
     def points(self):
-        return self._memo("points", lambda: sample_pair_points(
-            self.pair, self.cfg.samples, self.cfg.seed))[0]
+        return self.sampled()[0]
 
-    def rejected(self):
-        return self._memo("points", lambda: sample_pair_points(
-            self.pair, self.cfg.samples, self.cfg.seed))[1]
-
+    @cached
     def cpoints(self):
-        return self._memo(
-            "cpoints", lambda: [self.pair.at(x, y) for x, y in self.points()])
+        return [self.pair.at(x, y) for x, y in self.points()]
 
-    def hpoints(self):
-        count = min(self.cfg.samples, 40)
-        return self._memo("hpoints", lambda: sample_hyper_points(
-            self.hyper.base_h, count, self.cfg.seed)[0])
+    def heavy_points(self):
+        """The samples the costly core checks (Weyl, Douglas) run on."""
+        return self.cpoints()[:10 if self.n >= 3 else 25]
 
+    def invariant_points(self):
+        """The samples the projective-invariant comparisons run on."""
+        return self.cpoints()[:8 if self.n >= 3 else 25]
+
+    @cached
+    def fd_points(self):
+        """Fresh base-space geometry at the first two samples, probed by
+        the finite-difference cross-checks."""
+        return [self.pair.base.point(x, y) for x, y in self.points()[:2]]
+
+    @cached
     def chpoints(self):
         """Changed-hypersurface points; drops draws where the changed
         metric leaves its domain along the surface."""
-        def make():
-            out = []
-            for u, v in self.hpoints():
-                try:
-                    out.append(self.hyper.at(u, v))
-                except JetDomainError:
-                    pass
-            return out
-        return self._memo("chpoints", make)
+        draws, _ = sample_hyper_points(
+            self.hyper.base_h, min(self.cfg.samples, 40), self.cfg.seed)
+        out = []
+        for u, v in draws:
+            try:
+                out.append(self.hyper.at(u, v))
+            except JetDomainError:
+                pass
+        return out
 
+    @cached
     def projectivity_defect(self):
-        return self._memo("proj_defect", lambda: max(
-            float(np.max(np.abs(cp.A_low()))) for cp in self.cpoints()))
+        return max(float(np.max(np.abs(cp.A_low()))) for cp in self.cpoints())
 
-    def is_projective(self):
-        return self.projectivity_defect() <= self.tol("projective-defect")
+    @cached
+    def tangency(self):
+        """max |b_i N^i| over the hypersurface samples."""
+        return max([0.0] + [abs(chp.b_dot_normal())
+                            for chp in self.chpoints()])
 
+    def geodesic_ics(self):
+        return self.points()[:5]
 
-def _skip(check_id, law, tol, note):
-    return CheckRecord(check_id, law, 0, 0.0, 0.0, tol, "skipped", note)
+    def _per_ic(self, measure):
+        """``measure(x, y)`` at each geodesic initial condition, or None
+        where an integration fails."""
+        out = []
+        for x, y in self.geodesic_ics():
+            try:
+                out.append(measure(x, y))
+            except GeodesicError:
+                out.append(None)
+        return out
 
+    @cached
+    def geodesic_pairs(self):
+        """Curve distance between the base and the changed geodesic."""
+        base, star = self.pair.base, self.pair.starred
+        return self._per_ic(lambda x, y: curve_set_deviation(
+            integrate_geodesic(base, x, y, 2.0, tol=1e-10),
+            integrate_geodesic(star, x, y, 2.0, tol=1e-10)))
 
-def _gate_note(run):
-    return (f"gated on projectivity; obstruction "
-            f"{run.projectivity_defect():.2e} exceeds "
-            f"{run.tol('projective-defect'):.0e}")
+    @cached
+    def value_drifts(self):
+        """Drift of the metric value along the base geodesic."""
+        return self._per_ic(lambda x, y: integrate_geodesic(
+            self.pair.base, x, y, 2.0, tol=1e-10).stats["value_drift"])
+
+    @cached
+    def retrace_deviations(self):
+        return self._per_ic(lambda x, y: retrace_deviation(
+            self.pair.base, x, y, 1.5, tol=1e-10))
 
 
 # --------------------------------------------------------------------------
-# validation records (always emitted first)
+# gates: None when the check applies, else the note of its skipped record
 
-def validation_records(run: SuiteRun):
+def _has_hypersurface(run):
+    if run.hyper is None:
+        return "no hypersurface spec provided"
+    if not run.chpoints():
+        return "no valid hypersurface sample admitted by the changed metric"
+    return None
+
+
+def _within(tol_name, value, note):
+    """Gate open while ``value(run)`` is within the named tolerance, else
+    closed with ``note`` formatted with the value and the tolerance."""
+    def gate(run):
+        v, tol = value(run), run.cfg.tol(tol_name)
+        return None if v <= tol else note.format(v, tol)
+    return gate
+
+
+_tangential = _within(
+    "tangency", lambda run: run.tangency(),
+    "gated on tangency; max |b.N| = {0:.2e} exceeds {1:.0e}")
+_projective = _within(
+    "projective-defect", lambda run: run.projectivity_defect(),
+    "gated on projectivity; obstruction {0:.2e} exceeds {1:.0e}")
+_base_flat = _within(
+    "flat-hypersurface", lambda run: max([0.0] + [
+        float(np.max(np.abs(chp.base.normal_curvature())))
+        for chp in run.chpoints()]),
+    "base hypersurface is not totally geodesic (max |H| = {0:.2e})")
+
+
+def _quadratic(run):
+    return None if run.cfg.metric.is_quadratic else "metric is not quadratic"
+
+
+def _reversible(run):
+    space = run.pair.base
+    try:
+        rev = max([0.0] + [abs(np.sqrt(space.l2(x, -np.asarray(y)))
+                               - np.sqrt(space.l2(x, y)))
+                           for x, y in run.geodesic_ics()])
+    except JetDomainError:
+        rev = np.inf
+    if rev <= 1e-12:
+        return None
+    return "metric is irreversible; reverse traversal follows other curves"
+
+
+def _integrated(results):
+    """Gate on a per-initial-condition ``SuiteRun`` measurement (a method
+    name) having integrated at least once."""
+    def gate(run):
+        if any(v is not None for v in getattr(run, results)()):
+            return None
+        return "no initial condition could be integrated"
+    return gate
+
+
+_HYPER = (_has_hypersurface,)
+_TANGENTIAL = (_has_hypersurface, _tangential)
+
+
+# --------------------------------------------------------------------------
+# measurements: (run, tol) -> (samples, max abs, max rel, verdict, notes)
+
+def _judge(samples, pairs, tol, residual=False, notes=""):
+    """Measurement from the worst errors over (got, want) pairs.  The
+    verdict follows the tolerance, or is ``reported-residual`` for a
+    finding.  ``notes`` is a string, or a (within tolerance, beyond it)
+    pair of strings."""
+    abs_err = rel_err = 0.0
+    for got, want in pairs:
+        a, r = errors_between(got, want)
+        abs_err, rel_err = max(abs_err, a), max(rel_err, r)
+    within = rel_err <= tol
+    if not isinstance(notes, str):
+        notes = notes[0] if within else notes[1]
+    verdict = ("reported-residual" if residual
+               else "pass" if within else "fail")
+    return samples, abs_err, rel_err, verdict, notes
+
+
+def _each(points, pairs, residual=False, notes=""):
+    """Measurement over a point set (a ``SuiteRun`` method name):
+    ``pairs(p)`` lists the (got, want) values compared at point ``p``."""
+    def measure(run, tol):
+        pts = getattr(run, points)()
+        return _judge(len(pts), (pair for p in pts for pair in pairs(p)),
+                      tol, residual, notes)
+    return measure
+
+
+def _geodesics(results, notes=""):
+    """Measurement over a per-initial-condition ``SuiteRun`` measurement
+    (a method name); ``notes`` may use ``{done}`` and ``{tried}``."""
+    def measure(run, tol):
+        values = getattr(run, results)()
+        done = [(v, 0.0) for v in values if v is not None]
+        return _judge(len(done), done, tol, notes=notes.format(
+            done=len(done), tried=len(values)))
+    return measure
+
+
+def _fd(probe):
+    """Finite-difference cross-check: ``probe(pg, i, j, k)`` gives (jet
+    value, difference quotient) for three random index triples at each
+    of the ``fd_points``; every such check draws the same triples."""
+    def measure(run, tol):
+        rng = np.random.default_rng([run.cfg.seed, 7])
+        pts = run.fd_points()
+        return _judge(len(pts), (probe(pg, *rng.integers(0, run.n, size=3))
+                                 for pg in pts for _ in range(3)), tol)
+    return measure
+
+
+def _homogeneity(run, tol):
     cps = run.cpoints()
     rng = np.random.default_rng([run.cfg.seed, 11])
-    hom = _Acc()
-    det_floor = np.inf
-    for cp in cps:
-        lam = rng.uniform(0.5, 2.0)
-        for space, L in ((run.pair.base, cp.base.L()),
-                         (run.pair.starred, cp.star.L())):
-            scaled = np.sqrt(space.l2(cp.x, lam * cp.y))
-            hom.add(scaled, lam * L)
-        det_floor = min(det_floor,
-                        abs(np.linalg.det(cp.base.g_low())),
-                        abs(np.linalg.det(cp.star.g_low())))
-    recs = [
-        record_from_errors(
-            "valid.homogeneity", "value-scales-linearly-with-support",
-            len(cps), hom.abs, hom.rel, run.tol("euler")),
-        CheckRecord(
-            "valid.positivity", "both-metric-values-positive-on-samples",
-            len(cps), 0.0, 0.0, run.tol("euler"), "pass",
-            f"{run.rejected()} candidate draw(s) rejected"),
-        CheckRecord(
-            "valid.regularity", "fundamental-tensor-invertible-on-samples",
-            len(cps), 0.0, 0.0, run.tol("euler"), "pass",
-            f"min |det g| = {det_floor:.3e}"),
-    ]
-    if run.hyper is not None:
-        smin = np.inf
-        for hp in (chp.base for chp in run.chpoints()):
-            smin = min(smin, float(np.linalg.svd(hp.B, compute_uv=False)[-1]))
-        verdict = "pass" if smin > 1e-10 else "fail"
-        recs.append(CheckRecord(
-            "valid.frame-rank", "embedding-differential-has-full-rank",
-            len(run.chpoints()), 0.0, 0.0, run.tol("euler"), verdict,
-            f"min singular value of the tangent frame = {smin:.3e}"))
-    return recs
+
+    def pairs():
+        for cp in cps:
+            lam = rng.uniform(0.5, 2.0)
+            for space, L in ((run.pair.base, cp.base.L()),
+                             (run.pair.starred, cp.star.L())):
+                yield np.sqrt(space.l2(cp.x, lam * cp.y)), lam * L
+    return _judge(len(cps), pairs(), tol)
 
 
-# --------------------------------------------------------------------------
-# suite: core-identities
+def _regularity(run, tol):
+    floor = min([np.inf] + [abs(np.linalg.det(pg.g_low()))
+                            for cp in run.cpoints()
+                            for pg in (cp.base, cp.star)])
+    return (len(run.cpoints()), 0.0, 0.0, "pass",
+            f"min |det g| = {floor:.3e}")
+
+
+def _frame_rank(run, tol):
+    chps = run.chpoints()
+    smin = min([np.inf] + [float(np.linalg.svd(chp.base.B,
+                                               compute_uv=False)[-1])
+                           for chp in chps])
+    return (len(chps), 0.0, 0.0, "pass" if smin > 1e-10 else "fail",
+            f"min singular value of the tangent frame = {smin:.3e}")
+
+
+def _obstruction(run, tol):
+    defect = run.projectivity_defect()
+    floor = run.cfg.tol("nonprojective-floor")
+    if defect <= tol:
+        verdict, note = "pass", "projective at samples"
+    elif defect > floor:
+        verdict, note = "reported-residual", "not projective at samples"
+    else:
+        verdict, note = "reported-residual", (
+            f"obstruction between {tol:.0e} and {floor:.0e}: "
+            "neither clearly projective nor clearly not")
+    return len(run.cpoints()), defect, defect, verdict, note
+
+
+def _tangency(run, tol):
+    t = run.tangency()
+    if t <= tol:
+        verdict, note = "pass", "drift is tangential at samples"
+    else:
+        verdict, note = "reported-residual", (
+            f"drift has a normal component (max |b.N| = {t:.2e}); "
+            "transfer laws do not apply")
+    return len(run.chpoints()), t, t, verdict, note
+
 
 def _fd2(f, y, i, j, h=1e-4):
     def at(di, dj):
@@ -214,487 +359,254 @@ def _fd2(f, y, i, j, h=1e-4):
     return (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4 * h * h)
 
 
-def _fd_family_records(run: SuiteRun):
-    space = run.pair.base
-    n = run.n
-    rng = np.random.default_rng([run.cfg.seed, 7])
-    accs = {k: _Acc() for k in
-            ("fundamental", "cartan", "connection", "berwald", "curvature")}
-    pts = run.points()[:2]
-    for x, y in pts:
-        pg = space.point(x, y)
-        for _ in range(3):
-            i, j, k = rng.integers(0, n, size=3)
-            fd_g = 0.5 * _fd2(lambda yy: space.l2(x, yy), y, i, j)
-            accs["fundamental"].add(pg.g_low()[i, j], fd_g)
-            fd_c = 0.5 * central_partial(
-                lambda yy: space.point(x, yy).g_low()[i, j], y, k, 1e-5)
-            accs["cartan"].add(pg.C_low()[i, j, k], fd_c)
-            fd_n = central_partial(
-                lambda yy: space.spray_values(x, yy)[i], y, j, 1e-5)
-            accs["connection"].add(pg.n_conn()[i, j], fd_n)
-            fd_b = central_partial(
-                lambda yy: space.point(x, yy).n_conn()[i, j], y, k, 1e-5)
-            accs["berwald"].add(pg.berwald()[i, j, k], fd_b)
-        G, N, B = pg.spray(), pg.n_conn(), pg.berwald()
-        dG = np.stack([central_partial(
-            lambda xv: space.spray_values(xv, y), x, k, 1e-5)
-            for k in range(n)], axis=-1)
-        dN = np.stack([central_partial(
-            lambda xv: space.point(xv, y).n_conn(), x, j, 1e-5)
-            for j in range(n)], axis=-1)
-        r_fd = (2 * dG - np.einsum("j,ikj->ik", y, dN)
-                + 2 * np.einsum("j,ijk->ik", G, B) - N @ N)
-        accs["curvature"].add(pg.riemann(), r_fd)
-    return [record_from_errors(
-        f"core.fd-{name}", "matches-central-finite-differences",
-        len(pts), acc.abs, acc.rel, run.tol("fd-cross-check"))
-        for name, acc in accs.items()]
+def _fd_curvature(pg):
+    """R and its finite-difference value from the spray and connection."""
+    space, x, y, n = pg.space, pg.x, pg.y, pg.n
+    G, N, B = pg.spray(), pg.n_conn(), pg.berwald()
+    dG = np.stack([central_partial(
+        lambda xv: space.spray_values(xv, y), x, k, 1e-5)
+        for k in range(n)], axis=-1)
+    dN = np.stack([central_partial(
+        lambda xv: space.point(xv, y).n_conn(), x, j, 1e-5)
+        for j in range(n)], axis=-1)
+    r_fd = (2 * dG - np.einsum("j,ikj->ik", y, dN)
+            + 2 * np.einsum("j,ijk->ik", G, B) - N @ N)
+    return [(pg.riemann(), r_fd)]
+
+
+def _weyl_structure(cp):
+    W = cp.base.weyl_proj()
+    return [(np.trace(W), 0.0), (W @ cp.y, 0.0)]
+
+
+def _douglas_structure(cp):
+    D = cp.base.douglas()
+    return [(D, np.transpose(D, (0, 2, 1, 3))),
+            (D, np.transpose(D, (0, 3, 2, 1))),
+            (np.einsum("hhjk->jk", D), 0.0),
+            (np.einsum("hijk,k->hij", D, cp.y), 0.0)]
+
+
+# --------------------------------------------------------------------------
+# the check table: (check id, law, tolerance name, gates, measurement)
+
+_FIT = ("agrees with the direct pipeline",
+        "disagrees with the direct pipeline when the scale factor "
+        "and the drift form are both nonzero")
+_FD = "matches-central-finite-differences"
+
+_VALIDATION = (
+    ("valid.homogeneity", "value-scales-linearly-with-support", "euler", (),
+     _homogeneity),
+    ("valid.positivity", "both-metric-values-positive-on-samples", "euler",
+     (), lambda run, tol: (len(run.cpoints()), 0.0, 0.0, "pass",
+                           f"{run.sampled()[1]} candidate draw(s) rejected")),
+    ("valid.regularity", "fundamental-tensor-invertible-on-samples", "euler",
+     (), _regularity),
+)
+# Follows the validation rows when a hypersurface is given.
+_FRAME_RANK = ("valid.frame-rank", "embedding-differential-has-full-rank",
+               "euler", (), _frame_rank)
+
+CHECKS = {}
+CHECKS["core-identities"] = (
+    ("core.value-from-support", "support-covector-restores-value", "euler",
+     (), _each("cpoints", lambda cp: [(cp.base.l_low() @ cp.y, cp.base.L())])),
+    ("core.metric-restores-value", "metric-on-support-gives-squared-value",
+     "euler", (), _each("cpoints", lambda cp: [
+         (cp.y @ cp.base.g_low() @ cp.y, cp.base.L() * cp.base.L())])),
+    ("core.angular-kills-support", "angular-metric-annihilates-support",
+     "euler", (), _each("cpoints", lambda cp: [(cp.base.h_low() @ cp.y, 0.0)])),
+    ("core.cartan-kills-support", "cartan-tensor-annihilates-support", "euler",
+     (), _each("cpoints", lambda cp: [
+         (np.einsum("ijk,k->ij", cp.base.C_low(), cp.y), 0.0)])),
+    ("core.connection-euler", "connection-contracts-to-twice-spray", "euler",
+     (), _each("cpoints", lambda cp: [
+         (cp.base.n_conn() @ cp.y, 2 * cp.base.spray())])),
+    ("core.berwald-euler", "berwald-contracts-to-connection", "euler", (),
+     _each("cpoints", lambda cp: [
+         (np.einsum("ijk,k->ij", cp.base.berwald(), cp.y), cp.base.n_conn())])),
+    ("core.hconn-euler", "horizontal-connection-contracts-to-connection",
+     "euler", (), _each("cpoints", lambda cp: [
+         (np.einsum("ijk,j->ik", cp.base.cartan_hconn(), cp.y),
+          cp.base.n_conn())])),
+    ("core.curvature-kills-support", "curvature-annihilates-support", "euler",
+     (), _each("cpoints", lambda cp: [(cp.base.riemann() @ cp.y, 0.0)])),
+    ("core.weyl-structure", "weyl-tensor-trace-free-and-kills-support",
+     "euler", (), _each("heavy_points", _weyl_structure)),
+    ("core.douglas-structure", "douglas-symmetric-trace-free-kills-support",
+     "euler", (), _each("heavy_points", _douglas_structure)),
+    ("core.fd-fundamental", _FD, "fd-cross-check", (),
+     _fd(lambda pg, i, j, k: (pg.g_low()[i, j], 0.5 * _fd2(
+         lambda yy: pg.space.l2(pg.x, yy), pg.y, i, j)))),
+    ("core.fd-cartan", _FD, "fd-cross-check", (),
+     _fd(lambda pg, i, j, k: (pg.C_low()[i, j, k], 0.5 * central_partial(
+         lambda yy: pg.space.point(pg.x, yy).g_low()[i, j], pg.y, k, 1e-5)))),
+    ("core.fd-connection", _FD, "fd-cross-check", (),
+     _fd(lambda pg, i, j, k: (pg.n_conn()[i, j], central_partial(
+         lambda yy: pg.space.spray_values(pg.x, yy)[i], pg.y, j, 1e-5)))),
+    ("core.fd-berwald", _FD, "fd-cross-check", (),
+     _fd(lambda pg, i, j, k: (pg.berwald()[i, j, k], central_partial(
+         lambda yy: pg.space.point(pg.x, yy).n_conn()[i, j], pg.y, k, 1e-5)))),
+    ("core.fd-curvature", _FD, "fd-cross-check", (),
+     _each("fd_points", _fd_curvature)),
+)
+CHECKS["change-identities"] = (
+    ("change.value-closed-form", "changed-value-and-support-closed-forms",
+     "two-path", (), _each("cpoints", lambda cp: [
+         (cp.Lstar, cp.star.L()), (cp.lstar_closed(), cp.star.l_low())])),
+    ("change.angular-closed-form", "angular-metric-rescales", "two-path", (),
+     _each("cpoints", lambda cp: [(cp.hstar_closed(), cp.star.h_low())])),
+    ("change.metric-closed-form", "changed-fundamental-tensor-closed-form",
+     "two-path", (), _each("cpoints", lambda cp: [
+         (cp.gstar_closed(), cp.star.g_low())])),
+    ("change.cartan-closed-form", "changed-cartan-tensor-closed-form",
+     "two-path", (), _each("cpoints", lambda cp: [
+         (cp.cstar_closed(), cp.star.C_low())])),
+    ("change.inverse-closed-form", "changed-inverse-metric-closed-form",
+     "two-path-inverse", (), _each("cpoints", lambda cp: [
+         (cp.ginv_star_closed(), cp.star.g_up())], residual=True, notes=_FIT)),
+    ("change.mixed-cartan-closed-form", "changed-mixed-cartan-closed-form",
+     "residual", (), _each("cpoints", lambda cp: [
+         (cp.cstar_mixed_closed(), cp.cstar_mixed_direct())],
+         residual=True, notes=_FIT)),
+    ("change.support-orthogonal", "drift-covector-orthogonal-to-support",
+     "euler", (), _each("cpoints", lambda cp: [
+         (cp.a_low() @ cp.y, 0.0), (cp.hstar_closed() @ cp.y, 0.0)])),
+    ("change.hcov-split", "horizontal-derivative-splits-sym-antisym", "euler",
+     (), _each("cpoints", lambda cp: [
+         (cp.b_hcov(), cp.E_low() + cp.F_low()),
+         (cp.E_low(), cp.E_low().T), (cp.F_low(), -cp.F_low().T)])),
+)
+CHECKS["projectivity"] = (
+    ("proj.obstruction", "projectivity-obstruction-vanishes",
+     "projective-defect", (), _obstruction),
+    ("proj.collinearity", "spray-difference-collinear-with-support",
+     "collinearity", (_projective,),
+     _each("cpoints", lambda cp: [(cp.collinearity_defect(), 0.0)])),
+    ("proj.geodesic-deviation", "geodesics-coincide-as-point-sets",
+     "geodesic-deviation", (_projective, _integrated("geodesic_pairs")),
+     _geodesics("geodesic_pairs",
+                "{done}/{tried} initial conditions integrated to t = 2.0")),
+)
+CHECKS["hypersurface"] = (
+    ("hyper.frame-identities", "frame-relations-hold", "frame", _HYPER,
+     _each("chpoints", lambda chp: [(chp.base.frame_residuals(), 0.0)])),
+    ("hyper.frame-identities-changed", "frame-relations-hold-after-change",
+     "frame", _HYPER,
+     _each("chpoints", lambda chp: [(chp.star.frame_residuals(), 0.0)])),
+    ("hyper.normal-value", "changed-metric-on-normal-closed-form",
+     "ambient-identity", _HYPER, _each("chpoints", lambda chp: [
+         (chp.gstar_on_normal(), chp.gstar_on_normal_closed())])),
+    ("hyper.tangency", "drift-tangent-to-hypersurface", "tangency", _HYPER,
+     _tangency),
+    ("hyper.normal-transfer", "normal-rescales-by-root-tau", "normal-transfer",
+     _TANGENTIAL, _each("chpoints", lambda chp: [
+         (chp.star.normal_up(), chp.normal_transfer_closed()),
+         (chp.star.normal_low(), chp.conormal_transfer_closed())])),
+    ("hyper.curvature-decomposition",
+     "normal-curvature-decomposes-under-tangential-drift",
+     "curvature-transfer", _TANGENTIAL, _each("chpoints", lambda chp: [
+         (chp.hstar_decomposition_residual(), 0.0)])),
+    ("hyper.curvature-scale-reported",
+     "normal-curvature-relation-without-scaled-correction", "residual",
+     _TANGENTIAL, _each("chpoints", lambda chp: [
+         (chp.hstar_reported_residual(), 0.0)], residual=True,
+         notes="correction term enters unscaled; residual vanishes only "
+               "when the correction itself does")),
+    ("hyper.curvature-transfer", "normal-curvature-rescales-by-root-tau",
+     "curvature-transfer", _TANGENTIAL + (_projective,),
+     _each("chpoints", lambda chp: [
+         (chp.star.normal_curvature(),
+          np.sqrt(chp.cp.tau) * chp.base.normal_curvature())])),
+    ("hyper.normal-projective-contraction",
+     "normal-contraction-of-spray-difference-vanishes", "curvature-transfer",
+     _TANGENTIAL + (_projective,),
+     _each("chpoints", lambda chp: [(chp.d_term(), 0.0)])),
+    ("hyper.flat-preserved",
+     "totally-geodesic-preserved-under-tangential-drift", "flat-hypersurface",
+     _HYPER + (_base_flat,),
+     _each("chpoints", lambda chp: [(chp.star.normal_curvature(), 0.0)],
+           notes="base normal curvature vanishes at samples")),
+)
+CHECKS["invariants-5"] = (
+    ("inv5.douglas-invariance", "douglas-tensor-unchanged",
+     "douglas-invariance", (_projective,), _each("invariant_points",
+     lambda cp: [(cp.star.douglas(), cp.base.douglas())])),
+    ("inv5.weyl-invariance", "weyl-tensors-unchanged", "weyl-invariance",
+     (_projective,), _each("invariant_points", lambda cp: [
+         (cp.star.weyl_proj(), cp.base.weyl_proj()),
+         (cp.star.weyl_torsion(), cp.base.weyl_torsion())])),
+    ("inv5.riemannian-douglas", "douglas-vanishes-on-quadratic-metric",
+     "riemannian-douglas", (_quadratic,),
+     _each("invariant_points", lambda cp: [(cp.base.douglas(), 0.0)])),
+    ("inv5.base-weyl-size", "weyl-size-as-flatness-test", "flat-weyl", (),
+     _each("invariant_points", lambda cp: [
+         (cp.base.weyl_proj(), 0.0), (cp.base.weyl_torsion(), 0.0)],
+         residual=True, notes=("projectively flat at samples",
+                               "nonzero projective curvature at samples"))),
+)
+CHECKS["geodesics"] = (
+    ("geo.value-conservation", "metric-value-conserved-along-flow",
+     "value-drift", (_integrated("value_drifts"),),
+     _geodesics("value_drifts",
+                "{done}/{tried} initial conditions integrated to t = 2.0")),
+    ("geo.retrace", "reversed-geodesics-retrace-the-curve",
+     "geodesic-deviation", (_reversible, _integrated("retrace_deviations")),
+     _geodesics("retrace_deviations")),
+    ("geo.projective-deviation", "changed-flow-keeps-geodesic-point-sets",
+     "geodesic-deviation", (_projective, _integrated("geodesic_pairs")),
+     _geodesics("geodesic_pairs",
+                "{done}/{tried} initial conditions integrated")),
+)
+
+
+def _record(run, row):
+    """The record of one table row: skipped with the note of the first
+    closed gate, else measured."""
+    check_id, law, tol_name, gates, measure = row
+    tol = run.cfg.tol(tol_name)
+    for gate in gates:
+        note = gate(run)
+        if note is not None:
+            if gate is _has_hypersurface:
+                tol = run.cfg.tol("frame")
+            return CheckRecord(check_id, law, 0, 0.0, 0.0, tol, "skipped",
+                               note)
+    samples, abs_err, rel_err, verdict, notes = measure(run, tol)
+    return CheckRecord(check_id, law, samples, abs_err, rel_err, tol,
+                       verdict, notes)
+
+
+def validation_records(run: SuiteRun):
+    """Sample-validity records, emitted before every suite."""
+    rows = _VALIDATION + ((_FRAME_RANK,) if run.hyper is not None else ())
+    return [_record(run, row) for row in rows]
 
 
 def suite_core(run: SuiteRun):
-    ids = (
-        ("core.value-from-support", "support-covector-restores-value"),
-        ("core.metric-restores-value", "metric-on-support-gives-squared-value"),
-        ("core.angular-kills-support", "angular-metric-annihilates-support"),
-        ("core.cartan-kills-support", "cartan-tensor-annihilates-support"),
-        ("core.connection-euler", "connection-contracts-to-twice-spray"),
-        ("core.berwald-euler", "berwald-contracts-to-connection"),
-        ("core.hconn-euler", "horizontal-connection-contracts-to-connection"),
-        ("core.curvature-kills-support", "curvature-annihilates-support"),
-        ("core.weyl-structure", "weyl-tensor-trace-free-and-kills-support"),
-        ("core.douglas-structure", "douglas-symmetric-trace-free-kills-support"),
-    )
-    accs = [_Acc() for _ in ids]
-    cps = run.cpoints()
-    heavy = cps[:min(len(cps), 10 if run.n >= 3 else 25)]
-    for cp in cps:
-        pg, y = cp.base, cp.y
-        L = pg.L()
-        accs[0].add(pg.l_low() @ y, L)
-        accs[1].add(y @ pg.g_low() @ y, L * L)
-        accs[2].add(pg.h_low() @ y)
-        accs[3].add(np.einsum("ijk,k->ij", cp.base.C_low(), y))
-        accs[4].add(pg.n_conn() @ y, 2 * pg.spray())
-        accs[5].add(np.einsum("ijk,k->ij", pg.berwald(), y), pg.n_conn())
-        accs[6].add(np.einsum("ijk,j->ik", pg.cartan_hconn(), y), pg.n_conn())
-        accs[7].add(pg.riemann() @ y)
-    for cp in heavy:
-        pg, y = cp.base, cp.y
-        W = pg.weyl_proj()
-        accs[8].add(np.trace(W))
-        accs[8].add(W @ y)
-        D = pg.douglas()
-        accs[9].add(D, np.transpose(D, (0, 2, 1, 3)))
-        accs[9].add(D, np.transpose(D, (0, 3, 2, 1)))
-        accs[9].add(np.einsum("hhjk->jk", D))
-        accs[9].add(np.einsum("hijk,k->hij", D, y))
-    recs = []
-    for (cid, law), acc, count in zip(
-            ids, accs, [len(cps)] * 8 + [len(heavy)] * 2):
-        recs.append(record_from_errors(cid, law, count, acc.abs, acc.rel,
-                                       run.tol("euler")))
-    recs.extend(_fd_family_records(run))
-    return recs
+    return [_record(run, row) for row in CHECKS["core-identities"]]
 
-
-# --------------------------------------------------------------------------
-# suite: change-identities
 
 def suite_change(run: SuiteRun):
-    cps = run.cpoints()
-    value, angular, metric, cartan = _Acc(), _Acc(), _Acc(), _Acc()
-    inverse, mixed = _Acc(), _Acc()
-    support, split = _Acc(), _Acc()
-    for cp in cps:
-        star, y = cp.star, cp.y
-        value.add(cp.Lstar, star.L())
-        value.add(cp.lstar_closed(), star.l_low())
-        angular.add(cp.hstar_closed(), star.h_low())
-        metric.add(cp.gstar_closed(), star.g_low())
-        cartan.add(cp.cstar_closed(), star.C_low())
-        inverse.add(cp.ginv_star_closed(), star.g_up())
-        mixed.add(cp.cstar_mixed_closed(), cp.cstar_mixed_direct())
-        support.add(cp.a_low() @ y)
-        support.add(cp.hstar_closed() @ y)
-        bh = cp.b_hcov()
-        split.add(bh, cp.E_low() + cp.F_low())
-        split.add(cp.E_low(), cp.E_low().T)
-        split.add(cp.F_low(), -cp.F_low().T)
-    m = len(cps)
-    t2, ti, tr, te = (run.tol("two-path"), run.tol("two-path-inverse"),
-                      run.tol("residual"), run.tol("euler"))
-
-    def note_for(acc, tol):
-        return ("agrees with the direct pipeline" if acc.rel <= tol else
-                "disagrees with the direct pipeline when the scale factor "
-                "and the drift form are both nonzero")
-
-    return [
-        record_from_errors("change.value-closed-form",
-                           "changed-value-and-support-closed-forms", m,
-                           value.abs, value.rel, t2),
-        record_from_errors("change.angular-closed-form",
-                           "angular-metric-rescales", m,
-                           angular.abs, angular.rel, t2),
-        record_from_errors("change.metric-closed-form",
-                           "changed-fundamental-tensor-closed-form", m,
-                           metric.abs, metric.rel, t2),
-        record_from_errors("change.cartan-closed-form",
-                           "changed-cartan-tensor-closed-form", m,
-                           cartan.abs, cartan.rel, t2),
-        record_from_errors("change.inverse-closed-form",
-                           "changed-inverse-metric-closed-form", m,
-                           inverse.abs, inverse.rel, ti, residual=True,
-                           notes=note_for(inverse, ti)),
-        record_from_errors("change.mixed-cartan-closed-form",
-                           "changed-mixed-cartan-closed-form", m,
-                           mixed.abs, mixed.rel, tr, residual=True,
-                           notes=note_for(mixed, tr)),
-        record_from_errors("change.support-orthogonal",
-                           "drift-covector-orthogonal-to-support", m,
-                           support.abs, support.rel, te),
-        record_from_errors("change.hcov-split",
-                           "horizontal-derivative-splits-sym-antisym", m,
-                           split.abs, split.rel, te),
-    ]
-
-
-# --------------------------------------------------------------------------
-# suite: projectivity
-
-def _geodesic_pairs(run, count, t_end, itol):
-    """Integrate the same initial conditions in both spaces; returns
-    (deviation accumulator, integrated count, attempted count)."""
-    acc = _Acc()
-    done = 0
-    ics = run.points()[:count]
-    for x, y in ics:
-        try:
-            base = integrate_geodesic(run.pair.base, x, y, t_end, tol=itol)
-            star = integrate_geodesic(run.pair.starred, x, y, t_end, tol=itol)
-        except GeodesicError:
-            continue
-        acc.add(curve_set_deviation(base, star))
-        done += 1
-    return acc, done, len(ics)
+    return [_record(run, row) for row in CHECKS["change-identities"]]
 
 
 def suite_projectivity(run: SuiteRun):
-    defect = run.projectivity_defect()
-    tol_d = run.tol("projective-defect")
-    floor = run.tol("nonprojective-floor")
-    m = len(run.cpoints())
-    recs = []
-    if run.is_projective():
-        recs.append(CheckRecord(
-            "proj.obstruction", "projectivity-obstruction-vanishes", m,
-            defect, defect, tol_d, "pass", "projective at samples"))
-        coll = _Acc()
-        for cp in run.cpoints():
-            coll.add(cp.collinearity_defect())
-        recs.append(record_from_errors(
-            "proj.collinearity", "spray-difference-collinear-with-support",
-            m, coll.abs, coll.rel, run.tol("collinearity")))
-        acc, done, tried = _geodesic_pairs(run, count=min(m, 5), t_end=2.0,
-                                           itol=1e-10)
-        if done:
-            recs.append(record_from_errors(
-                "proj.geodesic-deviation",
-                "geodesics-coincide-as-point-sets", done, acc.abs, acc.rel,
-                run.tol("geodesic-deviation"),
-                notes=f"{done}/{tried} initial conditions integrated to "
-                      f"t = 2.0"))
-        else:
-            recs.append(_skip(
-                "proj.geodesic-deviation",
-                "geodesics-coincide-as-point-sets",
-                run.tol("geodesic-deviation"),
-                "no initial condition could be integrated"))
-    else:
-        kind = ("not projective at samples" if defect > floor else
-                f"obstruction between {tol_d:.0e} and {floor:.0e}: "
-                "neither clearly projective nor clearly not")
-        recs.append(CheckRecord(
-            "proj.obstruction", "projectivity-obstruction-vanishes", m,
-            defect, defect, tol_d, "reported-residual", kind))
-        note = _gate_note(run)
-        recs.append(_skip("proj.collinearity",
-                          "spray-difference-collinear-with-support",
-                          run.tol("collinearity"), note))
-        recs.append(_skip("proj.geodesic-deviation",
-                          "geodesics-coincide-as-point-sets",
-                          run.tol("geodesic-deviation"), note))
-    return recs
+    return [_record(run, row) for row in CHECKS["projectivity"]]
 
-
-# --------------------------------------------------------------------------
-# suite: hypersurface
 
 def suite_hypersurface(run: SuiteRun):
-    tols = {name: run.tol(name) for name in
-            ("frame", "ambient-identity", "tangency", "normal-transfer",
-             "curvature-transfer", "flat-hypersurface", "residual")}
-    ids = {
-        "frame": ("hyper.frame-identities", "frame-relations-hold"),
-        "frame_star": ("hyper.frame-identities-changed",
-                       "frame-relations-hold-after-change"),
-        "normal_value": ("hyper.normal-value",
-                         "changed-metric-on-normal-closed-form"),
-        "tangency": ("hyper.tangency", "drift-tangent-to-hypersurface"),
-        "transfer": ("hyper.normal-transfer", "normal-rescales-by-root-tau"),
-        "decomp": ("hyper.curvature-decomposition",
-                   "normal-curvature-decomposes-under-tangential-drift"),
-        "reported": ("hyper.curvature-scale-reported",
-                     "normal-curvature-relation-without-scaled-correction"),
-        "transfer_h": ("hyper.curvature-transfer",
-                       "normal-curvature-rescales-by-root-tau"),
-        "contraction": ("hyper.normal-projective-contraction",
-                        "normal-contraction-of-spray-difference-vanishes"),
-        "flat": ("hyper.flat-preserved",
-                 "totally-geodesic-preserved-under-tangential-drift"),
-    }
-    if run.hyper is None:
-        note = "no hypersurface spec provided"
-        return [_skip(cid, law, tols["frame"], note)
-                for cid, law in ids.values()]
+    return [_record(run, row) for row in CHECKS["hypersurface"]]
 
-    chps = run.chpoints()
-    if not chps:
-        note = "no valid hypersurface sample admitted by the changed metric"
-        return [_skip(cid, law, tols["frame"], note)
-                for cid, law in ids.values()]
-    m = len(chps)
-
-    frame, frame_star, normal_value = _Acc(), _Acc(), _Acc()
-    tangency = 0.0
-    base_h_max = 0.0
-    for chp in chps:
-        frame.add(chp.base.frame_residuals())
-        frame_star.add(chp.star.frame_residuals())
-        normal_value.add(chp.gstar_on_normal(), chp.gstar_on_normal_closed())
-        tangency = max(tangency, abs(chp.b_dot_normal()))
-        base_h_max = max(base_h_max,
-                         float(np.max(np.abs(chp.base.normal_curvature()))))
-    tangential = tangency <= tols["tangency"]
-
-    recs = [
-        record_from_errors(*ids["frame"], m, frame.abs, frame.rel,
-                           tols["frame"]),
-        record_from_errors(*ids["frame_star"], m, frame_star.abs,
-                           frame_star.rel, tols["frame"]),
-        record_from_errors(*ids["normal_value"], m, normal_value.abs,
-                           normal_value.rel, tols["ambient-identity"]),
-    ]
-    if tangential:
-        recs.append(CheckRecord(*ids["tangency"], m, tangency, tangency,
-                                tols["tangency"], "pass",
-                                "drift is tangential at samples"))
-        transfer, decomp, reported = _Acc(), _Acc(), _Acc()
-        for chp in chps:
-            transfer.add(chp.star.normal_up(), chp.normal_transfer_closed())
-            transfer.add(chp.star.normal_low(),
-                         chp.conormal_transfer_closed())
-            decomp.add(chp.hstar_decomposition_residual())
-            reported.add(chp.hstar_reported_residual())
-        recs.append(record_from_errors(
-            *ids["transfer"], m, transfer.abs, transfer.rel,
-            tols["normal-transfer"]))
-        recs.append(record_from_errors(
-            *ids["decomp"], m, decomp.abs, decomp.rel,
-            tols["curvature-transfer"]))
-        recs.append(record_from_errors(
-            *ids["reported"], m, reported.abs, reported.rel,
-            tols["residual"], residual=True,
-            notes="correction term enters unscaled; residual vanishes "
-                  "only when the correction itself does"))
-        if run.is_projective():
-            transfer_h, contraction = _Acc(), _Acc()
-            for chp in chps:
-                transfer_h.add(chp.star.normal_curvature(),
-                               np.sqrt(chp.cp.tau)
-                               * chp.base.normal_curvature())
-                contraction.add(chp.d_term())
-            recs.append(record_from_errors(
-                *ids["transfer_h"], m, transfer_h.abs, transfer_h.rel,
-                tols["curvature-transfer"]))
-            recs.append(record_from_errors(
-                *ids["contraction"], m, contraction.abs, contraction.rel,
-                tols["curvature-transfer"]))
-        else:
-            note = _gate_note(run)
-            recs.append(_skip(*ids["transfer_h"],
-                              tols["curvature-transfer"], note))
-            recs.append(_skip(*ids["contraction"],
-                              tols["curvature-transfer"], note))
-    else:
-        recs.append(CheckRecord(
-            *ids["tangency"], m, tangency, tangency, tols["tangency"],
-            "reported-residual",
-            f"drift has a normal component (max |b.N| = {tangency:.2e}); "
-            "transfer laws do not apply"))
-        note = (f"gated on tangency; max |b.N| = {tangency:.2e} exceeds "
-                f"{tols['tangency']:.0e}")
-        for key in ("transfer", "decomp", "reported", "transfer_h",
-                    "contraction"):
-            tol = (tols["normal-transfer"] if key == "transfer"
-                   else tols["curvature-transfer"])
-            recs.append(_skip(*ids[key], tol, note))
-
-    if base_h_max <= tols["flat-hypersurface"]:
-        flat = _Acc()
-        for chp in chps:
-            flat.add(chp.star.normal_curvature())
-        recs.append(record_from_errors(
-            *ids["flat"], m, flat.abs, flat.rel, tols["flat-hypersurface"],
-            notes="base normal curvature vanishes at samples"))
-    else:
-        recs.append(_skip(
-            *ids["flat"], tols["flat-hypersurface"],
-            f"base hypersurface is not totally geodesic "
-            f"(max |H| = {base_h_max:.2e})"))
-    return recs
-
-
-# --------------------------------------------------------------------------
-# suite: invariants-5
 
 def suite_invariants5(run: SuiteRun):
-    cps = run.cpoints()
-    k = min(len(cps), 8 if run.n >= 3 else 25)
-    sub = cps[:k]
-    recs = []
-    if run.is_projective():
-        dacc = _Acc()
-        for cp in sub:
-            dacc.add(cp.star.douglas(), cp.base.douglas())
-        recs.append(record_from_errors(
-            "inv5.douglas-invariance", "douglas-tensor-unchanged", k,
-            dacc.abs, dacc.rel, run.tol("douglas-invariance")))
-        wacc = _Acc()
-        for cp in sub:
-            wacc.add(cp.star.weyl_proj(), cp.base.weyl_proj())
-            wacc.add(cp.star.weyl_torsion(), cp.base.weyl_torsion())
-        recs.append(record_from_errors(
-            "inv5.weyl-invariance", "weyl-tensors-unchanged", k,
-            wacc.abs, wacc.rel, run.tol("weyl-invariance")))
-    else:
-        note = _gate_note(run)
-        recs.append(_skip("inv5.douglas-invariance",
-                          "douglas-tensor-unchanged",
-                          run.tol("douglas-invariance"), note))
-        recs.append(_skip("inv5.weyl-invariance", "weyl-tensors-unchanged",
-                          run.tol("weyl-invariance"), note))
+    return [_record(run, row) for row in CHECKS["invariants-5"]]
 
-    if run.cfg.metric.is_quadratic:
-        racc = _Acc()
-        for cp in sub:
-            racc.add(cp.base.douglas())
-        recs.append(record_from_errors(
-            "inv5.riemannian-douglas", "douglas-vanishes-on-quadratic-metric",
-            k, racc.abs, racc.rel, run.tol("riemannian-douglas")))
-    else:
-        recs.append(_skip(
-            "inv5.riemannian-douglas", "douglas-vanishes-on-quadratic-metric",
-            run.tol("riemannian-douglas"), "metric is not quadratic"))
-
-    wsize = _Acc()
-    for cp in sub:
-        wsize.add(cp.base.weyl_proj())
-        wsize.add(cp.base.weyl_torsion())
-    flat = wsize.rel <= run.tol("flat-weyl")
-    recs.append(record_from_errors(
-        "inv5.base-weyl-size", "weyl-size-as-flatness-test", k,
-        wsize.abs, wsize.rel, run.tol("flat-weyl"), residual=True,
-        notes=("projectively flat at samples" if flat
-               else "nonzero projective curvature at samples")))
-    return recs
-
-
-# --------------------------------------------------------------------------
-# suite: geodesics
 
 def suite_geodesics(run: SuiteRun):
-    recs = []
-    k = min(len(run.points()), 5)
-    ics = run.points()[:k]
-    space = run.pair.base
-    drift = _Acc()
-    done = 0
-    for x, y in ics:
-        try:
-            path = integrate_geodesic(space, x, y, 2.0, tol=1e-10)
-        except GeodesicError:
-            continue
-        drift.add(path.stats["value_drift"])
-        done += 1
-    if done:
-        recs.append(record_from_errors(
-            "geo.value-conservation", "metric-value-conserved-along-flow",
-            done, drift.abs, drift.rel, run.tol("value-drift"),
-            notes=f"{done}/{k} initial conditions integrated to t = 2.0"))
-    else:
-        recs.append(_skip("geo.value-conservation",
-                          "metric-value-conserved-along-flow",
-                          run.tol("value-drift"),
-                          "no initial condition could be integrated"))
+    return [_record(run, row) for row in CHECKS["geodesics"]]
 
-    rev = 0.0
-    reversible = True
-    for x, y in ics:
-        try:
-            rev = max(rev, abs(np.sqrt(space.l2(x, -np.asarray(y)))
-                               - np.sqrt(space.l2(x, y))))
-        except JetDomainError:
-            reversible = False
-            break
-    reversible = reversible and rev <= 1e-12
-    if reversible:
-        racc = _Acc()
-        rdone = 0
-        for x, y in ics:
-            try:
-                racc.add(retrace_deviation(space, x, y, 1.5, tol=1e-10))
-                rdone += 1
-            except GeodesicError:
-                continue
-        if rdone:
-            recs.append(record_from_errors(
-                "geo.retrace", "reversed-geodesics-retrace-the-curve",
-                rdone, racc.abs, racc.rel, run.tol("geodesic-deviation")))
-        else:
-            recs.append(_skip("geo.retrace",
-                              "reversed-geodesics-retrace-the-curve",
-                              run.tol("geodesic-deviation"),
-                              "no initial condition could be integrated"))
-    else:
-        recs.append(_skip(
-            "geo.retrace", "reversed-geodesics-retrace-the-curve",
-            run.tol("geodesic-deviation"),
-            "metric is irreversible; reverse traversal follows other curves"))
-
-    if run.is_projective():
-        acc, done, tried = _geodesic_pairs(run, count=k, t_end=2.0,
-                                           itol=1e-10)
-        if done:
-            recs.append(record_from_errors(
-                "geo.projective-deviation",
-                "changed-flow-keeps-geodesic-point-sets", done,
-                acc.abs, acc.rel, run.tol("geodesic-deviation"),
-                notes=f"{done}/{tried} initial conditions integrated"))
-        else:
-            recs.append(_skip("geo.projective-deviation",
-                              "changed-flow-keeps-geodesic-point-sets",
-                              run.tol("geodesic-deviation"),
-                              "no initial condition could be integrated"))
-    else:
-        recs.append(_skip("geo.projective-deviation",
-                          "changed-flow-keeps-geodesic-point-sets",
-                          run.tol("geodesic-deviation"), _gate_note(run)))
-    return recs
-
-
-# --------------------------------------------------------------------------
 
 _SUITE_FUNCS = {
     "core-identities": suite_core,

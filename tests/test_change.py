@@ -258,11 +258,11 @@ def test_flat_space_invariants_vanish():
 
 
 def test_positivity_validation_catches_large_drift():
+    # |y| + 2 y1 = -1 at y = (-1, 0): the changed value is negative
     bad = parse_spec_text("b1 = 2\n", name="bad")
     pair = ChangedPair(EUCLID2, bad)
-    pts = [rand_point(EUCLID2) for _ in range(10)]
     with pytest.raises(JetDomainError):
-        pair.validate_positivity(pts)
+        pair.at([0.3, -0.2], [-1.0, 0.0])
 
 
 def test_homothety_scales_metric_exactly():

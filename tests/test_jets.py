@@ -7,7 +7,6 @@ from finslerchange.jets import (
     Jet,
     JetDomainError,
     JetOrderError,
-    jet_apply,
     jet_linear_solve,
     lift,
 )
@@ -211,16 +210,6 @@ def test_log_exp_roundtrip():
     w = x * y + 2.0
     back = w.log().exp()
     assert np.allclose(back.coeffs, w.coeffs, atol=1e-12)
-
-
-def test_jet_apply_dispatch():
-    x, y = lift([2.0, 3.0], active=[0, 1], order=2)
-    assert jet_apply("add", [x, y]).value == 5.0
-    assert jet_apply("mul", [x, y]).extract([1, 1]) == 1.0
-    assert jet_apply("sqrt", [x * x + y * y]).value == pytest.approx(math.sqrt(13))
-    assert jet_apply("sub", [1.0, x]).value == -1.0
-    with pytest.raises(ValueError):
-        jet_apply("tanh", [x])
 
 
 def test_linear_solve_matches_numpy_values_and_derivatives():
