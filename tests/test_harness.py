@@ -159,6 +159,40 @@ def test_conformal_run_gates_projective_checks():
     assert not [r for r in records.values() if r.verdict == "fail"]
 
 
+def test_check_table_fixes_ids_and_tolerances():
+    # Between them these configurations open and close every gate: no
+    # hypersurface / drift off the normal / drift tangential, projective or
+    # not, quadratic or not, reversible or not, base hypersurface curved or
+    # totally geodesic.
+    configs = [("euclid2", "identity", None),
+               ("randers2", "conformal", None),
+               ("euclid2", "randers_closed", "circle2"),
+               ("sphere2", "conformal", "circle2"),
+               ("euclid3", "projective3", "plane3")]
+    runs = [run_suites(SuiteConfig(resolve_spec(m), resolve_spec(c),
+                                   resolve_spec(h) if h else None,
+                                   samples=2, seed=1))
+            for m, c, h in configs]
+    # valid.frame-rank is emitted only with a hypersurface; every suite
+    # record comes from the check table, in table order.
+    id_lists = [[r.check_id for r in recs
+                 if not r.check_id.startswith("valid.")] for recs in runs]
+    assert all(ids == id_lists[0] for ids in id_lists)
+    tols = {}
+    for recs in runs:
+        for r in recs:
+            assert tols.setdefault(r.check_id, r.tol) == r.tol, r.check_id
+    notes = " ".join(r.notes for recs in runs for r in recs
+                     if r.verdict == "skipped")
+    for closed in ("no hypersurface spec", "gated on tangency",
+                   "gated on projectivity", "metric is not quadratic",
+                   "metric is irreversible", "not totally geodesic"):
+        assert closed in notes
+    measured = {r.check_id for recs in runs for r in recs
+                if r.verdict != "skipped"}
+    assert measured == set(tols)
+
+
 def test_suite_selection_subset():
     cfg = SuiteConfig(EUCLID2, IDENT, samples=5, seed=0)
     records = run_suites(cfg, ["geodesics"])
