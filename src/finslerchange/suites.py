@@ -58,6 +58,7 @@ DEFAULT_TOLS = {
     "tangency": 1e-10,          # |b_i N^i| for the tangential gate
 }
 
+
 @dataclass
 class SuiteConfig:
     metric: object
