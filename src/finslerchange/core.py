@@ -3,7 +3,9 @@
 Every quantity is derived from the single scalar L^2 evaluated on jets of
 the 2n coordinates (x, y): metric tensors fall out as Taylor coefficients,
 and derived fields (geodesic spray, connections, curvatures) are computed
-as jets themselves so that their own derivatives remain exact.
+as jets themselves so that their own derivatives remain exact.  Only the
+spray's values, which geodesic integration asks for at every step, are
+solved in floats from the jet of L^2 (``PointGeometry.spray``).
 
 Index conventions: arrays are 0-based; for a connection-like array ``T``
 the first axis is the upper index.  Jet variable slots are ``i`` for x^i
@@ -11,6 +13,8 @@ and ``n + i`` for y^i.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -50,6 +54,55 @@ def lift_xy_env(x, y, order):
     env = {f"x{i + 1}": jets[i] for i in range(n)}
     env.update({f"y{i + 1}": jets[n + i] for i in range(n)})
     return env, jets[:n], jets[n:]
+
+
+@functools.cache
+def _spray_slots(space):
+    """Where the spray reads a jet of L^2 over (x, y): positions of the
+    y^i y^j, x^k y^l and x^l coefficients, and the factorials (2 on the
+    diagonal) that turn the y^i y^j ones into second derivatives."""
+    n = space.nvars // 2
+
+    def at(*slots):
+        mi = [0] * (2 * n)
+        for s in slots:
+            mi[s] += 1
+        return space.position[tuple(mi)]
+    return (np.array([[at(n + i, n + j) for j in range(n)]
+                      for i in range(n)]),
+            np.array([[at(k, n + l) for k in range(n)] for l in range(n)]),
+            np.array([at(l) for l in range(n)]),
+            np.eye(n) + 1.0)
+
+
+def _solve_as_jets(A, b):
+    """``jet_linear_solve`` on the values of order-0 jets, in floats: the
+    same pivots and the same operations in the same order, with a
+    reciprocal taken as ``1.0 / v`` and each product as ``0.0 + a * b``.
+    ``np.linalg.solve`` rounds differently."""
+    n = len(b)
+    M = [list(row) for row in A]
+    b = list(b)
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(M[r][col]))
+        if abs(M[piv][col]) == 0.0:
+            raise JetDomainError("singular jet matrix in linear solve")
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+            b[col], b[piv] = b[piv], b[col]
+        inv = 1.0 / M[col][col]
+        for r in range(col + 1, n):
+            f = 0.0 + M[r][col] * inv
+            for c in range(col + 1, n):
+                M[r][c] = M[r][c] - (0.0 + f * M[col][c])
+            b[r] = b[r] - (0.0 + f * b[col])
+    x = [None] * n
+    for r in range(n - 1, -1, -1):
+        acc = b[r]
+        for c in range(r + 1, n):
+            acc = acc - (0.0 + M[r][c] * x[c])
+        x[r] = 0.0 + acc * (1.0 / M[r][r])
+    return x
 
 
 class FinslerSpace:
@@ -258,7 +311,24 @@ class PointGeometry:
 
     @cached
     def spray(self):
-        return np.array([G.value for G in self._spray_jets(0)])
+        """G^i = (1/4) g^il (d2L^2/dy^l dx^k y^k - dL^2/dx^l), read from
+        the order-2 jet of L^2 and solved in floats.  Every operation
+        replays the value part of ``_spray_jets(0)``, so the two agree
+        bit for bit; a jet product's value is ``0.0 + a * b``."""
+        f2 = self._f2(2)[2]
+        yy, xy, x, fac = _spray_slots(f2.space)
+        c = f2.coeffs
+        g = (c[yy] * fac * 0.5).tolist()
+        d2 = c[xy].tolist()
+        y = self.y.tolist()
+        rhs = []
+        for row, dx in zip(d2, c[x].tolist()):
+            acc = None
+            for yk, d in zip(y, row):
+                term = 0.0 + yk * d
+                acc = term if acc is None else acc + term
+            rhs.append((acc - dx) * 0.25)
+        return np.array(_solve_as_jets(g, rhs))
 
     @cached
     def n_conn(self):

@@ -195,6 +195,8 @@ class Jet:
             c = self.coeffs.copy()
             c[0] += float(other)
             return Jet(self.space, c)
+        if other.space is self.space:
+            return Jet(self.space, self.coeffs + other.coeffs)
         a, b = self._align(other)
         return Jet(a.space, a.coeffs + b.coeffs)
 
@@ -208,6 +210,8 @@ class Jet:
             c = self.coeffs.copy()
             c[0] -= float(other)
             return Jet(self.space, c)
+        if other.space is self.space:
+            return Jet(self.space, self.coeffs - other.coeffs)
         a, b = self._align(other)
         return Jet(a.space, a.coeffs - b.coeffs)
 
@@ -219,7 +223,9 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.space, self.coeffs * float(other))
-        a, b = self._align(other)
+        a, b = self, other
+        if other.space is not self.space:
+            a, b = self._align(other)
         ia, ib, io = a.space.mul_table()
         out = np.bincount(io, weights=a.coeffs[ia] * b.coeffs[ib],
                           minlength=a.space.size)

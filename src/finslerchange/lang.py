@@ -104,61 +104,109 @@ def free_vars(node):
     return out
 
 
+# id(node) -> (node, closure).  Holding the node keeps its id from being
+# reused, so the tree is compiled once and never hashed.
+_COMPILED = {}
+
+
 def evaluate(node, env):
     """Evaluate an expression over floats or Jets.
 
     ``env`` maps variable names to values; both plain numbers and Jet
-    instances flow through the same tree.
+    instances flow through the same code.  The first call compiles the
+    expression into nested closures, which later calls reuse.
     """
+    hit = _COMPILED.get(id(node))
+    if hit is None:
+        hit = _COMPILED[id(node)] = (node, _compile(node))
+    return hit[1](env)
+
+
+def _compile(node):
+    """A function of ``env`` that evaluates ``node``: the operations of a
+    tree walk, in the same order, without the per-node dispatch."""
     if isinstance(node, Num):
-        return node.value
+        value = node.value
+        return lambda env: value
     if isinstance(node, Var):
-        if node.name in env:
-            return env[node.name]
-        if node.name in _CONSTANTS:
-            return _CONSTANTS[node.name]
-        raise SpecError(f"unknown variable {node.name!r}", node.line, node.col)
+        return _compile_var(node)
     if isinstance(node, Neg):
-        return -evaluate(node.arg, env)
+        arg = _compile(node.arg)
+        return lambda env: -arg(env)
     if isinstance(node, Bin):
-        lhs = evaluate(node.left, env)
-        rhs = evaluate(node.right, env)
-        op = node.op
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if op == "/":
-            if isinstance(lhs, Jet) or isinstance(rhs, Jet):
-                if not isinstance(lhs, Jet):
-                    return rhs.reciprocal() * lhs
-                return lhs / rhs
-            if rhs == 0.0:
-                raise JetDomainError("division by zero")
-            return lhs / rhs
-        # power
-        if isinstance(lhs, Jet):
-            return lhs.powf(rhs)
-        if isinstance(rhs, Jet):
-            return rhs._like(lhs).powf(rhs)
-        if lhs < 0.0 and rhs != int(rhs):
-            raise JetDomainError(f"power {rhs} of negative value {lhs}")
+        make = _BINARY.get(node.op, _power)
+        return make(_compile(node.left), _compile(node.right))
+    if isinstance(node, Call):
+        return _compile_call(node)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _compile_var(node):
+    name = node.name
+    if name in _CONSTANTS:
+        const = _CONSTANTS[name]
+        return lambda env: env.get(name, const)
+
+    def var(env):
         try:
-            return float(lhs) ** float(rhs)
+            return env[name]
+        except KeyError:
+            raise SpecError(f"unknown variable {name!r}",
+                            node.line, node.col) from None
+    return var
+
+
+def _divide(lhs, rhs):
+    def divide(env):
+        a, b = lhs(env), rhs(env)
+        if isinstance(a, Jet) or isinstance(b, Jet):
+            if not isinstance(a, Jet):
+                return b.reciprocal() * a
+            return a / b
+        if b == 0.0:
+            raise JetDomainError("division by zero")
+        return a / b
+    return divide
+
+
+def _power(lhs, rhs):
+    def power(env):
+        a, b = lhs(env), rhs(env)
+        if isinstance(a, Jet):
+            return a.powf(b)
+        if isinstance(b, Jet):
+            return b._like(a).powf(b)
+        if a < 0.0 and b != int(b):
+            raise JetDomainError(f"power {b} of negative value {a}")
+        try:
+            return float(a) ** float(b)
         except (ValueError, ZeroDivisionError) as exc:
             raise JetDomainError(str(exc)) from exc
-    if isinstance(node, Call):
-        args = [evaluate(a, env) for a in node.args]
-        (val,) = args
+    return power
+
+
+_BINARY = {
+    "+": lambda lhs, rhs: lambda env: lhs(env) + rhs(env),
+    "-": lambda lhs, rhs: lambda env: lhs(env) - rhs(env),
+    "*": lambda lhs, rhs: lambda env: lhs(env) * rhs(env),
+    "/": _divide,
+}
+
+
+def _compile_call(node):
+    (arg,) = [_compile(a) for a in node.args]
+    name = node.fn
+    jet_fn, float_fn = getattr(Jet, name), getattr(math, name)
+
+    def call(env):
+        val = arg(env)
         if isinstance(val, Jet):
-            return getattr(val, node.fn)()
+            return jet_fn(val)
         try:
-            return getattr(math, node.fn)(val)
+            return float_fn(val)
         except ValueError as exc:
-            raise JetDomainError(f"{node.fn} domain error: {exc}") from exc
-    raise TypeError(f"not an expression node: {node!r}")
+            raise JetDomainError(f"{name} domain error: {exc}") from exc
+    return call
 
 
 # ---------------------------------------------------------------------------

@@ -160,18 +160,43 @@ class SuiteRun:
         return out
 
     @cached
+    def base_paths(self):
+        """The base geodesic of each initial condition, or the
+        ``GeodesicError`` that stopped it; integrated once per run."""
+        out = []
+        for x, y in self.geodesic_ics():
+            try:
+                out.append(integrate_geodesic(self.pair.base, x, y, 2.0,
+                                              tol=1e-10))
+            except GeodesicError as exc:
+                # Its traceback would keep the failed integration alive.
+                out.append(exc.with_traceback(None))
+        return out
+
+    def _per_base_path(self, measure):
+        """``measure(path, x, y)`` on the base path of each initial
+        condition, or None where that path or the measurement fails."""
+        out = []
+        for (x, y), path in zip(self.geodesic_ics(), self.base_paths()):
+            try:
+                out.append(None if isinstance(path, GeodesicError)
+                           else measure(path, x, y))
+            except GeodesicError:
+                out.append(None)
+        return out
+
+    @cached
     def geodesic_pairs(self):
         """Curve distance between the base and the changed geodesic."""
-        base, star = self.pair.base, self.pair.starred
-        return self._per_ic(lambda x, y: curve_set_deviation(
-            integrate_geodesic(base, x, y, 2.0, tol=1e-10),
-            integrate_geodesic(star, x, y, 2.0, tol=1e-10)))
+        star = self.pair.starred
+        return self._per_base_path(lambda path, x, y: curve_set_deviation(
+            path, integrate_geodesic(star, x, y, 2.0, tol=1e-10)))
 
     @cached
     def value_drifts(self):
         """Drift of the metric value along the base geodesic."""
-        return self._per_ic(lambda x, y: integrate_geodesic(
-            self.pair.base, x, y, 2.0, tol=1e-10).stats["value_drift"])
+        return self._per_base_path(
+            lambda path, x, y: path.stats["value_drift"])
 
     @cached
     def retrace_deviations(self):
@@ -249,16 +274,19 @@ _TANGENTIAL = (_has_hypersurface, _tangential)
 def _judge(samples, pairs, tol, residual=False, notes=""):
     """Measurement from the worst errors over (got, want) pairs.  The
     verdict follows the tolerance, or is ``reported-residual`` for a
-    finding.  ``notes`` is a string, or a (within tolerance, beyond it)
-    pair of strings."""
+    finding; a NaN error is kept and always fails.  ``notes`` is a
+    string, or a (within tolerance, beyond it) pair of strings."""
     abs_err = rel_err = 0.0
     for got, want in pairs:
         a, r = errors_between(got, want)
-        abs_err, rel_err = max(abs_err, a), max(rel_err, r)
+        # np.maximum keeps a NaN error, where max() would drop it.
+        abs_err = float(np.maximum(abs_err, a))
+        rel_err = float(np.maximum(rel_err, r))
     within = rel_err <= tol
     if not isinstance(notes, str):
         notes = notes[0] if within else notes[1]
-    verdict = ("reported-residual" if residual
+    verdict = ("fail" if np.isnan(abs_err) or np.isnan(rel_err)
+               else "reported-residual" if residual
                else "pass" if within else "fail")
     return samples, abs_err, rel_err, verdict, notes
 

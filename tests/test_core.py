@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from finslerchange import suites
+from finslerchange.change import ChangedPair
 from finslerchange.core import (
     FinslerSpace,
     central_partial,
     lift_x_env,
 )
 from finslerchange.jets import JetDomainError
-from finslerchange.lang import parse_spec_text
+from finslerchange.lang import parse_spec_text, resolve_spec
+from finslerchange.sampling import sample_pair_points
 
 # dx1^2 + x1^2 dx2^2: flat plane in polar-style coordinates
 POLAR = parse_spec_text(
@@ -285,3 +288,49 @@ def test_lift_x_env_names():
     assert set(env) == {"x1", "x2"}
     assert env["x1"].value == 1.0
     assert env["x2"].extract([0, 1]) == 1.0
+
+
+# One pair per bundled metric; the changes cover scale only, drift only,
+# closed and non-closed drift, and both together.
+BUNDLED_PAIRS = [("euclid2", "tangent_parabola"), ("euclid3", "projective3"),
+                 ("diag2", "randers_nonclosed"), ("sphere2", "conformal"),
+                 ("sphere3", "projective3"), ("curved3", "homothety"),
+                 ("randers2", "projective"), ("randers2", "randers_closed")]
+
+
+@pytest.mark.parametrize("metric,change", BUNDLED_PAIRS)
+def test_numeric_spray_equals_jet_spray_bit_for_bit(metric, change):
+    pair = ChangedPair(resolve_spec(metric), resolve_spec(change))
+    points, _ = sample_pair_points(pair, 6, 17)
+    for x, y in points:
+        for scale in (1e-12, 1e-6, 1.0, 1e6, 1e12):
+            for space in (pair.base, pair.starred):
+                got = space.point(x, scale * y).spray()
+                want = np.array([G.value for G in
+                                 space.point(x, scale * y)._spray_jets(0)])
+                assert got.tobytes() == want.tobytes(), (space.spec.name,
+                                                         x, scale * y)
+
+
+def test_geodesic_runs_integrate_each_base_condition_once(monkeypatch):
+    calls = []
+    integrate = suites.integrate_geodesic
+
+    def counting(space, x, y, t_end, **kwargs):
+        calls.append((space, t_end))
+        return integrate(space, x, y, t_end, **kwargs)
+
+    monkeypatch.setattr(suites, "integrate_geodesic", counting)
+    metric = resolve_spec("euclid2")
+    cfg = suites.SuiteConfig(metric, resolve_spec("projective"), samples=5,
+                             seed=1)
+    records = {r.check_id: r for r in suites.run_suites(
+        cfg, ["projectivity", "geodesics"])}
+    # both checks that read the base paths ran on all five conditions
+    for check in ("proj.geodesic-deviation", "geo.value-conservation",
+                  "geo.projective-deviation"):
+        assert records[check].samples == 5, check
+    base = [t for space, t in calls if space.spec is metric]
+    changed = [t for space, t in calls if space.spec is not metric]
+    assert base == [2.0] * 5
+    assert changed == [2.0] * 5

@@ -14,7 +14,7 @@ from finslerchange.report import (CheckRecord, Report, ReportError,
 from finslerchange.sampling import (SamplingError, sample_hyper_points,
                                     sample_pair_points, sample_points)
 from finslerchange.suites import (DEFAULT_TOLS, SUITE_NAMES, SuiteConfig,
-                                  run_suites)
+                                  _judge, run_suites)
 
 EUCLID2 = resolve_spec("euclid2")
 IDENT = resolve_spec("identity")
@@ -191,6 +191,19 @@ def test_check_table_fixes_ids_and_tolerances():
     measured = {r.check_id for recs in runs for r in recs
                 if r.verdict != "skipped"}
     assert measured == set(tols)
+
+
+def test_nan_error_fails_the_check():
+    _, abs_err, rel_err, verdict, _ = _judge(
+        3, [(np.array([np.nan, 1.0]), 0.0)], 1e-10)
+    assert verdict == "fail"
+    assert np.isnan(abs_err) and np.isnan(rel_err)
+    # a NaN survives later finite errors, and fails a reported residual too
+    _, abs_err, rel_err, verdict, _ = _judge(
+        3, [(1.0, 1.0), (np.nan, 0.0), (2.0, 1.0)], 1e-10, residual=True)
+    assert verdict == "fail"
+    assert np.isnan(abs_err) and np.isnan(rel_err)
+    assert _judge(1, [(1.0, 1.0)], 1e-10) == (1, 0.0, 0.0, "pass", "")
 
 
 def test_suite_selection_subset():

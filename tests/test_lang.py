@@ -71,6 +71,67 @@ def test_domain_errors_at_eval():
         ev("x1 ^ 0.5", x1=-2.0)
 
 
+def test_compiled_floats_are_bit_equal_to_hand_computation():
+    x1, x2, y1 = 0.7, 1.3, -2.1
+    env = {"x1": x1, "x2": x2, "y1": y1}
+    cases = [
+        ("x1 * y1 + 2 / x2 - x1^2", x1 * y1 + 2.0 / x2 - x1 ** 2.0),
+        ("-(x1 - y1) * exp(x2) / 3", -(x1 - y1) * math.exp(x2) / 3.0),
+        ("sqrt(x1^2 + y1^2) + log(x2) * sin(pi * x1)",
+         math.sqrt(x1 ** 2.0 + y1 ** 2.0)
+         + math.log(x2) * math.sin(math.pi * x1)),
+        ("2^x1 - cos(e / x2)", 2.0 ** x1 - math.cos(math.e / x2)),
+    ]
+    for text, want in cases:
+        node = parse_expression(text)
+        assert evaluate(node, env) == want, text
+        assert evaluate(node, env) == want, text     # from the compiled cache
+    node = parse_expression("x1 * y1")
+    assert evaluate(node, {"x1": 2.0, "y1": 3.0}) == 6.0
+    assert evaluate(node, {"x1": 5.0, "y1": 3.0}) == 15.0
+
+
+def test_compiled_jets_are_bit_equal_to_hand_computation():
+    x1, x2, y1 = lift([0.5, 2.0, 3.0], active=[0, 1, 2], order=3)
+    env = {"x1": x1, "x2": x2, "y1": y1}
+    cases = [
+        ("exp(x1) * y1^2 / x2", x1.exp() * y1.powf(2.0) / x2),
+        ("1 / x2 - sqrt(y1) * 0.5", x2.reciprocal() * 1.0 - y1.sqrt() * 0.5),
+        ("-log(x2) + 2^x1", -x2.log() + x1._like(2.0).powf(x1)),
+        ("x1^y1 - cos(x1) * sin(x2)", x1.powf(y1) - x1.cos() * x2.sin()),
+    ]
+    for text, want in cases:
+        got = evaluate(parse_expression(text), env)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes(), text
+
+
+def test_compiled_unknown_variable_keeps_its_position():
+    node = parse_expression("x1 + 2 * nope", line_no=4)
+    for _ in range(2):          # compiling, then the cached closure
+        with pytest.raises(SpecError) as err:
+            evaluate(node, {"x1": 1.0})
+        assert (err.value.line, err.value.col) == (4, 10)
+        assert "unknown variable 'nope'" in str(err.value)
+
+
+def test_compiled_domain_errors_over_floats_and_jets():
+    (zero,) = lift([0.0], active=[0], order=2)
+    (neg,) = lift([-1.0], active=[0], order=2)
+    for text, value in [("1 / x1", 0.0), ("1 / x1", zero),
+                        ("x2 / x1", zero), ("log(x1)", 0.0),
+                        ("log(x1)", -1.0), ("log(x1)", zero),
+                        ("sqrt(x1)", -1.0), ("sqrt(x1)", neg),
+                        ("sqrt(x1)", zero)]:
+        with pytest.raises(JetDomainError):
+            evaluate(parse_expression(text), {"x1": value, "x2": 1.0})
+
+
+def test_env_entry_overrides_constant():
+    assert ev("pi * 2", pi=3.0) == 6.0
+    assert ev("pi * 2") == math.pi * 2.0
+    assert ev("e + 1", e=0.5) == 1.5
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(SpecError) as err:
         parse_expression("2 + * 3")
