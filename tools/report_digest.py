@@ -10,11 +10,17 @@ a fresh process with ``PYTHONPATH=<TREE>/src`` and prints one line:
                       first 16 hex digits>  exit <status>
 
 The environment line carries interpreter and library versions, so it is
-left out of the hash.  Run the script on the parent commit (a clone of
-it) and on a change: a refactor that keeps every line identical keeps the
-reports byte-identical.  With two or more trees it prints the lines of
-each, then ``identical`` or the configurations that differ, and exits 1
-on a difference.  Uses the standard library only.
+left out of the hash.  A last line per tree, ``tensor stack``, hashes the
+bytes of every ``PointGeometry`` tensor of base and changed space at the
+sampled points of ``TENSOR_PAIRS``, and the frame data (``x``, ``B``,
+``B2``, normal, normal curvature) of both sides of ``HYPER``, so that
+tensors no report prints are covered too.  Run the script on the parent
+commit (a clone of it) and on a change: a refactor that keeps every line
+identical keeps the reports and the tensors byte-identical.  With two or
+more trees it prints the lines of each, then ``identical`` or the
+configurations that differ, and exits 1 on a difference.  Uses the
+standard library only; the tensor child imports the tree's package
+and numpy.
 """
 
 from __future__ import annotations
@@ -40,6 +46,19 @@ CONFIGS = (
     ("randers2+projective n2000 s1", "randers2", "projective", None, 2000, 1),
 )
 
+# (metric, change) pairs of the tensor digest, each at TENSOR_POINTS points
+# sampled with TENSOR_SEED, and the (metric, change, hypersurface) whose
+# frame data it covers at as many sampled surface points.
+TENSOR_PAIRS = (("sphere3", "projective3"), ("randers2", "projective"),
+                ("curved3", "projective3"), ("euclid2", "tangent_parabola"))
+HYPER = ("euclid2", "tangent_parabola", "parabola2")
+TENSOR_POINTS = 8
+TENSOR_SEED = 7
+TENSORS = ("L2", "L", "y_low", "l_low", "g_low", "g_up", "h_low", "C_low",
+           "C_up", "spray", "n_conn", "berwald", "cartan_hconn", "douglas",
+           "riemann", "ric", "weyl_proj", "weyl_torsion")
+HYPER_DATA = ("x", "B", "B2", "normal_up", "normal_curvature")
+
 
 def digest(tree, metric, change, hyper, samples, seed):
     """(first 16 hex digits of the report hash, exit status) of one run."""
@@ -62,21 +81,81 @@ def digest(tree, metric, change, hyper, samples, seed):
     return hashlib.sha256(body).hexdigest()[:16], rc
 
 
+def tensor_stack():
+    """sha256 of the tensor stack, computed with the package on the
+    import path; run in a child process by ``tensor_digest``."""
+    import numpy as np
+    from finslerchange.change import ChangedPair
+    from finslerchange.hypersurface import ChangedHypersurface
+    from finslerchange.jets import JetDomainError
+    from finslerchange.lang import resolve_spec
+    from finslerchange.sampling import sample_hyper_points, sample_pair_points
+
+    h = hashlib.sha256()
+
+    def add(value):
+        h.update(np.ascontiguousarray(value, dtype=float).tobytes())
+
+    for metric, change in TENSOR_PAIRS:
+        pair = ChangedPair(resolve_spec(metric, expect="metric"),
+                           resolve_spec(change, expect="change"))
+        points, _ = sample_pair_points(pair, TENSOR_POINTS, TENSOR_SEED)
+        for x, y in points:
+            for space in (pair.base, pair.starred):
+                pg = space.point(x, y)
+                for name in TENSORS:
+                    add(getattr(pg, name)())
+    metric, change, hyper = HYPER
+    chs = ChangedHypersurface(resolve_spec(metric, expect="metric"),
+                              resolve_spec(change, expect="change"),
+                              resolve_spec(hyper, expect="hypersurface"))
+    draws, _ = sample_hyper_points(chs.base_h, TENSOR_POINTS, TENSOR_SEED)
+    for u, v in draws:
+        try:
+            chp = chs.at(u, v)
+        except JetDomainError:
+            continue
+        for side in (chp.base, chp.star):
+            for name in HYPER_DATA:
+                value = getattr(side, name)
+                add(value() if callable(value) else value)
+    return h.hexdigest()[:16]
+
+
+def tensor_digest(tree):
+    """(tensor stack hash, exit status) of a tree, in a fresh process."""
+    argv = [sys.executable, os.path.abspath(__file__), "--tensor-stack"]
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+    out = subprocess.run(argv, env=env, capture_output=True, text=True)
+    lines = out.stdout.split()
+    return (lines[-1] if out.returncode == 0 and lines else "no-digest",
+            out.returncode)
+
+
 def main(argv=None):
-    trees = (argv if argv is not None else sys.argv[1:]) or [
+    argv = argv if argv is not None else sys.argv[1:]
+    if argv == ["--tensor-stack"]:
+        print(tensor_stack())
+        return 0
+    trees = argv or [
         os.path.dirname(os.path.dirname(os.path.abspath(__file__)))]
+    labels = [c[0] for c in CONFIGS] + ["tensor stack"]
     results = []
     for tree in trees:
+        tree = os.path.abspath(tree)
         print(tree)
         got = []
         for label, *config in CONFIGS:
-            h, rc = digest(os.path.abspath(tree), *config)
+            h, rc = digest(tree, *config)
             print(f"  {label:45s} {h}  exit {rc}", flush=True)
             got.append((h, rc))
+        h, rc = tensor_digest(tree)
+        print(f"  {labels[-1]:45s} {h}  exit {rc}", flush=True)
+        got.append((h, rc))
         results.append(got)
     if len(results) < 2:
         return 0
-    differ = [CONFIGS[i][0] for i in range(len(CONFIGS))
+    differ = [labels[i] for i in range(len(labels))
               if len({r[i] for r in results}) > 1]
     print("identical" if not differ else "differ: " + "; ".join(differ))
     return 1 if differ else 0
