@@ -14,6 +14,11 @@ and ``n + i`` for y^i.
 
 from __future__ import annotations
 
+# Sums use reduce(add, ...): sum() starts at 0, which turns a -0.0 total
+# into 0.0.
+from functools import reduce
+from operator import add
+
 import numpy as np
 
 from .jets import JetDomainError, jet_linear_solve, lift_env
@@ -121,8 +126,8 @@ class PointGeometry:
     def _g_jets(self, order):
         _, f2 = self._f2(order + 2)
         n = self.n
-        g = [[f2.deriv(n + i).deriv(n + j) * 0.5 for j in range(n)]
-             for i in range(n)]
+        dy = [f2.deriv(n + i) for i in range(n)]
+        g = [[di.deriv(n + j) * 0.5 for j in range(n)] for di in dy]
         if g[0][0].order > order:
             g = [[gij.truncated(order) for gij in row] for row in g]
         return g
@@ -135,10 +140,7 @@ class PointGeometry:
         rhs = []
         for l in range(n):
             dl = f2.deriv(n + l)                # order + 1
-            acc = None
-            for k in range(n):
-                term = yj[k] * dl.deriv(k)
-                acc = term if acc is None else acc + term
+            acc = reduce(add, (yj[k] * dl.deriv(k) for k in range(n)))
             rhs.append((acc - f2.deriv(l)) * 0.25)
         return jet_linear_solve(g, rhs)
 
@@ -147,15 +149,15 @@ class PointGeometry:
         n = self.n
         G = self._spray_jets(order + 2)
         yj, _ = self._f2(order + 4)
+        dG = [[Gj.deriv(n + k) for k in range(n)] for Gj in G]
         R = [[None] * n for _ in range(n)]
         for i in range(n):
-            dGi = [G[i].deriv(n + k) for k in range(n)]
             for k in range(n):
                 acc = 2.0 * G[i].deriv(k)
                 for j in range(n):
-                    acc = acc - yj[j] * dGi[k].deriv(j)
-                    acc = acc + 2.0 * G[j] * dGi[k].deriv(n + j)
-                    acc = acc - dGi[j] * G[j].deriv(n + k)
+                    acc = acc - yj[j] * dG[i][k].deriv(j)
+                    acc = acc + 2.0 * G[j] * dG[i][k].deriv(n + j)
+                    acc = acc - dG[i][j] * dG[j][k]
                 R[i][k] = acc
         return R
 
@@ -165,17 +167,12 @@ class PointGeometry:
         n = self.n
         R = self._riemann_jets(order + 1)
         yj, _ = self._f2(order + 3)
-        ric = None
-        for m in range(n):
-            ric = R[m][m] if ric is None else ric + R[m][m]
+        ric = reduce(add, (R[m][m] for m in range(n)))
         A = [[R[i][k] - (ric * (1.0 / (n - 1)) if i == k else 0.0)
               for k in range(n)] for i in range(n)]
         W = [[None] * n for _ in range(n)]
         for k in range(n):
-            tr = None
-            for m in range(n):
-                t = A[m][k].deriv(n + m)
-                tr = t if tr is None else tr + t
+            tr = reduce(add, (A[m][k].deriv(n + m) for m in range(n)))
             for i in range(n):
                 W[i][k] = A[i][k] - yj[i] * tr * (1.0 / (n + 1))
         return W
@@ -239,32 +236,22 @@ class PointGeometry:
         y = self.y.tolist()
         rhs = []
         for row, dx in zip(d2[n:, :n].tolist(), f2.partials(1)[:n].tolist()):
-            acc = None
-            for yk, d in zip(y, row):
-                term = 0.0 + yk * d
-                acc = term if acc is None else acc + term
+            acc = reduce(add, (0.0 + yk * d for yk, d in zip(y, row)))
             rhs.append((acc - dx) * 0.25)
         return np.array(_solve_as_jets(g, rhs))
 
     @cached
     def n_conn(self):
         """Nonlinear connection N^i_j = dG^i/dy^j."""
-        G = self._spray_jets(1)
-        return np.array([[G[i].deriv(self.n + j).value
-                          for j in range(self.n)] for i in range(self.n)])
+        return np.array([Gi.partials(1)[self.n:]
+                         for Gi in self._spray_jets(1)])
 
     @cached
     def berwald(self):
         """Berwald connection G^i_jk = d2 G^i / dy^j dy^k."""
-        G = self._spray_jets(2)
         n = self.n
-        out = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(n):
-                dj = G[i].deriv(n + j)
-                for k in range(j, n):
-                    out[i, j, k] = out[i, k, j] = dj.deriv(n + k).value
-        return out
+        return np.array([Gi.partials(2)[n:, n:]
+                         for Gi in self._spray_jets(2)])
 
     @cached
     def cartan_hconn(self):
@@ -277,13 +264,9 @@ class PointGeometry:
         dg = 0.5 * d3[:, :, :n]     # dg[r, k, j] = d g_rk / dx^j
         dgy = 0.5 * d3[:, :, n:]    # dgy[r, k, m] = d g_rk / dy^m
         delta = dg - np.einsum("rkm,mj->rkj", dgy, N)
-        low = np.empty((n, n, n))
-        for r in range(n):
-            for j in range(n):
-                for k in range(n):
-                    # (delta_j g_rk + delta_k g_rj - delta_r g_jk) / 2
-                    low[r, j, k] = 0.5 * (delta[r, k, j] + delta[r, j, k]
-                                          - delta[j, k, r])
+        # low[r, j, k] = (delta_j g_rk + delta_k g_rj - delta_r g_jk) / 2
+        low = 0.5 * (delta.transpose(0, 2, 1) + delta
+                     - delta.transpose(2, 0, 1))
         return np.einsum("ir,rjk->ijk", self.g_up(), low)
 
     def h_cov_covector(self, b_vals, db_vals):
@@ -301,30 +284,15 @@ class PointGeometry:
         n = self.n
         G = self._spray_jets(4)
         yj, _ = self._f2(6)
-        tr = None
-        for m in range(n):
-            t = G[m].deriv(n + m)
-            tr = t if tr is None else tr + t
-        out = np.empty((n, n, n, n))
-        for h in range(n):
-            P = G[h] - yj[h] * tr * (1.0 / (n + 1))
-            for i in range(n):
-                di = P.deriv(n + i)
-                for j in range(i, n):
-                    dij = di.deriv(n + j)
-                    for k in range(j, n):
-                        v = dij.deriv(n + k).value
-                        out[h, i, j, k] = out[h, i, k, j] = v
-                        out[h, j, i, k] = out[h, j, k, i] = v
-                        out[h, k, i, j] = out[h, k, j, i] = v
-        return out
+        tr = reduce(add, (G[m].deriv(n + m) for m in range(n)))
+        P = [G[h] - yj[h] * tr * (1.0 / (n + 1)) for h in range(n)]
+        return np.array([Ph.partials(3)[n:, n:, n:] for Ph in P])
 
     @cached
     def riemann(self):
         """Curvature deviation R^i_k (y-dependent Jacobi operator)."""
-        R = self._riemann_jets(0)
-        return np.array([[R[i][k].value for k in range(self.n)]
-                         for i in range(self.n)])
+        return np.array([[Rik.value for Rik in row]
+                         for row in self._riemann_jets(0)])
 
     @cached
     def ric(self):
@@ -333,23 +301,21 @@ class PointGeometry:
     @cached
     def weyl_proj(self):
         """Projectively invariant part of the curvature deviation."""
-        W = self._weyl_jets(0)
-        return np.array([[W[i][k].value for k in range(self.n)]
-                         for i in range(self.n)])
+        return np.array([[Wik.value for Wik in row]
+                         for row in self._weyl_jets(0)])
 
     @cached
     def weyl_torsion(self):
         """Antisymmetrised y-derivative of the projective curvature,
         (1/3)(d W^h_j / dy^i - d W^h_i / dy^j)."""
         n = self.n
-        W = self._weyl_jets(1)
+        # dW[h, j, i] = d W^h_j / dy^i
+        dW = np.array([[Wj.partials(1)[n:] for Wj in Wh]
+                       for Wh in self._weyl_jets(1)])
+        i, j = np.triu_indices(n, 1)
+        v = (dW[:, j, i] - dW[:, i, j]) / 3.0
         out = np.zeros((n, n, n))
-        for h in range(n):
-            dW = [[W[h][j].deriv(n + i).value for j in range(n)]
-                  for i in range(n)]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    v = (dW[i][j] - dW[j][i]) / 3.0
-                    out[h, i, j] = v
-                    out[h, j, i] = -v
+        # v and -v written apart keep signed zeros; (dW - dW^T) / 3 would not
+        out[:, i, j] = v
+        out[:, j, i] = -v
         return out

@@ -17,6 +17,7 @@ that is itself a jet).
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 
@@ -36,7 +37,20 @@ class JetOrderError(JetError):
 
 class JetDomainError(JetError):
     """Value-level domain violation (sqrt of a negative value, log of a
-    non-positive value, division by zero)."""
+    non-positive value, division by zero, an overflowing coefficient)."""
+
+
+def _domain_checked(method):
+    """Raise ``JetDomainError`` where a series coefficient of ``method``
+    overflows, divides by zero, or leaves a math function's domain."""
+    @functools.wraps(method)
+    def wrapper(self, *args):
+        try:
+            return method(self, *args)
+        except (OverflowError, ZeroDivisionError, ValueError) as exc:
+            raise JetDomainError(
+                f"{method.__name__} of value {self.value!r}: {exc}") from exc
+    return wrapper
 
 
 def _monomials_of_degree(nvars, deg):
@@ -315,6 +329,7 @@ class Jet:
             out.coeffs[0] += series[k]
         return out
 
+    @_domain_checked
     def reciprocal(self):
         v = self.value
         if v == 0.0:
@@ -322,6 +337,7 @@ class Jet:
         series = [(-1.0) ** k / v ** (k + 1) for k in range(self.order + 1)]
         return self.compose(series)
 
+    @_domain_checked
     def sqrt(self):
         v = self.value
         if v <= 0.0:
@@ -329,11 +345,13 @@ class Jet:
         series = [_binom_real(0.5, k) * v ** (0.5 - k) for k in range(self.order + 1)]
         return self.compose(series)
 
+    @_domain_checked
     def exp(self):
         ev = math.exp(self.value)
         series = [ev / math.factorial(k) for k in range(self.order + 1)]
         return self.compose(series)
 
+    @_domain_checked
     def log(self):
         v = self.value
         if v <= 0.0:
@@ -342,18 +360,21 @@ class Jet:
         series += [(-1.0) ** (k - 1) / (k * v ** k) for k in range(1, self.order + 1)]
         return self.compose(series)
 
+    @_domain_checked
     def sin(self):
         v = self.value
         series = [math.sin(v + 0.5 * math.pi * k) / math.factorial(k)
                   for k in range(self.order + 1)]
         return self.compose(series)
 
+    @_domain_checked
     def cos(self):
         v = self.value
         series = [math.cos(v + 0.5 * math.pi * k) / math.factorial(k)
                   for k in range(self.order + 1)]
         return self.compose(series)
 
+    @_domain_checked
     def powf(self, p):
         """Real power; integer exponents work for any base value, other
         exponents require a positive base."""

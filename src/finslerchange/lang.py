@@ -176,12 +176,12 @@ def _power(lhs, rhs):
             return a.powf(b)
         if isinstance(b, Jet):
             return Jet.constant(a, b.nvars, b.order).powf(b)
-        if a < 0.0 and b != int(b):
-            raise JetDomainError(f"power {b} of negative value {a}")
         try:
+            if a < 0.0 and b != int(b):
+                raise JetDomainError(f"power {b} of negative value {a}")
             return float(a) ** float(b)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise JetDomainError(str(exc)) from exc
+        except (OverflowError, ValueError, ZeroDivisionError) as exc:
+            raise JetDomainError(f"power {b} of {a}: {exc}") from exc
     return power
 
 
@@ -204,7 +204,7 @@ def _compile_call(node):
             return jet_fn(val)
         try:
             return float_fn(val)
-        except ValueError as exc:
+        except (OverflowError, ValueError) as exc:
             raise JetDomainError(f"{name} domain error: {exc}") from exc
     return call
 
@@ -229,7 +229,11 @@ def _tokenize(text, line_no):
         if m is None or m.end() == pos:
             raise SpecError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
         if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), line_no, m.start("num") + 1))
+            num, col = m.group("num"), m.start("num") + 1
+            if not math.isfinite(float(num)):
+                raise SpecError(f"number {num} overflows to infinity",
+                                line_no, col)
+            tokens.append(("num", num, line_no, col))
         elif m.lastgroup == "name":
             tokens.append(("name", m.group("name"), line_no, m.start("name") + 1))
         else:

@@ -115,11 +115,10 @@ class SuiteRun:
         """The samples the projective-invariant comparisons run on."""
         return self.cpoints()[:8 if self.n >= 3 else 25]
 
-    @cached
     def fd_points(self):
-        """Fresh base-space geometry at the first two samples, probed by
-        the finite-difference cross-checks."""
-        return [self.pair.base.point(x, y) for x, y in self.points()[:2]]
+        """Base-space geometry at the first two samples, probed by the
+        finite-difference cross-checks."""
+        return [cp.base for cp in self.cpoints()[:2]]
 
     @cached
     def chpoints(self):

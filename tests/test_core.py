@@ -368,3 +368,87 @@ def test_geodesic_runs_integrate_each_base_condition_once(monkeypatch):
     changed = [t for space, t in calls if space.spec is not metric]
     assert base == [2.0] * 5
     assert changed == [2.0] * 5
+
+
+def _chained_deriv_tensors(pg):
+    """The tensors as read by one chained ``Jet.deriv`` per entry down to
+    ``.value``, with symmetric fills and loops: the reference for the
+    ``Jet.partials`` slices of ``PointGeometry``."""
+    n = pg.n
+    G = pg._spray_jets(1)
+    N = np.array([[G[i].deriv(n + j).value for j in range(n)]
+                  for i in range(n)])
+    G = pg._spray_jets(2)
+    B = np.empty((n, n, n))
+    for i in range(n):
+        for j in range(n):
+            dj = G[i].deriv(n + j)
+            for k in range(j, n):
+                B[i, j, k] = B[i, k, j] = dj.deriv(n + k).value
+    d3 = pg._f2(3)[1].partials(3)[n:, n:]
+    delta = 0.5 * d3[:, :, :n] - np.einsum("rkm,mj->rkj", 0.5 * d3[:, :, n:],
+                                           N)
+    low = np.empty((n, n, n))
+    for r in range(n):
+        for j in range(n):
+            for k in range(n):
+                low[r, j, k] = 0.5 * (delta[r, k, j] + delta[r, j, k]
+                                      - delta[j, k, r])
+    F = np.einsum("ir,rjk->ijk", pg.g_up(), low)
+    G = pg._spray_jets(4)
+    yj, _ = pg._f2(6)
+    tr = None
+    for m in range(n):
+        t = G[m].deriv(n + m)
+        tr = t if tr is None else tr + t
+    D = np.empty((n, n, n, n))
+    for h in range(n):
+        P = G[h] - yj[h] * tr * (1.0 / (n + 1))
+        for i in range(n):
+            di = P.deriv(n + i)
+            for j in range(i, n):
+                dij = di.deriv(n + j)
+                for k in range(j, n):
+                    v = dij.deriv(n + k).value
+                    D[h, i, j, k] = D[h, i, k, j] = v
+                    D[h, j, i, k] = D[h, j, k, i] = v
+                    D[h, k, i, j] = D[h, k, j, i] = v
+    G = pg._spray_jets(2)
+    yj, _ = pg._f2(4)
+    R = np.empty((n, n))
+    for i in range(n):
+        dGi = [G[i].deriv(n + k) for k in range(n)]
+        for k in range(n):
+            acc = 2.0 * G[i].deriv(k)
+            for j in range(n):
+                acc = acc - yj[j] * dGi[k].deriv(j)
+                acc = acc + 2.0 * G[j] * dGi[k].deriv(n + j)
+                acc = acc - dGi[j] * G[j].deriv(n + k)
+            R[i, k] = acc.value
+    W = pg._weyl_jets(1)
+    T = np.zeros((n, n, n))
+    for h in range(n):
+        dW = [[W[h][j].deriv(n + i).value for j in range(n)]
+              for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                v = (dW[i][j] - dW[j][i]) / 3.0
+                T[h, i, j] = v
+                T[h, j, i] = -v
+    return {"n_conn": N, "berwald": B, "cartan_hconn": F, "douglas": D,
+            "riemann": R, "weyl_torsion": T}
+
+
+@pytest.mark.parametrize("metric,change", [("randers2", "projective"),
+                                           ("sphere3", "projective3")])
+def test_partials_reads_equal_chained_derivs_bit_for_bit(metric, change):
+    pair = ChangedPair(resolve_spec(metric), resolve_spec(change))
+    points, _ = sample_pair_points(pair, 2, 23)
+    for x, y in points:
+        for space in (pair.base, pair.starred):
+            want = _chained_deriv_tensors(space.point(x, y))
+            pg = space.point(x, y)
+            for name, ref in want.items():
+                got = getattr(pg, name)()
+                assert got.shape == ref.shape, name
+                assert got.tobytes() == ref.tobytes(), (space.spec.name, name)

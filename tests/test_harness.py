@@ -274,6 +274,27 @@ def test_cli_config_errors(capsys):
     assert "error:" in err
 
 
+def test_cli_overflowing_spec_rejects_draws_or_exits_two(tmp_path, capsys):
+    spec = tmp_path / "ovf.fspec"
+    spec.write_text("dim 2\nL2 = (y1^2 + y2^2) * (1 + exp(800*x1)^0)\n"
+                    "x_box = -2 2 -2 2\n")
+    out = tmp_path / "r.jsonl"
+    assert main(["verify", "--metric", str(spec), "--samples", "6",
+                 "--seed", "1", "--suite", "core-identities",
+                 "--format", "json-lines", "--report", str(out)]) == 0
+    by_id = {r.check_id: r for r in parse_json_lines(out.read_text()).records}
+    rejected = int(by_id["valid.positivity"].notes.split()[0])
+    assert rejected > 0
+    spec.write_text("dim 2\nL2 = (y1^2 + y2^2) * (1 + x1^(1e300*1e300))\n")
+    assert main(["verify", "--metric", str(spec), "--samples", "6"]) == 2
+    for text in ("dim 2\nL2 = (y1^2 + y2^2) * 1e400\n",
+                 "dim = 1e400\nL2 = y1^2 + y2^2\n"):
+        spec.write_text(text)
+        assert main(["parse", "--check", str(spec), "--canonical"]) == 2
+    err = capsys.readouterr().err
+    assert "overflows to infinity" in err and "Traceback" not in err
+
+
 def test_cli_tol_env_var(tmp_path, monkeypatch):
     out = tmp_path / "r.txt"
     monkeypatch.setenv("FINSLERCHANGE_TOLS", "euler=1e-30")

@@ -314,3 +314,30 @@ def test_vector_key_validation():
         parse_spec_text("dim 2\nL = y1\ny_annulus = -1 1\n")
     with pytest.raises(SpecError):
         parse_spec_text("dim 2\nL = y1\nx_box = 0 1\n")       # wrong length
+
+
+def test_overflow_in_evaluation_is_a_domain_error():
+    (big,) = lift([800.0], order=2)
+    (tiny,) = lift([1e-250], order=2)
+    inf, nan = "(1e300 * 1e300)", "(1e300 * 1e300 - 1e300 * 1e300)"
+    for text, value in [("exp(x1)", 800.0), ("exp(x1)", big),
+                        ("exp(800 * x1)^0", 1.0), (f"x1^{inf}", -0.5),
+                        (f"x1^{inf}", big), (f"x1^{nan}", big),
+                        ("10^x1", 800.0), ("1 / x1", tiny),
+                        ("sqrt(x1)", tiny), ("log(x1)", tiny)]:
+        with pytest.raises(JetDomainError):
+            evaluate(parse_expression(text), {"x1": value})
+    with pytest.raises(JetDomainError):
+        Jet.constant(math.inf, 1, 2).sin()
+
+
+def test_number_literals_must_be_finite():
+    with pytest.raises(SpecError) as err:
+        parse_expression("x1 * 1e400", line_no=3)
+    assert (err.value.line, err.value.col) == (3, 6)
+    for text, where in [("dim 2\nL = y1 * 2e308\n", (2, 10)),
+                        ("dim = 1e400\nL = y1\n", (1, 7)),
+                        ("dim 2\nL = y1\nx_box = 0 1 -1e999 1\n", (3, 14))]:
+        with pytest.raises(SpecError) as err:
+            parse_spec_text(text)
+        assert (err.value.line, err.value.col) == where, text

@@ -14,13 +14,15 @@ left out of the hash.  A last line per tree, ``tensor stack``, hashes the
 bytes of every ``PointGeometry`` tensor of base and changed space at the
 sampled points of ``TENSOR_PAIRS``, and the frame data (``x``, ``B``,
 ``B2``, normal, normal curvature) of both sides of ``HYPER``, so that
-tensors no report prints are covered too.  Run the script on the parent
-commit (a clone of it) and on a change: a refactor that keeps every line
-identical keeps the reports and the tensors byte-identical.  With two or
-more trees it prints the lines of each, then ``identical`` or the
-configurations that differ, and exits 1 on a difference.  Uses the
-standard library only; the tensor child imports the tree's package
-and numpy.
+tensors no report prints are covered too.  Each tensor name is also
+hashed on its own, so that a difference names the tensors behind it.
+Run the script on the parent commit (a clone of it) and on a change: a
+refactor that keeps every line identical keeps the reports and the
+tensors byte-identical.  With two or more trees it prints the lines of
+each, then ``identical`` or the configurations that differ, for example
+``differ: tensor stack (weyl_torsion)``, and exits 1 on a difference.
+Uses the standard library only; the tensor child imports the tree's
+package and numpy.
 """
 
 from __future__ import annotations
@@ -82,8 +84,9 @@ def digest(tree, metric, change, hyper, samples, seed):
 
 
 def tensor_stack():
-    """sha256 of the tensor stack, computed with the package on the
-    import path; run in a child process by ``tensor_digest``."""
+    """(sha256 of the tensor stack, {tensor name: sha256 of its arrays}),
+    computed with the package on the import path; run in a child process
+    by ``tensor_digest``.  Frame data names carry a ``hyper.`` prefix."""
     import numpy as np
     from finslerchange.change import ChangedPair
     from finslerchange.hypersurface import ChangedHypersurface
@@ -92,9 +95,12 @@ def tensor_stack():
     from finslerchange.sampling import sample_hyper_points, sample_pair_points
 
     h = hashlib.sha256()
+    parts = {}
 
-    def add(value):
-        h.update(np.ascontiguousarray(value, dtype=float).tobytes())
+    def add(name, value):
+        data = np.ascontiguousarray(value, dtype=float).tobytes()
+        h.update(data)
+        parts.setdefault(name, hashlib.sha256()).update(data)
 
     for metric, change in TENSOR_PAIRS:
         pair = ChangedPair(resolve_spec(metric, expect="metric"),
@@ -104,7 +110,7 @@ def tensor_stack():
             for space in (pair.base, pair.starred):
                 pg = space.point(x, y)
                 for name in TENSORS:
-                    add(getattr(pg, name)())
+                    add(name, getattr(pg, name)())
     metric, change, hyper = HYPER
     chs = ChangedHypersurface(resolve_spec(metric, expect="metric"),
                               resolve_spec(change, expect="change"),
@@ -118,29 +124,36 @@ def tensor_stack():
         for side in (chp.base, chp.star):
             for name in HYPER_DATA:
                 value = getattr(side, name)
-                add(value() if callable(value) else value)
-    return h.hexdigest()[:16]
+                add("hyper." + name, value() if callable(value) else value)
+    return h.hexdigest()[:16], {name: part.hexdigest()[:16]
+                                for name, part in parts.items()}
 
 
 def tensor_digest(tree):
-    """(tensor stack hash, exit status) of a tree, in a fresh process."""
+    """(tensor stack hash, exit status, {tensor name: hash}) of a tree, in
+    a fresh process."""
     argv = [sys.executable, os.path.abspath(__file__), "--tensor-stack"]
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     out = subprocess.run(argv, env=env, capture_output=True, text=True)
-    lines = out.stdout.split()
-    return (lines[-1] if out.returncode == 0 and lines else "no-digest",
-            out.returncode)
+    lines = out.stdout.splitlines()
+    if out.returncode != 0 or not lines:
+        return "no-digest", out.returncode, {}
+    return lines[0], 0, dict(line.split() for line in lines[1:])
 
 
 def main(argv=None):
     argv = argv if argv is not None else sys.argv[1:]
     if argv == ["--tensor-stack"]:
-        print(tensor_stack())
+        combined, parts = tensor_stack()
+        print(combined)
+        for name, part in parts.items():
+            print(name, part)
         return 0
     trees = argv or [
         os.path.dirname(os.path.dirname(os.path.abspath(__file__)))]
     labels = [c[0] for c in CONFIGS] + ["tensor stack"]
     results = []
+    tensor_parts = []
     for tree in trees:
         tree = os.path.abspath(tree)
         print(tree)
@@ -149,14 +162,19 @@ def main(argv=None):
             h, rc = digest(tree, *config)
             print(f"  {label:45s} {h}  exit {rc}", flush=True)
             got.append((h, rc))
-        h, rc = tensor_digest(tree)
+        h, rc, parts = tensor_digest(tree)
         print(f"  {labels[-1]:45s} {h}  exit {rc}", flush=True)
         got.append((h, rc))
         results.append(got)
+        tensor_parts.append(parts)
     if len(results) < 2:
         return 0
     differ = [labels[i] for i in range(len(labels))
               if len({r[i] for r in results}) > 1]
+    names = [name for name in tensor_parts[0]
+             if len({parts.get(name) for parts in tensor_parts}) > 1]
+    if names:
+        differ[-1] += f" ({', '.join(names)})"
     print("identical" if not differ else "differ: " + "; ".join(differ))
     return 1 if differ else 0
 
