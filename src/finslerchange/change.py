@@ -132,20 +132,20 @@ class ChangedPair:
         self.starred = FinslerSpace(self.starred_spec)
 
     def at(self, x, y):
-        return ChangedPoint(self, x, y)
+        return ChangedPoint(self, self.base.point(x, y))
 
 
 class ChangedPoint:
     """All pointwise data of a change: base tensors, directly computed
-    changed tensors, and the closed-form predictions."""
+    changed tensors, and the closed-form predictions.  ``base`` is the
+    base space's geometry at the point."""
 
-    def __init__(self, pair: ChangedPair, x, y):
+    def __init__(self, pair: ChangedPair, base):
         self.pair = pair
         self.n = pair.n
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        self.base = pair.base.point(x, y)
-        self.star = pair.starred.point(x, y)
+        self.x, self.y = base.x, base.y
+        self.base = base
+        self.star = pair.starred.point(self.x, self.y)
         ch = pair.change
         self.sigma = ch.sigma(self.x)
         self.esig = float(np.exp(self.sigma))

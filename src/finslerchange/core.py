@@ -123,23 +123,15 @@ class PointGeometry:
         return list(env.values())[self.n:], self.space.spec.eval_l2(env)
 
     @cached_to_order
-    def _g_jets(self, order):
-        _, f2 = self._f2(order + 2)
-        n = self.n
-        dy = [f2.deriv(n + i) for i in range(n)]
-        g = [[di.deriv(n + j) * 0.5 for j in range(n)] for di in dy]
-        if g[0][0].order > order:
-            g = [[gij.truncated(order) for gij in row] for row in g]
-        return g
-
-    @cached_to_order
     def _spray_jets(self, order):
         n = self.n
         yj, f2 = self._f2(order + 2)
-        g = self._g_jets(order)
+        dy = [f2.deriv(n + i) for i in range(n)]    # order + 1
+        g = [[di.deriv(n + j) * 0.5 for j in range(n)] for di in dy]
+        if g[0][0].order > order:
+            g = [[gij.truncated(order) for gij in row] for row in g]
         rhs = []
-        for l in range(n):
-            dl = f2.deriv(n + l)                # order + 1
+        for l, dl in enumerate(dy):
             acc = reduce(add, (yj[k] * dl.deriv(k) for k in range(n)))
             rhs.append((acc - f2.deriv(l)) * 0.25)
         return jet_linear_solve(g, rhs)

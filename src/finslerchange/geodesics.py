@@ -111,10 +111,6 @@ class GeodesicPath:
         chunks.append(self.x[-1:])
         return np.vstack(chunks)
 
-    def arc_length(self):
-        d = np.diff(self.dense_points(), axis=0)
-        return float(np.sum(np.sqrt(np.sum(d * d, axis=1))))
-
 
 def integrate_geodesic(space, x0, y0, t_end, tol=1e-8, max_steps=200_000,
                        enforce_box=False):
@@ -215,8 +211,8 @@ def curve_set_deviation(path_a: GeodesicPath, path_b: GeodesicPath,
     zero up to discretisation."""
     pa = path_a.dense_points(refine)
     pb = path_b.dense_points(refine)
-    la = path_a.arc_length()
-    lb = path_b.arc_length()
+    la, lb = (float(np.sum(np.sqrt(np.sum(d * d, axis=1))))
+              for d in (np.diff(pa, axis=0), np.diff(pb, axis=0)))
     query, target = (pa, pb) if la <= lb else (pb, pa)
 
     p0 = target[:-1]

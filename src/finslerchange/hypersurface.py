@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .change import ChangedPair
+from .change import ChangedPair, ChangedPoint
 from .core import FinslerSpace
 from .jets import Jet, JetDomainError, lift_env
 from .lang import HypersurfaceSpec, evaluate
@@ -37,8 +37,8 @@ class HypersurfaceGeometry:
         self.n = spec.dim
         self.m = spec.pdim
 
-    def embed(self, u, v):
-        """(u, v, B, B2, x, y) of the embedding at one (u, v), with
+    def at(self, u, v):
+        """Embedding data and ambient geometry at one (u, v), with
         B[i, a] = dx^i/du^a, B2[i, a, b] = d2x^i/du^a du^b and the pushed
         forward element y = B v."""
         u = np.asarray(u, dtype=float)
@@ -56,11 +56,7 @@ class HypersurfaceGeometry:
             x[i] = val.value
             B[i] = val.partials(1)
             B2[i] = val.partials(2)
-        return u, v, B, B2, x, B @ v
-
-    def at(self, u, v):
-        u, v, B, B2, x, y = self.embed(u, v)
-        return HyperPoint(self.spec, u, v, B, B2, self.space.point(x, y))
+        return HyperPoint(self.spec, u, v, B, B2, self.space.point(x, B @ v))
 
 
 class HyperPoint:
@@ -152,20 +148,20 @@ class ChangedHypersurface:
         self.base_h = HypersurfaceGeometry(hyper_spec, self.pair.base)
 
     def at(self, u, v):
-        return ChangedHyperPoint(self, u, v)
+        return ChangedHyperPoint(self.pair, self.base_h.at(u, v))
 
 
 class ChangedHyperPoint:
     """Base and changed hypersurface data at one (u, v), plus the
-    closed-form predictions that tie them together.  The embedding is
-    evaluated once; both sides use the geometries of ``cp``."""
+    closed-form predictions that tie them together.  Built from the base
+    ``HyperPoint``, whose embedding data and ambient geometry both sides
+    share; ``cp`` is the change at its ambient point."""
 
-    def __init__(self, owner: ChangedHypersurface, u, v):
-        geom = owner.base_h
-        u, v, B, B2, x, y = geom.embed(u, v)
-        self.cp = owner.pair.at(x, y)
-        self.base = HyperPoint(geom.spec, u, v, B, B2, self.cp.base)
-        self.star = HyperPoint(geom.spec, u, v, B, B2, self.cp.star)
+    def __init__(self, pair: ChangedPair, base: HyperPoint):
+        self.cp = ChangedPoint(pair, base.pg)
+        self.base = base
+        self.star = HyperPoint(base.spec, base.u, base.v, base.B, base.B2,
+                               self.cp.star)
 
     def b_dot_normal(self):
         """Tangency scalar b_i N^i; the frame transfer below needs it to

@@ -229,8 +229,6 @@ class Jet:
     # -- ring operations ------------------------------------------------
 
     def _align(self, other):
-        if not isinstance(other, Jet):
-            return self, self._like(float(other))
         if other.nvars != self.nvars:
             raise ValueError("jets with different active-variable sets")
         k = min(self.order, other.order)

@@ -1,7 +1,10 @@
 """Seeded sampling of evaluation points from a spec's declared domains.
 
 Points are drawn uniformly from the x-box, supporting elements from the
-y-annulus (uniform direction times uniform radius).  Draws violating
+y-annulus (uniform direction times uniform radius).  Each draw is admitted
+by building its geometry (a ``ChangedPoint``, or a ``HyperPoint`` on a
+hypersurface), and the samplers return those objects, so callers evaluate
+the admitted points without building them again.  Draws violating
 positivity or regularity of the metric are rejected; a rejection rate
 above 99% raises, since it means the declared domain is unusable.
 """
@@ -10,8 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FinslerSpace
-from .hypersurface import HypersurfaceGeometry
 from .jets import JetDomainError
 
 _MAX_TRIES_PER_POINT = 100
@@ -34,7 +35,9 @@ def _draw_y(rng, n, annulus):
     return v / norm * rng.uniform(annulus[0], annulus[1])
 
 
-def _rejection_loop(count, draw, accept, what):
+def _rejection_loop(count, draw, what):
+    """Call ``draw()`` until it has returned ``count`` points other than
+    None; returns (points, number of None returns)."""
     if count < 1:
         raise SamplingError("sample count must be at least 1")
     out = []
@@ -46,91 +49,67 @@ def _rejection_loop(count, draw, accept, what):
                 f"rejected more than 99% of {attempts} candidate {what}; "
                 "the declared sampling domain admits almost no valid points")
         attempts += 1
-        cand = draw()
-        if accept(cand):
-            out.append(cand)
+        point = draw()
+        if point is not None:
+            out.append(point)
     return out, attempts - count
 
 
-def metric_predicate(space, extra_value=None):
-    """Accept (x, y) where every involved metric value is positive and
-    the fundamental tensor is invertible.
+def sample_points(pair, count, seed):
+    """Draw ``count`` admitted points of a ``ChangedPair`` from its base
+    domain.  Returns (``ChangedPoint`` list, rejected draw count).
 
-    ``extra_value``: optional callable (x, y) -> float that must also be
-    strictly positive (used to impose the signed changed value when
-    sampling a base/changed pair jointly; the changed spec only stores
-    the squared value, which cannot see a sign flip).
-    """
-    def ok(point):
-        x, y = point
-        try:
-            vals = [space.l2(x, y)]
-            if extra_value is not None:
-                vals.append(extra_value(x, y))
-        except (ValueError, ZeroDivisionError, JetDomainError):
-            return False
-        if not all(np.isfinite(v) and v > 1e-12 for v in vals):
-            return False
-        try:
-            g = space.point(x, y).g_low()
-        except JetDomainError:
-            return False
-        det = np.linalg.det(g)
-        scale = max(1.0, float(np.max(np.abs(g)))) ** space.n
-        return bool(np.isfinite(det) and abs(det) > 1e-10 * scale)
-    return ok
-
-
-def sample_points(space, count, seed, extra_value=None):
-    """Draw ``count`` valid (x, y) pairs from the space's declared domain.
-    Returns (points, rejected_count)."""
-    if not isinstance(space, FinslerSpace):
-        space = FinslerSpace(space)
+    A draw is admitted where the base value ``L^2`` and the signed changed
+    value ``e^sigma L + b_i y^i`` are finite and above 1e-12 (the changed
+    spec stores only the squared value, which cannot see a sign flip) and
+    the base fundamental tensor is invertible."""
     rng = np.random.default_rng(seed)
+    space = pair.base
     box = space.spec.x_box
     annulus = space.spec.y_annulus
-    draw = lambda: (_draw_x(rng, box), _draw_y(rng, space.n, annulus))
-    return _rejection_loop(count, draw, metric_predicate(space, extra_value),
-                           "points")
+
+    def draw():
+        x, y = _draw_x(rng, box), _draw_y(rng, space.n, annulus)
+        try:
+            cp = pair.at(x, y)
+            vals = (cp.base.L2(), cp.Lstar)
+            if not all(np.isfinite(v) and v > 1e-12 for v in vals):
+                return None
+            g = cp.base.g_low()
+        except (ValueError, ZeroDivisionError, JetDomainError):
+            return None
+        det = np.linalg.det(g)
+        scale = max(1.0, float(np.max(np.abs(g)))) ** space.n
+        return cp if np.isfinite(det) and abs(det) > 1e-10 * scale else None
+
+    return _rejection_loop(count, draw, "points")
 
 
 def sample_pair_points(pair, count, seed):
-    """Sample from the base domain, requiring both metrics valid.
-
-    The changed value is evaluated in signed form e^sigma L + beta, not
-    from the changed spec's squared expression."""
-    ch = pair.change
-
-    def star_value(x, y):
-        base = np.sqrt(pair.base.l2(x, y))
-        return float(np.exp(ch.sigma(x))) * base + float(ch.b(x) @ y)
-
-    return sample_points(pair.base, count, seed, extra_value=star_value)
+    """The (x, y) coordinates of ``sample_points``.
+    Returns (points, rejected_count)."""
+    cps, rejected = sample_points(pair, count, seed)
+    return [(cp.x, cp.y) for cp in cps], rejected
 
 
 def sample_hyper_points(hgeom, count, seed):
-    """Draw valid (u, v) pairs on a hypersurface.
+    """Draw ``count`` admitted points of a hypersurface.  Returns
+    (``HyperPoint`` list, rejected draw count).
 
-    Acceptance requires the embedding frame to have full rank and the
-    ambient metric to be positive on the pushed-forward element.
+    A draw (u, v) is admitted where the ambient metric is positive on the
+    pushed-forward element and the embedding has a unique unit normal.
     """
-    if not isinstance(hgeom, HypersurfaceGeometry):
-        raise TypeError("expected a HypersurfaceGeometry")
     rng = np.random.default_rng(seed)
     box = hgeom.spec.u_box
     annulus = hgeom.spec.v_annulus
     m = hgeom.spec.pdim
 
     def draw():
-        return _draw_x(rng, box), _draw_y(rng, m, annulus)
-
-    def ok(point):
-        u, v = point
         try:
-            hp = hgeom.at(u, v)
+            hp = hgeom.at(_draw_x(rng, box), _draw_y(rng, m, annulus))
             hp.normal_up()
         except JetDomainError:
-            return False
-        return True
+            return None
+        return hp
 
-    return _rejection_loop(count, draw, ok, "hypersurface points")
+    return _rejection_loop(count, draw, "hypersurface points")

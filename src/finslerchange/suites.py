@@ -26,11 +26,11 @@ from .change import ChangedPair
 from .core import central_partial
 from .geodesics import (GeodesicError, curve_set_deviation,
                         integrate_geodesic, retrace_deviation)
-from .hypersurface import ChangedHypersurface
+from .hypersurface import ChangedHyperPoint, ChangedHypersurface
 from .jets import JetDomainError
 from .memo import cached
 from .report import CheckRecord, errors_between
-from .sampling import sample_hyper_points, sample_pair_points
+from .sampling import sample_hyper_points, sample_points
 
 SUITE_NAMES = ("core-identities", "change-identities", "projectivity",
                "hypersurface", "invariants-5", "geodesics")
@@ -97,15 +97,11 @@ class SuiteRun:
 
     @cached
     def sampled(self):
-        """(points, rejected draw count) of the pair sampler."""
-        return sample_pair_points(self.pair, self.cfg.samples, self.cfg.seed)
+        """(changed points, rejected draw count) of the pair sampler."""
+        return sample_points(self.pair, self.cfg.samples, self.cfg.seed)
 
-    def points(self):
-        return self.sampled()[0]
-
-    @cached
     def cpoints(self):
-        return [self.pair.at(x, y) for x, y in self.points()]
+        return self.sampled()[0]
 
     def heavy_points(self):
         """The samples the costly core checks (Weyl, Douglas) run on."""
@@ -127,9 +123,9 @@ class SuiteRun:
         draws, _ = sample_hyper_points(
             self.hyper.base_h, min(self.cfg.samples, 40), self.cfg.seed)
         out = []
-        for u, v in draws:
+        for hp in draws:
             try:
-                out.append(self.hyper.at(u, v))
+                out.append(ChangedHyperPoint(self.pair, hp))
             except JetDomainError:
                 pass
         return out
@@ -145,7 +141,7 @@ class SuiteRun:
                             for chp in self.chpoints()])
 
     def geodesic_ics(self):
-        return self.points()[:5]
+        return [(cp.x, cp.y) for cp in self.cpoints()[:5]]
 
     def _per_ic(self, measure):
         """``measure(x, y)`` at each geodesic initial condition, or None

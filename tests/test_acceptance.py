@@ -9,13 +9,12 @@ implementation happens to produce.
 import numpy as np
 
 from finslerchange.change import ChangedPair
-from finslerchange.core import FinslerSpace, central_partial
+from finslerchange.core import central_partial
 from finslerchange.geodesics import curve_set_deviation, integrate_geodesic
-from finslerchange.hypersurface import ChangedHypersurface
+from finslerchange.hypersurface import ChangedHyperPoint, ChangedHypersurface
 from finslerchange.lang import resolve_spec
 from finslerchange.report import Report, emit_json_lines, environment_block
-from finslerchange.sampling import (sample_hyper_points, sample_pair_points,
-                                    sample_points)
+from finslerchange.sampling import sample_hyper_points, sample_points
 from finslerchange.suites import SuiteConfig, run_suites
 
 METRICS = ("euclid2", "euclid3", "diag2", "sphere2", "sphere3", "curved3",
@@ -38,16 +37,22 @@ def done(k, msg):
     print(f"ACCEPTANCE {k}: PASS - {msg}")
 
 
+def sample_base(mname, count, seed):
+    """Geometry of one bundled metric at sampled points; the identity
+    change admits the draws the metric alone admits."""
+    pts, _ = sample_points(ChangedPair(S[mname], CH["identity"]), count, seed)
+    return [cp.base for cp in pts]
+
+
 # -- 1: Euler/homogeneity chain on every bundled metric -----------------------
 
 def test_criterion_1_euler_homogeneity():
     worst = 0.0
     for name in METRICS:
         pair = ChangedPair(S[name], CH["projective"])
-        pts, _ = sample_pair_points(pair, 100, seed=101)
-        for x, y in pts:
-            cp = pair.at(x, y)
-            pg = cp.base
+        pts, _ = sample_points(pair, 100, seed=101)
+        for cp in pts:
+            pg, y = cp.base, cp.y
             L = pg.L()
             worst = max(
                 worst,
@@ -71,9 +76,8 @@ def test_criterion_2_two_path_closed_forms():
     for chname in ("randers_closed", "randers_nonclosed", "conformal",
                    "homothety"):
         pair = ChangedPair(S["euclid2"], CH[chname])
-        pts, _ = sample_pair_points(pair, 100, seed=102)
-        for x, y in pts:
-            cp = pair.at(x, y)
+        pts, _ = sample_points(pair, 100, seed=102)
+        for cp in pts:
             star = cp.star
             algebraic = max(
                 algebraic,
@@ -111,13 +115,11 @@ def test_criterion_2_two_path_closed_forms():
 # -- 3: degenerate changes reduce to the known special cases ------------------
 
 def test_criterion_3_reductions():
-    pts, _ = sample_points(S["sphere2"], 40, seed=103)
-
     # identity change: every starred/unstarred pair is exactly equal
     pair = ChangedPair(S["sphere2"], CH["identity"])
     assert pair.starred_spec is pair.metric_spec
-    for x, y in pts[:10]:
-        cp = pair.at(x, y)
+    pts, _ = sample_points(pair, 40, seed=103)
+    for cp in pts[:10]:
         assert np.array_equal(cp.base.g_low(), cp.star.g_low())
         assert np.array_equal(cp.base.C_low(), cp.star.C_low())
         assert np.array_equal(cp.base.spray(), cp.star.spray())
@@ -127,8 +129,8 @@ def test_criterion_3_reductions():
     scale_err = 0.0
     for chname in ("homothety", "conformal"):
         pair = ChangedPair(S["sphere2"], CH[chname])
-        for x, y in pts[:20]:
-            cp = pair.at(x, y)
+        for p in pts[:20]:
+            cp = pair.at(p.x, p.y)
             e2s = float(np.exp(2.0 * cp.sigma))
             scale_err = max(
                 scale_err,
@@ -142,8 +144,8 @@ def test_criterion_3_reductions():
     # scale = 0: the value is additive and every closed form is exact
     drift_err = 0.0
     pair = ChangedPair(S["sphere2"], CH["randers_closed"])
-    for x, y in pts[:20]:
-        cp = pair.at(x, y)
+    for p in pts[:20]:
+        cp = pair.at(p.x, p.y)
         drift_err = max(
             drift_err,
             rel(cp.star.L(), cp.base.L() + cp.beta),
@@ -160,23 +162,22 @@ def test_criterion_3_reductions():
 
 def test_criterion_4_projectivity():
     pair = ChangedPair(S["euclid2"], CH["projective"])
-    pts, _ = sample_pair_points(pair, 100, seed=104)
-    defect = max(float(np.max(np.abs(pair.at(x, y).A_low())))
-                 for x, y in pts)
+    pts, _ = sample_points(pair, 100, seed=104)
+    defect = max(float(np.max(np.abs(cp.A_low()))) for cp in pts)
     assert defect <= 1e-12, f"projectivity obstruction {defect:.3e}"
-    coll = max(pair.at(x, y).collinearity_defect() for x, y in pts)
+    coll = max(cp.collinearity_defect() for cp in pts)
     assert coll <= 1e-8, f"collinearity defect {coll:.3e}"
 
     deviation = 0.0
-    for x, y in pts[:10]:
-        base = integrate_geodesic(pair.base, x, y, 10.0, tol=1e-10)
-        star = integrate_geodesic(pair.starred, x, y, 10.0, tol=1e-10)
+    for cp in pts[:10]:
+        base = integrate_geodesic(pair.base, cp.x, cp.y, 10.0, tol=1e-10)
+        star = integrate_geodesic(pair.starred, cp.x, cp.y, 10.0, tol=1e-10)
         deviation = max(deviation, curve_set_deviation(base, star))
     assert deviation <= 1e-5, f"geodesic point-set deviation {deviation:.3e}"
 
     bad = ChangedPair(S["euclid2"], CH["conformal"])
-    bad_defect = max(float(np.max(np.abs(bad.at(x, y).A_low())))
-                     for x, y in pts)
+    bad_defect = max(float(np.max(np.abs(bad.at(cp.x, cp.y).A_low())))
+                     for cp in pts)
     assert bad_defect > 1e-3, f"non-constant scaling defect {bad_defect:.3e}"
     cfg = SuiteConfig(S["euclid2"], CH["conformal"], samples=20, seed=104)
     by_id = {r.check_id: r for r in run_suites(cfg, ["projectivity"])}
@@ -196,8 +197,8 @@ def test_criterion_5_hypersurfaces():
     circ = ChangedHypersurface(S["euclid2"], CH["randers_nonclosed"],
                                resolve_spec("circle2"))
     upts, _ = sample_hyper_points(circ.base_h, 40, seed=105)
-    for u, v in upts:
-        chp = circ.at(u, v)
+    for hp in upts:
+        chp = ChangedHyperPoint(circ.pair, hp)
         frame_err = max(frame_err, chp.base.frame_residuals(),
                         chp.star.frame_residuals())
         value_err = max(value_err, rel(chp.gstar_on_normal(),
@@ -210,12 +211,11 @@ def test_criterion_5_hypersurfaces():
     pb = ChangedHypersurface(S["euclid2"], CH["tangent_parabola"],
                              resolve_spec("parabola2"))
     ppts, _ = sample_hyper_points(pb.base_h, 40, seed=105)
-    proj_defect = max(float(np.max(np.abs(pb.at(u, v).cp.A_low())))
-                      for u, v in ppts)
+    chps = [ChangedHyperPoint(pb.pair, hp) for hp in ppts]
+    proj_defect = max(float(np.max(np.abs(chp.cp.A_low()))) for chp in chps)
     assert proj_defect <= 1e-12, "change must be verified projective"
     tang = transfer = curv = 0.0
-    for u, v in ppts:
-        chp = pb.at(u, v)
+    for chp in chps:
         tang = max(tang, abs(chp.b_dot_normal()))
         transfer = max(
             transfer,
@@ -233,8 +233,8 @@ def test_criterion_5_hypersurfaces():
                              resolve_spec("plane3"))
     plpts, _ = sample_hyper_points(pl.base_h, 25, seed=105)
     flat = 0.0
-    for u, v in plpts:
-        chp = pl.at(u, v)
+    for hp in plpts:
+        chp = ChangedHyperPoint(pl.pair, hp)
         flat = max(flat, float(np.max(np.abs(chp.base.normal_curvature()))),
                    float(np.max(np.abs(chp.star.normal_curvature()))))
     assert flat <= 1e-10, f"hyperplane curvature {flat:.3e}"
@@ -252,9 +252,8 @@ def test_criterion_6_projective_invariants():
                                  ("euclid3", "projective3", 5),
                                  ("sphere3", "projective3", 5)):
         pair = ChangedPair(S[mname], CH[chname])
-        pts, _ = sample_pair_points(pair, count, seed=106)
-        for x, y in pts:
-            cp = pair.at(x, y)
+        pts, _ = sample_points(pair, count, seed=106)
+        for cp in pts:
             d_inv = max(d_inv, float(np.max(np.abs(
                 cp.star.douglas() - cp.base.douglas()))))
             w_inv = max(w_inv, float(np.max(np.abs(
@@ -264,29 +263,21 @@ def test_criterion_6_projective_invariants():
 
     d_quad = 0.0
     for mname in ("euclid2", "diag2", "sphere2", "curved3"):
-        pts, _ = sample_points(S[mname], 10, seed=106)
-        space = FinslerSpace(S[mname])
-        for x, y in pts:
-            d_quad = max(d_quad,
-                         float(np.max(np.abs(space.point(x, y).douglas()))))
+        for pg in sample_base(mname, 10, seed=106):
+            d_quad = max(d_quad, float(np.max(np.abs(pg.douglas()))))
     assert d_quad <= 1e-9, f"quadratic-base douglas {d_quad:.3e}"
 
     w_flat = 0.0
     for mname, count in (("euclid2", 10), ("diag2", 10), ("euclid3", 6),
                          ("sphere3", 6)):
-        pts, _ = sample_points(S[mname], count, seed=106)
-        space = FinslerSpace(S[mname])
-        for x, y in pts:
-            w_flat = max(w_flat, float(np.max(np.abs(
-                space.point(x, y).weyl_proj()))))
+        for pg in sample_base(mname, count, seed=106):
+            w_flat = max(w_flat, float(np.max(np.abs(pg.weyl_proj()))))
     assert w_flat <= 1e-7, f"flat/constant-curvature weyl {w_flat:.3e}"
 
     # control: a base without constant flag curvature has a visible weyl
     # tensor, so the vanishing checks above have teeth
-    pts, _ = sample_points(S["curved3"], 5, seed=106)
-    space = FinslerSpace(S["curved3"])
-    w_curved = max(float(np.max(np.abs(space.point(x, y).weyl_proj())))
-                   for x, y in pts)
+    w_curved = max(float(np.max(np.abs(pg.weyl_proj())))
+                   for pg in sample_base("curved3", 5, seed=106))
     assert w_curved > 1e-2
     done(6, f"invariance douglas {d_inv:.1e} <= 1e-8 / weyl {w_inv:.1e} "
             f"<= 1e-6; quadratic douglas {d_quad:.1e} <= 1e-9; flat or "
@@ -328,11 +319,8 @@ def test_criterion_7_fd_cross_checks():
         worst[name] = max(worst.get(name, 0.0), err)
 
     for mname in ("sphere2", "randers2"):
-        space = FinslerSpace(S[mname])
-        n = space.n
-        pts, _ = sample_points(S[mname], 2, seed=107)
-        for x, y in pts:
-            pg = space.point(x, y)
+        for pg in sample_base(mname, 2, seed=107):
+            space, n, x, y = pg.space, pg.n, pg.x, pg.y
             for _ in range(3):
                 i, j, k = (int(v) for v in rng.integers(0, n, size=3))
                 spot("support", rel(
@@ -424,9 +412,9 @@ def test_criterion_7_fd_cross_checks():
 
     # change-level derivative objects
     pair = ChangedPair(S["sphere2"], CH["randers_nonclosed"])
-    cpts, _ = sample_pair_points(pair, 2, seed=107)
-    for x, y in cpts:
-        cp = pair.at(x, y)
+    cpts, _ = sample_points(pair, 2, seed=107)
+    for cp in cpts:
+        x, y = cp.x, cp.y
         db_fd = np.stack([central_partial(pair.change.b, x, kk, 1e-6)
                           for kk in range(pair.n)], axis=-1)
         spot("drift-jacobian", rel(cp.db, db_fd))
@@ -437,10 +425,8 @@ def test_criterion_7_fd_cross_checks():
         spot("spray-difference", rel(cp.d_jacobian(), dj_fd))
 
     # torsion-type projective objects are only substantive in dimension 3
-    space = FinslerSpace(S["curved3"])
-    pts, _ = sample_points(S["curved3"], 1, seed=107)
-    x, y = pts[0]
-    pg = space.point(x, y)
+    pg = sample_base("curved3", 1, seed=107)[0]
+    space, x, y = pg.space, pg.x, pg.y
 
     def a_part(yy):
         r = space.point(x, yy).riemann()

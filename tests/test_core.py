@@ -315,11 +315,11 @@ def test_order_cache_keeps_the_highest_order():
     # on a point: every jet intermediate, at the order of its largest call
     pg = FinslerSpace(SPHERE).point([1.0, 0.3], [0.7, 0.9])
     pg.weyl_torsion()
-    for name, order in (("_f2", 6), ("_g_jets", 4), ("_spray_jets", 4),
+    for name, order in (("_f2", 6), ("_spray_jets", 4),
                         ("_riemann_jets", 2), ("_weyl_jets", 1)):
         jets = getattr(pg, name)(order)
         assert getattr(pg, name)(0) is jets and pg._cache[name][0] == order
-    assert pg._f2(6)[1].order == 6 and pg._g_jets(1)[0][0].order == 4
+    assert pg._f2(6)[1].order == 6
     f2 = pg._f2(6)
     assert pg._f2(7) is not f2 and pg._f2(7)[1].order == 7
 

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from finslerchange import hypersurface
 from finslerchange.change import ChangedPair
 from finslerchange.cli import main
-from finslerchange.core import FinslerSpace
+from finslerchange.core import FinslerSpace, PointGeometry
 from finslerchange.hypersurface import HypersurfaceGeometry
 from finslerchange.lang import parse_spec_text, resolve_spec
 from finslerchange.report import (CheckRecord, Report, ReportError,
@@ -14,7 +15,7 @@ from finslerchange.report import (CheckRecord, Report, ReportError,
 from finslerchange.sampling import (SamplingError, sample_hyper_points,
                                     sample_pair_points, sample_points)
 from finslerchange.suites import (DEFAULT_TOLS, SUITE_NAMES, SuiteConfig,
-                                  _judge, run_suites)
+                                  SuiteRun, _judge, run_suites)
 
 EUCLID2 = resolve_spec("euclid2")
 IDENT = resolve_spec("identity")
@@ -72,29 +73,30 @@ def test_errors_between():
 # ------------------------------------------------------------------- sampling
 
 def test_sampling_deterministic():
-    one, rej1 = sample_points(EUCLID2, 10, seed=1)
-    two, rej2 = sample_points(EUCLID2, 10, seed=1)
+    pair = ChangedPair(EUCLID2, IDENT)
+    one, rej1 = sample_points(pair, 10, seed=1)
+    two, rej2 = sample_points(pair, 10, seed=1)
     assert rej1 == rej2 == 0
-    for (x1, y1), (x2, y2) in zip(one, two):
-        assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
-    other, _ = sample_points(EUCLID2, 10, seed=2)
-    assert not np.array_equal(one[0][0], other[0][0])
+    for cp1, cp2 in zip(one, two):
+        assert np.array_equal(cp1.x, cp2.x) and np.array_equal(cp1.y, cp2.y)
+    other, _ = sample_points(pair, 10, seed=2)
+    assert not np.array_equal(one[0].x, other[0].x)
 
 
 def test_sampling_respects_domains():
-    pts, _ = sample_points(SPHERE2, 50, seed=3)
+    pts, _ = sample_points(ChangedPair(SPHERE2, IDENT), 50, seed=3)
     box = SPHERE2.x_box
-    for x, y in pts:
-        assert np.all(x >= box[:, 0]) and np.all(x <= box[:, 1])
-        assert 0.5 <= np.linalg.norm(y) <= 1.5
+    for cp in pts:
+        assert np.all(cp.x >= box[:, 0]) and np.all(cp.x <= box[:, 1])
+        assert 0.5 <= np.linalg.norm(cp.y) <= 1.5
 
 
 def test_sampling_rejects_hopeless_domain():
     bad = parse_spec_text("dim 2\na_11 = -1\na_22 = -1\n", name="bad")
     with pytest.raises(SamplingError):
-        sample_points(bad, 5, seed=0)
+        sample_points(ChangedPair(bad, IDENT), 5, seed=0)
     with pytest.raises(SamplingError):
-        sample_points(EUCLID2, 0, seed=0)
+        sample_points(ChangedPair(EUCLID2, IDENT), 0, seed=0)
 
 
 def test_pair_sampling_rejects_changed_negativity():
@@ -115,11 +117,11 @@ def test_hyper_sampling():
     pts, _ = sample_hyper_points(geom, 12, seed=1)
     assert len(pts) == 12
     box = circle.u_box
-    for u, v in pts:
-        assert box[0, 0] <= u[0] <= box[0, 1]
-        assert 0.5 <= abs(v[0]) <= 1.5
+    for hp in pts:
+        assert box[0, 0] <= hp.u[0] <= box[0, 1]
+        assert 0.5 <= abs(hp.v[0]) <= 1.5
     again, _ = sample_hyper_points(geom, 12, seed=1)
-    assert np.array_equal(pts[0][0], again[0][0])
+    assert np.array_equal(pts[0].u, again[0].u)
 
 
 # --------------------------------------------------------------------- suites
@@ -157,6 +159,32 @@ def test_conformal_run_gates_projective_checks():
                   "inv5.douglas-invariance", "inv5.weyl-invariance"):
         assert records[gated].verdict == "skipped"
     assert not [r for r in records.values() if r.verdict == "fail"]
+
+
+def test_suite_run_evaluates_each_sample_once(monkeypatch):
+    # The samplers return the geometry they admitted each draw with, so a
+    # run builds one base PointGeometry per pair or hypersurface draw and
+    # evaluates the embedding once per hypersurface draw.
+    spaces, embeddings = [], []
+    init, lift = PointGeometry.__init__, hypersurface.lift_env
+
+    def counted_init(self, space, x, y):
+        spaces.append(space)
+        init(self, space, x, y)
+
+    def counted_lift(*args, **kwargs):
+        embeddings.append(kwargs)
+        return lift(*args, **kwargs)
+
+    monkeypatch.setattr(PointGeometry, "__init__", counted_init)
+    monkeypatch.setattr(hypersurface, "lift_env", counted_lift)
+    run = SuiteRun(SuiteConfig(EUCLID2, resolve_spec("tangent_parabola"),
+                               resolve_spec("parabola2"), samples=12,
+                               seed=108))
+    assert len(run.cpoints()) == 12 and run.sampled()[1] == 0
+    assert len(run.chpoints()) == 12
+    assert sum(space is run.pair.base for space in spaces) == 24
+    assert len(embeddings) == 12
 
 
 def test_check_table_fixes_ids_and_tolerances():

@@ -116,7 +116,9 @@ def tensor_stack():
                               resolve_spec(change, expect="change"),
                               resolve_spec(hyper, expect="hypersurface"))
     draws, _ = sample_hyper_points(chs.base_h, TENSOR_POINTS, TENSOR_SEED)
-    for u, v in draws:
+    for draw in draws:
+        # a (u, v) pair, or a HyperPoint where the sampler returns those
+        u, v = (draw.u, draw.v) if hasattr(draw, "u") else draw
         try:
             chp = chs.at(u, v)
         except JetDomainError:
