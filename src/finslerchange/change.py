@@ -84,39 +84,27 @@ def changed_metric_spec(metric: MetricSpec, change: ChangeSpec) -> MetricSpec:
 
 
 class RandersChange:
-    """sigma and b bound to a dimension, with pointwise evaluation."""
+    """sigma and b bound to a dimension, evaluated pointwise by ``at``."""
 
     def __init__(self, spec: ChangeSpec, dim: int):
-        self.spec = spec
         self.n = dim
         self.sigma_expr = spec.sigma_or_zero()
         self.b_exprs = spec.b_list(dim)
 
-    def sigma(self, x):
-        env = {f"x{i + 1}": float(v) for i, v in enumerate(x)}
-        return float(evaluate(self.sigma_expr, env))
-
-    def grad_sigma(self, x):
-        val = evaluate(self.sigma_expr, lift_env(1, x=x))
-        if isinstance(val, Jet):
-            return val.partials(1)
-        return np.zeros(self.n)   # constant expression
-
-    def b(self, x):
-        env = {f"x{i + 1}": float(v) for i, v in enumerate(x)}
-        return np.array([float(evaluate(e, env)) for e in self.b_exprs])
-
-    def db(self, x):
-        """db[i, j] = partial of b_i along x^j."""
+    def at(self, x):
+        """(sigma, grad sigma, b, db) at x, from one order-1 jet of each
+        expression; db[i, j] is the partial of b_i along x^j."""
         env = lift_env(1, x=x)
-        out = np.zeros((self.n, self.n))
-        for i, e in enumerate(self.b_exprs):
-            if _is_zero(e):
-                continue
-            val = evaluate(e, env)
+
+        def value_and_gradient(expr):
+            val = evaluate(expr, env)
             if isinstance(val, Jet):
-                out[i] = val.partials(1)
-        return out
+                return val.value, val.partials(1)
+            return float(val), np.zeros(self.n)   # constant expression
+
+        sigma, grad_sigma = value_and_gradient(self.sigma_expr)
+        b, db = zip(*map(value_and_gradient, self.b_exprs))
+        return sigma, grad_sigma, np.array(b), np.array(db)
 
 
 class ChangedPair:
@@ -145,12 +133,9 @@ class ChangedPoint:
         self.n = pair.n
         self.x, self.y = base.x, base.y
         self.base = base
-        self.star = pair.starred.point(self.x, self.y)
-        ch = pair.change
-        self.sigma = ch.sigma(self.x)
+        (self.sigma, self.grad_sigma, self.b_low,
+         self.db) = pair.change.at(self.x)
         self.esig = float(np.exp(self.sigma))
-        self.b_low = ch.b(self.x)
-        self.db = ch.db(self.x)
         self.beta = float(self.b_low @ self.y)
         self.L = self.base.L()
         self.Lstar = self.esig * self.L + self.beta
@@ -158,6 +143,7 @@ class ChangedPoint:
             raise JetDomainError(
                 f"changed metric value {self.Lstar:.6g} not positive at "
                 f"x={self.x.tolist()}, y={self.y.tolist()}")
+        self.star = pair.starred.point(self.x, self.y)
         self.tau = self.esig * self.Lstar / self.L
 
     # -- scalars ---------------------------------------------------------
@@ -247,9 +233,8 @@ class ChangedPoint:
     def A_low(self):
         """Obstruction covector: zero everywhere exactly when the change
         takes geodesics to geodesics."""
-        gs = self.pair.change.grad_sigma(self.x)
         curl_dot_y = (self.db.T - self.db) @ self.y
-        return self.esig * self.L * gs + curl_dot_y
+        return self.esig * self.L * self.grad_sigma + curl_dot_y
 
     def d_vector(self):
         return self.star.spray() - self.base.spray()

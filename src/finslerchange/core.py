@@ -3,9 +3,9 @@
 Every quantity is derived from the single scalar L^2 evaluated on jets of
 the 2n coordinates (x, y): metric tensors fall out as Taylor coefficients,
 and derived fields (geodesic spray, connections, curvatures) are computed
-as jets themselves so that their own derivatives remain exact.  Only the
-spray's values, which geodesic integration asks for at every step, are
-solved in floats from the jet of L^2 (``PointGeometry.spray``).
+as jets themselves so that their own derivatives remain exact.  A point
+is built from one order-2 jet of L^2; the spray's values, which geodesic
+integration asks for at every step, are solved in floats from that jet.
 
 Index conventions: arrays are 0-based; for a connection-like array ``T``
 the first axis is the upper index.  Jet variable slots are ``i`` for x^i
@@ -83,6 +83,8 @@ class FinslerSpace:
         return PointGeometry(self, x, y)
 
     def l2(self, x, y):
+        """Float L^2 for value-only probes at points without geometry:
+        value drift, homogeneity, reversibility, finite differences."""
         env = {f"x{i + 1}": float(v) for i, v in enumerate(x)}
         env.update({f"y{i + 1}": float(v) for i, v in enumerate(y)})
         return float(self.spec.eval_l2(env))
@@ -96,8 +98,8 @@ class FinslerSpace:
 class PointGeometry:
     """Lazily computed tensors of a Finsler space at one (x, y).
 
-    Jet-valued intermediates are cached at the highest order requested so
-    far, numeric tensors by name, both in ``_cache``.
+    Construction builds the order-2 jet of L^2, raising where ``_f2`` does;
+    jets stay cached at their highest order, tensors by name, in ``_cache``.
     """
 
     def __init__(self, space, x, y):
@@ -108,19 +110,21 @@ class PointGeometry:
         if self.x.shape != (self.n,) or self.y.shape != (self.n,):
             raise ValueError(f"expected {self.n} coordinates")
         self._cache = {}
-        l2 = space.l2(self.x, self.y)
-        if not l2 > 0.0:
-            raise JetDomainError(
-                f"L^2 = {l2:.6g} is not positive at x={self.x.tolist()}, "
-                f"y={self.y.tolist()}")
+        self._f2(2)
 
     # -- jet-level intermediates ------------------------------------------
 
     @cached_to_order
     def _f2(self, order):
-        """(seed jets of y, jet of L^2) over the 2n variables (x, y)."""
+        """(seed jets of y, jet of L^2) over (x, y); raises ``JetDomainError``
+        unless L^2 is positive and every coefficient is finite."""
         env = lift_env(order, x=self.x, y=self.y)
-        return list(env.values())[self.n:], self.space.spec.eval_l2(env)
+        f2 = self.space.spec.eval_l2(env)
+        if not (f2.value > 0.0 and np.isfinite(f2.coeffs).all()):
+            raise JetDomainError(f"L^2 = {f2.value:.6g} is not positive with "
+                                 f"finite order-{order} coefficients at "
+                                 f"x={self.x.tolist()}, y={self.y.tolist()}")
+        return list(env.values())[self.n:], f2
 
     @cached_to_order
     def _spray_jets(self, order):
@@ -173,7 +177,7 @@ class PointGeometry:
 
     @cached
     def L2(self):
-        return self._f2(0)[1].value
+        return self._f2(2)[1].value
 
     @cached
     def L(self):
@@ -182,7 +186,7 @@ class PointGeometry:
     @cached
     def y_low(self):
         """Covariant y: g_ij y^j = (1/2) dL^2/dy^i."""
-        return 0.5 * self._f2(1)[1].partials(1)[self.n:]
+        return 0.5 * self._f2(2)[1].partials(1)[self.n:]
 
     @cached
     def l_low(self):

@@ -138,6 +138,10 @@ def integrate_geodesic(space, x0, y0, t_end, tol=1e-8, max_steps=200_000,
         return bool(np.all((x >= box[:, 0]) & (x <= box[:, 1])))
 
     z = np.concatenate([x0, y0])
+    try:
+        k1 = rhs(z)
+    except JetDomainError as exc:
+        raise GeodesicError(f"metric left its domain at t = 0: {exc}") from exc
     t = 0.0
     L0 = np.sqrt(space.l2(x0, y0))
     ts = [0.0]
@@ -145,7 +149,6 @@ def integrate_geodesic(space, x0, y0, t_end, tol=1e-8, max_steps=200_000,
     stats = {"steps": 0, "rejected": 0, "max_local_error": 0.0,
              "value_drift": 0.0, "box_exits": 0, "first_exit_t": None}
 
-    k1 = rhs(z)
     h = min(t_end / 10.0,
             0.1 * max(np.linalg.norm(z), 1.0) / max(np.linalg.norm(k1), 1e-8))
     h = max(h, 1e-12)

@@ -72,12 +72,12 @@ def sample_points(pair, count, seed):
         x, y = _draw_x(rng, box), _draw_y(rng, space.n, annulus)
         try:
             cp = pair.at(x, y)
-            vals = (cp.base.L2(), cp.Lstar)
-            if not all(np.isfinite(v) and v > 1e-12 for v in vals):
-                return None
-            g = cp.base.g_low()
         except (ValueError, ZeroDivisionError, JetDomainError):
             return None
+        vals = (cp.base.L2(), cp.Lstar)
+        if not all(np.isfinite(v) and v > 1e-12 for v in vals):
+            return None
+        g = cp.base.g_low()
         det = np.linalg.det(g)
         scale = max(1.0, float(np.max(np.abs(g)))) ** space.n
         return cp if np.isfinite(det) and abs(det) > 1e-10 * scale else None

@@ -415,7 +415,8 @@ def test_criterion_7_fd_cross_checks():
     cpts, _ = sample_points(pair, 2, seed=107)
     for cp in cpts:
         x, y = cp.x, cp.y
-        db_fd = np.stack([central_partial(pair.change.b, x, kk, 1e-6)
+        db_fd = np.stack([central_partial(lambda xv: pair.change.at(xv)[2],
+                                          x, kk, 1e-6)
                           for kk in range(pair.n)], axis=-1)
         spot("drift-jacobian", rel(cp.db, db_fd))
         dj_fd = np.stack([central_partial(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from finslerchange import core
 from finslerchange.change import ChangedPair, changed_metric_spec
 from finslerchange.core import FinslerSpace, central_partial
 from finslerchange.jets import JetDomainError
@@ -263,6 +264,21 @@ def test_positivity_validation_catches_large_drift():
     pair = ChangedPair(EUCLID2, bad)
     with pytest.raises(JetDomainError):
         pair.at([0.3, -0.2], [-1.0, 0.0])
+
+
+def test_nonpositive_changed_value_builds_no_changed_geometry(monkeypatch):
+    built = []
+    init = core.PointGeometry.__init__
+
+    def recording(self, space, x, y):
+        built.append(space)
+        init(self, space, x, y)
+
+    monkeypatch.setattr(core.PointGeometry, "__init__", recording)
+    pair = ChangedPair(EUCLID2, parse_spec_text("b1 = 2\n", name="bad"))
+    with pytest.raises(JetDomainError):
+        pair.at([0.3, -0.2], [-1.0, 0.0])
+    assert built == [pair.base]
 
 
 def test_homothety_scales_metric_exactly():

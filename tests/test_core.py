@@ -8,7 +8,7 @@ from finslerchange.core import (
     central_partial,
 )
 from finslerchange.jets import JetDomainError, lift_env
-from finslerchange.lang import parse_spec_text, resolve_spec
+from finslerchange.lang import MetricSpec, parse_spec_text, resolve_spec
 from finslerchange.memo import cached_to_order
 from finslerchange.sampling import sample_pair_points
 
@@ -281,6 +281,36 @@ def test_rejects_nonpositive_metric_value():
     space = FinslerSpace(RANDERS)
     with pytest.raises(JetDomainError):
         space.point([0.0, 0.0], [0.0, 0.0])
+
+
+def test_point_evaluates_l2_once_per_side(monkeypatch):
+    calls = []
+    eval_l2 = MetricSpec.eval_l2
+
+    def counting(self, env):
+        calls.append(self.name)
+        return eval_l2(self, env)
+
+    monkeypatch.setattr(MetricSpec, "eval_l2", counting)
+    pair = ChangedPair(resolve_spec("randers2"), resolve_spec("projective"))
+    cp = pair.at([0.2, -0.3], [0.8, 0.6])
+    for pg in (cp.base, cp.star):
+        for name in ("L2", "L", "y_low", "l_low", "g_low", "g_up", "h_low",
+                     "spray"):
+            getattr(pg, name)()
+    assert calls == ["randers2", "randers2*projective"]
+
+
+def test_overflowing_l2_jet_raises_at_construction():
+    # e^(800 x1) has x1-derivatives 800^k e^(800 x1): finite value, but
+    # order-2 coefficients beyond the float range at x1 = 0.88
+    space = FinslerSpace(parse_spec_text(
+        "dim 2\nL2 = y1^2 + y2^2 + 1e-300 * exp(800 * x1) * y1^2\n",
+        name="steep"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(JetDomainError, match="finite order-2"):
+            space.point([0.88, 0.0], [1.0, 0.5])
+    assert np.all(np.isfinite(space.point([0.5, 0.0], [1.0, 0.5]).douglas()))
 
 
 def test_lift_x_env_names():

@@ -9,7 +9,7 @@ from finslerchange.geodesics import (
     integrate_geodesic,
     retrace_deviation,
 )
-from finslerchange.lang import parse_spec_text
+from finslerchange.lang import parse_spec_text, resolve_spec
 
 EUCLID2 = parse_spec_text(
     "dim 2\na_11 = 1\na_22 = 1\nx_box = -20 20 -20 20\n", name="euclid2")
@@ -133,3 +133,10 @@ def test_step_budget():
     with pytest.raises(GeodesicError):
         integrate_geodesic(space, [0.0, 0.0], [1.0, 0.0], 10.0, tol=1e-13,
                            max_steps=3)
+
+
+def test_start_point_outside_domain_raises_geodesic_error():
+    # sqrt(y1^2 + y2^2) has no jet at y = 0
+    space = FinslerSpace(resolve_spec("randers2"))
+    with pytest.raises(GeodesicError, match="left its domain"):
+        integrate_geodesic(space, [0.1, 0.2], [0.0, 0.0], 1.0)

@@ -35,8 +35,10 @@ import tempfile
 
 # (label, metric, change, hypersurface or None, samples, seed).  The first
 # two are also the pinned configurations of the verify-degenerate and
-# verify-regular-3d benchmark workloads; the last is verify-many-2d at
-# benchmark seed 1.
+# verify-regular-3d benchmark workloads; the seventh is verify-many-2d at
+# benchmark seed 1.  The last two are the 3D hypersurface chain, where
+# every hypersurface check is measured, and a non-projective,
+# irreversible change with a closed curve.
 CONFIGS = (
     ("euclid2+tangent_parabola+parabola2 n12 s108",
      "euclid2", "tangent_parabola", "parabola2", 12, 108),
@@ -46,6 +48,10 @@ CONFIGS = (
     ("randers2+projective n200 s1", "randers2", "projective", None, 200, 1),
     ("sphere3+projective3 n10 s5", "sphere3", "projective3", None, 10, 5),
     ("randers2+projective n2000 s1", "randers2", "projective", None, 2000, 1),
+    ("curved3+projective3+plane3 n12 s108",
+     "curved3", "projective3", "plane3", 12, 108),
+    ("randers2+randers_nonclosed+circle2 n20 s108",
+     "randers2", "randers_nonclosed", "circle2", 20, 108),
 )
 
 # (metric, change) pairs of the tensor digest, each at TENSOR_POINTS points
