@@ -6,9 +6,10 @@ standard step controller; the metric value L(x, xdot) is a first integral
 of the flow, so its relative drift along the numerical solution doubles
 as an independent accuracy meter.
 
+A path is described by the cubic Hermite segments of its accepted steps.
 Projective changes keep geodesics as point sets while reparametrizing
-them, so paths are compared as curves: sample one, measure distances to a
-densified polyline of the other, take the worst case.
+them, so paths are compared as curves: sample one, measure distances to
+the segments of the other, take the worst case.
 """
 
 from __future__ import annotations
@@ -16,6 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from .jets import JetDomainError
+
+REFINE = 8          # dense-output points per accepted step
+_CHUNK = 32         # query points per block of the curve distance
+_NEWTON_STEPS = 4   # Newton steps from each chord projection
 
 # Dormand-Prince 5(4) tableau
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -38,37 +43,43 @@ class GeodesicError(Exception):
     """Integration failed (step size underflow, step budget, domain)."""
 
 
-def _first_exit_time(t0, h, z0, z1, n, in_box):
-    """Locate where the Hermite interpolant of one accepted step first
-    leaves the box.  Scan coarsely, then bisect the bracketing interval."""
-    p0, m0 = z0[:n], z0[n:] * h
-    p1, m1 = z1[:n], z1[n:] * h
+def _hermite(t, states, n):
+    """Power-basis coefficients ``(steps, 4, n)`` of the cubic Hermite
+    segment of each step: ``x(s) = c0 + c1 s + c2 s^2 + c3 s^3`` on
+    [0, 1] matches the stored position and velocity at both ends."""
+    dt = np.diff(t)[:, None]
+    p0, p1 = states[:-1, :n], states[1:, :n]
+    m0, m1 = states[:-1, n:] * dt, states[1:, n:] * dt
+    return np.stack([p0, m0, 3 * (p1 - p0) - 2 * m0 - m1,
+                     2 * (p0 - p1) + m0 + m1], axis=1)
 
-    def pos(s):
-        return ((2 * s ** 3 - 3 * s ** 2 + 1) * p0
-                + (s ** 3 - 2 * s ** 2 + s) * m0
-                + (-2 * s ** 3 + 3 * s ** 2) * p1
-                + (s ** 3 - s ** 2) * m1)
 
+def _first_exit_time(t, states, n, in_box):
+    """Locate where the segment of one accepted step (nodes ``t``,
+    ``states``) first leaves the box: scan coarsely, then bisect the
+    bracketing interval."""
+    seg = _hermite(t, states, n)[0]
     lo, hi = 0.0, 1.0
     for s in np.linspace(0.0, 1.0, 33)[1:]:
-        if not in_box(pos(s)):
+        if not in_box(s ** np.arange(4) @ seg):
             hi = s
             break
         lo = s
     for _ in range(50):
         mid = 0.5 * (lo + hi)
-        if in_box(pos(mid)):
+        if in_box(mid ** np.arange(4) @ seg):
             lo = mid
         else:
             hi = mid
-    return t0 + hi * h
+    return t[0] + hi * (t[1] - t[0])
 
 
 class GeodesicPath:
     """Accepted integration nodes plus run statistics.
 
-    ``states[k] = (x^1..x^n, y^1..y^n)`` at ``t[k]``.  ``stats`` carries
+    ``states[k] = (x^1..x^n, y^1..y^n)`` at ``t[k]``; ``segments[k]``
+    holds the coefficients of the step from ``t[k]`` (see ``_hermite``),
+    which dense output and curve distance both read.  ``stats`` carries
     steps, rejected steps, max accepted local error estimate, relative
     drift of the conserved metric value, and sampling-box exits.
     """
@@ -78,6 +89,7 @@ class GeodesicPath:
         self.t = np.asarray(t)
         self.states = np.asarray(states)
         self.stats = stats
+        self.segments = _hermite(self.t, self.states, n)
 
     @property
     def x(self):
@@ -90,26 +102,12 @@ class GeodesicPath:
     def end_state(self):
         return self.states[-1, :self.n].copy(), self.states[-1, self.n:].copy()
 
-    def dense_points(self, refine=8):
-        """Positions along the path, subdividing each accepted interval
-        with cubic Hermite interpolation (position and velocity are both
-        stored, so no extra derivative estimates are needed)."""
-        if len(self.t) < 2:
-            return self.x.copy()
-        chunks = []
-        s = np.linspace(0.0, 1.0, refine, endpoint=False)
-        h00 = 2 * s ** 3 - 3 * s ** 2 + 1
-        h10 = s ** 3 - 2 * s ** 2 + s
-        h01 = -2 * s ** 3 + 3 * s ** 2
-        h11 = s ** 3 - s ** 2
-        for k in range(len(self.t) - 1):
-            dt = self.t[k + 1] - self.t[k]
-            p0, p1 = self.x[k], self.x[k + 1]
-            m0, m1 = self.y[k] * dt, self.y[k + 1] * dt
-            chunks.append(np.outer(h00, p0) + np.outer(h10, m0)
-                          + np.outer(h01, p1) + np.outer(h11, m1))
-        chunks.append(self.x[-1:])
-        return np.vstack(chunks)
+    def dense_points(self):
+        """Positions along the path: ``REFINE`` points on the segment of
+        each accepted step, then the end point."""
+        s = np.linspace(0.0, 1.0, REFINE, endpoint=False)
+        inner = (s[:, None] ** np.arange(4)) @ self.segments
+        return np.vstack([inner.reshape(-1, self.n), self.x[-1:]])
 
 
 def integrate_geodesic(space, x0, y0, t_end, tol=1e-8, max_steps=200_000,
@@ -188,12 +186,13 @@ def integrate_geodesic(space, x0, y0, t_end, tol=1e-8, max_steps=200_000,
             if not in_box(z[:n]):
                 stats["box_exits"] += 1
                 if stats["first_exit_t"] is None:
-                    stats["first_exit_t"] = (
-                        _first_exit_time(t_prev, h, z_prev, z, n, in_box)
-                        if in_box(z_prev[:n]) else t_prev)
+                    stats["first_exit_t"] = float(_first_exit_time(
+                        np.array([t_prev, t]), np.array([z_prev, z]), n,
+                        in_box) if in_box(z_prev[:n]) else t_prev)
                 if enforce_box:
                     raise GeodesicError(
-                        f"geodesic left the sampling box at t = {t:.6g}")
+                        "geodesic left the sampling box at t = "
+                        f"{stats['first_exit_t']:.6g}")
         else:
             stats["rejected"] += 1
 
@@ -204,37 +203,47 @@ def integrate_geodesic(space, x0, y0, t_end, tol=1e-8, max_steps=200_000,
     return GeodesicPath(n, ts, zs, stats)
 
 
-def curve_set_deviation(path_a: GeodesicPath, path_b: GeodesicPath,
-                        refine=8):
+def curve_set_deviation(path_a: GeodesicPath, path_b: GeodesicPath):
     """One-sided worst-case distance between two paths seen as point sets.
 
     Samples the shorter path densely and measures each sample against the
-    densified polyline of the longer one, so a projective reparametrization
-    (same curve traversed at a different speed, possibly further) scores
-    zero up to discretisation."""
-    pa = path_a.dense_points(refine)
-    pb = path_b.dense_points(refine)
+    segments of the longer one, so a projective reparametrization (same
+    curve traversed at a different speed, possibly further) scores zero
+    up to integration error.  A sample starts at its projection onto each
+    segment's chord, then takes Newton steps on the squared distance along
+    the segment, where its second derivative is positive, with ``s`` kept
+    in [0, 1].  Samples go in chunks of ``_CHUNK`` against all segments."""
+    pa, pb = path_a.dense_points(), path_b.dense_points()
     la, lb = (float(np.sum(np.sqrt(np.sum(d * d, axis=1))))
               for d in (np.diff(pa, axis=0), np.diff(pb, axis=0)))
-    query, target = (pa, pb) if la <= lb else (pb, pa)
-
-    p0 = target[:-1]
-    seg = target[1:] - p0
-    len2 = np.maximum(np.sum(seg * seg, axis=1), 1e-300)
+    query, target = (pa, path_b) if la <= lb else (pb, path_a)
+    c0, c1, c2, c3 = target.segments.transpose(1, 0, 2)
+    chord = c1 + c2 + c3
+    len2 = np.maximum(np.sum(chord * chord, axis=-1), 1e-300)
     worst = 0.0
-    for q in query:
-        w = np.clip(np.sum((q - p0) * seg, axis=1) / len2, 0.0, 1.0)
-        d2 = np.sum((q - (p0 + w[:, None] * seg)) ** 2, axis=1)
-        worst = max(worst, float(np.min(d2)))
+    for start in range(0, len(query), _CHUNK):
+        off = c0 - query[start:start + _CHUNK, None, :]  # (chunk, steps, n)
+        s = np.clip(-np.sum(off * chord, axis=-1) / len2, 0.0, 1.0)[..., None]
+        for _ in range(_NEWTON_STEPS):
+            r = off + s * (c1 + s * (c2 + s * c3))
+            d1 = c1 + s * (2 * c2 + 3 * s * c3)
+            f1 = np.sum(r * d1, axis=-1, keepdims=True)
+            f2 = np.sum(d1 * d1 + r * (2 * c2 + 6 * s * c3), axis=-1,
+                        keepdims=True)
+            convex = f2 > 0
+            s = np.clip(s - np.where(convex, f1, 0.0)
+                        / np.where(convex, f2, 1.0), 0.0, 1.0)
+        r = off + s * (c1 + s * (c2 + s * c3))
+        worst = max(worst, float(np.max(np.min(np.sum(r * r, axis=-1),
+                                               axis=1))))
     return float(np.sqrt(worst))
 
 
-def retrace_deviation(space, x0, y0, t_end, tol=1e-8):
-    """Integrate forward, flip the final velocity, integrate back, and
-    compare the two traces as point sets.  Meaningful for metrics with
-    L(x, -y) = L(x, y); a genuinely one-way metric traces a different
-    return path."""
-    forward = integrate_geodesic(space, x0, y0, t_end, tol=tol)
-    xe, ye = forward.end_state()
-    backward = integrate_geodesic(space, xe, -ye, t_end, tol=tol)
-    return curve_set_deviation(forward, backward)
+def retrace_deviation(space, path, tol=1e-8):
+    """Flip the velocity at the end of ``path``, integrate back for as
+    long, and compare the two traces as point sets.  Meaningful for
+    metrics with L(x, -y) = L(x, y); a genuinely one-way metric traces a
+    different return path."""
+    xe, ye = path.end_state()
+    backward = integrate_geodesic(space, xe, -ye, path.t[-1], tol=tol)
+    return curve_set_deviation(path, backward)

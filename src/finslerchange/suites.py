@@ -76,6 +76,10 @@ class SuiteConfig:
             raise ValueError(
                 f"unknown tolerance name(s): {', '.join(sorted(unknown))}; "
                 f"known: {', '.join(sorted(DEFAULT_TOLS))}")
+        for name, value in self.tols.items():
+            if not 0.0 < float(value) < np.inf:
+                raise ValueError(
+                    f"tolerance {name} must be positive and finite")
 
     def tol(self, name):
         return float(self.tols.get(name, DEFAULT_TOLS[name]))
@@ -143,17 +147,6 @@ class SuiteRun:
     def geodesic_ics(self):
         return [(cp.x, cp.y) for cp in self.cpoints()[:5]]
 
-    def _per_ic(self, measure):
-        """``measure(x, y)`` at each geodesic initial condition, or None
-        where an integration fails."""
-        out = []
-        for x, y in self.geodesic_ics():
-            try:
-                out.append(measure(x, y))
-            except GeodesicError:
-                out.append(None)
-        return out
-
     @cached
     def base_paths(self):
         """The base geodesic of each initial condition, or the
@@ -195,8 +188,10 @@ class SuiteRun:
 
     @cached
     def retrace_deviations(self):
-        return self._per_ic(lambda x, y: retrace_deviation(
-            self.pair.base, x, y, 1.5, tol=1e-10))
+        """Curve distance between the base path and the path run back
+        from its end with the velocity flipped."""
+        return self._per_base_path(lambda path, x, y: retrace_deviation(
+            self.pair.base, path, tol=1e-10))
 
 
 # --------------------------------------------------------------------------

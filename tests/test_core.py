@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from finslerchange import suites
+from finslerchange import geodesics, suites
 from finslerchange.change import ChangedPair
 from finslerchange.core import (
     FinslerSpace,
@@ -378,26 +378,36 @@ def test_numeric_spray_equals_jet_spray_bit_for_bit(metric, change):
 
 def test_geodesic_runs_integrate_each_base_condition_once(monkeypatch):
     calls = []
-    integrate = suites.integrate_geodesic
+    integrate = geodesics.integrate_geodesic
 
     def counting(space, x, y, t_end, **kwargs):
-        calls.append((space, t_end))
-        return integrate(space, x, y, t_end, **kwargs)
+        path = integrate(space, x, y, t_end, **kwargs)
+        calls.append((space, np.asarray(x), t_end, path))
+        return path
 
+    # suites runs the base and changed paths, geodesics the reverse runs
     monkeypatch.setattr(suites, "integrate_geodesic", counting)
+    monkeypatch.setattr(geodesics, "integrate_geodesic", counting)
     metric = resolve_spec("euclid2")
     cfg = suites.SuiteConfig(metric, resolve_spec("projective"), samples=5,
                              seed=1)
     records = {r.check_id: r for r in suites.run_suites(
         cfg, ["projectivity", "geodesics"])}
-    # both checks that read the base paths ran on all five conditions
+    # every check that reads the base paths ran on all five conditions
     for check in ("proj.geodesic-deviation", "geo.value-conservation",
-                  "geo.projective-deviation"):
+                  "geo.retrace", "geo.projective-deviation"):
         assert records[check].samples == 5, check
-    base = [t for space, t in calls if space.spec is metric]
-    changed = [t for space, t in calls if space.spec is not metric]
-    assert base == [2.0] * 5
-    assert changed == [2.0] * 5
+    # in order: five base runs, five changed runs from the same starts,
+    # five reverse runs from the ends of the base paths
+    assert len(calls) == 15
+    base, changed, reverse = calls[:5], calls[5:10], calls[10:]
+    assert all(space.spec is metric for space, *_ in base + reverse)
+    assert all(space.spec is not metric for space, *_ in changed)
+    for (_, x, _, path), (_, xc, _, _), (_, xr, _, _) in zip(base, changed,
+                                                             reverse):
+        assert np.array_equal(xc, x)
+        assert np.array_equal(xr, path.x[-1])
+    assert [t for _, _, t, _ in calls] == [2.0] * 15
 
 
 def _chained_deriv_tensors(pg):

@@ -133,6 +133,9 @@ def test_config_validation():
         SuiteConfig(EUCLID2, IDENT, tols={"no-such-tol": 1e-3})
     with pytest.raises(ValueError):
         run_suites(SuiteConfig(EUCLID2, IDENT, samples=5), ["bogus-suite"])
+    for value in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            SuiteConfig(EUCLID2, IDENT, tols={"euler": value})
 
 
 def test_identity_run_all_green():
@@ -297,6 +300,8 @@ def test_cli_config_errors(capsys):
                  "--tol", "bogus=1"]) == 2
     assert main(["verify", "--metric", "euclid2",
                  "--tol", "euler=batman"]) == 2
+    assert main(["verify", "--metric", "euclid2",
+                 "--tol", "euler=inf"]) == 2
     assert main(["parse", "--check", "/nonexistent/path.fspec"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err

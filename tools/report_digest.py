@@ -10,17 +10,20 @@ a fresh process with ``PYTHONPATH=<TREE>/src`` and prints one line:
                       first 16 hex digits>  exit <status>
 
 The environment line carries interpreter and library versions, so it is
-left out of the hash.  A last line per tree, ``tensor stack``, hashes the
-bytes of every ``PointGeometry`` tensor of base and changed space at the
-sampled points of ``TENSOR_PAIRS``, and the frame data (``x``, ``B``,
-``B2``, normal, normal curvature) of both sides of ``HYPER``, so that
-tensors no report prints are covered too.  Each tensor name is also
-hashed on its own, so that a difference names the tensors behind it.
-Run the script on the parent commit (a clone of it) and on a change: a
-refactor that keeps every line identical keeps the reports and the
-tensors byte-identical.  With two or more trees it prints the lines of
-each, then ``identical`` or the configurations that differ, for example
-``differ: tensor stack (weyl_torsion)``, and exits 1 on a difference.
+left out of the hash.  Each record line is also hashed on its own, so
+that a difference names the check ids behind it.  A last line per tree,
+``tensor stack``, hashes the bytes of every ``PointGeometry`` tensor of
+base and changed space at the sampled points of ``TENSOR_PAIRS``, and
+the frame data (``x``, ``B``, ``B2``, normal, normal curvature) of both
+sides of ``HYPER``, so that tensors no report prints are covered too;
+each tensor name is hashed on its own in the same way.  Run the script
+on the parent commit (a clone of it) and on a change: a refactor that
+keeps every line identical keeps the reports and the tensors
+byte-identical.  With two or more trees it prints the lines of each,
+then ``identical`` or the configurations that differ with the records or
+tensors that differ in them, for example ``differ: randers2+projective
+n20 s108 (geo.retrace); tensor stack (weyl_torsion)``, and exits 1 on a
+difference.
 Uses the standard library only; the tensor child imports the tree's
 package and numpy.
 """
@@ -28,6 +31,7 @@ package and numpy.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -69,7 +73,8 @@ HYPER_DATA = ("x", "B", "B2", "normal_up", "normal_curvature")
 
 
 def digest(tree, metric, change, hyper, samples, seed):
-    """(first 16 hex digits of the report hash, exit status) of one run."""
+    """(first 16 hex digits of the report hash, exit status, {check id:
+    hash of its record line}) of one run."""
     with tempfile.TemporaryDirectory() as tmp:
         report = os.path.join(tmp, "report.jsonl")
         argv = [sys.executable, "-c",
@@ -83,10 +88,16 @@ def digest(tree, metric, change, hyper, samples, seed):
         env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
         rc = subprocess.run(argv, env=env, cwd=tmp).returncode
         if not os.path.exists(report):
-            return "no-report", rc
+            return "no-report", rc, {}
         with open(report, "rb") as fh:
             body = fh.read().partition(b"\n")[2]
-    return hashlib.sha256(body).hexdigest()[:16], rc
+    records = {json.loads(line)["check_id"]: _short(line)
+               for line in body.splitlines()}
+    return _short(body), rc, records
+
+
+def _short(data):
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def tensor_stack():
@@ -160,29 +171,30 @@ def main(argv=None):
     trees = argv or [
         os.path.dirname(os.path.dirname(os.path.abspath(__file__)))]
     labels = [c[0] for c in CONFIGS] + ["tensor stack"]
+    # per tree, one (hash, exit status, {part name: hash}) per label
     results = []
-    tensor_parts = []
     for tree in trees:
         tree = os.path.abspath(tree)
         print(tree)
         got = []
         for label, *config in CONFIGS:
-            h, rc = digest(tree, *config)
-            print(f"  {label:45s} {h}  exit {rc}", flush=True)
-            got.append((h, rc))
-        h, rc, parts = tensor_digest(tree)
-        print(f"  {labels[-1]:45s} {h}  exit {rc}", flush=True)
-        got.append((h, rc))
+            got.append(digest(tree, *config))
+            print(f"  {label:45s} {got[-1][0]}  exit {got[-1][1]}",
+                  flush=True)
+        got.append(tensor_digest(tree))
+        print(f"  {labels[-1]:45s} {got[-1][0]}  exit {got[-1][1]}",
+              flush=True)
         results.append(got)
-        tensor_parts.append(parts)
     if len(results) < 2:
         return 0
-    differ = [labels[i] for i in range(len(labels))
-              if len({r[i] for r in results}) > 1]
-    names = [name for name in tensor_parts[0]
-             if len({parts.get(name) for parts in tensor_parts}) > 1]
-    if names:
-        differ[-1] += f" ({', '.join(names)})"
+    differ = []
+    for i, label in enumerate(labels):
+        if len({r[i][:2] for r in results}) == 1:
+            continue
+        parts = [r[i][2] for r in results]
+        names = [name for name in dict.fromkeys(n for p in parts for n in p)
+                 if len({p.get(name) for p in parts}) > 1]
+        differ.append(f"{label} ({', '.join(names)})" if names else label)
     print("identical" if not differ else "differ: " + "; ".join(differ))
     return 1 if differ else 0
 
