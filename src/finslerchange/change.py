@@ -27,6 +27,7 @@ from .lang import (
     evaluate,
     quadratic_form,
 )
+from .memo import cached
 
 
 def _is_zero(expr):
@@ -126,9 +127,11 @@ class ChangedPair:
 class ChangedPoint:
     """All pointwise data of a change: base tensors, directly computed
     changed tensors, and the closed-form predictions.  ``base`` is the
-    base space's geometry at the point."""
+    base space's geometry at the point; the arrays that several checks
+    read are cached in ``_cache``."""
 
     def __init__(self, pair: ChangedPair, base):
+        self._cache = {}
         self.pair = pair
         self.n = pair.n
         self.x, self.y = base.x, base.y
@@ -148,16 +151,19 @@ class ChangedPoint:
 
     # -- scalars ---------------------------------------------------------
 
+    @cached
     def b_up(self):
         return self.base.g_up() @ self.b_low
 
     def b_norm2(self):
         return float(self.b_low @ self.b_up())
 
+    @cached
     def a_low(self):
         """a_i = beta y_i / L^2 - b_i; orthogonal to y by construction."""
         return self.beta * self.base.y_low() / self.L ** 2 - self.b_low
 
+    @cached
     def a_up(self):
         return self.base.g_up() @ self.a_low()
 
@@ -252,6 +258,7 @@ class ChangedPoint:
 
     # -- drift covariant derivative -------------------------------------------
 
+    @cached
     def b_hcov(self):
         """b_{i|j} in the base space's horizontal connection."""
         return self.base.h_cov_covector(self.b_low, self.db)

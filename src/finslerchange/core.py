@@ -129,31 +129,33 @@ class PointGeometry:
     @cached_to_order
     def _spray_jets(self, order):
         n = self.n
-        yj, f2 = self._f2(order + 2)
+        f2 = self._f2(order + 2)[1].truncated(order + 2)
+        yj = [v.truncated(order) for v in self._f2(order + 2)[0]]
         dy = [f2.deriv(n + i) for i in range(n)]    # order + 1
         g = [[di.deriv(n + j) * 0.5 for j in range(n)] for di in dy]
-        if g[0][0].order > order:
-            g = [[gij.truncated(order) for gij in row] for row in g]
         rhs = []
         for l, dl in enumerate(dy):
             acc = reduce(add, (yj[k] * dl.deriv(k) for k in range(n)))
-            rhs.append((acc - f2.deriv(l)) * 0.25)
+            rhs.append((acc - f2.deriv(l).truncated(order)) * 0.25)
         return jet_linear_solve(g, rhs)
 
     @cached_to_order
     def _riemann_jets(self, order):
         n = self.n
-        G = self._spray_jets(order + 2)
-        yj, _ = self._f2(order + 4)
-        dG = [[Gj.deriv(n + k) for k in range(n)] for Gj in G]
+        G = [Gi.truncated(order + 2) for Gi in self._spray_jets(order + 2)]
+        G1 = [Gi.truncated(order + 1) for Gi in G]
+        G2 = [2.0 * Gi.truncated(order) for Gi in G]
+        yj = [v.truncated(order) for v in self._f2(order + 4)[0]]
+        dG = [[Gi.deriv(n + k) for k in range(n)] for Gi in G]     # order + 1
+        N = [[Gi.deriv(n + k) for k in range(n)] for Gi in G1]     # order
         R = [[None] * n for _ in range(n)]
         for i in range(n):
             for k in range(n):
-                acc = 2.0 * G[i].deriv(k)
+                acc = 2.0 * G1[i].deriv(k)
                 for j in range(n):
                     acc = acc - yj[j] * dG[i][k].deriv(j)
-                    acc = acc + 2.0 * G[j] * dG[i][k].deriv(n + j)
-                    acc = acc - dG[i][j] * dG[j][k]
+                    acc = acc + G2[j] * dG[i][k].deriv(n + j)
+                    acc = acc - N[i][j] * N[j][k]
                 R[i][k] = acc
         return R
 
@@ -161,8 +163,9 @@ class PointGeometry:
     def _weyl_jets(self, order):
         """Projectively invariant curvature deviation W^i_k as jets."""
         n = self.n
-        R = self._riemann_jets(order + 1)
-        yj, _ = self._f2(order + 3)
+        R = [[Rik.truncated(order + 1) for Rik in row]
+             for row in self._riemann_jets(order + 1)]
+        yj = [v.truncated(order) for v in self._f2(order + 3)[0]]
         ric = reduce(add, (R[m][m] for m in range(n)))
         A = [[R[i][k] - (ric * (1.0 / (n - 1)) if i == k else 0.0)
               for k in range(n)] for i in range(n)]
@@ -170,7 +173,8 @@ class PointGeometry:
         for k in range(n):
             tr = reduce(add, (A[m][k].deriv(n + m) for m in range(n)))
             for i in range(n):
-                W[i][k] = A[i][k] - yj[i] * tr * (1.0 / (n + 1))
+                W[i][k] = (A[i][k].truncated(order)
+                           - yj[i] * tr * (1.0 / (n + 1)))
         return W
 
     # -- numeric tensors ---------------------------------------------------
@@ -278,10 +282,11 @@ class PointGeometry:
         """Douglas tensor: third y-derivatives of the trace-adjusted spray,
         D^h_ijk = d3/dy^i dy^j dy^k (G^h - (dG^m/dy^m) y^h / (n + 1))."""
         n = self.n
-        G = self._spray_jets(4)
-        yj, _ = self._f2(6)
+        G = [Gh.truncated(4) for Gh in self._spray_jets(4)]
+        yj = [v.truncated(3) for v in self._f2(6)[0]]
         tr = reduce(add, (G[m].deriv(n + m) for m in range(n)))
-        P = [G[h] - yj[h] * tr * (1.0 / (n + 1)) for h in range(n)]
+        P = [G[h].truncated(3) - yj[h] * tr * (1.0 / (n + 1))
+             for h in range(n)]
         return np.array([Ph.partials(3)[n:, n:, n:] for Ph in P])
 
     @cached

@@ -123,8 +123,14 @@ def integrate_geodesic(space, x0, y0, t_end, tol=1e-8, max_steps=200_000,
     y0 = np.asarray(y0, dtype=float)
     if x0.shape != (n,) or y0.shape != (n,):
         raise ValueError(f"expected {n} coordinates")
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
+    if not (np.isfinite(x0).all() and np.isfinite(y0).all()):
+        raise ValueError("x0 and y0 must be finite")
+    if not 0.0 < t_end < np.inf:
+        raise ValueError("t_end must be positive and finite")
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
+    if max_steps < 1:
+        raise ValueError("max_steps must be at least 1")
 
     box = space.spec.x_box
 

@@ -13,6 +13,10 @@ per-operation cost a single vectorized gather/scatter.  That layout is
 private to this module: callers read derivatives with ``Jet.partials``
 (all partials of one order as an array) or ``Jet.deriv`` (a derivative
 that is itself a jet).
+
+Arithmetic stays inside one space: ``+``, ``-`` and ``*`` of jets of
+different variable counts or orders raise ``ValueError``.  Callers cut
+inputs with ``Jet.truncated``, which commutes bit for bit with all three.
 """
 
 from __future__ import annotations
@@ -221,28 +225,20 @@ class Jet:
         sp = _space(self.nvars, order)
         return Jet(sp, self.coeffs[:sp.size].copy())
 
-    def _like(self, value):
-        c = np.zeros(self.space.size)
-        c[0] = value
-        return Jet(self.space, c)
-
     # -- ring operations ------------------------------------------------
 
-    def _align(self, other):
-        if other.nvars != self.nvars:
-            raise ValueError("jets with different active-variable sets")
-        k = min(self.order, other.order)
-        return self.truncated(k), other.truncated(k)
+    def _mixed(self, other):
+        return ValueError(f"jets of different spaces ({self.nvars}v{self.order}"
+                          f", {other.nvars}v{other.order}): truncate one first")
 
     def __add__(self, other):
         if not isinstance(other, Jet):
             c = self.coeffs.copy()
             c[0] += float(other)
             return Jet(self.space, c)
-        if other.space is self.space:
-            return Jet(self.space, self.coeffs + other.coeffs)
-        a, b = self._align(other)
-        return Jet(a.space, a.coeffs + b.coeffs)
+        if other.space is not self.space:
+            raise self._mixed(other)
+        return Jet(self.space, self.coeffs + other.coeffs)
 
     __radd__ = __add__
 
@@ -254,10 +250,9 @@ class Jet:
             c = self.coeffs.copy()
             c[0] -= float(other)
             return Jet(self.space, c)
-        if other.space is self.space:
-            return Jet(self.space, self.coeffs - other.coeffs)
-        a, b = self._align(other)
-        return Jet(a.space, a.coeffs - b.coeffs)
+        if other.space is not self.space:
+            raise self._mixed(other)
+        return Jet(self.space, self.coeffs - other.coeffs)
 
     def __rsub__(self, other):
         c = -self.coeffs
@@ -267,13 +262,12 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.space, self.coeffs * float(other))
-        a, b = self, other
         if other.space is not self.space:
-            a, b = self._align(other)
-        ia, ib, io = a.space.mul_table()
-        out = np.bincount(io, weights=a.coeffs[ia] * b.coeffs[ib],
-                          minlength=a.space.size)
-        return Jet(a.space, out)
+            raise self._mixed(other)
+        ia, ib, io = self.space.mul_table()
+        out = np.bincount(io, weights=self.coeffs[ia] * other.coeffs[ib],
+                          minlength=self.space.size)
+        return Jet(self.space, out)
 
     __rmul__ = __mul__
 
@@ -321,7 +315,7 @@ class Jet:
         """
         h = Jet(self.space, self.coeffs.copy())
         h.coeffs[0] = 0.0
-        out = self._like(series[-1])
+        out = Jet.constant(series[-1], self.nvars, self.order)
         for k in range(len(series) - 2, -1, -1):
             out = out * h
             out.coeffs[0] += series[k]
@@ -392,7 +386,7 @@ class Jet:
     def _int_pow(self, m):
         if m < 0:
             return self.reciprocal()._int_pow(-m)
-        out = self._like(1.0)
+        out = Jet.constant(1.0, self.nvars, self.order)
         base = self
         while m:
             if m & 1:

@@ -27,8 +27,9 @@ def cached_to_order(method):
     """Cache ``method(self, order)`` in the instance's ``_cache`` dict,
     keyed by the method's name, with the order it was computed at.  A call
     at that order or below returns the cached result, which may carry
-    more orders than asked for; a higher order recomputes and replaces
-    it."""
+    more orders than asked for: a caller that combines it with other jets
+    cuts it with ``Jet.truncated`` first.  A higher order recomputes and
+    replaces it."""
     name = method.__name__
 
     @functools.wraps(method)

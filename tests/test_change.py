@@ -1,11 +1,15 @@
+import collections
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
-from finslerchange import core
-from finslerchange.change import ChangedPair, changed_metric_spec
+from finslerchange import core, suites
+from finslerchange.change import ChangedPair, ChangedPoint, changed_metric_spec
 from finslerchange.core import FinslerSpace, central_partial
 from finslerchange.jets import JetDomainError
-from finslerchange.lang import parse_spec_text
+from finslerchange.lang import parse_spec_text, resolve_spec
 
 EUCLID2 = parse_spec_text("dim 2\na_11 = 1\na_22 = 1\n", name="euclid2")
 POLAR = parse_spec_text(
@@ -216,6 +220,30 @@ def test_drift_covariant_derivative_symmetry():
     assert np.allclose(F, -F.T, atol=1e-14)
     Fm = cp.base.g_up() @ F
     assert np.allclose(cp.base.g_low() @ Fm, F, atol=1e-14)
+
+
+def test_changed_point_evaluates_shared_arrays_once():
+    # counted by code object, so a cache in front of a method is transparent
+    names = ("a_low", "a_up", "b_up", "b_hcov")
+    codes = {inspect.unwrap(getattr(ChangedPoint, name)).__code__: name
+             for name in names}
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            calls[codes[frame.f_code], frame.f_locals["self"]] += 1
+
+    cfg = suites.SuiteConfig(resolve_spec("randers2"),
+                             resolve_spec("projective"), samples=4, seed=1)
+    sys.setprofile(profile)
+    try:
+        suites.run_suites(cfg, ["change-identities"])
+    finally:
+        sys.setprofile(None)
+    for name in names:
+        per_point = [c for (m, _), c in calls.items() if m == name]
+        assert len(per_point) == 4 and set(per_point) == {1}, (name,
+                                                              per_point)
 
 
 def test_douglas_invariance_under_projective_change():

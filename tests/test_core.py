@@ -410,6 +410,30 @@ def test_geodesic_runs_integrate_each_base_condition_once(monkeypatch):
     assert [t for _, _, t, _ in calls] == [2.0] * 15
 
 
+# The pairs of the tensor digest in tools/report_digest.py.
+TENSOR_PAIRS = [("sphere3", "projective3"), ("randers2", "projective"),
+                ("curved3", "projective3"), ("euclid2", "tangent_parabola")]
+REQUEST_ORDER = ("L2", "g_low", "C_low", "spray", "n_conn", "berwald",
+                 "cartan_hconn", "riemann", "weyl_proj", "weyl_torsion",
+                 "douglas")
+
+
+@pytest.mark.parametrize("metric,change", TENSOR_PAIRS)
+def test_tensor_bits_do_not_depend_on_request_order(metric, change):
+    # jets stay cached at the highest order asked for, so a tensor may be
+    # read from a jet cut from a higher order than it needs
+    pair = ChangedPair(resolve_spec(metric), resolve_spec(change))
+    points, _ = sample_pair_points(pair, 3, 7)
+    for x, y in points:
+        for space in (pair.base, pair.starred):
+            forward, backward = space.point(x, y), space.point(x, y)
+            want = {name: getattr(forward, name)() for name in REQUEST_ORDER}
+            for name in reversed(REQUEST_ORDER):
+                got = np.asarray(getattr(backward, name)())
+                assert got.tobytes() == np.asarray(want[name]).tobytes(), (
+                    space.spec.name, name)
+
+
 def _chained_deriv_tensors(pg):
     """The tensors as read by one chained ``Jet.deriv`` per entry down to
     ``.value``, with symmetric fills and loops: the reference for the
@@ -435,15 +459,15 @@ def _chained_deriv_tensors(pg):
                 low[r, j, k] = 0.5 * (delta[r, k, j] + delta[r, j, k]
                                       - delta[j, k, r])
     F = np.einsum("ir,rjk->ijk", pg.g_up(), low)
-    G = pg._spray_jets(4)
-    yj, _ = pg._f2(6)
+    G = [Gh.truncated(4) for Gh in pg._spray_jets(4)]
+    yj = [v.truncated(3) for v in pg._f2(6)[0]]
     tr = None
     for m in range(n):
         t = G[m].deriv(n + m)
         tr = t if tr is None else tr + t
     D = np.empty((n, n, n, n))
     for h in range(n):
-        P = G[h] - yj[h] * tr * (1.0 / (n + 1))
+        P = G[h].truncated(3) - yj[h] * tr * (1.0 / (n + 1))
         for i in range(n):
             di = P.deriv(n + i)
             for j in range(i, n):
@@ -453,17 +477,17 @@ def _chained_deriv_tensors(pg):
                     D[h, i, j, k] = D[h, i, k, j] = v
                     D[h, j, i, k] = D[h, j, k, i] = v
                     D[h, k, i, j] = D[h, k, j, i] = v
-    G = pg._spray_jets(2)
-    yj, _ = pg._f2(4)
+    G = [Gi.truncated(2) for Gi in pg._spray_jets(2)]
+    yj = [v.truncated(0) for v in pg._f2(4)[0]]
     R = np.empty((n, n))
     for i in range(n):
         dGi = [G[i].deriv(n + k) for k in range(n)]
         for k in range(n):
-            acc = 2.0 * G[i].deriv(k)
+            acc = 2.0 * G[i].deriv(k).truncated(0)
             for j in range(n):
                 acc = acc - yj[j] * dGi[k].deriv(j)
-                acc = acc + 2.0 * G[j] * dGi[k].deriv(n + j)
-                acc = acc - dGi[j] * G[j].deriv(n + k)
+                acc = acc + 2.0 * G[j].truncated(0) * dGi[k].deriv(n + j)
+                acc = acc - (dGi[j] * G[j].deriv(n + k)).truncated(0)
             R[i, k] = acc.value
     W = pg._weyl_jets(1)
     T = np.zeros((n, n, n))

@@ -141,10 +141,25 @@ def test_box_exit_statistics_and_enforcement():
 
 def test_bad_arguments():
     space = FinslerSpace(EUCLID2)
-    with pytest.raises(ValueError):
-        integrate_geodesic(space, [0.0], [1.0, 0.0], 1.0)
-    with pytest.raises(ValueError):
-        integrate_geodesic(space, [0.0, 0.0], [1.0, 0.0], -1.0)
+    x, y = [0.0, 0.0], [0.6, 0.8]
+    nan, inf = float("nan"), float("inf")
+    for x0, y0, t_end, kwargs in [
+            ([0.0], [1.0, 0.0], 1.0, {}),
+            (x, [1.0, 0.0], -1.0, {}),
+            ([nan, 0.0], y, 1.0, {}),
+            ([0.0, inf], y, 1.0, {}),
+            (x, [0.6, nan], 1.0, {}),
+            (x, y, 0.0, {}),
+            (x, y, nan, {}),
+            (x, y, inf, {}),
+            (x, y, 1.0, {"tol": 0.0}),
+            (x, y, 1.0, {"tol": -1e-8}),
+            (x, y, 1.0, {"tol": nan}),
+            (x, y, 1.0, {"tol": inf}),
+            (x, y, 1.0, {"max_steps": 0}),
+            (x, y, 1.0, {"max_steps": -5})]:
+        with pytest.raises(ValueError):
+            integrate_geodesic(space, x0, y0, t_end, **kwargs)
 
 
 def test_step_budget():

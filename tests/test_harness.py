@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -358,6 +359,14 @@ def test_cli_geodesic_enforce_box():
     code = main(["geodesic", "--metric", "euclid2", "--x0", "0", "0",
                  "--y0", "1", "0", "--t-end", "10", "--enforce-box"])
     assert code == 2
+
+
+def test_cli_geodesic_rejects_a_non_finite_start_at_once():
+    start = time.perf_counter()
+    code = main(["geodesic", "--metric", "euclid2", "--x0", "nan", "0",
+                 "--y0", "0.6", "0.8", "--t-end", "1"])
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cli_parse(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -252,6 +253,24 @@ def test_truncation_is_prefix():
     low = f.truncated(2)
     assert low.order == 2
     assert np.allclose(low.coeffs, f.coeffs[: low.coeffs.size])
+
+
+def test_mixed_orders_raise_and_truncation_commutes():
+    x, y = lift([1.3, 0.2], order=3)
+    f = x * y + x
+    g3 = y * y - x
+    g = g3.truncated(2)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError, match=r"different spaces \(2v3, 2v2\)"):
+            op(f, g)
+        with pytest.raises(ValueError, match=r"different spaces \(2v2, 2v3\)"):
+            op(g, f)
+        got = op(f.truncated(2), g)
+        assert got.order == 2
+        assert got.coeffs.tobytes() == op(f, g3).truncated(2).coeffs.tobytes()
+    (z,) = lift([0.5], order=2)
+    with pytest.raises(ValueError, match=r"different spaces \(2v2, 1v2\)"):
+        g * z
 
 
 def _mul_table_by_loops(sp):
