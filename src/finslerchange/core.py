@@ -73,11 +73,18 @@ def _solve_as_jets(A, b):
 
 
 class FinslerSpace:
-    """A metric spec bound to the jet machinery."""
+    """A metric spec bound to the jet machinery.
+
+    ``spray_point`` is the point of the last ``spray_values`` call (None
+    before the first), built on copies of its arguments, so that a
+    caller can read ``g`` where it last asked for the spray without
+    evaluating ``L^2`` again.  Only those points are kept: they hold
+    order-2 jets."""
 
     def __init__(self, spec: MetricSpec):
         self.spec = spec
         self.n = spec.dim
+        self.spray_point = None
 
     def point(self, x, y):
         return PointGeometry(self, x, y)
@@ -92,7 +99,10 @@ class FinslerSpace:
     def spray_values(self, x, y):
         """Spray coefficients G^i at a point; the geodesic equation is
         d2x/dt2 + 2 G(x, dx/dt) = 0."""
-        return self.point(x, y).spray()
+        self.spray_point = None     # no stale point if construction raises
+        pg = self.point(np.array(x, dtype=float), np.array(y, dtype=float))
+        self.spray_point = pg
+        return pg.spray()
 
 
 class PointGeometry:

@@ -6,6 +6,14 @@ standard step controller; the metric value L(x, xdot) is a first integral
 of the flow, so its relative drift along the numerical solution doubles
 as an independent accuracy meter.
 
+A path stops with a ``GeodesicError`` whose ``kind`` names the reason.
+One of them is a metric that degenerates: a change ``e^sigma L + b_i y^i``
+stays a Finsler metric only while ``|b| e^-sigma < 1``, and past that
+bound ``g`` turns singular while the step size shrinks towards
+underflow.  At each accepted step the integrator reads ``g`` at the
+point of the last stage, which is the accepted node, and stops once its
+condition number exceeds ``MAX_CONDITION``.
+
 A path is described by the cubic Hermite segments of its accepted steps.
 Projective changes keep geodesics as point sets while reparametrizing
 them, so paths are compared as curves: sample one, measure distances to
@@ -19,6 +27,9 @@ import numpy as np
 from .jets import JetDomainError
 
 REFINE = 8          # dense-output points per accepted step
+# Stop where cond(g) passes this: the float spray solve then loses about
+# eight digits, and the healthy bundled paths stay below 1e7.
+MAX_CONDITION = 1e8
 _CHUNK = 32         # query points per block of the curve distance
 _NEWTON_STEPS = 4   # Newton steps from each chord projection
 
@@ -40,7 +51,26 @@ _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 
 
 class GeodesicError(Exception):
-    """Integration failed (step size underflow, step budget, domain)."""
+    """Integration failed.  ``kind`` names why: ``"underflow"`` (step size
+    underflow), ``"domain"`` (the metric left its domain, or ``g``
+    degenerated), ``"budget"`` (step budget exhausted) or ``"box"`` (the
+    path left the sampling box under ``enforce_box``); ``t`` is the
+    parameter where the integration stopped."""
+
+    def __init__(self, message, kind, t):
+        super().__init__(message)
+        self.kind = kind
+        self.t = float(t)
+
+
+def _condition(pg):
+    """Frobenius estimate ``|g| |g^-1|`` of the condition number of ``g``
+    at a point: at most n times the 2-norm value, and inf where ``g`` is
+    singular."""
+    try:
+        return float(np.linalg.norm(pg.g_low()) * np.linalg.norm(pg.g_up()))
+    except np.linalg.LinAlgError:
+        return np.inf
 
 
 def _hermite(t, states, n):
@@ -145,7 +175,8 @@ def integrate_geodesic(space, x0, y0, t_end, tol=1e-8, max_steps=200_000,
     try:
         k1 = rhs(z)
     except JetDomainError as exc:
-        raise GeodesicError(f"metric left its domain at t = 0: {exc}") from exc
+        raise GeodesicError(f"metric left its domain at t = 0: {exc}",
+                            "domain", 0.0) from exc
     t = 0.0
     L0 = np.sqrt(space.l2(x0, y0))
     ts = [0.0]
@@ -161,7 +192,8 @@ def integrate_geodesic(space, x0, y0, t_end, tol=1e-8, max_steps=200_000,
     while t < t_end:
         h = min(h, t_end - t)
         if h < 1e-14 * max(1.0, t_end):
-            raise GeodesicError(f"step size underflow at t = {t:.6g}")
+            raise GeodesicError(f"step size underflow at t = {t:.6g}",
+                                "underflow", t)
         K[0] = k1
         try:
             for s in range(1, 7):
@@ -170,7 +202,7 @@ def integrate_geodesic(space, x0, y0, t_end, tol=1e-8, max_steps=200_000,
         except JetDomainError as exc:
             raise GeodesicError(
                 f"metric left its domain during a step at t = {t:.6g}: "
-                f"{exc}") from exc
+                f"{exc}", "domain", t) from exc
         z5 = z + h * (_B5 @ K)
         z4 = z + h * (_B4 @ K)
         scale = tol + tol * np.maximum(np.abs(z), np.abs(z5))
@@ -180,7 +212,14 @@ def integrate_geodesic(space, x0, y0, t_end, tol=1e-8, max_steps=200_000,
             z_prev, t_prev = z, t
             t += h
             z = z5
-            k1 = K[6]          # first-same-as-last
+            # first-same-as-last: the last stage ran at the accepted node
+            k1 = K[6]
+            cond = _condition(space.spray_point)
+            if not cond <= MAX_CONDITION:
+                raise GeodesicError(
+                    f"metric left its domain at t = {t:.6g}: g is "
+                    f"degenerating (cond {cond:.3e} > {MAX_CONDITION:.0e})",
+                    "domain", t)
             ts.append(t)
             zs.append(z.copy())
             stats["steps"] += 1
@@ -198,12 +237,14 @@ def integrate_geodesic(space, x0, y0, t_end, tol=1e-8, max_steps=200_000,
                 if enforce_box:
                     raise GeodesicError(
                         "geodesic left the sampling box at t = "
-                        f"{stats['first_exit_t']:.6g}")
+                        f"{stats['first_exit_t']:.6g}", "box",
+                        stats["first_exit_t"])
         else:
             stats["rejected"] += 1
 
         if stats["steps"] + stats["rejected"] > max_steps:
-            raise GeodesicError(f"step budget {max_steps} exhausted")
+            raise GeodesicError(f"step budget {max_steps} exhausted",
+                                "budget", t)
         h *= float(np.clip(0.9 * err ** -0.2 if err > 0 else 5.0, 0.2, 5.0))
 
     return GeodesicPath(n, ts, zs, stats)

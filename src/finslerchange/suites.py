@@ -163,14 +163,15 @@ class SuiteRun:
 
     def _per_base_path(self, measure):
         """``measure(path, x, y)`` on the base path of each initial
-        condition, or None where that path or the measurement fails."""
+        condition, or the ``GeodesicError`` that stopped that path or the
+        measurement."""
         out = []
         for (x, y), path in zip(self.geodesic_ics(), self.base_paths()):
             try:
-                out.append(None if isinstance(path, GeodesicError)
+                out.append(path if isinstance(path, GeodesicError)
                            else measure(path, x, y))
-            except GeodesicError:
-                out.append(None)
+            except GeodesicError as exc:
+                out.append(exc.with_traceback(None))
         return out
 
     @cached
@@ -248,7 +249,8 @@ def _integrated(results):
     """Gate on a per-initial-condition ``SuiteRun`` measurement (a method
     name) having integrated at least once."""
     def gate(run):
-        if any(v is not None for v in getattr(run, results)()):
+        if not all(isinstance(v, GeodesicError)
+                   for v in getattr(run, results)()):
             return None
         return "no initial condition could be integrated"
     return gate
@@ -291,14 +293,35 @@ def _each(points, pairs, residual=False, notes=""):
     return measure
 
 
+# How a stopped path reads in a note, by ``GeodesicError.kind``.
+_STOPPED = {"underflow": "hit a step size underflow",
+            "domain": "left its domain",
+            "budget": "exhausted its step budget",
+            "box": "left the sampling box"}
+
+
+def _stopped_notes(values):
+    """Note parts naming the stopped paths among ``values``, one per kind
+    in order of first appearance: "1 left its domain at t = 1.49"."""
+    stops = {}
+    for v in values:
+        if isinstance(v, GeodesicError):
+            stops.setdefault(v.kind, []).append(f"{v.t:.3g}")
+    return [f"{len(ts)} {_STOPPED[kind]} at t = {', '.join(ts)}"
+            for kind, ts in stops.items()]
+
+
 def _geodesics(results, notes=""):
     """Measurement over a per-initial-condition ``SuiteRun`` measurement
-    (a method name); ``notes`` may use ``{done}`` and ``{tried}``."""
+    (a method name); ``notes`` may use ``{done}`` and ``{tried}``, and the
+    stopped paths are named after it."""
     def measure(run, tol):
         values = getattr(run, results)()
-        done = [(v, 0.0) for v in values if v is not None]
-        return _judge(len(done), done, tol, notes=notes.format(
-            done=len(done), tried=len(values)))
+        done = [(v, 0.0) for v in values
+                if not isinstance(v, GeodesicError)]
+        return _judge(len(done), done, tol, notes="; ".join(filter(None, [
+            notes.format(done=len(done), tried=len(values))]
+            + _stopped_notes(values))))
     return measure
 
 
@@ -396,6 +419,38 @@ def _fd_curvature(pg):
 def _weyl_structure(cp):
     W = cp.base.weyl_proj()
     return [(np.trace(W), 0.0), (W @ cp.y, 0.0)]
+
+
+def _weyl_invariance(run, tol):
+    notes = ("holds trivially: both Weyl tensors vanish identically in "
+             "dimension 2" if run.n == 2 else "")
+    return _each("invariant_points", lambda cp: [
+        (cp.star.weyl_proj(), cp.base.weyl_proj()),
+        (cp.star.weyl_torsion(), cp.base.weyl_torsion())],
+        notes=notes)(run, tol)
+
+
+def _base_weyl_size(run, tol):
+    """Size of the base Weyl tensor and its torsion, noted as a flatness
+    verdict only where the samples decide it.  A nonzero Douglas tensor
+    rules projective flatness out in any dimension.  For n >= 3 the space
+    is flat exactly when D and W vanish (Douglas 1927); for n = 2 both
+    Weyl tensors vanish identically and D = 0 does not decide it
+    (Berwald 1941)."""
+    pts = run.invariant_points()
+    douglas_verdict = _judge(len(pts), ((cp.base.douglas(), 0.0)
+                                        for cp in pts), tol)[3]
+    if douglas_verdict != "pass":
+        notes = "Douglas tensor nonzero: not projectively flat"
+    elif run.n == 2:
+        notes = ("Weyl vanishes identically in dimension 2; flatness not "
+                 "decided")
+    else:
+        notes = ("projectively flat at samples",
+                 "nonzero projective curvature at samples")
+    return _each("invariant_points", lambda cp: [
+        (cp.base.weyl_proj(), 0.0), (cp.base.weyl_torsion(), 0.0)],
+        residual=True, notes=notes)(run, tol)
 
 
 def _douglas_structure(cp):
@@ -553,17 +608,12 @@ CHECKS["invariants-5"] = (
      "douglas-invariance", (_projective,), _each("invariant_points",
      lambda cp: [(cp.star.douglas(), cp.base.douglas())])),
     ("inv5.weyl-invariance", "weyl-tensors-unchanged", "weyl-invariance",
-     (_projective,), _each("invariant_points", lambda cp: [
-         (cp.star.weyl_proj(), cp.base.weyl_proj()),
-         (cp.star.weyl_torsion(), cp.base.weyl_torsion())])),
+     (_projective,), _weyl_invariance),
     ("inv5.riemannian-douglas", "douglas-vanishes-on-quadratic-metric",
      "riemannian-douglas", (_quadratic,),
      _each("invariant_points", lambda cp: [(cp.base.douglas(), 0.0)])),
     ("inv5.base-weyl-size", "weyl-size-as-flatness-test", "flat-weyl", (),
-     _each("invariant_points", lambda cp: [
-         (cp.base.weyl_proj(), 0.0), (cp.base.weyl_torsion(), 0.0)],
-         residual=True, notes=("projectively flat at samples",
-                               "nonzero projective curvature at samples"))),
+     _base_weyl_size),
 )
 CHECKS["geodesics"] = (
     ("geo.value-conservation", "metric-value-conserved-along-flow",

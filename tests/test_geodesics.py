@@ -4,12 +4,14 @@ import pytest
 from finslerchange.change import ChangedPair
 from finslerchange.core import FinslerSpace
 from finslerchange.geodesics import (
+    MAX_CONDITION,
     GeodesicError,
     curve_set_deviation,
     integrate_geodesic,
     retrace_deviation,
 )
 from finslerchange.lang import parse_spec_text, resolve_spec
+from finslerchange.suites import SuiteConfig, SuiteRun
 
 EUCLID2 = parse_spec_text(
     "dim 2\na_11 = 1\na_22 = 1\nx_box = -20 20 -20 20\n", name="euclid2")
@@ -174,3 +176,86 @@ def test_start_point_outside_domain_raises_geodesic_error():
     space = FinslerSpace(resolve_spec("randers2"))
     with pytest.raises(GeodesicError, match="left its domain"):
         integrate_geodesic(space, [0.1, 0.2], [0.0, 0.0], 1.0)
+
+
+def _counting_sprays(space, limit):
+    """Count ``space.spray_values`` calls; abort the integration with a
+    RuntimeError on call ``limit + 1``."""
+    calls = [0]
+    spray_values = space.spray_values
+
+    def counting(x, y):
+        calls[0] += 1
+        if calls[0] > limit:
+            raise RuntimeError(f"more than {limit} spray evaluations")
+        return spray_values(x, y)
+    space.spray_values = counting
+    return calls
+
+
+@pytest.mark.parametrize("kind,spec,y0,t_end,kwargs,t", [
+    # head-on into the edge x1 = 1, at arc length int sqrt(1 - x1) dx1 =
+    # 2/3; cond(g) stays below MAX_CONDITION until the step underflows
+    ("underflow", "a_11 = 1 - x1\na_22 = 1", [1.0, 0.0], 3.0, {}, 2 / 3),
+    # steps of 0.1 and 0.5, then the step from t = 0.6 crosses x1 = 1
+    ("domain", "a_11 = 1\na_22 = 1 + sqrt(1 - x1)", [1.0, 0.0], 3.0, {},
+     0.6),
+    # steps of 0.1, 0.5, 2.5 and 12.5: the fourth is over the budget
+    ("budget", "a_11 = 1\na_22 = 1\nx_box = -20 20 -20 20", [1.0, 0.0],
+     100.0, {"max_steps": 3}, 15.6),
+    ("box", "a_11 = 1\na_22 = 1", [1.0, 0.0], 3.0, {"enforce_box": True},
+     1.0),
+], ids=("underflow", "domain", "budget", "box"))
+def test_failure_kind_and_time(kind, spec, y0, t_end, kwargs, t):
+    space = FinslerSpace(parse_spec_text(f"dim 2\n{spec}\n", name=kind))
+    with pytest.raises(GeodesicError) as info:
+        integrate_geodesic(space, [0.0, 0.0], y0, t_end, tol=1e-10,
+                           **kwargs)
+    assert info.value.kind == kind
+    assert type(info.value.t) is float
+    assert info.value.t == pytest.approx(t, abs=1e-6)
+
+
+@pytest.mark.parametrize("seed,index", [(108, 0), (2, 1), (7, 1)])
+def test_degenerating_changed_metric_stops_early(seed, index):
+    # past |b| e^-sigma = 1 the changed g turns singular; unguarded, these
+    # paths ground on to a step size underflow after 13k to 388k sprays
+    run = SuiteRun(SuiteConfig(resolve_spec("euclid2"),
+                               resolve_spec("tangent_parabola"),
+                               resolve_spec("parabola2"), samples=12,
+                               seed=seed))
+    x0, y0 = run.geodesic_ics()[index]
+    space = run.pair.starred
+    calls = _counting_sprays(space, 3000)
+    with pytest.raises(GeodesicError, match="left its domain") as info:
+        integrate_geodesic(space, x0, y0, 2.0, tol=1e-10)
+    assert info.value.kind == "domain"
+    assert "g is degenerating" in str(info.value)
+    assert 0.0 < info.value.t < 2.0
+    assert calls[0] <= 3000
+
+
+def test_ill_conditioned_healthy_path_finishes():
+    # a_22 = e^{2 x1} and a_33 = e^{-2 x1}: cond(g) grows to about 8e5
+    # along the x1 axis while the metric stays regular
+    space = FinslerSpace(resolve_spec("curved3"))
+    path = integrate_geodesic(space, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 3.4,
+                              tol=1e-10)
+    assert path.t[-1] == 3.4
+    assert path.x[-1][0] == pytest.approx(3.4, abs=1e-9)
+    cond = np.linalg.cond(space.point(path.x[-1], path.y[-1]).g_low())
+    assert 1e5 < cond < MAX_CONDITION
+
+
+@pytest.mark.parametrize("metric,x0,y0", [
+    ("sphere2", [1.1, 0.4], [0.4, 0.7]),
+    ("curved3", [0.2, 0.1, -0.3], [0.5, -0.6, 0.7]),
+], ids=("sphere2", "curved3"))
+def test_one_spray_evaluation_per_stage(metric, x0, y0):
+    # the benchmark tracer derives RK attempts from this count
+    space = FinslerSpace(resolve_spec(metric))
+    calls = _counting_sprays(space, 10 ** 6)
+    path = integrate_geodesic(space, x0, y0, 2.0, tol=1e-10)
+    assert path.stats["rejected"] > 0
+    assert calls[0] == 1 + 6 * (path.stats["steps"]
+                                + path.stats["rejected"])

@@ -165,6 +165,55 @@ def test_conformal_run_gates_projective_checks():
     assert not [r for r in records.values() if r.verdict == "fail"]
 
 
+def test_stopped_geodesics_are_named_in_notes():
+    # the changed path from x0 = (1.424, 0.529) runs into a degenerate g
+    cfg = SuiteConfig(EUCLID2, resolve_spec("tangent_parabola"),
+                      resolve_spec("parabola2"), samples=12, seed=108)
+    records = {r.check_id: r for r in run_suites(
+        cfg, ["projectivity", "geodesics"])}
+    stopped = "1 left its domain at t = 1.49"
+    assert records["proj.geodesic-deviation"].notes == (
+        "4/5 initial conditions integrated to t = 2.0; " + stopped)
+    assert records["geo.projective-deviation"].notes == (
+        "4/5 initial conditions integrated; " + stopped)
+    assert records["geo.projective-deviation"].samples == 4
+    assert records["geo.value-conservation"].notes == (
+        "5/5 initial conditions integrated to t = 2.0")
+    assert records["geo.retrace"].notes == ""
+
+
+RANDERS3 = parse_spec_text(
+    "dim 3\nL = sqrt(y1^2 + y2^2 + y3^2) + 0.1 * (x2 * y1 - x1 * y2)"
+    " + 0.05 * x1 * y3\nx_box = -0.5 0.5 -0.5 0.5 -0.5 0.5\n",
+    name="randers3")
+
+
+@pytest.mark.parametrize("metric,change,weyl_size,weyl_invariance", [
+    # Douglas 0.43: not projectively flat, though W vanishes in 2D
+    ("randers2", "projective", "Douglas tensor nonzero: not projectively "
+     "flat", "holds trivially: both Weyl tensors vanish identically in "
+     "dimension 2"),
+    # quadratic, so D = 0; in 2D that does not decide flatness
+    ("sphere2", "projective", "Weyl vanishes identically in dimension 2; "
+     "flatness not decided", "holds trivially: both Weyl tensors vanish "
+     "identically in dimension 2"),
+    ("curved3", "projective3", "nonzero projective curvature at samples", ""),
+    ("euclid3", "projective3", "projectively flat at samples", ""),
+    (RANDERS3, "projective3", "Douglas tensor nonzero: not projectively "
+     "flat", ""),
+], ids=("randers2", "sphere2", "curved3", "euclid3", "randers3"))
+def test_flatness_note_reads_douglas_and_dimension(metric, change, weyl_size,
+                                                   weyl_invariance):
+    metric = resolve_spec(metric) if isinstance(metric, str) else metric
+    cfg = SuiteConfig(metric, resolve_spec(change), samples=3, seed=5)
+    records = {r.check_id: r for r in run_suites(cfg, ["invariants-5"])}
+    size = records["inv5.base-weyl-size"]
+    assert size.notes == weyl_size
+    assert size.verdict == "reported-residual"
+    assert records["inv5.weyl-invariance"].notes == weyl_invariance
+    assert records["inv5.weyl-invariance"].verdict == "pass"
+
+
 def test_suite_run_evaluates_each_sample_once(monkeypatch):
     # The samplers return the geometry they admitted each draw with, so a
     # run builds one base PointGeometry per pair or hypersurface draw and
