@@ -76,10 +76,10 @@ class FinslerSpace:
     """A metric spec bound to the jet machinery.
 
     ``spray_point`` is the point of the last ``spray_values`` call (None
-    before the first), built on copies of its arguments, so that a
-    caller can read ``g`` where it last asked for the spray without
-    evaluating ``L^2`` again.  Only those points are kept: they hold
-    order-2 jets."""
+    before the first), so that a caller can read ``g`` where it last
+    asked for the spray without evaluating ``L^2`` again.  It holds the
+    caller's arrays, which must not change before it is read.  Only
+    those points are kept: they hold order-2 jets."""
 
     def __init__(self, spec: MetricSpec):
         self.spec = spec
@@ -99,10 +99,8 @@ class FinslerSpace:
     def spray_values(self, x, y):
         """Spray coefficients G^i at a point; the geodesic equation is
         d2x/dt2 + 2 G(x, dx/dt) = 0."""
-        self.spray_point = None     # no stale point if construction raises
-        pg = self.point(np.array(x, dtype=float), np.array(y, dtype=float))
-        self.spray_point = pg
-        return pg.spray()
+        self.spray_point = self.point(x, y)
+        return self.spray_point.spray()
 
 
 class PointGeometry:

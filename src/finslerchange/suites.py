@@ -157,8 +157,7 @@ class SuiteRun:
                 out.append(integrate_geodesic(self.pair.base, x, y, 2.0,
                                               tol=1e-10))
             except GeodesicError as exc:
-                # Its traceback would keep the failed integration alive.
-                out.append(exc.with_traceback(None))
+                out.append(_detached(exc))
         return out
 
     def _per_base_path(self, measure):
@@ -171,7 +170,7 @@ class SuiteRun:
                 out.append(path if isinstance(path, GeodesicError)
                            else measure(path, x, y))
             except GeodesicError as exc:
-                out.append(exc.with_traceback(None))
+                out.append(_detached(exc))
         return out
 
     @cached
@@ -193,6 +192,13 @@ class SuiteRun:
         from its end with the velocity flipped."""
         return self._per_base_path(lambda path, x, y: retrace_deviation(
             self.pair.base, path, tol=1e-10))
+
+
+def _detached(exc):
+    """A ``GeodesicError`` with the message, kind and t of ``exc`` but no
+    traceback, cause or context: their frames would keep the failed
+    integration alive in the cache."""
+    return GeodesicError(str(exc), exc.kind, exc.t)
 
 
 # --------------------------------------------------------------------------
@@ -436,11 +442,13 @@ def _base_weyl_size(run, tol):
     rules projective flatness out in any dimension.  For n >= 3 the space
     is flat exactly when D and W vanish (Douglas 1927); for n = 2 both
     Weyl tensors vanish identically and D = 0 does not decide it
-    (Berwald 1941)."""
+    (Berwald 1941).  A quadratic base has D = 0, so D is evaluated, and
+    judged with the ``riemannian-douglas`` tolerance, only on the
+    others."""
     pts = run.invariant_points()
-    douglas_verdict = _judge(len(pts), ((cp.base.douglas(), 0.0)
-                                        for cp in pts), tol)[3]
-    if douglas_verdict != "pass":
+    if not (run.cfg.metric.is_quadratic
+            or _judge(len(pts), ((cp.base.douglas(), 0.0) for cp in pts),
+                      run.cfg.tol("riemannian-douglas"))[3] == "pass"):
         notes = "Douglas tensor nonzero: not projectively flat"
     elif run.n == 2:
         notes = ("Weyl vanishes identically in dimension 2; flatness not "

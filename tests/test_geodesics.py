@@ -195,7 +195,7 @@ def _counting_sprays(space, limit):
 
 @pytest.mark.parametrize("kind,spec,y0,t_end,kwargs,t", [
     # head-on into the edge x1 = 1, at arc length int sqrt(1 - x1) dx1 =
-    # 2/3; cond(g) stays below MAX_CONDITION until the step underflows
+    # 2/3; g stays diagonal, so the guard reads it as a change of units
     ("underflow", "a_11 = 1 - x1\na_22 = 1", [1.0, 0.0], 3.0, {}, 2 / 3),
     # steps of 0.1 and 0.5, then the step from t = 0.6 crosses x1 = 1
     ("domain", "a_11 = 1\na_22 = 1 + sqrt(1 - x1)", [1.0, 0.0], 3.0, {},
@@ -235,16 +235,26 @@ def test_degenerating_changed_metric_stops_early(seed, index):
     assert calls[0] <= 3000
 
 
-def test_ill_conditioned_healthy_path_finishes():
-    # a_22 = e^{2 x1} and a_33 = e^{-2 x1}: cond(g) grows to about 8e5
+@pytest.mark.parametrize("metric,y0,t_end,cond", [
+    # a_22 = e^{2 x1} and a_33 = e^{-2 x1}: cond(g) grows as e^{4 x1}
     # along the x1 axis while the metric stays regular
-    space = FinslerSpace(resolve_spec("curved3"))
-    path = integrate_geodesic(space, [0.0, 0.0, 0.0], [1.0, 0.0, 0.0], 3.4,
+    ("curved3", [1.0, 0.0, 0.0], 3.4, 1e5),
+    ("curved3", [1.0, 0.0, 0.0], 5.0, 4 * MAX_CONDITION),
+    # regular everywhere, with cond(g) = 1e9 only from the units of x1
+    (parse_spec_text("dim 2\na_11 = 1e9\na_22 = 1\n", name="scaled2"),
+     [1e-4, 1.0], 3.0, 5 * MAX_CONDITION),
+], ids=("curved3-3.4", "curved3-5", "scaled2"))
+def test_ill_conditioned_healthy_path_finishes(metric, y0, t_end, cond):
+    # the guard reads g with its diagonal scaled out, so a condition
+    # number that only reflects coordinate scales does not stop a path
+    space = FinslerSpace(resolve_spec(metric) if isinstance(metric, str)
+                         else metric)
+    path = integrate_geodesic(space, np.zeros(space.n), y0, t_end,
                               tol=1e-10)
-    assert path.t[-1] == 3.4
-    assert path.x[-1][0] == pytest.approx(3.4, abs=1e-9)
-    cond = np.linalg.cond(space.point(path.x[-1], path.y[-1]).g_low())
-    assert 1e5 < cond < MAX_CONDITION
+    assert path.t[-1] == t_end
+    assert path.x[-1] == pytest.approx(t_end * np.asarray(y0), abs=1e-8)
+    g = space.point(path.x[-1], path.y[-1]).g_low()
+    assert np.linalg.cond(g) > cond
 
 
 @pytest.mark.parametrize("metric,x0,y0", [

@@ -4,11 +4,13 @@ import time
 import numpy as np
 import pytest
 
-from finslerchange import hypersurface
+from finslerchange import hypersurface, suites
 from finslerchange.change import ChangedPair
 from finslerchange.cli import main
 from finslerchange.core import FinslerSpace, PointGeometry
+from finslerchange.geodesics import GeodesicError
 from finslerchange.hypersurface import HypersurfaceGeometry
+from finslerchange.jets import JetDomainError
 from finslerchange.lang import parse_spec_text, resolve_spec
 from finslerchange.report import (CheckRecord, Report, ReportError,
                                   emit_json_lines, emit_text, environment_block,
@@ -180,6 +182,31 @@ def test_stopped_geodesics_are_named_in_notes():
     assert records["geo.value-conservation"].notes == (
         "5/5 initial conditions integrated to t = 2.0")
     assert records["geo.retrace"].notes == ""
+
+
+def test_cached_geodesic_errors_hold_no_frames(monkeypatch):
+    # a step that leaves the domain raises from a JetDomainError, whose
+    # traceback holds the integrator's frame and its path lists
+    run = SuiteRun(SuiteConfig(EUCLID2, resolve_spec("projective"),
+                               samples=3, seed=5))
+    integrate = suites.integrate_geodesic
+
+    def changed_side_fails(space, x, y, t_end, tol):
+        if space is run.pair.base:
+            return integrate(space, x, y, t_end, tol=tol)
+        try:
+            raise JetDomainError("L^2 is not positive")
+        except JetDomainError as exc:
+            raise GeodesicError("metric left its domain during a step at "
+                                f"t = 0.5: {exc}", "domain", 0.5) from exc
+    monkeypatch.setattr(suites, "integrate_geodesic", changed_side_fails)
+    errors = run.geodesic_pairs()
+    assert len(errors) == len(run.geodesic_ics()) > 0
+    for exc in errors:
+        assert (exc.kind, exc.t) == ("domain", 0.5)
+        assert str(exc).startswith("metric left its domain during a step")
+        assert exc.__traceback__ is None
+        assert exc.__cause__ is None and exc.__context__ is None
 
 
 RANDERS3 = parse_spec_text(
