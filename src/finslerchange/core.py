@@ -7,6 +7,11 @@ as jets themselves so that their own derivatives remain exact.  A point
 is built from one order-2 jet of L^2; the spray's values, which geodesic
 integration asks for at every step, are solved in floats from that jet.
 
+Sampled points are grouped in ``PointBlock``s, which evaluate the light
+jet layers (those ``riemann`` needs) of all their members at once, on
+jets with a point axis; each member reads its own slice, bit for bit
+what it would have computed alone.
+
 Index conventions: arrays are 0-based; for a connection-like array ``T``
 the first axis is the upper index.  Jet variable slots are ``i`` for x^i
 and ``n + i`` for y^i.
@@ -14,6 +19,7 @@ and ``n + i`` for y^i.
 
 from __future__ import annotations
 
+import functools
 # Sums use reduce(add, ...): sum() starts at 0, which turns a -0.0 total
 # into 0.0.
 from functools import reduce
@@ -21,8 +27,9 @@ from operator import add
 
 import numpy as np
 
-from .jets import JetDomainError, jet_linear_solve, lift_env
-from .lang import MetricSpec
+from .jets import (Jet, JetDomainError, JetError, jet_linear_solve,
+                   lift_env, stack_points)
+from .lang import MetricSpec, SpecError
 from .memo import cached, cached_to_order
 
 
@@ -103,11 +110,119 @@ class FinslerSpace:
         return self.spray_point.spray()
 
 
+def _light(max_order):
+    """Route a jet layer's calls at orders up to ``max_order`` through the
+    point's ``PointBlock``, if it has one; the layer computes alone where
+    the block does not fill it."""
+    def decorate(method):
+        @functools.wraps(method)
+        def layer(self, order):
+            if self._block is not None and order <= max_order:
+                got = self._block.fill(method, self, order)
+                if got is not None:
+                    return got
+            return method(self, order)
+        return layer
+    return decorate
+
+
+class PointBlock:
+    """Sampled points of one space whose light jet layers are evaluated
+    together: ``_f2`` up to order 4, ``_spray_jets`` up to order 2 and
+    ``_riemann_jets(0)``, the layers ``riemann`` needs.
+
+    The first member that asks for a layer at an order it lacks makes the
+    block compute it once, with a point axis, for every member that lacks
+    it, and each of those caches its own slice.  Every member thus asks
+    for the same orders in the same sequence as it would alone.  A member
+    whose ``L^2`` jet fails its check, and every member of an evaluation
+    that raises, is left to compute alone when it asks, so it raises its
+    own error.  Each layer and order is tried once per block."""
+
+    def __init__(self, members):
+        self.members = list(members)
+        self._tried = set()
+        for pg in self.members:
+            pg._block = self
+
+    def fill(self, method, point, order):
+        """``point``'s result of the jet layer ``method`` at ``order``,
+        evaluated for the block, or None where the block leaves it."""
+        name = method.__name__
+        if (name, order) in self._tried:
+            return None
+        self._tried.add((name, order))
+        todo = [pg for pg in self.members
+                if pg._cache.get(name, (-1,))[0] < order]
+        stacked = _Stacked(todo)
+        try:
+            parts = _split(method(stacked, order), len(todo))
+        except (JetError, SpecError, ValueError, ArithmeticError):
+            return None
+        for pg, part, ok in zip(todo, parts, stacked.ok):
+            if ok:
+                pg._cache[name] = (order, part)
+        got = point._cache.get(name)
+        return got[1] if got is not None and got[0] >= order else None
+
+
+class _Stacked:
+    """The members of a block that lack a jet layer, as the one point
+    with a point axis that ``PointGeometry``'s jet layers read: ``x`` and
+    ``y`` of shape ``(n, P)``, and the lower layers of the members,
+    stacked."""
+
+    def __init__(self, members):
+        self.members = members
+        self.space = members[0].space
+        self.n = members[0].n
+        self.x = np.stack([pg.x for pg in members], axis=1)
+        self.y = np.stack([pg.y for pg in members], axis=1)
+        self.ok = [True] * len(members)
+        self._stacks = {}
+
+    def _check_l2(self, f2, order):
+        c = f2.coeffs
+        self.ok = ((c[0] > 0.0) & np.isfinite(c).all(axis=0)).tolist()
+
+    def _layer(self, name, order):
+        if (name, order) not in self._stacks:
+            self._stacks[name, order] = _stack(
+                [getattr(pg, name)(order) for pg in self.members], order)
+        return self._stacks[name, order]
+
+    def _f2(self, order):
+        return self._layer("_f2", order)
+
+    def _spray_jets(self, order):
+        return self._layer("_spray_jets", order)
+
+
+def _stack(parts, order):
+    """One structure of block jets at ``order`` from the same structure
+    (a jet, or lists and tuples of them) of one-point jets, each cut to
+    ``order``."""
+    first = parts[0]
+    if isinstance(first, Jet):
+        return stack_points(parts, order)
+    return type(first)(_stack([p[i] for p in parts], order)
+                       for i in range(len(first)))
+
+
+def _split(value, count):
+    """The inverse of ``_stack``: ``count`` structures of one-point jets."""
+    if isinstance(value, Jet):
+        return value.points()
+    parts = [_split(v, count) for v in value]
+    return [type(value)(p[i] for p in parts) for i in range(count)]
+
+
 class PointGeometry:
     """Lazily computed tensors of a Finsler space at one (x, y).
 
     Construction builds the order-2 jet of L^2, raising where ``_f2`` does;
     jets stay cached at their highest order, tensors by name, in ``_cache``.
+    ``_block`` is the ``PointBlock`` of a sampled point, else None.
     """
 
     def __init__(self, space, x, y):
@@ -118,23 +233,31 @@ class PointGeometry:
         if self.x.shape != (self.n,) or self.y.shape != (self.n,):
             raise ValueError(f"expected {self.n} coordinates")
         self._cache = {}
+        self._block = None
         self._f2(2)
 
     # -- jet-level intermediates ------------------------------------------
 
-    @cached_to_order
-    def _f2(self, order):
-        """(seed jets of y, jet of L^2) over (x, y); raises ``JetDomainError``
-        unless L^2 is positive and every coefficient is finite."""
-        env = lift_env(order, x=self.x, y=self.y)
-        f2 = self.space.spec.eval_l2(env)
+    def _check_l2(self, f2, order):
+        """Raise ``JetDomainError`` unless L^2 is positive and every
+        coefficient is finite."""
         if not (f2.value > 0.0 and np.isfinite(f2.coeffs).all()):
             raise JetDomainError(f"L^2 = {f2.value:.6g} is not positive with "
                                  f"finite order-{order} coefficients at "
                                  f"x={self.x.tolist()}, y={self.y.tolist()}")
+
+    @cached_to_order
+    @_light(4)
+    def _f2(self, order):
+        """(seed jets of y, jet of L^2) over (x, y); raises where
+        ``_check_l2`` does."""
+        env = lift_env(order, x=self.x, y=self.y)
+        f2 = self.space.spec.eval_l2(env)
+        self._check_l2(f2, order)
         return list(env.values())[self.n:], f2
 
     @cached_to_order
+    @_light(2)
     def _spray_jets(self, order):
         n = self.n
         f2 = self._f2(order + 2)[1].truncated(order + 2)
@@ -148,6 +271,7 @@ class PointGeometry:
         return jet_linear_solve(g, rhs)
 
     @cached_to_order
+    @_light(0)
     def _riemann_jets(self, order):
         n = self.n
         G = [Gi.truncated(order + 2) for Gi in self._spray_jets(order + 2)]

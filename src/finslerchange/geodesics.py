@@ -265,7 +265,8 @@ def integrate_geodesic(space, x0, y0, t_end, tol=1e-8, max_steps=200_000,
         else:
             stats["rejected"] += 1
 
-        if stats["steps"] + stats["rejected"] > max_steps:
+        # the budget stops only a path that has not finished
+        if t < t_end and stats["steps"] + stats["rejected"] > max_steps:
             raise GeodesicError(f"step budget {max_steps} exhausted",
                                 "budget", t)
         h *= float(np.clip(0.9 * err ** -0.2 if err > 0 else 5.0, 0.2, 5.0))

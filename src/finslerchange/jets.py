@@ -17,11 +17,25 @@ that is itself a jet).
 Arithmetic stays inside one space: ``+``, ``-`` and ``*`` of jets of
 different variable counts or orders raise ``ValueError``.  Callers cut
 inputs with ``Jet.truncated``, which commutes bit for bit with all three.
+
+A jet may carry a trailing point axis: coefficients of shape ``(size,)``
+hold one point, ``(size, P)`` a block of P points, and every operation
+acts on each point's column as it would on that point alone, bit for bit
+(the vector forward mode of Griewank & Walther, *Evaluating
+Derivatives*, 2008).  Jets of one point and of a block do not combine.
+The block product keeps the summation order of the one-point
+``bincount``: it loops over coefficient rows, ``out[io] += a[i] *
+b[:len]`` for the rows of ``mul_table`` in order, where the block has at
+least as many points as the space has coefficients, and over points with
+the one-point ``bincount`` otherwise.  Series coefficients of
+``reciprocal``, ``sqrt``, ``exp``, ``log``, ``sin``, ``cos`` and ``powf``
+are computed point by point in Python floats, because numpy's vector
+``exp``, ``log`` and ``power`` round differently from ``math`` and
+``float``; ``jet_linear_solve`` pivots point by point.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 
@@ -42,19 +56,6 @@ class JetOrderError(JetError):
 class JetDomainError(JetError):
     """Value-level domain violation (sqrt of a negative value, log of a
     non-positive value, division by zero, an overflowing coefficient)."""
-
-
-def _domain_checked(method):
-    """Raise ``JetDomainError`` where a series coefficient of ``method``
-    overflows, divides by zero, or leaves a math function's domain."""
-    @functools.wraps(method)
-    def wrapper(self, *args):
-        try:
-            return method(self, *args)
-        except (OverflowError, ZeroDivisionError, ValueError) as exc:
-            raise JetDomainError(
-                f"{method.__name__} of value {self.value!r}: {exc}") from exc
-    return wrapper
 
 
 def _monomials_of_degree(nvars, deg):
@@ -80,7 +81,8 @@ class _Space:
     """Shared per-(nvars, order) index tables; built once, cached globally."""
 
     __slots__ = ("nvars", "order", "monomials", "position", "size",
-                 "_mul_table", "_deriv_maps", "_partials", "_seeds")
+                 "_mul_table", "_mul_rows", "_deriv_maps", "_partials",
+                 "_seeds")
 
     def __init__(self, nvars, order):
         self.nvars = nvars
@@ -89,6 +91,7 @@ class _Space:
         self.position = {m: i for i, m in enumerate(self.monomials)}
         self.size = len(self.monomials)
         self._mul_table = None
+        self._mul_rows = None
         self._deriv_maps = {}
         self._partials = {}
         self._seeds = None
@@ -114,6 +117,34 @@ class _Space:
                                         sorter=by_key)]
             self._mul_table = (ia, ib, io)
         return self._mul_table
+
+    def mul_rows(self):
+        """``mul_table`` by rows: one (i, count, io) per coefficient i,
+        which pairs with the first ``count`` coefficients at the positions
+        ``io``, all different."""
+        if self._mul_rows is None:
+            ia, _, io = self.mul_table()
+            counts = np.bincount(ia, minlength=self.size)
+            starts = np.cumsum(counts) - counts
+            self._mul_rows = [(i, int(c), io[s:s + c]) for i, (c, s)
+                              in enumerate(zip(counts, starts))]
+        return self._mul_rows
+
+    def block_product(self, a, b):
+        """Coefficients of the product of two jets of this space with
+        point axes, ``a`` and ``b`` of shape ``(size, P)``: each column is
+        bit for bit the one-point ``bincount`` product of its columns."""
+        if a.shape[1] >= self.size:
+            out = np.zeros_like(a)
+            for i, count, io in self.mul_rows():
+                out[io] += a[i] * b[:count]
+            return out
+        ia, ib, io = self.mul_table()
+        out = np.empty_like(a)
+        for p in range(a.shape[1]):
+            out[:, p] = np.bincount(io, weights=a[ia, p] * b[ib, p],
+                                    minlength=self.size)
+        return out
 
     def deriv_map(self, var):
         """Source positions and factors mapping coefficients of f to those
@@ -181,12 +212,88 @@ def _check_order(order):
             f"derivative order {order} exceeds the configured maximum {MAX_ORDER}")
 
 
+def _binom_real(p, k):
+    out = 1.0
+    for i in range(k):
+        out *= (p - i) / (i + 1)
+    return out
+
+
+# Taylor coefficients at a float value v, up to the order: the series of
+# the analytic functions of ``Jet``.
+
+def _reciprocal_series(v, order):
+    if v == 0.0:
+        raise JetDomainError("division by a jet with zero value")
+    return [(-1.0) ** k / v ** (k + 1) for k in range(order + 1)]
+
+
+def _sqrt_series(v, order):
+    if v <= 0.0:
+        raise JetDomainError(f"sqrt of non-positive value {v}")
+    return [_binom_real(0.5, k) * v ** (0.5 - k) for k in range(order + 1)]
+
+
+def _exp_series(v, order):
+    ev = math.exp(v)
+    return [ev / math.factorial(k) for k in range(order + 1)]
+
+
+def _log_series(v, order):
+    if v <= 0.0:
+        raise JetDomainError(f"log of non-positive value {v}")
+    return [math.log(v)] + [(-1.0) ** (k - 1) / (k * v ** k)
+                            for k in range(1, order + 1)]
+
+
+def _sin_series(v, order):
+    return [math.sin(v + 0.5 * math.pi * k) / math.factorial(k)
+            for k in range(order + 1)]
+
+
+def _cos_series(v, order):
+    return [math.cos(v + 0.5 * math.pi * k) / math.factorial(k)
+            for k in range(order + 1)]
+
+
+def _pow_series(v, order, p):
+    if v <= 0.0:
+        raise JetDomainError(f"power {p} of non-positive value {v}")
+    return [_binom_real(p, k) * v ** (p - k) for k in range(order + 1)]
+
+
+_DOMAIN_ERRORS = (OverflowError, ZeroDivisionError, ValueError)
+
+
+def _analytic(name, series):
+    """A ``Jet`` method that composes the jet with ``series(v, order,
+    *args)``, the Taylor coefficients of a function at the float value
+    ``v``, computed for each point of a block on its own.  Where a
+    coefficient overflows, divides by zero or leaves a math function's
+    domain it raises ``JetDomainError`` naming ``name`` and the value."""
+    def at(v, order, args):
+        try:
+            return series(v, order, *args)
+        except _DOMAIN_ERRORS as exc:
+            raise JetDomainError(f"{name} of value {v!r}: {exc}") from exc
+
+    def method(self, *args):
+        v = self.coeffs[0]
+        if v.ndim == 0:
+            return self.compose(at(float(v), self.order, args))
+        return self.compose(np.array(
+            [at(p, self.order, args) for p in v.tolist()]).T)
+    method.__name__ = name
+    return method
+
+
 class Jet:
     """Truncated Taylor expansion of a scalar in ``nvars`` active variables.
 
     The zero multi-index coefficient is the underlying value; the
     coefficient of a multi-index a is the partial derivative divided by
-    the product of factorials of a's entries.
+    the product of factorials of a's entries.  ``coeffs`` has shape
+    ``(size,)`` for one point, or ``(size, P)`` for a block of P points.
     """
 
     __slots__ = ("space", "coeffs")
@@ -205,6 +312,12 @@ class Jet:
         c[0] = value
         return Jet(sp, c)
 
+    def _like(self, value):
+        """The constant ``value`` in this jet's space and point shape."""
+        c = np.zeros(self.coeffs.shape)
+        c[0] = value
+        return Jet(self.space, c)
+
     @property
     def nvars(self):
         return self.space.nvars
@@ -215,6 +328,7 @@ class Jet:
 
     @property
     def value(self):
+        """The value of a one-point jet."""
         return float(self.coeffs[0])
 
     def truncated(self, order):
@@ -225,9 +339,15 @@ class Jet:
         sp = _space(self.nvars, order)
         return Jet(sp, self.coeffs[:sp.size].copy())
 
+    def points(self):
+        """The one-point jets of a block, in point order."""
+        return [Jet(self.space, row) for row in self.coeffs.T.copy()]
+
     # -- ring operations ------------------------------------------------
 
     def _mixed(self, other):
+        if other.space is self.space:
+            return ValueError("jets of one point and of a block of points")
         return ValueError(f"jets of different spaces ({self.nvars}v{self.order}"
                           f", {other.nvars}v{other.order}): truncate one first")
 
@@ -236,9 +356,10 @@ class Jet:
             c = self.coeffs.copy()
             c[0] += float(other)
             return Jet(self.space, c)
-        if other.space is not self.space:
+        a, b = self.coeffs, other.coeffs
+        if other.space is not self.space or a.ndim != b.ndim:
             raise self._mixed(other)
-        return Jet(self.space, self.coeffs + other.coeffs)
+        return Jet(self.space, a + b)
 
     __radd__ = __add__
 
@@ -250,9 +371,10 @@ class Jet:
             c = self.coeffs.copy()
             c[0] -= float(other)
             return Jet(self.space, c)
-        if other.space is not self.space:
+        a, b = self.coeffs, other.coeffs
+        if other.space is not self.space or a.ndim != b.ndim:
             raise self._mixed(other)
-        return Jet(self.space, self.coeffs - other.coeffs)
+        return Jet(self.space, a - b)
 
     def __rsub__(self, other):
         c = -self.coeffs
@@ -262,12 +384,14 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.space, self.coeffs * float(other))
-        if other.space is not self.space:
+        a, b, sp = self.coeffs, other.coeffs, self.space
+        if other.space is not sp or a.ndim != b.ndim:
             raise self._mixed(other)
-        ia, ib, io = self.space.mul_table()
-        out = np.bincount(io, weights=self.coeffs[ia] * other.coeffs[ib],
-                          minlength=self.space.size)
-        return Jet(self.space, out)
+        if a.ndim > 1:
+            return Jet(sp, sp.block_product(a, b))
+        ia, ib, io = sp.mul_table()
+        return Jet(sp, np.bincount(io, weights=a[ia] * b[ib],
+                                   minlength=sp.size))
 
     __rmul__ = __mul__
 
@@ -292,22 +416,27 @@ class Jet:
         if not 0 <= var < self.nvars:
             raise ValueError(f"variable index {var} out of range")
         src, fac = self.space.deriv_map(var)
+        if self.coeffs.ndim > 1:
+            fac = fac[:, None]
         return Jet(_space(self.nvars, self.order - 1), self.coeffs[src] * fac)
 
     def partials(self, k):
         """All k-th partial derivatives, as an array indexed by k variables
-        and symmetric in them (Taylor coefficients times factorials);
-        ``partials(0)`` is the value."""
+        and symmetric in them (Taylor coefficients times factorials), then
+        by point for a block; ``partials(0)`` is the value."""
         if k > self.order:
             raise JetOrderError(
                 f"derivative order {k} exceeds jet order {self.order}")
         pos, fac = self.space.partials_table(k)
+        if self.coeffs.ndim > 1:
+            fac = fac[..., None]
         return self.coeffs[pos] * fac
 
     # -- analytic functions ---------------------------------------------
 
     def compose(self, series):
-        """Evaluate sum_k series[k] * (self - value)^k by Horner.
+        """Evaluate sum_k series[k] * (self - value)^k by Horner; for a
+        block, ``series[k]`` holds one coefficient per point.
 
         The shifted jet is nilpotent at the truncation order, so the
         result is the exact truncated Taylor expansion of the composed
@@ -315,78 +444,44 @@ class Jet:
         """
         h = Jet(self.space, self.coeffs.copy())
         h.coeffs[0] = 0.0
-        out = Jet.constant(series[-1], self.nvars, self.order)
+        out = self._like(series[-1])
         for k in range(len(series) - 2, -1, -1):
             out = out * h
             out.coeffs[0] += series[k]
         return out
 
-    @_domain_checked
-    def reciprocal(self):
-        v = self.value
-        if v == 0.0:
-            raise JetDomainError("division by a jet with zero value")
-        series = [(-1.0) ** k / v ** (k + 1) for k in range(self.order + 1)]
-        return self.compose(series)
+    reciprocal = _analytic("reciprocal", _reciprocal_series)
+    sqrt = _analytic("sqrt", _sqrt_series)
+    exp = _analytic("exp", _exp_series)
+    log = _analytic("log", _log_series)
+    sin = _analytic("sin", _sin_series)
+    cos = _analytic("cos", _cos_series)
+    _real_pow = _analytic("powf", _pow_series)
 
-    @_domain_checked
-    def sqrt(self):
-        v = self.value
-        if v <= 0.0:
-            raise JetDomainError(f"sqrt of non-positive value {v}")
-        series = [_binom_real(0.5, k) * v ** (0.5 - k) for k in range(self.order + 1)]
-        return self.compose(series)
-
-    @_domain_checked
-    def exp(self):
-        ev = math.exp(self.value)
-        series = [ev / math.factorial(k) for k in range(self.order + 1)]
-        return self.compose(series)
-
-    @_domain_checked
-    def log(self):
-        v = self.value
-        if v <= 0.0:
-            raise JetDomainError(f"log of non-positive value {v}")
-        series = [math.log(v)]
-        series += [(-1.0) ** (k - 1) / (k * v ** k) for k in range(1, self.order + 1)]
-        return self.compose(series)
-
-    @_domain_checked
-    def sin(self):
-        v = self.value
-        series = [math.sin(v + 0.5 * math.pi * k) / math.factorial(k)
-                  for k in range(self.order + 1)]
-        return self.compose(series)
-
-    @_domain_checked
-    def cos(self):
-        v = self.value
-        series = [math.cos(v + 0.5 * math.pi * k) / math.factorial(k)
-                  for k in range(self.order + 1)]
-        return self.compose(series)
-
-    @_domain_checked
     def powf(self, p):
         """Real power; integer exponents work for any base value, other
-        exponents require a positive base."""
+        exponents require a positive base.  A jet exponent takes one
+        point at a time."""
         if isinstance(p, Jet):
+            if p.coeffs.ndim > 1:
+                raise ValueError("a jet exponent takes one point at a time")
             if np.any(p.coeffs[1:] != 0.0):
                 return (self.log() * p).exp()
             p = p.value
         p = float(p)
-        if p == int(p):
+        try:
+            integral = p == int(p)
+        except _DOMAIN_ERRORS as exc:
+            raise JetDomainError(
+                f"powf of value {self.coeffs[0].tolist()!r}: {exc}") from exc
+        if integral:
             return self._int_pow(int(p))
-        v = self.value
-        if v <= 0.0:
-            raise JetDomainError(f"power {p} of non-positive value {v}")
-        series = [_binom_real(p, k) * v ** (p - k) for k in range(self.order + 1)]
-        return self.compose(series)
+        return self._real_pow(p)
 
     def _int_pow(self, m):
         if m < 0:
             return self.reciprocal()._int_pow(-m)
-        out = Jet.constant(1.0, self.nvars, self.order)
+        out = self._like(1.0)
         base = self
         while m:
             if m & 1:
@@ -396,23 +491,32 @@ class Jet:
         return out
 
     def __repr__(self):
-        return f"Jet(nvars={self.nvars}, order={self.order}, value={self.value})"
+        value = (self.value if self.coeffs.ndim == 1
+                 else f"<{self.coeffs.shape[1]} points>")
+        return f"Jet(nvars={self.nvars}, order={self.order}, value={value})"
 
 
-def _binom_real(p, k):
-    out = 1.0
-    for i in range(k):
-        out *= (p - i) / (i + 1)
-    return out
+def stack_points(jets, order):
+    """The jet of a block whose point p is ``jets[p]``, a one-point jet,
+    cut to ``order``; all of them have the same variables."""
+    if any(j.order < order for j in jets):
+        raise JetOrderError("cannot extend a jet to a higher order")
+    sp = _space(jets[0].nvars, order)
+    return Jet(sp, np.stack([j.coeffs[:sp.size] for j in jets], axis=1))
 
 
 def lift(values, order):
     """Seed jets for a list of scalars, one differentiation variable each,
     in list order: each jet holds its value and a unit first-order
-    coefficient in its own slot."""
+    coefficient in its own slot.  Rows of P values give jets of a block
+    of P points."""
     _check_order(order)
     sp = _space(len(values), order)
-    rows = sp.seeds().copy()
+    values = np.asarray(values, dtype=float)
+    if values.ndim > 1:
+        rows = np.repeat(sp.seeds()[:, :, None], values.shape[1], axis=2)
+    else:
+        rows = sp.seeds().copy()
     rows[:, 0] = values
     return [Jet(sp, row) for row in rows]
 
@@ -420,16 +524,52 @@ def lift(values, order):
 def lift_env(order, **coords):
     """Evaluation environment of seed jets: ``lift_env(2, x=x, y=y)`` binds
     ``x1 .. xn`` and then ``y1 .. yn`` to the jets of ``lift`` over all
-    those values, in that order."""
+    those values, in that order.  Coordinates of shape ``(n, P)`` give
+    jets of a block of P points."""
     names = [f"{k}{i + 1}" for k, vals in coords.items()
              for i in range(len(vals))]
     values = [v for vals in coords.values() for v in vals]
     return dict(zip(names, lift(values, order)))
 
 
+def _swapped(here, top, low):
+    """Two block jets with their columns swapped where ``here`` is set."""
+    return (Jet(top.space, np.where(here, low.coeffs, top.coeffs)),
+            Jet(low.space, np.where(here, top.coeffs, low.coeffs)))
+
+
+def _pivot(M, b, col):
+    """Bring the pivot of column ``col`` to row ``col`` of ``M`` and ``b``:
+    the first row at or below it whose value is largest in magnitude.  A
+    block picks it point by point and swaps, in the points whose pivot is
+    another row, the entries that elimination still reads."""
+    n = len(b)
+    if M[col][col].coeffs.ndim == 1:
+        piv = max(range(col, n), key=lambda r: abs(M[r][col].value))
+        if abs(M[piv][col].value) == 0.0:
+            raise JetDomainError("singular jet matrix in linear solve")
+        if piv != col:
+            M[col], M[piv] = M[piv], M[col]
+            b[col], b[piv] = b[piv], b[col]
+        return
+    values = [M[r][col].coeffs[0].tolist() for r in range(col, n)]
+    piv = [max(range(col, n), key=lambda r: abs(values[r - col][p]))
+           for p in range(len(values[0]))]
+    if any(abs(values[r - col][p]) == 0.0 for p, r in enumerate(piv)):
+        raise JetDomainError("singular jet matrix in linear solve")
+    piv = np.array(piv)
+    for r in range(col + 1, n):
+        here = piv == r
+        if here.any():
+            for c in range(col, n):
+                M[col][c], M[r][c] = _swapped(here, M[col][c], M[r][c])
+            b[col], b[r] = _swapped(here, b[col], b[r])
+
+
 def jet_linear_solve(A, rhs):
     """Solve A x = rhs where A is a square matrix of jets and rhs a vector
-    of jets, by Gaussian elimination with partial pivoting on values.
+    of jets, by Gaussian elimination with partial pivoting on values,
+    chosen point by point for jets of a block.
 
     Jets with nonzero value are invertible in the truncated-Taylor ring,
     so the usual elimination goes through verbatim.
@@ -438,12 +578,7 @@ def jet_linear_solve(A, rhs):
     M = [row[:] for row in A]
     b = list(rhs)
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(M[r][col].value))
-        if abs(M[piv][col].value) == 0.0:
-            raise JetDomainError("singular jet matrix in linear solve")
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            b[col], b[piv] = b[piv], b[col]
+        _pivot(M, b, col)
         inv = M[col][col].reciprocal()
         for r in range(col + 1, n):
             f = M[r][col] * inv

@@ -7,15 +7,23 @@ hypersurface), and the samplers return those objects, so callers evaluate
 the admitted points without building them again.  Draws violating
 positivity or regularity of the metric are rejected; a rejection rate
 above 99% raises, since it means the declared domain is unusable.
+``sample_points`` groups the base and the changed geometry of its
+points, in draw order, into ``PointBlock``s of ``BLOCK_SIZE`` points,
+which evaluate their light jet layers together.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .core import PointBlock
 from .jets import JetDomainError
 
 _MAX_TRIES_PER_POINT = 100
+# Points per block: a block's jets take memory in proportion to its size,
+# and a product runs its faster row loop once a block has at least as many
+# points as the jet space has coefficients (70 at order 4 in 4 variables).
+BLOCK_SIZE = 256
 
 
 class SamplingError(Exception):
@@ -82,7 +90,11 @@ def sample_points(pair, count, seed):
         scale = max(1.0, float(np.max(np.abs(g)))) ** space.n
         return cp if np.isfinite(det) and abs(det) > 1e-10 * scale else None
 
-    return _rejection_loop(count, draw, "points")
+    points, rejected = _rejection_loop(count, draw, "points")
+    for side in ([cp.base for cp in points], [cp.star for cp in points]):
+        for start in range(0, len(side), BLOCK_SIZE):
+            PointBlock(side[start:start + BLOCK_SIZE])
+    return points, rejected
 
 
 def sample_pair_points(pair, count, seed):

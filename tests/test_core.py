@@ -1,16 +1,19 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from finslerchange import geodesics, suites
+from finslerchange import geodesics, sampling, suites
 from finslerchange.change import ChangedPair
 from finslerchange.core import (
     FinslerSpace,
+    PointBlock,
     central_partial,
 )
-from finslerchange.jets import JetDomainError, lift_env
+from finslerchange.jets import Jet, JetDomainError, lift_env
 from finslerchange.lang import MetricSpec, parse_spec_text, resolve_spec
 from finslerchange.memo import cached_to_order
-from finslerchange.sampling import sample_pair_points
+from finslerchange.sampling import sample_pair_points, sample_points
 
 # dx1^2 + x1^2 dx2^2: flat plane in polar-style coordinates
 POLAR = parse_spec_text(
@@ -516,3 +519,87 @@ def test_partials_reads_equal_chained_derivs_bit_for_bit(metric, change):
                 got = getattr(pg, name)()
                 assert got.shape == ref.shape, name
                 assert got.tobytes() == ref.tobytes(), (space.spec.name, name)
+
+
+# The tensors read from the jet layers that blocks evaluate.
+LIGHT_TENSORS = ("g_low", "C_low", "spray", "n_conn", "berwald",
+                 "cartan_hconn", "riemann")
+
+
+@pytest.mark.parametrize("metric,change,count,block_size", [
+    (metric, change, 5, size) for metric, change in BUNDLED_PAIRS
+    for size in (1, 2, 256)] + [
+    # blocks with at least as many points as coefficients multiply by rows:
+    # every space of a 2D point, and the 6v0 to 6v2 spaces of a 3D point
+    ("randers2", "projective", 80, 256),
+    ("curved3", "projective3", 30, 256)])
+def test_block_tensors_equal_single_points_bit_for_bit(monkeypatch, metric,
+                                                       change, count,
+                                                       block_size):
+    monkeypatch.setattr(sampling, "BLOCK_SIZE", block_size)
+    pair = ChangedPair(resolve_spec(metric), resolve_spec(change))
+    cps, _ = sample_points(pair, count, 11)
+    sides = [cp.base for cp in cps] + [cp.star for cp in cps]
+    assert all(len(pg._block.members) <= block_size for pg in sides)
+    # tensor by tensor over all points, as the checks ask for them
+    got = {name: [getattr(pg, name)() for pg in sides]
+           for name in LIGHT_TENSORS}
+    for i, pg in enumerate(sides):
+        alone = pg.space.point(pg.x, pg.y)
+        assert alone._block is None
+        for name in LIGHT_TENSORS:
+            want = np.asarray(getattr(alone, name)())
+            assert np.asarray(got[name][i]).tobytes() == want.tobytes(), (
+                pg.space.spec.name, i, name)
+
+
+@pytest.mark.parametrize("L2,x,match", [
+    # e^(800 x1) at x1 = 0.868: finite order-2 coefficients, order-3 ones
+    # beyond the float range, so the member's column fails its check
+    ("1e-300 * exp(800 * x1) * y1^2", [0.868, 0.0], "finite order-3"),
+    # 1/x1 at x1 = 1e-90: x1^4 underflows in the order-3 series, so the
+    # block's evaluation raises
+    ("1e-200 / x1 * y1^2", [1e-90, 0.0], "reciprocal of value 1e-90"),
+])
+def test_block_member_raises_its_own_error(L2, x, match):
+    space = FinslerSpace(parse_spec_text(f"dim 2\nL2 = y1^2 + y2^2 + {L2}\n",
+                                         name="steep"))
+    xs = [[0.5, 0.1], x, [0.25, -0.3]]
+    y = [1.0, 0.5]
+    with np.errstate(over="ignore", invalid="ignore"):
+        members = [space.point(xv, y) for xv in xs]
+        PointBlock(members)
+        with pytest.raises(JetDomainError, match=match) as alone:
+            space.point(x, y).C_low()
+        for xv, pg in zip(xs, members):
+            if xv is x:
+                with pytest.raises(JetDomainError) as info:
+                    pg.C_low()
+                assert str(info.value) == str(alone.value)
+            else:
+                want = space.point(xv, y).C_low()
+                assert pg.C_low().tobytes() == want.tobytes()
+
+
+def test_blocks_evaluate_l2_once_per_light_order(monkeypatch):
+    calls = []
+    eval_l2 = MetricSpec.eval_l2
+
+    def counting(self, env):
+        x1 = env["x1"]
+        if isinstance(x1, Jet):
+            points = x1.coeffs.shape[1] if x1.coeffs.ndim > 1 else 1
+            calls.append((self.name, x1.order, points))
+        return eval_l2(self, env)
+
+    monkeypatch.setattr(MetricSpec, "eval_l2", counting)
+    monkeypatch.setattr(sampling, "BLOCK_SIZE", 64)
+    cfg = suites.SuiteConfig(resolve_spec("randers2"),
+                             resolve_spec("projective"), samples=200, seed=1)
+    suites.run_suites(cfg, ["core-identities"])
+    light = Counter(call for call in calls if call[1] in (3, 4))
+    # 200 points in blocks of 64, 64, 64 and 8; the one-point calls are the
+    # finite-difference probes, which build points of their own
+    assert light == {("randers2", 3, 64): 3, ("randers2", 3, 8): 1,
+                     ("randers2", 4, 64): 3, ("randers2", 4, 8): 1,
+                     ("randers2", 3, 1): 20}

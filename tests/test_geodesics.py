@@ -167,8 +167,18 @@ def test_bad_arguments():
 def test_step_budget():
     space = FinslerSpace(EUCLID2)
     with pytest.raises(GeodesicError):
-        integrate_geodesic(space, [0.0, 0.0], [1.0, 0.0], 10.0, tol=1e-13,
+        integrate_geodesic(space, [0.0, 0.0], [1.0, 0.0], 100.0, tol=1e-13,
                            max_steps=3)
+
+
+def test_step_budget_spares_a_finished_path():
+    # steps of 0.1, 0.5, 2.5 and 6.9: the fourth is over the budget of
+    # three, and it reaches t_end
+    space = FinslerSpace(EUCLID2)
+    path = integrate_geodesic(space, [0.0, 0.0], [1.0, 0.0], 10.0,
+                              max_steps=3)
+    assert path.t[-1] == 10.0
+    assert path.stats["steps"] == 4
 
 
 def test_start_point_outside_domain_raises_geodesic_error():

@@ -314,6 +314,55 @@ def test_nan_error_fails_the_check():
     assert _judge(1, [(1.0, 1.0)], 1e-10) == (1, 0.0, 0.0, "pass", "")
 
 
+def _judge_by_pairs(samples, pairs, tol, residual=False, notes=""):
+    """Reference for ``_judge``: one ``errors_between`` per pair."""
+    abs_err = rel_err = 0.0
+    for got, want in pairs:
+        a, r = errors_between(got, want)
+        abs_err = float(np.maximum(abs_err, a))
+        rel_err = float(np.maximum(rel_err, r))
+    within = rel_err <= tol
+    if not isinstance(notes, str):
+        notes = notes[0] if within else notes[1]
+    verdict = ("fail" if np.isnan(abs_err) or np.isnan(rel_err)
+               else "reported-residual" if residual
+               else "pass" if within else "fail")
+    return samples, abs_err, rel_err, verdict, notes
+
+
+def test_judge_matches_errors_between_pair_by_pair():
+    nan, inf = np.nan, np.inf
+    rng = np.random.default_rng(5)
+    special = [
+        (np.array([nan, 1.0]), np.array([1.0, 1.0])),
+        (np.array([1.0, 2.0]), np.array([1.0, nan])),
+        (inf, 1.0), (1.0, -inf), (-inf, -inf), (np.array([inf, 0.5]), 0.0),
+        (np.array([-0.0, 0.0]), 0.0), (-0.0, np.array([0.0, -0.0])),
+        (np.array([3.0, -4.0]), 0.0), (np.array([1e308]), -1e308),
+        (np.zeros(0), np.zeros(0)), (np.zeros(0), 1.0),
+        (np.zeros(0), np.array([nan])),
+    ]
+    # points whose pairs mix shapes, and scalars against arrays
+    ordinary = []
+    for _ in range(6):
+        v, m = rng.normal(size=2), rng.normal(size=(2, 2))
+        ordinary += [(float(v[0]), float(v[0]) + 1e-12), (v, v * 1.5),
+                     (m @ v, 0.0), (m, m.T), (np.einsum("ij,k->ijk", m, v),
+                                              rng.normal(size=(2, 2, 2)))]
+    cases = ([[]] + [[pair] for pair in special + ordinary]
+             + [ordinary, special + ordinary, ordinary + special[::-1]])
+    for pairs in cases:
+        for residual in (False, True):
+            for notes in ("", ("within", "beyond")):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    got = _judge(len(pairs), iter(pairs), 1e-10, residual,
+                                 notes)
+                    want = _judge_by_pairs(len(pairs), pairs, 1e-10,
+                                           residual, notes)
+                # repr compares NaN and the sign of zero too
+                assert repr(got) == repr(want), pairs
+
+
 def test_suite_selection_subset():
     cfg = SuiteConfig(EUCLID2, IDENT, samples=5, seed=0)
     records = run_suites(cfg, ["geodesics"])

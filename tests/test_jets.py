@@ -12,6 +12,7 @@ from finslerchange.jets import (
     _space,
     jet_linear_solve,
     lift,
+    stack_points,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -338,3 +339,56 @@ def test_lift_seeds_values_and_unit_slots_in_separate_rows():
     assert b.coeffs[1] == 0.0 and lift([0.5], order=2)[0].coeffs[1] == 1.0
     (c,) = lift([4.0], order=0)
     assert c.coeffs.tolist() == [4.0]
+
+
+def _every_operation(a, b, c, d):
+    """Jets built with every ring operation, analytic function and a
+    pivoting linear solve, from four seed jets."""
+    e = ((a * b + c).sqrt() * (d - a).exp() + (b * c).log() / (a + 1.5)
+         + a ** 3 + b ** 2.5 + c ** -2 - 1.0 / d
+         + (a * d).sin() * (b - c).cos() - 2.0 + 0.5 * d)
+    # |d a| beats |a b + 1| at some points and not at others
+    x = jet_linear_solve([[a * b + 1.0, c - d * 0.3], [d * a, b * b + c]],
+                         [e, a * c])
+    out = [e, *x]
+    if a.order:
+        out.append(e.deriv(1) * a.truncated(a.order - 1))
+    return out
+
+
+@pytest.mark.parametrize("points", [1, 2, 5, 15, 70, 90])
+@pytest.mark.parametrize("order", [0, 2, 4])
+def test_block_jets_equal_point_jets_bit_for_bit(points, order):
+    # order 4 in 4 variables has 70 coefficients: 70 and 90 points take
+    # the row loop of the block product, fewer the point loop
+    values = RNG.uniform(0.2, 2.0, size=(4, points))
+    block = _every_operation(*lift(values, order))
+    pivots = set()
+    for p in range(points):
+        a, b, c, d = values[:, p]
+        pivots.add(abs(d * a) > abs(a * b + 1.0))
+        alone = _every_operation(*lift([a, b, c, d], order))
+        for got, want in zip(block, alone):
+            assert got.coeffs.shape == (want.coeffs.size, points)
+            assert got.coeffs[:, p].tobytes() == want.coeffs.tobytes()
+    if points >= 15:
+        assert pivots == {True, False}
+    for j, jet in enumerate(block[0].points()):
+        assert jet.coeffs.tobytes() == block[0].coeffs[:, j].tobytes()
+    again = stack_points(block[0].points(), 0)
+    assert again.coeffs.tobytes() == block[0].truncated(0).coeffs.tobytes()
+
+
+def test_one_point_and_block_jets_do_not_combine():
+    (one,) = lift([0.5], order=2)
+    (block,) = lift([[0.5, 0.7, 0.9]], order=2)
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError, match="one point and of a block"):
+            op(one, block)
+        with pytest.raises(ValueError, match="one point and of a block"):
+            op(block, one)
+    with pytest.raises(ValueError, match="one point at a time"):
+        one ** block
+    (zero_at_one,) = lift([[0.5, 0.0]], order=2)
+    with pytest.raises(JetDomainError, match="division by a jet with zero"):
+        zero_at_one.reciprocal()

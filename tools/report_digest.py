@@ -16,7 +16,13 @@ that a difference names the check ids behind it.  A last line per tree,
 base and changed space at the sampled points of ``TENSOR_PAIRS``, and
 the frame data (``x``, ``B``, ``B2``, normal, normal curvature) of both
 sides of ``HYPER``, so that tensors no report prints are covered too;
-each tensor name is hashed on its own in the same way.  Run the script
+each tensor name is hashed on its own in the same way.  A last line,
+``sampled tensor stack``, hashes the same tensors of both sides at the
+points ``sample_points`` returns for ``SAMPLED``, requested tensor by
+tensor over all points, as ``verify``'s checks request them: there the
+light jet layers come from blocks of points, which must match the
+one-point tensors bit for bit, and a report's maxima could hide a
+difference in the last bit.  Run the script
 on the parent commit (a clone of it) and on a change: a refactor that
 keeps every line identical keeps the reports and the tensors
 byte-identical.  With two or more trees it prints the lines of each,
@@ -70,6 +76,11 @@ TENSORS = ("L2", "L", "y_low", "l_low", "g_low", "g_up", "h_low", "C_low",
            "C_up", "spray", "n_conn", "berwald", "cartan_hconn", "douglas",
            "riemann", "ric", "weyl_proj", "weyl_torsion")
 HYPER_DATA = ("x", "B", "B2", "normal_up", "normal_curvature")
+# (metric, change, samples, seed) of the sampled tensor digest: the
+# configurations of verify-many-2d's 200-sample digest line and of
+# verify-regular-3d.
+SAMPLED = (("randers2", "projective", 200, 1),
+           ("curved3", "projective3", 12, 108))
 
 
 def digest(tree, metric, change, hyper, samples, seed):
@@ -100,25 +111,56 @@ def _short(data):
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+class _Hashes:
+    """sha256 of a sequence of arrays, and of the arrays of each name."""
+
+    def __init__(self):
+        self.whole = hashlib.sha256()
+        self.parts = {}
+
+    def add(self, name, value):
+        import numpy as np
+        data = np.ascontiguousarray(value, dtype=float).tobytes()
+        self.whole.update(data)
+        self.parts.setdefault(name, hashlib.sha256()).update(data)
+
+    def digests(self):
+        return self.whole.hexdigest()[:16], {
+            name: part.hexdigest()[:16] for name, part in self.parts.items()}
+
+
+def sampled_stack():
+    """(sha256 of the sampled tensor stack, {tensor name: sha256}),
+    computed with the package on the import path; run in a child process
+    by ``tensor_digest``."""
+    from finslerchange.change import ChangedPair
+    from finslerchange.lang import resolve_spec
+    from finslerchange.sampling import sample_points
+
+    hashes = _Hashes()
+    for metric, change, samples, seed in SAMPLED:
+        pair = ChangedPair(resolve_spec(metric, expect="metric"),
+                           resolve_spec(change, expect="change"))
+        cps, _ = sample_points(pair, samples, seed)
+        for name in TENSORS:
+            for cp in cps:
+                for pg in (cp.base, cp.star):
+                    hashes.add(name, getattr(pg, name)())
+    return hashes.digests()
+
+
 def tensor_stack():
     """(sha256 of the tensor stack, {tensor name: sha256 of its arrays}),
     computed with the package on the import path; run in a child process
     by ``tensor_digest``.  Frame data names carry a ``hyper.`` prefix."""
-    import numpy as np
     from finslerchange.change import ChangedPair
     from finslerchange.hypersurface import ChangedHypersurface
     from finslerchange.jets import JetDomainError
     from finslerchange.lang import resolve_spec
     from finslerchange.sampling import sample_hyper_points, sample_pair_points
 
-    h = hashlib.sha256()
-    parts = {}
-
-    def add(name, value):
-        data = np.ascontiguousarray(value, dtype=float).tobytes()
-        h.update(data)
-        parts.setdefault(name, hashlib.sha256()).update(data)
-
+    hashes = _Hashes()
+    add = hashes.add
     for metric, change in TENSOR_PAIRS:
         pair = ChangedPair(resolve_spec(metric, expect="metric"),
                            resolve_spec(change, expect="change"))
@@ -144,14 +186,17 @@ def tensor_stack():
             for name in HYPER_DATA:
                 value = getattr(side, name)
                 add("hyper." + name, value() if callable(value) else value)
-    return h.hexdigest()[:16], {name: part.hexdigest()[:16]
-                                for name, part in parts.items()}
+    return hashes.digests()
 
 
-def tensor_digest(tree):
-    """(tensor stack hash, exit status, {tensor name: hash}) of a tree, in
-    a fresh process."""
-    argv = [sys.executable, os.path.abspath(__file__), "--tensor-stack"]
+# child process flag -> the digest it prints
+STACKS = {"--tensor-stack": tensor_stack, "--sampled-stack": sampled_stack}
+
+
+def tensor_digest(tree, flag):
+    """(hash, exit status, {tensor name: hash}) of the stack of a child
+    flag (a key of ``STACKS``) on a tree, in a fresh process."""
+    argv = [sys.executable, os.path.abspath(__file__), flag]
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     out = subprocess.run(argv, env=env, capture_output=True, text=True)
     lines = out.stdout.splitlines()
@@ -162,15 +207,17 @@ def tensor_digest(tree):
 
 def main(argv=None):
     argv = argv if argv is not None else sys.argv[1:]
-    if argv == ["--tensor-stack"]:
-        combined, parts = tensor_stack()
+    if len(argv) == 1 and argv[0] in STACKS:
+        combined, parts = STACKS[argv[0]]()
         print(combined)
         for name, part in parts.items():
             print(name, part)
         return 0
     trees = argv or [
         os.path.dirname(os.path.dirname(os.path.abspath(__file__)))]
-    labels = [c[0] for c in CONFIGS] + ["tensor stack"]
+    stacks = (("tensor stack", "--tensor-stack"),
+              ("sampled tensor stack", "--sampled-stack"))
+    labels = [c[0] for c in CONFIGS] + [label for label, _ in stacks]
     # per tree, one (hash, exit status, {part name: hash}) per label
     results = []
     for tree in trees:
@@ -181,9 +228,10 @@ def main(argv=None):
             got.append(digest(tree, *config))
             print(f"  {label:45s} {got[-1][0]}  exit {got[-1][1]}",
                   flush=True)
-        got.append(tensor_digest(tree))
-        print(f"  {labels[-1]:45s} {got[-1][0]}  exit {got[-1][1]}",
-              flush=True)
+        for label, flag in stacks:
+            got.append(tensor_digest(tree, flag))
+            print(f"  {label:45s} {got[-1][0]}  exit {got[-1][1]}",
+                  flush=True)
         results.append(got)
     if len(results) < 2:
         return 0
