@@ -7,10 +7,12 @@ as jets themselves so that their own derivatives remain exact.  A point
 is built from one order-2 jet of L^2; the spray's values, which geodesic
 integration asks for at every step, are solved in floats from that jet.
 
-Sampled points are grouped in ``PointBlock``s, which evaluate the light
-jet layers (those ``riemann`` needs) of all their members at once, on
-jets with a point axis; each member reads its own slice, bit for bit
-what it would have computed alone.
+Sampled points are grouped in ``PointBlock``s: a block is its members as
+one point with a point axis, and runs the same code for the light jet
+layers (those ``riemann`` needs) on jets whose coefficients carry that
+axis, each layer reading the block's own lower layers.  Members cache
+views of their columns, bit for bit what they would have computed
+alone; a column whose ``L^2`` jet fails its check is left out.
 
 Index conventions: arrays are 0-based; for a connection-like array ``T``
 the first axis is the upper index.  Jet variable slots are ``i`` for x^i
@@ -27,8 +29,7 @@ from operator import add
 
 import numpy as np
 
-from .jets import (Jet, JetDomainError, JetError, jet_linear_solve,
-                   lift_env, stack_points)
+from .jets import Jet, JetDomainError, JetError, jet_linear_solve, lift_env
 from .lang import MetricSpec, SpecError
 from .memo import cached, cached_to_order
 
@@ -111,140 +112,34 @@ class FinslerSpace:
 
 
 def _light(max_order):
-    """Route a jet layer's calls at orders up to ``max_order`` through the
-    point's ``PointBlock``, if it has one; the layer computes alone where
-    the block does not fill it."""
+    """Route a jet layer's calls at orders up to ``max_order`` through
+    ``_light_layer``: a point takes them from its ``PointBlock`` where the
+    block fills them, and a block evaluates each at most once."""
     def decorate(method):
         @functools.wraps(method)
         def layer(self, order):
-            if self._block is not None and order <= max_order:
-                got = self._block.fill(method, self, order)
-                if got is not None:
-                    return got
+            if order <= max_order:
+                return self._light_layer(method, order)
             return method(self, order)
         return layer
     return decorate
 
 
-class PointBlock:
-    """Sampled points of one space whose light jet layers are evaluated
-    together: ``_f2`` up to order 4, ``_spray_jets`` up to order 2 and
-    ``_riemann_jets(0)``, the layers ``riemann`` needs.
-
-    The first member that asks for a layer at an order it lacks makes the
-    block compute it once, with a point axis, for every member that lacks
-    it, and each of those caches its own slice.  Every member thus asks
-    for the same orders in the same sequence as it would alone.  A member
-    whose ``L^2`` jet fails its check, and every member of an evaluation
-    that raises, is left to compute alone when it asks, so it raises its
-    own error.  Each layer and order is tried once per block."""
-
-    def __init__(self, members):
-        self.members = list(members)
-        self._tried = set()
-        for pg in self.members:
-            pg._block = self
-
-    def fill(self, method, point, order):
-        """``point``'s result of the jet layer ``method`` at ``order``,
-        evaluated for the block, or None where the block leaves it."""
-        name = method.__name__
-        if (name, order) in self._tried:
-            return None
-        self._tried.add((name, order))
-        todo = [pg for pg in self.members
-                if pg._cache.get(name, (-1,))[0] < order]
-        stacked = _Stacked(todo)
-        try:
-            parts = _split(method(stacked, order), len(todo))
-        except (JetError, SpecError, ValueError, ArithmeticError):
-            return None
-        for pg, part, ok in zip(todo, parts, stacked.ok):
-            if ok:
-                pg._cache[name] = (order, part)
-        got = point._cache.get(name)
-        return got[1] if got is not None and got[0] >= order else None
-
-
-class _Stacked:
-    """The members of a block that lack a jet layer, as the one point
-    with a point axis that ``PointGeometry``'s jet layers read: ``x`` and
-    ``y`` of shape ``(n, P)``, and the lower layers of the members,
-    stacked."""
-
-    def __init__(self, members):
-        self.members = members
-        self.space = members[0].space
-        self.n = members[0].n
-        self.x = np.stack([pg.x for pg in members], axis=1)
-        self.y = np.stack([pg.y for pg in members], axis=1)
-        self.ok = [True] * len(members)
-        self._stacks = {}
-
-    def _check_l2(self, f2, order):
-        c = f2.coeffs
-        self.ok = ((c[0] > 0.0) & np.isfinite(c).all(axis=0)).tolist()
-
-    def _layer(self, name, order):
-        if (name, order) not in self._stacks:
-            self._stacks[name, order] = _stack(
-                [getattr(pg, name)(order) for pg in self.members], order)
-        return self._stacks[name, order]
-
-    def _f2(self, order):
-        return self._layer("_f2", order)
-
-    def _spray_jets(self, order):
-        return self._layer("_spray_jets", order)
-
-
-def _stack(parts, order):
-    """One structure of block jets at ``order`` from the same structure
-    (a jet, or lists and tuples of them) of one-point jets, each cut to
-    ``order``."""
-    first = parts[0]
-    if isinstance(first, Jet):
-        return stack_points(parts, order)
-    return type(first)(_stack([p[i] for p in parts], order)
-                       for i in range(len(first)))
-
-
-def _split(value, count):
-    """The inverse of ``_stack``: ``count`` structures of one-point jets."""
+def _column(value, p):
+    """Column ``p`` of a structure of block jets (a jet, or lists and
+    tuples of them): the same structure of one-point jets whose
+    coefficients are views of the block's."""
     if isinstance(value, Jet):
-        return value.points()
-    parts = [_split(v, count) for v in value]
-    return [type(value)(p[i] for p in parts) for i in range(count)]
+        return Jet(value.space, value.coeffs[:, p])
+    return type(value)(_column(v, p) for v in value)
 
 
-class PointGeometry:
-    """Lazily computed tensors of a Finsler space at one (x, y).
-
-    Construction builds the order-2 jet of L^2, raising where ``_f2`` does;
-    jets stay cached at their highest order, tensors by name, in ``_cache``.
-    ``_block`` is the ``PointBlock`` of a sampled point, else None.
-    """
-
-    def __init__(self, space, x, y):
-        self.space = space
-        self.n = space.n
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        if self.x.shape != (self.n,) or self.y.shape != (self.n,):
-            raise ValueError(f"expected {self.n} coordinates")
-        self._cache = {}
-        self._block = None
-        self._f2(2)
-
-    # -- jet-level intermediates ------------------------------------------
-
-    def _check_l2(self, f2, order):
-        """Raise ``JetDomainError`` unless L^2 is positive and every
-        coefficient is finite."""
-        if not (f2.value > 0.0 and np.isfinite(f2.coeffs).all()):
-            raise JetDomainError(f"L^2 = {f2.value:.6g} is not positive with "
-                                 f"finite order-{order} coefficients at "
-                                 f"x={self.x.tolist()}, y={self.y.tolist()}")
+class _JetLayers:
+    """The light jet layers, those ``riemann`` needs, of a point with
+    ``space``, ``n``, coordinates ``x`` and ``y``, a ``_cache`` dict, and
+    ``_check_l2`` and ``_light_layer`` methods.  The same code serves one
+    point, with coordinates of shape ``(n,)``, and a ``PointBlock``, whose
+    coordinates of shape ``(n, P)`` carry a point axis into every jet."""
 
     @cached_to_order
     @_light(4)
@@ -291,6 +186,109 @@ class PointGeometry:
                 R[i][k] = acc
         return R
 
+
+class PointBlock(_JetLayers):
+    """Sampled points of one space as one point with a point axis, whose
+    light jet layers are evaluated together: ``_f2`` up to order 4,
+    ``_spray_jets`` up to order 2 and ``_riemann_jets(0)``.
+
+    The first member that asks for a layer at an order it lacks makes the
+    block compute it, for all its points, with ``PointGeometry``'s code on
+    the block's own cache, so that a layer reads the block's lower layers.
+    After each evaluation every member whose column is ``ok`` and that
+    lacks a layer the block holds, at the block's order, gets a view of
+    its column: the block may run ahead of a member's own sequence of
+    orders, and members keep no older orders alive beside the block's
+    arrays.  ``ok`` clears the columns whose ``L^2`` jet failed its
+    check; such a member, and every member of an evaluation that raises,
+    is left to compute alone when it asks, so it raises its own error.
+    Each layer and order is tried once per block."""
+
+    def __init__(self, members):
+        self.members = list(members)
+        self.space = self.members[0].space
+        self.n = self.members[0].n
+        self.x = np.stack([pg.x for pg in self.members], axis=1)
+        self.y = np.stack([pg.y for pg in self.members], axis=1)
+        self.ok = np.ones(len(self.members), dtype=bool)
+        self._cache = {}
+        self._tried = set()
+        for pg in self.members:
+            pg._block = self
+
+    def _check_l2(self, f2, order):
+        c = f2.coeffs
+        self.ok &= (c[0] > 0.0) & np.isfinite(c).all(axis=0)
+
+    def _light_layer(self, method, order):
+        """Evaluate each layer and order once: a result stays cached, so
+        one that is asked for again raised the first time."""
+        key = (method.__name__, order)
+        if key in self._tried:
+            raise JetError(f"{key} raised before in this block")
+        self._tried.add(key)
+        return method(self, order)
+
+    def fill(self, point, name, order):
+        """``point``'s result of the jet layer ``name`` at ``order``,
+        evaluated for the block, or None where the block leaves it."""
+        if (name, order) not in self._tried:
+            try:
+                getattr(self, name)(order)
+            except (JetError, SpecError, ValueError, ArithmeticError):
+                pass
+            self._tried.add((name, order))
+            self._hand_out()
+        got = point._cache.get(name)
+        return got[1] if got is not None and got[0] >= order else None
+
+    def _hand_out(self):
+        """Cache a view of its column of every layer the block holds in
+        each ``ok`` member that holds that layer at a lower order."""
+        ok = np.flatnonzero(self.ok).tolist()
+        for name, (order, value) in self._cache.items():
+            for p in ok:
+                cache = self.members[p]._cache
+                if cache.get(name, (-1,))[0] < order:
+                    cache[name] = (order, _column(value, p))
+
+
+class PointGeometry(_JetLayers):
+    """Lazily computed tensors of a Finsler space at one (x, y).
+
+    Construction builds the order-2 jet of L^2, raising where ``_f2`` does;
+    jets stay cached at their highest order, tensors by name, in ``_cache``.
+    ``_block`` is the ``PointBlock`` of a sampled point, else None.
+    """
+
+    def __init__(self, space, x, y):
+        self.space = space
+        self.n = space.n
+        self.x = np.asarray(x, dtype=float)
+        self.y = np.asarray(y, dtype=float)
+        if self.x.shape != (self.n,) or self.y.shape != (self.n,):
+            raise ValueError(f"expected {self.n} coordinates")
+        self._cache = {}
+        self._block = None
+        self._f2(2)
+
+    # -- jet-level intermediates ------------------------------------------
+
+    def _light_layer(self, method, order):
+        if self._block is not None:
+            got = self._block.fill(self, method.__name__, order)
+            if got is not None:
+                return got
+        return method(self, order)
+
+    def _check_l2(self, f2, order):
+        """Raise ``JetDomainError`` unless L^2 is positive and every
+        coefficient is finite."""
+        if not (f2.value > 0.0 and np.isfinite(f2.coeffs).all()):
+            raise JetDomainError(f"L^2 = {f2.value:.6g} is not positive with "
+                                 f"finite order-{order} coefficients at "
+                                 f"x={self.x.tolist()}, y={self.y.tolist()}")
+
     @cached_to_order
     def _weyl_jets(self, order):
         """Projectively invariant curvature deviation W^i_k as jets."""
@@ -333,6 +331,11 @@ class PointGeometry:
     def g_low(self):
         n = self.n
         return 0.5 * self._f2(2)[1].partials(2)[n:, n:]
+
+    @cached
+    def det_g(self):
+        """det g_ij; sampling admits a point by it."""
+        return float(np.linalg.det(self.g_low()))
 
     @cached
     def g_up(self):

@@ -339,10 +339,6 @@ class Jet:
         sp = _space(self.nvars, order)
         return Jet(sp, self.coeffs[:sp.size].copy())
 
-    def points(self):
-        """The one-point jets of a block, in point order."""
-        return [Jet(self.space, row) for row in self.coeffs.T.copy()]
-
     # -- ring operations ------------------------------------------------
 
     def _mixed(self, other):
@@ -496,15 +492,6 @@ class Jet:
         return f"Jet(nvars={self.nvars}, order={self.order}, value={value})"
 
 
-def stack_points(jets, order):
-    """The jet of a block whose point p is ``jets[p]``, a one-point jet,
-    cut to ``order``; all of them have the same variables."""
-    if any(j.order < order for j in jets):
-        raise JetOrderError("cannot extend a jet to a higher order")
-    sp = _space(jets[0].nvars, order)
-    return Jet(sp, np.stack([j.coeffs[:sp.size] for j in jets], axis=1))
-
-
 def lift(values, order):
     """Seed jets for a list of scalars, one differentiation variable each,
     in list order: each jet holds its value and a unit first-order
@@ -513,12 +500,15 @@ def lift(values, order):
     _check_order(order)
     sp = _space(len(values), order)
     values = np.asarray(values, dtype=float)
-    if values.ndim > 1:
-        rows = np.repeat(sp.seeds()[:, :, None], values.shape[1], axis=2)
-    else:
-        rows = sp.seeds().copy()
-    rows[:, 0] = values
-    return [Jet(sp, row) for row in rows]
+    jets = []
+    # each jet owns its coefficients: as views of one array, a cached jet
+    # would keep the others' coefficients alive
+    for seed, value in zip(sp.seeds(), values):
+        c = (seed.copy() if values.ndim == 1
+             else np.repeat(seed[:, None], values.shape[1], axis=1))
+        c[0] = value
+        jets.append(Jet(sp, c))
+    return jets
 
 
 def lift_env(order, **coords):

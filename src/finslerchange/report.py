@@ -68,19 +68,47 @@ class Report:
         return [r for r in self.records if r.verdict == "fail"]
 
 
-def errors_between(got, want):
-    """(max abs, max rel) difference of two arrays/scalars.
+def worst_errors(pairs):
+    """(max abs, max rel) difference over (got, want) pairs of arrays or
+    scalars, NaN where any pair's difference is NaN.
 
-    The relative error is normalized by max(1, |got|, |want|) so
-    identities whose exact value is zero are judged absolutely.
-    """
-    a = np.asarray(got, dtype=float)
-    b = np.asarray(want, dtype=float)
-    abs_err = float(np.max(np.abs(a - b))) if a.size else 0.0
-    den = max(1.0,
-              float(np.max(np.abs(a))) if a.size else 0.0,
-              float(np.max(np.abs(b))) if b.size else 0.0)
-    return abs_err, abs_err / den
+    A pair's relative error is its absolute error over max(1, |got|,
+    |want|), so identities whose exact value is zero are judged
+    absolutely.  Pairs are grouped by the shapes of their two arrays, and
+    each group is reduced by one numpy call per quantity on the stacked
+    arrays."""
+    groups = {}
+    for got, want in pairs:
+        a = np.asarray(got, dtype=float)
+        b = np.asarray(want, dtype=float)
+        group = groups.setdefault((a.shape, b.shape), ([], []))
+        group[0].append(a)
+        group[1].append(b)
+    abs_errs, rel_errs = [np.zeros(1)], [np.zeros(1)]
+    for (a_shape, b_shape), (a_list, b_list) in groups.items():
+        k, ndim = len(a_list), max(len(a_shape), len(b_shape))
+        # per pair: axis 0 counts pairs, the rest broadcast as in a - b
+        A = np.reshape(a_list, (k,) + (1,) * (ndim - len(a_shape)) + a_shape)
+        B = np.reshape(b_list, (k,) + (1,) * (ndim - len(b_shape)) + b_shape)
+        zeros = np.zeros(k)
+        abs_err = (np.max(np.abs(A - B).reshape(k, -1), axis=1)
+                   if A[0].size else zeros)
+        top_a = np.max(np.abs(A).reshape(k, -1), axis=1) if A[0].size else zeros
+        top_b = np.max(np.abs(B).reshape(k, -1), axis=1) if B[0].size else zeros
+        # fmax skips a NaN maximum: a NaN reaches the result through abs_err
+        with np.errstate(invalid="ignore"):
+            rel_err = abs_err / np.fmax(np.fmax(1.0, top_a), top_b)
+        abs_errs.append(abs_err)
+        rel_errs.append(rel_err)
+    # np.max keeps a NaN error, where max() would drop it.
+    return (float(np.max(np.concatenate(abs_errs))),
+            float(np.max(np.concatenate(rel_errs))))
+
+
+def errors_between(got, want):
+    """(max abs, max rel) difference of two arrays/scalars: the
+    ``worst_errors`` of the one pair."""
+    return worst_errors([(got, want)])
 
 
 def environment_block(seed, extra=None):

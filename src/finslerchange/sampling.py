@@ -85,9 +85,8 @@ def sample_points(pair, count, seed):
         vals = (cp.base.L2(), cp.Lstar)
         if not all(np.isfinite(v) and v > 1e-12 for v in vals):
             return None
-        g = cp.base.g_low()
-        det = np.linalg.det(g)
-        scale = max(1.0, float(np.max(np.abs(g)))) ** space.n
+        det = cp.base.det_g()
+        scale = max(1.0, float(np.max(np.abs(cp.base.g_low())))) ** space.n
         return cp if np.isfinite(det) and abs(det) > 1e-10 * scale else None
 
     points, rejected = _rejection_loop(count, draw, "points")

@@ -29,7 +29,7 @@ from .geodesics import (GeodesicError, curve_set_deviation,
 from .hypersurface import ChangedHyperPoint, ChangedHypersurface
 from .jets import JetDomainError
 from .memo import cached
-from .report import CheckRecord
+from .report import CheckRecord, worst_errors
 from .sampling import sample_hyper_points, sample_points
 
 SUITE_NAMES = ("core-identities", "change-identities", "projectivity",
@@ -269,45 +269,12 @@ _TANGENTIAL = (_has_hypersurface, _tangential)
 # --------------------------------------------------------------------------
 # measurements: (run, tol) -> (samples, max abs, max rel, verdict, notes)
 
-def _worst_errors(pairs):
-    """(max abs, max rel) of ``report.errors_between`` over (got, want)
-    pairs, NaN where any pair's error is NaN.  Pairs are grouped by the
-    shapes of their two arrays, and each group is reduced by one numpy
-    call per quantity on the stacked arrays."""
-    groups = {}
-    for got, want in pairs:
-        a = np.asarray(got, dtype=float)
-        b = np.asarray(want, dtype=float)
-        group = groups.setdefault((a.shape, b.shape), ([], []))
-        group[0].append(a)
-        group[1].append(b)
-    abs_errs, rel_errs = [np.zeros(1)], [np.zeros(1)]
-    for (a_shape, b_shape), (a_list, b_list) in groups.items():
-        k, ndim = len(a_list), max(len(a_shape), len(b_shape))
-        # per pair: axis 0 counts pairs, the rest broadcast as in a - b
-        A = np.reshape(a_list, (k,) + (1,) * (ndim - len(a_shape)) + a_shape)
-        B = np.reshape(b_list, (k,) + (1,) * (ndim - len(b_shape)) + b_shape)
-        zeros = np.zeros(k)
-        abs_err = (np.max(np.abs(A - B).reshape(k, -1), axis=1)
-                   if A[0].size else zeros)
-        top_a = np.max(np.abs(A).reshape(k, -1), axis=1) if A[0].size else zeros
-        top_b = np.max(np.abs(B).reshape(k, -1), axis=1) if B[0].size else zeros
-        # fmax drops a NaN maximum as max(1, |got|, |want|) does
-        with np.errstate(invalid="ignore"):
-            rel_err = abs_err / np.fmax(np.fmax(1.0, top_a), top_b)
-        abs_errs.append(abs_err)
-        rel_errs.append(rel_err)
-    # np.max keeps a NaN error, where max() would drop it.
-    return (float(np.max(np.concatenate(abs_errs))),
-            float(np.max(np.concatenate(rel_errs))))
-
-
 def _judge(samples, pairs, tol, residual=False, notes=""):
     """Measurement from the worst errors over (got, want) pairs.  The
     verdict follows the tolerance, or is ``reported-residual`` for a
     finding; a NaN error is kept and always fails.  ``notes`` is a
     string, or a (within tolerance, beyond it) pair of strings."""
-    abs_err, rel_err = _worst_errors(pairs)
+    abs_err, rel_err = worst_errors(pairs)
     within = rel_err <= tol
     if not isinstance(notes, str):
         notes = notes[0] if within else notes[1]
@@ -385,8 +352,7 @@ def _homogeneity(run, tol):
 
 
 def _regularity(run, tol):
-    floor = min([np.inf] + [abs(np.linalg.det(pg.g_low()))
-                            for cp in run.cpoints()
+    floor = min([np.inf] + [abs(pg.det_g()) for cp in run.cpoints()
                             for pg in (cp.base, cp.star)])
     return (len(run.cpoints()), 0.0, 0.0, "pass",
             f"min |det g| = {floor:.3e}")

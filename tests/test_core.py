@@ -3,14 +3,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from finslerchange import geodesics, sampling, suites
+from finslerchange import core, geodesics, sampling, suites
 from finslerchange.change import ChangedPair
 from finslerchange.core import (
     FinslerSpace,
     PointBlock,
     central_partial,
 )
-from finslerchange.jets import Jet, JetDomainError, lift_env
+from finslerchange.jets import Jet, JetDomainError, lift, lift_env
 from finslerchange.lang import MetricSpec, parse_spec_text, resolve_spec
 from finslerchange.memo import cached_to_order
 from finslerchange.sampling import sample_pair_points, sample_points
@@ -538,47 +538,155 @@ def test_block_tensors_equal_single_points_bit_for_bit(monkeypatch, metric,
                                                        block_size):
     monkeypatch.setattr(sampling, "BLOCK_SIZE", block_size)
     pair = ChangedPair(resolve_spec(metric), resolve_spec(change))
-    cps, _ = sample_points(pair, count, 11)
-    sides = [cp.base for cp in cps] + [cp.star for cp in cps]
-    assert all(len(pg._block.members) <= block_size for pg in sides)
-    # tensor by tensor over all points, as the checks ask for them
-    got = {name: [getattr(pg, name)() for pg in sides]
-           for name in LIGHT_TENSORS}
-    for i, pg in enumerate(sides):
-        alone = pg.space.point(pg.x, pg.y)
-        assert alone._block is None
-        for name in LIGHT_TENSORS:
-            want = np.asarray(getattr(alone, name)())
-            assert np.asarray(got[name][i]).tobytes() == want.tobytes(), (
-                pg.space.spec.name, i, name)
+    # tensor by tensor over all points, as the checks ask for them, and
+    # point by point, where the block runs ahead of a member's own orders
+    for by_point in (False, True):
+        cps, _ = sample_points(pair, count, 11)
+        sides = [cp.base for cp in cps] + [cp.star for cp in cps]
+        assert all(len(pg._block.members) <= block_size for pg in sides)
+        requests = [(name, i) for name in LIGHT_TENSORS
+                    for i in range(len(sides))]
+        if by_point:
+            requests.sort(key=lambda request: request[1])
+        got = {(name, i): getattr(sides[i], name)() for name, i in requests}
+        for i, pg in enumerate(sides):
+            alone = pg.space.point(pg.x, pg.y)
+            assert alone._block is None
+            for name in LIGHT_TENSORS:
+                want = np.asarray(getattr(alone, name)())
+                assert np.asarray(got[name, i]).tobytes() == want.tobytes(), (
+                    pg.space.spec.name, by_point, i, name)
 
 
-@pytest.mark.parametrize("L2,x,match", [
-    # e^(800 x1) at x1 = 0.868: finite order-2 coefficients, order-3 ones
-    # beyond the float range, so the member's column fails its check
-    ("1e-300 * exp(800 * x1) * y1^2", [0.868, 0.0], "finite order-3"),
-    # 1/x1 at x1 = 1e-90: x1^4 underflows in the order-3 series, so the
-    # block's evaluation raises
-    ("1e-200 / x1 * y1^2", [1e-90, 0.0], "reciprocal of value 1e-90"),
-])
-def test_block_member_raises_its_own_error(L2, x, match):
+# e^(800 x1) at x1 = 0.868: finite order-2 coefficients, order-3 ones
+# beyond the float range, so the member's column fails its check
+OVERFLOW = ("1e-300 * exp(800 * x1) * y1^2", [0.868, 0.0])
+
+
+def _steep_block(L2, x):
+    """A space whose ``L^2`` adds the term ``L2`` to the Euclidean one, and
+    a block of three of its points, the middle one at ``x``."""
     space = FinslerSpace(parse_spec_text(f"dim 2\nL2 = y1^2 + y2^2 + {L2}\n",
                                          name="steep"))
     xs = [[0.5, 0.1], x, [0.25, -0.3]]
     y = [1.0, 0.5]
+    members = [space.point(xv, y) for xv in xs]
+    return space, xs, y, PointBlock(members)
+
+
+@pytest.mark.parametrize("L2,x,match", [
+    OVERFLOW + ("finite order-3",),
+    # 1/x1 at x1 = 1e-90: x1^4 underflows in the order-3 series, so the
+    # block's evaluation raises and every member computes alone
+    ("1e-200 / x1 * y1^2", [1e-90, 0.0], "reciprocal of value 1e-90"),
+])
+def test_block_member_raises_its_own_error(monkeypatch, L2, x, match):
+    calls = []
+    eval_l2 = MetricSpec.eval_l2
+
+    def counting(self, env):
+        calls.append((env["x1"].order, env["x1"].coeffs.shape[1:]))
+        return eval_l2(self, env)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        members = [space.point(xv, y) for xv in xs]
-        PointBlock(members)
-        with pytest.raises(JetDomainError, match=match) as alone:
+        space, xs, y, block = _steep_block(L2, x)
+        with pytest.raises(JetDomainError, match=match) as info:
             space.point(x, y).C_low()
-        for xv, pg in zip(xs, members):
+        want = [None if xv is x else space.point(xv, y).C_low() for xv in xs]
+        monkeypatch.setattr(MetricSpec, "eval_l2", counting)
+        for xv, pg, ref in zip(xs, block.members, want):
             if xv is x:
-                with pytest.raises(JetDomainError) as info:
+                with pytest.raises(JetDomainError) as own:
                     pg.C_low()
-                assert str(info.value) == str(alone.value)
+                assert str(own.value) == str(info.value)
             else:
-                want = space.point(xv, y).C_low()
-                assert pg.C_low().tobytes() == want.tobytes()
+                assert pg.C_low().tobytes() == ref.tobytes()
+    # the block's order-3 evaluation runs once, raising or not; the
+    # members it leaves compute alone
+    assert calls.count((3, (3,))) == 1
+    assert set(calls) == {(3, (3,)), (3, ())}
+
+
+@pytest.mark.parametrize("names", [("riemann", "berwald"),
+                                   ("berwald", "riemann")])
+def test_block_layer_that_raises_is_evaluated_once(monkeypatch, names):
+    calls = []
+    eval_l2 = MetricSpec.eval_l2
+
+    def counting(self, env):
+        calls.append((env["x1"].order, env["x1"].coeffs.shape[1:]))
+        return eval_l2(self, env)
+
+    # 1/x1 at x1 = 1e-65: x1^5 underflows in the order-4 series, so the
+    # block's L^2 at order 4 raises, inside the spray jets that both the
+    # R jets and berwald read
+    space, xs, y, block = _steep_block("1e-200 / x1 * y1^2", [1e-65, 0.0])
+    monkeypatch.setattr(MetricSpec, "eval_l2", counting)
+    for name in names:
+        for pg in block.members:
+            alone = space.point(pg.x, pg.y)
+            if pg is block.members[1]:
+                with pytest.raises(JetDomainError, match="1e-65") as want:
+                    getattr(alone, name)()
+                with pytest.raises(JetDomainError) as got:
+                    getattr(pg, name)()
+                assert str(got.value) == str(want.value)
+            else:
+                want = getattr(alone, name)()
+                assert getattr(pg, name)().tobytes() == want.tobytes()
+    assert calls.count((4, (3,))) == 1
+
+
+def test_failing_column_spares_the_other_members(monkeypatch):
+    solves = []
+    solve = core.jet_linear_solve
+
+    def counting(A, rhs):
+        solves.append(A[0][0].coeffs.shape[1:])
+        return solve(A, rhs)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        space, xs, y, block = _steep_block(*OVERFLOW)
+        monkeypatch.setattr(core, "jet_linear_solve", counting)
+        bad = block.members[1]
+        healthy = [block.members[0], block.members[2]]
+        got = [(pg.n_conn(), pg.berwald()) for pg in healthy]
+        # one block solve per spray order, none for a single point
+        assert solves == [(3,), (3,)]
+        assert block.ok.tolist() == [True, False, True]
+        with pytest.raises(JetDomainError, match="finite order-3"):
+            bad.n_conn()
+        for pg, (N, B) in zip(healthy, got):
+            alone = space.point(pg.x, pg.y)
+            assert N.tobytes() == alone.n_conn().tobytes()
+            assert B.tobytes() == alone.berwald().tobytes()
+
+
+def _jets_in(value):
+    """The jets of a structure of jets, in order."""
+    if isinstance(value, Jet):
+        return [value]
+    return [j for v in value for j in _jets_in(v)]
+
+
+def test_block_members_hold_views_of_the_blocks_layers():
+    pair = ChangedPair(resolve_spec("randers2"), resolve_spec("projective"))
+    cps, _ = sample_points(pair, 5, 11)
+    block = cps[0].base._block
+    for pg in block.members:
+        pg.riemann()
+    # members keep no arrays of their own beside the block's layers
+    for name in ("_f2", "_spray_jets", "_riemann_jets"):
+        order, layer = block._cache[name]
+        for pg in block.members:
+            held, jets = pg._cache[name]
+            assert held == order, name
+            for mine, block_jet in zip(_jets_in(jets), _jets_in(layer)):
+                assert np.shares_memory(mine.coeffs, block_jet.coeffs), name
+    # a cached seed jet keeps no other seed's coefficients alive
+    assert all(j.coeffs.base is None for j in block._cache["_f2"][1][0])
+    assert all(j.coeffs.base is None
+               for j in lift(np.ones((4, 3)), 2) + lift(np.ones(4), 2))
 
 
 def test_blocks_evaluate_l2_once_per_light_order(monkeypatch):

@@ -71,6 +71,13 @@ def test_errors_between():
     # zero-valued identities are judged absolutely
     a, r = errors_between(5e-11, 0.0)
     assert r == pytest.approx(5e-11)
+    special, ordinary = _error_cases()
+    for got, want in special + ordinary:
+        with np.errstate(invalid="ignore", over="ignore"):
+            measured = errors_between(got, want)
+            reference = _errors_between_by_maxima(got, want)
+        # repr compares NaN and the sign of zero too
+        assert repr(measured) == repr(reference), (got, want)
 
 
 # ------------------------------------------------------------------- sampling
@@ -314,11 +321,23 @@ def test_nan_error_fails_the_check():
     assert _judge(1, [(1.0, 1.0)], 1e-10) == (1, 0.0, 0.0, "pass", "")
 
 
+def _errors_between_by_maxima(got, want):
+    """Reference for ``errors_between``: (max abs, max rel) of one pair,
+    the relative error over max(1, |got|, |want|) by Python's ``max``."""
+    a = np.asarray(got, dtype=float)
+    b = np.asarray(want, dtype=float)
+    abs_err = float(np.max(np.abs(a - b))) if a.size else 0.0
+    den = max(1.0,
+              float(np.max(np.abs(a))) if a.size else 0.0,
+              float(np.max(np.abs(b))) if b.size else 0.0)
+    return abs_err, abs_err / den
+
+
 def _judge_by_pairs(samples, pairs, tol, residual=False, notes=""):
-    """Reference for ``_judge``: one ``errors_between`` per pair."""
+    """Reference for ``_judge``: one error measure per pair."""
     abs_err = rel_err = 0.0
     for got, want in pairs:
-        a, r = errors_between(got, want)
+        a, r = _errors_between_by_maxima(got, want)
         abs_err = float(np.maximum(abs_err, a))
         rel_err = float(np.maximum(rel_err, r))
     within = rel_err <= tol
@@ -330,7 +349,8 @@ def _judge_by_pairs(samples, pairs, tol, residual=False, notes=""):
     return samples, abs_err, rel_err, verdict, notes
 
 
-def test_judge_matches_errors_between_pair_by_pair():
+def _error_cases():
+    """(special, ordinary) (got, want) pairs of the error measure tests."""
     nan, inf = np.nan, np.inf
     rng = np.random.default_rng(5)
     special = [
@@ -349,6 +369,11 @@ def test_judge_matches_errors_between_pair_by_pair():
         ordinary += [(float(v[0]), float(v[0]) + 1e-12), (v, v * 1.5),
                      (m @ v, 0.0), (m, m.T), (np.einsum("ij,k->ijk", m, v),
                                               rng.normal(size=(2, 2, 2)))]
+    return special, ordinary
+
+
+def test_judge_matches_errors_between_pair_by_pair():
+    special, ordinary = _error_cases()
     cases = ([[]] + [[pair] for pair in special + ordinary]
              + [ordinary, special + ordinary, ordinary + special[::-1]])
     for pairs in cases:

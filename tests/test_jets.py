@@ -12,7 +12,6 @@ from finslerchange.jets import (
     _space,
     jet_linear_solve,
     lift,
-    stack_points,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -373,10 +372,6 @@ def test_block_jets_equal_point_jets_bit_for_bit(points, order):
             assert got.coeffs[:, p].tobytes() == want.coeffs.tobytes()
     if points >= 15:
         assert pivots == {True, False}
-    for j, jet in enumerate(block[0].points()):
-        assert jet.coeffs.tobytes() == block[0].coeffs[:, j].tobytes()
-    again = stack_points(block[0].points(), 0)
-    assert again.coeffs.tobytes() == block[0].truncated(0).coeffs.tobytes()
 
 
 def test_one_point_and_block_jets_do_not_combine():

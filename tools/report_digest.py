@@ -154,7 +154,8 @@ def tensor_stack():
     computed with the package on the import path; run in a child process
     by ``tensor_digest``.  Frame data names carry a ``hyper.`` prefix."""
     from finslerchange.change import ChangedPair
-    from finslerchange.hypersurface import ChangedHypersurface
+    from finslerchange.hypersurface import (ChangedHyperPoint,
+                                            ChangedHypersurface)
     from finslerchange.jets import JetDomainError
     from finslerchange.lang import resolve_spec
     from finslerchange.sampling import sample_hyper_points, sample_pair_points
@@ -176,10 +177,8 @@ def tensor_stack():
                               resolve_spec(hyper, expect="hypersurface"))
     draws, _ = sample_hyper_points(chs.base_h, TENSOR_POINTS, TENSOR_SEED)
     for draw in draws:
-        # a (u, v) pair, or a HyperPoint where the sampler returns those
-        u, v = (draw.u, draw.v) if hasattr(draw, "u") else draw
         try:
-            chp = chs.at(u, v)
+            chp = ChangedHyperPoint(chs.pair, draw)
         except JetDomainError:
             continue
         for side in (chp.base, chp.star):
