@@ -10,9 +10,9 @@ integration asks for at every step, are solved in floats from that jet.
 Sampled points are grouped in ``PointBlock``s: a block is its members as
 one point with a point axis, and runs the same code for the light jet
 layers (those ``riemann`` needs) on jets whose coefficients carry that
-axis, each layer reading the block's own lower layers.  Members cache
-views of their columns, bit for bit what they would have computed
-alone; a column whose ``L^2`` jet fails its check is left out.
+axis, each layer reading the block's own lower layers.  Members read
+their columns through, uncached, bit for bit what they would have
+computed alone; a column whose ``L^2`` jet fails its check is left out.
 
 Index conventions: arrays are 0-based; for a connection-like array ``T``
 the first axis is the upper index.  Jet variable slots are ``i`` for x^i
@@ -111,16 +111,33 @@ class FinslerSpace:
         return self.spray_point.spray()
 
 
-def _light(max_order):
-    """Route a jet layer's calls at orders up to ``max_order`` through
-    ``_light_layer``: a point takes them from its ``PointBlock`` where the
-    block fills them, and a block evaluates each at most once."""
+def _light(cap):
+    """Cache a jet layer with ``cached_to_order``, and read its calls at
+    orders up to ``cap`` through the point's ``PointBlock``.  A call
+    returns the point's own cached layer where it holds the order;
+    otherwise, while the point's column is ``ok``, its column of the
+    block's layer, caching nothing; otherwise it computes alone.  A block
+    evaluation that raises clears every column, so each member raises its
+    own error."""
     def decorate(method):
+        own = cached_to_order(method)
+        name = method.__name__
+
         @functools.wraps(method)
         def layer(self, order):
-            if order <= max_order:
-                return self._light_layer(method, order)
-            return method(self, order)
+            got = self._cache.get(name)
+            if got is not None and got[0] >= order:
+                return got[1]
+            block = self._block
+            if block is not None and order <= cap and block.ok[self._p]:
+                try:
+                    value = getattr(block, name)(order)
+                except (JetError, SpecError, ValueError, ArithmeticError):
+                    block.ok[:] = False
+                else:
+                    if block.ok[self._p]:
+                        return _column(value, self._p)
+            return own(self, order)
         return layer
     return decorate
 
@@ -136,12 +153,15 @@ def _column(value, p):
 
 class _JetLayers:
     """The light jet layers, those ``riemann`` needs, of a point with
-    ``space``, ``n``, coordinates ``x`` and ``y``, a ``_cache`` dict, and
-    ``_check_l2`` and ``_light_layer`` methods.  The same code serves one
-    point, with coordinates of shape ``(n,)``, and a ``PointBlock``, whose
-    coordinates of shape ``(n, P)`` carry a point axis into every jet."""
+    ``space``, ``n``, coordinates ``x`` and ``y``, a ``_cache`` dict and a
+    ``_check_l2`` method.  The same code serves one point, with
+    coordinates of shape ``(n,)``, and a ``PointBlock``, whose coordinates
+    of shape ``(n, P)`` carry a point axis into every jet.  ``_block`` is
+    the block a point reads these layers through, and ``_p`` its column
+    there; a block reads through none."""
 
-    @cached_to_order
+    _block = None
+
     @_light(4)
     def _f2(self, order):
         """(seed jets of y, jet of L^2) over (x, y); raises where
@@ -151,7 +171,6 @@ class _JetLayers:
         self._check_l2(f2, order)
         return list(env.values())[self.n:], f2
 
-    @cached_to_order
     @_light(2)
     def _spray_jets(self, order):
         n = self.n
@@ -165,7 +184,6 @@ class _JetLayers:
             rhs.append((acc - f2.deriv(l).truncated(order)) * 0.25)
         return jet_linear_solve(g, rhs)
 
-    @cached_to_order
     @_light(0)
     def _riemann_jets(self, order):
         n = self.n
@@ -192,65 +210,35 @@ class PointBlock(_JetLayers):
     light jet layers are evaluated together: ``_f2`` up to order 4,
     ``_spray_jets`` up to order 2 and ``_riemann_jets(0)``.
 
-    The first member that asks for a layer at an order it lacks makes the
-    block compute it, for all its points, with ``PointGeometry``'s code on
-    the block's own cache, so that a layer reads the block's lower layers.
-    After each evaluation every member whose column is ``ok`` and that
-    lacks a layer the block holds, at the block's order, gets a view of
-    its column: the block may run ahead of a member's own sequence of
-    orders, and members keep no older orders alive beside the block's
-    arrays.  ``ok`` clears the columns whose ``L^2`` jet failed its
-    check; such a member, and every member of an evaluation that raises,
-    is left to compute alone when it asks, so it raises its own error.
-    Each layer and order is tried once per block."""
+    A member that asks for such a layer at an order its own cache lacks
+    reads its column of the block's layer, which the block computes for
+    all its points, once per order, with ``PointGeometry``'s code on its
+    own cache, so that a layer reads the block's lower layers.  ``ok``
+    clears the columns whose ``L^2`` jet fails its check; those members
+    compute alone, so they raise their own errors."""
 
     def __init__(self, members):
-        self.members = list(members)
-        self.space = self.members[0].space
-        self.n = self.members[0].n
-        self.x = np.stack([pg.x for pg in self.members], axis=1)
-        self.y = np.stack([pg.y for pg in self.members], axis=1)
-        self.ok = np.ones(len(self.members), dtype=bool)
+        members = list(members)
+        self.space = members[0].space
+        self.n = members[0].n
+        self.x = np.stack([pg.x for pg in members], axis=1)
+        self.y = np.stack([pg.y for pg in members], axis=1)
+        self.ok = np.ones(len(members), dtype=bool)
         self._cache = {}
-        self._tried = set()
-        for pg in self.members:
-            pg._block = self
+        for p, pg in enumerate(members):
+            pg._block, pg._p = self, p
 
     def _check_l2(self, f2, order):
+        """Clear ``ok`` where ``L^2`` is not positive with finite
+        coefficients, and give the failed columns the coefficients and
+        coordinates of the first ``ok`` one: no member reads them again,
+        and their infs would meet zeros in the block's later layers."""
         c = f2.coeffs
         self.ok &= (c[0] > 0.0) & np.isfinite(c).all(axis=0)
-
-    def _light_layer(self, method, order):
-        """Evaluate each layer and order once: a result stays cached, so
-        one that is asked for again raised the first time."""
-        key = (method.__name__, order)
-        if key in self._tried:
-            raise JetError(f"{key} raised before in this block")
-        self._tried.add(key)
-        return method(self, order)
-
-    def fill(self, point, name, order):
-        """``point``'s result of the jet layer ``name`` at ``order``,
-        evaluated for the block, or None where the block leaves it."""
-        if (name, order) not in self._tried:
-            try:
-                getattr(self, name)(order)
-            except (JetError, SpecError, ValueError, ArithmeticError):
-                pass
-            self._tried.add((name, order))
-            self._hand_out()
-        got = point._cache.get(name)
-        return got[1] if got is not None and got[0] >= order else None
-
-    def _hand_out(self):
-        """Cache a view of its column of every layer the block holds in
-        each ``ok`` member that holds that layer at a lower order."""
-        ok = np.flatnonzero(self.ok).tolist()
-        for name, (order, value) in self._cache.items():
-            for p in ok:
-                cache = self.members[p]._cache
-                if cache.get(name, (-1,))[0] < order:
-                    cache[name] = (order, _column(value, p))
+        if self.ok.any() and not self.ok.all():
+            good = [int(np.argmax(self.ok))]
+            for a in (c, self.x, self.y):
+                a[:, ~self.ok] = a[:, good]
 
 
 class PointGeometry(_JetLayers):
@@ -269,17 +257,9 @@ class PointGeometry(_JetLayers):
         if self.x.shape != (self.n,) or self.y.shape != (self.n,):
             raise ValueError(f"expected {self.n} coordinates")
         self._cache = {}
-        self._block = None
         self._f2(2)
 
     # -- jet-level intermediates ------------------------------------------
-
-    def _light_layer(self, method, order):
-        if self._block is not None:
-            got = self._block.fill(self, method.__name__, order)
-            if got is not None:
-                return got
-        return method(self, order)
 
     def _check_l2(self, f2, order):
         """Raise ``JetDomainError`` unless L^2 is positive and every

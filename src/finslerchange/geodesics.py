@@ -42,7 +42,6 @@ _CHUNK = 32         # query points per block of the curve distance
 _NEWTON_STEPS = 4   # Newton steps from each chord projection
 
 # Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = [
     [],
     [1 / 5],

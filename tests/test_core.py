@@ -543,7 +543,7 @@ def test_block_tensors_equal_single_points_bit_for_bit(monkeypatch, metric,
     for by_point in (False, True):
         cps, _ = sample_points(pair, count, 11)
         sides = [cp.base for cp in cps] + [cp.star for cp in cps]
-        assert all(len(pg._block.members) <= block_size for pg in sides)
+        assert all(pg._block.ok.size <= block_size for pg in sides)
         requests = [(name, i) for name in LIGHT_TENSORS
                     for i in range(len(sides))]
         if by_point:
@@ -564,14 +564,14 @@ OVERFLOW = ("1e-300 * exp(800 * x1) * y1^2", [0.868, 0.0])
 
 
 def _steep_block(L2, x):
-    """A space whose ``L^2`` adds the term ``L2`` to the Euclidean one, and
-    a block of three of its points, the middle one at ``x``."""
+    """A space whose ``L^2`` adds the term ``L2`` to the Euclidean one,
+    three of its points, the middle one at ``x``, and their block."""
     space = FinslerSpace(parse_spec_text(f"dim 2\nL2 = y1^2 + y2^2 + {L2}\n",
                                          name="steep"))
     xs = [[0.5, 0.1], x, [0.25, -0.3]]
     y = [1.0, 0.5]
     members = [space.point(xv, y) for xv in xs]
-    return space, xs, y, PointBlock(members)
+    return space, xs, y, members, PointBlock(members)
 
 
 @pytest.mark.parametrize("L2,x,match", [
@@ -589,12 +589,12 @@ def test_block_member_raises_its_own_error(monkeypatch, L2, x, match):
         return eval_l2(self, env)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        space, xs, y, block = _steep_block(L2, x)
+        space, xs, y, members, _ = _steep_block(L2, x)
         with pytest.raises(JetDomainError, match=match) as info:
             space.point(x, y).C_low()
         want = [None if xv is x else space.point(xv, y).C_low() for xv in xs]
         monkeypatch.setattr(MetricSpec, "eval_l2", counting)
-        for xv, pg, ref in zip(xs, block.members, want):
+        for xv, pg, ref in zip(xs, members, want):
             if xv is x:
                 with pytest.raises(JetDomainError) as own:
                     pg.C_low()
@@ -620,12 +620,13 @@ def test_block_layer_that_raises_is_evaluated_once(monkeypatch, names):
     # 1/x1 at x1 = 1e-65: x1^5 underflows in the order-4 series, so the
     # block's L^2 at order 4 raises, inside the spray jets that both the
     # R jets and berwald read
-    space, xs, y, block = _steep_block("1e-200 / x1 * y1^2", [1e-65, 0.0])
+    space, xs, y, members, _ = _steep_block("1e-200 / x1 * y1^2",
+                                            [1e-65, 0.0])
     monkeypatch.setattr(MetricSpec, "eval_l2", counting)
     for name in names:
-        for pg in block.members:
+        for pg in members:
             alone = space.point(pg.x, pg.y)
-            if pg is block.members[1]:
+            if pg is members[1]:
                 with pytest.raises(JetDomainError, match="1e-65") as want:
                     getattr(alone, name)()
                 with pytest.raises(JetDomainError) as got:
@@ -645,21 +646,27 @@ def test_failing_column_spares_the_other_members(monkeypatch):
         solves.append(A[0][0].coeffs.shape[1:])
         return solve(A, rhs)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        space, xs, y, block = _steep_block(*OVERFLOW)
+    # the failed column's order-3 overflow is expected; an inf of it that
+    # met a zero in a later layer of the block would raise here
+    with np.errstate(over="ignore", invalid="raise"):
+        space, xs, y, members, block = _steep_block(*OVERFLOW)
         monkeypatch.setattr(core, "jet_linear_solve", counting)
-        bad = block.members[1]
-        healthy = [block.members[0], block.members[2]]
-        got = [(pg.n_conn(), pg.berwald()) for pg in healthy]
+        bad = members[1]
+        healthy = [members[0], members[2]]
+        got = [(pg.n_conn(), pg.berwald(), pg.riemann()) for pg in healthy]
         # one block solve per spray order, none for a single point
         assert solves == [(3,), (3,)]
         assert block.ok.tolist() == [True, False, True]
         with pytest.raises(JetDomainError, match="finite order-3"):
             bad.n_conn()
-        for pg, (N, B) in zip(healthy, got):
+        for pg, (N, B, R) in zip(healthy, got):
             alone = space.point(pg.x, pg.y)
             assert N.tobytes() == alone.n_conn().tobytes()
             assert B.tobytes() == alone.berwald().tobytes()
+            assert R.tobytes() == alone.riemann().tobytes()
+    # the block gave the failed column a healthy one's values
+    for _, layer in block._cache.values():
+        assert all(np.isfinite(j.coeffs).all() for j in _jets_in(layer))
 
 
 def _jets_in(value):
@@ -669,24 +676,44 @@ def _jets_in(value):
     return [j for v in value for j in _jets_in(v)]
 
 
-def test_block_members_hold_views_of_the_blocks_layers():
+def test_block_members_keep_no_views_of_the_blocks_layers():
     pair = ChangedPair(resolve_spec("randers2"), resolve_spec("projective"))
     cps, _ = sample_points(pair, 5, 11)
-    block = cps[0].base._block
-    for pg in block.members:
+    members = [cp.base for cp in cps]
+    block = members[0]._block
+    assert all(pg._block is block for pg in members)
+    for pg in members:
         pg.riemann()
-    # members keep no arrays of their own beside the block's layers
-    for name in ("_f2", "_spray_jets", "_riemann_jets"):
-        order, layer = block._cache[name]
-        for pg in block.members:
-            held, jets = pg._cache[name]
-            assert held == order, name
-            for mine, block_jet in zip(_jets_in(jets), _jets_in(layer)):
-                assert np.shares_memory(mine.coeffs, block_jet.coeffs), name
+    block_jets = [j for _, layer in block._cache.values()
+                  for j in _jets_in(layer)]
+    assert {"_f2", "_spray_jets", "_riemann_jets"} <= set(block._cache)
+    # members read their columns through and cache only what they
+    # computed alone: the order-2 L^2 jet of their admission
+    for pg in members:
+        held = [j for value in pg._cache.values()
+                if isinstance(value, tuple) for j in _jets_in(value[1])]
+        assert pg._cache["_f2"][0] == 2
+        for mine in held:
+            assert not any(np.shares_memory(mine.coeffs, j.coeffs)
+                           for j in block_jets)
     # a cached seed jet keeps no other seed's coefficients alive
     assert all(j.coeffs.base is None for j in block._cache["_f2"][1][0])
     assert all(j.coeffs.base is None
                for j in lift(np.ones((4, 3)), 2) + lift(np.ones(4), 2))
+
+
+# per-block L^2 evaluations of 200 points in blocks of 64, 64, 64 and 8,
+# for the core-identities suite and for all six
+L2_BLOCK_CALLS = (
+    (["core-identities"], {
+        ("randers2", 3, 64): 3, ("randers2", 3, 8): 1,
+        ("randers2", 4, 64): 3, ("randers2", 4, 8): 1}),
+    (list(suites.SUITE_NAMES), {
+        ("randers2", 3, 64): 3, ("randers2", 3, 8): 1,
+        ("randers2", 4, 64): 3, ("randers2", 4, 8): 1,
+        ("randers2*projective", 3, 64): 3,
+        ("randers2*projective", 3, 8): 1}),
+)
 
 
 def test_blocks_evaluate_l2_once_per_light_order(monkeypatch):
@@ -702,12 +729,19 @@ def test_blocks_evaluate_l2_once_per_light_order(monkeypatch):
 
     monkeypatch.setattr(MetricSpec, "eval_l2", counting)
     monkeypatch.setattr(sampling, "BLOCK_SIZE", 64)
-    cfg = suites.SuiteConfig(resolve_spec("randers2"),
-                             resolve_spec("projective"), samples=200, seed=1)
-    suites.run_suites(cfg, ["core-identities"])
-    light = Counter(call for call in calls if call[1] in (3, 4))
-    # 200 points in blocks of 64, 64, 64 and 8; the one-point calls are the
-    # finite-difference probes, which build points of their own
-    assert light == {("randers2", 3, 64): 3, ("randers2", 3, 8): 1,
-                     ("randers2", 4, 64): 3, ("randers2", 4, 8): 1,
-                     ("randers2", 3, 1): 20}
+    for selected, blocks in L2_BLOCK_CALLS:
+        calls.clear()
+        cfg = suites.SuiteConfig(resolve_spec("randers2"),
+                                 resolve_spec("projective"), samples=200,
+                                 seed=1)
+        suites.run_suites(cfg, selected)
+        # each block evaluates L^2 once at each order its members ask for,
+        # and never at order 2, which every member built when it was
+        # admitted
+        assert Counter(call for call in calls if call[2] > 1) == blocks, (
+            selected)
+        # the one-point calls at light orders are the finite-difference
+        # probes, which build points of their own
+        light = Counter(call for call in calls
+                        if call[2] == 1 and call[1] in (3, 4))
+        assert light == {("randers2", 3, 1): 20}, selected
