@@ -94,18 +94,42 @@ class RandersChange:
 
     def at(self, x):
         """(sigma, grad sigma, b, db) at x, from one order-1 jet of each
-        expression; db[i, j] is the partial of b_i along x^j."""
+        expression; db[i, j] is the partial of b_i along x^j.  For x of
+        shape (n, P), a list of those tuples, one per column, from jets
+        of a block: bit for bit what ``at`` gives at each column alone."""
+        x = np.asarray(x, dtype=float)
+        points = x.shape[1:]
         env = lift_env(1, x=x)
 
         def value_and_gradient(expr):
             val = evaluate(expr, env)
             if isinstance(val, Jet):
-                return val.value, val.partials(1)
-            return float(val), np.zeros(self.n)   # constant expression
+                return val.coeffs[0], val.partials(1)
+            # constant expression
+            return np.full(points, float(val)), np.zeros((self.n,) + points)
 
         sigma, grad_sigma = value_and_gradient(self.sigma_expr)
-        b, db = zip(*map(value_and_gradient, self.b_exprs))
-        return sigma, grad_sigma, np.array(b), np.array(db)
+        b, db = map(np.array, zip(*map(value_and_gradient, self.b_exprs)))
+        if not points:
+            return float(sigma), grad_sigma, b, db
+        return [(float(sigma[p]), grad_sigma[:, p].copy(), b[:, p].copy(),
+                 db[..., p].copy()) for p in range(points[0])]
+
+
+def changed_value(base, change):
+    """(e^sigma, b_i y^i, L* = e^sigma L + b_i y^i) at the base space's
+    point ``base``, given ``RandersChange.at`` there.  Raises
+    ``JetDomainError`` unless L* > 0: the changed spec stores only the
+    squared value, which cannot see a sign flip."""
+    sigma, _, b, _ = change
+    esig = float(np.exp(sigma))
+    beta = float(b @ base.y)
+    Lstar = esig * base.L() + beta
+    if not Lstar > 0.0:
+        raise JetDomainError(
+            f"changed metric value {Lstar:.6g} not positive at "
+            f"x={base.x.tolist()}, y={base.y.tolist()}")
+    return esig, beta, Lstar
 
 
 class ChangedPair:
@@ -120,33 +144,41 @@ class ChangedPair:
         self.starred_spec = changed_metric_spec(metric_spec, change_spec)
         self.starred = FinslerSpace(self.starred_spec)
 
-    def at(self, x, y):
-        return ChangedPoint(self, self.base.point(x, y))
+    def at(self, x, y, base=None, change=None, star=None):
+        """The ``ChangedPoint`` at (x, y).  Raises ``JetDomainError`` where
+        the base or the changed ``L^2`` jet fails its check or L* is not
+        positive.  A caller that has evaluated them already passes the
+        base point ``base``, its ``RandersChange.at`` values ``change``
+        and the changed point ``star``; each left out is evaluated here,
+        alone, and the changed point only once L* > 0."""
+        if base is None:
+            base = self.base.point(x, y)
+        if change is None:
+            change = self.change.at(base.x)
+        if star is None:
+            changed_value(base, change)
+            star = self.starred.point(base.x, base.y)
+        return ChangedPoint(self, base, change, star)
 
 
 class ChangedPoint:
     """All pointwise data of a change: base tensors, directly computed
     changed tensors, and the closed-form predictions.  ``base`` is the
     base space's geometry at the point; the arrays that several checks
-    read are cached in ``_cache``."""
+    read are cached in ``_cache``.  Built by ``ChangedPair.at`` from the
+    base point, the values of ``RandersChange.at`` there and the changed
+    space's point ``star``."""
 
-    def __init__(self, pair: ChangedPair, base):
+    def __init__(self, pair: ChangedPair, base, change, star):
         self._cache = {}
         self.pair = pair
         self.n = pair.n
         self.x, self.y = base.x, base.y
         self.base = base
-        (self.sigma, self.grad_sigma, self.b_low,
-         self.db) = pair.change.at(self.x)
-        self.esig = float(np.exp(self.sigma))
-        self.beta = float(self.b_low @ self.y)
+        self.sigma, self.grad_sigma, self.b_low, self.db = change
+        self.esig, self.beta, self.Lstar = changed_value(base, change)
         self.L = self.base.L()
-        self.Lstar = self.esig * self.L + self.beta
-        if not self.Lstar > 0.0:
-            raise JetDomainError(
-                f"changed metric value {self.Lstar:.6g} not positive at "
-                f"x={self.x.tolist()}, y={self.y.tolist()}")
-        self.star = pair.starred.point(self.x, self.y)
+        self.star = star
         self.tau = self.esig * self.Lstar / self.L
 
     # -- scalars ---------------------------------------------------------

@@ -13,6 +13,9 @@ layers (those ``riemann`` needs) on jets whose coefficients carry that
 axis, each layer reading the block's own lower layers.  Members read
 their columns through, uncached, bit for bit what they would have
 computed alone; a column whose ``L^2`` jet fails its check is left out.
+The sampler also builds a block from the coordinates of its candidate
+draws, and its admitted points from their columns of that block's
+order-2 ``L^2`` jet (``PointBlock.point``).
 
 Index conventions: arrays are 0-based; for a connection-like array ``T``
 the first axis is the upper index.  Jet variable slots are ``i`` for x^i
@@ -206,9 +209,10 @@ class _JetLayers:
 
 
 class PointBlock(_JetLayers):
-    """Sampled points of one space as one point with a point axis, whose
-    light jet layers are evaluated together: ``_f2`` up to order 4,
-    ``_spray_jets`` up to order 2 and ``_riemann_jets(0)``.
+    """Points of one space as one point with a point axis, whose light jet
+    layers are evaluated together: ``_f2`` up to order 4, ``_spray_jets``
+    up to order 2 and ``_riemann_jets(0)``.  ``x`` and ``y`` have shape
+    ``(n, P)``; ``PointBlock.of`` makes the block of existing points.
 
     A member that asks for such a layer at an order its own cache lacks
     reads its column of the block's layer, which the block computes for
@@ -217,16 +221,33 @@ class PointBlock(_JetLayers):
     clears the columns whose ``L^2`` jet fails its check; those members
     compute alone, so they raise their own errors."""
 
-    def __init__(self, members):
-        members = list(members)
-        self.space = members[0].space
-        self.n = members[0].n
-        self.x = np.stack([pg.x for pg in members], axis=1)
-        self.y = np.stack([pg.y for pg in members], axis=1)
-        self.ok = np.ones(len(members), dtype=bool)
+    def __init__(self, space, x, y):
+        self.space = space
+        self.n = space.n
+        self.x = np.array(x, dtype=float)
+        self.y = np.array(y, dtype=float)
+        self.ok = np.ones(self.x.shape[1], dtype=bool)
         self._cache = {}
+
+    @classmethod
+    def of(cls, members):
+        """The block of the points ``members``, which from then on read
+        their light jet layers through it."""
+        members = list(members)
+        block = cls(members[0].space, np.stack([pg.x for pg in members], 1),
+                    np.stack([pg.y for pg in members], 1))
         for p, pg in enumerate(members):
-            pg._block, pg._p = self, p
+            pg._block, pg._p = block, p
+        return block
+
+    def point(self, p, x, y):
+        """The point ``(x, y)`` of ``ok`` column ``p`` as a
+        ``PointGeometry`` that holds its own copy of its column of the
+        block's order-2 ``_f2``: bit for bit the jets it would have built
+        alone."""
+        seeds, f2 = self._f2(2)
+        jets = [Jet(j.space, j.coeffs[:, p].copy()) for j in (*seeds, f2)]
+        return PointGeometry(self.space, x, y, (jets[:-1], jets[-1]))
 
     def _check_l2(self, f2, order):
         """Clear ``ok`` where ``L^2`` is not positive with finite
@@ -244,12 +265,13 @@ class PointBlock(_JetLayers):
 class PointGeometry(_JetLayers):
     """Lazily computed tensors of a Finsler space at one (x, y).
 
-    Construction builds the order-2 jet of L^2, raising where ``_f2`` does;
-    jets stay cached at their highest order, tensors by name, in ``_cache``.
-    ``_block`` is the ``PointBlock`` of a sampled point, else None.
+    Construction builds the order-2 jet of L^2, raising where ``_f2`` does,
+    unless it is given as ``f2``; jets stay cached at their highest order,
+    tensors by name, in ``_cache``.  ``_block`` is the ``PointBlock`` of a
+    sampled point, else None.
     """
 
-    def __init__(self, space, x, y):
+    def __init__(self, space, x, y, f2=None):
         self.space = space
         self.n = space.n
         self.x = np.asarray(x, dtype=float)
@@ -257,7 +279,10 @@ class PointGeometry(_JetLayers):
         if self.x.shape != (self.n,) or self.y.shape != (self.n,):
             raise ValueError(f"expected {self.n} coordinates")
         self._cache = {}
-        self._f2(2)
+        if f2 is None:
+            self._f2(2)
+        else:
+            self._cache["_f2"] = (2, f2)
 
     # -- jet-level intermediates ------------------------------------------
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .change import ChangedPair, ChangedPoint
+from .change import ChangedPair
 from .core import FinslerSpace
 from .jets import Jet, JetDomainError, lift_env
 from .lang import HypersurfaceSpec, evaluate
@@ -158,7 +158,7 @@ class ChangedHyperPoint:
     share; ``cp`` is the change at its ambient point."""
 
     def __init__(self, pair: ChangedPair, base: HyperPoint):
-        self.cp = ChangedPoint(pair, base.pg)
+        self.cp = pair.at(base.pg.x, base.pg.y, base=base.pg)
         self.base = base
         self.star = HyperPoint(base.spec, base.u, base.v, base.B, base.B2,
                                self.cp.star)

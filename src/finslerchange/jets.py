@@ -26,8 +26,9 @@ Derivatives*, 2008).  Jets of one point and of a block do not combine.
 The block product keeps the summation order of the one-point
 ``bincount``: it loops over coefficient rows, ``out[io] += a[i] *
 b[:len]`` for the rows of ``mul_table`` in order, where the block has at
-least as many points as the space has coefficients, and over points with
-the one-point ``bincount`` otherwise.  Series coefficients of
+least as many points as the space has coefficients, and otherwise runs one
+``bincount`` over all points whose bins each take their pairs in
+``mul_table`` order.  Series coefficients of
 ``reciprocal``, ``sqrt``, ``exp``, ``log``, ``sin``, ``cos`` and ``powf``
 are computed point by point in Python floats, because numpy's vector
 ``exp``, ``log`` and ``power`` round differently from ``math`` and
@@ -139,12 +140,15 @@ class _Space:
             for i, count, io in self.mul_rows():
                 out[io] += a[i] * b[:count]
             return out
+        # one bincount over all points: bin io * P + p is coefficient io of
+        # point p, and each bin meets its pairs in mul_table order
         ia, ib, io = self.mul_table()
-        out = np.empty_like(a)
-        for p in range(a.shape[1]):
-            out[:, p] = np.bincount(io, weights=a[ia, p] * b[ib, p],
-                                    minlength=self.size)
-        return out
+        P = a.shape[1]
+        w = np.take(a, ia, axis=0)
+        w *= np.take(b, ib, axis=0)
+        keys = (io[:, None] * P + np.arange(P)).ravel()
+        return np.bincount(keys, weights=w.ravel(),
+                           minlength=self.size * P).reshape(self.size, P)
 
     def deriv_map(self, var):
         """Source positions and factors mapping coefficients of f to those

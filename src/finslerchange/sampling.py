@@ -7,17 +7,27 @@ hypersurface), and the samplers return those objects, so callers evaluate
 the admitted points without building them again.  Draws violating
 positivity or regularity of the metric are rejected; a rejection rate
 above 99% raises, since it means the declared domain is unusable.
-``sample_points`` groups the base and the changed geometry of its
-points, in draw order, into ``PointBlock``s of ``BLOCK_SIZE`` points,
-which evaluate their light jet layers together.
+
+Draws are made and judged in chunks of at most ``BLOCK_SIZE``, never more
+than the points still wanted or the attempts left, so the generator
+makes the same calls in the same order as one draw at a time would.
+``sample_points`` evaluates a chunk's order-2 ``L^2`` jets, base and
+changed, and its ``sigma`` and ``b``, as blocks (``core.PointBlock``) and
+builds each admitted point from its columns; a chunk whose block
+evaluation raises is admitted one draw at a time instead.  It then
+groups the base and the changed geometry of its points, in draw order,
+into ``PointBlock``s of ``BLOCK_SIZE`` points, which evaluate their light
+jet layers together.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .change import changed_value
 from .core import PointBlock
-from .jets import JetDomainError
+from .jets import JetDomainError, JetError
+from .lang import SpecError
 
 _MAX_TRIES_PER_POINT = 100
 # Points per block: a block's jets take memory in proportion to its size,
@@ -43,9 +53,11 @@ def _draw_y(rng, n, annulus):
     return v / norm * rng.uniform(annulus[0], annulus[1])
 
 
-def _rejection_loop(count, draw, what):
-    """Call ``draw()`` until it has returned ``count`` points other than
-    None; returns (points, number of None returns)."""
+def _rejection_loop(count, admit, what):
+    """Call ``admit(k)``, which draws ``k`` candidates and returns those
+    it admits in draw order, until ``count`` points are admitted; ``k`` is
+    at most ``BLOCK_SIZE``, the points still wanted and the attempts
+    left.  Returns (points, number of rejected draws)."""
     if count < 1:
         raise SamplingError("sample count must be at least 1")
     out = []
@@ -56,11 +68,58 @@ def _rejection_loop(count, draw, what):
             raise SamplingError(
                 f"rejected more than 99% of {attempts} candidate {what}; "
                 "the declared sampling domain admits almost no valid points")
-        attempts += 1
-        point = draw()
-        if point is not None:
-            out.append(point)
+        k = min(count - len(out), BLOCK_SIZE, budget - attempts)
+        attempts += k
+        out.extend(admit(k))
     return out, attempts - count
+
+
+def _admit_alone(pair, x, y):
+    """``pair.at(x, y)``, or None where its evaluation leaves a domain."""
+    try:
+        return pair.at(x, y)
+    except (ValueError, ZeroDivisionError, JetDomainError):
+        return None
+
+
+def _admit_block(pair, draws):
+    """The ``ChangedPoint``s of the draws whose base and changed ``L^2``
+    jets pass their checks and whose L* is positive, in draw order.  The
+    base jets, ``sigma`` and ``b`` of all draws are each one block
+    evaluation, and the changed jets one more, of the draws that pass
+    the base checks and L* > 0; each point holds copies of its columns."""
+    x = np.stack([d[0] for d in draws], axis=1)
+    y = np.stack([d[1] for d in draws], axis=1)
+    block = PointBlock(pair.base, x, y)
+    block._f2(2)
+    change = pair.change.at(x)
+    kept = []
+    for p in np.flatnonzero(block.ok):
+        base = block.point(p, *draws[p])
+        try:
+            changed_value(base, change[p])
+        except JetDomainError:
+            continue
+        kept.append((p, base))
+    if not kept:
+        return []
+    cols = [p for p, _ in kept]
+    star = PointBlock(pair.starred, x[:, cols], y[:, cols])
+    star._f2(2)
+    return [pair.at(base.x, base.y, base, change[p],
+                    star.point(q, base.x, base.y))
+            for q, (p, base) in enumerate(kept) if star.ok[q]]
+
+
+def _regular(cp):
+    """Whether ``L^2`` and L* are finite and above 1e-12 and the base
+    fundamental tensor is invertible."""
+    vals = (cp.base.L2(), cp.Lstar)
+    if not all(np.isfinite(v) and v > 1e-12 for v in vals):
+        return False
+    det = cp.base.det_g()
+    scale = max(1.0, float(np.max(np.abs(cp.base.g_low())))) ** cp.n
+    return bool(np.isfinite(det) and abs(det) > 1e-10 * scale)
 
 
 def sample_points(pair, count, seed):
@@ -70,29 +129,29 @@ def sample_points(pair, count, seed):
     A draw is admitted where the base value ``L^2`` and the signed changed
     value ``e^sigma L + b_i y^i`` are finite and above 1e-12 (the changed
     spec stores only the squared value, which cannot see a sign flip) and
-    the base fundamental tensor is invertible."""
+    the base fundamental tensor is invertible.  Each chunk of draws is
+    judged from block evaluations of its order-2 ``L^2`` jets and its
+    ``sigma`` and ``b``; where one of those raises, from ``pair.at`` one
+    draw at a time.  Either way a point is bit for bit the one ``pair.at``
+    builds alone, and the same draws are admitted."""
     rng = np.random.default_rng(seed)
     space = pair.base
     box = space.spec.x_box
     annulus = space.spec.y_annulus
 
-    def draw():
-        x, y = _draw_x(rng, box), _draw_y(rng, space.n, annulus)
+    def admit(k):
+        draws = [(_draw_x(rng, box), _draw_y(rng, space.n, annulus))
+                 for _ in range(k)]
         try:
-            cp = pair.at(x, y)
-        except (ValueError, ZeroDivisionError, JetDomainError):
-            return None
-        vals = (cp.base.L2(), cp.Lstar)
-        if not all(np.isfinite(v) and v > 1e-12 for v in vals):
-            return None
-        det = cp.base.det_g()
-        scale = max(1.0, float(np.max(np.abs(cp.base.g_low())))) ** space.n
-        return cp if np.isfinite(det) and abs(det) > 1e-10 * scale else None
+            points = _admit_block(pair, draws)
+        except (JetError, SpecError, ValueError, ArithmeticError):
+            points = [_admit_alone(pair, x, y) for x, y in draws]
+        return [cp for cp in points if cp is not None and _regular(cp)]
 
-    points, rejected = _rejection_loop(count, draw, "points")
+    points, rejected = _rejection_loop(count, admit, "points")
     for side in ([cp.base for cp in points], [cp.star for cp in points]):
         for start in range(0, len(side), BLOCK_SIZE):
-            PointBlock(side[start:start + BLOCK_SIZE])
+            PointBlock.of(side[start:start + BLOCK_SIZE])
     return points, rejected
 
 
@@ -123,4 +182,7 @@ def sample_hyper_points(hgeom, count, seed):
             return None
         return hp
 
-    return _rejection_loop(count, draw, "hypersurface points")
+    def admit(k):
+        return [hp for hp in (draw() for _ in range(k)) if hp is not None]
+
+    return _rejection_loop(count, admit, "hypersurface points")

@@ -571,7 +571,7 @@ def _steep_block(L2, x):
     xs = [[0.5, 0.1], x, [0.25, -0.3]]
     y = [1.0, 0.5]
     members = [space.point(xv, y) for xv in xs]
-    return space, xs, y, members, PointBlock(members)
+    return space, xs, y, members, PointBlock.of(members)
 
 
 @pytest.mark.parametrize("L2,x,match", [
@@ -702,13 +702,20 @@ def test_block_members_keep_no_views_of_the_blocks_layers():
                for j in lift(np.ones((4, 3)), 2) + lift(np.ones(4), 2))
 
 
-# per-block L^2 evaluations of 200 points in blocks of 64, 64, 64 and 8,
-# for the core-identities suite and for all six
+# per-block L^2 evaluations of 200 points, admitted in chunks of 64, 64, 64
+# and 8 draws (none is rejected) at order 2 on each side, and evaluated in
+# blocks of the same sizes at the light orders of the core-identities
+# suite and of all six
+L2_ADMISSION_CALLS = {
+    ("randers2", 2, 64): 3, ("randers2", 2, 8): 1,
+    ("randers2*projective", 2, 64): 3, ("randers2*projective", 2, 8): 1}
 L2_BLOCK_CALLS = (
     (["core-identities"], {
+        **L2_ADMISSION_CALLS,
         ("randers2", 3, 64): 3, ("randers2", 3, 8): 1,
         ("randers2", 4, 64): 3, ("randers2", 4, 8): 1}),
     (list(suites.SUITE_NAMES), {
+        **L2_ADMISSION_CALLS,
         ("randers2", 3, 64): 3, ("randers2", 3, 8): 1,
         ("randers2", 4, 64): 3, ("randers2", 4, 8): 1,
         ("randers2*projective", 3, 64): 3,
@@ -735,9 +742,9 @@ def test_blocks_evaluate_l2_once_per_light_order(monkeypatch):
                                  resolve_spec("projective"), samples=200,
                                  seed=1)
         suites.run_suites(cfg, selected)
-        # each block evaluates L^2 once at each order its members ask for,
-        # and never at order 2, which every member built when it was
-        # admitted
+        # each admission chunk evaluates L^2 once at order 2 per side, and
+        # each block once at each light order its members ask for, never
+        # at order 2, which every member holds from its admission
         assert Counter(call for call in calls if call[2] > 1) == blocks, (
             selected)
         # the one-point calls at light orders are the finite-difference
@@ -745,3 +752,8 @@ def test_blocks_evaluate_l2_once_per_light_order(monkeypatch):
         light = Counter(call for call in calls
                         if call[2] == 1 and call[1] in (3, 4))
         assert light == {("randers2", 3, 1): 20}, selected
+    # admission makes no one-point evaluation
+    calls.clear()
+    pair = ChangedPair(resolve_spec("randers2"), resolve_spec("projective"))
+    sample_points(pair, 200, 1)
+    assert Counter(calls) == L2_ADMISSION_CALLS

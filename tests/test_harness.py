@@ -255,9 +255,9 @@ def test_suite_run_evaluates_each_sample_once(monkeypatch):
     spaces, embeddings = [], []
     init, lift = PointGeometry.__init__, hypersurface.lift_env
 
-    def counted_init(self, space, x, y):
+    def counted_init(self, space, *args):
         spaces.append(space)
-        init(self, space, x, y)
+        init(self, space, *args)
 
     def counted_lift(*args, **kwargs):
         embeddings.append(kwargs)

@@ -359,7 +359,7 @@ def _every_operation(a, b, c, d):
 @pytest.mark.parametrize("order", [0, 2, 4])
 def test_block_jets_equal_point_jets_bit_for_bit(points, order):
     # order 4 in 4 variables has 70 coefficients: 70 and 90 points take
-    # the row loop of the block product, fewer the point loop
+    # the row loop of the block product, fewer its one bincount
     values = RNG.uniform(0.2, 2.0, size=(4, points))
     block = _every_operation(*lift(values, order))
     pivots = set()
@@ -372,6 +372,22 @@ def test_block_jets_equal_point_jets_bit_for_bit(points, order):
             assert got.coeffs[:, p].tobytes() == want.coeffs.tobytes()
     if points >= 15:
         assert pivots == {True, False}
+
+
+@pytest.mark.parametrize("nvars, order", [(4, 2), (6, 2), (6, 4)])
+def test_block_products_equal_point_products_bit_for_bit(nvars, order):
+    # below the coefficient count a block product is one bincount over
+    # all points, at it the row loop; signed zeros must survive both
+    sp = _space(nvars, order)
+    for points in (1, 2, 5, sp.size - 1, sp.size):
+        a, b = RNG.normal(size=(2, sp.size, points))
+        a[RNG.uniform(size=a.shape) < 0.2] = -0.0
+        b[RNG.uniform(size=b.shape) < 0.2] = 0.0
+        block = Jet(sp, a) * Jet(sp, b)
+        assert block.coeffs.shape == (sp.size, points)
+        for p in range(points):
+            alone = Jet(sp, a[:, p].copy()) * Jet(sp, b[:, p].copy())
+            assert block.coeffs[:, p].tobytes() == alone.coeffs.tobytes()
 
 
 def test_one_point_and_block_jets_do_not_combine():

@@ -1,0 +1,135 @@
+"""Chunked admission of ``sample_points`` against a sampler that admits one
+draw at a time with ``ChangedPair.at``: the same points, bit for bit, the
+same rejections and the same errors, for each cause of rejection."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from finslerchange import sampling
+from finslerchange.change import ChangedPair
+from finslerchange.jets import JetDomainError
+from finslerchange.lang import parse_spec_text, resolve_spec
+from finslerchange.sampling import SamplingError, sample_points
+
+BOX = "x_box = -1 1 -1 1\ny_annulus = 0.5 1.5\n"
+
+
+def _metric(body):
+    return parse_spec_text(f"dim 2\n{body}\n{BOX}", name="metric")
+
+
+def _change(body):
+    return parse_spec_text(body + "\n", name="change")
+
+
+def _reference(pair, count, seed):
+    """One draw at a time: ``pair.at``, then the value and ``det g``
+    tests.  Returns (points, rejected draws, rejections by cause)."""
+    rng = np.random.default_rng(seed)
+    space = pair.base
+    box, annulus = space.spec.x_box, space.spec.y_annulus
+    out, causes = [], Counter()
+    attempts, budget = 0, 100 * count
+    while len(out) < count:
+        if attempts >= budget:
+            raise SamplingError(
+                f"rejected more than 99% of {attempts} candidate points; "
+                "the declared sampling domain admits almost no valid points")
+        attempts += 1
+        x = sampling._draw_x(rng, box)
+        y = sampling._draw_y(rng, space.n, annulus)
+        try:
+            cp = pair.at(x, y)
+        except (ValueError, ZeroDivisionError, JetDomainError) as exc:
+            text = str(exc)
+            causes["L*" if "changed metric value" in text
+                   else "L2" if "not positive with finite" in text
+                   else "domain"] += 1
+            continue
+        if not all(np.isfinite(v) and v > 1e-12
+                   for v in (cp.base.L2(), cp.Lstar)):
+            causes["value"] += 1
+            continue
+        det = cp.base.det_g()
+        scale = max(1.0, float(np.max(np.abs(cp.base.g_low())))) ** space.n
+        if not (np.isfinite(det) and abs(det) > 1e-10 * scale):
+            causes["det"] += 1
+            continue
+        out.append(cp)
+    return out, attempts - count, causes
+
+
+def _f2_bytes(pg):
+    order, (seeds, f2) = pg._cache["_f2"]
+    assert order == 2
+    return [j.coeffs.tobytes() for j in seeds] + [f2.coeffs.tobytes()]
+
+
+def _sample(monkeypatch, pair, count, seed):
+    """``sample_points`` with the number of draws it admitted alone."""
+    alone = []
+    admit_alone = sampling._admit_alone
+
+    def counting(*args):
+        alone.append(args)
+        return admit_alone(*args)
+
+    monkeypatch.setattr(sampling, "_admit_alone", counting)
+    points, rejected = sample_points(pair, count, seed)
+    return points, rejected, len(alone)
+
+
+# (metric, change, the rejection cause it exercises, whether the block
+# evaluation of a chunk raises, so the chunk is admitted one draw at a time)
+CASES = {
+    "L2 not positive": ("L2 = (y1^2 + y2^2) * (x1 + 0.5)", "sigma = 0.2 * x2",
+                        "L2", False),
+    "block domain error": ("L2 = (y1^2 + y2^2) * sqrt(x1 + 0.3)",
+                           "b1 = 0.1 * x2", "domain", True),
+    "L* not positive": ("a_11 = 1\na_22 = 1", "b1 = 1.4 * x1", "L*", False),
+    # e^(2 sigma) stays finite, its second coefficients do not everywhere
+    "changed L2 not finite": ("a_11 = 1\na_22 = 1",
+                              "sigma = 350 * sin(50 * x1)", "L2", False),
+    "det g": ("a_11 = 1\na_22 = x1^8", "sigma = 0.1 * x1", "det", False),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("count", [1, 30, 300])
+def test_chunks_admit_what_single_draws_admit(monkeypatch, case, count):
+    metric, change, cause, raises = CASES[case]
+    pair = ChangedPair(_metric(metric), _change(change))
+    monkeypatch.setattr(sampling, "BLOCK_SIZE", 64)
+    # the overflowing coefficients of a rejected changed jet are expected
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, rejected, alone = _sample(monkeypatch, pair, count, 7)
+        want, want_rejected, causes = _reference(pair, count, 7)
+    assert rejected == want_rejected
+    if count > 1:
+        assert causes[cause] > 0
+        assert (alone > 0) == raises
+    assert len(got) == len(want) == count
+    for cp, ref in zip(got, want):
+        assert cp.x.tobytes() == ref.x.tobytes()
+        assert cp.y.tobytes() == ref.y.tobytes()
+        assert _f2_bytes(cp.base) == _f2_bytes(ref.base)
+        assert _f2_bytes(cp.star) == _f2_bytes(ref.star)
+        for name in ("sigma", "grad_sigma", "b_low", "db", "Lstar", "tau"):
+            assert (np.asarray(getattr(cp, name)).tobytes()
+                    == np.asarray(getattr(ref, name)).tobytes()), name
+
+
+def test_exhausted_budget_raises_after_the_same_attempts():
+    # L^2 > 0 on one percent of the box: one draw is admitted, then chunks
+    # of four draws until the last, which the budget of 100 attempts per
+    # point cuts to two
+    pair = ChangedPair(_metric("L2 = (y1^2 + y2^2) * (x1 - 0.98)"),
+                       resolve_spec("identity"))
+    with pytest.raises(SamplingError) as want:
+        _reference(pair, 5, 5)
+    with pytest.raises(SamplingError) as got:
+        sample_points(pair, 5, 5)
+    assert "of 500 candidate points" in str(want.value)
+    assert str(got.value) == str(want.value)
