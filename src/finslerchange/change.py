@@ -147,10 +147,11 @@ class ChangedPair:
     def at(self, x, y, base=None, change=None, star=None):
         """The ``ChangedPoint`` at (x, y).  Raises ``JetDomainError`` where
         the base or the changed ``L^2`` jet fails its check or L* is not
-        positive.  A caller that has evaluated them already passes the
-        base point ``base``, its ``RandersChange.at`` values ``change``
-        and the changed point ``star``; each left out is evaluated here,
-        alone, and the changed point only once L* > 0."""
+        positive.  A caller that has evaluated them already, such as the
+        sampler from its blocks, passes the base point ``base``, its
+        ``RandersChange.at`` values ``change`` and the changed point
+        ``star``; each left out is evaluated here, alone, and the changed
+        point only once L* > 0."""
         if base is None:
             base = self.base.point(x, y)
         if change is None:

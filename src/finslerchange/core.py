@@ -7,15 +7,14 @@ as jets themselves so that their own derivatives remain exact.  A point
 is built from one order-2 jet of L^2; the spray's values, which geodesic
 integration asks for at every step, are solved in floats from that jet.
 
-Sampled points are grouped in ``PointBlock``s: a block is its members as
-one point with a point axis, and runs the same code for the light jet
-layers (those ``riemann`` needs) on jets whose coefficients carry that
-axis, each layer reading the block's own lower layers.  Members read
-their columns through, uncached, bit for bit what they would have
-computed alone; a column whose ``L^2`` jet fails its check is left out.
-The sampler also builds a block from the coordinates of its candidate
-draws, and its admitted points from their columns of that block's
-order-2 ``L^2`` jet (``PointBlock.point``).
+Sampled points live in ``PointBlock``s: a block is the sampler's chunk of
+candidate draws as one point with a point axis, and runs the same code
+for the light jet layers (those ``riemann`` needs) on jets whose
+coefficients carry that axis, each layer reading the block's own lower
+layers.  Its admitted draws are its members (``PointBlock.point``), from
+their order-2 ``L^2`` jet on: they read their columns through, uncached,
+bit for bit what they would have computed alone.  A column whose ``L^2``
+jet fails its check, or whose draw is not admitted, is left out.
 
 Index conventions: arrays are 0-based; for a connection-like array ``T``
 the first axis is the upper index.  Jet variable slots are ``i`` for x^i
@@ -151,7 +150,7 @@ def _column(value, p):
     coefficients are views of the block's."""
     if isinstance(value, Jet):
         return Jet(value.space, value.coeffs[:, p])
-    return type(value)(_column(v, p) for v in value)
+    return type(value)([_column(v, p) for v in value])
 
 
 class _JetLayers:
@@ -212,14 +211,15 @@ class PointBlock(_JetLayers):
     """Points of one space as one point with a point axis, whose light jet
     layers are evaluated together: ``_f2`` up to order 4, ``_spray_jets``
     up to order 2 and ``_riemann_jets(0)``.  ``x`` and ``y`` have shape
-    ``(n, P)``; ``PointBlock.of`` makes the block of existing points.
+    ``(n, P)``; ``point`` makes the member of a column.
 
     A member that asks for such a layer at an order its own cache lacks
     reads its column of the block's layer, which the block computes for
     all its points, once per order, with ``PointGeometry``'s code on its
     own cache, so that a layer reads the block's lower layers.  ``ok``
-    clears the columns whose ``L^2`` jet fails its check; those members
-    compute alone, so they raise their own errors."""
+    clears the columns whose ``L^2`` jet fails its check, and those
+    ``keep`` leaves out; their members compute alone, so they raise their
+    own errors."""
 
     def __init__(self, space, x, y):
         self.space = space
@@ -229,49 +229,49 @@ class PointBlock(_JetLayers):
         self.ok = np.ones(self.x.shape[1], dtype=bool)
         self._cache = {}
 
-    @classmethod
-    def of(cls, members):
-        """The block of the points ``members``, which from then on read
-        their light jet layers through it."""
-        members = list(members)
-        block = cls(members[0].space, np.stack([pg.x for pg in members], 1),
-                    np.stack([pg.y for pg in members], 1))
-        for p, pg in enumerate(members):
-            pg._block, pg._p = block, p
-        return block
-
     def point(self, p, x, y):
-        """The point ``(x, y)`` of ``ok`` column ``p`` as a
-        ``PointGeometry`` that holds its own copy of its column of the
-        block's order-2 ``_f2``: bit for bit the jets it would have built
-        alone."""
-        seeds, f2 = self._f2(2)
-        jets = [Jet(j.space, j.coeffs[:, p].copy()) for j in (*seeds, f2)]
-        return PointGeometry(self.space, x, y, (jets[:-1], jets[-1]))
+        """The point ``(x, y)`` of column ``p`` as a member, which reads its
+        light jet layers, its order-2 ``L^2`` jet too, through the block."""
+        return PointGeometry(self.space, x, y, self, p)
+
+    def keep(self, columns):
+        """Clear ``ok`` outside ``columns``, so that only their members
+        read through the block, and give the other columns the
+        coordinates of a kept one: a later layer meets no draw that was
+        rejected."""
+        kept = np.zeros_like(self.ok)
+        kept[columns] = True
+        self.ok &= kept
+        self._fill(self.x, self.y)
 
     def _check_l2(self, f2, order):
         """Clear ``ok`` where ``L^2`` is not positive with finite
         coefficients, and give the failed columns the coefficients and
-        coordinates of the first ``ok`` one: no member reads them again,
-        and their infs would meet zeros in the block's later layers."""
+        coordinates of an ``ok`` one."""
         c = f2.coeffs
         self.ok &= (c[0] > 0.0) & np.isfinite(c).all(axis=0)
+        self._fill(c, self.x, self.y)
+
+    def _fill(self, *arrays):
+        """Give the columns of ``arrays`` outside ``ok`` the values of the
+        first ``ok`` one: no member reads them again, and their infs would
+        meet zeros in the block's later layers."""
         if self.ok.any() and not self.ok.all():
             good = [int(np.argmax(self.ok))]
-            for a in (c, self.x, self.y):
+            for a in arrays:
                 a[:, ~self.ok] = a[:, good]
 
 
 class PointGeometry(_JetLayers):
     """Lazily computed tensors of a Finsler space at one (x, y).
 
-    Construction builds the order-2 jet of L^2, raising where ``_f2`` does,
-    unless it is given as ``f2``; jets stay cached at their highest order,
-    tensors by name, in ``_cache``.  ``_block`` is the ``PointBlock`` of a
-    sampled point, else None.
+    Construction reads the order-2 jet of L^2, raising where ``_f2`` does;
+    jets stay cached at their highest order, tensors by name, in
+    ``_cache``.  ``_block`` is the ``PointBlock`` of a sampled point, else
+    None, and ``_p`` its column there.
     """
 
-    def __init__(self, space, x, y, f2=None):
+    def __init__(self, space, x, y, block=None, p=None):
         self.space = space
         self.n = space.n
         self.x = np.asarray(x, dtype=float)
@@ -279,10 +279,8 @@ class PointGeometry(_JetLayers):
         if self.x.shape != (self.n,) or self.y.shape != (self.n,):
             raise ValueError(f"expected {self.n} coordinates")
         self._cache = {}
-        if f2 is None:
-            self._f2(2)
-        else:
-            self._cache["_f2"] = (2, f2)
+        self._block, self._p = block, p
+        self._f2(2)
 
     # -- jet-level intermediates ------------------------------------------
 

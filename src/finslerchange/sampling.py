@@ -12,27 +12,28 @@ Draws are made and judged in chunks of at most ``BLOCK_SIZE``, never more
 than the points still wanted or the attempts left, so the generator
 makes the same calls in the same order as one draw at a time would.
 ``sample_points`` evaluates a chunk's order-2 ``L^2`` jets, base and
-changed, and its ``sigma`` and ``b``, as blocks (``core.PointBlock``) and
-builds each admitted point from its columns; a chunk whose block
-evaluation raises is admitted one draw at a time instead.  It then
-groups the base and the changed geometry of its points, in draw order,
-into ``PointBlock``s of ``BLOCK_SIZE`` points, which evaluate their light
-jet layers together.
+changed, and its ``sigma`` and ``b``, as blocks (``core.PointBlock``);
+each admitted point is a member of the chunk's two blocks, which
+evaluate its light jet layers together with the chunk's other admitted
+points.  Where draws are rejected, a block has fewer members than
+columns, and the next chunk is smaller.  A chunk whose block evaluation
+raises is judged one draw at a time instead, and its admitted draws then
+make the chunk's blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .change import changed_value
 from .core import PointBlock
 from .jets import JetDomainError, JetError
 from .lang import SpecError
 
 _MAX_TRIES_PER_POINT = 100
-# Points per block: a block's jets take memory in proportion to its size,
-# and a product runs its faster row loop once a block has at least as many
-# points as the jet space has coefficients (70 at order 4 in 4 variables).
+# Draws per chunk, so columns per block: a block's jets take memory in
+# proportion to its size, and a product runs its faster row loop once a
+# block has at least as many points as the jet space has coefficients
+# (70 at order 4 in 4 variables).
 BLOCK_SIZE = 256
 
 
@@ -75,40 +76,43 @@ def _rejection_loop(count, admit, what):
 
 
 def _admit_alone(pair, x, y):
-    """``pair.at(x, y)``, or None where its evaluation leaves a domain."""
+    """Whether ``pair.at(x, y)`` is built, without leaving a domain, and
+    is ``_regular``."""
     try:
-        return pair.at(x, y)
+        return _regular(pair.at(x, y))
     except (ValueError, ZeroDivisionError, JetDomainError):
-        return None
+        return False
 
 
 def _admit_block(pair, draws):
-    """The ``ChangedPoint``s of the draws whose base and changed ``L^2``
-    jets pass their checks and whose L* is positive, in draw order.  The
-    base jets, ``sigma`` and ``b`` of all draws are each one block
-    evaluation, and the changed jets one more, of the draws that pass
-    the base checks and L* > 0; each point holds copies of its columns."""
+    """The ``_regular`` ``ChangedPoint``s of the draws whose base and
+    changed ``L^2`` jets pass their checks and whose L* is positive, in
+    draw order.  The base jets, ``sigma`` and ``b`` of all draws are each
+    one block evaluation, and the changed jets one more, on the base
+    block's coordinates; the points are members of the two blocks, which
+    keep only their columns."""
+    if not draws:
+        return []
     x = np.stack([d[0] for d in draws], axis=1)
     y = np.stack([d[1] for d in draws], axis=1)
-    block = PointBlock(pair.base, x, y)
-    block._f2(2)
+    base = PointBlock(pair.base, x, y)
+    base._f2(2)
     change = pair.change.at(x)
-    kept = []
-    for p in np.flatnonzero(block.ok):
-        base = block.point(p, *draws[p])
+    star = PointBlock(pair.starred, base.x, base.y)
+    star._f2(2)
+    points = {}
+    for p in np.flatnonzero(base.ok & star.ok):
+        xp, yp = draws[p]
         try:
-            changed_value(base, change[p])
+            cp = pair.at(xp, yp, base.point(p, xp, yp), change[p],
+                         star.point(p, xp, yp))
         except JetDomainError:
             continue
-        kept.append((p, base))
-    if not kept:
-        return []
-    cols = [p for p, _ in kept]
-    star = PointBlock(pair.starred, x[:, cols], y[:, cols])
-    star._f2(2)
-    return [pair.at(base.x, base.y, base, change[p],
-                    star.point(q, base.x, base.y))
-            for q, (p, base) in enumerate(kept) if star.ok[q]]
+        if _regular(cp):
+            points[p] = cp
+    base.keep(list(points))
+    star.keep(list(points))
+    return list(points.values())
 
 
 def _regular(cp):
@@ -143,16 +147,12 @@ def sample_points(pair, count, seed):
         draws = [(_draw_x(rng, box), _draw_y(rng, space.n, annulus))
                  for _ in range(k)]
         try:
-            points = _admit_block(pair, draws)
+            return _admit_block(pair, draws)
         except (JetError, SpecError, ValueError, ArithmeticError):
-            points = [_admit_alone(pair, x, y) for x, y in draws]
-        return [cp for cp in points if cp is not None and _regular(cp)]
+            return _admit_block(pair, [d for d in draws
+                                       if _admit_alone(pair, *d)])
 
-    points, rejected = _rejection_loop(count, admit, "points")
-    for side in ([cp.base for cp in points], [cp.star for cp in points]):
-        for start in range(0, len(side), BLOCK_SIZE):
-            PointBlock.of(side[start:start + BLOCK_SIZE])
-    return points, rejected
+    return _rejection_loop(count, admit, "points")
 
 
 def sample_pair_points(pair, count, seed):

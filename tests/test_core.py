@@ -570,8 +570,9 @@ def _steep_block(L2, x):
                                          name="steep"))
     xs = [[0.5, 0.1], x, [0.25, -0.3]]
     y = [1.0, 0.5]
-    members = [space.point(xv, y) for xv in xs]
-    return space, xs, y, members, PointBlock.of(members)
+    block = PointBlock(space, np.transpose(xs), np.transpose([y] * len(xs)))
+    members = [block.point(p, xv, y) for p, xv in enumerate(xs)]
+    return space, xs, y, members, block
 
 
 @pytest.mark.parametrize("L2,x,match", [
@@ -669,6 +670,19 @@ def test_failing_column_spares_the_other_members(monkeypatch):
         assert all(np.isfinite(j.coeffs).all() for j in _jets_in(layer))
 
 
+def test_columns_keep_leaves_out_never_reach_the_blocks_later_layers():
+    space, xs, y, members, block = _steep_block(*OVERFLOW)
+    block.keep([0, 2])
+    assert block.ok.tolist() == [True, False, True]
+    assert block.x[:, 1].tolist() == xs[0]
+    # the left-out column's order-3 coefficients would overflow
+    with np.errstate(all="raise"):
+        got = [members[p].C_low() for p in (0, 2)]
+    assert block._cache["_f2"][0] == 3
+    for p, C in zip((0, 2), got):
+        assert C.tobytes() == space.point(xs[p], y).C_low().tobytes()
+
+
 def _jets_in(value):
     """The jets of a structure of jets, in order."""
     if isinstance(value, Jet):
@@ -687,14 +701,13 @@ def test_block_members_keep_no_views_of_the_blocks_layers():
     block_jets = [j for _, layer in block._cache.values()
                   for j in _jets_in(layer)]
     assert {"_f2", "_spray_jets", "_riemann_jets"} <= set(block._cache)
-    # members read their columns through and cache only what they
-    # computed alone: the order-2 L^2 jet of their admission
+    # members read their columns through, their order-2 L^2 jet too, and
+    # cache no jet at all; the tensors they cache are arrays of their own
     for pg in members:
-        held = [j for value in pg._cache.values()
-                if isinstance(value, tuple) for j in _jets_in(value[1])]
-        assert pg._cache["_f2"][0] == 2
-        for mine in held:
-            assert not any(np.shares_memory(mine.coeffs, j.coeffs)
+        assert pg._cache
+        for value in pg._cache.values():
+            assert not isinstance(value, (tuple, Jet))
+            assert not any(np.shares_memory(value, j.coeffs)
                            for j in block_jets)
     # a cached seed jet keeps no other seed's coefficients alive
     assert all(j.coeffs.base is None for j in block._cache["_f2"][1][0])
@@ -703,9 +716,8 @@ def test_block_members_keep_no_views_of_the_blocks_layers():
 
 
 # per-block L^2 evaluations of 200 points, admitted in chunks of 64, 64, 64
-# and 8 draws (none is rejected) at order 2 on each side, and evaluated in
-# blocks of the same sizes at the light orders of the core-identities
-# suite and of all six
+# and 8 draws (none is rejected) at order 2 on each side, whose blocks then
+# evaluate the light orders of the core-identities suite and of all six
 L2_ADMISSION_CALLS = {
     ("randers2", 2, 64): 3, ("randers2", 2, 8): 1,
     ("randers2*projective", 2, 64): 3, ("randers2*projective", 2, 8): 1}
@@ -742,9 +754,9 @@ def test_blocks_evaluate_l2_once_per_light_order(monkeypatch):
                                  resolve_spec("projective"), samples=200,
                                  seed=1)
         suites.run_suites(cfg, selected)
-        # each admission chunk evaluates L^2 once at order 2 per side, and
-        # each block once at each light order its members ask for, never
-        # at order 2, which every member holds from its admission
+        # each admission chunk's block evaluates L^2 once at order 2 per
+        # side, on admission, and once at each light order its members
+        # ask for
         assert Counter(call for call in calls if call[2] > 1) == blocks, (
             selected)
         # the one-point calls at light orders are the finite-difference

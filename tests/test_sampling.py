@@ -9,7 +9,7 @@ import pytest
 
 from finslerchange import sampling
 from finslerchange.change import ChangedPair
-from finslerchange.jets import JetDomainError
+from finslerchange.jets import Jet, JetDomainError
 from finslerchange.lang import parse_spec_text, resolve_spec
 from finslerchange.sampling import SamplingError, sample_points
 
@@ -62,8 +62,7 @@ def _reference(pair, count, seed):
 
 
 def _f2_bytes(pg):
-    order, (seeds, f2) = pg._cache["_f2"]
-    assert order == 2
+    seeds, f2 = pg._f2(2)
     return [j.coeffs.tobytes() for j in seeds] + [f2.coeffs.tobytes()]
 
 
@@ -119,6 +118,48 @@ def test_chunks_admit_what_single_draws_admit(monkeypatch, case, count):
         for name in ("sigma", "grad_sigma", "b_low", "db", "Lstar", "tau"):
             assert (np.asarray(getattr(cp, name)).tobytes()
                     == np.asarray(getattr(ref, name)).tobytes()), name
+
+
+def _jets_in(value):
+    """The jets of a structure of jets, in order."""
+    if isinstance(value, Jet):
+        return [value]
+    return [j for v in value for j in _jets_in(v)]
+
+
+# The tensors read from the jet layers that blocks evaluate.
+LIGHT_TENSORS = ("g_low", "C_low", "spray", "n_conn", "berwald",
+                 "cartan_hconn", "riemann")
+
+
+# sphere2 + tangent_parabola rejects 3 of 203 draws at seed 1, L* <= 0
+@pytest.mark.parametrize("case", ["sphere2+tangent_parabola", "det g",
+                                  "block domain error"])
+def test_rejected_draws_never_reach_a_blocks_later_layers(monkeypatch, case):
+    raises = False
+    if case in CASES:
+        metric, change, _, raises = CASES[case]
+        pair = ChangedPair(_metric(metric), _change(change))
+        monkeypatch.setattr(sampling, "BLOCK_SIZE", 64)
+    else:
+        pair = ChangedPair(*map(resolve_spec, case.split("+")))
+    cps, rejected, alone = _sample(monkeypatch, pair, 200, 1)
+    assert rejected > 0
+    assert (alone > 0) == raises
+    sides = [cp.base for cp in cps] + [cp.star for cp in cps]
+    assert all(pg._block is not None for pg in sides)
+    with np.errstate(all="raise"):
+        got = [[getattr(pg, name)() for name in LIGHT_TENSORS]
+               for pg in sides]
+    for block, members in Counter(pg._block for pg in sides).items():
+        assert block.ok.sum() == members
+        for _, layer in block._cache.values():
+            assert all(np.isfinite(j.coeffs).all() for j in _jets_in(layer))
+    for pg, tensors in zip(sides, got):
+        lone = pg.space.point(pg.x, pg.y)
+        for name, value in zip(LIGHT_TENSORS, tensors):
+            want = getattr(lone, name)()
+            assert value.tobytes() == want.tobytes(), (case, name)
 
 
 def test_exhausted_budget_raises_after_the_same_attempts():

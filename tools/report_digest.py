@@ -78,9 +78,12 @@ TENSORS = ("L2", "L", "y_low", "l_low", "g_low", "g_up", "h_low", "C_low",
 HYPER_DATA = ("x", "B", "B2", "normal_up", "normal_curvature")
 # (metric, change, samples, seed) of the sampled tensor digest: the
 # configurations of verify-many-2d's 200-sample digest line and of
-# verify-regular-3d.
+# verify-regular-3d, and the one bundled pair whose sampler rejects draws
+# (3 of 203, where L* <= 0), so that blocks with left-out columns are
+# covered.
 SAMPLED = (("randers2", "projective", 200, 1),
-           ("curved3", "projective3", 12, 108))
+           ("curved3", "projective3", 12, 108),
+           ("sphere2", "tangent_parabola", 200, 1))
 
 
 def digest(tree, metric, change, hyper, samples, seed):
