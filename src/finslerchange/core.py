@@ -265,8 +265,9 @@ class PointBlock(_JetLayers):
 class PointGeometry(_JetLayers):
     """Lazily computed tensors of a Finsler space at one (x, y).
 
-    Construction reads the order-2 jet of L^2, raising where ``_f2`` does;
-    jets stay cached at their highest order, tensors by name, in
+    Construction reads the order-2 jet of L^2, raising where ``_f2`` does,
+    unless the point is a member whose column has passed that check in
+    its block; jets stay cached at their highest order, tensors by name, in
     ``_cache``.  ``_block`` is the ``PointBlock`` of a sampled point, else
     None, and ``_p`` its column there.
     """
@@ -280,7 +281,11 @@ class PointGeometry(_JetLayers):
             raise ValueError(f"expected {self.n} coordinates")
         self._cache = {}
         self._block, self._p = block, p
-        self._f2(2)
+        # a column that passed its block's order-2 check reads without
+        # raising; ``ok`` means nothing before that check has run
+        checked = block is not None and block._cache.get("_f2", (0,))[0] >= 2
+        if not (checked and block.ok[p]):
+            self._f2(2)
 
     # -- jet-level intermediates ------------------------------------------
 

@@ -20,7 +20,14 @@ reads as a change of units too, and is left to the step controller.
 A path is described by the cubic Hermite segments of its accepted steps.
 Projective changes keep geodesics as point sets while reparametrizing
 them, so paths are compared as curves: sample one, measure distances to
-the segments of the other, take the worst case.
+the segments of the other, take the worst case.  A segment lies in the
+convex hull of its four Bezier control points, so the box of those
+points bounds its distance from below.  Each sample first takes its
+Newton value on the segment that starts at its nearest node, a distance
+actually reached, and then skips every segment whose box is farther than
+that: such a segment cannot hold the sample's minimum.  Kept pairs run
+the same elementwise arithmetic as an all-pairs pass would, so the
+result is the same float.
 """
 
 from __future__ import annotations
@@ -40,6 +47,13 @@ REFINE = 8          # dense-output points per accepted step
 MAX_CONDITION = 1e8
 _CHUNK = 32         # query points per block of the curve distance
 _NEWTON_STEPS = 4   # Newton steps from each chord projection
+# Margins of the curve distance's skip rule, relative to a sample's bound
+# and absolute in units of the coordinate scale.  They absorb rounding in
+# the segment boxes and in the Newton residuals, which stays within a few
+# ulps of the coordinates (1e-13 is about 450), so that no skipped pair
+# could have rounded below a kept one.
+_SKIP_REL = 1e-9
+_SKIP_ABS = 1e-13
 
 # Dormand-Prince 5(4) tableau
 _A = [
@@ -273,39 +287,101 @@ def integrate_geodesic(space, x0, y0, t_end, tol=1e-8, max_steps=200_000,
     return GeodesicPath(n, ts, zs, stats)
 
 
+def _sq_norm(v):
+    return np.einsum("...k,...k->...", v, v)
+
+
+def _box_sq_dist(lo, hi, box_lo, box_hi):
+    """Squared distance between the boxes ``[lo, hi]`` and
+    ``[box_lo, box_hi]``, broadcast over leading axes; a point is the box
+    with ``lo = hi``."""
+    return _sq_norm(np.maximum(np.maximum(box_lo - hi, lo - box_hi), 0.0))
+
+
+def _segment_boxes(segments):
+    """Boxes ``(lo, hi)``, each ``(steps, n)``, of the four Bezier control
+    points of each segment (see ``_hermite``), which hold the segment."""
+    c0, c1, c2, c3 = segments.transpose(1, 0, 2)
+    ctrl = np.stack([c0, c0 + c1 / 3, c0 + (2 * c1 + c2) / 3,
+                     c0 + c1 + c2 + c3])
+    return ctrl.min(axis=0), ctrl.max(axis=0)
+
+
+def _segment_sq_dist(off, c1, c2, c3, chord, len2):
+    """Squared distance from points to cubic segments, elementwise over
+    leading axes: ``off = c0 - point``.  The parameter starts at the
+    point's projection onto the chord, then takes Newton steps on the
+    squared distance along the segment, where its second derivative is
+    positive, with ``s`` kept in [0, 1]."""
+    s = np.clip(-np.sum(off * chord, axis=-1) / len2, 0.0, 1.0)[..., None]
+    for _ in range(_NEWTON_STEPS):
+        r = off + s * (c1 + s * (c2 + s * c3))
+        d1 = c1 + s * (2 * c2 + 3 * s * c3)
+        f1 = np.sum(r * d1, axis=-1, keepdims=True)
+        f2 = np.sum(d1 * d1 + r * (2 * c2 + 6 * s * c3), axis=-1,
+                    keepdims=True)
+        convex = f2 > 0
+        s = np.clip(s - np.where(convex, f1, 0.0)
+                    / np.where(convex, f2, 1.0), 0.0, 1.0)
+    r = off + s * (c1 + s * (c2 + s * c3))
+    return np.sum(r * r, axis=-1)
+
+
 def curve_set_deviation(path_a: GeodesicPath, path_b: GeodesicPath):
     """One-sided worst-case distance between two paths seen as point sets.
 
     Samples the shorter path densely and measures each sample against the
-    segments of the longer one, so a projective reparametrization (same
-    curve traversed at a different speed, possibly further) scores zero
-    up to integration error.  A sample starts at its projection onto each
-    segment's chord, then takes Newton steps on the squared distance along
-    the segment, where its second derivative is positive, with ``s`` kept
-    in [0, 1].  Samples go in chunks of ``_CHUNK`` against all segments."""
+    segments of the longer one (``_segment_sq_dist``), so a projective
+    reparametrization (same curve traversed at a different speed,
+    possibly further) scores zero up to integration error.
+
+    Only pairs that could hold a sample's minimum are measured.  Each
+    sample's bound ``ub`` is its value on the segment that starts at its
+    nearest node.  Samples go in chunks of ``_CHUNK``: a segment whose box
+    (see the module docstring) is farther from the chunk's box of samples
+    than the chunk's largest bound is skipped for the whole chunk, and of
+    the rest, a pair is skipped where the segment's box is farther from
+    the sample than its bound.  A skipped pair's value is at least its box
+    distance, so the minimum over the kept pairs and ``ub`` is the
+    all-pairs minimum, bit for bit; a NaN bound skips nothing."""
     pa, pb = path_a.dense_points(), path_b.dense_points()
     la, lb = (float(np.sum(np.sqrt(np.sum(d * d, axis=1))))
               for d in (np.diff(pa, axis=0), np.diff(pb, axis=0)))
     query, target = (pa, path_b) if la <= lb else (pb, path_a)
-    c0, c1, c2, c3 = target.segments.transpose(1, 0, 2)
+    seg = target.segments
+    c0, c1, c2, c3 = seg.transpose(1, 0, 2)
     chord = c1 + c2 + c3
     len2 = np.maximum(np.sum(chord * chord, axis=-1), 1e-300)
+    lo, hi = _segment_boxes(seg)
+    slack = _SKIP_ABS * (np.abs(query).max()
+                         + np.abs(seg).max(axis=(0, 2)).sum())
+
+    def sq_dist(q, j):
+        return _segment_sq_dist(c0[j] - q, c1[j], c2[j], c3[j], chord[j],
+                                len2[j])
+
+    # temporaries stay within one chunk's (_CHUNK, segments, n)
+    chunks = range(0, len(query), _CHUNK)
+    nearest = np.concatenate([
+        np.argmin(_sq_norm(query[i:i + _CHUNK, None] - c0), axis=1)
+        for i in chunks])
+    slab = _CHUNK * len(seg)
+    ub = np.concatenate([sq_dist(query[i:i + slab], nearest[i:i + slab])
+                         for i in range(0, len(query), slab)])
+    reach = (np.sqrt(ub) * (1 + _SKIP_REL) + slack) ** 2
     worst = 0.0
-    for start in range(0, len(query), _CHUNK):
-        off = c0 - query[start:start + _CHUNK, None, :]  # (chunk, steps, n)
-        s = np.clip(-np.sum(off * chord, axis=-1) / len2, 0.0, 1.0)[..., None]
-        for _ in range(_NEWTON_STEPS):
-            r = off + s * (c1 + s * (c2 + s * c3))
-            d1 = c1 + s * (2 * c2 + 3 * s * c3)
-            f1 = np.sum(r * d1, axis=-1, keepdims=True)
-            f2 = np.sum(d1 * d1 + r * (2 * c2 + 6 * s * c3), axis=-1,
-                        keepdims=True)
-            convex = f2 > 0
-            s = np.clip(s - np.where(convex, f1, 0.0)
-                        / np.where(convex, f2, 1.0), 0.0, 1.0)
-        r = off + s * (c1 + s * (c2 + s * c3))
-        worst = max(worst, float(np.max(np.min(np.sum(r * r, axis=-1),
-                                               axis=1))))
+    for i in chunks:
+        q, r = query[i:i + _CHUNK], reach[i:i + _CHUNK]
+        near = np.flatnonzero(~(_box_sq_dist(q.min(axis=0), q.max(axis=0),
+                                             lo, hi) > r.max()))
+        keep = ~(_box_sq_dist(q[:, None], q[:, None], lo[near], hi[near])
+                 > r[:, None])
+        qi, sj = np.nonzero(keep)
+        d2 = np.full(keep.shape, np.inf)
+        d2[keep] = sq_dist(q[qi], near[sj])
+        best = np.minimum(ub[i:i + _CHUNK],
+                          np.min(d2, axis=1, initial=np.inf))
+        worst = max(worst, float(np.max(best)))
     return float(np.sqrt(worst))
 
 

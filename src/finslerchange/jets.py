@@ -44,6 +44,14 @@ import numpy as np
 
 # Resource guard: coefficient counts grow like C(nvars+K, K).
 MAX_ORDER = 12
+# A block product multiplies row by row, one numpy call per coefficient,
+# once it makes this many point products per coefficient on average; below
+# that one bincount over every pair and point costs less.  On a 2.1 GHz
+# Xeon with numpy 2.4 the row loop cost about 10 us per row and the
+# bincount 4 to 16 ns per product; in 6v4 they crossed between P = 70 and
+# 80, and in the other spaces of point blocks (4v2 to 4v4, 6v2, 6v3) the
+# bincount won up to the coefficient count.
+_ROW_PRODUCTS = 640
 
 
 class JetError(Exception):
@@ -131,11 +139,18 @@ class _Space:
                               in enumerate(zip(counts, starts))]
         return self._mul_rows
 
+    def rows_from(self):
+        """The number of points from which ``block_product`` multiplies
+        by rows: where the products per coefficient reach
+        ``_ROW_PRODUCTS``, and at most ``size``."""
+        pairs = len(self.mul_table()[0])
+        return min(self.size, -(-_ROW_PRODUCTS * self.size // pairs))
+
     def block_product(self, a, b):
         """Coefficients of the product of two jets of this space with
         point axes, ``a`` and ``b`` of shape ``(size, P)``: each column is
         bit for bit the one-point ``bincount`` product of its columns."""
-        if a.shape[1] >= self.size:
+        if a.shape[1] >= self.rows_from():
             out = np.zeros_like(a)
             for i, count, io in self.mul_rows():
                 out[io] += a[i] * b[:count]

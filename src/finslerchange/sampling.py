@@ -31,9 +31,8 @@ from .lang import SpecError
 
 _MAX_TRIES_PER_POINT = 100
 # Draws per chunk, so columns per block: a block's jets take memory in
-# proportion to its size, and a product runs its faster row loop once a
-# block has at least as many points as the jet space has coefficients
-# (70 at order 4 in 4 variables).
+# proportion to its size, and a product runs its row loop once a block
+# has ``_Space.rows_from()`` points (70 at order 4 in 4 variables).
 BLOCK_SIZE = 256
 
 

@@ -683,6 +683,41 @@ def test_columns_keep_leaves_out_never_reach_the_blocks_later_layers():
         assert C.tobytes() == space.point(xs[p], y).C_low().tobytes()
 
 
+
+def test_member_of_a_failed_column_raises_at_construction(monkeypatch):
+    # L^2 < 0 at the middle point only
+    space = FinslerSpace(parse_spec_text(
+        "dim 2\nL2 = (1 - 2 * x2^2) * (y1^2 + y2^2)\n", name="dented"))
+    xs = [[0.5, 0.1], [0.0, 0.9], [0.25, -0.3]]
+    y = [1.0, 0.5]
+    with pytest.raises(JetDomainError, match="is not positive") as alone:
+        space.point(xs[1], y)
+    reads = []
+    column = core._column
+
+    def counting(value, p):
+        reads.append(p)
+        return column(value, p)
+
+    monkeypatch.setattr(core, "_column", counting)
+    for checked in (False, True):
+        block = PointBlock(space, np.transpose(xs), np.transpose([y] * 3))
+        if checked:
+            block._f2(2)
+        with pytest.raises(JetDomainError) as got:
+            block.point(1, xs[1], y)
+        assert str(got.value) == str(alone.value)
+        assert block.ok.tolist() == [True, False, True]
+        reads.clear()
+        members = [block.point(p, xs[p], y) for p in (0, 2)]
+        # the order-2 check has run, so a member of an ok column reads
+        # nothing at construction
+        assert reads == []
+        for p, pg in zip((0, 2), members):
+            want = space.point(xs[p], y).g_low()
+            assert pg.g_low().tobytes() == want.tobytes()
+        assert sorted(set(reads)) == [0, 2]
+
 def _jets_in(value):
     """The jets of a structure of jets, in order."""
     if isinstance(value, Jet):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from finslerchange import geodesics
 from finslerchange.change import ChangedPair
 from finslerchange.core import FinslerSpace
 from finslerchange.geodesics import (
     MAX_CONDITION,
     GeodesicError,
+    GeodesicPath,
     curve_set_deviation,
     integrate_geodesic,
     retrace_deviation,
@@ -279,3 +283,178 @@ def test_one_spray_evaluation_per_stage(metric, x0, y0):
     assert path.stats["rejected"] > 0
     assert calls[0] == 1 + 6 * (path.stats["steps"]
                                 + path.stats["rejected"])
+
+
+def _all_pairs_deviation(path_a, path_b):
+    """Reference curve distance: every dense point of the shorter path
+    against every segment of the longer one, in chunks of 32 points,
+    with no segment skipped."""
+    pa, pb = path_a.dense_points(), path_b.dense_points()
+    la, lb = (float(np.sum(np.sqrt(np.sum(d * d, axis=1))))
+              for d in (np.diff(pa, axis=0), np.diff(pb, axis=0)))
+    query, target = (pa, path_b) if la <= lb else (pb, path_a)
+    c0, c1, c2, c3 = target.segments.transpose(1, 0, 2)
+    chord = c1 + c2 + c3
+    len2 = np.maximum(np.sum(chord * chord, axis=-1), 1e-300)
+    worst = 0.0
+    for start in range(0, len(query), 32):
+        off = c0 - query[start:start + 32, None, :]
+        s = np.clip(-np.sum(off * chord, axis=-1) / len2, 0.0, 1.0)[..., None]
+        for _ in range(4):
+            r = off + s * (c1 + s * (c2 + s * c3))
+            d1 = c1 + s * (2 * c2 + 3 * s * c3)
+            f1 = np.sum(r * d1, axis=-1, keepdims=True)
+            f2 = np.sum(d1 * d1 + r * (2 * c2 + 6 * s * c3), axis=-1,
+                        keepdims=True)
+            convex = f2 > 0
+            s = np.clip(s - np.where(convex, f1, 0.0)
+                        / np.where(convex, f2, 1.0), 0.0, 1.0)
+        r = off + s * (c1 + s * (c2 + s * c3))
+        worst = max(worst, float(np.max(np.min(np.sum(r * r, axis=-1),
+                                               axis=1))))
+    return float(np.sqrt(worst))
+
+
+def _path(t, states):
+    states = np.asarray(states, dtype=float)
+    return GeodesicPath(states.shape[1] // 2, t, states, {})
+
+
+def _wiggle(rng, n, steps, scale):
+    """A random path of ``steps`` steps: a random walk of nodes with
+    random velocities."""
+    t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, steps))])
+    x = np.cumsum(rng.normal(scale=scale, size=(steps + 1, n)), axis=0)
+    y = rng.normal(scale=scale, size=(steps + 1, n))
+    return t, np.hstack([x, y])
+
+
+def _stall(states, k):
+    """Repeat node ``k`` at rest, so that a zero-length segment (chord 0,
+    the ``len2`` floor) follows it."""
+    n = states.shape[1] // 2
+    rest = states[k].copy()
+    rest[n:] = 0.0
+    return np.vstack([states[:k], rest, rest, states[k + 1:]])
+
+
+def _assert_same_deviation(a, b):
+    for p, q in ((a, b), (b, a)):
+        assert curve_set_deviation(p, q) == _all_pairs_deviation(p, q)
+
+
+@st.composite
+def _path_pairs(draw):
+    n = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([0.01, 0.3, 2.0]))
+    ta, sa = _wiggle(rng, n, draw(st.integers(1, 12)), scale)
+    relation = draw(st.sampled_from(["free", "same", "near", "shares"]))
+    if relation == "same":
+        tb, sb = ta, sa.copy()
+    else:
+        tb, sb = _wiggle(rng, n, draw(st.integers(1, 12)), scale)
+        if relation == "near":
+            sb = sa[:1] + (sb - sb[:1]) * 1e-3
+            sb[:, :n] += rng.normal(scale=1e-6, size=n)
+        elif relation == "shares":
+            # queries fall exactly on some nodes of the other path
+            k = rng.integers(0, len(sa), size=min(len(sa), len(sb)))
+            sb[:len(k)] = sa[k]
+    sb[:, :n] += draw(st.sampled_from([0.0, 0.5, 50.0]))
+    for states in (sa, sb):
+        if draw(st.booleans()):
+            k = int(rng.integers(0, len(states)))
+            states = _stall(states, k)
+    if draw(st.booleans()):
+        sa = _stall(sa, int(rng.integers(0, len(sa))))
+        ta = np.concatenate([ta, [ta[-1] + 0.5]])
+    return _path(ta, sa), _path(tb, sb)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_path_pairs())
+def test_curve_distance_equals_all_pairs_reference(pair):
+    _assert_same_deviation(*pair)
+
+
+def test_curve_distance_edge_cases_equal_the_reference():
+    rng = np.random.default_rng(5)
+    # identical paths: every query sits on the other path
+    t = np.linspace(0.0, 6.0, 21)
+    helix = np.column_stack([np.cos(t), np.sin(t), 0.2 * t,
+                             -np.sin(t), np.cos(t), np.full_like(t, 0.2)])
+    assert curve_set_deviation(_path(t, helix), _path(t, helix)) < 1e-9
+    _assert_same_deviation(_path(t, helix), _path(t, helix))
+    t, states = _wiggle(rng, 3, 20, 0.3)
+    path = _path(t, states)
+    # a query exactly on a node of the target, and zero-length segments
+    stalled = _stall(_stall(states, 4), 11)
+    _assert_same_deviation(path, _path(np.arange(len(stalled)) * 0.3,
+                                       stalled))
+    _assert_same_deviation(_path([0.0, 0.2], states[3:5]), path)
+    # a one-step target: a long step against a short wiggly query path
+    long_step = _path([0.0, 1.0], [[-5.0, 0, 0, 10, 1, 0],
+                                   [5.0, 0, 0, 10, -1, 0]])
+    tq, sq = _wiggle(rng, 3, 15, 0.01)
+    _assert_same_deviation(long_step, _path(tq, sq))
+    # far apart, and crossing: every bound reaches every segment
+    far = states.copy()
+    far[:, :3] += 1e3
+    _assert_same_deviation(path, _path(t, far))
+    line = np.zeros((9, 4))
+    line[:, 0] = np.linspace(-4.0, 4.0, 9)
+    line[:, 2] = 1.0
+    cross = line[:, [1, 0, 3, 2]].copy()
+    cross[:, 0] += 0.25
+    _assert_same_deviation(_path(np.arange(9.0), line),
+                           _path(np.arange(9.0), cross))
+
+
+def test_curve_distance_skips_far_segments():
+    # two long neighbouring paths: almost every pair is skipped
+    space = FinslerSpace(SPHERE)
+    base = integrate_geodesic(space, [1.0, 0.1], [0.5, 0.8], 6.0,
+                              tol=1e-10)
+    other = integrate_geodesic(space, [1.0, 0.1], [0.5, 0.81], 6.0,
+                               tol=1e-10)
+    measured = []
+    newton = geodesics._segment_sq_dist
+
+    def counting(off, *args):
+        measured.append(len(off))
+        return newton(off, *args)
+
+    geodesics._segment_sq_dist = counting
+    try:
+        got = curve_set_deviation(base, other)
+    finally:
+        geodesics._segment_sq_dist = newton
+    assert got == _all_pairs_deviation(base, other)
+    steps = len(base.segments)
+    assert steps > 30
+    all_pairs = len(base.dense_points()) * steps
+    assert sum(measured) < 0.2 * all_pairs
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([1e-3, 1.0, 1e3]))
+def test_segments_lie_in_their_boxes(n, seed, scale):
+    # the skip rule is exact because of this: every point that the
+    # Newton steps can reach lies in its segment's box, up to the
+    # rounding the rule's absolute margin absorbs
+    rng = np.random.default_rng(seed)
+    t, states = _wiggle(rng, n, 6, scale)
+    segments = _path(t, states).segments
+    lo, hi = geodesics._segment_boxes(segments)
+    c0, c1, c2, c3 = segments.transpose(1, 0, 2)
+    s = np.linspace(0.0, 1.0, 65)[:, None, None]
+    points = c0 + s * (c1 + s * (c2 + s * c3))
+    slack = geodesics._SKIP_ABS * np.abs(segments).max(axis=(0, 2)).sum()
+    assert np.all(points >= lo - slack) and np.all(points <= hi + slack)
+    # the dense points, the queries, sit in the boxes too
+    dense = (np.linspace(0.0, 1.0, geodesics.REFINE, endpoint=False)[
+        :, None] ** np.arange(4)) @ segments
+    assert np.all(dense >= lo[:, None] - slack)
+    assert np.all(dense <= hi[:, None] + slack)

@@ -376,8 +376,8 @@ def test_block_jets_equal_point_jets_bit_for_bit(points, order):
 
 @pytest.mark.parametrize("nvars, order", [(4, 2), (6, 2), (6, 4)])
 def test_block_products_equal_point_products_bit_for_bit(nvars, order):
-    # below the coefficient count a block product is one bincount over
-    # all points, at it the row loop; signed zeros must survive both
+    # below ``rows_from`` a block product is one bincount over all points,
+    # from it the row loop; signed zeros must survive both
     sp = _space(nvars, order)
     for points in (1, 2, 5, sp.size - 1, sp.size):
         a, b = RNG.normal(size=(2, sp.size, points))
@@ -389,6 +389,23 @@ def test_block_products_equal_point_products_bit_for_bit(nvars, order):
             alone = Jet(sp, a[:, p].copy()) * Jet(sp, b[:, p].copy())
             assert block.coeffs[:, p].tobytes() == alone.coeffs.tobytes()
 
+
+
+@pytest.mark.parametrize("nvars, order, rows_from", [
+    (4, 2, 15), (4, 4, 70), (6, 2, 28), (6, 4, 74)])
+def test_block_products_keep_their_bits_across_the_kernel_switch(
+        nvars, order, rows_from):
+    # the row loop starts where its per-row cost pays: at the coefficient
+    # count in the small spaces, earlier in 6v4
+    sp = _space(nvars, order)
+    assert sp.rows_from() == rows_from
+    for points in (rows_from - 1, rows_from):
+        a, b = RNG.normal(size=(2, sp.size, points))
+        a[RNG.uniform(size=a.shape) < 0.2] = -0.0
+        block = Jet(sp, a) * Jet(sp, b)
+        for p in range(points):
+            alone = Jet(sp, a[:, p].copy()) * Jet(sp, b[:, p].copy())
+            assert block.coeffs[:, p].tobytes() == alone.coeffs.tobytes()
 
 def test_one_point_and_block_jets_do_not_combine():
     (one,) = lift([0.5], order=2)
