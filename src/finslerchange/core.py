@@ -7,6 +7,13 @@ as jets themselves so that their own derivatives remain exact.  A point
 is built from one order-2 jet of L^2; the spray's values, which geodesic
 integration asks for at every step, are solved in floats from that jet.
 
+Each layer keeps only the x-degrees its readers need (``L2_XCAP``): the
+jets of L^2 hold x-degree at most 2, the spray's at most 1 and those of
+R and W none, because the spray takes one x-derivative of L^2 and R one
+of the spray, and no tensor reads an x-derivative of R or W.  Only the
+order-6 jet of L^2, which the Douglas tensor and the Weyl torsion need,
+is built for the heavy tensors; W reads its values from the same jets.
+
 Sampled points live in ``PointBlock``s: a block is the sampler's chunk of
 candidate draws as one point with a point axis, and runs the same code
 for the light jet layers (those ``riemann`` needs) on jets whose
@@ -34,6 +41,12 @@ import numpy as np
 from .jets import Jet, JetDomainError, JetError, jet_linear_solve, lift_env
 from .lang import MetricSpec, SpecError
 from .memo import cached, cached_to_order
+
+# The x-degree that jets of L^2 keep.  No tensor reads more than two
+# x-derivatives of L^2: the spray takes one, and R and W take one more of
+# the spray.  Monomials of x-degree 3 and more form an ideal, so leaving
+# them out changes no coefficient that is kept.
+L2_XCAP = 2
 
 
 def central_diff(f, t, h=1e-5):
@@ -166,20 +179,22 @@ class _JetLayers:
 
     @_light(4)
     def _f2(self, order):
-        """(seed jets of y, jet of L^2) over (x, y); raises where
-        ``_check_l2`` does."""
-        env = lift_env(order, x=self.x, y=self.y)
+        """(seed jets of y, jet of L^2) over (x, y), capped at x-degree
+        ``L2_XCAP``; raises where ``_check_l2`` does."""
+        env = lift_env(order, L2_XCAP, x=self.x, y=self.y)
         f2 = self.space.spec.eval_l2(env)
         self._check_l2(f2, order)
         return list(env.values())[self.n:], f2
 
     @_light(2)
     def _spray_jets(self, order):
+        """The spray G^i as jets, capped at x-degree 1."""
         n = self.n
         f2 = self._f2(order + 2)[1].truncated(order + 2)
-        yj = [v.truncated(order) for v in self._f2(order + 2)[0]]
+        yj = [v.truncated(order, 1) for v in self._f2(order + 2)[0]]
         dy = [f2.deriv(n + i) for i in range(n)]    # order + 1
-        g = [[di.deriv(n + j) * 0.5 for j in range(n)] for di in dy]
+        g = [[di.deriv(n + j).truncated(order, 1) * 0.5 for j in range(n)]
+             for di in dy]
         rhs = []
         for l, dl in enumerate(dy):
             acc = reduce(add, (yj[k] * dl.deriv(k) for k in range(n)))
@@ -188,20 +203,24 @@ class _JetLayers:
 
     @_light(0)
     def _riemann_jets(self, order):
+        """The curvature deviation R^i_k as jets, capped at x-degree 0."""
         n = self.n
         G = [Gi.truncated(order + 2) for Gi in self._spray_jets(order + 2)]
         G1 = [Gi.truncated(order + 1) for Gi in G]
-        G2 = [2.0 * Gi.truncated(order) for Gi in G]
-        yj = [v.truncated(order) for v in self._f2(order + 4)[0]]
+        # the terms that take no x-derivative of G need none of its x-degree
+        G0 = [Gi.truncated(order + 2, 0) for Gi in G]
+        G2 = [2.0 * Gi.truncated(order) for Gi in G0]
+        yj = [v.truncated(order, 0) for v in self._f2(order + 4)[0]]
         dG = [[Gi.deriv(n + k) for k in range(n)] for Gi in G]     # order + 1
-        N = [[Gi.deriv(n + k) for k in range(n)] for Gi in G1]     # order
+        dG0 = [[Gi.deriv(n + k) for k in range(n)] for Gi in G0]
+        N = [[d.truncated(order) for d in row] for row in dG0]
         R = [[None] * n for _ in range(n)]
         for i in range(n):
             for k in range(n):
                 acc = 2.0 * G1[i].deriv(k)
                 for j in range(n):
                     acc = acc - yj[j] * dG[i][k].deriv(j)
-                    acc = acc + G2[j] * dG[i][k].deriv(n + j)
+                    acc = acc + G2[j] * dG0[i][k].deriv(n + j)
                     acc = acc - N[i][j] * N[j][k]
                 R[i][k] = acc
         return R
@@ -247,7 +266,8 @@ class PointBlock(_JetLayers):
     def _check_l2(self, f2, order):
         """Clear ``ok`` where ``L^2`` is not positive with finite
         coefficients, and give the failed columns the coefficients and
-        coordinates of an ``ok`` one."""
+        coordinates of an ``ok`` one.  Only the coefficients the jet
+        holds count: one of x-degree above ``L2_XCAP`` fails no column."""
         c = f2.coeffs
         self.ok &= (c[0] > 0.0) & np.isfinite(c).all(axis=0)
         self._fill(c, self.x, self.y)
@@ -291,7 +311,8 @@ class PointGeometry(_JetLayers):
 
     def _check_l2(self, f2, order):
         """Raise ``JetDomainError`` unless L^2 is positive and every
-        coefficient is finite."""
+        coefficient is finite; those are the coefficients the jet holds,
+        so one of x-degree above ``L2_XCAP`` raises nothing."""
         if not (f2.value > 0.0 and np.isfinite(f2.coeffs).all()):
             raise JetDomainError(f"L^2 = {f2.value:.6g} is not positive with "
                                  f"finite order-{order} coefficients at "
@@ -299,11 +320,12 @@ class PointGeometry(_JetLayers):
 
     @cached_to_order
     def _weyl_jets(self, order):
-        """Projectively invariant curvature deviation W^i_k as jets."""
+        """Projectively invariant curvature deviation W^i_k as jets, capped
+        at x-degree 0."""
         n = self.n
         R = [[Rik.truncated(order + 1) for Rik in row]
              for row in self._riemann_jets(order + 1)]
-        yj = [v.truncated(order) for v in self._f2(order + 3)[0]]
+        yj = [v.truncated(order, 0) for v in self._f2(order + 3)[0]]
         ric = reduce(add, (R[m][m] for m in range(n)))
         A = [[R[i][k] - (ric * (1.0 / (n - 1)) if i == k else 0.0)
               for k in range(n)] for i in range(n)]
@@ -425,8 +447,9 @@ class PointGeometry(_JetLayers):
         """Douglas tensor: third y-derivatives of the trace-adjusted spray,
         D^h_ijk = d3/dy^i dy^j dy^k (G^h - (dG^m/dy^m) y^h / (n + 1))."""
         n = self.n
-        G = [Gh.truncated(4) for Gh in self._spray_jets(4)]
-        yj = [v.truncated(3) for v in self._f2(6)[0]]
+        # y-derivatives only: x-degree 0 holds them
+        G = [Gh.truncated(4, 0) for Gh in self._spray_jets(4)]
+        yj = [v.truncated(3, 0) for v in self._f2(6)[0]]
         tr = reduce(add, (G[m].deriv(n + m) for m in range(n)))
         P = [G[h].truncated(3) - yj[h] * tr * (1.0 / (n + 1))
              for h in range(n)]
@@ -444,9 +467,14 @@ class PointGeometry(_JetLayers):
 
     @cached
     def weyl_proj(self):
-        """Projectively invariant part of the curvature deviation."""
+        """Projectively invariant part of the curvature deviation, read
+        from the order-1 Weyl jets that ``weyl_torsion`` needs: every
+        check that asks for W at a point also asks there for the Weyl
+        torsion (``inv5``) or the Douglas tensor (``core.weyl-structure``
+        and ``core.douglas-structure`` run on the same heavy points), and
+        both need the order-6 jet of L^2 that these jets are cut from."""
         return np.array([[Wik.value for Wik in row]
-                         for row in self._weyl_jets(0)])
+                         for row in self._weyl_jets(1)])
 
     @cached
     def weyl_torsion(self):

@@ -14,9 +14,19 @@ private to this module: callers read derivatives with ``Jet.partials``
 (all partials of one order as an array) or ``Jet.deriv`` (a derivative
 that is itself a jet).
 
+A space may also cap the x-degree, the degree in the first half of its
+variables (the x of jets over ``(x, y)``): ``lift(values, order, xcap)``.
+The monomials above the cap form an ideal, so every coefficient a capped
+jet keeps is exact, and it is bit for bit the uncapped jet's: a product
+sums, for each kept coefficient, the same pairs in the same order.  A
+derivative along an x variable lowers the cap by one, and one along a y
+variable keeps it; a cap at or above the order is the uncapped space.
+``partials`` gives NaN for a derivative above the cap.
+
 Arithmetic stays inside one space: ``+``, ``-`` and ``*`` of jets of
-different variable counts or orders raise ``ValueError``.  Callers cut
-inputs with ``Jet.truncated``, which commutes bit for bit with all three.
+different variable counts, orders or caps raise ``ValueError``.  Callers
+cut inputs with ``Jet.truncated(order, xcap)``, which commutes bit for
+bit with all three.
 
 A jet may carry a trailing point axis: coefficients of shape ``(size,)``
 hold one point, ``(size, P)`` a block of P points, and every operation
@@ -25,7 +35,9 @@ acts on each point's column as it would on that point alone, bit for bit
 Derivatives*, 2008).  Jets of one point and of a block do not combine.
 The block product keeps the summation order of the one-point
 ``bincount``: it loops over coefficient rows, ``out[io] += a[i] *
-b[:len]`` for the rows of ``mul_table`` in order, where the block has at
+b[partners]`` for the rows of ``mul_table`` in order (the partners are a
+prefix, a view, except in the capped rows that skip x-degrees), where
+the block has at
 least as many points as the space has coefficients, and otherwise runs one
 ``bincount`` over all points whose bins each take their pairs in
 ``mul_table`` order.  Series coefficients of
@@ -87,16 +99,26 @@ def _enumerate_monomials(nvars, order):
 
 
 class _Space:
-    """Shared per-(nvars, order) index tables; built once, cached globally."""
+    """Shared index tables of one jet space, built once and cached
+    globally: the monomials in ``nvars`` variables of total degree at most
+    ``order`` and, in a capped space, of degree at most ``xcap`` in the
+    first ``xvars = nvars // 2`` variables, the x of ``(x, y)`` (the
+    x-degree).  A cap at or above the order holds every monomial: that is
+    the uncapped space, with ``xcap = None``."""
 
-    __slots__ = ("nvars", "order", "monomials", "position", "size",
-                 "_mul_table", "_mul_rows", "_deriv_maps", "_partials",
-                 "_seeds")
+    __slots__ = ("nvars", "order", "xvars", "xcap", "monomials", "position",
+                 "size", "_mul_table", "_mul_rows", "_deriv_maps",
+                 "_partials", "_seeds", "_cuts")
 
-    def __init__(self, nvars, order):
+    def __init__(self, nvars, order, xcap=None):
         self.nvars = nvars
         self.order = order
-        self.monomials = tuple(_enumerate_monomials(nvars, order))
+        self.xvars = nvars // 2
+        self.xcap = xcap
+        monomials = _enumerate_monomials(nvars, order)
+        if xcap is not None:
+            monomials = [m for m in monomials if sum(m[:self.xvars]) <= xcap]
+        self.monomials = tuple(monomials)
         self.position = {m: i for i, m in enumerate(self.monomials)}
         self.size = len(self.monomials)
         self._mul_table = None
@@ -104,20 +126,39 @@ class _Space:
         self._deriv_maps = {}
         self._partials = {}
         self._seeds = None
+        self._cuts = {}
+
+    def __str__(self):
+        name = f"{self.nvars}v{self.order}"
+        if self.xcap is None:
+            return name
+        return f"{name} capped at x-degree {self.xcap}"
 
     def mul_table(self):
-        """(ia, ib, io): every pair of coefficients whose degrees sum to at
-        most the order, row-major in (ia, ib), and the position io of
-        their product."""
+        """(ia, ib, io): every pair of coefficients whose product the space
+        holds, row-major in (ia, ib), and the position io of their
+        product.  A capped space keeps the pairs of the uncapped table
+        whose product it holds, in the same order, so each of its
+        coefficients sums the same products in the same order."""
         if self._mul_table is None:
             M = np.array(self.monomials, dtype=np.intp).reshape(
                 self.size, self.nvars)
             deg = M.sum(axis=1)
-            # degrees never decrease along the graded order, so row i pairs
-            # with the prefix of monomials of degree <= order - deg[i]
-            lens = np.searchsorted(deg, self.order - deg, side="right")
+            xdeg = M[:, :self.xvars].sum(axis=1)
+            cap = self.order if self.xcap is None else self.xcap
+            # row i pairs with the monomials of degree <= order - deg[i]
+            # and x-degree <= cap - xdeg[i], in order: a prefix of the
+            # graded order wherever the first bound implies the second
+            partners = {}
+            rows = []
+            for d, xd in zip((self.order - deg).tolist(),
+                             (cap - xdeg).tolist()):
+                if (d, xd) not in partners:
+                    partners[d, xd] = np.flatnonzero((deg <= d) & (xdeg <= xd))
+                rows.append(partners[d, xd])
+            lens = np.array([r.size for r in rows], dtype=np.intp)
             ia = np.repeat(np.arange(self.size), lens)
-            ib = np.arange(ia.size) - np.repeat(np.cumsum(lens) - lens, lens)
+            ib = np.concatenate(rows)
             # exponents stay at most the order, so base order + 1 keys each
             # monomial uniquely and the key of a product is a sum of keys
             keys = M @ (self.order + 1) ** np.arange(self.nvars, dtype=np.intp)
@@ -128,15 +169,22 @@ class _Space:
         return self._mul_table
 
     def mul_rows(self):
-        """``mul_table`` by rows: one (i, count, io) per coefficient i,
-        which pairs with the first ``count`` coefficients at the positions
-        ``io``, all different."""
+        """``mul_table`` by rows: one (i, partners, io) per coefficient i,
+        which pairs with the coefficients ``partners`` at the positions
+        ``io``, all different.  ``partners`` is a slice where they are a
+        prefix, as in every row of an uncapped space, and otherwise their
+        positions."""
         if self._mul_rows is None:
-            ia, _, io = self.mul_table()
+            ia, ib, io = self.mul_table()
             counts = np.bincount(ia, minlength=self.size)
             starts = np.cumsum(counts) - counts
-            self._mul_rows = [(i, int(c), io[s:s + c]) for i, (c, s)
-                              in enumerate(zip(counts, starts))]
+            self._mul_rows = []
+            for i, (c, s) in enumerate(zip(counts.tolist(), starts.tolist())):
+                # partners increase from the constant monomial, 0
+                part = ib[s:s + c]
+                if part[-1] == c - 1:
+                    part = slice(0, c)
+                self._mul_rows.append((i, part, io[s:s + c]))
         return self._mul_rows
 
     def rows_from(self):
@@ -152,8 +200,8 @@ class _Space:
         bit for bit the one-point ``bincount`` product of its columns."""
         if a.shape[1] >= self.rows_from():
             out = np.zeros_like(a)
-            for i, count, io in self.mul_rows():
-                out[io] += a[i] * b[:count]
+            for i, part, io in self.mul_rows():
+                out[io] += a[i] * b[part]
             return out
         # one bincount over all points: bin io * P + p is coefficient io of
         # point p, and each bin meets its pairs in mul_table order
@@ -165,11 +213,43 @@ class _Space:
         return np.bincount(keys, weights=w.ravel(),
                            minlength=self.size * P).reshape(self.size, P)
 
+    def cut(self, order, xcap):
+        """(space, index) of the jets cut to ``order`` and x-degree
+        ``xcap`` (None keeps this space's cap): the coefficients of the
+        cut jet are ``coeffs[index]``, a prefix slice where the cut keeps
+        the cap."""
+        key = (order, xcap)
+        if key not in self._cuts:
+            if order > self.order:
+                raise JetOrderError("cannot extend a jet to a higher order")
+            cap = self.order if self.xcap is None else self.xcap
+            xcap = cap if xcap is None else xcap
+            if min(xcap, order) > min(cap, order):
+                raise JetOrderError(f"cannot extend jets of {self} to "
+                                    f"x-degree {xcap}")
+            target = _space(self.nvars, order, min(xcap, cap))
+            if target.monomials == self.monomials[:target.size]:
+                index = slice(0, target.size)
+            else:
+                index = np.array([self.position[m] for m in target.monomials],
+                                 dtype=np.intp)
+            self._cuts[key] = (target, index)
+        return self._cuts[key]
+
     def deriv_map(self, var):
-        """Source positions and factors mapping coefficients of f to those
-        of df/dv[var] in the order-1 space."""
+        """The space of df/dv[var], one order lower and, along a capped
+        variable, one x-degree lower, with the source positions and
+        factors mapping coefficients of f to those of the derivative."""
         if var not in self._deriv_maps:
-            target = _space(self.nvars, self.order - 1)
+            if self.xcap is None:
+                target = _space(self.nvars, self.order - 1)
+            elif var < self.xvars:
+                if self.xcap == 0:
+                    raise JetOrderError(
+                        f"x-derivative budget of {self} exhausted")
+                target = _space(self.nvars, self.order - 1, self.xcap - 1)
+            else:
+                target = _space(self.nvars, self.order - 1, self.xcap)
             src = np.empty(target.size, dtype=np.intp)
             fac = np.empty(target.size)
             for p, m in enumerate(target.monomials):
@@ -177,33 +257,37 @@ class _Space:
                 up[var] += 1
                 src[p] = self.position[tuple(up)]
                 fac[p] = up[var]
-            self._deriv_maps[var] = (src, fac)
+            self._deriv_maps[var] = (target, src, fac)
         return self._deriv_maps[var]
 
     def partials_table(self, k):
         """Positions and factorial weights of the k-th partials, as arrays
-        of shape ``(nvars,) * k`` indexed by variables."""
+        of shape ``(nvars,) * k`` indexed by variables.  A partial whose
+        monomial the space does not hold has position 0 and weight NaN."""
         if k not in self._partials:
             shape = (self.nvars,) * k
-            pos = np.empty(shape, dtype=np.intp)
-            fac = np.empty(shape)
+            pos = np.zeros(shape, dtype=np.intp)
+            fac = np.full(shape, np.nan)
             for idx in np.ndindex(shape):
                 mi = [0] * self.nvars
                 for v in idx:
                     mi[v] += 1
-                pos[idx] = self.position[tuple(mi)]
-                fac[idx] = math.prod(math.factorial(e) for e in mi)
+                if tuple(mi) in self.position:
+                    pos[idx] = self.position[tuple(mi)]
+                    fac[idx] = math.prod(math.factorial(e) for e in mi)
             self._partials[k] = (pos, fac)
         return self._partials[k]
 
     def seeds(self):
         """Coefficient rows of the seed jets with value 0: row v has a unit
-        first-order coefficient for variable v."""
+        first-order coefficient for variable v, where the space holds
+        it."""
         if self._seeds is None:
             self._seeds = np.zeros((self.nvars, self.size))
             if self.order >= 1:
-                pos, _ = self.partials_table(1)
-                self._seeds[np.arange(self.nvars), pos] = 1.0
+                pos, fac = self.partials_table(1)
+                held = np.flatnonzero(~np.isnan(fac))
+                self._seeds[held, pos[held]] = 1.0
         return self._seeds
 
 
@@ -211,14 +295,21 @@ _SPACES = {}
 _SPACE_LOCK = threading.Lock()
 
 
-def _space(nvars, order):
-    key = (nvars, order)
+def _space(nvars, order, xcap=None):
+    """The space of ``nvars`` variables at ``order``, capped at x-degree
+    ``xcap``; a cap at or above the order, or a space without x
+    variables, is the uncapped space."""
+    if xcap is not None and xcap < 0:
+        raise JetOrderError(f"x-degree cap {xcap} is negative")
+    if xcap is None or xcap >= order or nvars < 2:
+        xcap = None
+    key = (nvars, order, xcap)
     sp = _SPACES.get(key)
     if sp is None:
         with _SPACE_LOCK:
             sp = _SPACES.get(key)
             if sp is None:
-                sp = _Space(nvars, order)
+                sp = _Space(nvars, order, xcap)
                 _SPACES[key] = sp
     return sp
 
@@ -350,21 +441,23 @@ class Jet:
         """The value of a one-point jet."""
         return float(self.coeffs[0])
 
-    def truncated(self, order):
-        if order == self.order:
+    def truncated(self, order, xcap=None):
+        """The jet cut to ``order`` and, where ``xcap`` is given, to
+        x-degree ``xcap``; the jet itself where that is its space."""
+        sp, index = self.space.cut(order, xcap)
+        if sp is self.space:
             return self
-        if order > self.order:
-            raise JetOrderError("cannot extend a jet to a higher order")
-        sp = _space(self.nvars, order)
-        return Jet(sp, self.coeffs[:sp.size].copy())
+        if isinstance(index, slice):
+            return Jet(sp, self.coeffs[index].copy())
+        return Jet(sp, self.coeffs[index])
 
     # -- ring operations ------------------------------------------------
 
     def _mixed(self, other):
         if other.space is self.space:
             return ValueError("jets of one point and of a block of points")
-        return ValueError(f"jets of different spaces ({self.nvars}v{self.order}"
-                          f", {other.nvars}v{other.order}): truncate one first")
+        return ValueError(f"jets of different spaces ({self.space}, "
+                          f"{other.space}): truncate one first")
 
     def __add__(self, other):
         if not isinstance(other, Jet):
@@ -425,20 +518,22 @@ class Jet:
 
     def deriv(self, var):
         """Jet of the partial derivative with respect to active variable
-        ``var``; the result is exact one order lower."""
+        ``var``; the result is exact one order lower, and along a capped
+        variable one x-degree lower."""
         if self.order < 1:
             raise JetOrderError("derivative order budget exhausted")
         if not 0 <= var < self.nvars:
             raise ValueError(f"variable index {var} out of range")
-        src, fac = self.space.deriv_map(var)
+        sp, src, fac = self.space.deriv_map(var)
         if self.coeffs.ndim > 1:
             fac = fac[:, None]
-        return Jet(_space(self.nvars, self.order - 1), self.coeffs[src] * fac)
+        return Jet(sp, self.coeffs[src] * fac)
 
     def partials(self, k):
         """All k-th partial derivatives, as an array indexed by k variables
         and symmetric in them (Taylor coefficients times factorials), then
-        by point for a block; ``partials(0)`` is the value."""
+        by point for a block; ``partials(0)`` is the value.  A partial of
+        an x-degree above a capped space's cap is NaN."""
         if k > self.order:
             raise JetOrderError(
                 f"derivative order {k} exceeds jet order {self.order}")
@@ -511,13 +606,14 @@ class Jet:
         return f"Jet(nvars={self.nvars}, order={self.order}, value={value})"
 
 
-def lift(values, order):
+def lift(values, order, xcap=None):
     """Seed jets for a list of scalars, one differentiation variable each,
     in list order: each jet holds its value and a unit first-order
     coefficient in its own slot.  Rows of P values give jets of a block
-    of P points."""
+    of P points.  With ``xcap`` the jets hold only the monomials of
+    degree at most ``xcap`` in the first half of the variables."""
     _check_order(order)
-    sp = _space(len(values), order)
+    sp = _space(len(values), order, xcap)
     values = np.asarray(values, dtype=float)
     jets = []
     # each jet owns its coefficients: as views of one array, a cached jet
@@ -530,15 +626,16 @@ def lift(values, order):
     return jets
 
 
-def lift_env(order, **coords):
+def lift_env(order, xcap=None, **coords):
     """Evaluation environment of seed jets: ``lift_env(2, x=x, y=y)`` binds
     ``x1 .. xn`` and then ``y1 .. yn`` to the jets of ``lift`` over all
     those values, in that order.  Coordinates of shape ``(n, P)`` give
-    jets of a block of P points."""
+    jets of a block of P points.  ``xcap`` caps the degree in the first
+    half of the variables, x of ``x=x, y=y``, as ``lift`` does."""
     names = [f"{k}{i + 1}" for k, vals in coords.items()
              for i in range(len(vals))]
     values = [v for vals in coords.values() for v in vals]
-    return dict(zip(names, lift(values, order)))
+    return dict(zip(names, lift(values, order, xcap)))
 
 
 def _swapped(here, top, low):

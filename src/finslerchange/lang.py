@@ -175,7 +175,7 @@ def _power(lhs, rhs):
         if isinstance(a, Jet):
             return a.powf(b)
         if isinstance(b, Jet):
-            return Jet.constant(a, b.nvars, b.order).powf(b)
+            return b._like(a).powf(b)
         try:
             if a < 0.0 and b != int(b):
                 raise JetDomainError(f"power {b} of negative value {a}")

@@ -132,7 +132,11 @@ def sample_points(pair, count, seed):
     A draw is admitted where the base value ``L^2`` and the signed changed
     value ``e^sigma L + b_i y^i`` are finite and above 1e-12 (the changed
     spec stores only the squared value, which cannot see a sign flip) and
-    the base fundamental tensor is invertible.  Each chunk of draws is
+    the base fundamental tensor is invertible.  A draw fails only on
+    coefficients the package computes: admission reads order-2 jets,
+    which hold every coefficient, and a higher tensor of an admitted
+    point raises only where a coefficient of x-degree at most
+    ``core.L2_XCAP`` is not finite.  Each chunk of draws is
     judged from block evaluations of its order-2 ``L^2`` jets and its
     ``sigma`` and ``b``; where one of those raises, from ``pair.at`` one
     draw at a time.  Either way a point is bit for bit the one ``pair.at``

@@ -4,6 +4,8 @@ import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finslerchange.jets import (
     Jet,
@@ -420,3 +422,108 @@ def test_one_point_and_block_jets_do_not_combine():
     (zero_at_one,) = lift([[0.5, 0.0]], order=2)
     with pytest.raises(JetDomainError, match="division by a jet with zero"):
         zero_at_one.reciprocal()
+
+
+def _kept(full, capped):
+    """The coefficients of ``full`` at the monomials of ``capped``'s
+    space, gathered by monomial."""
+    pos = [full.space.position[m] for m in capped.space.monomials]
+    return np.take(full.coeffs, pos, axis=0)
+
+
+def _assert_kept(got, full, xcap):
+    """``got`` is ``full`` in its space capped at ``xcap``, bit for bit."""
+    assert got.space is _space(full.nvars, full.order, xcap)
+    assert got.coeffs.tobytes() == _kept(full, got).tobytes()
+
+
+def _random_coeffs(rng, size, points=None, value=None):
+    """Normal coefficients with signed zeros mixed in; ``value`` gives
+    the value coefficients a range."""
+    shape = (size,) if points is None else (size, points)
+    c = rng.normal(size=shape)
+    c[rng.uniform(size=shape) < 0.2] = -0.0
+    c[rng.uniform(size=shape) < 0.1] = 0.0
+    if value is not None:
+        c[0] = rng.uniform(*value, size=shape[1:])
+    return c
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.sampled_from([4, 6]), st.integers(2, 6), st.integers(0, 2),
+       st.integers(0, 2 ** 32 - 1))
+def test_capped_jets_equal_uncapped_jets_at_their_monomials(nvars, order,
+                                                            xcap, seed):
+    rng = np.random.default_rng(seed)
+    full = _space(nvars, order)
+
+    def pair(points=None, value=None):
+        f = Jet(full, _random_coeffs(rng, full.size, points, value))
+        capped = f.truncated(order, xcap)
+        _assert_kept(capped, f, xcap)
+        return capped, f
+
+    (a, fa), (b, fb) = pair(), pair()
+    _assert_kept(a * b, fa * fb, xcap)
+    # x1 is capped, y1 is not; x-degree 0 has no x-derivative
+    x1, y1 = 0, nvars // 2
+    if xcap:
+        _assert_kept(a.deriv(x1), fa.deriv(x1), xcap - 1)
+    else:
+        with pytest.raises(JetOrderError, match="x-derivative"):
+            a.deriv(x1)
+    _assert_kept(a.deriv(y1), fa.deriv(y1), xcap)
+    # blocks below and at the row loop of the capped space
+    cut = _space(nvars, order, xcap).rows_from()
+    for points in (cut - 1, cut):
+        (a, fa), (b, fb) = pair(points), pair(points)
+        _assert_kept(a * b, fa * fb, xcap)
+    # analytic functions at positive values
+    p, fp = pair(value=(0.5, 2.0))
+    for f in (Jet.sqrt, Jet.exp, Jet.reciprocal, lambda j: j.powf(1.5),
+              lambda j: j.powf(-3)):
+        _assert_kept(f(p), f(fp), xcap)
+    # a 3x3 solve, whose pivots follow the random values
+    A = [[pair(value=(-2.0, 2.0)) for _ in range(3)] for _ in range(3)]
+    r = [pair() for _ in range(3)]
+    got = jet_linear_solve([[c for c, _ in row] for row in A],
+                           [c for c, _ in r])
+    want = jet_linear_solve([[f for _, f in row] for row in A],
+                            [f for _, f in r])
+    for g, w in zip(got, want):
+        _assert_kept(g, w, xcap)
+
+
+def test_jets_of_different_caps_raise_and_name_the_cap():
+    values = [0.5, -1.0, 2.0, 0.25]
+    a = lift(values, 4, xcap=1)[2]
+    b = lift(values, 4, xcap=2)[2]
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(ValueError, match=r"different spaces \(4v4 capped "
+                           r"at x-degree 1, 4v4 capped at x-degree 2\)"):
+            op(a, b)
+        with pytest.raises(ValueError, match=r"\(4v4 capped at x-degree 2, "
+                           r"4v4\)"):
+            op(b, lift(values, 4)[2])
+    assert (a * b.truncated(4, 1)).space is a.space
+    with pytest.raises(JetOrderError, match="x-degree 2"):
+        a.truncated(4, 2)
+    # a cap at or above the order is the uncapped space itself
+    assert lift(values, 2, xcap=2)[0].space is lift(values, 2)[0].space
+    assert a.truncated(1).space is _space(4, 1)
+
+
+def test_partials_the_space_drops_are_nan():
+    x1, x2, y1, y2 = lift([0.5, -1.0, 2.0, 0.25], 3, xcap=1)
+    f = x1 * x2 * y1 + x1 * y1 * y2 + y1 * y1 * y2
+    d2 = f.partials(2)
+    # x1 x2 and x1^2 have x-degree 2
+    assert np.isnan(d2[0, 1]) and np.isnan(d2[1, 0]) and np.isnan(d2[0, 0])
+    assert d2[0, 2] == -0.75 and d2[2, 2] == 0.5
+    d3 = f.partials(3)
+    assert np.isnan(d3[0, 1, 2]) and d3[0, 2, 3] == 1.0 and d3[2, 2, 3] == 2.0
+    # ordered triples with two x's (3 * 4 * 2) or three (8)
+    assert np.isnan(d3).sum() == 32
+    (x1,) = lift([0.5, -1.0, 2.0, 0.25], 2, xcap=0)[:1]
+    assert x1.value == 0.5 and np.isnan(x1.partials(1)[:2]).all()
+

@@ -105,6 +105,18 @@ def test_compiled_jets_are_bit_equal_to_hand_computation():
         assert got.coeffs.tobytes() == want.coeffs.tobytes(), text
 
 
+def test_number_to_a_capped_jet_power_stays_in_its_space():
+    # the base becomes a constant of the exponent's space, cap included
+    values = [0.5, -0.25, 1.5, 2.0]
+    expr = parse_expression("2^(x1 * y1 + x2)")
+    names = ("x1", "x2", "y1", "y2")
+    capped = lift(values, order=3, xcap=1)
+    got = evaluate(expr, dict(zip(names, capped)))
+    want = evaluate(expr, dict(zip(names, lift(values, order=3))))
+    assert got.space is capped[0].space
+    assert got.coeffs.tobytes() == want.truncated(3, 1).coeffs.tobytes()
+
+
 def test_compiled_unknown_variable_keeps_its_position():
     node = parse_expression("x1 + 2 * nope", line_no=4)
     for _ in range(2):          # compiling, then the cached closure

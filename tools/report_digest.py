@@ -11,19 +11,22 @@ a fresh process with ``PYTHONPATH=<TREE>/src`` and prints one line:
 
 The environment line carries interpreter and library versions, so it is
 left out of the hash.  Each record line is also hashed on its own, so
-that a difference names the check ids behind it.  A last line per tree,
+that a difference names the check ids behind it.  A line per tree,
 ``tensor stack``, hashes the bytes of every ``PointGeometry`` tensor of
 base and changed space at the sampled points of ``TENSOR_PAIRS``, and
 the frame data (``x``, ``B``, ``B2``, normal, normal curvature) of both
 sides of ``HYPER``, so that tensors no report prints are covered too;
-each tensor name is hashed on its own in the same way.  A last line,
-``sampled tensor stack``, hashes the same tensors of both sides at the
-points ``sample_points`` returns for ``SAMPLED``, requested tensor by
-tensor over all points, as ``verify``'s checks request them: there the
-light jet layers come from blocks of points, which must match the
-one-point tensors bit for bit, and a report's maxima could hide a
-difference in the last bit.  Run the script
-on the parent commit (a clone of it) and on a change: a refactor that
+each tensor name is hashed on its own in the same way.  A line
+``fresh tensor stack`` hashes the same tensors at the same points, each
+on its own new ``PointGeometry``: a tensor there reads no jet that
+another tensor left cached, so a result that depends on the order of
+requests shows.  A last line, ``sampled tensor stack``, hashes the same
+tensors of both sides at the points ``sample_points`` returns for
+``SAMPLED``, requested tensor by tensor over all points, as
+``verify``'s checks request them: there the light jet layers come from
+blocks of points, which must match the one-point tensors bit for bit,
+and a report's maxima could hide a difference in the last bit.  Run the
+script on the parent commit (a clone of it) and on a change: a refactor that
 keeps every line identical keeps the reports and the tensors
 byte-identical.  With two or more trees it prints the lines of each,
 then ``identical`` or the configurations that differ with the records or
@@ -152,28 +155,48 @@ def sampled_stack():
     return hashes.digests()
 
 
-def tensor_stack():
-    """(sha256 of the tensor stack, {tensor name: sha256 of its arrays}),
-    computed with the package on the import path; run in a child process
-    by ``tensor_digest``.  Frame data names carry a ``hyper.`` prefix."""
+def _tensor_points():
+    """(space, x, y) for both sides of the points of ``TENSOR_PAIRS``."""
     from finslerchange.change import ChangedPair
-    from finslerchange.hypersurface import (ChangedHyperPoint,
-                                            ChangedHypersurface)
-    from finslerchange.jets import JetDomainError
     from finslerchange.lang import resolve_spec
-    from finslerchange.sampling import sample_hyper_points, sample_pair_points
+    from finslerchange.sampling import sample_pair_points
 
-    hashes = _Hashes()
-    add = hashes.add
     for metric, change in TENSOR_PAIRS:
         pair = ChangedPair(resolve_spec(metric, expect="metric"),
                            resolve_spec(change, expect="change"))
         points, _ = sample_pair_points(pair, TENSOR_POINTS, TENSOR_SEED)
         for x, y in points:
             for space in (pair.base, pair.starred):
-                pg = space.point(x, y)
-                for name in TENSORS:
-                    add(name, getattr(pg, name)())
+                yield space, x, y
+
+
+def fresh_stack():
+    """(sha256 of the fresh tensor stack, {tensor name: sha256}): the
+    tensors of ``tensor_stack``'s points, each on its own new point;
+    run in a child process by ``tensor_digest``."""
+    hashes = _Hashes()
+    for space, x, y in _tensor_points():
+        for name in TENSORS:
+            hashes.add(name, getattr(space.point(x, y), name)())
+    return hashes.digests()
+
+
+def tensor_stack():
+    """(sha256 of the tensor stack, {tensor name: sha256 of its arrays}),
+    computed with the package on the import path; run in a child process
+    by ``tensor_digest``.  Frame data names carry a ``hyper.`` prefix."""
+    from finslerchange.hypersurface import (ChangedHyperPoint,
+                                            ChangedHypersurface)
+    from finslerchange.jets import JetDomainError
+    from finslerchange.lang import resolve_spec
+    from finslerchange.sampling import sample_hyper_points
+
+    hashes = _Hashes()
+    add = hashes.add
+    for space, x, y in _tensor_points():
+        pg = space.point(x, y)
+        for name in TENSORS:
+            add(name, getattr(pg, name)())
     metric, change, hyper = HYPER
     chs = ChangedHypersurface(resolve_spec(metric, expect="metric"),
                               resolve_spec(change, expect="change"),
@@ -192,7 +215,8 @@ def tensor_stack():
 
 
 # child process flag -> the digest it prints
-STACKS = {"--tensor-stack": tensor_stack, "--sampled-stack": sampled_stack}
+STACKS = {"--tensor-stack": tensor_stack, "--fresh-stack": fresh_stack,
+          "--sampled-stack": sampled_stack}
 
 
 def tensor_digest(tree, flag):
@@ -218,6 +242,7 @@ def main(argv=None):
     trees = argv or [
         os.path.dirname(os.path.dirname(os.path.abspath(__file__)))]
     stacks = (("tensor stack", "--tensor-stack"),
+              ("fresh tensor stack", "--fresh-stack"),
               ("sampled tensor stack", "--sampled-stack"))
     labels = [c[0] for c in CONFIGS] + [label for label, _ in stacks]
     # per tree, one (hash, exit status, {part name: hash}) per label
