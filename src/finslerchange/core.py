@@ -14,14 +14,18 @@ of the spray, and no tensor reads an x-derivative of R or W.  Only the
 order-6 jet of L^2, which the Douglas tensor and the Weyl torsion need,
 is built for the heavy tensors; W reads its values from the same jets.
 
+Every jet layer (those of L^2, the spray, R and W) is a method under one
+decorator, ``_layer``, which keeps it at the highest order asked for.
 Sampled points live in ``PointBlock``s: a block is the sampler's chunk of
-candidate draws as one point with a point axis, and runs the same code
-for the light jet layers (those ``riemann`` needs) on jets whose
-coefficients carry that axis, each layer reading the block's own lower
-layers.  Its admitted draws are its members (``PointBlock.point``), from
-their order-2 ``L^2`` jet on: they read their columns through, uncached,
-bit for bit what they would have computed alone.  A column whose ``L^2``
-jet fails its check, or whose draw is not admitted, is left out.
+candidate draws as one point with a point axis.  It is built from its
+order-2 jet of L^2, as a point is, and runs the same code for the light
+jet layers (those ``riemann`` needs) on jets whose coefficients carry
+that axis, each layer reading the block's own lower layers.  Its
+admitted draws are its members (``PointBlock.point``), from their
+order-2 ``L^2`` jet on: they read their columns of the light layers
+through, uncached, bit for bit what they would have computed alone.  A
+column whose ``L^2`` jet fails its check, or whose draw is not admitted,
+is left out.
 
 Index conventions: arrays are 0-based; for a connection-like array ``T``
 the first axis is the upper index.  Jet variable slots are ``i`` for x^i
@@ -40,7 +44,11 @@ import numpy as np
 
 from .jets import Jet, JetDomainError, JetError, jet_linear_solve, lift_env
 from .lang import MetricSpec, SpecError
-from .memo import cached, cached_to_order
+from .memo import cached
+
+# The errors after which a block evaluation falls back to one point at a
+# time, so that each point raises its own.
+FALLBACK_ERRORS = (JetError, SpecError, ValueError, ArithmeticError)
 
 # The x-degree that jets of L^2 keep.  No tensor reads more than two
 # x-derivatives of L^2: the spray takes one, and R and W take one more of
@@ -126,16 +134,19 @@ class FinslerSpace:
         return self.spray_point.spray()
 
 
-def _light(cap):
-    """Cache a jet layer with ``cached_to_order``, and read its calls at
-    orders up to ``cap`` through the point's ``PointBlock``.  A call
-    returns the point's own cached layer where it holds the order;
-    otherwise, while the point's column is ``ok``, its column of the
-    block's layer, caching nothing; otherwise it computes alone.  A block
+def _layer(cap):
+    """Cache a jet layer ``method(self, order)`` in the instance's
+    ``_cache`` dict, keyed by the method's name, with the order it was
+    computed at.  A call at that order or below returns the cached
+    result, which may carry more orders than asked for: a caller that
+    combines it with other jets cuts it with ``Jet.truncated`` first.
+
+    A higher order, up to ``cap``, reads the point's column of its
+    ``PointBlock``'s layer while that column is ``ok``, caching nothing;
+    otherwise it computes alone and replaces the cached result.  A block
     evaluation that raises clears every column, so each member raises its
     own error."""
     def decorate(method):
-        own = cached_to_order(method)
         name = method.__name__
 
         @functools.wraps(method)
@@ -147,12 +158,13 @@ def _light(cap):
             if block is not None and order <= cap and block.ok[self._p]:
                 try:
                     value = getattr(block, name)(order)
-                except (JetError, SpecError, ValueError, ArithmeticError):
+                except FALLBACK_ERRORS:
                     block.ok[:] = False
                 else:
                     if block.ok[self._p]:
                         return _column(value, self._p)
-            return own(self, order)
+            got = self._cache[name] = (order, method(self, order))
+            return got[1]
         return layer
     return decorate
 
@@ -167,17 +179,18 @@ def _column(value, p):
 
 
 class _JetLayers:
-    """The light jet layers, those ``riemann`` needs, of a point with
-    ``space``, ``n``, coordinates ``x`` and ``y``, a ``_cache`` dict and a
-    ``_check_l2`` method.  The same code serves one point, with
-    coordinates of shape ``(n,)``, and a ``PointBlock``, whose coordinates
-    of shape ``(n, P)`` carry a point axis into every jet.  ``_block`` is
-    the block a point reads these layers through, and ``_p`` its column
-    there; a block reads through none."""
+    """The jet layers of a point with ``space``, ``n``, coordinates ``x``
+    and ``y``, a ``_cache`` dict and a ``_check_l2`` method.  The same
+    code serves one point, with coordinates of shape ``(n,)``, and a
+    ``PointBlock``, whose coordinates of shape ``(n, P)`` carry a point
+    axis into every jet.  ``_block`` is the block a point reads the light
+    layers (those ``riemann`` needs) through, and ``_p`` its column
+    there; a block reads through none, and the Weyl jets are read through
+    at no order."""
 
     _block = None
 
-    @_light(4)
+    @_layer(4)
     def _f2(self, order):
         """(seed jets of y, jet of L^2) over (x, y), capped at x-degree
         ``L2_XCAP``; raises where ``_check_l2`` does."""
@@ -186,7 +199,7 @@ class _JetLayers:
         self._check_l2(f2, order)
         return list(env.values())[self.n:], f2
 
-    @_light(2)
+    @_layer(2)
     def _spray_jets(self, order):
         """The spray G^i as jets, capped at x-degree 1."""
         n = self.n
@@ -201,7 +214,7 @@ class _JetLayers:
             rhs.append((acc - f2.deriv(l).truncated(order)) * 0.25)
         return jet_linear_solve(g, rhs)
 
-    @_light(0)
+    @_layer(0)
     def _riemann_jets(self, order):
         """The curvature deviation R^i_k as jets, capped at x-degree 0."""
         n = self.n
@@ -225,12 +238,33 @@ class _JetLayers:
                 R[i][k] = acc
         return R
 
+    @_layer(-1)    # no order reads through
+    def _weyl_jets(self, order):
+        """Projectively invariant curvature deviation W^i_k as jets, capped
+        at x-degree 0."""
+        n = self.n
+        R = [[Rik.truncated(order + 1) for Rik in row]
+             for row in self._riemann_jets(order + 1)]
+        yj = [v.truncated(order, 0) for v in self._f2(order + 3)[0]]
+        ric = reduce(add, (R[m][m] for m in range(n)))
+        A = [[R[i][k] - (ric * (1.0 / (n - 1)) if i == k else 0.0)
+              for k in range(n)] for i in range(n)]
+        W = [[None] * n for _ in range(n)]
+        for k in range(n):
+            tr = reduce(add, (A[m][k].deriv(n + m) for m in range(n)))
+            for i in range(n):
+                W[i][k] = (A[i][k].truncated(order)
+                           - yj[i] * tr * (1.0 / (n + 1)))
+        return W
+
 
 class PointBlock(_JetLayers):
     """Points of one space as one point with a point axis, whose light jet
     layers are evaluated together: ``_f2`` up to order 4, ``_spray_jets``
     up to order 2 and ``_riemann_jets(0)``.  ``x`` and ``y`` have shape
-    ``(n, P)``; ``point`` makes the member of a column.
+    ``(n, P)``; ``point`` makes the member of a column.  Construction
+    reads the order-2 jet of L^2, as a point's does, and clears ``ok``
+    where it fails its check.
 
     A member that asks for such a layer at an order its own cache lacks
     reads its column of the block's layer, which the block computes for
@@ -247,6 +281,7 @@ class PointBlock(_JetLayers):
         self.y = np.array(y, dtype=float)
         self.ok = np.ones(self.x.shape[1], dtype=bool)
         self._cache = {}
+        self._f2(2)
 
     def point(self, p, x, y):
         """The point ``(x, y)`` of column ``p`` as a member, which reads its
@@ -286,10 +321,10 @@ class PointGeometry(_JetLayers):
     """Lazily computed tensors of a Finsler space at one (x, y).
 
     Construction reads the order-2 jet of L^2, raising where ``_f2`` does,
-    unless the point is a member whose column has passed that check in
-    its block; jets stay cached at their highest order, tensors by name, in
-    ``_cache``.  ``_block`` is the ``PointBlock`` of a sampled point, else
-    None, and ``_p`` its column there.
+    unless the point is a member of an ``ok`` column of its block, which
+    has passed that check; jets stay cached at their highest order,
+    tensors by name, in ``_cache``.  ``_block`` is the ``PointBlock`` of
+    a sampled point, else None, and ``_p`` its column there.
     """
 
     def __init__(self, space, x, y, block=None, p=None):
@@ -301,10 +336,7 @@ class PointGeometry(_JetLayers):
             raise ValueError(f"expected {self.n} coordinates")
         self._cache = {}
         self._block, self._p = block, p
-        # a column that passed its block's order-2 check reads without
-        # raising; ``ok`` means nothing before that check has run
-        checked = block is not None and block._cache.get("_f2", (0,))[0] >= 2
-        if not (checked and block.ok[p]):
+        if block is None or not block.ok[p]:
             self._f2(2)
 
     # -- jet-level intermediates ------------------------------------------
@@ -317,25 +349,6 @@ class PointGeometry(_JetLayers):
             raise JetDomainError(f"L^2 = {f2.value:.6g} is not positive with "
                                  f"finite order-{order} coefficients at "
                                  f"x={self.x.tolist()}, y={self.y.tolist()}")
-
-    @cached_to_order
-    def _weyl_jets(self, order):
-        """Projectively invariant curvature deviation W^i_k as jets, capped
-        at x-degree 0."""
-        n = self.n
-        R = [[Rik.truncated(order + 1) for Rik in row]
-             for row in self._riemann_jets(order + 1)]
-        yj = [v.truncated(order, 0) for v in self._f2(order + 3)[0]]
-        ric = reduce(add, (R[m][m] for m in range(n)))
-        A = [[R[i][k] - (ric * (1.0 / (n - 1)) if i == k else 0.0)
-              for k in range(n)] for i in range(n)]
-        W = [[None] * n for _ in range(n)]
-        for k in range(n):
-            tr = reduce(add, (A[m][k].deriv(n + m) for m in range(n)))
-            for i in range(n):
-                W[i][k] = (A[i][k].truncated(order)
-                           - yj[i] * tr * (1.0 / (n + 1)))
-        return W
 
     # -- numeric tensors ---------------------------------------------------
 

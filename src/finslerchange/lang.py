@@ -301,6 +301,14 @@ class _Parser:
             node = Bin("^", node, self.unary(), tok[2], tok[3])
         return node
 
+    def _close(self, ln, col):
+        """Consume a ')', or raise at the next token, else at the token
+        at ``ln``, ``col`` that opened the group."""
+        if not self._accept_op(")"):
+            nxt = self._peek()
+            at = nxt if nxt else (None, None, ln, col)
+            raise SpecError("expected ')'", at[2], at[3])
+
     def atom(self):
         tok = self._next()
         kind, text, ln, col = tok
@@ -311,10 +319,7 @@ class _Parser:
                 args = [self.expr()]
                 while self._accept_op(","):
                     args.append(self.expr())
-                if not self._accept_op(")"):
-                    nxt = self._peek()
-                    at = nxt if nxt else (None, None, ln, col)
-                    raise SpecError("expected ')'", at[2], at[3])
+                self._close(ln, col)
                 if text not in _FUNCS:
                     raise SpecError(f"unknown function {text!r}", ln, col)
                 if len(args) != 1:
@@ -323,10 +328,7 @@ class _Parser:
             return Var(text, ln, col)
         if kind == "op" and text == "(":
             node = self.expr()
-            if not self._accept_op(")"):
-                nxt = self._peek()
-                at = nxt if nxt else (None, None, ln, col)
-                raise SpecError("expected ')'", at[2], at[3])
+            self._close(ln, col)
             return node
         raise SpecError(f"unexpected token {text!r}", ln, col)
 
@@ -415,6 +417,17 @@ def _fmt(node, ctx):
 _A_KEY = re.compile(r"^a_([1-9])([1-9])$")
 _B_KEY = re.compile(r"^b([1-9])$")
 _X_KEY = re.compile(r"^x([1-9])$")
+# The keys of each spec kind besides ``dim``: fixed names and a pattern of
+# indexed names.  A file is of the kind its keys belong to.
+_KIND_KEYS = {
+    "metric": ({"L", "L2", "x_box", "y_annulus"}, _A_KEY),
+    "hypersurface": ({"u_box", "v_annulus", "normal_ref"}, _X_KEY),
+    "change": ({"sigma"}, _B_KEY),
+}
+# The sampling domains of a spec that declares none: the box per axis,
+# and the annulus of supporting elements.
+_BOX = (-1.0, 1.0)
+_ANNULUS = (0.5, 1.5)
 
 
 @dataclass
@@ -424,7 +437,7 @@ class MetricSpec:
     L2_expr: object = None         # expression for L^2 (exact when quadratic)
     a_exprs: dict = None           # (i, j) zero-based -> expression, i <= j
     x_box: np.ndarray = None       # (dim, 2)
-    y_annulus: tuple = (0.5, 1.5)
+    y_annulus: tuple = _ANNULUS
     name: str = "metric"
     items: list = field(default_factory=list)
 
@@ -481,7 +494,7 @@ class HypersurfaceSpec:
     dim: int                       # ambient dimension
     embed_exprs: list = None       # dim expressions in u1..u(dim-1)
     u_box: np.ndarray = None       # (dim-1, 2)
-    v_annulus: tuple = (0.5, 1.5)
+    v_annulus: tuple = _ANNULUS
     normal_ref: np.ndarray = None
     name: str = "hypersurface"
     items: list = field(default_factory=list)
@@ -535,20 +548,8 @@ def parse_spec_text(text, name="<spec>"):
             node = _Parser(rest).parse()
             items.append((key, node))
 
-    keys = {k for k, _ in items}
-    metric_marks = {"L", "L2", "x_box", "y_annulus"} | {
-        k for k in keys if _A_KEY.match(k)}
-    hyper_marks = {"u_box", "v_annulus", "normal_ref"} | {
-        k for k in keys if _X_KEY.match(k)}
-    change_marks = {"sigma"} | {k for k in keys if _B_KEY.match(k)}
-
-    kinds = []
-    if keys & metric_marks:
-        kinds.append("metric")
-    if keys & hyper_marks:
-        kinds.append("hypersurface")
-    if keys & change_marks:
-        kinds.append("change")
+    kinds = [kind for kind in _KIND_KEYS
+             if any(_of_kind(key, kind) for key, _ in items)]
     if len(kinds) > 1:
         raise SpecError(f"{name}: keys mix spec kinds {kinds}")
     kind = kinds[0] if kinds else "change"
@@ -558,6 +559,17 @@ def parse_spec_text(text, name="<spec>"):
     if kind == "hypersurface":
         return _build_hypersurface(items, name)
     return _build_change(items, name)
+
+
+def _of_kind(key, kind):
+    fixed, indexed = _KIND_KEYS[kind]
+    return key in fixed or indexed.match(key) is not None
+
+
+def _reject_unknown(items, kind, name):
+    for key, _ in items:
+        if key != "dim" and not _of_kind(key, kind):
+            raise SpecError(f"{name}: unknown {kind} key {key!r}")
 
 
 def _get(items, key, default=None):
@@ -583,7 +595,10 @@ def _check_scope(expr, allowed, key, name):
                             f"allowed here: {', '.join(sorted(allowed))}")
 
 
-def _box(vals, count, key, name):
+def _box(items, key, count, name):
+    vals = _get(items, key)
+    if vals is None:
+        return np.array([_BOX] * count)
     if len(vals) != 2 * count:
         raise SpecError(f"{name}: {key} needs {2 * count} numbers "
                         f"(lo hi per axis), got {len(vals)}")
@@ -593,7 +608,10 @@ def _box(vals, count, key, name):
     return box
 
 
-def _annulus(vals, key, name):
+def _annulus(items, key, name):
+    vals = _get(items, key)
+    if vals is None:
+        return _ANNULUS
     if len(vals) != 2:
         raise SpecError(f"{name}: {key} needs two numbers r_lo r_hi")
     lo, hi = float(vals[0]), float(vals[1])
@@ -629,22 +647,19 @@ def _build_metric(items, name):
         raise SpecError(f"{name}: give exactly one of L, L2, or a_ij entries "
                         f"(got {given or 'none'})")
 
-    if l_expr is not None:
-        _check_scope(l_expr, xs | ys, "L", name)
-    if l2_expr is not None:
-        _check_scope(l2_expr, xs | ys, "L2", name)
+    for key, expr in (("L", l_expr), ("L2", l2_expr)):
+        if expr is not None:
+            _check_scope(expr, xs | ys, key, name)
+            # a_ij forms always use y
+            if not free_vars(expr) & ys:
+                raise SpecError(f"{name}: {key} uses no y variable; a "
+                                f"metric depends on y1 .. y{dim}")
     if a_exprs:
         l2_expr = quadratic_form(a_exprs, dim)
 
-    x_box_vals = _get(items, "x_box")
-    x_box = (_box(x_box_vals, dim, "x_box", name) if x_box_vals is not None
-             else np.array([[-1.0, 1.0]] * dim))
-    y_vals = _get(items, "y_annulus")
-    y_annulus = _annulus(y_vals, "y_annulus", name) if y_vals is not None else (0.5, 1.5)
-
-    for key, _ in items:
-        if key not in {"dim", "L", "L2", "x_box", "y_annulus"} and not _A_KEY.match(key):
-            raise SpecError(f"{name}: unknown metric key {key!r}")
+    x_box = _box(items, "x_box", dim, name)
+    y_annulus = _annulus(items, "y_annulus", name)
+    _reject_unknown(items, "metric", name)
 
     return MetricSpec(dim=dim, L_expr=l_expr, L2_expr=l2_expr,
                       a_exprs=a_exprs or None, x_box=x_box,
@@ -683,9 +698,7 @@ def _build_change(items, name):
         _check_scope(val, xs, key, name)
         b_exprs[idx] = val
 
-    for key, _ in items:
-        if key not in {"dim", "sigma"} and not _B_KEY.match(key):
-            raise SpecError(f"{name}: unknown change key {key!r}")
+    _reject_unknown(items, "change", name)
 
     return ChangeSpec(dim=dim, sigma_expr=sigma, b_exprs=b_exprs or None,
                       name=name, items=items)
@@ -710,11 +723,8 @@ def _build_hypersurface(items, name):
     if missing:
         raise SpecError(f"{name}: missing embedding components {missing}")
 
-    u_vals = _get(items, "u_box")
-    u_box = (_box(u_vals, m, "u_box", name) if u_vals is not None
-             else np.array([[-1.0, 1.0]] * m))
-    v_vals = _get(items, "v_annulus")
-    v_annulus = _annulus(v_vals, "v_annulus", name) if v_vals is not None else (0.5, 1.5)
+    u_box = _box(items, "u_box", m, name)
+    v_annulus = _annulus(items, "v_annulus", name)
     nr = _get(items, "normal_ref")
     normal_ref = None
     if nr is not None:
@@ -724,9 +734,7 @@ def _build_hypersurface(items, name):
         if not np.any(normal_ref):
             raise SpecError(f"{name}: normal_ref must be nonzero")
 
-    for key, _ in items:
-        if key not in {"dim", "u_box", "v_annulus", "normal_ref"} and not _X_KEY.match(key):
-            raise SpecError(f"{name}: unknown hypersurface key {key!r}")
+    _reject_unknown(items, "hypersurface", name)
 
     return HypersurfaceSpec(dim=dim, embed_exprs=embed, u_box=u_box,
                             v_annulus=v_annulus, normal_ref=normal_ref,

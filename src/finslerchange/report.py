@@ -143,6 +143,8 @@ def parse_json_lines(text):
             row = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ReportError(f"line {lineno}: not valid JSON: {exc}")
+        if not isinstance(row, dict):
+            raise ReportError(f"line {lineno}: not a JSON object")
         kind = row.get("record")
         if kind == "environment":
             env = row

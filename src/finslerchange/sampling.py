@@ -11,23 +11,23 @@ above 99% raises, since it means the declared domain is unusable.
 Draws are made and judged in chunks of at most ``BLOCK_SIZE``, never more
 than the points still wanted or the attempts left, so the generator
 makes the same calls in the same order as one draw at a time would.
-``sample_points`` evaluates a chunk's order-2 ``L^2`` jets, base and
-changed, and its ``sigma`` and ``b``, as blocks (``core.PointBlock``);
-each admitted point is a member of the chunk's two blocks, which
-evaluate its light jet layers together with the chunk's other admitted
-points.  Where draws are rejected, a block has fewer members than
-columns, and the next chunk is smaller.  A chunk whose block evaluation
-raises is judged one draw at a time instead, and its admitted draws then
-make the chunk's blocks.
+``sample_points`` makes a chunk's base and changed ``core.PointBlock``,
+each built from its order-2 ``L^2`` jet, and evaluates its ``sigma`` and
+``b`` as blocks too; each admitted point is a member of the chunk's two
+blocks, which evaluate its light jet layers together with the chunk's
+other admitted points.  Where draws are rejected, a block has fewer
+members than columns, and the next chunk is smaller.  A chunk whose
+block evaluation raises one of ``core.FALLBACK_ERRORS`` is judged one
+draw at a time instead, and its admitted draws then make the chunk's
+blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import PointBlock
-from .jets import JetDomainError, JetError
-from .lang import SpecError
+from .core import FALLBACK_ERRORS, PointBlock
+from .jets import JetDomainError
 
 _MAX_TRIES_PER_POINT = 100
 # Draws per chunk, so columns per block: a block's jets take memory in
@@ -95,10 +95,8 @@ def _admit_block(pair, draws):
     x = np.stack([d[0] for d in draws], axis=1)
     y = np.stack([d[1] for d in draws], axis=1)
     base = PointBlock(pair.base, x, y)
-    base._f2(2)
     change = pair.change.at(x)
     star = PointBlock(pair.starred, base.x, base.y)
-    star._f2(2)
     points = {}
     for p in np.flatnonzero(base.ok & star.ok):
         xp, yp = draws[p]
@@ -151,7 +149,7 @@ def sample_points(pair, count, seed):
                  for _ in range(k)]
         try:
             return _admit_block(pair, draws)
-        except (JetError, SpecError, ValueError, ArithmeticError):
+        except FALLBACK_ERRORS:
             return _admit_block(pair, [d for d in draws
                                        if _admit_alone(pair, *d)])
 

@@ -13,7 +13,6 @@ from finslerchange.core import (
 from finslerchange.jets import (Jet, JetDomainError, jet_linear_solve, lift,
                                 lift_env)
 from finslerchange.lang import MetricSpec, parse_spec_text, resolve_spec
-from finslerchange.memo import cached_to_order
 from finslerchange.sampling import sample_pair_points, sample_points
 
 # dx1^2 + x1^2 dx2^2: flat plane in polar-style coordinates
@@ -332,20 +331,51 @@ def test_order_cache_keeps_the_highest_order():
     calls = []
 
     class Probe:
-        def __init__(self):
+        """A point (``x`` a float) or a block (``x`` one value per
+        column) with one jet layer, read through at orders up to 2."""
+
+        def __init__(self, x, block=None, p=None, fail=False):
+            self.x, self._block, self._p, self.fail = x, block, p, fail
+            self.ok = np.ones(np.shape(x) or 1, dtype=bool)
             self._cache = {}
 
-        @cached_to_order
+        @core._layer(2)
         def jets(self, order):
-            calls.append(order)
-            return [order]
+            calls.append((order, np.shape(self.x)))
+            if self.fail:
+                raise ValueError("block evaluation fails")
+            return lift([self.x], order)
 
-    p = Probe()
-    first = p.jets(3)
-    assert p.jets(1) is first and p.jets(3) is first and calls == [3]
-    higher = p.jets(4)
-    assert higher is not first and calls == [3, 4]
-    assert p.jets(2) is higher
+    lone = Probe(0.5)
+    first = lone.jets(3)
+    assert lone.jets(1) is first and lone.jets(3) is first
+    assert calls == [(3, ())]
+    higher = lone.jets(4)
+    assert higher is not first and calls == [(3, ()), (4, ())]
+    assert lone.jets(2) is higher
+    # a member reads its column of the block's layer up to the cap, and
+    # caches nothing; the block's cache answers the lower orders
+    block = Probe(np.array([0.5, 0.7]))
+    member = Probe(0.7, block, 1)
+    calls.clear()
+    got = member.jets(2)
+    assert calls == [(2, (2,))] and member._cache == {}
+    assert np.shares_memory(got[0].coeffs, block.jets(2)[0].coeffs)
+    assert got[0].coeffs.tobytes() == lift([0.7], 2)[0].coeffs.tobytes()
+    assert member.jets(1)[0].order == 2 and calls == [(2, (2,))]
+    # above the cap it computes and caches alone
+    above = member.jets(3)
+    assert calls[-1] == (3, ()) and member.jets(2) is above
+    # so does a member of a column the block has cleared
+    block.ok[0] = False
+    cleared = Probe(0.5, block, 0)
+    assert cleared.jets(1) is cleared.jets(0) and calls[-1] == (1, ())
+    # a block evaluation that raises clears every column, and the member
+    # computes alone
+    failing = Probe(np.array([0.5, 0.7]), fail=True)
+    alone = Probe(0.7, failing, 1)
+    assert alone.jets(1) is alone.jets(0) and not failing.ok.any()
+    assert calls[-2:] == [(1, (2,)), (1, ())]
     # on a point: every jet intermediate, at the order of its largest call
     pg = FinslerSpace(SPHERE).point([1.0, 0.3], [0.7, 0.9])
     pg.weyl_torsion()
@@ -763,23 +793,19 @@ def test_member_of_a_failed_column_raises_at_construction(monkeypatch):
         return column(value, p)
 
     monkeypatch.setattr(core, "_column", counting)
-    for checked in (False, True):
-        block = PointBlock(space, np.transpose(xs), np.transpose([y] * 3))
-        if checked:
-            block._f2(2)
-        with pytest.raises(JetDomainError) as got:
-            block.point(1, xs[1], y)
-        assert str(got.value) == str(alone.value)
-        assert block.ok.tolist() == [True, False, True]
-        reads.clear()
-        members = [block.point(p, xs[p], y) for p in (0, 2)]
-        # the order-2 check has run, so a member of an ok column reads
-        # nothing at construction
-        assert reads == []
-        for p, pg in zip((0, 2), members):
-            want = space.point(xs[p], y).g_low()
-            assert pg.g_low().tobytes() == want.tobytes()
-        assert sorted(set(reads)) == [0, 2]
+    # the block runs the order-2 check at construction, as a point does
+    block = PointBlock(space, np.transpose(xs), np.transpose([y] * 3))
+    assert block.ok.tolist() == [True, False, True]
+    with pytest.raises(JetDomainError) as got:
+        block.point(1, xs[1], y)
+    assert str(got.value) == str(alone.value)
+    members = [block.point(p, xs[p], y) for p in (0, 2)]
+    # a member of an ok column reads nothing at construction
+    assert reads == []
+    for p, pg in zip((0, 2), members):
+        want = space.point(xs[p], y).g_low()
+        assert pg.g_low().tobytes() == want.tobytes()
+    assert sorted(set(reads)) == [0, 2]
 
 def _jets_in(value):
     """The jets of a structure of jets, in order."""

@@ -1,4 +1,7 @@
+import importlib.util
+import inspect
 import json
+import pathlib
 import time
 
 import numpy as np
@@ -62,6 +65,10 @@ def test_report_validation():
         parse_json_lines('{"record": "check"}\n')
     with pytest.raises(ReportError):
         parse_json_lines("not json\n")
+    env = emit_json_lines(Report(environment_block(0, {}), []))
+    for row in ("[1]", "1", '"x"', "null"):
+        with pytest.raises(ReportError, match="line 2: not a JSON object"):
+            parse_json_lines(env + row + "\n")
 
 
 def test_errors_between():
@@ -445,7 +452,7 @@ def test_cli_verify_json_lines_roundtrip(tmp_path):
     assert by_id["proj.obstruction"].verdict == "pass"
 
 
-def test_cli_config_errors(capsys):
+def test_cli_config_errors(tmp_path, capsys):
     assert main(["verify", "--metric", "no-such-spec"]) == 2
     assert main(["verify", "--metric", "euclid2",
                  "--tol", "bogus=1"]) == 2
@@ -456,6 +463,15 @@ def test_cli_config_errors(capsys):
     assert main(["parse", "--check", "/nonexistent/path.fspec"]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    # a metric that uses no y
+    spec = tmp_path / "const.fspec"
+    for text in ("dim 2\nL2 = 4\n", "dim 2\nL = 2\n"):
+        spec.write_text(text)
+        assert main(["verify", "--metric", str(spec), "--samples", "3"]) == 2
+        assert main(["geodesic", "--metric", str(spec), "--x0", "0", "0",
+                     "--y0", "0.6", "0.8", "--t-end", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "uses no y variable" in err and "Traceback" not in err
 
 
 def test_cli_overflowing_spec_rejects_draws_or_exits_two(tmp_path, capsys):
@@ -544,3 +560,27 @@ def test_default_tols_cover_suite_names():
                                 "projectivity", "hypersurface",
                                 "invariants-5", "geodesics"}
     assert all(v > 0 for v in DEFAULT_TOLS.values())
+
+
+def test_names_the_benchmark_traces_resolve_in_the_package():
+    # the tracer wraps public functions and methods in place, by the name
+    # it reads here; a renamed one would record zeros, not fail.  Loading
+    # it only binds its names; it installs nothing.
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_benchmark_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert list(tracer.SUITE_SPANS) == ["validation", *SUITE_NAMES]
+    names = [*tracer.SUITE_SPANS.values(), tracer._SPRAY, tracer._INTEGRATE,
+             tracer._DEVIATION, tracer._EVAL_L2, tracer._SOLVE]
+    for name in names:
+        layer, *path = name.split(".")
+        assert layer in tracer.LAYERS, name
+        module = importlib.import_module("finslerchange." + layer)
+        obj = module
+        for part in path:
+            assert not part.startswith("_"), name
+            obj = vars(obj)[part]
+        assert inspect.isfunction(obj), name
+        owner = vars(module)[path[0]]
+        assert owner.__module__ == module.__name__, name

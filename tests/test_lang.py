@@ -205,6 +205,11 @@ def test_metric_scope_enforced():
         parse_spec_text("dim 2\na_11 = y1\na_22 = 1\n")
     with pytest.raises(SpecError):
         parse_spec_text("dim 2\nL = x3 + y1\n")
+    # a metric depends on y
+    for key, expr in (("L2", "4"), ("L", "2"), ("L", "1 + x1^2")):
+        with pytest.raises(SpecError, match=f"metric: {key} uses no y "):
+            parse_spec_text(f"dim 2\n{key} = {expr}\n", name="metric")
+    assert parse_spec_text("dim 2\nL = x1 + 0 * y2\n").L_expr is not None
 
 
 def test_metric_key_conflicts():
