@@ -25,7 +25,8 @@ admitted draws are its members (``PointBlock.point``), from their
 order-2 ``L^2`` jet on: they read their columns of the light layers
 through, uncached, bit for bit what they would have computed alone.  A
 column whose ``L^2`` jet fails its check, or whose draw is not admitted,
-is left out.
+is left out, and a block evaluation that raises leaves out every column
+(``PointBlock.layer``).
 
 Index conventions: arrays are 0-based; for a connection-like array ``T``
 the first axis is the upper index.  Jet variable slots are ``i`` for x^i
@@ -46,8 +47,9 @@ from .jets import Jet, JetDomainError, JetError, jet_linear_solve, lift_env
 from .lang import MetricSpec, SpecError
 from .memo import cached
 
-# The errors after which a block evaluation falls back to one point at a
-# time, so that each point raises its own.
+# The errors of a block evaluation that clear every column of the block
+# (``PointBlock.layer``), so that each member computes alone and raises
+# its own.
 FALLBACK_ERRORS = (JetError, SpecError, ValueError, ArithmeticError)
 
 # The x-degree that jets of L^2 keep.  No tensor reads more than two
@@ -57,20 +59,15 @@ FALLBACK_ERRORS = (JetError, SpecError, ValueError, ArithmeticError)
 L2_XCAP = 2
 
 
-def central_diff(f, t, h=1e-5):
-    """Symmetric difference quotient of a scalar-or-array function."""
-    fp = np.asarray(f(t + h), dtype=float)
-    fm = np.asarray(f(t - h), dtype=float)
-    return (fp - fm) / (2.0 * h)
-
-
 def central_partial(f, x, i, h=1e-5):
-    """Symmetric difference of f along coordinate i of a vector argument."""
-    def slice_(t):
+    """Symmetric difference quotient of a scalar-or-array function f along
+    coordinate i of a vector argument."""
+    def at(t):
         z = np.array(x, dtype=float)
         z[i] = t
-        return f(z)
-    return central_diff(slice_, float(x[i]), h)
+        return np.asarray(f(z), dtype=float)
+    t = float(x[i])
+    return (at(t + h) - at(t - h)) / (2.0 * h)
 
 
 def _solve_as_jets(A, b):
@@ -142,10 +139,9 @@ def _layer(cap):
     combines it with other jets cuts it with ``Jet.truncated`` first.
 
     A higher order, up to ``cap``, reads the point's column of its
-    ``PointBlock``'s layer while that column is ``ok``, caching nothing;
-    otherwise it computes alone and replaces the cached result.  A block
-    evaluation that raises clears every column, so each member raises its
-    own error."""
+    ``PointBlock``'s layer (``PointBlock.layer``) while that column is
+    ``ok``, caching nothing; otherwise it computes alone and replaces the
+    cached result."""
     def decorate(method):
         name = method.__name__
 
@@ -156,13 +152,9 @@ def _layer(cap):
                 return got[1]
             block = self._block
             if block is not None and order <= cap and block.ok[self._p]:
-                try:
-                    value = getattr(block, name)(order)
-                except FALLBACK_ERRORS:
-                    block.ok[:] = False
-                else:
-                    if block.ok[self._p]:
-                        return _column(value, self._p)
+                value = block.layer(name, order)
+                if block.ok[self._p]:
+                    return _column(value, self._p)
             got = self._cache[name] = (order, method(self, order))
             return got[1]
         return layer
@@ -263,16 +255,16 @@ class PointBlock(_JetLayers):
     layers are evaluated together: ``_f2`` up to order 4, ``_spray_jets``
     up to order 2 and ``_riemann_jets(0)``.  ``x`` and ``y`` have shape
     ``(n, P)``; ``point`` makes the member of a column.  Construction
-    reads the order-2 jet of L^2, as a point's does, and clears ``ok``
-    where it fails its check.
+    reads the order-2 jet of L^2 under ``layer``, as a point's does, and
+    clears ``ok`` where it fails its check, or everywhere where it raises.
 
     A member that asks for such a layer at an order its own cache lacks
     reads its column of the block's layer, which the block computes for
     all its points, once per order, with ``PointGeometry``'s code on its
     own cache, so that a layer reads the block's lower layers.  ``ok``
-    clears the columns whose ``L^2`` jet fails its check, and those
-    ``keep`` leaves out; their members compute alone, so they raise their
-    own errors."""
+    clears the columns whose ``L^2`` jet fails its check, all columns
+    where a block evaluation raises, and those ``keep`` leaves out; their
+    members compute alone, so they raise their own errors."""
 
     def __init__(self, space, x, y):
         self.space = space
@@ -281,7 +273,17 @@ class PointBlock(_JetLayers):
         self.y = np.array(y, dtype=float)
         self.ok = np.ones(self.x.shape[1], dtype=bool)
         self._cache = {}
-        self._f2(2)
+        self.layer("_f2", 2)
+
+    def layer(self, name, order):
+        """The block's jet layer ``name`` at ``order``; None, with every
+        column cleared, where it raises one of ``FALLBACK_ERRORS``: a
+        failure belongs to a column, which its member finds alone."""
+        try:
+            return getattr(self, name)(order)
+        except FALLBACK_ERRORS:
+            self.ok[:] = False
+            return None
 
     def point(self, p, x, y):
         """The point ``(x, y)`` of column ``p`` as a member, which reads its
@@ -289,13 +291,12 @@ class PointBlock(_JetLayers):
         return PointGeometry(self.space, x, y, self, p)
 
     def keep(self, columns):
-        """Clear ``ok`` outside ``columns``, so that only their members
-        read through the block, and give the other columns the
-        coordinates of a kept one: a later layer meets no draw that was
-        rejected."""
-        kept = np.zeros_like(self.ok)
-        kept[columns] = True
-        self.ok &= kept
+        """Set ``ok`` to exactly ``columns``, so that only their members
+        read through the block, also where construction cleared every
+        column, and give the other columns the coordinates of a kept one:
+        a later layer meets no draw that was rejected."""
+        self.ok[:] = False
+        self.ok[columns] = True
         self._fill(self.x, self.y)
 
     def _check_l2(self, f2, order):

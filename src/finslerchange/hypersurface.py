@@ -147,9 +147,6 @@ class ChangedHypersurface:
         self.pair = ChangedPair(metric_spec, change_spec)
         self.base_h = HypersurfaceGeometry(hyper_spec, self.pair.base)
 
-    def at(self, u, v):
-        return ChangedHyperPoint(self.pair, self.base_h.at(u, v))
-
 
 class ChangedHyperPoint:
     """Base and changed hypersurface data at one (u, v), plus the

@@ -570,13 +570,19 @@ class Jet:
 
     def powf(self, p):
         """Real power; integer exponents work for any base value, other
-        exponents require a positive base.  A jet exponent takes one
-        point at a time."""
+        exponents require a positive base.  A jet exponent that varies is
+        ``exp(p log self)``, and a constant one a number.  A block takes
+        the first form where every column's exponent varies, as each
+        column alone does, and otherwise computes column by column."""
         if isinstance(p, Jet):
-            if p.coeffs.ndim > 1:
-                raise ValueError("a jet exponent takes one point at a time")
-            if np.any(p.coeffs[1:] != 0.0):
+            if p.coeffs.ndim != self.coeffs.ndim:
+                raise self._mixed(p)
+            if np.any(p.coeffs[1:] != 0.0, axis=0).all():
                 return (self.log() * p).exp()
+            if self.coeffs.ndim > 1:
+                return Jet(self.space, np.stack(
+                    [Jet(self.space, a).powf(Jet(p.space, b)).coeffs
+                     for a, b in zip(self.coeffs.T, p.coeffs.T)], axis=1))
             p = p.value
         p = float(p)
         try:

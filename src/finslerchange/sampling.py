@@ -16,10 +16,9 @@ each built from its order-2 ``L^2`` jet, and evaluates its ``sigma`` and
 ``b`` as blocks too; each admitted point is a member of the chunk's two
 blocks, which evaluate its light jet layers together with the chunk's
 other admitted points.  Where draws are rejected, a block has fewer
-members than columns, and the next chunk is smaller.  A chunk whose
-block evaluation raises one of ``core.FALLBACK_ERRORS`` is judged one
-draw at a time instead, and its admitted draws then make the chunk's
-blocks.
+members than columns, and the next chunk is smaller.  A block
+evaluation that raises clears every column of its block, whose members
+then compute alone, and so raise their own errors or are admitted.
 """
 
 from __future__ import annotations
@@ -74,36 +73,33 @@ def _rejection_loop(count, admit, what):
     return out, attempts - count
 
 
-def _admit_alone(pair, x, y):
-    """Whether ``pair.at(x, y)`` is built, without leaving a domain, and
-    is ``_regular``."""
-    try:
-        return _regular(pair.at(x, y))
-    except (ValueError, ZeroDivisionError, JetDomainError):
-        return False
-
-
 def _admit_block(pair, draws):
     """The ``_regular`` ``ChangedPoint``s of the draws whose base and
     changed ``L^2`` jets pass their checks and whose L* is positive, in
     draw order.  The base jets, ``sigma`` and ``b`` of all draws are each
     one block evaluation, and the changed jets one more, on the base
-    block's coordinates; the points are members of the two blocks, which
-    keep only their columns."""
-    if not draws:
-        return []
+    block's filled coordinates, so a draw's changed member, built after
+    its base member passed, is its column; the points are members of the
+    two blocks, which keep only their columns.  ``sigma`` and ``b`` are
+    evaluated per draw where their block evaluation raises."""
     x = np.stack([d[0] for d in draws], axis=1)
     y = np.stack([d[1] for d in draws], axis=1)
     base = PointBlock(pair.base, x, y)
-    change = pair.change.at(x)
+    try:
+        change = pair.change.at(x)
+    except FALLBACK_ERRORS:
+        change = [None] * len(draws)
     star = PointBlock(pair.starred, base.x, base.y)
+    # a column that failed its check rejects its draw, whose member would
+    # raise alone; a block that raised left every column to its member
+    tried = (base.ok | ~base.ok.any()) & (star.ok | ~star.ok.any())
     points = {}
-    for p in np.flatnonzero(base.ok & star.ok):
+    for p in np.flatnonzero(tried):
         xp, yp = draws[p]
         try:
             cp = pair.at(xp, yp, base.point(p, xp, yp), change[p],
                          star.point(p, xp, yp))
-        except JetDomainError:
+        except (ValueError, ZeroDivisionError, JetDomainError):
             continue
         if _regular(cp):
             points[p] = cp
@@ -136,22 +132,18 @@ def sample_points(pair, count, seed):
     point raises only where a coefficient of x-degree at most
     ``core.L2_XCAP`` is not finite.  Each chunk of draws is
     judged from block evaluations of its order-2 ``L^2`` jets and its
-    ``sigma`` and ``b``; where one of those raises, from ``pair.at`` one
-    draw at a time.  Either way a point is bit for bit the one ``pair.at``
-    builds alone, and the same draws are admitted."""
+    ``sigma`` and ``b``; where one of those raises, the draws it covers
+    are judged alone.  Either way a point is bit for bit the one
+    ``pair.at`` builds alone, and the same draws are admitted."""
     rng = np.random.default_rng(seed)
     space = pair.base
     box = space.spec.x_box
     annulus = space.spec.y_annulus
 
     def admit(k):
-        draws = [(_draw_x(rng, box), _draw_y(rng, space.n, annulus))
-                 for _ in range(k)]
-        try:
-            return _admit_block(pair, draws)
-        except FALLBACK_ERRORS:
-            return _admit_block(pair, [d for d in draws
-                                       if _admit_alone(pair, *d)])
+        return _admit_block(pair, [
+            (_draw_x(rng, box), _draw_y(rng, space.n, annulus))
+            for _ in range(k)])
 
     return _rejection_loop(count, admit, "points")
 

@@ -339,6 +339,9 @@ def test_order_cache_keeps_the_highest_order():
             self.ok = np.ones(np.shape(x) or 1, dtype=bool)
             self._cache = {}
 
+        # a block evaluates its layers under the blocks' failure rule
+        layer = PointBlock.layer
+
         @core._layer(2)
         def jets(self, order):
             calls.append((order, np.shape(self.x)))
@@ -806,6 +809,33 @@ def test_member_of_a_failed_column_raises_at_construction(monkeypatch):
         want = space.point(xs[p], y).g_low()
         assert pg.g_low().tobytes() == want.tobytes()
     assert sorted(set(reads)) == [0, 2]
+    # the block's order-2 evaluation raises at the middle point only: it
+    # clears every column, and each member computes alone
+    space = FinslerSpace(parse_spec_text(
+        "dim 2\nL2 = (y1^2 + y2^2) * sqrt(x1 + 0.3)\n", name="rooted"))
+    xs = [[0.5, 0.1], [-0.8, 0.9], [0.25, -0.3]]
+    with pytest.raises(JetDomainError, match="sqrt") as alone:
+        space.point(xs[1], y)
+    block = PointBlock(space, np.transpose(xs), np.transpose([y] * 3))
+    assert block.ok.tolist() == [False] * 3
+    with pytest.raises(JetDomainError) as got:
+        block.point(1, xs[1], y)
+    assert str(got.value) == str(alone.value)
+    reads.clear()
+    members = [block.point(p, xs[p], y) for p in (0, 2)]
+    assert reads == []
+    # once kept, the admitted members read the later layers through: the
+    # Cartan tensor from L^2 at order 3, the Berwald connection from the
+    # spray at order 2 and L^2 at order 4
+    block.keep([0, 2])
+    assert block.ok.tolist() == [True, False, True]
+    for p, pg in zip((0, 2), members):
+        lone = space.point(xs[p], y)
+        for name in ("C_low", "berwald"):
+            want = getattr(lone, name)()
+            assert getattr(pg, name)().tobytes() == want.tobytes()
+    assert sorted(set(reads)) == [0, 2]
+    assert block._cache["_f2"][0] == 4
 
 def _jets_in(value):
     """The jets of a structure of jets, in order."""

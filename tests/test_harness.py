@@ -432,6 +432,19 @@ def test_cli_verify_exit_zero(tmp_path, capsys):
     assert "0 fail" in body
 
 
+def test_cli_verify_takes_jet_exponents(tmp_path):
+    # e^x1 is a power with a jet exponent, which sampling evaluates on
+    # blocks of points
+    spec = tmp_path / "exp.fspec"
+    spec.write_text("dim 2\nL2 = (y1^2 + y2^2) * e^x1\n")
+    out = tmp_path / "report.txt"
+    code = main(["verify", "--metric", str(spec), "--samples", "5",
+                 "--seed", "1", "--suite", "core-identities",
+                 "--report", str(out)])
+    assert code == 0
+    assert "0 fail" in out.read_text()
+
+
 def test_cli_verify_exit_one_on_failure(tmp_path):
     out = tmp_path / "report.txt"
     code = main(["verify", "--metric", "euclid2", "--samples", "5",

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from finslerchange.core import FinslerSpace
-from finslerchange.hypersurface import ChangedHypersurface, HypersurfaceGeometry
+from finslerchange.hypersurface import (ChangedHyperPoint, ChangedHypersurface,
+                                        HypersurfaceGeometry)
 from finslerchange.lang import parse_spec_text
 
 EUCLID2 = parse_spec_text("dim 2\na_11 = 1\na_22 = 1\n", name="euclid2")
@@ -109,15 +110,21 @@ def test_normal_orthogonality_in_randers_ambient():
     assert float(hp.pg.y_low() @ N) < 1e-12
 
 
+def _changed_at(ch, u, v):
+    """The ``ChangedHyperPoint`` of a ``ChangedHypersurface`` at (u, v),
+    built as the suites build it."""
+    return ChangedHyperPoint(ch.pair, ch.base_h.at(u, v))
+
+
 def test_tangential_drift_fields_are_tangential():
     ch = ChangedHypersurface(EUCLID2, CIRCLE_TANGENT, CIRCLE)
     for _ in range(3):
         u, v = rand_uv(CIRCLE)
-        assert abs(ch.at(u, v).b_dot_normal()) < 1e-12
+        assert abs(_changed_at(ch, u, v).b_dot_normal()) < 1e-12
     ch = ChangedHypersurface(EUCLID2, PARABOLA_TANGENT, PARABOLA)
     for _ in range(3):
         u, v = rand_uv(PARABOLA)
-        assert abs(ch.at(u, v).b_dot_normal()) < 1e-12
+        assert abs(_changed_at(ch, u, v).b_dot_normal()) < 1e-12
 
 
 def test_gstar_on_normal_closed_form_general():
@@ -125,7 +132,7 @@ def test_gstar_on_normal_closed_form_general():
     for change in (PARABOLA_TANGENT, LIFTED_2D):
         ch = ChangedHypersurface(EUCLID2, change, PARABOLA)
         u, v = rand_uv(PARABOLA)
-        chp = ch.at(u, v)
+        chp = _changed_at(ch, u, v)
         assert chp.gstar_on_normal() == pytest.approx(
             chp.gstar_on_normal_closed(), rel=1e-12)
 
@@ -134,14 +141,14 @@ def test_normal_transfer_requires_tangency():
     # tangential: the changed normal is exactly N / sqrt(tau)
     ch = ChangedHypersurface(EUCLID2, PARABOLA_TANGENT, PARABOLA)
     u, v = rand_uv(PARABOLA)
-    chp = ch.at(u, v)
+    chp = _changed_at(ch, u, v)
     direct = chp.star.normal_up()
     assert np.allclose(direct, chp.normal_transfer_closed(), atol=1e-12)
     assert np.allclose(chp.star.normal_low(),
                        chp.conormal_transfer_closed(), atol=1e-12)
     # non-tangential: the transfer law fails by a visible margin
     ch = ChangedHypersurface(EUCLID2, LIFTED_2D, PARABOLA)
-    chp = ch.at(u, v)
+    chp = _changed_at(ch, u, v)
     diff = np.max(np.abs(chp.star.normal_up()
                          - chp.normal_transfer_closed()))
     assert diff > 1e-4
@@ -150,7 +157,7 @@ def test_normal_transfer_requires_tangency():
 def test_changed_frame_identities_hold_directly():
     ch = ChangedHypersurface(EUCLID2, PARABOLA_TANGENT, PARABOLA)
     u, v = rand_uv(PARABOLA)
-    chp = ch.at(u, v)
+    chp = _changed_at(ch, u, v)
     assert chp.star.frame_residuals() < 1e-11
 
 
@@ -160,7 +167,7 @@ def test_projective_tangential_change_scales_normal_curvature():
     ch = ChangedHypersurface(EUCLID2, PARABOLA_TANGENT, PARABOLA)
     for _ in range(4):
         u, v = rand_uv(PARABOLA)
-        chp = ch.at(u, v)
+        chp = _changed_at(ch, u, v)
         assert np.max(np.abs(chp.d_term())) < 1e-11
         H_star = chp.star.normal_curvature()
         want = np.sqrt(chp.cp.tau) * chp.base.normal_curvature()
@@ -176,7 +183,7 @@ def test_nonprojective_tangential_change_decomposition():
     ch = ChangedHypersurface(EUCLID2, CIRCLE_TANGENT, CIRCLE)
     for _ in range(4):
         u, v = rand_uv(CIRCLE)
-        chp = ch.at(u, v)
+        chp = _changed_at(ch, u, v)
         assert np.max(np.abs(chp.d_term())) > 1e-4
         assert chp.hstar_decomposition_residual() < 1e-10
         H_star = chp.star.normal_curvature()
@@ -189,7 +196,7 @@ def test_totally_geodesic_preserved_in_3d():
     ch = ChangedHypersurface(EUCLID3, PLANE_TANGENT, PLANE3)
     for _ in range(3):
         u, v = rand_uv(PLANE3)
-        chp = ch.at(u, v)
+        chp = _changed_at(ch, u, v)
         assert abs(chp.b_dot_normal()) < 1e-13
         assert np.max(np.abs(chp.base.normal_curvature())) < 1e-12
         assert np.max(np.abs(chp.star.normal_curvature())) < 1e-12
@@ -202,7 +209,7 @@ def test_dimension_mismatch_rejected():
 
 def test_changed_point_evaluates_the_embedding_once():
     chs = ChangedHypersurface(EUCLID2, PARABOLA_TANGENT, PARABOLA)
-    chp = chs.at([0.4], [0.9])
+    chp = _changed_at(chs, [0.4], [0.9])
     assert chp.base.pg is chp.cp.base and chp.star.pg is chp.cp.star
     assert chp.star.B is chp.base.B and chp.star.B2 is chp.base.B2
     hp = chs.base_h.at([0.4], [0.9])

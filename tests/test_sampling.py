@@ -9,8 +9,9 @@ import pytest
 
 from finslerchange import sampling
 from finslerchange.change import ChangedPair
+from finslerchange.core import PointBlock
 from finslerchange.jets import Jet, JetDomainError
-from finslerchange.lang import parse_spec_text, resolve_spec
+from finslerchange.lang import MetricSpec, parse_spec_text, resolve_spec
 from finslerchange.sampling import SamplingError, sample_points
 
 BOX = "x_box = -1 1 -1 1\ny_annulus = 0.5 1.5\n"
@@ -67,21 +68,26 @@ def _f2_bytes(pg):
 
 
 def _sample(monkeypatch, pair, count, seed):
-    """``sample_points`` with the number of draws it admitted alone."""
-    alone = []
-    admit_alone = sampling._admit_alone
+    """``sample_points`` with the number of blocks whose construction
+    cleared every column: a block caches its order-2 ``L^2`` jet at
+    construction unless that evaluation raised."""
+    cleared = []
+    init = PointBlock.__init__
 
-    def counting(*args):
-        alone.append(args)
-        return admit_alone(*args)
+    def counting(block, *args):
+        init(block, *args)
+        if not block._cache:
+            assert not block.ok.any()
+            cleared.append(block)
 
-    monkeypatch.setattr(sampling, "_admit_alone", counting)
+    monkeypatch.setattr(PointBlock, "__init__", counting)
     points, rejected = sample_points(pair, count, seed)
-    return points, rejected, len(alone)
+    return points, rejected, len(cleared)
 
 
 # (metric, change, the rejection cause it exercises, whether the block
-# evaluation of a chunk raises, so the chunk is admitted one draw at a time)
+# evaluation of a chunk raises, so its columns are cleared and each draw
+# is judged alone)
 CASES = {
     "L2 not positive": ("L2 = (y1^2 + y2^2) * (x1 + 0.5)", "sigma = 0.2 * x2",
                         "L2", False),
@@ -92,6 +98,12 @@ CASES = {
     "changed L2 not finite": ("a_11 = 1\na_22 = 1",
                               "sigma = 350 * sin(50 * x1)", "L2", False),
     "det g": ("a_11 = 1\na_22 = x1^8", "sigma = 0.1 * x1", "det", False),
+    # sigma and b of a block raise, so each draw evaluates its own
+    "change domain error": ("a_11 = 1\na_22 = 1", "b1 = 0.1 * sqrt(x2 + 0.3)",
+                            "domain", True),
+    # a block takes jet exponents as each column does
+    "jet exponent": ("L2 = (y1^2 + y2^2) * e^x1 * (x2 + 0.5)",
+                     "b1 = 0.1 * 2^x2", "L2", False),
 }
 
 
@@ -103,14 +115,19 @@ def test_chunks_admit_what_single_draws_admit(monkeypatch, case, count):
     monkeypatch.setattr(sampling, "BLOCK_SIZE", 64)
     # the overflowing coefficients of a rejected changed jet are expected
     with np.errstate(over="ignore", invalid="ignore"):
-        got, rejected, alone = _sample(monkeypatch, pair, count, 7)
+        got, rejected, cleared = _sample(monkeypatch, pair, count, 7)
         want, want_rejected, causes = _reference(pair, count, 7)
     assert rejected == want_rejected
     if count > 1:
         assert causes[cause] > 0
-        assert (alone > 0) == raises
+        assert (cleared > 0) == raises
     assert len(got) == len(want) == count
-    for cp, ref in zip(got, want):
+    _assert_same_points(got, want)
+
+
+def _assert_same_points(got, want):
+    """The ``ChangedPoint``s ``got`` are ``want`` bit for bit."""
+    for cp, ref in zip(got, want, strict=True):
         assert cp.x.tobytes() == ref.x.tobytes()
         assert cp.y.tobytes() == ref.y.tobytes()
         assert _f2_bytes(cp.base) == _f2_bytes(ref.base)
@@ -118,6 +135,33 @@ def test_chunks_admit_what_single_draws_admit(monkeypatch, case, count):
         for name in ("sigma", "grad_sigma", "b_low", "db", "Lstar", "tau"):
             assert (np.asarray(getattr(cp, name)).tobytes()
                     == np.asarray(getattr(ref, name)).tobytes()), name
+
+
+def test_blocks_that_raise_admit_what_single_draws_admit(monkeypatch):
+    # L^2 of block jets raises on both sides, so every block's
+    # construction clears its columns; building the blocks again on the
+    # admitted draws would raise again
+    pair = ChangedPair(*map(resolve_spec, ["sphere2", "tangent_parabola"]))
+    eval_l2 = MetricSpec.eval_l2
+
+    def one_point_only(spec, env):
+        if any(isinstance(v, Jet) and v.coeffs.ndim > 1
+               for v in env.values()):
+            raise ValueError("no block jets")
+        return eval_l2(spec, env)
+
+    monkeypatch.setattr(MetricSpec, "eval_l2", one_point_only)
+    monkeypatch.setattr(sampling, "BLOCK_SIZE", 64)
+    got, rejected, cleared = _sample(monkeypatch, pair, 200, 1)
+    want, want_rejected, causes = _reference(pair, 200, 1)
+    assert rejected == want_rejected == causes["L*"] == 3
+    _assert_same_points(got, want)
+    sides = [cp.base for cp in got] + [cp.star for cp in got]
+    blocks = Counter(pg._block for pg in sides)
+    # every block was cleared, and keeps its members all the same
+    assert cleared == len(blocks) == 10
+    for block, members in blocks.items():
+        assert block.ok.sum() == members
 
 
 def _jets_in(value):
@@ -143,9 +187,9 @@ def test_rejected_draws_never_reach_a_blocks_later_layers(monkeypatch, case):
         monkeypatch.setattr(sampling, "BLOCK_SIZE", 64)
     else:
         pair = ChangedPair(*map(resolve_spec, case.split("+")))
-    cps, rejected, alone = _sample(monkeypatch, pair, 200, 1)
+    cps, rejected, cleared = _sample(monkeypatch, pair, 200, 1)
     assert rejected > 0
-    assert (alone > 0) == raises
+    assert (cleared > 0) == raises
     sides = [cp.base for cp in cps] + [cp.star for cp in cps]
     assert all(pg._block is not None for pg in sides)
     with np.errstate(all="raise"):

@@ -46,12 +46,17 @@ import subprocess
 import sys
 import tempfile
 
+# A metric spec kept beside this script, passed to ``verify`` by path.
+SQRT2 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "specs",
+                     "sqrt2.fspec")
+
 # (label, metric, change, hypersurface or None, samples, seed).  The first
 # two are also the pinned configurations of the verify-degenerate and
 # verify-regular-3d benchmark workloads; the seventh is verify-many-2d at
-# benchmark seed 1.  The last two are the 3D hypersurface chain, where
-# every hypersurface check is measured, and a non-projective,
-# irreversible change with a closed curve.
+# benchmark seed 1.  The eighth and ninth are the 3D hypersurface chain,
+# where every hypersurface check is measured, and a non-projective,
+# irreversible change with a closed curve.  The last is a metric whose
+# block evaluations raise, so sampling clears the columns of its blocks.
 CONFIGS = (
     ("euclid2+tangent_parabola+parabola2 n12 s108",
      "euclid2", "tangent_parabola", "parabola2", 12, 108),
@@ -65,6 +70,7 @@ CONFIGS = (
      "curved3", "projective3", "plane3", 12, 108),
     ("randers2+randers_nonclosed+circle2 n20 s108",
      "randers2", "randers_nonclosed", "circle2", 20, 108),
+    ("sqrt2+projective n300 s1", SQRT2, "projective", None, 300, 1),
 )
 
 # (metric, change) pairs of the tensor digest, each at TENSOR_POINTS points
