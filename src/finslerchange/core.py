@@ -15,8 +15,12 @@ order-6 jet of L^2, which the Douglas tensor and the Weyl torsion need,
 is built for the heavy tensors; W reads its values from the same jets.
 
 Every jet layer (those of L^2, the spray, R and W) is a method under one
-decorator, ``_layer``, which keeps it at the highest order asked for.
-Sampled points live in ``PointBlock``s: a block is the sampler's chunk of
+decorator, ``_layer``, which caches it with the order it was computed at.
+A lone point (one without a block) computes every layer after its
+order-2 ``L^2`` jet at the layer's top order, the highest that any
+tensor reads from it, so that a full tensor stack computes each layer
+once: a lower order is a cut of the top order, bit for bit.  Sampled
+points live in ``PointBlock``s: a block is the sampler's chunk of
 candidate draws as one point with a point axis.  It is built from its
 order-2 jet of L^2, as a point is, and runs the same code for the light
 jet layers (those ``riemann`` needs) on jets whose coefficients carry
@@ -131,7 +135,7 @@ class FinslerSpace:
         return self.spray_point.spray()
 
 
-def _layer(cap):
+def _layer(top, cap):
     """Cache a jet layer ``method(self, order)`` in the instance's
     ``_cache`` dict, keyed by the method's name, with the order it was
     computed at.  A call at that order or below returns the cached
@@ -140,8 +144,14 @@ def _layer(cap):
 
     A higher order, up to ``cap``, reads the point's column of its
     ``PointBlock``'s layer (``PointBlock.layer``) while that column is
-    ``ok``, caching nothing; otherwise it computes alone and replaces the
-    cached result."""
+    ``ok``, caching nothing; otherwise the layer is computed and replaces
+    the cached result.  A point whose ``_top`` is set computes it at
+    ``top``, the highest order any tensor reads from it, if that is
+    higher, so that each layer is computed once; a lower order is a cut
+    of it, bit for bit.  That attempt runs with floating-point errors
+    raised: where it raises one of ``FALLBACK_ERRORS``, the point clears
+    ``_top`` and computes the order asked for, as it would have without
+    the attempt."""
     def decorate(method):
         name = method.__name__
 
@@ -155,6 +165,14 @@ def _layer(cap):
                 value = block.layer(name, order)
                 if block.ok[self._p]:
                     return _column(value, self._p)
+            if self._top and order < top:
+                try:
+                    with np.errstate(over="raise", invalid="raise",
+                                     divide="raise"):
+                        got = self._cache[name] = (top, method(self, top))
+                    return got[1]
+                except FALLBACK_ERRORS:
+                    self._top = False
             got = self._cache[name] = (order, method(self, order))
             return got[1]
         return layer
@@ -170,6 +188,23 @@ def _column(value, p):
     return type(value)([_column(v, p) for v in value])
 
 
+def _stacked(jets):
+    """One jet of the space of ``jets`` whose last axis indexes them."""
+    return Jet(jets[0].space, np.stack([j.coeffs for j in jets], axis=-1))
+
+
+def _pairs(jets):
+    """``_stacked`` of jets with an index axis i, their index k, as one
+    jet whose last axis holds the pairs (i, k) at ``i * n + k``."""
+    c = _stacked(jets).coeffs
+    return Jet(jets[0].space, c.reshape(c.shape[:-2] + (-1,)))
+
+
+def _at(jet, index):
+    """The jet at ``index`` of ``jet``'s last axis."""
+    return Jet(jet.space, jet.coeffs[..., index])
+
+
 class _JetLayers:
     """The jet layers of a point with ``space``, ``n``, coordinates ``x``
     and ``y``, a ``_cache`` dict and a ``_check_l2`` method.  The same
@@ -178,11 +213,13 @@ class _JetLayers:
     axis into every jet.  ``_block`` is the block a point reads the light
     layers (those ``riemann`` needs) through, and ``_p`` its column
     there; a block reads through none, and the Weyl jets are read through
-    at no order."""
+    at no order.  ``_top`` is set on a lone point after construction,
+    while it builds its layers at their top orders."""
 
     _block = None
+    _top = False
 
-    @_layer(4)
+    @_layer(6, 4)
     def _f2(self, order):
         """(seed jets of y, jet of L^2) over (x, y), capped at x-degree
         ``L2_XCAP``; raises where ``_check_l2`` does."""
@@ -191,7 +228,7 @@ class _JetLayers:
         self._check_l2(f2, order)
         return list(env.values())[self.n:], f2
 
-    @_layer(2)
+    @_layer(4, 2)
     def _spray_jets(self, order):
         """The spray G^i as jets, capped at x-degree 1."""
         n = self.n
@@ -206,31 +243,33 @@ class _JetLayers:
             rhs.append((acc - f2.deriv(l).truncated(order)) * 0.25)
         return jet_linear_solve(g, rhs)
 
-    @_layer(0)
+    @_layer(2, 0)
     def _riemann_jets(self, order):
-        """The curvature deviation R^i_k as jets, capped at x-degree 0."""
+        """The curvature deviation R^i_k as jets, capped at x-degree 0.
+        The spray is one jet with an index axis after the point axis,
+        and the pairs (i, k) lie on one axis, at ``i * n + k``: each step
+        j of the sum is three products and three sums over all pairs."""
         n = self.n
-        G = [Gi.truncated(order + 2) for Gi in self._spray_jets(order + 2)]
-        G1 = [Gi.truncated(order + 1) for Gi in G]
+        G = _stacked(self._spray_jets(order + 2)).truncated(order + 2)
+        G1 = G.truncated(order + 1)
         # the terms that take no x-derivative of G need none of its x-degree
-        G0 = [Gi.truncated(order + 2, 0) for Gi in G]
-        G2 = [2.0 * Gi.truncated(order) for Gi in G0]
-        yj = [v.truncated(order, 0) for v in self._f2(order + 4)[0]]
-        dG = [[Gi.deriv(n + k) for k in range(n)] for Gi in G]     # order + 1
-        dG0 = [[Gi.deriv(n + k) for k in range(n)] for Gi in G0]
-        N = [[d.truncated(order) for d in row] for row in dG0]
-        R = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for k in range(n):
-                acc = 2.0 * G1[i].deriv(k)
-                for j in range(n):
-                    acc = acc - yj[j] * dG[i][k].deriv(j)
-                    acc = acc + G2[j] * dG0[i][k].deriv(n + j)
-                    acc = acc - N[i][j] * N[j][k]
-                R[i][k] = acc
-        return R
+        G0 = G.truncated(order + 2, 0)
+        G2 = 2.0 * G0.truncated(order)
+        yj = _stacked([v.truncated(order, 0)
+                       for v in self._f2(order + 4)[0]])
+        dG = _pairs([G.deriv(n + k) for k in range(n)])      # order + 1
+        dG0 = _pairs([G0.deriv(n + k) for k in range(n)])
+        N = dG0.truncated(order)
+        i, k = np.divmod(np.arange(n * n), n)
+        acc = 2.0 * _pairs([G1.deriv(k) for k in range(n)])
+        for j in range(n):
+            jj = np.full(n * n, j)
+            acc = acc - _at(yj, jj) * dG.deriv(j)
+            acc = acc + _at(G2, jj) * dG0.deriv(n + j)
+            acc = acc - _at(N, i * n + j) * _at(N, j * n + k)
+        return [[_at(acc, i * n + k) for k in range(n)] for i in range(n)]
 
-    @_layer(-1)    # no order reads through
+    @_layer(1, -1)    # no order reads through
     def _weyl_jets(self, order):
         """Projectively invariant curvature deviation W^i_k as jets, capped
         at x-degree 0."""
@@ -325,7 +364,9 @@ class PointGeometry(_JetLayers):
     unless the point is a member of an ``ok`` column of its block, which
     has passed that check; jets stay cached at their highest order,
     tensors by name, in ``_cache``.  ``_block`` is the ``PointBlock`` of
-    a sampled point, else None, and ``_p`` its column there.
+    a sampled point, else None, and ``_p`` its column there.  A lone
+    point, with no block, computes its later jet layers at their top
+    orders (``_layer``).
     """
 
     def __init__(self, space, x, y, block=None, p=None):
@@ -339,6 +380,7 @@ class PointGeometry(_JetLayers):
         self._block, self._p = block, p
         if block is None or not block.ok[p]:
             self._f2(2)
+        self._top = block is None
 
     # -- jet-level intermediates ------------------------------------------
 

@@ -29,7 +29,9 @@ cut inputs with ``Jet.truncated(order, xcap)``, which commutes bit for
 bit with all three.
 
 A jet may carry a trailing point axis: coefficients of shape ``(size,)``
-hold one point, ``(size, P)`` a block of P points, and every operation
+hold one point, ``(size, P)`` a block of P points (more trailing axes,
+such as an index axis after the point axis, count as one flattened
+point axis in products and derivatives), and every operation
 acts on each point's column as it would on that point alone, bit for bit
 (the vector forward mode of Griewank & Walther, *Evaluating
 Derivatives*, 2008).  Jets of one point and of a block do not combine.
@@ -108,7 +110,7 @@ class _Space:
 
     __slots__ = ("nvars", "order", "xvars", "xcap", "monomials", "position",
                  "size", "_mul_table", "_mul_rows", "_deriv_maps",
-                 "_partials", "_seeds", "_cuts")
+                 "_partials", "_seeds", "_cuts", "_y_part")
 
     def __init__(self, nvars, order, xcap=None):
         self.nvars = nvars
@@ -127,12 +129,22 @@ class _Space:
         self._partials = {}
         self._seeds = None
         self._cuts = {}
+        self._y_part = None
 
     def __str__(self):
         name = f"{self.nvars}v{self.order}"
         if self.xcap is None:
             return name
         return f"{name} capped at x-degree {self.xcap}"
+
+    def y_part(self):
+        """Positions of the monomials of positive degree in the last
+        ``nvars - xvars`` variables, the y of ``(x, y)``."""
+        if self._y_part is None:
+            self._y_part = np.array(
+                [i for i, m in enumerate(self.monomials)
+                 if sum(m[self.xvars:]) > 0], dtype=np.intp)
+        return self._y_part
 
     def mul_table(self):
         """(ia, ib, io): every pair of coefficients whose product the space
@@ -196,22 +208,26 @@ class _Space:
 
     def block_product(self, a, b):
         """Coefficients of the product of two jets of this space with
-        point axes, ``a`` and ``b`` of shape ``(size, P)``: each column is
+        point axes, ``a`` and ``b`` of one shape ``(size, ...)`` whose
+        trailing axes are flattened into one point axis: each column is
         bit for bit the one-point ``bincount`` product of its columns."""
-        if a.shape[1] >= self.rows_from():
+        shape = a.shape
+        a = a.reshape(self.size, -1)
+        b = b.reshape(self.size, -1)
+        P = a.shape[1]
+        if P >= self.rows_from():
             out = np.zeros_like(a)
             for i, part, io in self.mul_rows():
                 out[io] += a[i] * b[part]
-            return out
+            return out.reshape(shape)
         # one bincount over all points: bin io * P + p is coefficient io of
         # point p, and each bin meets its pairs in mul_table order
         ia, ib, io = self.mul_table()
-        P = a.shape[1]
         w = np.take(a, ia, axis=0)
         w *= np.take(b, ib, axis=0)
         keys = (io[:, None] * P + np.arange(P)).ravel()
         return np.bincount(keys, weights=w.ravel(),
-                           minlength=self.size * P).reshape(self.size, P)
+                           minlength=self.size * P).reshape(shape)
 
     def cut(self, order, xcap):
         """(space, index) of the jets cut to ``order`` and x-degree
@@ -525,8 +541,7 @@ class Jet:
         if not 0 <= var < self.nvars:
             raise ValueError(f"variable index {var} out of range")
         sp, src, fac = self.space.deriv_map(var)
-        if self.coeffs.ndim > 1:
-            fac = fac[:, None]
+        fac = fac.reshape((-1,) + (1,) * (self.coeffs.ndim - 1))
         return Jet(sp, self.coeffs[src] * fac)
 
     def partials(self, k):
@@ -548,12 +563,18 @@ class Jet:
         """Evaluate sum_k series[k] * (self - value)^k by Horner; for a
         block, ``series[k]`` holds one coefficient per point.
 
-        The shifted jet is nilpotent at the truncation order, so the
+        The shifted jet h is nilpotent at the truncation order, so the
         result is the exact truncated Taylor expansion of the composed
-        function.
+        function.  In a space capped at x-degree c >= 1, an h without y
+        part has h^(c+1) = 0, so the series stops after its term c: the
+        terms above it would add only exact zeros, which the sums of a
+        product, started at +0.0, leave the same bits.
         """
         h = Jet(self.space, self.coeffs.copy())
         h.coeffs[0] = 0.0
+        cap = self.space.xcap
+        if cap and not h.coeffs[self.space.y_part()].any():
+            series = series[:cap + 1]
         out = self._like(series[-1])
         for k in range(len(series) - 2, -1, -1):
             out = out * h

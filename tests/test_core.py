@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -332,21 +333,26 @@ def test_order_cache_keeps_the_highest_order():
 
     class Probe:
         """A point (``x`` a float) or a block (``x`` one value per
-        column) with one jet layer, read through at orders up to 2."""
+        column) with one jet layer, read through at orders up to 2, whose
+        top order is 5.  Above ``finite`` the layer overflows."""
 
-        def __init__(self, x, block=None, p=None, fail=False):
+        def __init__(self, x, block=None, p=None, fail=False, finite=9):
             self.x, self._block, self._p, self.fail = x, block, p, fail
+            self.finite = finite
             self.ok = np.ones(np.shape(x) or 1, dtype=bool)
             self._cache = {}
+            self._top = False
 
         # a block evaluates its layers under the blocks' failure rule
         layer = PointBlock.layer
 
-        @core._layer(2)
+        @core._layer(5, 2)
         def jets(self, order):
             calls.append((order, np.shape(self.x)))
             if self.fail:
                 raise ValueError("block evaluation fails")
+            if order > self.finite:
+                np.exp(np.float64(1000.0))
             return lift([self.x], order)
 
     lone = Probe(0.5)
@@ -379,6 +385,28 @@ def test_order_cache_keeps_the_highest_order():
     alone = Probe(0.7, failing, 1)
     assert alone.jets(1) is alone.jets(0) and not failing.ok.any()
     assert calls[-2:] == [(1, (2,)), (1, ())]
+    # a lone point computes its first order as asked, at construction,
+    # and every later one at the top order, which answers the lower ones
+    top = Probe(0.5)
+    top.jets(1)
+    top._top = True
+    calls.clear()
+    assert top.jets(2) is top.jets(5) and top._cache["jets"][0] == 5
+    assert top.jets(6)[0].order == 6 and calls == [(5, ()), (6, ())]
+    # a top order that raises a floating-point error, raised there as it
+    # is nowhere else, falls back once to the order asked for
+    low = Probe(0.5, finite=3)
+    low.jets(1)
+    low._top = True
+    calls.clear()
+    got = low.jets(2)
+    assert calls == [(5, ()), (2, ())] and not low._top
+    assert got[0].coeffs.tobytes() == lift([0.5], 2)[0].coeffs.tobytes()
+    assert low.jets(3) is not got and calls[-1] == (3, ())
+    with pytest.raises(FloatingPointError):
+        with np.errstate(over="raise"):
+            low.jets(4)
+    assert calls[-1] == (4, ()) and low._cache["jets"][0] == 3
     # on a point: every jet intermediate, at the order of its largest call
     pg = FinslerSpace(SPHERE).point([1.0, 0.3], [0.7, 0.9])
     pg.weyl_torsion()
@@ -397,6 +425,120 @@ BUNDLED_PAIRS = [("euclid2", "tangent_parabola"), ("euclid3", "projective3"),
                  ("diag2", "randers_nonclosed"), ("sphere2", "conformal"),
                  ("sphere3", "projective3"), ("curved3", "homothety"),
                  ("randers2", "projective"), ("randers2", "randers_closed")]
+
+
+# Each jet layer's top order and the lower orders that are cuts of it.
+LAYER_ORDERS = (("_f2", 6, range(2, 6)), ("_spray_jets", 4, range(4)),
+                ("_riemann_jets", 2, range(2)), ("_weyl_jets", 1, range(1)))
+
+
+def _layer_points(pair, seed):
+    """Lone points of both sides at 3 sampled points, and a block of each
+    side's 3 points."""
+    points, _ = sample_pair_points(pair, 3, seed)
+    xs, ys = np.transpose([x for x, _ in points]), np.transpose(
+        [y for _, y in points])
+    lone = [space.point(x, y) for space in (pair.base, pair.starred)
+            for x, y in points]
+    blocks = [PointBlock(space, xs, ys)
+              for space in (pair.base, pair.starred)]
+    return lone + blocks
+
+
+@pytest.mark.parametrize("metric,change", BUNDLED_PAIRS)
+def test_lower_orders_are_cuts_of_the_top_order_bit_for_bit(metric, change):
+    pair = ChangedPair(resolve_spec(metric), resolve_spec(change))
+    for pg in _layer_points(pair, 29):
+        pg._weyl_jets(1)
+        assert all(pg._cache[name][0] == top
+                   for name, top, _ in LAYER_ORDERS)
+        for name, top, lower in LAYER_ORDERS:
+            want = _jets_in(getattr(pg, name)(top))
+            for order in lower:
+                # the undecorated layer computes the order asked for
+                got = _jets_in(getattr(pg, name).__wrapped__(pg, order))
+                assert len(got) == len(want)
+                for low, high in zip(got, want):
+                    cut = high.truncated(order)
+                    assert cut.space is low.space, (name, order)
+                    assert cut.coeffs.tobytes() == low.coeffs.tobytes(), (
+                        pg.space.spec.name, name, order)
+
+
+@pytest.mark.parametrize("metric,change", [("sphere3", "projective3"),
+                                           ("randers2", "projective")])
+def test_lone_point_computes_each_layer_once(monkeypatch, metric, change):
+    orders, solves, layers = [], [], []
+    eval_l2 = MetricSpec.eval_l2
+    solve = core.jet_linear_solve
+
+    def counting_l2(self, env):
+        orders.append(env["x1"].order)
+        return eval_l2(self, env)
+
+    def counting_solve(A, rhs):
+        solves.append(A[0][0].order)
+        return solve(A, rhs)
+
+    class Log(dict):
+        """A point cache that logs each jet layer it is given."""
+
+        def __setitem__(self, name, value):
+            if name.startswith("_"):
+                layers.append((name, value[0]))
+            super().__setitem__(name, value)
+
+    monkeypatch.setattr(MetricSpec, "eval_l2", counting_l2)
+    monkeypatch.setattr(core, "jet_linear_solve", counting_solve)
+    pair = ChangedPair(resolve_spec(metric), resolve_spec(change))
+    (x, y), = sample_pair_points(pair, 1, 3)[0]
+    orders.clear()
+    pg = pair.starred.point(x, y)
+    pg._cache = Log(pg._cache)
+    # the tensors in the order of the ``tensors`` benchmark workload
+    for name in REQUEST_ORDER[1:]:
+        getattr(pg, name)()
+    # construction's order-2 jet, then every layer once at its top order
+    assert orders == [2, 6] and solves == [4]
+    assert layers == [("_f2", 6), ("_spray_jets", 4), ("_riemann_jets", 2),
+                      ("_weyl_jets", 1)]
+
+
+# e^(200 x1 y1) at x1 = 1.15, y1 = 3: the order-3 jet of L^2 is finite, and
+# the order-6 one is not.
+STEEP_TOP = ("dim 2\nL2 = y1^2 + y2^2 + exp(200 * x1 * y1)\n",
+             [1.15, 0.0], [3.0, 0.5])
+
+
+def test_top_order_that_fails_falls_back_to_the_order_asked(monkeypatch):
+    text, x, y = STEEP_TOP
+    space = FinslerSpace(parse_spec_text(text, name="steep"))
+    # the orders asked for, as a block member computes them alone
+    ref = space.point(x, y)
+    ref._top = False
+    want = ref.C_low()
+    with pytest.raises(JetDomainError,
+                       match=r"reciprocal of value 1\.2179\d*e\+304") as inv:
+        ref.n_conn()
+    pg = space.point(x, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pg.C_low().tobytes() == want.tobytes()
+    assert not pg._top and pg._cache["_f2"][0] == 3
+    with pytest.raises(JetDomainError) as got:
+        pg.n_conn()
+    assert str(got.value) == str(inv.value)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(JetDomainError, match="finite order-4"):
+            pg.berwald()
+        # the top order itself fails its check
+        with pytest.raises(JetDomainError, match="finite order-6"):
+            space.point(x, y)._f2(6)
+    # the attempt raises its floating-point error, which the fallback
+    # catches
+    monkeypatch.setattr(core, "FALLBACK_ERRORS", ())
+    with pytest.raises(FloatingPointError):
+        space.point(x, y).C_low()
 
 
 @pytest.mark.parametrize("metric,change", BUNDLED_PAIRS)
@@ -890,20 +1032,28 @@ L2_BLOCK_CALLS = (
 
 
 def test_blocks_evaluate_l2_once_per_light_order(monkeypatch):
-    calls = []
+    calls, probes = [], []
     eval_l2 = MetricSpec.eval_l2
+    pair = ChangedPair(resolve_spec("randers2"), resolve_spec("projective"))
+    cps, _ = sample_points(pair, 200, 1)
+    sampled = {tuple(cp.x.tolist() + cp.y.tolist()) for cp in cps}
 
     def counting(self, env):
         x1 = env["x1"]
         if isinstance(x1, Jet):
             points = x1.coeffs.shape[1] if x1.coeffs.ndim > 1 else 1
             calls.append((self.name, x1.order, points))
+            # a one-point call off the samples above order 2 is a probe's
+            if points == 1 and x1.order > 2 and tuple(
+                    v.value for v in env.values()) not in sampled:
+                probes.append((self.name, x1.order))
         return eval_l2(self, env)
 
     monkeypatch.setattr(MetricSpec, "eval_l2", counting)
     monkeypatch.setattr(sampling, "BLOCK_SIZE", 64)
     for selected, blocks in L2_BLOCK_CALLS:
         calls.clear()
+        probes.clear()
         cfg = suites.SuiteConfig(resolve_spec("randers2"),
                                  resolve_spec("projective"), samples=200,
                                  seed=1)
@@ -913,13 +1063,13 @@ def test_blocks_evaluate_l2_once_per_light_order(monkeypatch):
         # ask for
         assert Counter(call for call in calls if call[2] > 1) == blocks, (
             selected)
-        # the one-point calls at light orders are the finite-difference
-        # probes, which build points of their own
-        light = Counter(call for call in calls
-                        if call[2] == 1 and call[1] in (3, 4))
-        assert light == {("randers2", 3, 1): 20}, selected
+        # no one-point call is at a light order: the finite-difference
+        # probes, which build points of their own, build their layers at
+        # the top order after the order-2 jet of construction
+        assert not [call for call in calls
+                    if call[2] == 1 and call[1] in (3, 4)], selected
+        assert Counter(probes) == {("randers2", 6): 20}, selected
     # admission makes no one-point evaluation
     calls.clear()
-    pair = ChangedPair(resolve_spec("randers2"), resolve_spec("projective"))
     sample_points(pair, 200, 1)
     assert Counter(calls) == L2_ADMISSION_CALLS

@@ -529,3 +529,62 @@ def test_partials_the_space_drops_are_nan():
     (x1,) = lift([0.5, -1.0, 2.0, 0.25], 2, xcap=0)[:1]
     assert x1.value == 0.5 and np.isnan(x1.partials(1)[:2]).all()
 
+
+
+def _horner(jet, series):
+    """``Jet.compose`` with every term of the series: the reference for
+    the series that stops at the x-cap."""
+    h = Jet(jet.space, jet.coeffs.copy())
+    h.coeffs[0] = 0.0
+    out = jet._like(series[-1])
+    for k in range(len(series) - 2, -1, -1):
+        out = out * h
+        out.coeffs[0] += series[k]
+    return out
+
+
+# sin's series at 0 in exact terms, with signed zeros
+SIGNED_SERIES = [0.0, 1.0, -0.0, -1.0 / 6.0, 0.0, 1.0 / 120.0, -0.0]
+
+
+@pytest.mark.parametrize("order", [3, 4, 5, 6])
+@pytest.mark.parametrize("xcap", [1, 2])
+@pytest.mark.parametrize("points", [None, 3])
+def test_compose_of_an_x_only_argument_stops_at_the_cap(monkeypatch, order,
+                                                        xcap, points):
+    products = []
+    mul = Jet.__mul__
+
+    def counting(a, b):
+        products.append(a.space)
+        return mul(a, b)
+
+    # x1 = 0 in the first point, so that u is 0 there
+    values = [[0.0, 0.4, -0.3], [0.5, -1.0, 0.8], [2.0, 0.25, -1.5],
+              [0.7, 1.1, 0.2]]
+    if points is None:
+        values = [v[0] for v in values]
+    x1, x2, y1, _ = lift(values, order, xcap)
+    u = x1 + x1 * x2
+    p = 1.5 + u * 0.5 + x2 * x2
+    # a y part in the middle point of a block, or in the one point
+    y_part = u + Jet(y1.space, y1.coeffs * (1.0 if points is None
+                                            else np.array([0.0, 1.0, 0.0])))
+    cases = [(Jet.sin, u), (Jet.cos, u), (Jet.exp, u), (Jet.log, p),
+             (Jet.sqrt, p), (Jet.reciprocal, p),
+             (lambda j: j.powf(1.5), p), (lambda j: j.powf(-0.5), p),
+             (lambda j: j.compose(series), u), (Jet.sin, y_part)]
+    series = np.array(SIGNED_SERIES[:order + 1])
+    if points is not None:
+        series = np.repeat(series[:, None], points, axis=1)
+    with monkeypatch.context() as m:
+        m.setattr(Jet, "compose", _horner)
+        want = [f(arg) for f, arg in cases]
+    monkeypatch.setattr(Jet, "__mul__", counting)
+    for (f, arg), ref in zip(cases, want):
+        products.clear()
+        got = f(arg)
+        assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+        # u^(xcap + 1) = 0: the series stops after its term xcap; an
+        # argument with a y part anywhere takes every term
+        assert len(products) == (order if arg is y_part else xcap)

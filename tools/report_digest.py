@@ -20,7 +20,11 @@ each tensor name is hashed on its own in the same way.  A line
 ``fresh tensor stack`` hashes the same tensors at the same points, each
 on its own new ``PointGeometry``: a tensor there reads no jet that
 another tensor left cached, so a result that depends on the order of
-requests shows.  A last line, ``sampled tensor stack``, hashes the same
+requests shows.  Those lone points build their jet layers at the top
+orders, so where the tree before a change built them at the orders asked
+for, this line's equality between the two trees checks that the lower
+orders are cuts of the top ones; within one tree, the sampled stack
+below and ``test_core`` carry that check.  A last line, ``sampled tensor stack``, hashes the same
 tensors of both sides at the points ``sample_points`` returns for
 ``SAMPLED``, requested tensor by tensor over all points, as
 ``verify``'s checks request them: there the light jet layers come from
