@@ -6,6 +6,9 @@ and derived fields (geodesic spray, connections, curvatures) are computed
 as jets themselves so that their own derivatives remain exact.  A point
 is built from one order-2 jet of L^2; the spray's values, which geodesic
 integration asks for at every step, are solved in floats from that jet.
+A lone point takes that jet from the spec's compiled straight-line
+program (``MetricSpec.l2_program``), which replays the jets' operations
+in floats, bit for bit; blocks and higher orders evaluate on jets.
 
 Each layer keeps only the x-degrees its readers need (``L2_XCAP``): the
 jets of L^2 hold x-degree at most 2, the spray's at most 1 and those of
@@ -222,11 +225,27 @@ class _JetLayers:
     @_layer(6, 4)
     def _f2(self, order):
         """(seed jets of y, jet of L^2) over (x, y), capped at x-degree
-        ``L2_XCAP``; raises where ``_check_l2`` does."""
-        env = lift_env(order, L2_XCAP, x=self.x, y=self.y)
-        f2 = self.space.spec.eval_l2(env)
+        ``L2_XCAP``; raises where ``_check_l2`` does.  A lone point's
+        order-2 jet comes from the spec's compiled program
+        (``MetricSpec.l2_program``), bit for bit the jet that
+        ``eval_l2`` gives, and with the same error; a spec without one,
+        a program whose guard fails, a block and every higher order
+        evaluate on jets."""
+        f2 = None
+        if order == 2 and self.x.ndim == 1:
+            program = self.space.spec.l2_program(2, L2_XCAP)
+            if program is not None:
+                f2 = program(*self.x.tolist(), *self.y.tolist())
+        if f2 is None:
+            env = lift_env(order, L2_XCAP, x=self.x, y=self.y)
+            f2 = self.space.spec.eval_l2(env)
+            seeds = list(env.values())[self.n:]
+        else:
+            c = f2.space.seeds()[self.n:].copy()
+            c[:, 0] = self.y
+            seeds = [Jet(f2.space, row) for row in c]
         self._check_l2(f2, order)
-        return list(env.values())[self.n:], f2
+        return seeds, f2
 
     @_layer(4, 2)
     def _spray_jets(self, order):

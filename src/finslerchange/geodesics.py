@@ -55,8 +55,8 @@ _NEWTON_STEPS = 4   # Newton steps from each chord projection
 _SKIP_REL = 1e-9
 _SKIP_ABS = 1e-13
 
-# Dormand-Prince 5(4) tableau
-_A = [
+# Dormand-Prince 5(4) tableau; row s of _A weighs the stages before s
+_A = [np.array(row) for row in (
     [],
     [1 / 5],
     [3 / 40, 9 / 40],
@@ -64,7 +64,7 @@ _A = [
     [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
+)]
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
                 11 / 84, 0.0])
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
@@ -233,7 +233,7 @@ def integrate_geodesic(space, x0, y0, t_end, tol=1e-8, max_steps=200_000,
         K[0] = k1
         try:
             for s in range(1, 7):
-                zs_stage = z + h * (np.asarray(_A[s]) @ K[:s])
+                zs_stage = z + h * (_A[s] @ K[:s])
                 K[s] = rhs(zs_stage)
         except JetDomainError as exc:
             raise GeodesicError(

@@ -47,6 +47,13 @@ least as many points as the space has coefficients, and otherwise runs one
 are computed point by point in Python floats, because numpy's vector
 ``exp``, ``log`` and ``power`` round differently from ``math`` and
 ``float``; ``jet_linear_solve`` pivots point by point.
+
+``straight_line`` compiles a function of one-point jets into Python code
+of floats: it runs the function once on recording jets, whose
+coefficients are generated names, and the program repeats each
+coefficient's operations in the jets' order, skipping only the products
+of structural zeros, so that it returns the jets' bits without a numpy
+call per operation.
 """
 
 from __future__ import annotations
@@ -404,11 +411,7 @@ def _analytic(name, series):
             raise JetDomainError(f"{name} of value {v!r}: {exc}") from exc
 
     def method(self, *args):
-        v = self.coeffs[0]
-        if v.ndim == 0:
-            return self.compose(at(float(v), self.order, args))
-        return self.compose(np.array(
-            [at(p, self.order, args) for p in v.tolist()]).T)
+        return self.compose(self._series(at, args))
     method.__name__ = name
     return method
 
@@ -437,6 +440,14 @@ class Jet:
         c = np.zeros(sp.size)
         c[0] = value
         return Jet(sp, c)
+
+    def _series(self, at, args):
+        """``at(v, order, args)`` of ``_analytic`` at this jet's value, for
+        each point of a block on its own."""
+        v = self.coeffs[0]
+        if v.ndim == 0:
+            return at(float(v), self.order, args)
+        return np.array([at(p, self.order, args) for p in v.tolist()]).T
 
     def _like(self, value):
         """The constant ``value`` in this jet's space and point shape."""
@@ -725,3 +736,271 @@ def jet_linear_solve(A, rhs):
             acc = acc - M[r][c] * x[c]
         x[r] = acc * M[r][r].reciprocal()
     return x
+
+
+# ---------------------------------------------------------------------------
+# straight-line programs
+
+
+class _Unreplayable(JetError):
+    """An operation that a straight-line program cannot replay bit for bit."""
+
+
+def _constant(value):
+    """A coefficient that no input changes; it must be finite, so that its
+    source is a float literal."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise _Unreplayable(f"non-finite constant {value!r}")
+    return value
+
+
+def _src(c):
+    """Source text of a coefficient: a generated name, or a constant."""
+    return c if isinstance(c, str) else repr(c)
+
+
+def _zero(c):
+    """Whether a coefficient is a constant +0.0 or -0.0."""
+    return not isinstance(c, str) and c == 0.0
+
+
+def _is(c, value):
+    """Whether a coefficient is the constant ``value``, with its sign."""
+    return (not isinstance(c, str) and c == value
+            and math.copysign(1.0, c) == math.copysign(1.0, value))
+
+
+_FOLD = {"+": float.__add__, "-": float.__sub__, "*": float.__mul__,
+         "/": float.__truediv__}
+# the right operand of each operation that leaves the left one's bits
+_IDENTITY = {"+": -0.0, "-": 0.0, "*": 1.0, "/": 1.0}
+
+
+class _Tape:
+    """The statements of a straight-line program, in the order recorded,
+    the series functions they call by generated name, and the value names
+    that a product multiplied by a skipped structural zero."""
+
+    def __init__(self):
+        self.lines = []
+        self.count = 0
+        self.funcs = {}
+        self.guards = {}
+
+    def fresh(self):
+        self.count += 1
+        return f"t{self.count}"
+
+    def bind(self, expr):
+        """A coefficient computed by ``expr``: a constant or a name as it
+        is, otherwise a new name bound to it."""
+        if not isinstance(expr, str) or expr.isidentifier():
+            return expr
+        name = self.fresh()
+        self.lines.append(f"{name} = {expr}")
+        return name
+
+    def apply(self, op, x, y):
+        """The coefficient ``x op y`` for ``op`` one of ``+ - * /``: folded
+        where both are constants, and one operand itself where the other
+        leaves its bits."""
+        if not isinstance(x, str) and not isinstance(y, str):
+            return _constant(_FOLD[op](x, y))
+        if op == "+" and _is(x, -0.0):
+            return y
+        if _is(y, _IDENTITY[op]):
+            return x
+        return self.bind(f"{_src(x)} {op} {_src(y)}")
+
+
+def _term(x, y):
+    """Source of the product ``x * y`` of two coefficients, or the
+    constant where both are."""
+    if not isinstance(x, str) and not isinstance(y, str):
+        return _constant(x * y)
+    if x == 1.0:
+        return y
+    if y == 1.0:
+        return x
+    return f"{_src(x)} * {_src(y)}"
+
+
+def _sum(terms):
+    """Source of ``0.0 + t1 + t2 + ...`` in order, the sum ``bincount``
+    forms of a product's pairs, or the constant where every term is one.
+    The sum starts at +0.0 and so is never -0.0; a constant +-0.0 term
+    after a runtime one leaves its bits and is left out."""
+    acc, rest = 0.0, []
+    for t in terms:
+        if isinstance(t, str):
+            rest.append(t)
+        elif not rest:
+            acc += t
+        elif t != 0.0:
+            rest.append(repr(t))
+    if not rest:
+        return _constant(acc)
+    return " + ".join([repr(acc)] + rest)
+
+
+class _Recorder(Jet):
+    """A one-point jet whose coefficients are the generated names (str)
+    and constants (float) of a straight-line program, which each
+    operation extends by the statements that compute its coefficients
+    in floats, as the jet operation does.
+
+    A constant +-0.0 at a position above the value is a structural zero:
+    a product skips its pairs.  That is exact where the other factor is
+    finite, since a ``bincount`` sum starts at +0.0 and adding +-0.0
+    leaves its bits.  A skipped partner that is a value enters the
+    program's guard, which must be finite.  A non-finite coefficient
+    above the value carries on, in the jets and in the program, to the
+    same position of every result computed from it (each product pairs
+    it with the other factor's value, which is never skipped), so where
+    a skipped pair makes the jets' NaN the program's result is not finite
+    either, and a check of finiteness fails alike."""
+
+    __slots__ = ("tape",)
+
+    def __init__(self, space, coeffs, tape):
+        super().__init__(space, coeffs)
+        self.tape = tape
+
+    def _new(self, coeffs):
+        return _Recorder(self.space, coeffs, self.tape)
+
+    def _like(self, value):
+        c = [0.0] * self.space.size
+        c[0] = value if isinstance(value, str) else _constant(value)
+        return self._new(c)
+
+    def _pointwise(self, op, other):
+        apply = self.tape.apply
+        if not isinstance(other, Jet):
+            c = list(self.coeffs)
+            c[0] = apply(op, c[0], _constant(other))
+            return self._new(c)
+        return self._new([apply(op, x, y)
+                          for x, y in zip(self.coeffs, other.coeffs)])
+
+    def __add__(self, other):
+        return self._pointwise("+", other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._pointwise("-", other)
+
+    def __rsub__(self, other):
+        return (-self)._pointwise("+", other)
+
+    def __neg__(self):
+        return self._new([-c if not isinstance(c, str)
+                          else self.tape.bind(f"-{c}") for c in self.coeffs])
+
+    def __mul__(self, other):
+        tape = self.tape
+        if not isinstance(other, Jet):
+            s = _constant(other)
+            return self._new([tape.apply("*", c, s) for c in self.coeffs])
+        a, b = self.coeffs, other.coeffs
+        bins = [[] for _ in a]
+        for i, j, o in zip(*(t.tolist() for t in self.space.mul_table())):
+            x, y = a[i], b[j]
+            if (i and _zero(x)) or (j and _zero(y)):
+                for pos, f in ((i, x), (j, y)):
+                    if pos == 0 and isinstance(f, str):
+                        tape.guards[f] = None
+                continue
+            bins[o].append(_term(x, y))
+        return self._new([tape.bind(_sum(terms)) for terms in bins])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Jet):
+            return self * other.reciprocal()
+        s = _constant(other)
+        if s == 0.0:
+            raise _Unreplayable("division by a zero constant")
+        return self._new([self.tape.apply("/", c, s) for c in self.coeffs])
+
+    def _series(self, at, args):
+        """Names bound, at run time, to the series of ``at`` at the value."""
+        tape = self.tape
+        f = tape.funcs.setdefault(at, f"f{len(tape.funcs)}")
+        names = [tape.fresh() for _ in range(self.order + 1)]
+        tape.lines.append(
+            f"{', '.join(names)}, = {f}({_src(self.coeffs[0])}, {self.order}, "
+            f"({''.join(_src(a) + ', ' for a in args)}))")
+        return names
+
+    def compose(self, series):
+        """``Jet.compose``: h keeps its value 0.0, which a product never
+        skips, so a non-finite coefficient of the result meets it as in
+        the jets; the series stops at the cap where the jets' does."""
+        h = self._new([0.0] + self.coeffs[1:])
+        cap = self.space.xcap
+        if cap:
+            ys = [h.coeffs[i] for i in self.space.y_part().tolist()]
+            if any(isinstance(c, str) for c in ys):
+                raise _Unreplayable("a series cut that values decide")
+            if not any(ys):
+                series = series[:cap + 1]
+        out = self._like(series[-1])
+        for k in range(len(series) - 2, -1, -1):
+            out = out * h
+            out.coeffs[0] = self.tape.apply("+", out.coeffs[0], series[k])
+        return out
+
+    def powf(self, p):
+        """``Jet.powf`` of a finite constant exponent; a jet exponent
+        branches on its values, and a non-finite one raises a text with
+        the base's value."""
+        if isinstance(p, Jet) or not math.isfinite(p):
+            raise _Unreplayable("a jet or non-finite exponent")
+        return super().powf(p)
+
+
+def straight_line(fn, names, order, xcap=None):
+    """Compile ``fn``, a function of an environment of one-point jets such
+    as ``lift_env`` gives (``names`` bound, in order, to the seed jets of
+    the space of ``order`` and ``xcap``), into a straight-line Python
+    function of floats (source transformation, Griewank & Walther,
+    *Evaluating Derivatives*, 2008).  ``fn`` runs once on jets that
+    record its operations; the program replays them in floats, each
+    coefficient by the same operations in the same order as the jets'
+    (a product's pairs in ``mul_table`` order, summed from 0.0), and the
+    analytic functions through the same series and error texts.
+
+    Returns ``run(*values)``, the jet ``fn`` gives at the seed jets of
+    ``values``, bit for bit, or None where a value that a skipped pair
+    read is not finite.  Raises ``JetError`` where ``fn`` runs an
+    operation the program cannot replay (a jet exponent, a non-finite
+    constant), and whatever ``fn`` raises.  The source holds generated
+    names and float literals only."""
+    _check_order(order)
+    sp = _space(len(names), order, xcap)
+    tape = _Tape()
+    args = [f"a{v}" for v in range(len(names))]
+    env = {name: _Recorder(sp, [arg] + row[1:], tape)
+           for name, arg, row in zip(names, args, sp.seeds().tolist())}
+    out = fn(env)
+    if not isinstance(out, _Recorder):
+        raise _Unreplayable("the result is not a jet")
+    lines = tape.lines
+    if tape.guards:
+        lines += [f"if ({' + '.join(tape.guards)}) * 0.0 != 0.0:",
+                  "    return None"]
+    lines.append(f"return [{', '.join(map(_src, out.coeffs))}]")
+    source = "".join([f"def program({', '.join(args)}):\n"]
+                     + [f"    {line}\n" for line in lines])
+    namespace = {name: at for at, name in tape.funcs.items()}
+    exec(compile(source, "<straight-line jet>", "exec"), namespace)
+    program = namespace["program"]
+
+    def run(*values):
+        c = program(*values)
+        return None if c is None else Jet(sp, np.array(c))
+    return run

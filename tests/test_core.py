@@ -1,3 +1,4 @@
+import os
 import warnings
 from collections import Counter
 
@@ -13,7 +14,8 @@ from finslerchange.core import (
 )
 from finslerchange.jets import (Jet, JetDomainError, jet_linear_solve, lift,
                                 lift_env)
-from finslerchange.lang import MetricSpec, parse_spec_text, resolve_spec
+from finslerchange.lang import (MetricSpec, SpecError, parse_spec_text,
+                                resolve_spec)
 from finslerchange.sampling import sample_pair_points, sample_points
 
 # dx1^2 + x1^2 dx2^2: flat plane in polar-style coordinates
@@ -287,22 +289,41 @@ def test_rejects_nonpositive_metric_value():
         space.point([0.0, 0.0], [0.0, 0.0])
 
 
-def test_point_evaluates_l2_once_per_side(monkeypatch):
-    calls = []
+def _count_l2(monkeypatch, calls):
+    """Log each evaluation of L^2 on one-point or block jets, by either
+    route, in ``calls`` as (spec name, order, route): ``"jets"`` through
+    ``MetricSpec.eval_l2``, ``"program"`` through a compiled program of
+    ``MetricSpec.l2_program``."""
     eval_l2 = MetricSpec.eval_l2
+    l2_program = MetricSpec.l2_program
 
-    def counting(self, env):
-        calls.append(self.name)
+    def counting_eval(self, env):
+        calls.append((self.name, env["x1"].order, "jets"))
         return eval_l2(self, env)
 
-    monkeypatch.setattr(MetricSpec, "eval_l2", counting)
+    def counting_program(self, order, xcap):
+        program = l2_program(self, order, xcap)
+
+        def run(*values):
+            calls.append((self.name, order, "program"))
+            return program(*values)
+        return program and run
+
+    monkeypatch.setattr(MetricSpec, "eval_l2", counting_eval)
+    monkeypatch.setattr(MetricSpec, "l2_program", counting_program)
+
+
+def test_point_evaluates_l2_once_per_side(monkeypatch):
+    calls = []
+    _count_l2(monkeypatch, calls)
     pair = ChangedPair(resolve_spec("randers2"), resolve_spec("projective"))
     cp = pair.at([0.2, -0.3], [0.8, 0.6])
     for pg in (cp.base, cp.star):
         for name in ("L2", "L", "y_low", "l_low", "g_low", "g_up", "h_low",
                      "spray"):
             getattr(pg, name)()
-    assert calls == ["randers2", "randers2*projective"]
+    assert calls == [("randers2", 2, "program"),
+                     ("randers2*projective", 2, "program")]
 
 
 def test_overflowing_l2_jet_raises_at_construction():
@@ -315,6 +336,131 @@ def test_overflowing_l2_jet_raises_at_construction():
         with pytest.raises(JetDomainError, match="finite order-2"):
             space.point([0.88, 0.0], [1.0, 0.5])
     assert np.all(np.isfinite(space.point([0.5, 0.0], [1.0, 0.5]).douglas()))
+
+
+BUNDLED_METRICS = ("curved3", "diag2", "euclid2", "euclid3", "randers2",
+                   "sphere2", "sphere3")
+BUNDLED_CHANGES = ("conformal", "homothety", "identity", "projective",
+                   "projective3", "randers_closed", "randers_nonclosed",
+                   "tangent_parabola")
+SQRT2 = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "specs",
+                     "sqrt2.fspec")
+
+
+def _pairs_of_matching_dimension():
+    """Every bundled metric with every bundled change that binds to its
+    dimension, and the sqrt2 spec of the report digests with
+    ``projective``."""
+    for metric in BUNDLED_METRICS + (SQRT2,):
+        changes = ("projective",) if metric == SQRT2 else BUNDLED_CHANGES
+        for change in changes:
+            try:
+                yield ChangedPair(resolve_spec(metric), resolve_spec(change))
+            except SpecError:
+                continue
+
+
+def test_l2_program_is_the_jets_bit_for_bit():
+    pairs = list(_pairs_of_matching_dimension())
+    assert len(pairs) == 53
+    for pair in pairs:
+        points, _ = sample_pair_points(pair, 20, 4)
+        for space in (pair.base, pair.starred):
+            spec = space.spec
+            program = spec.l2_program(2, core.L2_XCAP)
+            assert program is not None, spec.name
+            assert spec.l2_program(2, core.L2_XCAP) is program
+            for x, y in points:
+                want = spec.eval_l2(lift_env(2, core.L2_XCAP, x=x, y=y))
+                got = program(*x, *y)
+                assert got.space is want.space
+                assert got.coeffs.tobytes() == want.coeffs.tobytes(), (
+                    spec.name, x, y)
+            # a lone point's seed jets are those of lift
+            x, y = points[0]
+            seeds, f2 = space.point(x, y)._f2(2)
+            want = list(lift_env(2, core.L2_XCAP, x=x, y=y).values())
+            assert [s.coeffs.tobytes() for s in seeds] == [
+                s.coeffs.tobytes() for s in want[space.n:]]
+
+
+def _error_by_each_route(monkeypatch, space, x, y):
+    """(type, text) of the error that building a lone point raises, with
+    its order-2 jet from the compiled program and from jets."""
+    got = []
+    for route in ("program", "jets"):
+        if route == "jets":
+            monkeypatch.setattr(MetricSpec, "l2_program",
+                                lambda self, order, xcap: None)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            with pytest.raises(JetDomainError) as info:
+                space.point(x, y)
+        got.append((type(info.value), str(info.value)))
+    return got
+
+
+# At x2 = 1e300 the value of (x1 + x2) * (y1 + x2) overflows and its other
+# coefficients do not; times the constant jet x2^0 it meets structural
+# zeros, whose pairs the program skips and the jets turn into NaN.
+GUARDED = "L2 = y1^2 + y2^2 + 1 / ((x1 + x2) * (y1 + x2) * x2^0)"
+
+
+@pytest.mark.parametrize("text,x,match,compiled", [
+    # the steep spec of test_overflowing_l2_jet_raises_at_construction
+    ("L2 = y1^2 + y2^2 + 1e-300 * exp(800 * x1) * y1^2", [0.88, 0.0],
+     "finite order-2", True),
+    ("L2 = (y1^2 + y2^2) * sqrt(x1)", [-0.5, 0.0],
+     "sqrt of non-positive value -0.5", True),
+    ("L2 = (y1^2 + y2^2) * (2 + log(x1))", [0.0, 0.3],
+     "log of non-positive value 0.0", True),
+    ("L2 = y1^2 + y2^2 + y1^2 / x1", [0.0, 0.3], "jet with zero value",
+     True),
+    # an exponent that is not finite: powf's error names the base's value
+    ("L2 = (y1^2 + y2^2) * x1^(1e300 * 1e300)", [0.5, 0.3],
+     "powf of value 0.5", False),
+    # GUARDED's value overflows where its other coefficients do not
+    (GUARDED, [0.5, 1e300], "finite order-2", True),
+    # the steep term's infinite coefficients times a constant jet whose
+    # value is 0.0, which no product skips: NaN by either route
+    ("L2 = y1^2 + y2^2 + 1e-300 * exp(800 * x1) * (x2^0 * 0)", [0.88, 0.0],
+     "finite order-2", True),
+])
+def test_lone_point_fails_alike_by_either_route(monkeypatch, text, x, match,
+                                                compiled):
+    space = FinslerSpace(parse_spec_text(f"dim 2\n{text}\n", name="fails"))
+    y = [1.0, 0.5]
+    program = space.spec.l2_program(2, core.L2_XCAP)
+    assert (program is not None) == compiled
+    by_program, by_jets = _error_by_each_route(monkeypatch, space, x, y)
+    assert by_program == by_jets
+    assert match in by_program[1]
+
+
+def test_guard_that_fails_leaves_the_point_to_the_jets():
+    spec = parse_spec_text(f"dim 2\n{GUARDED}\n", name="guarded")
+    program = spec.l2_program(2, core.L2_XCAP)
+    # the reciprocal of the overflowed value is finite: without the guard
+    # every coefficient would be, where the jets' are NaN
+    assert program(0.5, 1e300, 1.0, 0.5) is None
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = spec.eval_l2(lift_env(2, core.L2_XCAP, x=[0.5, 1e300],
+                                     y=[1.0, 0.5]))
+    assert np.isfinite(want.value) and np.isnan(want.coeffs).any()
+    # where every value is finite, the program runs
+    want = spec.eval_l2(lift_env(2, core.L2_XCAP, x=[0.5, 0.3], y=[1.0, 0.5]))
+    got = program(0.5, 0.3, 1.0, 0.5)
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def test_jet_exponent_takes_the_jet_route():
+    space = FinslerSpace(parse_spec_text(
+        "dim 2\nL2 = (y1^2 + y2^2) * x1^x2\n", name="jet exponent"))
+    assert space.spec.l2_program(2, core.L2_XCAP) is None
+    x, y = [0.7, -0.4], [1.0, 0.5]
+    pg = space.point(x, y)
+    want = space.spec.eval_l2(lift_env(2, core.L2_XCAP, x=x, y=y))
+    assert pg._f2(2)[1].coeffs.tobytes() == want.coeffs.tobytes()
+    assert np.isfinite(pg.spray()).all()
 
 
 def test_lift_x_env_names():
@@ -468,13 +614,8 @@ def test_lower_orders_are_cuts_of_the_top_order_bit_for_bit(metric, change):
 @pytest.mark.parametrize("metric,change", [("sphere3", "projective3"),
                                            ("randers2", "projective")])
 def test_lone_point_computes_each_layer_once(monkeypatch, metric, change):
-    orders, solves, layers = [], [], []
-    eval_l2 = MetricSpec.eval_l2
+    calls, solves, layers = [], [], []
     solve = core.jet_linear_solve
-
-    def counting_l2(self, env):
-        orders.append(env["x1"].order)
-        return eval_l2(self, env)
 
     def counting_solve(A, rhs):
         solves.append(A[0][0].order)
@@ -488,18 +629,19 @@ def test_lone_point_computes_each_layer_once(monkeypatch, metric, change):
                 layers.append((name, value[0]))
             super().__setitem__(name, value)
 
-    monkeypatch.setattr(MetricSpec, "eval_l2", counting_l2)
+    _count_l2(monkeypatch, calls)
     monkeypatch.setattr(core, "jet_linear_solve", counting_solve)
     pair = ChangedPair(resolve_spec(metric), resolve_spec(change))
     (x, y), = sample_pair_points(pair, 1, 3)[0]
-    orders.clear()
+    calls.clear()
     pg = pair.starred.point(x, y)
     pg._cache = Log(pg._cache)
     # the tensors in the order of the ``tensors`` benchmark workload
     for name in REQUEST_ORDER[1:]:
         getattr(pg, name)()
     # construction's order-2 jet, then every layer once at its top order
-    assert orders == [2, 6] and solves == [4]
+    assert [call[1:] for call in calls] == [(2, "program"), (6, "jets")]
+    assert solves == [4]
     assert layers == [("_f2", 6), ("_spray_jets", 4), ("_riemann_jets", 2),
                       ("_weyl_jets", 1)]
 

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 from finslerchange.jets import (
     Jet,
     JetDomainError,
+    JetError,
     JetOrderError,
     _space,
     jet_linear_solve,
     lift,
+    lift_env,
+    straight_line,
 )
 
 RNG = np.random.default_rng(20240811)
@@ -588,3 +591,33 @@ def test_compose_of_an_x_only_argument_stops_at_the_cap(monkeypatch, order,
         # u^(xcap + 1) = 0: the series stops after its term xcap; an
         # argument with a y part anywhere takes every term
         assert len(products) == (order if arg is y_part else xcap)
+
+
+def test_straight_line_cuts_series_at_the_cap():
+    # capped at x-degree 1, a series of an argument without y part stops
+    # after its term 1, as Jet.compose's does
+    names = ["x1", "x2", "y1", "y2"]
+
+    def cut(env):
+        return ((env["x1"] * 2.0 + 0.5).sqrt() * env["y1"]
+                + (env["x2"] - 3.0).reciprocal() * env["y2"] ** 2)
+
+    def uncut(env):
+        # a constant y part: the series runs to its end
+        return (env["x1"] + env["y1"]).exp()
+
+    def steep(env):
+        # at x1 = 2 the series' term 3 is inf, and the cut leaves it out
+        return env["x1"] ** 1000.5 * env["y1"]
+
+    points = [([0.3, -0.2], [1.0, 0.5]), ([0.0, 0.7], [-0.0, 2.0])]
+    for fn, xys in ((cut, points), (uncut, points),
+                    (steep, [([2.0, 0.1], [1e-300, 1.0])])):
+        run = straight_line(fn, names, 3, 1)
+        for x, y in xys:
+            want = fn(lift_env(3, 1, x=x, y=y))
+            assert want.space.xcap == 1 and np.isfinite(want.coeffs).all()
+            assert run(*x, *y).coeffs.tobytes() == want.coeffs.tobytes()
+    # a y part whose values decide whether the jets cut
+    with pytest.raises(JetError):
+        straight_line(lambda env: (env["x1"] * env["y1"]).exp(), names, 3, 1)

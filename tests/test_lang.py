@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finslerchange.jets import Jet, JetDomainError, lift
+from finslerchange.jets import Jet, JetDomainError, lift, lift_env
 from finslerchange.lang import (
     ChangeSpec,
     HypersurfaceSpec,
@@ -358,3 +361,74 @@ def test_number_literals_must_be_finite():
         with pytest.raises(SpecError) as err:
             parse_spec_text(text)
         assert (err.value.line, err.value.col) == where, text
+
+
+_LEAVES = st.sampled_from(["x1", "x2", "y1", "y2"] * 3
+                          + ["pi", "e", "0", "0.5", "2", "3"])
+_UNARY = st.sampled_from(["-({})", "({})^2", "({})^3", "({})^-1",
+                          "({})^0.5", "sqrt({})", "exp({})", "log({})",
+                          "sin({})", "cos({})", "-2.5 * ({})",
+                          "({}) * -0.75", "({}) / -4"])
+_BINARY = st.sampled_from(["({}) + ({})", "({}) - ({})", "({}) * ({})",
+                           "({}) / ({})"])
+_EXPRESSIONS = st.recursive(
+    _LEAVES, lambda inner: st.one_of(
+        st.builds(str.format, _UNARY, inner),
+        st.builds(str.format, _BINARY, inner, inner)), max_leaves=10)
+# large coordinates overflow some coefficients, and some values
+_COORDINATE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e154,
+                                         -1e300]),
+                        st.floats(-3.0, 3.0))
+
+
+def _outcome(fn):
+    """(result, None) of ``fn()``, or (None, (type, text)) of its error."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn(), None
+    except JetDomainError as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_EXPRESSIONS, st.lists(_COORDINATE, min_size=4, max_size=4))
+def test_l2_program_replays_the_jets(text, coords):
+    # signed zeros count: coefficients are compared by their bytes
+    spec = MetricSpec(dim=2, L2_expr=parse_expression(text))
+    program = spec.l2_program(2, 2)
+    if program is None:
+        return
+    want, want_error = _outcome(lambda: spec.eval_l2(
+        lift_env(2, 2, x=coords[:2], y=coords[2:])))
+    got, got_error = _outcome(lambda: program(*coords))
+    assert got_error == want_error, text
+    if want is None or got is None:
+        return
+    if np.isfinite(want.coeffs).all():
+        assert got.coeffs.tobytes() == want.coeffs.tobytes(), text
+    else:
+        # where a skipped structural zero meets a coefficient that is not
+        # finite the jets make NaN; the program's jet is not finite
+        # either, and its value is the jets'
+        assert not np.isfinite(got.coeffs).all(), text
+        assert got.coeffs[:1].tobytes() == want.coeffs[:1].tobytes(), text
+
+
+# -2 * (x1 * y1) has a coefficient -0.0 where y1 = 0; y1^2 + y2^2 has
+# structural zeros +0.0 there, and its negative -0.0
+SIGNED = ["-2 * (x1 * y1) + (y1^2 + y2^2)", "(y1^2 + y2^2) + -2 * (x1 * y1)",
+          "-2 * (x1 * y1) - (y1^2 + y2^2)",
+          "-2 * (x1 * y1) - -(y1^2 + y2^2)",
+          "-(y1^2 + y2^2) + -2 * (x1 * y1)",
+          "-(y1^2 + y2^2) - -2 * (x1 * y1)", "2 - x1 * y1 * -0.5",
+          "-(x1 * y2) * (x2 - y1)"]
+
+
+@pytest.mark.parametrize("text", SIGNED)
+def test_l2_program_keeps_signed_zeros(text):
+    spec = MetricSpec(dim=2, L2_expr=parse_expression(text))
+    program = spec.l2_program(2, 2)
+    for coords in itertools.product([0.0, -0.0, 1.5], repeat=4):
+        want = spec.eval_l2(lift_env(2, 2, x=coords[:2], y=coords[2:]))
+        got = program(*coords)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes(), (text, coords)

@@ -24,19 +24,25 @@ requests shows.  Those lone points build their jet layers at the top
 orders, so where the tree before a change built them at the orders asked
 for, this line's equality between the two trees checks that the lower
 orders are cuts of the top ones; within one tree, the sampled stack
-below and ``test_core`` carry that check.  A last line, ``sampled tensor stack``, hashes the same
-tensors of both sides at the points ``sample_points`` returns for
-``SAMPLED``, requested tensor by tensor over all points, as
-``verify``'s checks request them: there the light jet layers come from
-blocks of points, which must match the one-point tensors bit for bit,
-and a report's maxima could hide a difference in the last bit.  Run the
-script on the parent commit (a clone of it) and on a change: a refactor that
-keeps every line identical keeps the reports and the tensors
-byte-identical.  With two or more trees it prints the lines of each,
-then ``identical`` or the configurations that differ with the records or
-tensors that differ in them, for example ``differ: randers2+projective
-n20 s108 (geo.retrace); tensor stack (weyl_torsion)``, and exits 1 on a
-difference.
+below and ``test_core`` carry that check.  A line ``sampled tensor
+stack`` hashes the same tensors of both sides at the points
+``sample_points`` returns for ``SAMPLED``, requested tensor by tensor
+over all points, as ``verify``'s checks request them: there the light jet
+layers come from blocks of points, which must match the one-point
+tensors bit for bit, and a report's maxima could hide a difference in
+the last bit.  A last line, ``order-2 stack``, hashes ``ORDER2`` (``L2``,
+``y_low``, ``g_low``, ``g_up`` and ``spray``, which read a point's
+order-2 jet of ``L^2`` alone) on a new lone point per side at
+``ORDER2_POINTS`` sampled points of every bundled metric with every
+bundled change that binds to its dimension, and of ``SQRT2`` with
+``projective``: a change to how that jet is computed shows there on
+every bundled spec.  Run the script on the parent commit (a clone of it)
+and on a change: a refactor that keeps every line identical keeps the
+reports and the tensors byte-identical.  With two or more trees it
+prints the lines of each, then ``identical`` or the configurations that
+differ with the records or tensors that differ in them, for example
+``differ: randers2+projective n20 s108 (geo.retrace); tensor stack
+(weyl_torsion)``, and exits 1 on a difference.
 Uses the standard library only; the tensor child imports the tree's
 package and numpy.
 """
@@ -94,6 +100,9 @@ HYPER_DATA = ("x", "B", "B2", "normal_up", "normal_curvature")
 # verify-regular-3d, and the one bundled pair whose sampler rejects draws
 # (3 of 203, where L* <= 0), so that blocks with left-out columns are
 # covered.
+# The tensors of the order-2 stack, and its points per metric and change.
+ORDER2 = ("L2", "y_low", "g_low", "g_up", "spray")
+ORDER2_POINTS = 20
 SAMPLED = (("randers2", "projective", 200, 1),
            ("curved3", "projective3", 12, 108),
            ("sphere2", "tangent_parabola", 200, 1))
@@ -224,9 +233,41 @@ def tensor_stack():
     return hashes.digests()
 
 
+def order2_stack():
+    """(sha256 of the order-2 stack, {tensor name: sha256}), computed with
+    the package on the import path; run in a child process by
+    ``tensor_digest``."""
+    from importlib import resources
+
+    from finslerchange.change import ChangedPair
+    from finslerchange.lang import SpecError, resolve_spec, spec_kind
+    from finslerchange.sampling import sample_pair_points
+
+    specs = {}
+    for entry in sorted(e.name for e in (resources.files("finslerchange")
+                                         / "specs").iterdir()):
+        spec = resolve_spec(entry[:-len(".fspec")])
+        specs.setdefault(spec_kind(spec), []).append(spec.name)
+    configs = [(m, c) for m in specs["metric"] for c in specs["change"]]
+    hashes = _Hashes()
+    for metric, change in configs + [(SQRT2, "projective")]:
+        try:
+            pair = ChangedPair(resolve_spec(metric, expect="metric"),
+                               resolve_spec(change, expect="change"))
+        except SpecError:
+            continue
+        points, _ = sample_pair_points(pair, ORDER2_POINTS, TENSOR_SEED)
+        for x, y in points:
+            for space in (pair.base, pair.starred):
+                pg = space.point(x, y)
+                for name in ORDER2:
+                    hashes.add(name, getattr(pg, name)())
+    return hashes.digests()
+
+
 # child process flag -> the digest it prints
 STACKS = {"--tensor-stack": tensor_stack, "--fresh-stack": fresh_stack,
-          "--sampled-stack": sampled_stack}
+          "--sampled-stack": sampled_stack, "--order2-stack": order2_stack}
 
 
 def tensor_digest(tree, flag):
@@ -253,7 +294,8 @@ def main(argv=None):
         os.path.dirname(os.path.dirname(os.path.abspath(__file__)))]
     stacks = (("tensor stack", "--tensor-stack"),
               ("fresh tensor stack", "--fresh-stack"),
-              ("sampled tensor stack", "--sampled-stack"))
+              ("sampled tensor stack", "--sampled-stack"),
+              ("order-2 stack", "--order2-stack"))
     labels = [c[0] for c in CONFIGS] + [label for label, _ in stacks]
     # per tree, one (hash, exit status, {part name: hash}) per label
     results = []
