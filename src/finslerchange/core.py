@@ -4,11 +4,12 @@ Every quantity is derived from the single scalar L^2 evaluated on jets of
 the 2n coordinates (x, y): metric tensors fall out as Taylor coefficients,
 and derived fields (geodesic spray, connections, curvatures) are computed
 as jets themselves so that their own derivatives remain exact.  A point
-is built from one order-2 jet of L^2; the spray's values, which geodesic
-integration asks for at every step, are solved in floats from that jet.
-A lone point takes that jet from the spec's compiled straight-line
-program (``MetricSpec.l2_program``), which replays the jets' operations
-in floats, bit for bit; blocks and higher orders evaluate on jets.
+is built from one order-2 jet of L^2.  A lone point takes that jet from
+the spec's compiled straight-line program (``MetricSpec.l2_program``),
+which replays the jets' operations in floats, bit for bit; blocks and
+higher orders evaluate on jets.  The spray's values, which geodesic
+integration asks for at every stage, are solved in floats from that jet
+by a compiled ``_spray_tail``; ``spray_values`` builds no point for it.
 
 Each layer keeps only the x-degrees its readers need (``L2_XCAP``): the
 jets of L^2 hold x-degree at most 2, the spray's at most 1 and those of
@@ -77,49 +78,83 @@ def central_partial(f, x, i, h=1e-5):
     return (at(t + h) - at(t - h)) / (2.0 * h)
 
 
-def _solve_as_jets(A, b):
-    """``jet_linear_solve`` on the values of order-0 jets, in floats: the
-    same pivots and the same operations in the same order, with a
-    reciprocal taken as ``1.0 / v`` and each product as ``0.0 + a * b``.
-    ``np.linalg.solve`` rounds differently."""
-    n = len(b)
-    M = [list(row) for row in A]
-    b = list(b)
+def _compiled(name, args, lines, namespace):
+    """The function ``name(*args)`` with body ``lines``, in ``namespace``."""
+    body = "".join(f"    {line}\n" for line in lines)
+    exec(compile(f"def {name}({', '.join(args)}):\n{body}", name, "exec"),
+         namespace)
+    return namespace[name]
+
+
+@functools.cache
+def _solver(n):
+    """``jet_linear_solve`` on order-0 jets of an ``n x n`` system, as a
+    compiled function of floats whose arguments are the matrix's rows,
+    each followed by its right-hand side: the same pivots and operations
+    in the same order, a reciprocal as ``1.0 / v`` and each product as
+    ``0.0 + a * b``.  ``np.linalg.solve`` rounds differently."""
+    m = [[f"m{r}_{c}" for c in range(n + 1)] for r in range(n)]
+    lines = []
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(M[r][col]))
-        if abs(M[piv][col]) == 0.0:
-            raise JetDomainError("singular jet matrix in linear solve")
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            b[col], b[piv] = b[piv], b[col]
-        inv = 1.0 / M[col][col]
-        for r in range(col + 1, n):
-            f = 0.0 + M[r][col] * inv
-            for c in range(col + 1, n):
-                M[r][c] = M[r][c] - (0.0 + f * M[col][c])
-            b[r] = b[r] - (0.0 + f * b[col])
-    x = [None] * n
+        below = range(col + 1, n)
+        # the right-hand side is column n; columns before col are done
+        lines.append(f"a, k = abs({m[col][col]}), {col}")
+        lines += [f"if abs({m[r][col]}) > a: a, k = abs({m[r][col]}), {r}"
+                  for r in below]
+        lines.append('if a == 0.0: raise JetDomainError('
+                     '"singular jet matrix in linear solve")')
+        lines += [f"if k == {r}: {', '.join(m[col][col:] + m[r][col:])} = "
+                  f"{', '.join(m[r][col:] + m[col][col:])}" for r in below]
+        lines.append(f"i = 1.0 / {m[col][col]}")
+        for r in below:
+            lines.append(f"f = 0.0 + {m[r][col]} * i")
+            lines += [f"{m[r][c]} = {m[r][c]} - (0.0 + f * {m[col][c]})"
+                      for c in range(col + 1, n + 1)]
     for r in range(n - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, n):
-            acc = acc - (0.0 + M[r][c] * x[c])
-        x[r] = 0.0 + acc * (1.0 / M[r][r])
-    return x
+        acc = " - ".join([m[r][n]] + [f"(0.0 + {m[r][c]} * x{c})"
+                                      for c in range(r + 1, n)])
+        lines.append(f"x{r} = 0.0 + ({acc}) * (1.0 / {m[r][r]})")
+    lines.append(f"return [{', '.join(f'x{r}' for r in range(n))}]")
+    return _compiled("solve", sum(m, []), lines,
+                     {"JetDomainError": JetDomainError})
+
+
+@functools.cache
+def _spray_tail(space):
+    """``tail(c, y1, .., yn)``, compiled for the order-2 jet space
+    ``space`` of L^2: ``(G, g)``, the spray G^i = (1/4) g^il
+    (d2L^2/dy^l dx^k y^k - dL^2/dx^l) as a list and g_ij as rows, from
+    the coefficient list ``c`` of a jet at ``y``.  It replays the value
+    part of ``_spray_jets(0)``, bit for bit, with its errors."""
+    n = space.nvars // 2
+
+    def d(*idx):
+        pos, fac = space.partials_table(len(idx))
+        p, f = int(pos[idx]), float(fac[idx])
+        return f"c[{p}]" if f == 1.0 else f"(c[{p}] * {f!r})"
+
+    g = [[f"g{i}_{j}" for j in range(n)] for i in range(n)]
+    lines = [f"{g[i][j]} = {d(n + i, n + j)} * 0.5"
+             for i in range(n) for j in range(n)]
+    for i in range(n):
+        acc = " + ".join(f"(0.0 + y{k + 1} * {d(n + i, k)})" for k in range(n))
+        lines.append(f"r{i} = ({acc} - {d(i)}) * 0.25")
+    args = ", ".join(f"{', '.join(g[i])}, r{i}" for i in range(n))
+    rows = ", ".join(f"[{', '.join(row)}]" for row in g)
+    lines.append(f"return solve({args}), [{rows}]")
+    return _compiled("spray_tail", ["c"] + [f"y{k + 1}" for k in range(n)],
+                     lines, {"solve": _solver(n)})
 
 
 class FinslerSpace:
-    """A metric spec bound to the jet machinery.
-
-    ``spray_point`` is the point of the last ``spray_values`` call (None
-    before the first), so that a caller can read ``g`` where it last
-    asked for the spray without evaluating ``L^2`` again.  It holds the
-    caller's arrays, which must not change before it is read.  Only
-    those points are kept: they hold order-2 jets."""
+    """A metric spec bound to the jet machinery.  ``spray_g`` is ``g_ij``,
+    as rows of floats, where ``spray_values`` last answered (None before
+    it first does), which the geodesic guard reads."""
 
     def __init__(self, spec: MetricSpec):
         self.spec = spec
         self.n = spec.dim
-        self.spray_point = None
+        self.spray_g = None
 
     def point(self, x, y):
         return PointGeometry(self, x, y)
@@ -133,9 +168,23 @@ class FinslerSpace:
 
     def spray_values(self, x, y):
         """Spray coefficients G^i at a point; the geodesic equation is
-        d2x/dt2 + 2 G(x, dx/dt) = 0."""
-        self.spray_point = self.point(x, y)
-        return self.spray_point.spray()
+        d2x/dt2 + 2 G(x, dx/dt) = 0.  Bit for bit ``point(x, y).spray()``,
+        with its errors.  Where the spec's compiled program gives an
+        order-2 jet of L^2 with a positive value and a finite sum of
+        coefficients (so every one is finite), ``_spray_tail`` solves it
+        and no point is built; every other point is."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        program = self.spec.l2_program(2, L2_XCAP)
+        if program is not None and x.shape == y.shape == (self.n,):
+            ys = y.tolist()
+            c = program.floats(*x.tolist(), *ys)
+            if c is not None and c[0] > 0.0 and sum(c) * 0.0 == 0.0:
+                G, self.spray_g = _spray_tail(program.space)(c, *ys)
+                return np.array(G)
+        pg = self.point(x, y)
+        G = pg.spray()
+        self.spray_g = pg.g_low().tolist()
+        return G
 
 
 def _layer(top, cap):
@@ -465,20 +514,12 @@ class PointGeometry(_JetLayers):
 
     @cached
     def spray(self):
-        """G^i = (1/4) g^il (d2L^2/dy^l dx^k y^k - dL^2/dx^l), read from
-        the order-2 jet of L^2 and solved in floats.  Every operation
-        replays the value part of ``_spray_jets(0)``, so the two agree
-        bit for bit; a jet product's value is ``0.0 + a * b``."""
-        n = self.n
-        f2 = self._f2(2)[1]
-        d2 = f2.partials(2)
-        g = (d2[n:, n:] * 0.5).tolist()
-        y = self.y.tolist()
-        rhs = []
-        for row, dx in zip(d2[n:, :n].tolist(), f2.partials(1)[:n].tolist()):
-            acc = reduce(add, (0.0 + yk * d for yk, d in zip(y, row)))
-            rhs.append((acc - dx) * 0.25)
-        return np.array(_solve_as_jets(g, rhs))
+        """G^i = (1/4) g^il (d2L^2/dy^l dx^k y^k - dL^2/dx^l), solved in
+        floats from the order-2 jet of L^2 by ``_spray_tail``: bit for
+        bit the values of ``_spray_jets(0)``."""
+        f2 = self._f2(2)[1].truncated(2)
+        G, _ = _spray_tail(f2.space)(f2.coeffs.tolist(), *self.y.tolist())
+        return np.array(G)
 
     @cached
     def n_conn(self):

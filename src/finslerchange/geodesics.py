@@ -11,9 +11,9 @@ One of them is a metric that degenerates: a change ``e^sigma L + b_i y^i``
 stays a Finsler metric only while ``|b| e^-sigma < 1``, and past that
 bound ``g`` turns singular while the step size shrinks towards
 underflow.  At each accepted step the integrator reads ``g`` at the
-point of the last stage, which is the accepted node, and stops once the
-condition number of ``g`` with its diagonal scaled out exceeds
-``MAX_CONDITION``.  Scaling it out keeps coordinate units from reading as
+point of the last stage, the accepted node (``FinslerSpace.spray_g``),
+and stops once the condition number of ``g`` with its diagonal scaled
+out exceeds ``MAX_CONDITION``.  Scaling it out keeps coordinate units from reading as
 degeneration; a ``g`` that degenerates only along a coordinate axis
 reads as a change of units too, and is left to the step controller.
 
@@ -33,6 +33,7 @@ result is the same float.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -84,18 +85,21 @@ class GeodesicError(Exception):
         self.t = float(t)
 
 
-def _condition(pg):
+def _condition(g):
     """Frobenius estimate ``|s| |s^-1|`` of the condition number of
-    ``s = D^-1/2 g D^-1/2``, ``D = diag(g)``, at a point: ``n`` for any
-    diagonal ``g``, so rescaling a coordinate leaves it unchanged, and inf
+    ``s = D^-1/2 g D^-1/2``, ``D = diag(g)``, for a matrix ``g`` (an
+    array or rows of floats): ``n`` for any diagonal ``g`` whose inverse
+    is finite, so rescaling a coordinate leaves it unchanged, and inf
     where ``g`` is singular or has a diagonal entry that is not positive.
-    ``s^-1 = D^1/2 g^-1 D^1/2`` is read from the cached ``g_up()``."""
-    g = pg.g_low()
+    ``s^-1 = D^1/2 g^-1 D^1/2``.  Each term divides or multiplies by
+    ``g_ii g_jj`` where that product is a normal float, and by ``g_ii``
+    and ``g_jj`` in turn where it underflows or overflows."""
+    g = np.asarray(g, dtype=float)
     d = g.diagonal()
     if not d.min() > 0.0:
         return np.inf
     try:
-        g_up = pg.g_up()
+        g_up = np.linalg.inv(g)
     except np.linalg.LinAlgError:
         return np.inf
     # |s|_F^2 and |s^-1|_F^2 term by term: on n x n matrices plain floats
@@ -104,8 +108,10 @@ def _condition(pg):
     s2 = s_inv2 = 0.0
     for di, row, row_up in zip(d, g.tolist(), g_up.tolist()):
         for dj, v, w in zip(d, row, row_up):
-            s2 += v * v / (di * dj)
-            s_inv2 += w * w * (di * dj)
+            p = di * dj
+            normal = sys.float_info.min <= p <= sys.float_info.max
+            s2 += v * v / p if normal else (v / di) * (v / dj)
+            s_inv2 += w * w * p if normal else (w * di) * (w * dj)
     return math.sqrt(s2 * s_inv2)
 
 
@@ -250,7 +256,7 @@ def integrate_geodesic(space, x0, y0, t_end, tol=1e-8, max_steps=200_000,
             z = z5
             # first-same-as-last: the last stage ran at the accepted node
             k1 = K[6]
-            cond = _condition(space.spray_point)
+            cond = _condition(space.spray_g)
             if not cond <= MAX_CONDITION:
                 raise GeodesicError(
                     f"metric left its domain at t = {t:.6g}: g is "

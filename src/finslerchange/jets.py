@@ -976,7 +976,8 @@ def straight_line(fn, names, order, xcap=None):
 
     Returns ``run(*values)``, the jet ``fn`` gives at the seed jets of
     ``values``, bit for bit, or None where a value that a skipped pair
-    read is not finite.  Raises ``JetError`` where ``fn`` runs an
+    read is not finite; ``run.floats`` gives the coefficients of that jet
+    of ``run.space`` as a list.  Raises ``JetError`` where ``fn`` runs an
     operation the program cannot replay (a jet exponent, a non-finite
     constant), and whatever ``fn`` raises.  The source holds generated
     names and float literals only."""
@@ -1003,4 +1004,5 @@ def straight_line(fn, names, order, xcap=None):
     def run(*values):
         c = program(*values)
         return None if c is None else Jet(sp, np.array(c))
+    run.floats, run.space = program, sp
     return run

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finslerchange import core, geodesics, sampling, suites
 from finslerchange.change import ChangedPair
@@ -405,7 +407,9 @@ def _error_by_each_route(monkeypatch, space, x, y):
 GUARDED = "L2 = y1^2 + y2^2 + 1 / ((x1 + x2) * (y1 + x2) * x2^0)"
 
 
-@pytest.mark.parametrize("text,x,match,compiled", [
+# (L^2, x, a part of the error's text, whether the spec compiles) of lone
+# points that fail at y = (1, 0.5).
+FAILING_POINTS = [
     # the steep spec of test_overflowing_l2_jet_raises_at_construction
     ("L2 = y1^2 + y2^2 + 1e-300 * exp(800 * x1) * y1^2", [0.88, 0.0],
      "finite order-2", True),
@@ -424,7 +428,10 @@ GUARDED = "L2 = y1^2 + y2^2 + 1 / ((x1 + x2) * (y1 + x2) * x2^0)"
     # value is 0.0, which no product skips: NaN by either route
     ("L2 = y1^2 + y2^2 + 1e-300 * exp(800 * x1) * (x2^0 * 0)", [0.88, 0.0],
      "finite order-2", True),
-])
+]
+
+
+@pytest.mark.parametrize("text,x,match,compiled", FAILING_POINTS)
 def test_lone_point_fails_alike_by_either_route(monkeypatch, text, x, match,
                                                 compiled):
     space = FinslerSpace(parse_spec_text(f"dim 2\n{text}\n", name="fails"))
@@ -434,6 +441,101 @@ def test_lone_point_fails_alike_by_either_route(monkeypatch, text, x, match,
     by_program, by_jets = _error_by_each_route(monkeypatch, space, x, y)
     assert by_program == by_jets
     assert match in by_program[1]
+
+
+def _outcome(call):
+    """The value's bits, or the type and text of the error, of ``call()``."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return call().tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text,x,match,compiled", FAILING_POINTS + [
+    # g is singular: the solve raises
+    ("L2 = (y1 + y2)^2", [0.3, 0.2], "singular jet matrix", True),
+    # L^2 = 0 with finite coefficients
+    ("L2 = (y1 - 2 * y2)^2", [0.3, 0.2], "L^2 = 0 is not positive", True)])
+def test_spray_values_fails_as_the_point_does(text, x, match, compiled):
+    space = FinslerSpace(parse_spec_text(f"dim 2\n{text}\n", name="fails"))
+    assert (space.spec.l2_program(2, core.L2_XCAP) is not None) == compiled
+    y = [1.0, 0.5]
+    got = _outcome(lambda: space.spray_values(x, y))
+    assert got == _outcome(lambda: space.point(x, y).spray())
+    assert got[0] is JetDomainError and match in got[1]
+
+
+def _solve_by_jets(n, values):
+    """``jet_linear_solve`` on order-0 jets of the ``n x n`` system whose
+    rows, each followed by its right-hand side, are ``values``."""
+    rows = [[Jet.constant(v, 1, 0) for v in values[r * (n + 1):][:n + 1]]
+            for r in range(n)]
+    return np.array([v.value for v in jet_linear_solve(
+        [row[:n] for row in rows], [row[n] for row in rows])])
+
+
+@st.composite
+def _systems(draw):
+    """(n, entries) of an ``n x n`` system, n = 1 to 4, as ``_solver``
+    takes them: entries of equal magnitude and either sign, so that
+    pivots tie, signed zeros, and others, at scales from 1e-150 to 1e150,
+    one for the whole system or one per entry."""
+    n = draw(st.integers(1, 4))
+    base = st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.0, -0.0]) | st.floats(
+        -4.0, 4.0)
+    scales = st.sampled_from([1e-150, 1e-50, 1.0, 1e50, 1e150])
+    scale = draw(scales)
+    entries = []
+    for _ in range(n * n + n):
+        entries.append(draw(base) * (draw(scales) if draw(st.booleans())
+                                     else scale))
+    return n, entries
+
+
+@settings(max_examples=400, deadline=None)
+@given(_systems())
+def test_unrolled_solve_is_jet_linear_solve_bit_for_bit(system):
+    n, values = system
+    got = _outcome(lambda: np.array(core._solver(n)(*values)))
+    assert got == _outcome(lambda: _solve_by_jets(n, values))
+
+
+def test_unrolled_solve_names_each_entry_apart():
+    # at n = 11, row 1 column 11 and row 11 column 1 must not share a name
+    n = 11
+    values = np.random.default_rng(3).normal(size=n * (n + 1)).tolist()
+    got = np.array(core._solver(n)(*values))
+    assert got.tobytes() == _solve_by_jets(n, values).tobytes()
+
+
+@pytest.mark.parametrize("n,values", [
+    (1, [-0.0, 1.0]),
+    (2, [1.0, 2.0, 1.0, 2.0, 4.0, 1.0]),
+    (2, [0.0, 1.0, 1.0, 0.0, -3.0, 1.0]),
+    (3, [1.0, 2.0, 3.0, 1.0, -1.0, -2.0, -3.0, 0.0, 2.0, 1.0, 0.0, 1.0]),
+])
+def test_unrolled_solve_raises_on_a_singular_matrix(n, values):
+    want = (JetDomainError, "singular jet matrix in linear solve")
+    assert _outcome(lambda: np.array(core._solver(n)(*values))) == want
+    assert _outcome(lambda: _solve_by_jets(n, values)) == want
+
+
+def test_spray_values_whose_coefficient_sum_overflows_builds_the_point():
+    space = FinslerSpace(parse_spec_text(
+        "dim 2\nL2 = 4e307 * (y1^2 + y2^2) * (1 + x1^2)\n", name="huge"))
+    x, y = [0.5, 0.0], [1.0, 1.0]
+    c = space.spec.l2_program(2, core.L2_XCAP).floats(*x, *y)
+    assert np.isfinite(c).all() and c[0] > 0.0
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.sum(c))
+    built = _counting_points(space)
+    got = space.spray_values(x, y)
+    assert built == [1]
+    pg = space.point(x, y)
+    assert got.tobytes() == pg.spray().tobytes()
+    assert np.isfinite(got).all() and got.any()
+    assert np.array(space.spray_g).tobytes() == pg.g_low().tobytes()
 
 
 def test_guard_that_fails_leaves_the_point_to_the_jets():
@@ -683,18 +785,50 @@ def test_top_order_that_fails_falls_back_to_the_order_asked(monkeypatch):
         space.point(x, y).C_low()
 
 
-@pytest.mark.parametrize("metric,change", BUNDLED_PAIRS)
+# The spec of test_jet_exponent_takes_the_jet_route, in a box where its
+# base x1 is positive: it has no compiled program.
+JET_EXPONENT = ("dim 2\nL2 = (y1^2 + y2^2) * x1^x2\n"
+                "x_box = 0.5 1.5 -1 1\n")
+
+
+def _counting_points(space):
+    """Count the points ``space`` builds through ``space.point``."""
+    built = [0]
+    point = space.point
+
+    def counting(x, y):
+        built[0] += 1
+        return point(x, y)
+    space.point = counting
+    return built
+
+
+@pytest.mark.parametrize("metric,change", BUNDLED_PAIRS + [
+    (SQRT2, "projective"), (JET_EXPONENT, "homothety")])
 def test_numeric_spray_equals_jet_spray_bit_for_bit(metric, change):
-    pair = ChangedPair(resolve_spec(metric), resolve_spec(change))
+    metric = (parse_spec_text(metric, name="jet exponent")
+              if metric == JET_EXPONENT else resolve_spec(metric))
+    pair = ChangedPair(metric, resolve_spec(change))
     points, _ = sample_pair_points(pair, 6, 17)
-    for x, y in points:
-        for scale in (1e-12, 1e-6, 1.0, 1e6, 1e12):
-            for space in (pair.base, pair.starred):
-                got = space.point(x, scale * y).spray()
+    for space in (pair.base, pair.starred):
+        compiled = space.spec.l2_program(2, core.L2_XCAP) is not None
+        assert compiled == (metric.name != "jet exponent")
+        built = _counting_points(space)
+        for x, y in points:
+            for scale in (1e-12, 1e-6, 1.0, 1e6, 1e12):
+                before = built[0]
+                values = space.spray_values(x, scale * y)
+                # without a program, spray_values builds the point
+                assert built[0] - before == (not compiled)
+                pg = space.point(x, scale * y)
+                got = pg.spray()
                 want = np.array([G.value for G in
                                  space.point(x, scale * y)._spray_jets(0)])
-                assert got.tobytes() == want.tobytes(), (space.spec.name,
-                                                         x, scale * y)
+                where = (space.spec.name, x, scale * y)
+                assert got.tobytes() == want.tobytes(), where
+                assert values.tobytes() == want.tobytes(), where
+                assert (np.array(space.spray_g).tobytes()
+                        == pg.g_low().tobytes()), where
 
 
 def test_geodesic_runs_integrate_each_base_condition_once(monkeypatch):

@@ -249,6 +249,44 @@ def test_degenerating_changed_metric_stops_early(seed, index):
     assert calls[0] <= 3000
 
 
+def test_degenerating_path_stops_where_it_always_has():
+    # the stage that the guard reads has its spray from the compiled
+    # route, and the guard reads the same g, to the same decision
+    run = SuiteRun(SuiteConfig(resolve_spec("euclid2"),
+                               resolve_spec("tangent_parabola"),
+                               resolve_spec("parabola2"), samples=12,
+                               seed=108))
+    x0, y0 = run.geodesic_ics()[0]
+    with pytest.raises(GeodesicError) as info:
+        integrate_geodesic(run.pair.starred, x0, y0, 2.0, tol=1e-10)
+    assert (info.value.kind, info.value.t, str(info.value)) == (
+        "domain", 1.4883134854011082, "metric left its domain at t = "
+        "1.48831: g is degenerating (cond 1.005e+08 > 1e+08)")
+
+
+@pytest.mark.parametrize("d", [[1e-200, 1.0], [1e200, 1.0], [1e-300, 1e300],
+                               [1e-307, 1e-300]])
+def test_condition_of_a_diagonal_g_is_n(d):
+    # g_ii g_jj underflows or overflows where the terms do not
+    for g in (np.diag(d), np.diag(d).tolist()):
+        assert geodesics._condition(g) == pytest.approx(2.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("text,x0", [
+    # g_11 g_22 is 1 on the path, but g_11^2 underflows, then overflows
+    ("L2 = y1^2 * exp(700 * x1) + y2^2 * exp(-700 * x1)", [0.9, 0.0]),
+    ("L2 = y1^2 + y2^2 * exp(700 * x1)", [0.0, 0.0]),
+], ids=("underflow", "overflow"))
+def test_extreme_diagonal_g_fails_typed_or_finishes(text, x0):
+    space = FinslerSpace(parse_spec_text(f"dim 2\n{text}\n", name="steep"))
+    try:
+        path = integrate_geodesic(space, x0, [0.3, 1.0], 5.0)
+    except GeodesicError as exc:
+        assert "nan" not in str(exc)
+    else:
+        assert path.t[-1] == 5.0
+
+
 @pytest.mark.parametrize("metric,y0,t_end,cond", [
     # a_22 = e^{2 x1} and a_33 = e^{-2 x1}: cond(g) grows as e^{4 x1}
     # along the x1 axis while the metric stays regular

@@ -36,8 +36,12 @@ order-2 jet of ``L^2`` alone) on a new lone point per side at
 ``ORDER2_POINTS`` sampled points of every bundled metric with every
 bundled change that binds to its dimension, and of ``SQRT2`` with
 ``projective``: a change to how that jet is computed shows there on
-every bundled spec.  Run the script on the parent commit (a clone of it)
-and on a change: a refactor that keeps every line identical keeps the
+every bundled spec.  A line ``spray values`` hashes
+``FinslerSpace.spray_values`` of both sides at the same points, with
+``y`` scaled by each of ``SPRAY_SCALES``, and at those points moved
+``FAR`` times as far from the middle of the box; where a call raises, it
+hashes the error's type and text.  Run the script on the parent commit
+(a clone of it) and on a change: a refactor that keeps every line identical keeps the
 reports and the tensors byte-identical.  With two or more trees it
 prints the lines of each, then ``identical`` or the configurations that
 differ with the records or tensors that differ in them, for example
@@ -103,6 +107,10 @@ HYPER_DATA = ("x", "B", "B2", "normal_up", "normal_curvature")
 # The tensors of the order-2 stack, and its points per metric and change.
 ORDER2 = ("L2", "y_low", "g_low", "g_up", "spray")
 ORDER2_POINTS = 20
+# The scales of y at which the spray values line evaluates the spray, and
+# the factor by which it moves points away from the middle of the box.
+SPRAY_SCALES = (1e-6, 1.0, 1e6)
+FAR = 1.5
 SAMPLED = (("randers2", "projective", 200, 1),
            ("curved3", "projective3", 12, 108),
            ("sphere2", "tangent_parabola", 200, 1))
@@ -145,7 +153,10 @@ class _Hashes:
 
     def add(self, name, value):
         import numpy as np
-        data = np.ascontiguousarray(value, dtype=float).tobytes()
+        self.add_bytes(name,
+                       np.ascontiguousarray(value, dtype=float).tobytes())
+
+    def add_bytes(self, name, data):
         self.whole.update(data)
         self.parts.setdefault(name, hashlib.sha256()).update(data)
 
@@ -233,10 +244,11 @@ def tensor_stack():
     return hashes.digests()
 
 
-def order2_stack():
-    """(sha256 of the order-2 stack, {tensor name: sha256}), computed with
-    the package on the import path; run in a child process by
-    ``tensor_digest``."""
+def _order2_points():
+    """(pair, sampled points) of every bundled metric with every bundled
+    change that binds to its dimension, and of ``SQRT2`` with
+    ``projective``: ``ORDER2_POINTS`` points each, sampled with
+    ``TENSOR_SEED``."""
     from importlib import resources
 
     from finslerchange.change import ChangedPair
@@ -249,7 +261,6 @@ def order2_stack():
         spec = resolve_spec(entry[:-len(".fspec")])
         specs.setdefault(spec_kind(spec), []).append(spec.name)
     configs = [(m, c) for m in specs["metric"] for c in specs["change"]]
-    hashes = _Hashes()
     for metric, change in configs + [(SQRT2, "projective")]:
         try:
             pair = ChangedPair(resolve_spec(metric, expect="metric"),
@@ -257,6 +268,15 @@ def order2_stack():
         except SpecError:
             continue
         points, _ = sample_pair_points(pair, ORDER2_POINTS, TENSOR_SEED)
+        yield pair, points
+
+
+def order2_stack():
+    """(sha256 of the order-2 stack, {tensor name: sha256}), computed with
+    the package on the import path; run in a child process by
+    ``tensor_digest``."""
+    hashes = _Hashes()
+    for pair, points in _order2_points():
         for x, y in points:
             for space in (pair.base, pair.starred):
                 pg = space.point(x, y)
@@ -265,9 +285,36 @@ def order2_stack():
     return hashes.digests()
 
 
+def spray_values():
+    """(sha256 of the spray values, {part: sha256}), computed with the
+    package on the import path; run in a child process by
+    ``tensor_digest``.  Part ``spray_values`` hashes the values, part
+    ``error`` the type and text of each call that raises."""
+    import numpy as np
+
+    hashes = _Hashes()
+    for pair, points in _order2_points():
+        box = pair.base.spec.x_box
+        mid = 0.5 * (box[:, 0] + box[:, 1])
+        far = [(mid + FAR * (np.asarray(x) - mid), y) for x, y in points]
+        for x, y in points + far:
+            for space in (pair.base, pair.starred):
+                for scale in SPRAY_SCALES:
+                    try:
+                        with np.errstate(all="ignore"):
+                            G = space.spray_values(x, scale * np.asarray(y))
+                    except Exception as exc:
+                        hashes.add_bytes(
+                            "error", f"{type(exc).__name__}: {exc}".encode())
+                    else:
+                        hashes.add("spray_values", G)
+    return hashes.digests()
+
+
 # child process flag -> the digest it prints
 STACKS = {"--tensor-stack": tensor_stack, "--fresh-stack": fresh_stack,
-          "--sampled-stack": sampled_stack, "--order2-stack": order2_stack}
+          "--sampled-stack": sampled_stack, "--order2-stack": order2_stack,
+          "--spray-values": spray_values}
 
 
 def tensor_digest(tree, flag):
@@ -295,7 +342,8 @@ def main(argv=None):
     stacks = (("tensor stack", "--tensor-stack"),
               ("fresh tensor stack", "--fresh-stack"),
               ("sampled tensor stack", "--sampled-stack"),
-              ("order-2 stack", "--order2-stack"))
+              ("order-2 stack", "--order2-stack"),
+              ("spray values", "--spray-values"))
     labels = [c[0] for c in CONFIGS] + [label for label, _ in stacks]
     # per tree, one (hash, exit status, {part name: hash}) per label
     results = []
