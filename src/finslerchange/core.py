@@ -4,12 +4,12 @@ Every quantity is derived from the single scalar L^2 evaluated on jets of
 the 2n coordinates (x, y): metric tensors fall out as Taylor coefficients,
 and derived fields (geodesic spray, connections, curvatures) are computed
 as jets themselves so that their own derivatives remain exact.  A point
-is built from one order-2 jet of L^2.  A lone point takes that jet from
-the spec's compiled straight-line program (``MetricSpec.l2_program``),
-which replays the jets' operations in floats, bit for bit; blocks and
-higher orders evaluate on jets.  The spray's values, which geodesic
-integration asks for at every stage, are solved in floats from that jet
-by a compiled ``_spray_tail``; ``spray_values`` builds no point for it.
+is built from one order-2 jet of L^2, on jets.  The spray's values,
+which geodesic integration asks for at every stage, are solved in floats
+by a compiled ``_spray_tail`` from the coefficients of that jet, which a
+straight-line program of the spec (``jets.straight_line``) computes in
+floats, bit for bit; ``spray_values`` compiles both once per space and
+builds no point for them.
 
 Each layer keeps only the x-degrees its readers need (``L2_XCAP``): the
 jets of L^2 hold x-degree at most 2, the spray's at most 1 and those of
@@ -44,6 +44,7 @@ and ``n + i`` for y^i.
 from __future__ import annotations
 
 import functools
+import math
 # Sums use reduce(add, ...): sum() starts at 0, which turns a -0.0 total
 # into 0.0.
 from functools import reduce
@@ -51,8 +52,9 @@ from operator import add
 
 import numpy as np
 
-from .jets import Jet, JetDomainError, JetError, jet_linear_solve, lift_env
-from .lang import MetricSpec, SpecError
+from .jets import (Jet, JetDomainError, JetError, compiled, jet_linear_solve,
+                   lift_env, straight_line)
+from .lang import MetricSpec, SpecError, _l2
 from .memo import cached
 
 # The errors of a block evaluation that clear every column of the block
@@ -78,12 +80,14 @@ def central_partial(f, x, i, h=1e-5):
     return (at(t + h) - at(t - h)) / (2.0 * h)
 
 
-def _compiled(name, args, lines, namespace):
-    """The function ``name(*args)`` with body ``lines``, in ``namespace``."""
-    body = "".join(f"    {line}\n" for line in lines)
-    exec(compile(f"def {name}({', '.join(args)}):\n{body}", name, "exec"),
-         namespace)
-    return namespace[name]
+def _check_l2(c, order, x, y):
+    """Raise ``JetDomainError`` unless the coefficients ``c`` (a list or
+    an array) of a jet of L^2 at the coordinate lists ``x`` and ``y`` give
+    a positive value and are all finite; those are the coefficients the
+    jet holds, so one of x-degree above ``L2_XCAP`` raises nothing."""
+    if not (c[0] > 0.0 and all(map(math.isfinite, c))):
+        raise JetDomainError(f"L^2 = {c[0]:.6g} is not positive with finite "
+                             f"order-{order} coefficients at x={x}, y={y}")
 
 
 @functools.cache
@@ -115,8 +119,8 @@ def _solver(n):
                                       for c in range(r + 1, n)])
         lines.append(f"x{r} = 0.0 + ({acc}) * (1.0 / {m[r][r]})")
     lines.append(f"return [{', '.join(f'x{r}' for r in range(n))}]")
-    return _compiled("solve", sum(m, []), lines,
-                     {"JetDomainError": JetDomainError})
+    return compiled("solve", sum(m, []), lines,
+                    {"JetDomainError": JetDomainError})
 
 
 @functools.cache
@@ -142,8 +146,8 @@ def _spray_tail(space):
     args = ", ".join(f"{', '.join(g[i])}, r{i}" for i in range(n))
     rows = ", ".join(f"[{', '.join(row)}]" for row in g)
     lines.append(f"return solve({args}), [{rows}]")
-    return _compiled("spray_tail", ["c"] + [f"y{k + 1}" for k in range(n)],
-                     lines, {"solve": _solver(n)})
+    return compiled("spray_tail", ["c"] + [f"y{k + 1}" for k in range(n)],
+                    lines, {"solve": _solver(n)})
 
 
 class FinslerSpace:
@@ -166,20 +170,38 @@ class FinslerSpace:
         env.update({f"y{i + 1}": float(v) for i, v in enumerate(y)})
         return float(self.spec.eval_l2(env))
 
+    @functools.cached_property
+    def _spray_route(self):
+        """``(program, tail)``, compiled on first use: ``program(*x, *y)``
+        gives the coefficient list of the order-2 jet of L^2, capped at
+        x-degree ``L2_XCAP``, that ``eval_l2`` gives on ``lift_env``, bit
+        for bit (``jets.straight_line``), and ``tail`` is the
+        ``_spray_tail`` of its space.  None where the program cannot
+        replay that evaluation (a jet exponent, a non-finite constant, a
+        constant subexpression that raises)."""
+        names = [f"{k}{i + 1}" for k in "xy" for i in range(self.n)]
+        try:
+            program, space = straight_line(functools.partial(_l2, self.spec),
+                                           names, 2, L2_XCAP)
+        except (JetError, SpecError):
+            return None
+        return program, _spray_tail(space)
+
     def spray_values(self, x, y):
         """Spray coefficients G^i at a point; the geodesic equation is
         d2x/dt2 + 2 G(x, dx/dt) = 0.  Bit for bit ``point(x, y).spray()``,
-        with its errors.  Where the spec's compiled program gives an
-        order-2 jet of L^2 with a positive value and a finite sum of
-        coefficients (so every one is finite), ``_spray_tail`` solves it
-        and no point is built; every other point is."""
+        with its errors: the coefficient list of ``_spray_route``'s
+        program passes the point's check (``_check_l2``), or raises its
+        error, and its tail solves it.  A point is built only where there
+        is no list: the spec has no program, or its guard returned None."""
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        program = self.spec.l2_program(2, L2_XCAP)
-        if program is not None and x.shape == y.shape == (self.n,):
-            ys = y.tolist()
-            c = program.floats(*x.tolist(), *ys)
-            if c is not None and c[0] > 0.0 and sum(c) * 0.0 == 0.0:
-                G, self.spray_g = _spray_tail(program.space)(c, *ys)
+        route = self._spray_route
+        if route is not None and x.shape == y.shape == (self.n,):
+            xs, ys = x.tolist(), y.tolist()
+            c = route[0](*xs, *ys)
+            if c is not None:
+                _check_l2(c, 2, xs, ys)
+                G, self.spray_g = route[1](c, *ys)
                 return np.array(G)
         pg = self.point(x, y)
         G = pg.spray()
@@ -274,27 +296,12 @@ class _JetLayers:
     @_layer(6, 4)
     def _f2(self, order):
         """(seed jets of y, jet of L^2) over (x, y), capped at x-degree
-        ``L2_XCAP``; raises where ``_check_l2`` does.  A lone point's
-        order-2 jet comes from the spec's compiled program
-        (``MetricSpec.l2_program``), bit for bit the jet that
-        ``eval_l2`` gives, and with the same error; a spec without one,
-        a program whose guard fails, a block and every higher order
-        evaluate on jets."""
-        f2 = None
-        if order == 2 and self.x.ndim == 1:
-            program = self.space.spec.l2_program(2, L2_XCAP)
-            if program is not None:
-                f2 = program(*self.x.tolist(), *self.y.tolist())
-        if f2 is None:
-            env = lift_env(order, L2_XCAP, x=self.x, y=self.y)
-            f2 = self.space.spec.eval_l2(env)
-            seeds = list(env.values())[self.n:]
-        else:
-            c = f2.space.seeds()[self.n:].copy()
-            c[:, 0] = self.y
-            seeds = [Jet(f2.space, row) for row in c]
+        ``L2_XCAP``, evaluated on jets at every order, by a point and a
+        block alike; raises where ``_check_l2`` does."""
+        env = lift_env(order, L2_XCAP, x=self.x, y=self.y)
+        f2 = self.space.spec.eval_l2(env)
         self._check_l2(f2, order)
-        return seeds, f2
+        return list(env.values())[self.n:], f2
 
     @_layer(4, 2)
     def _spray_jets(self, order):
@@ -453,13 +460,8 @@ class PointGeometry(_JetLayers):
     # -- jet-level intermediates ------------------------------------------
 
     def _check_l2(self, f2, order):
-        """Raise ``JetDomainError`` unless L^2 is positive and every
-        coefficient is finite; those are the coefficients the jet holds,
-        so one of x-degree above ``L2_XCAP`` raises nothing."""
-        if not (f2.value > 0.0 and np.isfinite(f2.coeffs).all()):
-            raise JetDomainError(f"L^2 = {f2.value:.6g} is not positive with "
-                                 f"finite order-{order} coefficients at "
-                                 f"x={self.x.tolist()}, y={self.y.tolist()}")
+        """Raise where the module's ``_check_l2`` does."""
+        _check_l2(f2.coeffs, order, self.x.tolist(), self.y.tolist())
 
     # -- numeric tensors ---------------------------------------------------
 

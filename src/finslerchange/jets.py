@@ -52,8 +52,9 @@ are computed point by point in Python floats, because numpy's vector
 of floats: it runs the function once on recording jets, whose
 coefficients are generated names, and the program repeats each
 coefficient's operations in the jets' order, skipping only the products
-of structural zeros, so that it returns the jets' bits without a numpy
-call per operation.
+of structural zeros, so that it returns the jets' coefficients, bit for
+bit, as a list without a numpy call per operation.  ``compiled`` turns
+generated source into a function, for it and for ``core``'s spray solve.
 """
 
 from __future__ import annotations
@@ -963,6 +964,15 @@ class _Recorder(Jet):
         return super().powf(p)
 
 
+def compiled(name, args, lines, namespace):
+    """The function ``name(*args)`` whose body is the generated source
+    ``lines``, compiled with the globals ``namespace``."""
+    body = "".join(f"    {line}\n" for line in lines)
+    exec(compile(f"def {name}({', '.join(args)}):\n{body}", name, "exec"),
+         namespace)
+    return namespace[name]
+
+
 def straight_line(fn, names, order, xcap=None):
     """Compile ``fn``, a function of an environment of one-point jets such
     as ``lift_env`` gives (``names`` bound, in order, to the seed jets of
@@ -974,13 +984,13 @@ def straight_line(fn, names, order, xcap=None):
     (a product's pairs in ``mul_table`` order, summed from 0.0), and the
     analytic functions through the same series and error texts.
 
-    Returns ``run(*values)``, the jet ``fn`` gives at the seed jets of
-    ``values``, bit for bit, or None where a value that a skipped pair
-    read is not finite; ``run.floats`` gives the coefficients of that jet
-    of ``run.space`` as a list.  Raises ``JetError`` where ``fn`` runs an
-    operation the program cannot replay (a jet exponent, a non-finite
-    constant), and whatever ``fn`` raises.  The source holds generated
-    names and float literals only."""
+    Returns ``(program, space)``: ``program(*values)`` gives, as a list,
+    the coefficients of the jet of ``space`` that ``fn`` gives at the
+    seed jets of ``values``, bit for bit, or None where a value that a
+    skipped pair read is not finite.  Raises ``JetError`` where ``fn``
+    runs an operation the program cannot replay (a jet exponent, a
+    non-finite constant), and whatever ``fn`` raises.  The source holds
+    generated names and float literals only."""
     _check_order(order)
     sp = _space(len(names), order, xcap)
     tape = _Tape()
@@ -995,14 +1005,5 @@ def straight_line(fn, names, order, xcap=None):
         lines += [f"if ({' + '.join(tape.guards)}) * 0.0 != 0.0:",
                   "    return None"]
     lines.append(f"return [{', '.join(map(_src, out.coeffs))}]")
-    source = "".join([f"def program({', '.join(args)}):\n"]
-                     + [f"    {line}\n" for line in lines])
     namespace = {name: at for at, name in tape.funcs.items()}
-    exec(compile(source, "<straight-line jet>", "exec"), namespace)
-    program = namespace["program"]
-
-    def run(*values):
-        c = program(*values)
-        return None if c is None else Jet(sp, np.array(c))
-    run.floats, run.space = program, sp
-    return run
+    return compiled("program", args, lines, namespace), sp

@@ -16,14 +16,13 @@ Three kinds of file are recognized by the keys they use:
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import Jet, JetDomainError, JetError, straight_line
+from .jets import Jet, JetDomainError
 
 MAX_DIM = 6
 
@@ -450,30 +449,11 @@ class MetricSpec:
         """L^2 at an environment of floats or Jets."""
         return _l2(self, env)
 
-    def l2_program(self, order, xcap):
-        """The one-point jet of L^2 over ``(x1 .. xn, y1 .. yn)`` at
-        ``order``, capped at x-degree ``xcap``, as a compiled
-        straight-line function of those 2n floats
-        (``jets.straight_line``), bit for bit the jet ``eval_l2`` gives
-        on ``lift_env(order, xcap, x=x, y=y)``; None where the program
-        cannot replay that evaluation (a jet exponent, a non-finite
-        constant, a constant subexpression that raises).  Compiled on
-        first use and cached on the spec."""
-        programs = self.__dict__.setdefault("_l2_programs", {})
-        if (order, xcap) not in programs:
-            names = [f"{k}{i + 1}" for k in "xy" for i in range(self.dim)]
-            try:
-                program = straight_line(functools.partial(_l2, self), names,
-                                        order, xcap)
-            except (JetError, SpecError):
-                program = None
-            programs[order, xcap] = program
-        return programs[order, xcap]
-
 
 def _l2(spec, env):
-    """The body of ``MetricSpec.eval_l2``.  ``l2_program`` records it
-    without calling ``eval_l2``: compiling evaluates L^2 at no point."""
+    """The body of ``MetricSpec.eval_l2``.  ``core`` records it into the
+    spray route's program without calling ``eval_l2``: compiling
+    evaluates L^2 at no point."""
     if spec.L2_expr is not None:
         return evaluate(spec.L2_expr, env)
     val = evaluate(spec.L_expr, env)

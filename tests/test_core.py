@@ -292,27 +292,15 @@ def test_rejects_nonpositive_metric_value():
 
 
 def _count_l2(monkeypatch, calls):
-    """Log each evaluation of L^2 on one-point or block jets, by either
-    route, in ``calls`` as (spec name, order, route): ``"jets"`` through
-    ``MetricSpec.eval_l2``, ``"program"`` through a compiled program of
-    ``MetricSpec.l2_program``."""
+    """Log each evaluation of L^2 on one-point or block jets in ``calls``
+    as (spec name, order)."""
     eval_l2 = MetricSpec.eval_l2
-    l2_program = MetricSpec.l2_program
 
     def counting_eval(self, env):
-        calls.append((self.name, env["x1"].order, "jets"))
+        calls.append((self.name, env["x1"].order))
         return eval_l2(self, env)
 
-    def counting_program(self, order, xcap):
-        program = l2_program(self, order, xcap)
-
-        def run(*values):
-            calls.append((self.name, order, "program"))
-            return program(*values)
-        return program and run
-
     monkeypatch.setattr(MetricSpec, "eval_l2", counting_eval)
-    monkeypatch.setattr(MetricSpec, "l2_program", counting_program)
 
 
 def test_point_evaluates_l2_once_per_side(monkeypatch):
@@ -324,8 +312,7 @@ def test_point_evaluates_l2_once_per_side(monkeypatch):
         for name in ("L2", "L", "y_low", "l_low", "g_low", "g_up", "h_low",
                      "spray"):
             getattr(pg, name)()
-    assert calls == [("randers2", 2, "program"),
-                     ("randers2*projective", 2, "program")]
+    assert calls == [("randers2", 2), ("randers2*projective", 2)]
 
 
 def test_overflowing_l2_jet_raises_at_construction():
@@ -369,36 +356,14 @@ def test_l2_program_is_the_jets_bit_for_bit():
         points, _ = sample_pair_points(pair, 20, 4)
         for space in (pair.base, pair.starred):
             spec = space.spec
-            program = spec.l2_program(2, core.L2_XCAP)
-            assert program is not None, spec.name
-            assert spec.l2_program(2, core.L2_XCAP) is program
+            route = space._spray_route
+            assert route is not None, spec.name
+            assert space._spray_route is route
             for x, y in points:
                 want = spec.eval_l2(lift_env(2, core.L2_XCAP, x=x, y=y))
-                got = program(*x, *y)
-                assert got.space is want.space
-                assert got.coeffs.tobytes() == want.coeffs.tobytes(), (
+                got = np.array(route[0](*x, *y))
+                assert got.tobytes() == want.coeffs.tobytes(), (
                     spec.name, x, y)
-            # a lone point's seed jets are those of lift
-            x, y = points[0]
-            seeds, f2 = space.point(x, y)._f2(2)
-            want = list(lift_env(2, core.L2_XCAP, x=x, y=y).values())
-            assert [s.coeffs.tobytes() for s in seeds] == [
-                s.coeffs.tobytes() for s in want[space.n:]]
-
-
-def _error_by_each_route(monkeypatch, space, x, y):
-    """(type, text) of the error that building a lone point raises, with
-    its order-2 jet from the compiled program and from jets."""
-    got = []
-    for route in ("program", "jets"):
-        if route == "jets":
-            monkeypatch.setattr(MetricSpec, "l2_program",
-                                lambda self, order, xcap: None)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            with pytest.raises(JetDomainError) as info:
-                space.point(x, y)
-        got.append((type(info.value), str(info.value)))
-    return got
 
 
 # At x2 = 1e300 the value of (x1 + x2) * (y1 + x2) overflows and its other
@@ -407,7 +372,7 @@ def _error_by_each_route(monkeypatch, space, x, y):
 GUARDED = "L2 = y1^2 + y2^2 + 1 / ((x1 + x2) * (y1 + x2) * x2^0)"
 
 
-# (L^2, x, a part of the error's text, whether the spec compiles) of lone
+# (L^2, x, a part of the error's text, whether the spec compiles) of
 # points that fail at y = (1, 0.5).
 FAILING_POINTS = [
     # the steep spec of test_overflowing_l2_jet_raises_at_construction
@@ -431,18 +396,6 @@ FAILING_POINTS = [
 ]
 
 
-@pytest.mark.parametrize("text,x,match,compiled", FAILING_POINTS)
-def test_lone_point_fails_alike_by_either_route(monkeypatch, text, x, match,
-                                                compiled):
-    space = FinslerSpace(parse_spec_text(f"dim 2\n{text}\n", name="fails"))
-    y = [1.0, 0.5]
-    program = space.spec.l2_program(2, core.L2_XCAP)
-    assert (program is not None) == compiled
-    by_program, by_jets = _error_by_each_route(monkeypatch, space, x, y)
-    assert by_program == by_jets
-    assert match in by_program[1]
-
-
 def _outcome(call):
     """The value's bits, or the type and text of the error, of ``call()``."""
     try:
@@ -459,9 +412,13 @@ def _outcome(call):
     ("L2 = (y1 - 2 * y2)^2", [0.3, 0.2], "L^2 = 0 is not positive", True)])
 def test_spray_values_fails_as_the_point_does(text, x, match, compiled):
     space = FinslerSpace(parse_spec_text(f"dim 2\n{text}\n", name="fails"))
-    assert (space.spec.l2_program(2, core.L2_XCAP) is not None) == compiled
+    assert (space._spray_route is not None) == compiled
     y = [1.0, 0.5]
+    built = _counting_points(space)
     got = _outcome(lambda: space.spray_values(x, y))
+    # a point is built only where there is no coefficient list: no
+    # program, or a guard that returned None
+    assert built == [text == GUARDED or not compiled]
     assert got == _outcome(lambda: space.point(x, y).spray())
     assert got[0] is JetDomainError and match in got[1]
 
@@ -521,17 +478,17 @@ def test_unrolled_solve_raises_on_a_singular_matrix(n, values):
     assert _outcome(lambda: _solve_by_jets(n, values)) == want
 
 
-def test_spray_values_whose_coefficient_sum_overflows_builds_the_point():
+def test_spray_values_whose_coefficient_sum_overflows_builds_no_point():
     space = FinslerSpace(parse_spec_text(
         "dim 2\nL2 = 4e307 * (y1^2 + y2^2) * (1 + x1^2)\n", name="huge"))
     x, y = [0.5, 0.0], [1.0, 1.0]
-    c = space.spec.l2_program(2, core.L2_XCAP).floats(*x, *y)
+    c = space._spray_route[0](*x, *y)
     assert np.isfinite(c).all() and c[0] > 0.0
     with np.errstate(over="ignore"):
         assert np.isinf(np.sum(c))
     built = _counting_points(space)
     got = space.spray_values(x, y)
-    assert built == [1]
+    assert built == [0]
     pg = space.point(x, y)
     assert got.tobytes() == pg.spray().tobytes()
     assert np.isfinite(got).all() and got.any()
@@ -540,7 +497,7 @@ def test_spray_values_whose_coefficient_sum_overflows_builds_the_point():
 
 def test_guard_that_fails_leaves_the_point_to_the_jets():
     spec = parse_spec_text(f"dim 2\n{GUARDED}\n", name="guarded")
-    program = spec.l2_program(2, core.L2_XCAP)
+    program, _ = FinslerSpace(spec)._spray_route
     # the reciprocal of the overflowed value is finite: without the guard
     # every coefficient would be, where the jets' are NaN
     assert program(0.5, 1e300, 1.0, 0.5) is None
@@ -550,19 +507,8 @@ def test_guard_that_fails_leaves_the_point_to_the_jets():
     assert np.isfinite(want.value) and np.isnan(want.coeffs).any()
     # where every value is finite, the program runs
     want = spec.eval_l2(lift_env(2, core.L2_XCAP, x=[0.5, 0.3], y=[1.0, 0.5]))
-    got = program(0.5, 0.3, 1.0, 0.5)
-    assert got.coeffs.tobytes() == want.coeffs.tobytes()
-
-
-def test_jet_exponent_takes_the_jet_route():
-    space = FinslerSpace(parse_spec_text(
-        "dim 2\nL2 = (y1^2 + y2^2) * x1^x2\n", name="jet exponent"))
-    assert space.spec.l2_program(2, core.L2_XCAP) is None
-    x, y = [0.7, -0.4], [1.0, 0.5]
-    pg = space.point(x, y)
-    want = space.spec.eval_l2(lift_env(2, core.L2_XCAP, x=x, y=y))
-    assert pg._f2(2)[1].coeffs.tobytes() == want.coeffs.tobytes()
-    assert np.isfinite(pg.spray()).all()
+    got = np.array(program(0.5, 0.3, 1.0, 0.5))
+    assert got.tobytes() == want.coeffs.tobytes()
 
 
 def test_lift_x_env_names():
@@ -742,10 +688,37 @@ def test_lone_point_computes_each_layer_once(monkeypatch, metric, change):
     for name in REQUEST_ORDER[1:]:
         getattr(pg, name)()
     # construction's order-2 jet, then every layer once at its top order
-    assert [call[1:] for call in calls] == [(2, "program"), (6, "jets")]
+    assert [call[1] for call in calls] == [2, 6]
     assert solves == [4]
     assert layers == [("_f2", 6), ("_spray_jets", 4), ("_riemann_jets", 2),
                       ("_weyl_jets", 1)]
+
+
+@pytest.mark.parametrize("metric,change", [("sphere3", "projective3"),
+                                           ("randers2", "projective")])
+def test_tensor_stack_compiles_no_program(monkeypatch, metric, change):
+    # only spray_values runs the compiled program: lone points build every
+    # layer on jets, so a tensor stack pays no compile
+    compiles = []
+    straight_line = core.straight_line
+
+    def counting(*args):
+        compiles.append(args[1])
+        return straight_line(*args)
+
+    monkeypatch.setattr(core, "straight_line", counting)
+    pair = ChangedPair(resolve_spec(metric), resolve_spec(change))
+    points, _ = sample_pair_points(pair, 3, 3)
+    for space in (FinslerSpace(pair.base.spec),
+                  FinslerSpace(pair.starred.spec)):
+        for x, y in points:
+            pg = space.point(x, y)
+            for name in REQUEST_ORDER:
+                getattr(pg, name)()
+        assert "_spray_route" not in vars(space)
+    assert compiles == []
+    pair.starred.spray_values(*points[0])
+    assert len(compiles) == 1
 
 
 # e^(200 x1 y1) at x1 = 1.15, y1 = 3: the order-3 jet of L^2 is finite, and
@@ -785,8 +758,8 @@ def test_top_order_that_fails_falls_back_to_the_order_asked(monkeypatch):
         space.point(x, y).C_low()
 
 
-# The spec of test_jet_exponent_takes_the_jet_route, in a box where its
-# base x1 is positive: it has no compiled program.
+# A spec whose L^2 takes a jet exponent, in a box where its base x1 is
+# positive: it has no compiled program.
 JET_EXPONENT = ("dim 2\nL2 = (y1^2 + y2^2) * x1^x2\n"
                 "x_box = 0.5 1.5 -1 1\n")
 
@@ -811,7 +784,7 @@ def test_numeric_spray_equals_jet_spray_bit_for_bit(metric, change):
     pair = ChangedPair(metric, resolve_spec(change))
     points, _ = sample_pair_points(pair, 6, 17)
     for space in (pair.base, pair.starred):
-        compiled = space.spec.l2_program(2, core.L2_XCAP) is not None
+        compiled = space._spray_route is not None
         assert compiled == (metric.name != "jet exponent")
         built = _counting_points(space)
         for x, y in points:

@@ -613,11 +613,13 @@ def test_straight_line_cuts_series_at_the_cap():
     points = [([0.3, -0.2], [1.0, 0.5]), ([0.0, 0.7], [-0.0, 2.0])]
     for fn, xys in ((cut, points), (uncut, points),
                     (steep, [([2.0, 0.1], [1e-300, 1.0])])):
-        run = straight_line(fn, names, 3, 1)
+        program, space = straight_line(fn, names, 3, 1)
         for x, y in xys:
             want = fn(lift_env(3, 1, x=x, y=y))
-            assert want.space.xcap == 1 and np.isfinite(want.coeffs).all()
-            assert run(*x, *y).coeffs.tobytes() == want.coeffs.tobytes()
+            assert want.space is space and space.xcap == 1
+            assert np.isfinite(want.coeffs).all()
+            got = np.array(program(*x, *y))
+            assert got.tobytes() == want.coeffs.tobytes()
     # a y part whose values decide whether the jets cut
     with pytest.raises(JetError):
         straight_line(lambda env: (env["x1"] * env["y1"]).exp(), names, 3, 1)

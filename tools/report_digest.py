@@ -40,7 +40,13 @@ every bundled spec.  A line ``spray values`` hashes
 ``FinslerSpace.spray_values`` of both sides at the same points, with
 ``y`` scaled by each of ``SPRAY_SCALES``, and at those points moved
 ``FAR`` times as far from the middle of the box; where a call raises, it
-hashes the error's type and text.  Run the script on the parent commit
+hashes the error's type and text.  A line ``spray fallback`` hashes
+``spray_values`` and ``spray_g``, or the error's type and text, for the
+specs and points of ``FALLBACK`` at each ``y`` of ``FALLBACK_YS``: specs
+without a compiled program, a program whose guard fails, coefficients
+that are not finite or whose sum overflows, a singular ``g`` and
+``L^2 = 0``, which the points of the line before never reach.  Run the
+script on the parent commit
 (a clone of it) and on a change: a refactor that keeps every line identical keeps the
 reports and the tensors byte-identical.  With two or more trees it
 prints the lines of each, then ``identical`` or the configurations that
@@ -111,6 +117,25 @@ ORDER2_POINTS = 20
 # the factor by which it moves points away from the middle of the box.
 SPRAY_SCALES = (1e-6, 1.0, 1e6)
 FAR = 1.5
+# (L^2, x) of the spray fallback line, each at every y of FALLBACK_YS:
+# the failing points of test_core, a singular g, L^2 = 0, coefficients
+# whose sum overflows, a jet exponent (no program) and coefficients that
+# overflow.
+FALLBACK = (
+    ("y1^2 + y2^2 + 1e-300 * exp(800 * x1) * y1^2", (0.88, 0.0)),
+    ("(y1^2 + y2^2) * sqrt(x1)", (-0.5, 0.0)),
+    ("(y1^2 + y2^2) * (2 + log(x1))", (0.0, 0.3)),
+    ("y1^2 + y2^2 + y1^2 / x1", (0.0, 0.3)),
+    ("(y1^2 + y2^2) * x1^(1e300 * 1e300)", (0.5, 0.3)),
+    ("y1^2 + y2^2 + 1 / ((x1 + x2) * (y1 + x2) * x2^0)", (0.5, 1e300)),
+    ("y1^2 + y2^2 + 1e-300 * exp(800 * x1) * (x2^0 * 0)", (0.88, 0.0)),
+    ("(y1 + y2)^2", (0.3, 0.2)),
+    ("(y1 - 2 * y2)^2", (0.3, 0.2)),
+    ("4e307 * (y1^2 + y2^2) * (1 + x1^2)", (0.5, 0.0)),
+    ("(y1^2 + y2^2) * x1^x2", (0.7, -0.4)),
+    ("y1^2 + y2^2 * exp(700 * x1)", (0.99, 0.0)),
+)
+FALLBACK_YS = ((1.0, 0.5), (1.0, 1.0))
 SAMPLED = (("randers2", "projective", 200, 1),
            ("curved3", "projective3", 12, 108),
            ("sphere2", "tangent_parabola", 200, 1))
@@ -311,10 +336,38 @@ def spray_values():
     return hashes.digests()
 
 
+def spray_fallback():
+    """(sha256 of the spray fallback line, {part: sha256}), computed with
+    the package on the import path; run in a child process by
+    ``tensor_digest``.  Parts ``spray_values`` and ``spray_g`` hash the
+    values and ``FinslerSpace.spray_g`` of each call that answers, part
+    ``error`` the type and text of each call that raises."""
+    import numpy as np
+
+    from finslerchange.core import FinslerSpace
+    from finslerchange.lang import parse_spec_text
+
+    hashes = _Hashes()
+    for text, x in FALLBACK:
+        space = FinslerSpace(parse_spec_text(f"dim 2\nL2 = {text}\n",
+                                             name="fallback"))
+        for y in FALLBACK_YS:
+            try:
+                with np.errstate(all="ignore"):
+                    G = space.spray_values(x, y)
+            except Exception as exc:
+                hashes.add_bytes(
+                    "error", f"{type(exc).__name__}: {exc}".encode())
+            else:
+                hashes.add("spray_values", G)
+                hashes.add("spray_g", space.spray_g)
+    return hashes.digests()
+
+
 # child process flag -> the digest it prints
 STACKS = {"--tensor-stack": tensor_stack, "--fresh-stack": fresh_stack,
           "--sampled-stack": sampled_stack, "--order2-stack": order2_stack,
-          "--spray-values": spray_values}
+          "--spray-values": spray_values, "--spray-fallback": spray_fallback}
 
 
 def tensor_digest(tree, flag):
@@ -343,7 +396,8 @@ def main(argv=None):
               ("fresh tensor stack", "--fresh-stack"),
               ("sampled tensor stack", "--sampled-stack"),
               ("order-2 stack", "--order2-stack"),
-              ("spray values", "--spray-values"))
+              ("spray values", "--spray-values"),
+              ("spray fallback", "--spray-fallback"))
     labels = [c[0] for c in CONFIGS] + [label for label, _ in stacks]
     # per tree, one (hash, exit status, {part name: hash}) per label
     results = []
