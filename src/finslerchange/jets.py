@@ -35,14 +35,9 @@ point axis in products and derivatives), and every operation
 acts on each point's column as it would on that point alone, bit for bit
 (the vector forward mode of Griewank & Walther, *Evaluating
 Derivatives*, 2008).  Jets of one point and of a block do not combine.
-The block product keeps the summation order of the one-point
-``bincount``: it loops over coefficient rows, ``out[io] += a[i] *
-b[partners]`` for the rows of ``mul_table`` in order (the partners are a
-prefix, a view, except in the capped rows that skip x-degrees), where
-the block has at
-least as many points as the space has coefficients, and otherwise runs one
-``bincount`` over all points whose bins each take their pairs in
-``mul_table`` order.  Series coefficients of
+The block product is one ``bincount`` over all points, whose bins each
+take their pairs in ``mul_table`` order from +0.0, as the one-point
+product's bins do.  Series coefficients of
 ``reciprocal``, ``sqrt``, ``exp``, ``log``, ``sin``, ``cos`` and ``powf``
 are computed point by point in Python floats, because numpy's vector
 ``exp``, ``log`` and ``power`` round differently from ``math`` and
@@ -66,14 +61,6 @@ import numpy as np
 
 # Resource guard: coefficient counts grow like C(nvars+K, K).
 MAX_ORDER = 12
-# A block product multiplies row by row, one numpy call per coefficient,
-# once it makes this many point products per coefficient on average; below
-# that one bincount over every pair and point costs less.  On a 2.1 GHz
-# Xeon with numpy 2.4 the row loop cost about 10 us per row and the
-# bincount 4 to 16 ns per product; in 6v4 they crossed between P = 70 and
-# 80, and in the other spaces of point blocks (4v2 to 4v4, 6v2, 6v3) the
-# bincount won up to the coefficient count.
-_ROW_PRODUCTS = 640
 
 
 class JetError(Exception):
@@ -117,7 +104,7 @@ class _Space:
     the uncapped space, with ``xcap = None``."""
 
     __slots__ = ("nvars", "order", "xvars", "xcap", "monomials", "position",
-                 "size", "_mul_table", "_mul_rows", "_deriv_maps",
+                 "size", "_mul_table", "_deriv_maps",
                  "_partials", "_seeds", "_cuts", "_y_part")
 
     def __init__(self, nvars, order, xcap=None):
@@ -132,7 +119,6 @@ class _Space:
         self.position = {m: i for i, m in enumerate(self.monomials)}
         self.size = len(self.monomials)
         self._mul_table = None
-        self._mul_rows = None
         self._deriv_maps = {}
         self._partials = {}
         self._seeds = None
@@ -188,48 +174,18 @@ class _Space:
             self._mul_table = (ia, ib, io)
         return self._mul_table
 
-    def mul_rows(self):
-        """``mul_table`` by rows: one (i, partners, io) per coefficient i,
-        which pairs with the coefficients ``partners`` at the positions
-        ``io``, all different.  ``partners`` is a slice where they are a
-        prefix, as in every row of an uncapped space, and otherwise their
-        positions."""
-        if self._mul_rows is None:
-            ia, ib, io = self.mul_table()
-            counts = np.bincount(ia, minlength=self.size)
-            starts = np.cumsum(counts) - counts
-            self._mul_rows = []
-            for i, (c, s) in enumerate(zip(counts.tolist(), starts.tolist())):
-                # partners increase from the constant monomial, 0
-                part = ib[s:s + c]
-                if part[-1] == c - 1:
-                    part = slice(0, c)
-                self._mul_rows.append((i, part, io[s:s + c]))
-        return self._mul_rows
-
-    def rows_from(self):
-        """The number of points from which ``block_product`` multiplies
-        by rows: where the products per coefficient reach
-        ``_ROW_PRODUCTS``, and at most ``size``."""
-        pairs = len(self.mul_table()[0])
-        return min(self.size, -(-_ROW_PRODUCTS * self.size // pairs))
-
     def block_product(self, a, b):
         """Coefficients of the product of two jets of this space with
         point axes, ``a`` and ``b`` of one shape ``(size, ...)`` whose
-        trailing axes are flattened into one point axis: each column is
-        bit for bit the one-point ``bincount`` product of its columns."""
+        trailing axes are flattened into one point axis: one ``bincount``
+        over all points, whose bin ``io * P + p`` is coefficient ``io`` of
+        point ``p`` and sums its pairs in ``mul_table`` order from +0.0,
+        so each column is bit for bit the one-point ``bincount`` product
+        of its columns."""
         shape = a.shape
         a = a.reshape(self.size, -1)
         b = b.reshape(self.size, -1)
         P = a.shape[1]
-        if P >= self.rows_from():
-            out = np.zeros_like(a)
-            for i, part, io in self.mul_rows():
-                out[io] += a[i] * b[part]
-            return out.reshape(shape)
-        # one bincount over all points: bin io * P + p is coefficient io of
-        # point p, and each bin meets its pairs in mul_table order
         ia, ib, io = self.mul_table()
         w = np.take(a, ia, axis=0)
         w *= np.take(b, ib, axis=0)

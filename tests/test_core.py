@@ -1014,8 +1014,8 @@ LIGHT_TENSORS = ("g_low", "C_low", "spray", "n_conn", "berwald",
 @pytest.mark.parametrize("metric,change,count,block_size", [
     (metric, change, 5, size) for metric, change in BUNDLED_PAIRS
     for size in (1, 2, 256)] + [
-    # blocks with at least as many points as coefficients multiply by rows:
-    # every space of a 2D point, and the 6v0 to 6v2 spaces of a 3D point
+    # blocks with at least as many points as coefficients: in every space
+    # of a 2D point, and in the 6v0 to 6v2 spaces of a 3D point
     ("randers2", "projective", 80, 256),
     ("curved3", "projective3", 30, 256)])
 def test_block_tensors_equal_single_points_bit_for_bit(monkeypatch, metric,

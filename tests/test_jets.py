@@ -18,8 +18,7 @@ from finslerchange.jets import (
     lift_env,
     straight_line,
 )
-
-RNG = np.random.default_rng(20240811)
+from finslerchange.sampling import BLOCK_SIZE
 
 
 def test_lift_single_variable_coeffs():
@@ -198,7 +197,7 @@ def test_chain_rule_against_finite_differences():
 
 
 def test_leibniz_rule_exact():
-    vals = RNG.uniform(0.5, 1.5, size=2)
+    vals = np.random.default_rng(20240811).uniform(0.5, 1.5, size=2)
     x, y = lift(vals, order=3)
     f = x * x * y + x
     g = y * y - x * y
@@ -225,8 +224,9 @@ def test_log_exp_roundtrip():
 
 def test_linear_solve_matches_numpy_values_and_derivatives():
     n = 3
-    base = RNG.uniform(0.5, 1.5, size=(n, n)) + n * np.eye(n)
-    rhs_base = RNG.uniform(-1.0, 1.0, size=n)
+    rng = np.random.default_rng(n)
+    base = rng.uniform(0.5, 1.5, size=(n, n)) + n * np.eye(n)
+    rhs_base = rng.uniform(-1.0, 1.0, size=n)
     (t,) = lift([0.3], order=2)
 
     A = [[Jet.constant(base[i, j], 1, 2) + (t * (0.1 * (i + 1) * (j + 1))
@@ -361,12 +361,13 @@ def _every_operation(a, b, c, d):
     return out
 
 
-@pytest.mark.parametrize("points", [1, 2, 5, 15, 70, 90])
+@pytest.mark.parametrize("points", [1, 2, 5, 15, 70, 90, 256])
 @pytest.mark.parametrize("order", [0, 2, 4])
 def test_block_jets_equal_point_jets_bit_for_bit(points, order):
-    # order 4 in 4 variables has 70 coefficients: 70 and 90 points take
-    # the row loop of the block product, fewer its one bincount
-    values = RNG.uniform(0.2, 2.0, size=(4, points))
+    # order 4 in 4 variables has 70 coefficients: from 70 points a block
+    # is at least as wide as the space, and 256 is a sampled chunk
+    values = np.random.default_rng([points, order]).uniform(
+        0.2, 2.0, size=(4, points))
     block = _every_operation(*lift(values, order))
     pivots = set()
     for p in range(points):
@@ -380,38 +381,23 @@ def test_block_jets_equal_point_jets_bit_for_bit(points, order):
         assert pivots == {True, False}
 
 
-@pytest.mark.parametrize("nvars, order", [(4, 2), (6, 2), (6, 4)])
-def test_block_products_equal_point_products_bit_for_bit(nvars, order):
-    # below ``rows_from`` a block product is one bincount over all points,
-    # from it the row loop; signed zeros must survive both
-    sp = _space(nvars, order)
-    for points in (1, 2, 5, sp.size - 1, sp.size):
-        a, b = RNG.normal(size=(2, sp.size, points))
-        a[RNG.uniform(size=a.shape) < 0.2] = -0.0
-        b[RNG.uniform(size=b.shape) < 0.2] = 0.0
+@pytest.mark.parametrize("args", [
+    (4, 2), (6, 2), (6, 4), (4, 2, 1), (4, 3, 2), (4, 4, 2), (6, 2, 0),
+    (6, 3, 2), (6, 4, 2)], ids=lambda args: "-".join(map(str, args)))
+def test_block_products_equal_point_products_bit_for_bit(args):
+    # the spaces of point blocks, capped as blocks cap them, up to a
+    # sampled chunk; signed zeros in both factors must survive the sums
+    sp = _space(*args)
+    rng = np.random.default_rng(args)
+    for points in (1, 2, 5, sp.size - 1, sp.size, BLOCK_SIZE):
+        a = _random_coeffs(rng, sp.size, points)
+        b = _random_coeffs(rng, sp.size, points)
         block = Jet(sp, a) * Jet(sp, b)
         assert block.coeffs.shape == (sp.size, points)
         for p in range(points):
             alone = Jet(sp, a[:, p].copy()) * Jet(sp, b[:, p].copy())
             assert block.coeffs[:, p].tobytes() == alone.coeffs.tobytes()
 
-
-
-@pytest.mark.parametrize("nvars, order, rows_from", [
-    (4, 2, 15), (4, 4, 70), (6, 2, 28), (6, 4, 74)])
-def test_block_products_keep_their_bits_across_the_kernel_switch(
-        nvars, order, rows_from):
-    # the row loop starts where its per-row cost pays: at the coefficient
-    # count in the small spaces, earlier in 6v4
-    sp = _space(nvars, order)
-    assert sp.rows_from() == rows_from
-    for points in (rows_from - 1, rows_from):
-        a, b = RNG.normal(size=(2, sp.size, points))
-        a[RNG.uniform(size=a.shape) < 0.2] = -0.0
-        block = Jet(sp, a) * Jet(sp, b)
-        for p in range(points):
-            alone = Jet(sp, a[:, p].copy()) * Jet(sp, b[:, p].copy())
-            assert block.coeffs[:, p].tobytes() == alone.coeffs.tobytes()
 
 def test_one_point_and_block_jets_do_not_combine():
     (one,) = lift([0.5], order=2)
@@ -478,9 +464,8 @@ def test_capped_jets_equal_uncapped_jets_at_their_monomials(nvars, order,
         with pytest.raises(JetOrderError, match="x-derivative"):
             a.deriv(x1)
     _assert_kept(a.deriv(y1), fa.deriv(y1), xcap)
-    # blocks below and at the row loop of the capped space
-    cut = _space(nvars, order, xcap).rows_from()
-    for points in (cut - 1, cut):
+    # blocks of 2 points and as wide as the capped space
+    for points in (2, _space(nvars, order, xcap).size):
         (a, fa), (b, fb) = pair(points), pair(points)
         _assert_kept(a * b, fa * fb, xcap)
     # analytic functions at positive values

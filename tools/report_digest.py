@@ -30,7 +30,11 @@ stack`` hashes the same tensors of both sides at the points
 over all points, as ``verify``'s checks request them: there the light jet
 layers come from blocks of points, which must match the one-point
 tensors bit for bit, and a report's maxima could hide a difference in
-the last bit.  A last line, ``order-2 stack``, hashes ``ORDER2`` (``L2``,
+the last bit.  A line ``sampled 3d chunk`` hashes ``CHUNK_TENSORS`` in
+the same way at the points of ``CHUNK``, one full chunk of
+``sampling.BLOCK_SIZE`` points per 3D pair, so that the products of
+blocks as wide as a chunk in every space of a 3D point are covered.  A
+line ``order-2 stack`` hashes ``ORDER2`` (``L2``,
 ``y_low``, ``g_low``, ``g_up`` and ``spray``, which read a point's
 order-2 jet of ``L^2`` alone) on a new lone point per side at
 ``ORDER2_POINTS`` sampled points of every bundled metric with every
@@ -105,11 +109,6 @@ TENSORS = ("L2", "L", "y_low", "l_low", "g_low", "g_up", "h_low", "C_low",
            "C_up", "spray", "n_conn", "berwald", "cartan_hconn", "douglas",
            "riemann", "ric", "weyl_proj", "weyl_torsion")
 HYPER_DATA = ("x", "B", "B2", "normal_up", "normal_curvature")
-# (metric, change, samples, seed) of the sampled tensor digest: the
-# configurations of verify-many-2d's 200-sample digest line and of
-# verify-regular-3d, and the one bundled pair whose sampler rejects draws
-# (3 of 203, where L* <= 0), so that blocks with left-out columns are
-# covered.
 # The tensors of the order-2 stack, and its points per metric and change.
 ORDER2 = ("L2", "y_low", "g_low", "g_up", "spray")
 ORDER2_POINTS = 20
@@ -136,9 +135,20 @@ FALLBACK = (
     ("y1^2 + y2^2 * exp(700 * x1)", (0.99, 0.0)),
 )
 FALLBACK_YS = ((1.0, 0.5), (1.0, 1.0))
+# (metric, change, samples, seed) of the sampled tensor digest: the
+# configurations of verify-many-2d's 200-sample digest line and of
+# verify-regular-3d, and the one bundled pair whose sampler rejects draws
+# (3 of 203, where L* <= 0), so that blocks with left-out columns are
+# covered.
 SAMPLED = (("randers2", "projective", 200, 1),
            ("curved3", "projective3", 12, 108),
            ("sphere2", "tangent_parabola", 200, 1))
+# The same for the sampled 3D chunk line, and the tensors it hashes: L2
+# and those read from the light jet layers that blocks evaluate.
+CHUNK = (("sphere3", "projective3", 256, 1),
+         ("curved3", "randers_nonclosed", 256, 1))
+CHUNK_TENSORS = ("L2", "y_low", "g_low", "C_low", "spray", "n_conn",
+                 "berwald", "cartan_hconn", "riemann")
 
 
 def digest(tree, metric, change, hyper, samples, seed):
@@ -190,24 +200,38 @@ class _Hashes:
             name: part.hexdigest()[:16] for name, part in self.parts.items()}
 
 
-def sampled_stack():
-    """(sha256 of the sampled tensor stack, {tensor name: sha256}),
-    computed with the package on the import path; run in a child process
-    by ``tensor_digest``."""
+def _sampled(configs, tensors):
+    """(sha256 of ``tensors`` of both sides at the points ``sample_points``
+    returns for ``configs``, {tensor name: sha256}), requested tensor by
+    tensor over all points."""
     from finslerchange.change import ChangedPair
     from finslerchange.lang import resolve_spec
     from finslerchange.sampling import sample_points
 
     hashes = _Hashes()
-    for metric, change, samples, seed in SAMPLED:
+    for metric, change, samples, seed in configs:
         pair = ChangedPair(resolve_spec(metric, expect="metric"),
                            resolve_spec(change, expect="change"))
         cps, _ = sample_points(pair, samples, seed)
-        for name in TENSORS:
+        for name in tensors:
             for cp in cps:
                 for pg in (cp.base, cp.star):
                     hashes.add(name, getattr(pg, name)())
     return hashes.digests()
+
+
+def sampled_stack():
+    """(sha256 of the sampled tensor stack, {tensor name: sha256}),
+    computed with the package on the import path; run in a child process
+    by ``tensor_digest``."""
+    return _sampled(SAMPLED, TENSORS)
+
+
+def sampled_chunk():
+    """(sha256 of the sampled 3D chunk, {tensor name: sha256}), computed
+    with the package on the import path; run in a child process by
+    ``tensor_digest``."""
+    return _sampled(CHUNK, CHUNK_TENSORS)
 
 
 def _tensor_points():
@@ -366,7 +390,8 @@ def spray_fallback():
 
 # child process flag -> the digest it prints
 STACKS = {"--tensor-stack": tensor_stack, "--fresh-stack": fresh_stack,
-          "--sampled-stack": sampled_stack, "--order2-stack": order2_stack,
+          "--sampled-stack": sampled_stack, "--sampled-chunk": sampled_chunk,
+          "--order2-stack": order2_stack,
           "--spray-values": spray_values, "--spray-fallback": spray_fallback}
 
 
@@ -395,6 +420,7 @@ def main(argv=None):
     stacks = (("tensor stack", "--tensor-stack"),
               ("fresh tensor stack", "--fresh-stack"),
               ("sampled tensor stack", "--sampled-stack"),
+              ("sampled 3d chunk", "--sampled-chunk"),
               ("order-2 stack", "--order2-stack"),
               ("spray values", "--spray-values"),
               ("spray fallback", "--spray-fallback"))
