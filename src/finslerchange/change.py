@@ -8,14 +8,19 @@ with a position-dependent scale exponent sigma and a drift covector b.
 This module builds the changed metric as a first-class metric spec (so the
 full jet pipeline applies to it unchanged), and provides the closed-form
 predictions for the changed tensors in terms of base-space data, next to
-the directly computed values, so the two routes can be compared.
+the directly computed values, so the two routes can be compared.  The
+predictions of ``ChangedPoint`` are written over an optional leading
+point axis: a ``ChangedBlock`` holds sampled points whose geometry lives
+in one pair of ``core.PointBlock``s, and evaluates each prediction once
+for all of them, bit for bit the value at each point alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import FinslerSpace
+from .core import (FinslerSpace, PointRows, dot, float_pow,
+                   horizontal_covariant, matvec, outer, per_point)
 from .jets import Jet, JetDomainError, lift_env
 from .lang import (
     Bin,
@@ -168,7 +173,8 @@ class ChangedPoint:
     base space's geometry at the point; the arrays that several checks
     read are cached in ``_cache``.  Built by ``ChangedPair.at`` from the
     base point, the values of ``RandersChange.at`` there and the changed
-    space's point ``star``."""
+    space's point ``star``.  Each formula is written over an optional
+    leading point axis, which ``ChangedBlock`` carries."""
 
     def __init__(self, pair: ChangedPair, base, change, star):
         self._cache = {}
@@ -186,61 +192,65 @@ class ChangedPoint:
 
     @cached
     def b_up(self):
-        return self.base.g_up() @ self.b_low
+        return matvec(self.base.g_up(), self.b_low)
 
     def b_norm2(self):
-        return float(self.b_low @ self.b_up())
+        return dot(self.b_low, self.b_up())
 
     @cached
     def a_low(self):
         """a_i = beta y_i / L^2 - b_i; orthogonal to y by construction."""
-        return self.beta * self.base.y_low() / self.L ** 2 - self.b_low
+        return (per_point(self.beta, 1) * self.base.y_low()
+                / per_point(float_pow(self.L, 2), 1) - self.b_low)
 
     @cached
     def a_up(self):
-        return self.base.g_up() @ self.a_low()
+        return matvec(self.base.g_up(), self.a_low())
 
     def a_norm2(self):
-        return float(self.a_low() @ self.a_up())
+        return dot(self.a_low(), self.a_up())
 
     def phi(self):
         return (np.exp(-2.0 * self.sigma)
                 * (self.L * self.esig * self.b_norm2() + self.beta)
-                / self.Lstar ** 3)
+                / float_pow(self.Lstar, 3))
 
     # -- closed-form predictions ------------------------------------------
 
     def lstar_closed(self):
-        return self.esig * self.base.l_low() + self.b_low
+        return per_point(self.esig, 1) * self.base.l_low() + self.b_low
 
     def hstar_closed(self):
-        return self.tau * self.base.h_low()
+        return per_point(self.tau, 2) * self.base.h_low()
 
     def gstar_closed(self):
         b = self.b_low
         yl = self.base.y_low()
-        return (self.tau * self.base.g_low()
-                + np.outer(b, b)
-                + self.esig / self.L * (np.outer(b, yl) + np.outer(yl, b))
-                - self.beta * self.esig / self.L ** 3 * np.outer(yl, yl))
+        return (per_point(self.tau, 2) * self.base.g_low()
+                + outer(b, b)
+                + per_point(self.esig / self.L, 2) * (outer(b, yl)
+                                                      + outer(yl, b))
+                - per_point(self.beta * self.esig / float_pow(self.L, 3), 2)
+                * outer(yl, yl))
 
     def ginv_star_closed(self):
         """Reported closed form for the inverse changed metric; known to
         drift from the true inverse when both sigma and b are active."""
         yu = self.y
         bu = self.b_up()
-        return (self.base.g_up() / self.tau
-                + self.phi() * np.outer(yu, yu)
-                - (np.outer(yu, bu) + np.outer(bu, yu))
-                / (self.L * self.tau ** 2))
+        return (self.base.g_up() / per_point(self.tau, 2)
+                + per_point(self.phi(), 2) * outer(yu, yu)
+                - (outer(yu, bu) + outer(bu, yu))
+                / per_point(self.L * float_pow(self.tau, 2), 2))
 
     def cstar_closed(self):
         h = self.base.h_low()
         a = self.a_low()
-        sym = (np.einsum("ij,k->ijk", h, a)
-               + np.einsum("jk,i->ijk", h, a)
-               + np.einsum("ki,j->ijk", h, a))
-        return self.tau * (self.base.C_low() - sym / (2.0 * self.Lstar))
+        sym = (np.einsum("...ij,...k->...ijk", h, a)
+               + np.einsum("...jk,...i->...ijk", h, a)
+               + np.einsum("...ki,...j->...ijk", h, a))
+        return per_point(self.tau, 3) * (
+            self.base.C_low() - sym / per_point(2.0 * self.Lstar, 3))
 
     def cstar_mixed_closed(self):
         """Reported closed form for C^j_ik of the changed space (upper
@@ -253,27 +263,31 @@ class ChangedPoint:
         C = self.base.C_low()
         C_mixed = self.base.C_up()          # C^j_ik
         yu = self.y
-        term2 = (np.einsum("ji,k->jik", h_mix, a)
-                 + np.einsum("jk,i->jik", h_mix, a)
-                 + np.einsum("ik,j->jik", h, au)) / (2.0 * self.Lstar)
-        term3 = np.einsum("ikr,r,j->jik", C, self.b_up(), yu) / (self.tau * self.L)
-        term4 = np.einsum("ik,j->jik",
-                          2.0 * np.outer(a, a) + self.a_norm2() * h,
-                          yu) / (self.tau * 2.0 * self.L * self.Lstar)
+        term2 = (np.einsum("...ji,...k->...jik", h_mix, a)
+                 + np.einsum("...jk,...i->...jik", h_mix, a)
+                 + np.einsum("...ik,...j->...jik", h, au)
+                 ) / per_point(2.0 * self.Lstar, 3)
+        term3 = np.einsum("...ikr,...r,...j->...jik", C, self.b_up(),
+                          yu) / per_point(self.tau * self.L, 3)
+        term4 = np.einsum("...ik,...j->...jik",
+                          2.0 * outer(a, a) + per_point(self.a_norm2(), 2) * h,
+                          yu) / per_point(
+                              self.tau * 2.0 * self.L * self.Lstar, 3)
         return C_mixed - term2 - term3 - term4
 
     # -- direct counterparts ------------------------------------------------
 
     def cstar_mixed_direct(self):
-        return np.einsum("jr,rik->jik", self.star.g_up(), self.star.C_low())
+        return np.einsum("...jr,...rik->...jik", self.star.g_up(),
+                         self.star.C_low())
 
     # -- projectivity --------------------------------------------------------
 
     def A_low(self):
         """Obstruction covector: zero everywhere exactly when the change
         takes geodesics to geodesics."""
-        curl_dot_y = (self.db.T - self.db) @ self.y
-        return self.esig * self.L * self.grad_sigma + curl_dot_y
+        curl_dot_y = matvec(np.swapaxes(self.db, -1, -2) - self.db, self.y)
+        return per_point(self.esig * self.L, 1) * self.grad_sigma + curl_dot_y
 
     def d_vector(self):
         return self.star.spray() - self.base.spray()
@@ -285,21 +299,54 @@ class ChangedPoint:
         """Distance of the spray difference from the span of y, scaled by
         max(1, |D|)."""
         D = self.d_vector()
-        coeff = float(D @ self.y) / float(self.y @ self.y)
-        resid = D - coeff * self.y
-        return float(np.max(np.abs(resid)) / max(1.0, np.max(np.abs(D))))
+        coeff = dot(D, self.y) / dot(self.y, self.y)
+        resid = D - per_point(coeff, 1) * self.y
+        return (np.max(np.abs(resid), axis=-1)
+                / np.fmax(1.0, np.max(np.abs(D), axis=-1)))
 
     # -- drift covariant derivative -------------------------------------------
 
     @cached
     def b_hcov(self):
         """b_{i|j} in the base space's horizontal connection."""
-        return self.base.h_cov_covector(self.b_low, self.db)
+        return horizontal_covariant(self.base.cartan_hconn(), self.b_low,
+                                    self.db)
 
     def E_low(self):
         bc = self.b_hcov()
-        return 0.5 * (bc + bc.T)
+        return 0.5 * (bc + np.swapaxes(bc, -1, -2))
 
     def F_low(self):
         bc = self.b_hcov()
-        return 0.5 * (bc - bc.T)
+        return 0.5 * (bc - np.swapaxes(bc, -1, -2))
+
+
+class ChangedBlock(ChangedPoint):
+    """Changed points whose base and changed points are members of one
+    base and one changed ``PointBlock``, as one ``ChangedPoint`` with a
+    leading point axis: its ``base`` and ``star`` are the ``PointRows``
+    of those members, and ``y``, sigma, its gradient, b, db and the
+    numbers of construction (``esig``, ``beta``, ``Lstar``, ``L``,
+    ``tau``) are the points' own, stacked.  Every formula of
+    ``ChangedPoint`` then runs once on arrays, bit for bit its value at
+    each point."""
+
+    def __init__(self, cps):
+        self._cache = {}
+        self.pair = cps[0].pair
+        self.n = self.pair.n
+        self.base = PointRows([cp.base for cp in cps])
+        self.star = PointRows([cp.star for cp in cps])
+        for name in ("y", "sigma", "grad_sigma", "b_low", "db", "esig",
+                     "beta", "Lstar", "L", "tau"):
+            setattr(self, name, np.array([getattr(cp, name) for cp in cps]))
+
+
+def changed_blocks(cps):
+    """The ``ChangedBlock``s of sampled changed points: one per pair of
+    blocks their base and changed points are members of, in the order of
+    ``cps``."""
+    groups = {}
+    for cp in cps:
+        groups.setdefault((cp.base._block, cp.star._block), []).append(cp)
+    return [ChangedBlock(group) for group in groups.values()]

@@ -34,7 +34,17 @@ order-2 ``L^2`` jet on: they read their columns of the light layers
 through, uncached, bit for bit what they would have computed alone.  A
 column whose ``L^2`` jet fails its check, or whose draw is not admitted,
 is left out, and a block evaluation that raises leaves out every column
-(``PointBlock.layer``).
+(``PointBlock.evaluate``).
+
+The light tensors (``ROW_TENSORS``, ``L2`` to ``riemann``) are written
+once over an optional leading point axis, on the class both share: a
+point's are its own arrays, a block's have one row per column, read from
+its cached layers.  ``PointRows`` gives the rows of a block's members,
+and the lone tensors of members that compute alone, in their places, so
+that checks over many sampled points measure arrays, not points.  The
+module's formulas over that axis (``dot``, ``matvec``, ``outer``,
+``per_point``, ``float_pow``, ``horizontal_covariant``) round as their
+one-point forms do at every point.
 
 Index conventions: arrays are 0-based; for a connection-like array ``T``
 the first axis is the upper index.  Jet variable slots are ``i`` for x^i
@@ -58,7 +68,7 @@ from .lang import MetricSpec, SpecError, _l2
 from .memo import cached
 
 # The errors of a block evaluation that clear every column of the block
-# (``PointBlock.layer``), so that each member computes alone and raises
+# (``PointBlock.evaluate``), so that each member computes alone and raises
 # its own.
 FALLBACK_ERRORS = (JetError, SpecError, ValueError, ArithmeticError)
 
@@ -217,7 +227,7 @@ def _layer(top, cap):
     combines it with other jets cuts it with ``Jet.truncated`` first.
 
     A higher order, up to ``cap``, reads the point's column of its
-    ``PointBlock``'s layer (``PointBlock.layer``) while that column is
+    ``PointBlock``'s layer (``PointBlock.evaluate``) while that column is
     ``ok``, caching nothing; otherwise the layer is computed and replaces
     the cached result.  A point whose ``_top`` is set computes it at
     ``top``, the highest order any tensor reads from it, if that is
@@ -236,7 +246,7 @@ def _layer(top, cap):
                 return got[1]
             block = self._block
             if block is not None and order <= cap and block.ok[self._p]:
-                value = block.layer(name, order)
+                value = block.evaluate(name, order)
                 if block.ok[self._p]:
                     return _column(value, self._p)
             if self._top and order < top:
@@ -279,19 +289,68 @@ def _at(jet, index):
     return Jet(jet.space, jet.coeffs[..., index])
 
 
-class _JetLayers:
+# Formulas over an optional leading point axis.  Each is bit for bit its
+# one-point form at every point: numpy's stacked matmul of the one-point
+# shapes rounds as ``a @ b`` does, where an einsum dot sums in another
+# order, and numpy's array power rounds unlike Python's float power.
+
+def dot(a, b):
+    """a_i b^i, as ``a @ b`` at each point."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def matvec(m, v):
+    """m_ij v^j, as ``m @ v`` at each point."""
+    return (m @ v[..., None])[..., 0]
+
+
+def outer(a, b):
+    """a_i b_j, as ``np.outer(a, b)`` at each point."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def per_point(v, k):
+    """A number of each point (a float, or an array over the point axis)
+    with ``k`` trailing axes, to scale a tensor of rank ``k``."""
+    return np.reshape(v, np.shape(v) + (1,) * k)
+
+
+def float_pow(v, k):
+    """``v ** k`` in Python floats, at each point."""
+    return np.reshape([x ** k for x in np.ravel(v).tolist()], np.shape(v))
+
+
+def horizontal_covariant(F, b, db):
+    """Horizontal covariant derivative of an x-dependent covector b from
+    the horizontal connection F: db[i, j] - b_r F^r_ij, with db[i, j] the
+    plain partial of b_i along x^j."""
+    return db - np.einsum("...r,...rij->...ij", b, F)
+
+
+class JetLayers:
     """The jet layers of a point with ``space``, ``n``, coordinates ``x``
-    and ``y``, a ``_cache`` dict and a ``_check_l2`` method.  The same
-    code serves one point, with coordinates of shape ``(n,)``, and a
-    ``PointBlock``, whose coordinates of shape ``(n, P)`` carry a point
-    axis into every jet.  ``_block`` is the block a point reads the light
-    layers (those ``riemann`` needs) through, and ``_p`` its column
-    there; a block reads through none, and the Weyl jets are read through
-    at no order.  ``_top`` is set on a lone point after construction,
-    while it builds its layers at their top orders."""
+    and ``y``, a ``_cache`` dict and a ``_check_l2`` method, and the light
+    tensors read from them (``ROW_TENSORS``).  The same code serves one
+    point, with coordinates of shape ``(n,)``, and a ``PointBlock``, whose
+    coordinates of shape ``(n, P)`` carry a point axis into every jet and,
+    put first by ``_lead``, into every tensor.  ``_block`` is the block a
+    point reads the light layers (those ``riemann`` needs) through, and
+    ``_p`` its column there; a block reads through none, and the Weyl
+    jets are read through at no order.  ``_top`` is set on a lone point
+    after construction, while it builds its layers at their top
+    orders."""
 
     _block = None
     _top = False
+
+    def _lead(self, a):
+        """``a``, read from jets, with their point axis first; a point's
+        jets have none."""
+        return a
+
+    def _number(self, v):
+        """A number of the point, read from jets: a float for a point."""
+        return float(v)
 
     @_layer(6, 4)
     def _f2(self, order):
@@ -363,14 +422,108 @@ class _JetLayers:
                            - yj[i] * tr * (1.0 / (n + 1)))
         return W
 
+    # -- numeric tensors, point axis first ---------------------------------
 
-class PointBlock(_JetLayers):
+    @cached
+    def L2(self):
+        return self._number(self._f2(2)[1].coeffs[0])
+
+    @cached
+    def L(self):
+        return self._number(np.sqrt(self.L2()))
+
+    @cached
+    def y_low(self):
+        """Covariant y: g_ij y^j = (1/2) dL^2/dy^i."""
+        return self._lead(0.5 * self._f2(2)[1].partials(1)[self.n:])
+
+    @cached
+    def l_low(self):
+        """Unit covector l_i = dL/dy^i = y_i / L."""
+        return self.y_low() / per_point(self.L(), 1)
+
+    @cached
+    def g_low(self):
+        n = self.n
+        return self._lead(0.5 * self._f2(2)[1].partials(2)[n:, n:])
+
+    @cached
+    def det_g(self):
+        """det g_ij; sampling admits a point by it."""
+        return self._number(np.linalg.det(self.g_low()))
+
+    @cached
+    def g_up(self):
+        return np.linalg.inv(self.g_low())
+
+    @cached
+    def h_low(self):
+        """Angular metric h_ij = g_ij - l_i l_j."""
+        l = self.l_low()
+        return self.g_low() - outer(l, l)
+
+    @cached
+    def C_low(self):
+        """Cartan torsion C_ijk = (1/4) third y-derivatives of L^2."""
+        n = self.n
+        return self._lead(0.25 * self._f2(3)[1].partials(3)[n:, n:, n:])
+
+    @cached
+    def C_up(self):
+        """C^i_jk = g^{ir} C_rjk."""
+        return np.einsum("...ir,...rjk->...ijk", self.g_up(), self.C_low())
+
+    @cached
+    def spray(self):
+        """G^i = (1/4) g^il (d2L^2/dy^l dx^k y^k - dL^2/dx^l), the values
+        of the spray jets."""
+        return self._lead(np.array([Gi.coeffs[0]
+                                    for Gi in self._spray_jets(0)]))
+
+    @cached
+    def n_conn(self):
+        """Nonlinear connection N^i_j = dG^i/dy^j."""
+        return self._lead(np.array([Gi.partials(1)[self.n:]
+                                    for Gi in self._spray_jets(1)]))
+
+    @cached
+    def berwald(self):
+        """Berwald connection G^i_jk = d2 G^i / dy^j dy^k."""
+        n = self.n
+        return self._lead(np.array([Gi.partials(2)[n:, n:]
+                                    for Gi in self._spray_jets(2)]))
+
+    @cached
+    def cartan_hconn(self):
+        """Horizontal connection F^i_jk built from delta-derivatives of g,
+        where delta_j = d/dx^j - N^m_j d/dy^m.  Reduces to the Christoffel
+        symbols when the metric is quadratic in y."""
+        n = self.n
+        d3 = self._lead(self._f2(3)[1].partials(3)[n:, n:])
+        N = self.n_conn()
+        dg = 0.5 * d3[..., :n]     # dg[r, k, j] = d g_rk / dx^j
+        dgy = 0.5 * d3[..., n:]    # dgy[r, k, m] = d g_rk / dy^m
+        delta = dg - np.einsum("...rkm,...mj->...rkj", dgy, N)
+        # low[r, j, k] = (delta_j g_rk + delta_k g_rj - delta_r g_jk) / 2
+        low = 0.5 * (np.swapaxes(delta, -1, -2) + delta
+                     - np.moveaxis(delta, -1, -3))
+        return np.einsum("...ir,...rjk->...ijk", self.g_up(), low)
+
+    @cached
+    def riemann(self):
+        """Curvature deviation R^i_k (y-dependent Jacobi operator)."""
+        return self._lead(np.array([[Rik.coeffs[0] for Rik in row]
+                                    for row in self._riemann_jets(0)]))
+
+
+class PointBlock(JetLayers):
     """Points of one space as one point with a point axis, whose light jet
     layers are evaluated together: ``_f2`` up to order 4, ``_spray_jets``
     up to order 2 and ``_riemann_jets(0)``.  ``x`` and ``y`` have shape
     ``(n, P)``; ``point`` makes the member of a column.  Construction
-    reads the order-2 jet of L^2 under ``layer``, as a point's does, and
-    clears ``ok`` where it fails its check, or everywhere where it raises.
+    reads the order-2 jet of L^2 under ``evaluate``, as a point's does,
+    and clears ``ok`` where it fails its check, or everywhere where it
+    raises.
 
     A member that asks for such a layer at an order its own cache lacks
     reads its column of the block's layer, which the block computes for
@@ -378,7 +531,10 @@ class PointBlock(_JetLayers):
     own cache, so that a layer reads the block's lower layers.  ``ok``
     clears the columns whose ``L^2`` jet fails its check, all columns
     where a block evaluation raises, and those ``keep`` leaves out; their
-    members compute alone, so they raise their own errors."""
+    members compute alone, so they raise their own errors.  The light
+    tensors (``ROW_TENSORS``) of a block are arrays whose first axis
+    indexes its columns, read from its layers with the code a point runs
+    (``JetLayers``); ``PointRows`` reads its members' rows from them."""
 
     def __init__(self, space, x, y):
         self.space = space
@@ -387,17 +543,27 @@ class PointBlock(_JetLayers):
         self.y = np.array(y, dtype=float)
         self.ok = np.ones(self.x.shape[1], dtype=bool)
         self._cache = {}
-        self.layer("_f2", 2)
+        self.evaluate("_f2", 2)
 
-    def layer(self, name, order):
-        """The block's jet layer ``name`` at ``order``; None, with every
-        column cleared, where it raises one of ``FALLBACK_ERRORS``: a
-        failure belongs to a column, which its member finds alone."""
+    def evaluate(self, name, *args):
+        """The block's jet layer or tensor ``name``, called with ``args``;
+        None, with every column cleared, where it raises one of
+        ``FALLBACK_ERRORS``: a failure belongs to a column, which its
+        member finds alone."""
         try:
-            return getattr(self, name)(order)
+            return getattr(self, name)(*args)
         except FALLBACK_ERRORS:
             self.ok[:] = False
             return None
+
+    def _lead(self, a):
+        """``a``, read from jets, with the point axis moved from last to
+        first."""
+        return np.moveaxis(a, -1, 0).copy()
+
+    def _number(self, v):
+        """A number of each point, as an array."""
+        return np.array(v)
 
     def point(self, p, x, y):
         """The point ``(x, y)`` of column ``p`` as a member, which reads its
@@ -407,11 +573,16 @@ class PointBlock(_JetLayers):
     def keep(self, columns):
         """Set ``ok`` to exactly ``columns``, so that only their members
         read through the block, also where construction cleared every
-        column, and give the other columns the coordinates of a kept one:
-        a later layer meets no draw that was rejected."""
+        column, and give the other columns the coordinates and the order-2
+        ``L^2`` jet of a kept one: neither a later layer nor a tensor of
+        the block meets a draw that was rejected."""
         self.ok[:] = False
         self.ok[columns] = True
-        self._fill(self.x, self.y)
+        arrays = [self.x, self.y]
+        if "_f2" in self._cache:
+            seeds, f2 = self._cache["_f2"][1]
+            arrays += [j.coeffs for j in seeds + [f2]]
+        self._fill(*arrays)
 
     def _check_l2(self, f2, order):
         """Clear ``ok`` where ``L^2`` is not positive with finite
@@ -432,7 +603,57 @@ class PointBlock(_JetLayers):
                 a[:, ~self.ok] = a[:, good]
 
 
-class PointGeometry(_JetLayers):
+# The light tensors of ``PointRows`` and of a ``PointBlock``: those read
+# from the jet layers that blocks evaluate.
+ROW_TENSORS = ("L2", "L", "y_low", "l_low", "g_low", "det_g", "g_up",
+               "h_low", "C_low", "C_up", "spray", "n_conn", "berwald",
+               "cartan_hconn", "riemann")
+
+
+class PointRows:
+    """The light tensors of points of one space, members of one
+    ``PointBlock``, as arrays whose first axis indexes the points:
+    ``rows.g_low()`` and so on for each name in ``ROW_TENSORS``, cached.
+
+    A member reads its row of the block's tensor while its column is
+    ``ok``, unless it has computed a jet layer alone; then it computes its
+    tensor alone, as its own method does, raising its own errors, and
+    its row holds that.  The block computes a tensor only where a member
+    reads it, so it evaluates no jet layer that its members would not
+    have read through; each row is bit for bit the point's own tensor."""
+
+    def __init__(self, points):
+        self.points = points
+        self.block = points[0]._block
+        self.columns = np.array([pg._p for pg in points])
+        self._cache = {}
+
+    def __getattr__(self, name):
+        if name not in ROW_TENSORS:
+            raise AttributeError(name)
+        return functools.partial(self._rows, name)
+
+    def _rows(self, name):
+        got = self._cache.get(name)
+        if got is not None:
+            return got
+        block, columns = self.block, self.columns
+        through = np.array(["_f2" not in pg._cache for pg in self.points])
+        value = None
+        if (through & block.ok[columns]).any():
+            value = block.evaluate(name)
+        through &= block.ok[columns]
+        if through.all():
+            got = value[columns]
+        else:
+            got = np.array([value[p] if t else getattr(pg, name)()
+                            for pg, p, t in zip(self.points, columns,
+                                                through)])
+        self._cache[name] = got
+        return got
+
+
+class PointGeometry(JetLayers):
     """Lazily computed tensors of a Finsler space at one (x, y).
 
     Construction reads the order-2 jet of L^2, raising where ``_f2`` does,
@@ -466,99 +687,12 @@ class PointGeometry(_JetLayers):
     # -- numeric tensors ---------------------------------------------------
 
     @cached
-    def L2(self):
-        return self._f2(2)[1].value
-
-    @cached
-    def L(self):
-        return float(np.sqrt(self.L2()))
-
-    @cached
-    def y_low(self):
-        """Covariant y: g_ij y^j = (1/2) dL^2/dy^i."""
-        return 0.5 * self._f2(2)[1].partials(1)[self.n:]
-
-    @cached
-    def l_low(self):
-        """Unit covector l_i = dL/dy^i = y_i / L."""
-        return self.y_low() / self.L()
-
-    @cached
-    def g_low(self):
-        n = self.n
-        return 0.5 * self._f2(2)[1].partials(2)[n:, n:]
-
-    @cached
-    def det_g(self):
-        """det g_ij; sampling admits a point by it."""
-        return float(np.linalg.det(self.g_low()))
-
-    @cached
-    def g_up(self):
-        return np.linalg.inv(self.g_low())
-
-    @cached
-    def h_low(self):
-        """Angular metric h_ij = g_ij - l_i l_j."""
-        l = self.l_low()
-        return self.g_low() - np.outer(l, l)
-
-    @cached
-    def C_low(self):
-        """Cartan torsion C_ijk = (1/4) third y-derivatives of L^2."""
-        n = self.n
-        return 0.25 * self._f2(3)[1].partials(3)[n:, n:, n:]
-
-    @cached
-    def C_up(self):
-        """C^i_jk = g^{ir} C_rjk."""
-        return np.einsum("ir,rjk->ijk", self.g_up(), self.C_low())
-
-    @cached
     def spray(self):
-        """G^i = (1/4) g^il (d2L^2/dy^l dx^k y^k - dL^2/dx^l), solved in
-        floats from the order-2 jet of L^2 by ``_spray_tail``: bit for
-        bit the values of ``_spray_jets(0)``."""
+        """G^i, solved in floats from the order-2 jet of L^2 by
+        ``_spray_tail``: bit for bit the values of ``_spray_jets(0)``."""
         f2 = self._f2(2)[1].truncated(2)
         G, _ = _spray_tail(f2.space)(f2.coeffs.tolist(), *self.y.tolist())
         return np.array(G)
-
-    @cached
-    def n_conn(self):
-        """Nonlinear connection N^i_j = dG^i/dy^j."""
-        return np.array([Gi.partials(1)[self.n:]
-                         for Gi in self._spray_jets(1)])
-
-    @cached
-    def berwald(self):
-        """Berwald connection G^i_jk = d2 G^i / dy^j dy^k."""
-        n = self.n
-        return np.array([Gi.partials(2)[n:, n:]
-                         for Gi in self._spray_jets(2)])
-
-    @cached
-    def cartan_hconn(self):
-        """Horizontal connection F^i_jk built from delta-derivatives of g,
-        where delta_j = d/dx^j - N^m_j d/dy^m.  Reduces to the Christoffel
-        symbols when the metric is quadratic in y."""
-        n = self.n
-        d3 = self._f2(3)[1].partials(3)[n:, n:]
-        N = self.n_conn()
-        dg = 0.5 * d3[:, :, :n]     # dg[r, k, j] = d g_rk / dx^j
-        dgy = 0.5 * d3[:, :, n:]    # dgy[r, k, m] = d g_rk / dy^m
-        delta = dg - np.einsum("rkm,mj->rkj", dgy, N)
-        # low[r, j, k] = (delta_j g_rk + delta_k g_rj - delta_r g_jk) / 2
-        low = 0.5 * (delta.transpose(0, 2, 1) + delta
-                     - delta.transpose(2, 0, 1))
-        return np.einsum("ir,rjk->ijk", self.g_up(), low)
-
-    def h_cov_covector(self, b_vals, db_vals):
-        """Horizontal covariant derivative of an x-dependent covector:
-        out[i, j] = db_vals[i, j] - b_r F^r_ij, with db_vals[i, j] the
-        plain partial of b_i along x^j."""
-        F = self.cartan_hconn()
-        return np.asarray(db_vals, dtype=float) - np.einsum(
-            "r,rij->ij", np.asarray(b_vals, dtype=float), F)
 
     @cached
     def douglas(self):
@@ -572,12 +706,6 @@ class PointGeometry(_JetLayers):
         P = [G[h].truncated(3) - yj[h] * tr * (1.0 / (n + 1))
              for h in range(n)]
         return np.array([Ph.partials(3)[n:, n:, n:] for Ph in P])
-
-    @cached
-    def riemann(self):
-        """Curvature deviation R^i_k (y-dependent Jacobi operator)."""
-        return np.array([[Rik.value for Rik in row]
-                         for row in self._riemann_jets(0)])
 
     @cached
     def ric(self):

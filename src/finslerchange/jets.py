@@ -35,9 +35,9 @@ point axis in products and derivatives), and every operation
 acts on each point's column as it would on that point alone, bit for bit
 (the vector forward mode of Griewank & Walther, *Evaluating
 Derivatives*, 2008).  Jets of one point and of a block do not combine.
-The block product is one ``bincount`` over all points, whose bins each
-take their pairs in ``mul_table`` order from +0.0, as the one-point
-product's bins do.  Series coefficients of
+The block product is a ``bincount`` over slices of the point axis
+(``PRODUCT_BUDGET``), whose bins each take their pairs in ``mul_table``
+order from +0.0, as the one-point product's bins do.  Series coefficients of
 ``reciprocal``, ``sqrt``, ``exp``, ``log``, ``sin``, ``cos`` and ``powf``
 are computed point by point in Python floats, because numpy's vector
 ``exp``, ``log`` and ``power`` round differently from ``math`` and
@@ -58,6 +58,11 @@ import math
 import threading
 
 import numpy as np
+
+# Elements (pairs times points) of each temporary of one ``bincount`` of
+# a block product, 256 KB of 8-byte numbers: a product takes as many
+# points at a time as keep its temporaries within it.
+PRODUCT_BUDGET = 32768
 
 # Resource guard: coefficient counts grow like C(nvars+K, K).
 MAX_ORDER = 12
@@ -177,21 +182,34 @@ class _Space:
     def block_product(self, a, b):
         """Coefficients of the product of two jets of this space with
         point axes, ``a`` and ``b`` of one shape ``(size, ...)`` whose
-        trailing axes are flattened into one point axis: one ``bincount``
-        over all points, whose bin ``io * P + p`` is coefficient ``io`` of
-        point ``p`` and sums its pairs in ``mul_table`` order from +0.0,
-        so each column is bit for bit the one-point ``bincount`` product
-        of its columns."""
+        trailing axes are flattened into one point axis.  Each slice of
+        ``width`` points, as many as keep pairs times points within
+        ``PRODUCT_BUDGET``, is one ``bincount`` (``_summed``); bins are
+        per point, so the slices change no bit."""
         shape = a.shape
         a = a.reshape(self.size, -1)
         b = b.reshape(self.size, -1)
+        P = a.shape[1]
+        width = max(1, PRODUCT_BUDGET // self.mul_table()[0].size)
+        if P <= width:
+            return self._summed(a, b).reshape(shape)
+        return np.concatenate([
+            self._summed(a[:, s:s + width], b[:, s:s + width])
+            for s in range(0, P, width)], axis=1).reshape(shape)
+
+    def _summed(self, a, b):
+        """The product of coefficient arrays ``a`` and ``b`` of shape
+        ``(size, P)`` as one ``bincount``, whose bin ``io * P + p`` is
+        coefficient ``io`` of point ``p`` and sums its pairs in
+        ``mul_table`` order from +0.0, so each column is bit for bit the
+        one-point ``bincount`` product of its columns."""
         P = a.shape[1]
         ia, ib, io = self.mul_table()
         w = np.take(a, ia, axis=0)
         w *= np.take(b, ib, axis=0)
         keys = (io[:, None] * P + np.arange(P)).ravel()
         return np.bincount(keys, weights=w.ravel(),
-                           minlength=self.size * P).reshape(shape)
+                           minlength=self.size * P).reshape(self.size, P)
 
     def cut(self, order, xcap):
         """(space, index) of the jets cut to ``order`` and x-degree

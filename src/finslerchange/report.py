@@ -70,13 +70,9 @@ class Report:
 
 def worst_errors(pairs):
     """(max abs, max rel) difference over (got, want) pairs of arrays or
-    scalars, NaN where any pair's difference is NaN.
-
-    A pair's relative error is its absolute error over max(1, |got|,
-    |want|), so identities whose exact value is zero are judged
-    absolutely.  Pairs are grouped by the shapes of their two arrays, and
-    each group is reduced by one numpy call per quantity on the stacked
-    arrays."""
+    scalars, each of one point, NaN where any pair's difference is NaN.
+    Pairs are grouped by the shapes of their two arrays, and each group is
+    measured as one pair of stacked arrays by ``stacked_errors``."""
     groups = {}
     for got, want in pairs:
         a = np.asarray(got, dtype=float)
@@ -84,12 +80,31 @@ def worst_errors(pairs):
         group = groups.setdefault((a.shape, b.shape), ([], []))
         group[0].append(a)
         group[1].append(b)
+    return stacked_errors(
+        (np.reshape(a_list, (len(a_list),) + a_shape),
+         np.reshape(b_list, (len(b_list),) + b_shape))
+        for (a_shape, b_shape), (a_list, b_list) in groups.items())
+
+
+def stacked_errors(pairs):
+    """(max abs, max rel) difference over (got, want) pairs of arrays
+    whose first axis indexes points, NaN where any point's difference is
+    NaN; a scalar side is the same at every point.
+
+    Each point's error is reduced before the maximum: its relative error
+    is its absolute error over max(1, |got|, |want|) at that point, so
+    identities whose exact value is zero are judged absolutely."""
     abs_errs, rel_errs = [np.zeros(1)], [np.zeros(1)]
-    for (a_shape, b_shape), (a_list, b_list) in groups.items():
-        k, ndim = len(a_list), max(len(a_shape), len(b_shape))
-        # per pair: axis 0 counts pairs, the rest broadcast as in a - b
-        A = np.reshape(a_list, (k,) + (1,) * (ndim - len(a_shape)) + a_shape)
-        B = np.reshape(b_list, (k,) + (1,) * (ndim - len(b_shape)) + b_shape)
+    for got, want in pairs:
+        A = np.asarray(got, dtype=float)
+        B = np.asarray(want, dtype=float)
+        k = len(A) if A.ndim else len(B)
+        A, B = (np.broadcast_to(X, (k,)) if X.ndim == 0 else X
+                for X in (A, B))
+        ndim = max(A.ndim, B.ndim)
+        # per point: the other axes broadcast as in a - b
+        A = A.reshape((k,) + (1,) * (ndim - A.ndim) + A.shape[1:])
+        B = B.reshape((k,) + (1,) * (ndim - B.ndim) + B.shape[1:])
         zeros = np.zeros(k)
         abs_err = (np.max(np.abs(A - B).reshape(k, -1), axis=1)
                    if A[0].size else zeros)

@@ -30,9 +30,8 @@ from .jets import JetDomainError
 
 _MAX_TRIES_PER_POINT = 100
 # Draws per chunk, so columns per block: a block's jets take memory in
-# proportion to its size, and so do a product's temporaries, three arrays
-# of pairs x points 8-byte numbers: at 256 points 2.2 MB in 4v4 and 8 MB
-# in 6v4, both capped at x-degree 2.
+# proportion to its size; a product's temporaries take at most
+# ``jets.PRODUCT_BUDGET`` numbers each, whatever the size.
 BLOCK_SIZE = 256
 
 

@@ -10,6 +10,13 @@ turns a row into its record, so every configuration emits the same ids
 in the same order, each with its own tolerance.  Adding a check means
 adding a row.
 
+The rows over every sampled point (``_sampled``) measure the samples'
+block forms, ``SuiteRun.cblocks``: arrays whose first axis indexes
+points, each point's error reduced before the maximum
+(``report.stacked_errors``).  The rows over a few points (heavy,
+invariant and finite-difference points, geodesics, hypersurface points)
+measure point by point (``_each``).
+
 Verdict policy: ``fail`` is reserved for violations of laws the
 configuration is supposed to satisfy (these drive the exit status).
 Measurements whose size is a finding about the configuration — the
@@ -23,14 +30,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .change import ChangedPair
-from .core import central_partial
+from .change import ChangedPair, changed_blocks
+from .core import central_partial, dot, matvec
 from .geodesics import (GeodesicError, curve_set_deviation,
                         integrate_geodesic, retrace_deviation)
 from .hypersurface import ChangedHyperPoint, ChangedHypersurface
 from .jets import JetDomainError
 from .memo import cached
-from .report import CheckRecord, worst_errors
+from .report import CheckRecord, stacked_errors, worst_errors
 from .sampling import sample_hyper_points, sample_points
 
 DEFAULT_TOLS = {
@@ -105,6 +112,12 @@ class SuiteRun:
     def cpoints(self):
         return self.sampled()[0]
 
+    @cached
+    def cblocks(self):
+        """The sampled points as ``ChangedBlock``s, one per pair of blocks
+        their members share, in sample order."""
+        return changed_blocks(self.cpoints())
+
     def heavy_points(self):
         """The samples the costly core checks (Weyl, Douglas) run on."""
         return self.cpoints()[:10 if self.n >= 3 else 25]
@@ -134,7 +147,10 @@ class SuiteRun:
 
     @cached
     def projectivity_defect(self):
-        return max(float(np.max(np.abs(cp.A_low()))) for cp in self.cpoints())
+        """max |A_i| over the samples, by Python's ``max`` over the
+        points in sample order."""
+        return max(np.concatenate([np.max(np.abs(cb.A_low()), axis=1)
+                                   for cb in self.cblocks()]).tolist())
 
     @cached
     def tangency(self):
@@ -268,11 +284,17 @@ _TANGENTIAL = (_has_hypersurface, _tangential)
 # measurements: (run, tol) -> (samples, max abs, max rel, verdict, notes)
 
 def _judge(samples, pairs, tol, residual=False, notes=""):
-    """Measurement from the worst errors over (got, want) pairs.  The
-    verdict follows the tolerance, or is ``reported-residual`` for a
-    finding; a NaN error is kept and always fails.  ``notes`` is a
-    string, or a (within tolerance, beyond it) pair of strings."""
-    abs_err, rel_err = worst_errors(pairs)
+    """Measurement from the worst errors over (got, want) pairs, each of
+    one point (``report.worst_errors``)."""
+    return _verdict(samples, worst_errors(pairs), tol, residual, notes)
+
+
+def _verdict(samples, errors, tol, residual=False, notes=""):
+    """Measurement from the worst (abs, rel) errors.  The verdict follows
+    the tolerance, or is ``reported-residual`` for a finding; a NaN error
+    is kept and always fails.  ``notes`` is a string, or a (within
+    tolerance, beyond it) pair of strings."""
+    abs_err, rel_err = errors
     within = rel_err <= tol
     if not isinstance(notes, str):
         notes = notes[0] if within else notes[1]
@@ -289,6 +311,18 @@ def _each(points, pairs, residual=False, notes=""):
         pts = getattr(run, points)()
         return _judge(len(pts), (pair for p in pts for pair in pairs(p)),
                       tol, residual, notes)
+    return measure
+
+
+def _sampled(pairs, residual=False, notes=""):
+    """Measurement over the sampled points, on their block forms
+    (``SuiteRun.cblocks``): ``pairs(cb)`` lists the (got, want) arrays
+    compared at the points of ``cb``, point axis first
+    (``report.stacked_errors``)."""
+    def measure(run, tol):
+        return _verdict(len(run.cpoints()), stacked_errors(
+            pair for cb in run.cblocks() for pair in pairs(cb)), tol,
+            residual, notes)
     return measure
 
 
@@ -350,8 +384,9 @@ def _homogeneity(run, tol):
 
 
 def _regularity(run, tol):
-    floor = min([np.inf] + [abs(pg.det_g()) for cp in run.cpoints()
-                            for pg in (cp.base, cp.star)])
+    floor = min([np.inf] + [v for cb in run.cblocks()
+                            for rows in (cb.base, cb.star)
+                            for v in np.abs(rows.det_g()).tolist()])
     return (len(run.cpoints()), 0.0, 0.0, "pass",
             f"min |det g| = {floor:.3e}")
 
@@ -485,27 +520,30 @@ _FRAME_RANK = ("valid.frame-rank", "embedding-differential-has-full-rank",
 CHECKS = {}
 CHECKS["core-identities"] = (
     ("core.value-from-support", "support-covector-restores-value", "euler",
-     (), _each("cpoints", lambda cp: [(cp.base.l_low() @ cp.y, cp.base.L())])),
+     (), _sampled(lambda cb: [(dot(cb.base.l_low(), cb.y), cb.base.L())])),
     ("core.metric-restores-value", "metric-on-support-gives-squared-value",
-     "euler", (), _each("cpoints", lambda cp: [
-         (cp.y @ cp.base.g_low() @ cp.y, cp.base.L() * cp.base.L())])),
+     "euler", (), _sampled(lambda cb: [
+         ((cb.y[:, None, :] @ cb.base.g_low() @ cb.y[:, :, None])[:, 0, 0],
+          cb.base.L() * cb.base.L())])),
     ("core.angular-kills-support", "angular-metric-annihilates-support",
-     "euler", (), _each("cpoints", lambda cp: [(cp.base.h_low() @ cp.y, 0.0)])),
+     "euler", (), _sampled(lambda cb: [(matvec(cb.base.h_low(), cb.y),
+                                        0.0)])),
     ("core.cartan-kills-support", "cartan-tensor-annihilates-support", "euler",
-     (), _each("cpoints", lambda cp: [
-         (np.einsum("ijk,k->ij", cp.base.C_low(), cp.y), 0.0)])),
+     (), _sampled(lambda cb: [
+         (np.einsum("pijk,pk->pij", cb.base.C_low(), cb.y), 0.0)])),
     ("core.connection-euler", "connection-contracts-to-twice-spray", "euler",
-     (), _each("cpoints", lambda cp: [
-         (cp.base.n_conn() @ cp.y, 2 * cp.base.spray())])),
+     (), _sampled(lambda cb: [
+         (matvec(cb.base.n_conn(), cb.y), 2 * cb.base.spray())])),
     ("core.berwald-euler", "berwald-contracts-to-connection", "euler", (),
-     _each("cpoints", lambda cp: [
-         (np.einsum("ijk,k->ij", cp.base.berwald(), cp.y), cp.base.n_conn())])),
+     _sampled(lambda cb: [
+         (np.einsum("pijk,pk->pij", cb.base.berwald(), cb.y),
+          cb.base.n_conn())])),
     ("core.hconn-euler", "horizontal-connection-contracts-to-connection",
-     "euler", (), _each("cpoints", lambda cp: [
-         (np.einsum("ijk,j->ik", cp.base.cartan_hconn(), cp.y),
-          cp.base.n_conn())])),
+     "euler", (), _sampled(lambda cb: [
+         (np.einsum("pijk,pj->pik", cb.base.cartan_hconn(), cb.y),
+          cb.base.n_conn())])),
     ("core.curvature-kills-support", "curvature-annihilates-support", "euler",
-     (), _each("cpoints", lambda cp: [(cp.base.riemann() @ cp.y, 0.0)])),
+     (), _sampled(lambda cb: [(matvec(cb.base.riemann(), cb.y), 0.0)])),
     ("core.weyl-structure", "weyl-tensor-trace-free-and-kills-support",
      "euler", (), _each("heavy_points", _weyl_structure)),
     ("core.douglas-structure", "douglas-symmetric-trace-free-kills-support",
@@ -527,37 +565,39 @@ CHECKS["core-identities"] = (
 )
 CHECKS["change-identities"] = (
     ("change.value-closed-form", "changed-value-and-support-closed-forms",
-     "two-path", (), _each("cpoints", lambda cp: [
-         (cp.Lstar, cp.star.L()), (cp.lstar_closed(), cp.star.l_low())])),
+     "two-path", (), _sampled(lambda cb: [
+         (cb.Lstar, cb.star.L()), (cb.lstar_closed(), cb.star.l_low())])),
     ("change.angular-closed-form", "angular-metric-rescales", "two-path", (),
-     _each("cpoints", lambda cp: [(cp.hstar_closed(), cp.star.h_low())])),
+     _sampled(lambda cb: [(cb.hstar_closed(), cb.star.h_low())])),
     ("change.metric-closed-form", "changed-fundamental-tensor-closed-form",
-     "two-path", (), _each("cpoints", lambda cp: [
-         (cp.gstar_closed(), cp.star.g_low())])),
+     "two-path", (), _sampled(lambda cb: [
+         (cb.gstar_closed(), cb.star.g_low())])),
     ("change.cartan-closed-form", "changed-cartan-tensor-closed-form",
-     "two-path", (), _each("cpoints", lambda cp: [
-         (cp.cstar_closed(), cp.star.C_low())])),
+     "two-path", (), _sampled(lambda cb: [
+         (cb.cstar_closed(), cb.star.C_low())])),
     ("change.inverse-closed-form", "changed-inverse-metric-closed-form",
-     "two-path-inverse", (), _each("cpoints", lambda cp: [
-         (cp.ginv_star_closed(), cp.star.g_up())], residual=True, notes=_FIT)),
+     "two-path-inverse", (), _sampled(lambda cb: [
+         (cb.ginv_star_closed(), cb.star.g_up())], residual=True, notes=_FIT)),
     ("change.mixed-cartan-closed-form", "changed-mixed-cartan-closed-form",
-     "residual", (), _each("cpoints", lambda cp: [
-         (cp.cstar_mixed_closed(), cp.cstar_mixed_direct())],
+     "residual", (), _sampled(lambda cb: [
+         (cb.cstar_mixed_closed(), cb.cstar_mixed_direct())],
          residual=True, notes=_FIT)),
     ("change.support-orthogonal", "drift-covector-orthogonal-to-support",
-     "euler", (), _each("cpoints", lambda cp: [
-         (cp.a_low() @ cp.y, 0.0), (cp.hstar_closed() @ cp.y, 0.0)])),
+     "euler", (), _sampled(lambda cb: [
+         (dot(cb.a_low(), cb.y), 0.0),
+         (matvec(cb.hstar_closed(), cb.y), 0.0)])),
     ("change.hcov-split", "horizontal-derivative-splits-sym-antisym", "euler",
-     (), _each("cpoints", lambda cp: [
-         (cp.b_hcov(), cp.E_low() + cp.F_low()),
-         (cp.E_low(), cp.E_low().T), (cp.F_low(), -cp.F_low().T)])),
+     (), _sampled(lambda cb: [
+         (cb.b_hcov(), cb.E_low() + cb.F_low()),
+         (cb.E_low(), cb.E_low().transpose(0, 2, 1)),
+         (cb.F_low(), -cb.F_low().transpose(0, 2, 1))])),
 )
 CHECKS["projectivity"] = (
     ("proj.obstruction", "projectivity-obstruction-vanishes",
      "projective-defect", (), _obstruction),
     ("proj.collinearity", "spray-difference-collinear-with-support",
      "collinearity", (_projective,),
-     _each("cpoints", lambda cp: [(cp.collinearity_defect(), 0.0)])),
+     _sampled(lambda cb: [(cb.collinearity_defect(), 0.0)])),
     ("proj.geodesic-deviation", "geodesics-coincide-as-point-sets",
      "geodesic-deviation", (_projective, _integrated("geodesic_pairs")),
      _geodesics("geodesic_pairs",

@@ -223,7 +223,9 @@ def test_drift_covariant_derivative_symmetry():
 
 
 def test_changed_point_evaluates_shared_arrays_once():
-    # counted by code object, so a cache in front of a method is transparent
+    # counted by code object, so a cache in front of a method is
+    # transparent; the suite's rows read the samples' block form, one
+    # ChangedBlock for the four points of one pair of blocks
     names = ("a_low", "a_up", "b_up", "b_hcov")
     codes = {inspect.unwrap(getattr(ChangedPoint, name)).__code__: name
              for name in names}
@@ -235,15 +237,19 @@ def test_changed_point_evaluates_shared_arrays_once():
 
     cfg = suites.SuiteConfig(resolve_spec("randers2"),
                              resolve_spec("projective"), samples=4, seed=1)
+    run = suites.SuiteRun(cfg)
     sys.setprofile(profile)
     try:
-        suites.run_suites(cfg, ["change-identities"])
+        records = [suites._record(run, row)
+                   for row in suites.CHECKS["change-identities"]]
     finally:
         sys.setprofile(None)
+    assert all(r.samples == 4 for r in records)
+    (cb,) = run.cblocks()
+    assert len(cb.y) == 4
     for name in names:
-        per_point = [c for (m, _), c in calls.items() if m == name]
-        assert len(per_point) == 4 and set(per_point) == {1}, (name,
-                                                              per_point)
+        assert {self: c for (m, self), c in calls.items()
+                if m == name} == {cb: 1}, name
 
 
 def test_douglas_invariance_under_projective_change():

@@ -12,7 +12,9 @@ from finslerchange.change import ChangedPair
 from finslerchange.core import (
     FinslerSpace,
     PointBlock,
+    PointRows,
     central_partial,
+    horizontal_covariant,
 )
 from finslerchange.jets import (Jet, JetDomainError, jet_linear_solve, lift,
                                 lift_env)
@@ -281,7 +283,7 @@ def test_weyl_structure():
 def test_h_cov_covector_constant_field_euclid():
     pg = FinslerSpace(EUCLID3).point([0.0, 0.0, 0.0], [1.0, 2.0, 2.0])
     b = np.array([0.3, -0.1, 0.2])
-    out = pg.h_cov_covector(b, np.zeros((3, 3)))
+    out = horizontal_covariant(pg.cartan_hconn(), b, np.zeros((3, 3)))
     assert np.allclose(out, 0.0, atol=1e-13)
 
 
@@ -538,7 +540,7 @@ def test_order_cache_keeps_the_highest_order():
             self._top = False
 
         # a block evaluates its layers under the blocks' failure rule
-        layer = PointBlock.layer
+        evaluate = PointBlock.evaluate
 
         @core._layer(5, 2)
         def jets(self, order):
@@ -1168,6 +1170,20 @@ def test_columns_keep_leaves_out_never_reach_the_blocks_later_layers():
     assert block._cache["_f2"][0] == 3
     for p, C in zip((0, 2), got):
         assert C.tobytes() == space.point(xs[p], y).C_low().tobytes()
+    # nor its tensors: g is singular at the left-out draw, whose order-2
+    # jet, from construction, the block's rows of g^ij would otherwise read
+    space = FinslerSpace(parse_spec_text("dim 2\nL2 = y1^2 + x1^2 * y2^2\n",
+                                         name="flat-at-x1-0"))
+    xs = [[0.5, 0.1], [0.0, 0.2], [0.25, -0.3]]
+    block = PointBlock(space, np.transpose(xs), np.transpose([y] * 3))
+    members = [block.point(p, xs[p], y) for p in (0, 2)]
+    block.keep([0, 2])
+    rows = PointRows(members)
+    got = rows.g_up()
+    assert block.ok.tolist() == [True, False, True]
+    for pg, g_up in zip(members, got):
+        want = space.point(pg.x, pg.y).g_up()
+        assert g_up.tobytes() == want.tobytes()
 
 
 

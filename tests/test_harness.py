@@ -7,14 +7,15 @@ import time
 import numpy as np
 import pytest
 
-from finslerchange import hypersurface, suites
+from finslerchange import core, hypersurface, suites
 from finslerchange.change import ChangedPair
 from finslerchange.cli import main
 from finslerchange.core import FinslerSpace, PointGeometry
 from finslerchange.geodesics import GeodesicError
 from finslerchange.hypersurface import HypersurfaceGeometry
 from finslerchange.jets import JetDomainError
-from finslerchange.lang import parse_spec_text, resolve_spec
+from finslerchange.lang import (MetricSpec, parse_spec_text,
+                                resolve_spec)
 from finslerchange.report import (CheckRecord, Report, ReportError,
                                   emit_json_lines, emit_text, environment_block,
                                   errors_between, parse_json_lines)
@@ -393,6 +394,184 @@ def test_judge_matches_errors_between_pair_by_pair():
                                            residual, notes)
                 # repr compares NaN and the sign of zero too
                 assert repr(got) == repr(want), pairs
+
+
+# The rows that measure the sampled points on their block forms; the
+# obstruction row reads them too, through ``projectivity_defect``.
+SAMPLED_ROWS = ("valid.regularity",) + tuple(
+    row[0] for row in suites.CHECKS["core-identities"][:8]
+    + suites.CHECKS["change-identities"] + suites.CHECKS["projectivity"][1:2])
+SQRT2 = parse_spec_text("dim 2\nL2 = (y1^2 + y2^2) * sqrt(x1 + 0.3)\n"
+                        "x_box = -1 1 -1 1\n", name="sqrt2")
+
+
+def _lone_pairs(cp):
+    """The (got, want) values of each sampled row at a lone
+    ``ChangedPoint``, as the rows computed them point by point: one-point
+    numpy and Python floats (``L ** 3``, ``a @ b``).  The reference of
+    the block forms' rows, with |A_i| of the obstruction under "A"."""
+    b, s, y = cp.base, cp.star, cp.y
+    L, esig, beta, Lstar, tau = cp.L, cp.esig, cp.beta, cp.Lstar, cp.tau
+    bl, g_up, h, yl, C = cp.b_low, b.g_up(), b.h_low(), b.y_low(), b.C_low()
+    b_up = g_up @ bl
+    a = beta * yl / L ** 2 - bl
+    a_up = g_up @ a
+    phi = (np.exp(-2.0 * cp.sigma) * (L * esig * float(bl @ b_up) + beta)
+           / Lstar ** 3)
+    hstar = tau * h
+    gstar = (tau * b.g_low() + np.outer(bl, bl)
+             + esig / L * (np.outer(bl, yl) + np.outer(yl, bl))
+             - beta * esig / L ** 3 * np.outer(yl, yl))
+    ginv = (g_up / tau + phi * np.outer(y, y)
+            - (np.outer(y, b_up) + np.outer(b_up, y)) / (L * tau ** 2))
+    sym = (np.einsum("ij,k->ijk", h, a) + np.einsum("jk,i->ijk", h, a)
+           + np.einsum("ki,j->ijk", h, a))
+    h_mix = g_up @ h
+    mixed = (b.C_up()
+             - (np.einsum("ji,k->jik", h_mix, a)
+                + np.einsum("jk,i->jik", h_mix, a)
+                + np.einsum("ik,j->jik", h, a_up)) / (2.0 * Lstar)
+             - np.einsum("ikr,r,j->jik", C, b_up, y) / (tau * L)
+             - np.einsum("ik,j->jik", 2.0 * np.outer(a, a)
+                         + float(a @ a_up) * h, y) / (tau * 2.0 * L * Lstar))
+    bc = cp.db - np.einsum("r,rij->ij", bl, b.cartan_hconn())
+    E, F = 0.5 * (bc + bc.T), 0.5 * (bc - bc.T)
+    D = s.spray() - b.spray()
+    resid = D - float(D @ y) / float(y @ y) * y
+    A = esig * L * cp.grad_sigma + (cp.db.T - cp.db) @ y
+    return {
+        "valid.regularity": [(abs(b.det_g()), 0.0), (abs(s.det_g()), 0.0)],
+        "core.value-from-support": [(b.l_low() @ y, b.L())],
+        "core.metric-restores-value": [(y @ b.g_low() @ y, b.L() * b.L())],
+        "core.angular-kills-support": [(h @ y, 0.0)],
+        "core.cartan-kills-support": [(np.einsum("ijk,k->ij", C, y), 0.0)],
+        "core.connection-euler": [(b.n_conn() @ y, 2 * b.spray())],
+        "core.berwald-euler": [(np.einsum("ijk,k->ij", b.berwald(), y),
+                                b.n_conn())],
+        "core.hconn-euler": [(np.einsum("ijk,j->ik", b.cartan_hconn(), y),
+                              b.n_conn())],
+        "core.curvature-kills-support": [(b.riemann() @ y, 0.0)],
+        "change.value-closed-form": [(Lstar, s.L()),
+                                     (esig * b.l_low() + bl, s.l_low())],
+        "change.angular-closed-form": [(hstar, s.h_low())],
+        "change.metric-closed-form": [(gstar, s.g_low())],
+        "change.cartan-closed-form": [(tau * (C - sym / (2.0 * Lstar)),
+                                       s.C_low())],
+        "change.inverse-closed-form": [(ginv, s.g_up())],
+        "change.mixed-cartan-closed-form": [
+            (mixed, np.einsum("jr,rik->jik", s.g_up(), s.C_low()))],
+        "change.support-orthogonal": [(a @ y, 0.0), (hstar @ y, 0.0)],
+        "change.hcov-split": [(bc, E + F), (E, E.T), (F, -F.T)],
+        "proj.collinearity": [(float(np.max(np.abs(resid))
+                                     / max(1.0, np.max(np.abs(D)))), 0.0)],
+        "A": float(np.max(np.abs(A))),
+    }
+
+
+@pytest.mark.parametrize("metric,change,samples,seed", [
+    # seven full chunks and a tail of 208 points
+    ("randers2", "projective", 2000, 1),
+    ("curved3", "projective3", 30, 108),
+    # rejected draws: blocks with columns no member reads
+    ("sphere2", "tangent_parabola", 200, 1),
+    # every block's construction raises: members compute alone
+    (SQRT2, "projective", 300, 1)],
+    ids=["randers2-n2000", "curved3-n30", "sphere2-n200", "sqrt2-n300"])
+def test_block_rows_equal_lone_rows_bit_for_bit(monkeypatch, metric, change,
+                                                samples, seed):
+    run = SuiteRun(SuiteConfig(
+        resolve_spec(metric) if isinstance(metric, str) else metric,
+        resolve_spec(change), samples=samples, seed=seed))
+    lone = [_lone_pairs(run.pair.at(cp.x, cp.y)) for cp in run.cpoints()]
+    measured = []
+    stacked_errors = suites.stacked_errors
+
+    def capture(pairs):
+        measured.append(list(pairs))
+        return stacked_errors(measured[-1])
+
+    monkeypatch.setattr(suites, "stacked_errors", capture)
+    # admission evaluated every block's order-2 jet, or its members' own
+    calls = []
+    eval_l2 = MetricSpec.eval_l2
+
+    def counting(self, env):
+        calls.append((env["x1"].order, env["x1"].coeffs.shape[1:]))
+        return eval_l2(self, env)
+
+    monkeypatch.setattr(MetricSpec, "eval_l2", counting)
+    rows = {row[0]: row for rows in suites.CHECKS.values() for row in rows}
+    rows["valid.regularity"] = suites._VALIDATION[2]
+    for check_id in SAMPLED_ROWS:
+        measured.clear()
+        record = suites._record(run, rows[check_id])
+        want = [pair for point in lone for pair in point[check_id]]
+        if check_id == "valid.regularity":
+            floor = min([np.inf] + [got for got, _ in want])
+            assert record.notes == f"min |det g| = {floor:.3e}"
+            continue
+        if record.verdict == "skipped":
+            assert check_id == "proj.collinearity"
+            continue
+        # per point: the block forms' arrays, point axis first, in sample
+        # order, and the same values at the lone point, bit for bit
+        (stacks,) = measured
+        per_point = len(lone[0][check_id])
+        for k in range(per_point):
+            for side in (0, 1):
+                column = np.concatenate([
+                    np.full(len(pair[0]), pair[side]) if np.ndim(pair[side])
+                    == 0 else np.asarray(pair[side], dtype=float)
+                    for pair in stacks[k::per_point]])
+                assert len(column) == len(lone), check_id
+                for p, point in enumerate(lone):
+                    ref = np.asarray(point[check_id][k][side], dtype=float)
+                    assert column[p].tobytes() == ref.tobytes(), (
+                        check_id, k, side, p)
+        # each point's error reduced before the maximum, as pair by pair
+        residual = check_id in ("change.inverse-closed-form",
+                                "change.mixed-cartan-closed-form")
+        with np.errstate(invalid="ignore"):
+            reference = _judge_by_pairs(
+                len(lone), want, record.tol, residual,
+                suites._FIT if residual else "")
+        assert repr(reference) == repr((
+            record.samples, record.max_abs_err, record.max_rel_err,
+            record.verdict, record.notes)), check_id
+    assert run.projectivity_defect() == max(point["A"] for point in lone)
+    assert not [call for call in calls if call[0] == 2], calls
+
+
+def test_sampled_rows_stay_on_blocks(monkeypatch):
+    # the rows that measure the sampled points read the blocks' tensors:
+    # no member reads a column of a block's jets, and no point computes a
+    # light tensor of its own
+    run = SuiteRun(SuiteConfig(resolve_spec("randers2"),
+                               resolve_spec("projective"), samples=300,
+                               seed=1))
+    assert len(run.cpoints()) == 300
+    reads, lone = [], []
+    column = core._column
+
+    def counting(value, p):
+        reads.append(p)
+        return column(value, p)
+
+    monkeypatch.setattr(core, "_column", counting)
+    for name in core.ROW_TENSORS:
+        def tensor(self, _method=getattr(PointGeometry, name), _name=name):
+            lone.append(_name)
+            return _method(self)
+        monkeypatch.setattr(PointGeometry, name, tensor)
+    rows = {row[0]: row for rows in suites.CHECKS.values() for row in rows}
+    rows["valid.regularity"] = suites._VALIDATION[2]
+    records = [suites._record(run, rows[check_id])
+               for check_id in SAMPLED_ROWS + ("proj.obstruction",)]
+    assert [r.verdict for r in records].count("skipped") == 0
+    assert reads == [] and lone == []
+    # the per-point rows still read their points' columns through
+    suites._record(run, rows["core.fd-cartan"])
+    assert reads and lone
 
 
 def test_suite_selection_subset():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslerchange.jets import (
+    PRODUCT_BUDGET,
     Jet,
     JetDomainError,
     JetError,
@@ -386,10 +387,14 @@ def test_block_jets_equal_point_jets_bit_for_bit(points, order):
     (6, 3, 2), (6, 4, 2)], ids=lambda args: "-".join(map(str, args)))
 def test_block_products_equal_point_products_bit_for_bit(args):
     # the spaces of point blocks, capped as blocks cap them, up to a
-    # sampled chunk; signed zeros in both factors must survive the sums
+    # sampled chunk and on both sides of the first and second boundary of
+    # the product's slices of the point axis; signed zeros in both factors
+    # must survive the sums
     sp = _space(*args)
     rng = np.random.default_rng(args)
-    for points in (1, 2, 5, sp.size - 1, sp.size, BLOCK_SIZE):
+    width = PRODUCT_BUDGET // sp.mul_table()[0].size
+    for points in (1, 2, 5, sp.size - 1, sp.size, BLOCK_SIZE, width,
+                   width + 1, 2 * width, 2 * width + 1):
         a = _random_coeffs(rng, sp.size, points)
         b = _random_coeffs(rng, sp.size, points)
         block = Jet(sp, a) * Jet(sp, b)

@@ -79,8 +79,10 @@ SQRT2 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "specs",
 # verify-regular-3d benchmark workloads; the seventh is verify-many-2d at
 # benchmark seed 1.  The eighth and ninth are the 3D hypersurface chain,
 # where every hypersurface check is measured, and a non-projective,
-# irreversible change with a closed curve.  The last is a metric whose
+# irreversible change with a closed curve.  The tenth is a metric whose
 # block evaluations raise, so sampling clears the columns of its blocks.
+# The last measures every row that reads block forms in 3D, on one full
+# chunk and a tail of 44 points.
 CONFIGS = (
     ("euclid2+tangent_parabola+parabola2 n12 s108",
      "euclid2", "tangent_parabola", "parabola2", 12, 108),
@@ -95,6 +97,7 @@ CONFIGS = (
     ("randers2+randers_nonclosed+circle2 n20 s108",
      "randers2", "randers_nonclosed", "circle2", 20, 108),
     ("sqrt2+projective n300 s1", SQRT2, "projective", None, 300, 1),
+    ("sphere3+projective3 n300 s1", "sphere3", "projective3", None, 300, 1),
 )
 
 # (metric, change) pairs of the tensor digest, each at TENSOR_POINTS points
