@@ -10,9 +10,11 @@ full jet pipeline applies to it unchanged), and provides the closed-form
 predictions for the changed tensors in terms of base-space data, next to
 the directly computed values, so the two routes can be compared.  The
 predictions of ``ChangedPoint`` are written over an optional leading
-point axis: a ``ChangedBlock`` holds sampled points whose geometry lives
-in one pair of ``core.PointBlock``s, and evaluates each prediction once
-for all of them, bit for bit the value at each point alone.
+point axis: a ``ChangedBlock`` holds the admitted columns of one chunk of
+sampled draws, built from the chunk's base and changed
+``core.PointBlock`` and its ``sigma`` and ``b`` arrays, and evaluates
+each prediction once for all of them, bit for bit the value at each
+point alone.
 """
 
 from __future__ import annotations
@@ -100,8 +102,9 @@ class RandersChange:
     def at(self, x):
         """(sigma, grad sigma, b, db) at x, from one order-1 jet of each
         expression; db[i, j] is the partial of b_i along x^j.  For x of
-        shape (n, P), a list of those tuples, one per column, from jets
-        of a block: bit for bit what ``at`` gives at each column alone."""
+        shape (n, P), the same arrays with a last axis over the columns,
+        from jets of a block: bit for bit what ``at`` gives at each column
+        alone."""
         x = np.asarray(x, dtype=float)
         points = x.shape[1:]
         env = lift_env(1, x=x)
@@ -117,24 +120,7 @@ class RandersChange:
         b, db = map(np.array, zip(*map(value_and_gradient, self.b_exprs)))
         if not points:
             return float(sigma), grad_sigma, b, db
-        return [(float(sigma[p]), grad_sigma[:, p].copy(), b[:, p].copy(),
-                 db[..., p].copy()) for p in range(points[0])]
-
-
-def changed_value(base, change):
-    """(e^sigma, b_i y^i, L* = e^sigma L + b_i y^i) at the base space's
-    point ``base``, given ``RandersChange.at`` there.  Raises
-    ``JetDomainError`` unless L* > 0: the changed spec stores only the
-    squared value, which cannot see a sign flip."""
-    sigma, _, b, _ = change
-    esig = float(np.exp(sigma))
-    beta = float(b @ base.y)
-    Lstar = esig * base.L() + beta
-    if not Lstar > 0.0:
-        raise JetDomainError(
-            f"changed metric value {Lstar:.6g} not positive at "
-            f"x={base.x.tolist()}, y={base.y.tolist()}")
-    return esig, beta, Lstar
+        return sigma, grad_sigma, b, db
 
 
 class ChangedPair:
@@ -149,22 +135,12 @@ class ChangedPair:
         self.starred_spec = changed_metric_spec(metric_spec, change_spec)
         self.starred = FinslerSpace(self.starred_spec)
 
-    def at(self, x, y, base=None, change=None, star=None):
-        """The ``ChangedPoint`` at (x, y).  Raises ``JetDomainError`` where
-        the base or the changed ``L^2`` jet fails its check or L* is not
-        positive.  A caller that has evaluated them already, such as the
-        sampler from its blocks, passes the base point ``base``, its
-        ``RandersChange.at`` values ``change`` and the changed point
-        ``star``; each left out is evaluated here, alone, and the changed
-        point only once L* > 0."""
+    def at(self, x, y, base=None):
+        """The lone ``ChangedPoint`` at (x, y); a caller that holds the
+        base point already passes it as ``base``."""
         if base is None:
             base = self.base.point(x, y)
-        if change is None:
-            change = self.change.at(base.x)
-        if star is None:
-            changed_value(base, change)
-            star = self.starred.point(base.x, base.y)
-        return ChangedPoint(self, base, change, star)
+        return ChangedPoint(self, base, self.change.at(base.x))
 
 
 class ChangedPoint:
@@ -172,20 +148,29 @@ class ChangedPoint:
     changed tensors, and the closed-form predictions.  ``base`` is the
     base space's geometry at the point; the arrays that several checks
     read are cached in ``_cache``.  Built by ``ChangedPair.at`` from the
-    base point, the values of ``RandersChange.at`` there and the changed
-    space's point ``star``.  Each formula is written over an optional
-    leading point axis, which ``ChangedBlock`` carries."""
+    base point and the values of ``RandersChange.at`` there.  Raises
+    ``JetDomainError`` where the changed ``L^2`` jet fails its check or
+    L* = e^sigma L + b_i y^i is not positive, before the changed point
+    ``star`` is built: the changed spec stores only the squared value,
+    which cannot see a sign flip.  Each formula is written over an
+    optional leading point axis, which ``ChangedBlock`` carries."""
 
-    def __init__(self, pair: ChangedPair, base, change, star):
+    def __init__(self, pair: ChangedPair, base, change):
         self._cache = {}
         self.pair = pair
         self.n = pair.n
         self.x, self.y = base.x, base.y
         self.base = base
         self.sigma, self.grad_sigma, self.b_low, self.db = change
-        self.esig, self.beta, self.Lstar = changed_value(base, change)
-        self.L = self.base.L()
-        self.star = star
+        self.esig = float(np.exp(self.sigma))
+        self.beta = float(self.b_low @ self.y)
+        self.L = base.L()
+        self.Lstar = self.esig * self.L + self.beta
+        if not self.Lstar > 0.0:
+            raise JetDomainError(
+                f"changed metric value {self.Lstar:.6g} not positive at "
+                f"x={self.x.tolist()}, y={self.y.tolist()}")
+        self.star = pair.starred.point(self.x, self.y)
         self.tau = self.esig * self.Lstar / self.L
 
     # -- scalars ---------------------------------------------------------
@@ -322,31 +307,32 @@ class ChangedPoint:
 
 
 class ChangedBlock(ChangedPoint):
-    """Changed points whose base and changed points are members of one
-    base and one changed ``PointBlock``, as one ``ChangedPoint`` with a
-    leading point axis: its ``base`` and ``star`` are the ``PointRows``
-    of those members, and ``y``, sigma, its gradient, b, db and the
-    numbers of construction (``esig``, ``beta``, ``Lstar``, ``L``,
-    ``tau``) are the points' own, stacked.  Every formula of
-    ``ChangedPoint`` then runs once on arrays, bit for bit its value at
-    each point."""
+    """The admitted columns of one sampled chunk as one ``ChangedPoint``
+    with a leading point axis.  Its ``base`` and ``star`` are the
+    ``core.PointRows`` of those columns of the chunk's base and changed
+    ``PointBlock``; ``change`` is (sigma, its gradient, b, db) at them,
+    point axis first.  ``y`` and the numbers of construction (``esig``,
+    ``beta``, ``Lstar``, ``L``, ``tau``) are computed from those arrays
+    with the one-point formulas, so that every formula of
+    ``ChangedPoint`` runs once on arrays, bit for bit its value at each
+    point alone."""
 
-    def __init__(self, cps):
+    def __init__(self, pair, base, star, columns, change):
         self._cache = {}
-        self.pair = cps[0].pair
-        self.n = self.pair.n
-        self.base = PointRows([cp.base for cp in cps])
-        self.star = PointRows([cp.star for cp in cps])
-        for name in ("y", "sigma", "grad_sigma", "b_low", "db", "esig",
-                     "beta", "Lstar", "L", "tau"):
-            setattr(self, name, np.array([getattr(cp, name) for cp in cps]))
+        self.pair = pair
+        self.n = pair.n
+        self.base = PointRows(base, columns)
+        self.star = PointRows(star, columns)
+        self.y = self.base.y
+        self.sigma, self.grad_sigma, self.b_low, self.db = change
+        self.esig = np.exp(self.sigma)
+        self.beta = dot(self.b_low, self.y)
+        self.L = self.base.L()
+        self.Lstar = self.esig * self.L + self.beta
+        self.tau = self.esig * self.Lstar / self.L
 
 
-def changed_blocks(cps):
-    """The ``ChangedBlock``s of sampled changed points: one per pair of
-    blocks their base and changed points are members of, in the order of
-    ``cps``."""
-    groups = {}
-    for cp in cps:
-        groups.setdefault((cp.base._block, cp.star._block), []).append(cp)
-    return [ChangedBlock(group) for group in groups.values()]
+def changed_blocks(points):
+    """The ``ChangedBlock``s of sampled points (``sampling.sample_points``),
+    one per chunk with an admitted draw, in sample order."""
+    return points.blocks

@@ -20,31 +20,28 @@ is built for the heavy tensors; W reads its values from the same jets.
 
 Every jet layer (those of L^2, the spray, R and W) is a method under one
 decorator, ``_layer``, which caches it with the order it was computed at.
-A lone point (one without a block) computes every layer after its
-order-2 ``L^2`` jet at the layer's top order, the highest that any
-tensor reads from it, so that a full tensor stack computes each layer
-once: a lower order is a cut of the top order, bit for bit.  Sampled
-points live in ``PointBlock``s: a block is the sampler's chunk of
-candidate draws as one point with a point axis.  It is built from its
-order-2 jet of L^2, as a point is, and runs the same code for the light
-jet layers (those ``riemann`` needs) on jets whose coefficients carry
-that axis, each layer reading the block's own lower layers.  Its
-admitted draws are its members (``PointBlock.point``), from their
-order-2 ``L^2`` jet on: they read their columns of the light layers
-through, uncached, bit for bit what they would have computed alone.  A
-column whose ``L^2`` jet fails its check, or whose draw is not admitted,
-is left out, and a block evaluation that raises leaves out every column
-(``PointBlock.evaluate``).
+A lone point computes every layer after its order-2 ``L^2`` jet at the
+layer's top order, the highest that any tensor reads from it, so that a
+full tensor stack computes each layer once: a lower order is a cut of the
+top order, bit for bit.  Sampled points are columns of ``PointBlock``s: a
+block is the sampler's chunk of candidate draws as one point with a point
+axis.  It is built from its order-2 jet of L^2, as a point is, and runs
+the same code for the light jet layers (those ``riemann`` needs) on jets
+whose coefficients carry that axis, each layer reading the block's own
+lower layers, at the orders asked for.  A column whose ``L^2`` jet fails
+its check, or whose draw is not admitted, is left out, and a block
+evaluation that raises leaves out every column (``PointBlock.evaluate``).
 
 The light tensors (``ROW_TENSORS``, ``L2`` to ``riemann``) are written
 once over an optional leading point axis, on the class both share: a
 point's are its own arrays, a block's have one row per column, read from
-its cached layers.  ``PointRows`` gives the rows of a block's members,
-and the lone tensors of members that compute alone, in their places, so
-that checks over many sampled points measure arrays, not points.  The
-module's formulas over that axis (``dot``, ``matvec``, ``outer``,
-``per_point``, ``float_pow``, ``horizontal_covariant``) round as their
-one-point forms do at every point.
+its cached layers.  ``PointRows`` gives the rows of some columns of a
+block, or, where the block has left them out, the stacked tensors of
+lone points at their coordinates, so that checks over many sampled
+points measure arrays, not points.  The module's formulas over that axis
+(``dot``, ``matvec``, ``outer``, ``per_point``, ``float_pow``,
+``horizontal_covariant``) round as their one-point forms do at every
+point.
 
 Index conventions: arrays are 0-based; for a connection-like array ``T``
 the first axis is the upper index.  Jet variable slots are ``i`` for x^i
@@ -68,8 +65,8 @@ from .lang import MetricSpec, SpecError, _l2
 from .memo import cached
 
 # The errors of a block evaluation that clear every column of the block
-# (``PointBlock.evaluate``), so that each member computes alone and raises
-# its own.
+# (``PointBlock.evaluate``), so that each of its points is computed alone
+# and raises its own.
 FALLBACK_ERRORS = (JetError, SpecError, ValueError, ArithmeticError)
 
 # The x-degree that jets of L^2 keep.  No tensor reads more than two
@@ -219,23 +216,20 @@ class FinslerSpace:
         return G
 
 
-def _layer(top, cap):
+def _layer(top):
     """Cache a jet layer ``method(self, order)`` in the instance's
     ``_cache`` dict, keyed by the method's name, with the order it was
     computed at.  A call at that order or below returns the cached
     result, which may carry more orders than asked for: a caller that
     combines it with other jets cuts it with ``Jet.truncated`` first.
 
-    A higher order, up to ``cap``, reads the point's column of its
-    ``PointBlock``'s layer (``PointBlock.evaluate``) while that column is
-    ``ok``, caching nothing; otherwise the layer is computed and replaces
-    the cached result.  A point whose ``_top`` is set computes it at
-    ``top``, the highest order any tensor reads from it, if that is
-    higher, so that each layer is computed once; a lower order is a cut
-    of it, bit for bit.  That attempt runs with floating-point errors
-    raised: where it raises one of ``FALLBACK_ERRORS``, the point clears
-    ``_top`` and computes the order asked for, as it would have without
-    the attempt."""
+    A higher order is computed and replaces the cached result.  A point
+    whose ``_top`` is set computes it at ``top``, the highest order any
+    tensor reads from it, if that is higher, so that each layer is
+    computed once; a lower order is a cut of it, bit for bit.  That
+    attempt runs with floating-point errors raised: where it raises one of
+    ``FALLBACK_ERRORS``, the point clears ``_top`` and computes the order
+    asked for, as it would have without the attempt."""
     def decorate(method):
         name = method.__name__
 
@@ -244,11 +238,6 @@ def _layer(top, cap):
             got = self._cache.get(name)
             if got is not None and got[0] >= order:
                 return got[1]
-            block = self._block
-            if block is not None and order <= cap and block.ok[self._p]:
-                value = block.evaluate(name, order)
-                if block.ok[self._p]:
-                    return _column(value, self._p)
             if self._top and order < top:
                 try:
                     with np.errstate(over="raise", invalid="raise",
@@ -261,15 +250,6 @@ def _layer(top, cap):
             return got[1]
         return layer
     return decorate
-
-
-def _column(value, p):
-    """Column ``p`` of a structure of block jets (a jet, or lists and
-    tuples of them): the same structure of one-point jets whose
-    coefficients are views of the block's."""
-    if isinstance(value, Jet):
-        return Jet(value.space, value.coeffs[:, p])
-    return type(value)([_column(v, p) for v in value])
 
 
 def _stacked(jets):
@@ -333,14 +313,10 @@ class JetLayers:
     tensors read from them (``ROW_TENSORS``).  The same code serves one
     point, with coordinates of shape ``(n,)``, and a ``PointBlock``, whose
     coordinates of shape ``(n, P)`` carry a point axis into every jet and,
-    put first by ``_lead``, into every tensor.  ``_block`` is the block a
-    point reads the light layers (those ``riemann`` needs) through, and
-    ``_p`` its column there; a block reads through none, and the Weyl
-    jets are read through at no order.  ``_top`` is set on a lone point
-    after construction, while it builds its layers at their top
-    orders."""
+    put first by ``_lead``, into every tensor.  ``_top`` is set on a
+    point after construction, while it builds its layers at their top
+    orders; a block builds them at the orders asked for."""
 
-    _block = None
     _top = False
 
     def _lead(self, a):
@@ -352,7 +328,7 @@ class JetLayers:
         """A number of the point, read from jets: a float for a point."""
         return float(v)
 
-    @_layer(6, 4)
+    @_layer(6)
     def _f2(self, order):
         """(seed jets of y, jet of L^2) over (x, y), capped at x-degree
         ``L2_XCAP``, evaluated on jets at every order, by a point and a
@@ -362,7 +338,7 @@ class JetLayers:
         self._check_l2(f2, order)
         return list(env.values())[self.n:], f2
 
-    @_layer(4, 2)
+    @_layer(4)
     def _spray_jets(self, order):
         """The spray G^i as jets, capped at x-degree 1."""
         n = self.n
@@ -377,7 +353,7 @@ class JetLayers:
             rhs.append((acc - f2.deriv(l).truncated(order)) * 0.25)
         return jet_linear_solve(g, rhs)
 
-    @_layer(2, 0)
+    @_layer(2)
     def _riemann_jets(self, order):
         """The curvature deviation R^i_k as jets, capped at x-degree 0.
         The spray is one jet with an index axis after the point axis,
@@ -403,7 +379,7 @@ class JetLayers:
             acc = acc - _at(N, i * n + j) * _at(N, j * n + k)
         return [[_at(acc, i * n + k) for k in range(n)] for i in range(n)]
 
-    @_layer(1, -1)    # no order reads through
+    @_layer(1)
     def _weyl_jets(self, order):
         """Projectively invariant curvature deviation W^i_k as jets, capped
         at x-degree 0."""
@@ -519,22 +495,19 @@ class JetLayers:
 class PointBlock(JetLayers):
     """Points of one space as one point with a point axis, whose light jet
     layers are evaluated together: ``_f2`` up to order 4, ``_spray_jets``
-    up to order 2 and ``_riemann_jets(0)``.  ``x`` and ``y`` have shape
-    ``(n, P)``; ``point`` makes the member of a column.  Construction
-    reads the order-2 jet of L^2 under ``evaluate``, as a point's does,
-    and clears ``ok`` where it fails its check, or everywhere where it
-    raises.
+    up to order 2 and ``_riemann_jets(0)``, once per order, with
+    ``PointGeometry``'s code on the block's own cache, so that a layer
+    reads the block's lower layers.  ``x`` and ``y`` have shape ``(n,
+    P)``.  Construction reads the order-2 jet of L^2 under ``evaluate``,
+    as a point's does.
 
-    A member that asks for such a layer at an order its own cache lacks
-    reads its column of the block's layer, which the block computes for
-    all its points, once per order, with ``PointGeometry``'s code on its
-    own cache, so that a layer reads the block's lower layers.  ``ok``
+    ``ok`` marks the columns whose values stand for their points: it
     clears the columns whose ``L^2`` jet fails its check, all columns
-    where a block evaluation raises, and those ``keep`` leaves out; their
-    members compute alone, so they raise their own errors.  The light
-    tensors (``ROW_TENSORS``) of a block are arrays whose first axis
-    indexes its columns, read from its layers with the code a point runs
-    (``JetLayers``); ``PointRows`` reads its members' rows from them."""
+    where a block evaluation raises, and those ``keep`` leaves out; such
+    points are computed alone (``PointRows``), so they raise their own
+    errors.  The light tensors (``ROW_TENSORS``) of a block are arrays
+    whose first axis indexes its columns, read from its layers with the
+    code a point runs (``JetLayers``)."""
 
     def __init__(self, space, x, y):
         self.space = space
@@ -549,7 +522,7 @@ class PointBlock(JetLayers):
         """The block's jet layer or tensor ``name``, called with ``args``;
         None, with every column cleared, where it raises one of
         ``FALLBACK_ERRORS``: a failure belongs to a column, which its
-        member finds alone."""
+        point, computed alone, finds."""
         try:
             return getattr(self, name)(*args)
         except FALLBACK_ERRORS:
@@ -565,17 +538,11 @@ class PointBlock(JetLayers):
         """A number of each point, as an array."""
         return np.array(v)
 
-    def point(self, p, x, y):
-        """The point ``(x, y)`` of column ``p`` as a member, which reads its
-        light jet layers, its order-2 ``L^2`` jet too, through the block."""
-        return PointGeometry(self.space, x, y, self, p)
-
     def keep(self, columns):
-        """Set ``ok`` to exactly ``columns``, so that only their members
-        read through the block, also where construction cleared every
-        column, and give the other columns the coordinates and the order-2
-        ``L^2`` jet of a kept one: neither a later layer nor a tensor of
-        the block meets a draw that was rejected."""
+        """Set ``ok`` to exactly ``columns``, also where construction
+        cleared every column, and give the other columns the coordinates
+        and the order-2 ``L^2`` jet of a kept one: neither a later layer
+        nor a tensor of the block meets a draw that was rejected."""
         self.ok[:] = False
         self.ok[columns] = True
         arrays = [self.x, self.y]
@@ -595,8 +562,8 @@ class PointBlock(JetLayers):
 
     def _fill(self, *arrays):
         """Give the columns of ``arrays`` outside ``ok`` the values of the
-        first ``ok`` one: no member reads them again, and their infs would
-        meet zeros in the block's later layers."""
+        first ``ok`` one: no row is read from them again, and their infs
+        would meet zeros in the block's later layers."""
         if self.ok.any() and not self.ok.all():
             good = [int(np.argmax(self.ok))]
             for a in arrays:
@@ -611,21 +578,24 @@ ROW_TENSORS = ("L2", "L", "y_low", "l_low", "g_low", "det_g", "g_up",
 
 
 class PointRows:
-    """The light tensors of points of one space, members of one
-    ``PointBlock``, as arrays whose first axis indexes the points:
-    ``rows.g_low()`` and so on for each name in ``ROW_TENSORS``, cached.
+    """The light tensors at some columns of a ``PointBlock``, as arrays
+    whose first axis indexes those columns: ``rows.g_low()`` and so on for
+    each name in ``ROW_TENSORS``, cached.  ``x`` and ``y`` are the
+    columns' coordinates, point axis first, as they stood at
+    construction.
 
-    A member reads its row of the block's tensor while its column is
-    ``ok``, unless it has computed a jet layer alone; then it computes its
-    tensor alone, as its own method does, raising its own errors, and
-    its row holds that.  The block computes a tensor only where a member
-    reads it, so it evaluates no jet layer that its members would not
-    have read through; each row is bit for bit the point's own tensor."""
+    A tensor is the block's rows while every one of the columns is
+    ``ok``, so the block computes it only where it is read.  Otherwise
+    (the block left a column out, or its evaluation raised) it is the
+    stacked tensors of lone points built at ``x`` and ``y``, once, which
+    raise their own errors.  Either way each row is bit for bit the lone
+    point's tensor."""
 
-    def __init__(self, points):
-        self.points = points
-        self.block = points[0]._block
-        self.columns = np.array([pg._p for pg in points])
+    def __init__(self, block, columns):
+        self.block = block
+        self.columns = np.asarray(columns, dtype=int)
+        self.x = np.ascontiguousarray(block.x[:, self.columns].T)
+        self.y = np.ascontiguousarray(block.y[:, self.columns].T)
         self._cache = {}
 
     def __getattr__(self, name):
@@ -634,38 +604,31 @@ class PointRows:
         return functools.partial(self._rows, name)
 
     def _rows(self, name):
-        got = self._cache.get(name)
-        if got is not None:
-            return got
-        block, columns = self.block, self.columns
-        through = np.array(["_f2" not in pg._cache for pg in self.points])
-        value = None
-        if (through & block.ok[columns]).any():
-            value = block.evaluate(name)
-        through &= block.ok[columns]
-        if through.all():
-            got = value[columns]
-        else:
-            got = np.array([value[p] if t else getattr(pg, name)()
-                            for pg, p, t in zip(self.points, columns,
-                                                through)])
-        self._cache[name] = got
-        return got
+        if name not in self._cache:
+            block, columns = self.block, self.columns
+            value = block.evaluate(name) if block.ok[columns].all() else None
+            self._cache[name] = (
+                value[columns] if block.ok[columns].all() else
+                np.array([getattr(pg, name)() for pg in self.points()]))
+        return self._cache[name]
+
+    @cached
+    def points(self):
+        """The lone points at the rows' coordinates."""
+        space = self.block.space
+        return [space.point(x, y) for x, y in zip(self.x, self.y)]
 
 
 class PointGeometry(JetLayers):
     """Lazily computed tensors of a Finsler space at one (x, y).
 
-    Construction reads the order-2 jet of L^2, raising where ``_f2`` does,
-    unless the point is a member of an ``ok`` column of its block, which
-    has passed that check; jets stay cached at their highest order,
-    tensors by name, in ``_cache``.  ``_block`` is the ``PointBlock`` of
-    a sampled point, else None, and ``_p`` its column there.  A lone
-    point, with no block, computes its later jet layers at their top
-    orders (``_layer``).
+    Construction reads the order-2 jet of L^2, raising where ``_f2`` does;
+    jets stay cached at their highest order, tensors by name, in
+    ``_cache``.  After construction the point computes its later jet
+    layers at their top orders (``_layer``).
     """
 
-    def __init__(self, space, x, y, block=None, p=None):
+    def __init__(self, space, x, y):
         self.space = space
         self.n = space.n
         self.x = np.asarray(x, dtype=float)
@@ -673,10 +636,8 @@ class PointGeometry(JetLayers):
         if self.x.shape != (self.n,) or self.y.shape != (self.n,):
             raise ValueError(f"expected {self.n} coordinates")
         self._cache = {}
-        self._block, self._p = block, p
-        if block is None or not block.ok[p]:
-            self._f2(2)
-        self._top = block is None
+        self._f2(2)
+        self._top = True
 
     # -- jet-level intermediates ------------------------------------------
 

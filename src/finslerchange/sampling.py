@@ -1,10 +1,7 @@
 """Seeded sampling of evaluation points from a spec's declared domains.
 
 Points are drawn uniformly from the x-box, supporting elements from the
-y-annulus (uniform direction times uniform radius).  Each draw is admitted
-by building its geometry (a ``ChangedPoint``, or a ``HyperPoint`` on a
-hypersurface), and the samplers return those objects, so callers evaluate
-the admitted points without building them again.  Draws violating
+y-annulus (uniform direction times uniform radius).  Draws violating
 positivity or regularity of the metric are rejected; a rejection rate
 above 99% raises, since it means the declared domain is unusable.
 
@@ -13,19 +10,24 @@ than the points still wanted or the attempts left, so the generator
 makes the same calls in the same order as one draw at a time would.
 ``sample_points`` makes a chunk's base and changed ``core.PointBlock``,
 each built from its order-2 ``L^2`` jet, and evaluates its ``sigma`` and
-``b`` as blocks too; each admitted point is a member of the chunk's two
-blocks, which evaluate its light jet layers together with the chunk's
-other admitted points.  Where draws are rejected, a block has fewer
-members than columns, and the next chunk is smaller.  A block
-evaluation that raises clears every column of its block, whose members
-then compute alone, and so raise their own errors or are admitted.
+``b`` as blocks too; it judges the chunk's draws from the rows of those
+blocks, and its admitted draws stay columns of them, which evaluate
+their light jet layers together (``change.ChangedBlock``).  Where draws
+are rejected, a block has columns it leaves out, and the next chunk is
+smaller.  A chunk where one of the three block evaluations raises is
+judged draw by draw, each draw as a lone point, which raises its own
+errors or is admitted.  A hypersurface sampler admits each draw by
+building its ``HyperPoint``, and returns those.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
-from .core import FALLBACK_ERRORS, PointBlock
+from .change import ChangedBlock
+from .core import FALLBACK_ERRORS, PointBlock, float_pow
 from .jets import JetDomainError
 
 _MAX_TRIES_PER_POINT = 100
@@ -73,55 +75,88 @@ def _rejection_loop(count, admit, what):
     return out, attempts - count
 
 
+class Samples(Sequence):
+    """The admitted samples of a ``ChangedPair``, in draw order: ``coords``
+    holds the (x, y) of each, and ``blocks`` the ``ChangedBlock`` of each
+    chunk with an admitted draw, whose columns are those samples, in the
+    same order.  Item ``i`` is the lone ``ChangedPoint`` at ``coords[i]``,
+    built by ``pair.at`` on each request and not kept."""
+
+    def __init__(self, pair, coords, blocks):
+        self.pair = pair
+        self.coords = coords
+        self.blocks = blocks
+
+    def __len__(self):
+        return len(self.coords)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self.pair.at(x, y) for x, y in self.coords[i]]
+        return self.pair.at(*self.coords[i])
+
+
 def _admit_block(pair, draws):
-    """The ``_regular`` ``ChangedPoint``s of the draws whose base and
-    changed ``L^2`` jets pass their checks and whose L* is positive, in
-    draw order.  The base jets, ``sigma`` and ``b`` of all draws are each
-    one block evaluation, and the changed jets one more, on the base
-    block's filled coordinates, so a draw's changed member, built after
-    its base member passed, is its column; the points are members of the
-    two blocks, which keep only their columns.  ``sigma`` and ``b`` are
-    evaluated per draw where their block evaluation raises."""
+    """(admitted draws, ``ChangedBlock`` of their columns) of a chunk of
+    draws, in draw order.  The base jets, ``sigma`` and ``b`` of all draws
+    are each one block evaluation, and the changed jets one more, on the
+    base block's filled coordinates.  The draws whose ``L^2`` jets pass
+    their checks are tried, and admitted where their rows are
+    ``_regular``.  Where one of the three evaluations raises (a block left
+    with no ``ok`` column), a draw is tried where the lone point
+    ``pair.at`` builds raises nothing, and the blocks keep the tried
+    columns, to evaluate them again."""
     x = np.stack([d[0] for d in draws], axis=1)
     y = np.stack([d[1] for d in draws], axis=1)
     base = PointBlock(pair.base, x, y)
     try:
-        change = pair.change.at(x)
+        change = [np.moveaxis(a, -1, 0) for a in pair.change.at(x)]
     except FALLBACK_ERRORS:
-        change = [None] * len(draws)
+        change = None
     star = PointBlock(pair.starred, base.x, base.y)
-    # a column that failed its check rejects its draw, whose member would
-    # raise alone; a block that raised left every column to its member
-    tried = (base.ok | ~base.ok.any()) & (star.ok | ~star.ok.any())
-    points = {}
-    for p in np.flatnonzero(tried):
-        xp, yp = draws[p]
-        try:
-            cp = pair.at(xp, yp, base.point(p, xp, yp), change[p],
-                         star.point(p, xp, yp))
-        except (ValueError, ZeroDivisionError, JetDomainError):
-            continue
-        if _regular(cp):
-            points[p] = cp
-    base.keep(list(points))
-    star.keep(list(points))
-    return list(points.values())
+    if change is not None and base.ok.any() and star.ok.any():
+        tried = np.flatnonzero(base.ok & star.ok)
+        change = [a[tried] for a in change]
+    else:
+        cps = {}
+        for p, draw in enumerate(draws):
+            try:
+                cps[p] = pair.at(*draw)
+            except (ValueError, ZeroDivisionError, JetDomainError):
+                pass
+        tried = np.array(list(cps), dtype=int)
+        change = [np.array([getattr(cp, name) for cp in cps.values()])
+                  for name in ("sigma", "grad_sigma", "b_low", "db")]
+        base.keep(tried)
+        star.keep(tried)
+    if not tried.size:
+        return [], None
+    good = _regular(ChangedBlock(pair, base, star, tried, change))
+    base.keep(tried[good])
+    star.keep(tried[good])
+    return ([draws[p] for p in tried[good]],
+            ChangedBlock(pair, base, star, tried[good],
+                         [a[good] for a in change]) if good.any() else None)
 
 
-def _regular(cp):
-    """Whether ``L^2`` and L* are finite and above 1e-12 and the base
-    fundamental tensor is invertible."""
-    vals = (cp.base.L2(), cp.Lstar)
-    if not all(np.isfinite(v) and v > 1e-12 for v in vals):
-        return False
-    det = cp.base.det_g()
-    scale = max(1.0, float(np.max(np.abs(cp.base.g_low())))) ** cp.n
-    return bool(np.isfinite(det) and abs(det) > 1e-10 * scale)
+def _regular(cb):
+    """Which points of the ``ChangedBlock`` ``cb`` are regular: the base
+    ``L^2`` and L* finite and above 1e-12, and ``|det g| > 1e-10 max(1,
+    max |g_ij|)^n`` for the base ``g``, the power in Python floats
+    (``core.float_pow``) as ``max(1.0, ...) ** n`` of one point, taken
+    only where the values pass."""
+    L2, Lstar = cb.base.L2(), cb.Lstar
+    good = (np.isfinite(L2) & (L2 > 1e-12)
+            & np.isfinite(Lstar) & (Lstar > 1e-12))
+    g, det = cb.base.g_low()[good], cb.base.det_g()[good]
+    scale = float_pow(np.fmax(1.0, np.max(np.abs(g), axis=(1, 2))), cb.n)
+    good[good] = np.isfinite(det) & (np.abs(det) > 1e-10 * scale)
+    return good
 
 
 def sample_points(pair, count, seed):
     """Draw ``count`` admitted points of a ``ChangedPair`` from its base
-    domain.  Returns (``ChangedPoint`` list, rejected draw count).
+    domain.  Returns (``Samples``, rejected draw count).
 
     A draw is admitted where the base value ``L^2`` and the signed changed
     value ``e^sigma L + b_i y^i`` are finite and above 1e-12 (the changed
@@ -130,29 +165,34 @@ def sample_points(pair, count, seed):
     coefficients the package computes: admission reads order-2 jets,
     which hold every coefficient, and a higher tensor of an admitted
     point raises only where a coefficient of x-degree at most
-    ``core.L2_XCAP`` is not finite.  Each chunk of draws is
-    judged from block evaluations of its order-2 ``L^2`` jets and its
-    ``sigma`` and ``b``; where one of those raises, the draws it covers
-    are judged alone.  Either way a point is bit for bit the one
-    ``pair.at`` builds alone, and the same draws are admitted."""
+    ``core.L2_XCAP`` is not finite.  Each chunk of draws is judged from
+    block evaluations of its order-2 ``L^2`` jets and its ``sigma`` and
+    ``b``; where one of those raises, the chunk's draws are judged alone.
+    Either way the same draws are admitted as one draw at a time, and a
+    block's rows are bit for bit the lone points' values."""
     rng = np.random.default_rng(seed)
     space = pair.base
     box = space.spec.x_box
     annulus = space.spec.y_annulus
+    blocks = []
 
     def admit(k):
-        return _admit_block(pair, [
+        coords, block = _admit_block(pair, [
             (_draw_x(rng, box), _draw_y(rng, space.n, annulus))
             for _ in range(k)])
+        if block is not None:
+            blocks.append(block)
+        return coords
 
-    return _rejection_loop(count, admit, "points")
+    coords, rejected = _rejection_loop(count, admit, "points")
+    return Samples(pair, coords, blocks), rejected
 
 
 def sample_pair_points(pair, count, seed):
     """The (x, y) coordinates of ``sample_points``.
     Returns (points, rejected_count)."""
-    cps, rejected = sample_points(pair, count, seed)
-    return [(cp.x, cp.y) for cp in cps], rejected
+    points, rejected = sample_points(pair, count, seed)
+    return points.coords, rejected
 
 
 def sample_hyper_points(hgeom, count, seed):

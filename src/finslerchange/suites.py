@@ -15,7 +15,8 @@ block forms, ``SuiteRun.cblocks``: arrays whose first axis indexes
 points, each point's error reduced before the maximum
 (``report.stacked_errors``).  The rows over a few points (heavy,
 invariant and finite-difference points, geodesics, hypersurface points)
-measure point by point (``_each``).
+measure point by point (``_each``), on lone points built once per run
+(``SuiteRun.lone``).
 
 Verdict policy: ``fail`` is reserved for violations of laws the
 configuration is supposed to satisfy (these drive the exit status).
@@ -92,7 +93,8 @@ class SuiteConfig:
 
 class SuiteRun:
     """Shared state for one verification run: the changed pair, the
-    sampled points, and the lazily computed data the checks share."""
+    sampled points (their coordinates and ``ChangedBlock``s), and the
+    lazily computed data the checks share."""
 
     def __init__(self, config: SuiteConfig):
         self.cfg = config
@@ -106,30 +108,39 @@ class SuiteRun:
 
     @cached
     def sampled(self):
-        """(changed points, rejected draw count) of the pair sampler."""
+        """(``sampling.Samples``, rejected draw count) of the pair
+        sampler."""
         return sample_points(self.pair, self.cfg.samples, self.cfg.seed)
 
-    def cpoints(self):
-        return self.sampled()[0]
+    def coords(self):
+        """The (x, y) of each sample, in sample order."""
+        return self.sampled()[0].coords
 
-    @cached
     def cblocks(self):
-        """The sampled points as ``ChangedBlock``s, one per pair of blocks
-        their members share, in sample order."""
-        return changed_blocks(self.cpoints())
+        """The samples as ``ChangedBlock``s, one per sampled chunk, in
+        sample order."""
+        return changed_blocks(self.sampled()[0])
+
+    def lone(self, count):
+        """The lone ``ChangedPoint``s of the first ``count`` samples, each
+        built once per run."""
+        points = self._cache.setdefault("lone", [])
+        for x, y in self.coords()[len(points):count]:
+            points.append(self.pair.at(x, y))
+        return points[:count]
 
     def heavy_points(self):
         """The samples the costly core checks (Weyl, Douglas) run on."""
-        return self.cpoints()[:10 if self.n >= 3 else 25]
+        return self.lone(10 if self.n >= 3 else 25)
 
     def invariant_points(self):
         """The samples the projective-invariant comparisons run on."""
-        return self.cpoints()[:8 if self.n >= 3 else 25]
+        return self.lone(8 if self.n >= 3 else 25)
 
     def fd_points(self):
         """Base-space geometry at the first two samples, probed by the
         finite-difference cross-checks."""
-        return [cp.base for cp in self.cpoints()[:2]]
+        return [cp.base for cp in self.lone(2)]
 
     @cached
     def chpoints(self):
@@ -159,7 +170,7 @@ class SuiteRun:
                             for chp in self.chpoints()])
 
     def geodesic_ics(self):
-        return [(cp.x, cp.y) for cp in self.cpoints()[:5]]
+        return self.coords()[:5]
 
     @cached
     def base_paths(self):
@@ -320,7 +331,7 @@ def _sampled(pairs, residual=False, notes=""):
     compared at the points of ``cb``, point axis first
     (``report.stacked_errors``)."""
     def measure(run, tol):
-        return _verdict(len(run.cpoints()), stacked_errors(
+        return _verdict(len(run.coords()), stacked_errors(
             pair for cb in run.cblocks() for pair in pairs(cb)), tol,
             residual, notes)
     return measure
@@ -371,23 +382,23 @@ def _fd(probe):
 
 
 def _homogeneity(run, tol):
-    cps = run.cpoints()
     rng = np.random.default_rng([run.cfg.seed, 11])
+    values = [Ls for cb in run.cblocks()
+              for Ls in zip(cb.base.L().tolist(), cb.star.L().tolist())]
 
     def pairs():
-        for cp in cps:
+        for (x, y), Ls in zip(run.coords(), values, strict=True):
             lam = rng.uniform(0.5, 2.0)
-            for space, L in ((run.pair.base, cp.base.L()),
-                             (run.pair.starred, cp.star.L())):
-                yield np.sqrt(space.l2(cp.x, lam * cp.y)), lam * L
-    return _judge(len(cps), pairs(), tol)
+            for space, L in zip((run.pair.base, run.pair.starred), Ls):
+                yield np.sqrt(space.l2(x, lam * y)), lam * L
+    return _judge(len(values), pairs(), tol)
 
 
 def _regularity(run, tol):
     floor = min([np.inf] + [v for cb in run.cblocks()
                             for rows in (cb.base, cb.star)
                             for v in np.abs(rows.det_g()).tolist()])
-    return (len(run.cpoints()), 0.0, 0.0, "pass",
+    return (len(run.coords()), 0.0, 0.0, "pass",
             f"min |det g| = {floor:.3e}")
 
 
@@ -411,7 +422,7 @@ def _obstruction(run, tol):
         verdict, note = "reported-residual", (
             f"obstruction between {tol:.0e} and {floor:.0e}: "
             "neither clearly projective nor clearly not")
-    return len(run.cpoints()), defect, defect, verdict, note
+    return len(run.coords()), defect, defect, verdict, note
 
 
 def _tangency(run, tol):
@@ -508,7 +519,7 @@ _VALIDATION = (
     ("valid.homogeneity", "value-scales-linearly-with-support", "euler", (),
      _homogeneity),
     ("valid.positivity", "both-metric-values-positive-on-samples", "euler",
-     (), lambda run, tol: (len(run.cpoints()), 0.0, 0.0, "pass",
+     (), lambda run, tol: (len(run.coords()), 0.0, 0.0, "pass",
                            f"{run.sampled()[1]} candidate draw(s) rejected")),
     ("valid.regularity", "fundamental-tensor-invertible-on-samples", "euler",
      (), _regularity),

@@ -529,24 +529,17 @@ def test_order_cache_keeps_the_highest_order():
 
     class Probe:
         """A point (``x`` a float) or a block (``x`` one value per
-        column) with one jet layer, read through at orders up to 2, whose
-        top order is 5.  Above ``finite`` the layer overflows."""
+        column) with one jet layer, whose top order is 5.  Above
+        ``finite`` the layer overflows."""
 
-        def __init__(self, x, block=None, p=None, fail=False, finite=9):
-            self.x, self._block, self._p, self.fail = x, block, p, fail
-            self.finite = finite
-            self.ok = np.ones(np.shape(x) or 1, dtype=bool)
+        def __init__(self, x, finite=9):
+            self.x, self.finite = x, finite
             self._cache = {}
             self._top = False
 
-        # a block evaluates its layers under the blocks' failure rule
-        evaluate = PointBlock.evaluate
-
-        @core._layer(5, 2)
+        @core._layer(5)
         def jets(self, order):
             calls.append((order, np.shape(self.x)))
-            if self.fail:
-                raise ValueError("block evaluation fails")
             if order > self.finite:
                 np.exp(np.float64(1000.0))
             return lift([self.x], order)
@@ -558,29 +551,12 @@ def test_order_cache_keeps_the_highest_order():
     higher = lone.jets(4)
     assert higher is not first and calls == [(3, ()), (4, ())]
     assert lone.jets(2) is higher
-    # a member reads its column of the block's layer up to the cap, and
-    # caches nothing; the block's cache answers the lower orders
+    # a block computes the orders asked for, once each, for every column
     block = Probe(np.array([0.5, 0.7]))
-    member = Probe(0.7, block, 1)
     calls.clear()
-    got = member.jets(2)
-    assert calls == [(2, (2,))] and member._cache == {}
-    assert np.shares_memory(got[0].coeffs, block.jets(2)[0].coeffs)
-    assert got[0].coeffs.tobytes() == lift([0.7], 2)[0].coeffs.tobytes()
-    assert member.jets(1)[0].order == 2 and calls == [(2, (2,))]
-    # above the cap it computes and caches alone
-    above = member.jets(3)
-    assert calls[-1] == (3, ()) and member.jets(2) is above
-    # so does a member of a column the block has cleared
-    block.ok[0] = False
-    cleared = Probe(0.5, block, 0)
-    assert cleared.jets(1) is cleared.jets(0) and calls[-1] == (1, ())
-    # a block evaluation that raises clears every column, and the member
-    # computes alone
-    failing = Probe(np.array([0.5, 0.7]), fail=True)
-    alone = Probe(0.7, failing, 1)
-    assert alone.jets(1) is alone.jets(0) and not failing.ok.any()
-    assert calls[-2:] == [(1, (2,)), (1, ())]
+    got = block.jets(2)
+    assert block.jets(1) is got and calls == [(2, (2,))]
+    assert got[0].coeffs[:, 1].tobytes() == lift([0.7], 2)[0].coeffs.tobytes()
     # a lone point computes its first order as asked, at construction,
     # and every later one at the top order, which answers the lower ones
     top = Probe(0.5)
@@ -1025,29 +1001,31 @@ def test_block_tensors_equal_single_points_bit_for_bit(monkeypatch, metric,
                                                        block_size):
     monkeypatch.setattr(sampling, "BLOCK_SIZE", block_size)
     pair = ChangedPair(resolve_spec(metric), resolve_spec(change))
-    # tensor by tensor over all points, as the checks ask for them, and
-    # point by point, where the block runs ahead of a member's own orders
-    for by_point in (False, True):
-        cps, _ = sample_points(pair, count, 11)
-        sides = [cp.base for cp in cps] + [cp.star for cp in cps]
-        assert all(pg._block.ok.size <= block_size for pg in sides)
-        requests = [(name, i) for name in LIGHT_TENSORS
-                    for i in range(len(sides))]
-        if by_point:
-            requests.sort(key=lambda request: request[1])
-        got = {(name, i): getattr(sides[i], name)() for name, i in requests}
-        for i, pg in enumerate(sides):
-            alone = pg.space.point(pg.x, pg.y)
-            assert alone._block is None
-            for name in LIGHT_TENSORS:
-                want = np.asarray(getattr(alone, name)())
-                assert np.asarray(got[name, i]).tobytes() == want.tobytes(), (
-                    pg.space.spec.name, by_point, i, name)
+    # tensor by tensor over all blocks, as the checks ask for them: from
+    # the lowest layer up, and from the highest down, where a block's
+    # lower orders are cuts of the higher ones it computed first
+    for names in (LIGHT_TENSORS, LIGHT_TENSORS[::-1]):
+        points, _ = sample_points(pair, count, 11)
+        assert all(cb.base.block.ok.size <= block_size
+                   for cb in points.blocks)
+        got = {}
+        for name in names:
+            for cb in points.blocks:
+                for side, rows in (("base", cb.base), ("star", cb.star)):
+                    got.setdefault((side, name), []).extend(
+                        getattr(rows, name)())
+        for i, (x, y) in enumerate(points.coords):
+            for side, space in (("base", pair.base), ("star", pair.starred)):
+                alone = space.point(x, y)
+                for name in LIGHT_TENSORS:
+                    want = np.asarray(getattr(alone, name)())
+                    assert got[side, name][i].tobytes() == want.tobytes(), (
+                        space.spec.name, names[0], i, name)
 
 
 # e^(800 x1 y1) at x1 = 0.864, y1 = 1: finite order-2 coefficients, and
 # of the order-3 ones x1^2 y1 and x1 y1^2 beyond the float range, so the
-# member's column fails its check.  x1^3 stays finite: the coefficients
+# middle column fails its check.  x1^3 stays finite: the coefficients
 # that fail have x-degree at most 2, which jets of L^2 hold.
 OVERFLOW = ("1e-300 * exp(800 * x1 * y1)", [0.864, 0.0])
 
@@ -1060,14 +1038,13 @@ def _steep_block(L2, x):
     xs = [[0.5, 0.1], x, [0.25, -0.3]]
     y = [1.0, 0.5]
     block = PointBlock(space, np.transpose(xs), np.transpose([y] * len(xs)))
-    members = [block.point(p, xv, y) for p, xv in enumerate(xs)]
-    return space, xs, y, members, block
+    return space, xs, y, block
 
 
 @pytest.mark.parametrize("L2,x,match", [
     OVERFLOW + ("finite order-3",),
     # 1/x1 at x1 = 1e-90: x1^4 underflows in the order-3 series, so the
-    # block's evaluation raises and every member computes alone
+    # block's evaluation raises and every column's point computes alone
     ("1e-200 / x1 * y1^2", [1e-90, 0.0], "reciprocal of value 1e-90"),
 ])
 def test_block_member_raises_its_own_error(monkeypatch, L2, x, match):
@@ -1079,22 +1056,22 @@ def test_block_member_raises_its_own_error(monkeypatch, L2, x, match):
         return eval_l2(self, env)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        space, xs, y, members, _ = _steep_block(L2, x)
+        space, xs, y, block = _steep_block(L2, x)
         with pytest.raises(JetDomainError, match=match) as info:
             space.point(x, y).C_low()
-        want = [None if xv is x else space.point(xv, y).C_low() for xv in xs]
+        want = [space.point(xv, y).C_low() for xv in (xs[0], xs[2])]
         monkeypatch.setattr(MetricSpec, "eval_l2", counting)
-        for xv, pg, ref in zip(xs, members, want):
-            if xv is x:
-                with pytest.raises(JetDomainError) as own:
-                    pg.C_low()
-                assert str(own.value) == str(info.value)
-            else:
-                assert pg.C_low().tobytes() == ref.tobytes()
+        # the rows of every column: the failed column's point, computed
+        # alone, raises its own error
+        with pytest.raises(JetDomainError) as own:
+            PointRows(block, [0, 1, 2]).C_low()
+        assert str(own.value) == str(info.value)
+        got = PointRows(block, [0, 2]).C_low()
+    for row, ref in zip(got, want, strict=True):
+        assert row.tobytes() == ref.tobytes()
     # the block's order-3 evaluation runs once, raising or not; the
-    # members it leaves compute alone
-    assert calls.count((3, (3,))) == 1
-    assert set(calls) == {(3, (3,)), (3, ())}
+    # columns it leaves are computed alone
+    assert [call for call in calls if call[1]] == [(3, (3,))]
 
 
 @pytest.mark.parametrize("names", [("riemann", "berwald"),
@@ -1110,21 +1087,18 @@ def test_block_layer_that_raises_is_evaluated_once(monkeypatch, names):
     # 1/x1 at x1 = 1e-65: x1^5 underflows in the order-4 series, so the
     # block's L^2 at order 4 raises, inside the spray jets that both the
     # R jets and berwald read
-    space, xs, y, members, _ = _steep_block("1e-200 / x1 * y1^2",
-                                            [1e-65, 0.0])
+    space, xs, y, block = _steep_block("1e-200 / x1 * y1^2", [1e-65, 0.0])
     monkeypatch.setattr(MetricSpec, "eval_l2", counting)
+    bad, rows = PointRows(block, [1]), PointRows(block, [0, 2])
     for name in names:
-        for pg in members:
-            alone = space.point(pg.x, pg.y)
-            if pg is members[1]:
-                with pytest.raises(JetDomainError, match="1e-65") as want:
-                    getattr(alone, name)()
-                with pytest.raises(JetDomainError) as got:
-                    getattr(pg, name)()
-                assert str(got.value) == str(want.value)
-            else:
-                want = getattr(alone, name)()
-                assert getattr(pg, name)().tobytes() == want.tobytes()
+        with pytest.raises(JetDomainError, match="1e-65") as want:
+            getattr(space.point(xs[1], y), name)()
+        with pytest.raises(JetDomainError) as got:
+            getattr(bad, name)()
+        assert str(got.value) == str(want.value)
+        for p, row in zip((0, 2), getattr(rows, name)()):
+            alone = getattr(space.point(xs[p], y), name)()
+            assert row.tobytes() == alone.tobytes()
     assert calls.count((4, (3,))) == 1
 
 
@@ -1139,34 +1113,36 @@ def test_failing_column_spares_the_other_members(monkeypatch):
     # the failed column's order-3 overflow is expected; an inf of it that
     # met a zero in a later layer of the block would raise here
     with np.errstate(over="ignore", invalid="raise"):
-        space, xs, y, members, block = _steep_block(*OVERFLOW)
+        space, xs, y, block = _steep_block(*OVERFLOW)
         monkeypatch.setattr(core, "jet_linear_solve", counting)
-        bad = members[1]
-        healthy = [members[0], members[2]]
-        got = [(pg.n_conn(), pg.berwald(), pg.riemann()) for pg in healthy]
+        # rows keep their columns' coordinates from construction, before
+        # the block gives the failed column a healthy one's
+        rows, bad = PointRows(block, [0, 2]), PointRows(block, [1])
+        got = (rows.n_conn(), rows.berwald(), rows.riemann())
         # one block solve per spray order, none for a single point
         assert solves == [(3,), (3,)]
         assert block.ok.tolist() == [True, False, True]
+        assert block.x[:, 1].tolist() == xs[0] and bad.x.tolist() == [xs[1]]
         with pytest.raises(JetDomainError, match="finite order-3"):
             bad.n_conn()
-        for pg, (N, B, R) in zip(healthy, got):
-            alone = space.point(pg.x, pg.y)
+        for p, N, B, R in zip((0, 2), *got):
+            alone = space.point(xs[p], y)
             assert N.tobytes() == alone.n_conn().tobytes()
             assert B.tobytes() == alone.berwald().tobytes()
             assert R.tobytes() == alone.riemann().tobytes()
     # the block gave the failed column a healthy one's values
-    for _, layer in block._cache.values():
+    for name, (_, layer) in _layers(block):
         assert all(np.isfinite(j.coeffs).all() for j in _jets_in(layer))
 
 
 def test_columns_keep_leaves_out_never_reach_the_blocks_later_layers():
-    space, xs, y, members, block = _steep_block(*OVERFLOW)
+    space, xs, y, block = _steep_block(*OVERFLOW)
     block.keep([0, 2])
     assert block.ok.tolist() == [True, False, True]
     assert block.x[:, 1].tolist() == xs[0]
     # the left-out column's order-3 coefficients would overflow
     with np.errstate(all="raise"):
-        got = [members[p].C_low() for p in (0, 2)]
+        got = PointRows(block, [0, 2]).C_low()
     assert block._cache["_f2"][0] == 3
     for p, C in zip((0, 2), got):
         assert C.tobytes() == space.point(xs[p], y).C_low().tobytes()
@@ -1176,73 +1152,31 @@ def test_columns_keep_leaves_out_never_reach_the_blocks_later_layers():
                                          name="flat-at-x1-0"))
     xs = [[0.5, 0.1], [0.0, 0.2], [0.25, -0.3]]
     block = PointBlock(space, np.transpose(xs), np.transpose([y] * 3))
-    members = [block.point(p, xs[p], y) for p in (0, 2)]
     block.keep([0, 2])
-    rows = PointRows(members)
+    rows = PointRows(block, [0, 2])
     got = rows.g_up()
     assert block.ok.tolist() == [True, False, True]
-    for pg, g_up in zip(members, got):
-        want = space.point(pg.x, pg.y).g_up()
+    for p, g_up in zip((0, 2), got):
+        want = space.point(xs[p], y).g_up()
         assert g_up.tobytes() == want.tobytes()
-
-
-
-def test_member_of_a_failed_column_raises_at_construction(monkeypatch):
-    # L^2 < 0 at the middle point only
-    space = FinslerSpace(parse_spec_text(
-        "dim 2\nL2 = (1 - 2 * x2^2) * (y1^2 + y2^2)\n", name="dented"))
-    xs = [[0.5, 0.1], [0.0, 0.9], [0.25, -0.3]]
-    y = [1.0, 0.5]
-    with pytest.raises(JetDomainError, match="is not positive") as alone:
-        space.point(xs[1], y)
-    reads = []
-    column = core._column
-
-    def counting(value, p):
-        reads.append(p)
-        return column(value, p)
-
-    monkeypatch.setattr(core, "_column", counting)
-    # the block runs the order-2 check at construction, as a point does
-    block = PointBlock(space, np.transpose(xs), np.transpose([y] * 3))
-    assert block.ok.tolist() == [True, False, True]
-    with pytest.raises(JetDomainError) as got:
-        block.point(1, xs[1], y)
-    assert str(got.value) == str(alone.value)
-    members = [block.point(p, xs[p], y) for p in (0, 2)]
-    # a member of an ok column reads nothing at construction
-    assert reads == []
-    for p, pg in zip((0, 2), members):
-        want = space.point(xs[p], y).g_low()
-        assert pg.g_low().tobytes() == want.tobytes()
-    assert sorted(set(reads)) == [0, 2]
-    # the block's order-2 evaluation raises at the middle point only: it
-    # clears every column, and each member computes alone
+    # a block whose order-2 evaluation raised at the middle point only
+    # cleared every column; once kept, its rows come from the block again:
+    # the Cartan tensor from L^2 at order 3, the Berwald connection from
+    # the spray at order 2 and L^2 at order 4
     space = FinslerSpace(parse_spec_text(
         "dim 2\nL2 = (y1^2 + y2^2) * sqrt(x1 + 0.3)\n", name="rooted"))
     xs = [[0.5, 0.1], [-0.8, 0.9], [0.25, -0.3]]
-    with pytest.raises(JetDomainError, match="sqrt") as alone:
-        space.point(xs[1], y)
     block = PointBlock(space, np.transpose(xs), np.transpose([y] * 3))
-    assert block.ok.tolist() == [False] * 3
-    with pytest.raises(JetDomainError) as got:
-        block.point(1, xs[1], y)
-    assert str(got.value) == str(alone.value)
-    reads.clear()
-    members = [block.point(p, xs[p], y) for p in (0, 2)]
-    assert reads == []
-    # once kept, the admitted members read the later layers through: the
-    # Cartan tensor from L^2 at order 3, the Berwald connection from the
-    # spray at order 2 and L^2 at order 4
+    assert block.ok.tolist() == [False] * 3 and not block._cache
     block.keep([0, 2])
+    rows = PointRows(block, [0, 2])
+    for name in ("C_low", "berwald"):
+        for p, row in zip((0, 2), getattr(rows, name)()):
+            want = getattr(space.point(xs[p], y), name)()
+            assert row.tobytes() == want.tobytes()
     assert block.ok.tolist() == [True, False, True]
-    for p, pg in zip((0, 2), members):
-        lone = space.point(xs[p], y)
-        for name in ("C_low", "berwald"):
-            want = getattr(lone, name)()
-            assert getattr(pg, name)().tobytes() == want.tobytes()
-    assert sorted(set(reads)) == [0, 2]
-    assert block._cache["_f2"][0] == 4
+    assert block._cache["_f2"][0] == 4 and "points" not in rows._cache
+
 
 def _jets_in(value):
     """The jets of a structure of jets, in order."""
@@ -1251,25 +1185,28 @@ def _jets_in(value):
     return [j for v in value for j in _jets_in(v)]
 
 
+def _layers(pg):
+    """(name, (order, jets)) of the jet layers a point or block caches,
+    beside its tensors."""
+    return [(name, got) for name, got in pg._cache.items()
+            if name.startswith("_")]
+
+
 def test_block_members_keep_no_views_of_the_blocks_layers():
     pair = ChangedPair(resolve_spec("randers2"), resolve_spec("projective"))
-    cps, _ = sample_points(pair, 5, 11)
-    members = [cp.base for cp in cps]
-    block = members[0]._block
-    assert all(pg._block is block for pg in members)
-    for pg in members:
-        pg.riemann()
-    block_jets = [j for _, layer in block._cache.values()
-                  for j in _jets_in(layer)]
+    points, _ = sample_points(pair, 5, 11)
+    (cb,) = points.blocks
+    block = cb.base.block
+    got = [getattr(cb.base, name)() for name in core.ROW_TENSORS]
     assert {"_f2", "_spray_jets", "_riemann_jets"} <= set(block._cache)
-    # members read their columns through, their order-2 L^2 jet too, and
-    # cache no jet at all; the tensors they cache are arrays of their own
-    for pg in members:
-        assert pg._cache
-        for value in pg._cache.values():
-            assert not isinstance(value, (tuple, Jet))
-            assert not any(np.shares_memory(value, j.coeffs)
-                           for j in block_jets)
+    block_arrays = [j.coeffs for _, (_, layer) in _layers(block)
+                    for j in _jets_in(layer)]
+    block_arrays += [v for name, v in block._cache.items()
+                     if not name.startswith("_")]
+    # the rows are arrays of their own: no view of a block's jet or tensor
+    for value in got:
+        assert isinstance(value, np.ndarray) and value.shape[0] == 5
+        assert not any(np.shares_memory(value, a) for a in block_arrays)
     # a cached seed jet keeps no other seed's coefficients alive
     assert all(j.coeffs.base is None for j in block._cache["_f2"][1][0])
     assert all(j.coeffs.base is None

@@ -1,8 +1,10 @@
 """Chunked admission of ``sample_points`` against a sampler that admits one
-draw at a time with ``ChangedPair.at``: the same points, bit for bit, the
-same rejections and the same errors, for each cause of rejection."""
+draw at a time with ``ChangedPair.at``: the same points, whose blocks'
+rows and numbers are the lone points' values bit for bit, the same
+rejections and the same errors, for each cause of rejection."""
 
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -62,11 +64,6 @@ def _reference(pair, count, seed):
     return out, attempts - count, causes
 
 
-def _f2_bytes(pg):
-    seeds, f2 = pg._f2(2)
-    return [j.coeffs.tobytes() for j in seeds] + [f2.coeffs.tobytes()]
-
-
 def _sample(monkeypatch, pair, count, seed):
     """``sample_points`` with the number of blocks whose construction
     cleared every column: a block caches its order-2 ``L^2`` jet at
@@ -101,6 +98,11 @@ CASES = {
     # sigma and b of a block raise, so each draw evaluates its own
     "change domain error": ("a_11 = 1\na_22 = 1", "b1 = 0.1 * sqrt(x2 + 0.3)",
                             "domain", True),
+    # the base block passes, the changed one raises: the series of
+    # sqrt(L^2) at a value below 1e-250 (|x1| > 0.91) leaves the float
+    # range, so each draw is judged with its changed point
+    "changed block domain error": ("L2 = (y1^2 + y2^2) * exp(-700 * x1^2)",
+                                   "b1 = 1e-8 * x2", "domain", True),
     # a block takes jet exponents as each column does
     "jet exponent": ("L2 = (y1^2 + y2^2) * e^x1 * (x2 + 0.5)",
                      "b1 = 0.1 * 2^x2", "L2", False),
@@ -125,16 +127,34 @@ def test_chunks_admit_what_single_draws_admit(monkeypatch, case, count):
     _assert_same_points(got, want)
 
 
+# The numbers a ``ChangedBlock`` holds for each of its points, and the
+# rows of each side that admission reads.
+NUMBERS = ("y", "sigma", "grad_sigma", "b_low", "db", "esig", "beta",
+           "Lstar", "L", "tau")
+ADMISSION_ROWS = {"base": ("L2", "g_low", "det_g"), "star": ("L2",)}
+
+
 def _assert_same_points(got, want):
-    """The ``ChangedPoint``s ``got`` are ``want`` bit for bit."""
-    for cp, ref in zip(got, want, strict=True):
-        assert cp.x.tobytes() == ref.x.tobytes()
-        assert cp.y.tobytes() == ref.y.tobytes()
-        assert _f2_bytes(cp.base) == _f2_bytes(ref.base)
-        assert _f2_bytes(cp.star) == _f2_bytes(ref.star)
-        for name in ("sigma", "grad_sigma", "b_low", "db", "Lstar", "tau"):
-            assert (np.asarray(getattr(cp, name)).tobytes()
-                    == np.asarray(getattr(ref, name)).tobytes()), name
+    """The samples ``got`` are the ``ChangedPoint``s ``want``: the same
+    coordinates, and their blocks' numbers and admission rows are the
+    lone points' values, bit for bit."""
+    assert len(got.coords) == len(want)
+    for (x, y), ref in zip(got.coords, want):
+        assert x.tobytes() == ref.x.tobytes()
+        assert y.tobytes() == ref.y.tobytes()
+    blocks = got.blocks
+    assert sum(len(cb.y) for cb in blocks) == len(want)
+    for name in NUMBERS:
+        stacked = np.concatenate([getattr(cb, name) for cb in blocks])
+        assert stacked.tobytes() == np.array(
+            [getattr(ref, name) for ref in want]).tobytes(), name
+    for side, names in ADMISSION_ROWS.items():
+        for name in names:
+            stacked = np.concatenate([getattr(getattr(cb, side), name)()
+                                      for cb in blocks])
+            assert stacked.tobytes() == np.array(
+                [getattr(getattr(ref, side), name)() for ref in want]
+            ).tobytes(), (side, name)
 
 
 def test_blocks_that_raise_admit_what_single_draws_admit(monkeypatch):
@@ -156,12 +176,37 @@ def test_blocks_that_raise_admit_what_single_draws_admit(monkeypatch):
     want, want_rejected, causes = _reference(pair, 200, 1)
     assert rejected == want_rejected == causes["L*"] == 3
     _assert_same_points(got, want)
-    sides = [cp.base for cp in got] + [cp.star for cp in got]
-    blocks = Counter(pg._block for pg in sides)
-    # every block was cleared, and keeps its members all the same
-    assert cleared == len(blocks) == 10
-    for block, members in blocks.items():
-        assert block.ok.sum() == members
+    sides = [rows for cb in got.blocks for rows in (cb.base, cb.star)]
+    # every block was cleared at construction, kept its admitted columns,
+    # and raised again when its rows were read, so they are lone points'
+    assert cleared == len({id(rows.block) for rows in sides}) == 10
+    for rows in sides:
+        assert not rows.block.ok.any()
+        assert len(rows.points()) == len(rows.columns)
+
+
+def test_changed_block_that_raises_leaves_each_draw_to_its_changed_point(
+        monkeypatch):
+    # the changed L^2 raises on block jets, and alone where x1 > 0.3: the
+    # base block judges those draws regular, but each is judged with its
+    # own changed point, which rejects it
+    pair = ChangedPair(*map(resolve_spec, ["randers2", "projective"]))
+    eval_l2 = MetricSpec.eval_l2
+
+    def changed_raises(spec, env):
+        x1 = env["x1"]
+        if spec is pair.starred_spec and (x1.coeffs.ndim > 1
+                                          or x1.value > 0.3):
+            raise ValueError("changed L^2 raises")
+        return eval_l2(spec, env)
+
+    monkeypatch.setattr(MetricSpec, "eval_l2", changed_raises)
+    monkeypatch.setattr(sampling, "BLOCK_SIZE", 64)
+    got, rejected, cleared = _sample(monkeypatch, pair, 100, 1)
+    want, want_rejected, causes = _reference(pair, 100, 1)
+    assert rejected == want_rejected == causes["domain"] > 0
+    assert cleared == len(got.blocks)
+    _assert_same_points(got, want)
 
 
 def _jets_in(value):
@@ -187,23 +232,50 @@ def test_rejected_draws_never_reach_a_blocks_later_layers(monkeypatch, case):
         monkeypatch.setattr(sampling, "BLOCK_SIZE", 64)
     else:
         pair = ChangedPair(*map(resolve_spec, case.split("+")))
-    cps, rejected, cleared = _sample(monkeypatch, pair, 200, 1)
+    points, rejected, cleared = _sample(monkeypatch, pair, 200, 1)
     assert rejected > 0
     assert (cleared > 0) == raises
-    sides = [cp.base for cp in cps] + [cp.star for cp in cps]
-    assert all(pg._block is not None for pg in sides)
+    sides = {"base": [cb.base for cb in points.blocks],
+             "star": [cb.star for cb in points.blocks]}
     with np.errstate(all="raise"):
-        got = [[getattr(pg, name)() for name in LIGHT_TENSORS]
-               for pg in sides]
-    for block, members in Counter(pg._block for pg in sides).items():
-        assert block.ok.sum() == members
-        for _, layer in block._cache.values():
-            assert all(np.isfinite(j.coeffs).all() for j in _jets_in(layer))
-    for pg, tensors in zip(sides, got):
-        lone = pg.space.point(pg.x, pg.y)
-        for name, value in zip(LIGHT_TENSORS, tensors):
-            want = getattr(lone, name)()
-            assert value.tobytes() == want.tobytes(), (case, name)
+        got = {(side, name): np.concatenate([getattr(rows, name)()
+                                             for rows in sides[side]])
+               for side in sides for name in LIGHT_TENSORS}
+    # the rows are the blocks', whose layers never met a rejected draw,
+    # also where a block's construction raised
+    for rows in sides["base"] + sides["star"]:
+        assert rows.block.ok.sum() == len(rows.columns)
+        assert "points" not in rows._cache
+        for name, cached in rows.block._cache.items():
+            if name.startswith("_"):
+                assert all(np.isfinite(j.coeffs).all()
+                           for j in _jets_in(cached[1]))
+    for i, (x, y) in enumerate(points.coords):
+        for side, space in (("base", pair.base), ("star", pair.starred)):
+            lone = space.point(x, y)
+            for name in LIGHT_TENSORS:
+                want = getattr(lone, name)()
+                assert got[side, name][i].tobytes() == want.tobytes(), (
+                    case, side, name)
+
+
+def test_regular_takes_the_power_in_python_floats():
+    # |det g| exactly at 1e-10 max(1, max |g_ij|)^3 and one ulp above it,
+    # where numpy's array power rounds the scale otherwise
+    v = np.tile(np.random.default_rng(3).uniform(1.0, 10.0, 2000), 2)
+    threshold = 1e-10 * np.array([s ** 3 for s in v.tolist()])
+    det = np.where(np.arange(v.size) < v.size // 2, threshold,
+                   np.nextafter(threshold, np.inf))
+    g = np.zeros((v.size, 3, 3))
+    g[:, 0, 0] = v
+    ones = np.ones(v.size)
+    cb = SimpleNamespace(n=3, Lstar=ones, base=SimpleNamespace(
+        L2=lambda: ones, g_low=lambda: g, det_g=lambda: det))
+    want = [abs(d) > 1e-10 * max(1.0, float(np.max(np.abs(m)))) ** 3
+            for d, m in zip(det.tolist(), g)]
+    assert sampling._regular(cb).tolist() == want
+    # the data tells the two powers apart
+    assert (np.abs(det) > 1e-10 * v ** 3).tolist() != want
 
 
 def test_exhausted_budget_raises_after_the_same_attempts():

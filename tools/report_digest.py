@@ -27,10 +27,13 @@ orders are cuts of the top ones; within one tree, the sampled stack
 below and ``test_core`` carry that check.  A line ``sampled tensor
 stack`` hashes the same tensors of both sides at the points
 ``sample_points`` returns for ``SAMPLED``, requested tensor by tensor
-over all points, as ``verify``'s checks request them: there the light jet
-layers come from blocks of points, which must match the one-point
-tensors bit for bit, and a report's maxima could hide a difference in
-the last bit.  A line ``sampled 3d chunk`` hashes ``CHUNK_TENSORS`` in
+over all points, as ``verify``'s checks request them: each light tensor
+(``core.ROW_TENSORS``) is read as the rows of the samples' blocks
+(``change.changed_blocks``), which must match the one-point tensors bit
+for bit, since a report's maxima could hide a difference in the last
+bit, and each other tensor on a lone point.  The bytes go tensor by
+tensor, then point by point, base before changed side, as the lone
+points' would.  A line ``sampled 3d chunk`` hashes ``CHUNK_TENSORS`` in
 the same way at the points of ``CHUNK``, one full chunk of
 ``sampling.BLOCK_SIZE`` points per 3D pair, so that the products of
 blocks as wide as a chunk in every space of a 3D point are covered.  A
@@ -206,20 +209,33 @@ class _Hashes:
 def _sampled(configs, tensors):
     """(sha256 of ``tensors`` of both sides at the points ``sample_points``
     returns for ``configs``, {tensor name: sha256}), requested tensor by
-    tensor over all points."""
-    from finslerchange.change import ChangedPair
+    tensor over all points: a light tensor as the rows of the samples'
+    blocks, any other on a lone point of each side, built once."""
+    from finslerchange.change import ChangedPair, changed_blocks
+    from finslerchange.core import ROW_TENSORS
     from finslerchange.lang import resolve_spec
-    from finslerchange.sampling import sample_points
+    from finslerchange.sampling import sample_pair_points, sample_points
 
     hashes = _Hashes()
     for metric, change, samples, seed in configs:
         pair = ChangedPair(resolve_spec(metric, expect="metric"),
                            resolve_spec(change, expect="change"))
-        cps, _ = sample_points(pair, samples, seed)
+        blocks = changed_blocks(sample_points(pair, samples, seed)[0])
+        lone = []
         for name in tensors:
-            for cp in cps:
-                for pg in (cp.base, cp.star):
-                    hashes.add(name, getattr(pg, name)())
+            if name in ROW_TENSORS:
+                for cb in blocks:
+                    for rows in zip(getattr(cb.base, name)(),
+                                    getattr(cb.star, name)()):
+                        for row in rows:
+                            hashes.add(name, row)
+                continue
+            if not lone:
+                points, _ = sample_pair_points(pair, samples, seed)
+                lone = [space.point(x, y) for x, y in points
+                        for space in (pair.base, pair.starred)]
+            for pg in lone:
+                hashes.add(name, getattr(pg, name)())
     return hashes.digests()
 
 
