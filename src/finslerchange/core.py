@@ -172,7 +172,22 @@ class FinslerSpace:
 
     def l2(self, x, y):
         """Float L^2 for value-only probes at points without geometry:
-        value drift, homogeneity, reversibility, finite differences."""
+        value drift, homogeneity, reversibility, finite differences.
+        Coordinates of shape ``(n, P)`` give the values at P points as an
+        array, one evaluation over float arrays whose every element is bit
+        for bit the float of its point, with numpy's warnings silenced as
+        Python floats give none; where it raises, the points are
+        evaluated one by one, so that the first that fails raises its
+        error."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        if x.ndim > 1:
+            env = {f"x{i + 1}": row for i, row in enumerate(x)}
+            env.update({f"y{i + 1}": row for i, row in enumerate(y)})
+            try:
+                with np.errstate(all="ignore"):
+                    return self.spec.eval_l2(env)
+            except FALLBACK_ERRORS:
+                return np.array([self.l2(a, b) for a, b in zip(x.T, y.T)])
         env = {f"x{i + 1}": float(v) for i, v in enumerate(x)}
         env.update({f"y{i + 1}": float(v) for i, v in enumerate(y)})
         return float(self.spec.eval_l2(env))

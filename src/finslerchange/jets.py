@@ -37,11 +37,19 @@ acts on each point's column as it would on that point alone, bit for bit
 Derivatives*, 2008).  Jets of one point and of a block do not combine.
 The block product is a ``bincount`` over slices of the point axis
 (``PRODUCT_BUDGET``), whose bins each take their pairs in ``mul_table``
-order from +0.0, as the one-point product's bins do.  Series coefficients of
-``reciprocal``, ``sqrt``, ``exp``, ``log``, ``sin``, ``cos`` and ``powf``
-are computed point by point in Python floats, because numpy's vector
-``exp``, ``log`` and ``power`` round differently from ``math`` and
-``float``; ``jet_linear_solve`` pivots point by point.
+order from +0.0, as the one-point product's bins do.  A product larger
+than one budget leaves out the pairs with a factor row that is zero at
+every point, the structural zeros of a block's jets, as the recording
+jets of ``straight_line`` do: a sum from +0.0 is never -0.0, so a +-0.0
+term leaves its bits.  That holds only where the other factor is
+finite, so a factor with an inf or a NaN takes every pair.  Series
+coefficients of ``reciprocal``, ``sqrt``, ``exp``, ``log``, ``sin``,
+``cos`` and ``powf`` are computed in Python floats and ``math``, because
+numpy's vector ``exp``, ``log`` and ``power`` round differently; a block
+takes them by columns, each term one list over its points, after one
+check of the domain, and point by point where a value fails it or a
+term overflows, so that the first point that fails raises its error.
+``jet_linear_solve`` pivots point by point.
 
 ``straight_line`` compiles a function of one-point jets into Python code
 of floats: it runs the function once on recording jets, whose
@@ -54,6 +62,7 @@ generated source into a function, for it and for ``core``'s spray solve.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 
@@ -110,7 +119,7 @@ class _Space:
 
     __slots__ = ("nvars", "order", "xvars", "xcap", "monomials", "position",
                  "size", "_mul_table", "_deriv_maps",
-                 "_partials", "_seeds", "_cuts", "_y_part")
+                 "_partials", "_seeds", "_cuts", "_y_part", "_patterns")
 
     def __init__(self, nvars, order, xcap=None):
         self.nvars = nvars
@@ -129,6 +138,7 @@ class _Space:
         self._seeds = None
         self._cuts = {}
         self._y_part = None
+        self._patterns = {}
 
     def __str__(self):
         name = f"{self.nvars}v{self.order}"
@@ -182,29 +192,57 @@ class _Space:
     def block_product(self, a, b):
         """Coefficients of the product of two jets of this space with
         point axes, ``a`` and ``b`` of one shape ``(size, ...)`` whose
-        trailing axes are flattened into one point axis.  Each slice of
-        ``width`` points, as many as keep pairs times points within
+        trailing axes are flattened into one point axis.  A product of
+        more than ``PRODUCT_BUDGET`` pairs times points multiplies only
+        the pairs of ``_pairs``, which leaves out those with a factor
+        row that is zero at every point.  Each slice of ``width`` points,
+        as many as keep the pairs multiplied times points within
         ``PRODUCT_BUDGET``, is one ``bincount`` (``_summed``); bins are
         per point, so the slices change no bit."""
         shape = a.shape
         a = a.reshape(self.size, -1)
         b = b.reshape(self.size, -1)
         P = a.shape[1]
-        width = max(1, PRODUCT_BUDGET // self.mul_table()[0].size)
+        table = self.mul_table()
+        if P * table[0].size > PRODUCT_BUDGET:
+            table = self._pairs(a, b)
+        width = max(1, PRODUCT_BUDGET // max(1, table[0].size))
         if P <= width:
-            return self._summed(a, b).reshape(shape)
+            return self._summed(table, a, b).reshape(shape)
         return np.concatenate([
-            self._summed(a[:, s:s + width], b[:, s:s + width])
+            self._summed(table, a[:, s:s + width], b[:, s:s + width])
             for s in range(0, P, width)], axis=1).reshape(shape)
 
-    def _summed(self, a, b):
+    def _pairs(self, a, b):
+        """The pairs of ``mul_table`` whose rows of ``a`` and of ``b`` are
+        both nonzero at some point, in table order, cached by those rows.
+        The pairs left out multiply +-0.0 by a finite number: a sum of
+        ``bincount`` starts at +0.0, so it is never -0.0 and adding a
+        +-0.0 term leaves its bits.  A factor with an inf or a NaN takes
+        every pair, whose products carry the NaN of 0 * inf."""
+        table = self.mul_table()
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            return table
+        ma, mb = a.any(axis=1), b.any(axis=1)
+        key = (ma.tobytes(), mb.tobytes())
+        hit = self._patterns.get(key)
+        if hit is None:
+            ia, ib, io = table
+            kept = np.flatnonzero(ma[ia] & mb[ib])
+            hit = self._patterns[key] = (ia[kept], ib[kept], io[kept])
+        return hit
+
+    def _summed(self, table, a, b):
         """The product of coefficient arrays ``a`` and ``b`` of shape
-        ``(size, P)`` as one ``bincount``, whose bin ``io * P + p`` is
-        coefficient ``io`` of point ``p`` and sums its pairs in
-        ``mul_table`` order from +0.0, so each column is bit for bit the
-        one-point ``bincount`` product of its columns."""
+        ``(size, P)`` over the pairs ``table`` of ``mul_table``, as one
+        ``bincount`` whose bin ``io * P + p`` is coefficient ``io`` of
+        point ``p`` and sums its pairs in ``mul_table`` order from +0.0,
+        so each column is bit for bit the one-point ``bincount`` product
+        of its columns; +0.0 where no pair is left."""
         P = a.shape[1]
-        ia, ib, io = self.mul_table()
+        ia, ib, io = table
+        if not ia.size:
+            return np.zeros((self.size, P))
         w = np.take(a, ia, axis=0)
         w *= np.take(b, ib, axis=0)
         keys = (io[:, None] * P + np.arange(P)).ravel()
@@ -328,12 +366,27 @@ def _binom_real(p, k):
 
 
 # Taylor coefficients at a float value v, up to the order: the series of
-# the analytic functions of ``Jet``.
+# the analytic functions of ``Jet``.  Each ``_columns`` form gives the
+# same coefficients at the values ``v`` of a block's points, as one list
+# per term over the points, each element by the expression of its point
+# alone in Python floats; it raises where a value is outside the domain.
+
+def _within(ok):
+    if not ok.all():
+        raise JetDomainError("a value outside the series' domain")
+
 
 def _reciprocal_series(v, order):
     if v == 0.0:
         raise JetDomainError("division by a jet with zero value")
     return [(-1.0) ** k / v ** (k + 1) for k in range(order + 1)]
+
+
+def _reciprocal_columns(v, order):
+    _within(v != 0.0)
+    vs = v.tolist()
+    signs = [(-1.0) ** k for k in range(order + 1)]
+    return [[s / x ** (k + 1) for x in vs] for k, s in enumerate(signs)]
 
 
 def _sqrt_series(v, order):
@@ -347,11 +400,27 @@ def _exp_series(v, order):
     return [ev / math.factorial(k) for k in range(order + 1)]
 
 
+def _exp_columns(v, order):
+    evs = [math.exp(x) for x in v.tolist()]
+    facts = [math.factorial(k) for k in range(order + 1)]
+    return [[ev / f for ev in evs] for f in facts]
+
+
 def _log_series(v, order):
     if v <= 0.0:
         raise JetDomainError(f"log of non-positive value {v}")
     return [math.log(v)] + [(-1.0) ** (k - 1) / (k * v ** k)
                             for k in range(1, order + 1)]
+
+
+def _log_columns(v, order):
+    _within(v > 0.0)
+    vs = v.tolist()
+    terms = [[math.log(x) for x in vs]]
+    for k in range(1, order + 1):
+        s = (-1.0) ** (k - 1)
+        terms.append([s / (k * x ** k) for x in vs])
+    return terms
 
 
 def _sin_series(v, order):
@@ -364,29 +433,55 @@ def _cos_series(v, order):
             for k in range(order + 1)]
 
 
+def _shifted_columns(fn, v, order):
+    """The columns of ``fn(v + 0.5 pi k) / k!``, sine's and cosine's."""
+    vs = v.tolist()
+    terms = []
+    for k in range(order + 1):
+        shift, f = 0.5 * math.pi * k, math.factorial(k)
+        terms.append([fn(x + shift) / f for x in vs])
+    return terms
+
+
 def _pow_series(v, order, p):
     if v <= 0.0:
         raise JetDomainError(f"power {p} of non-positive value {v}")
     return [_binom_real(p, k) * v ** (p - k) for k in range(order + 1)]
 
 
+def _pow_columns(v, order, p):
+    _within(v > 0.0)
+    vs = v.tolist()
+    binoms = [_binom_real(p, k) for k in range(order + 1)]
+    return [[c * x ** (p - k) for x in vs] for k, c in enumerate(binoms)]
+
+
 _DOMAIN_ERRORS = (OverflowError, ZeroDivisionError, ValueError)
 
 
-def _analytic(name, series):
+def _analytic(name, series, columns):
     """A ``Jet`` method that composes the jet with ``series(v, order,
     *args)``, the Taylor coefficients of a function at the float value
-    ``v``, computed for each point of a block on its own.  Where a
-    coefficient overflows, divides by zero or leaves a math function's
-    domain it raises ``JetDomainError`` naming ``name`` and the value."""
+    ``v``, and a block with ``columns(v, order, *args)`` at the values of
+    its points.  Where a coefficient overflows, divides by zero or leaves
+    a math function's domain it raises ``JetDomainError`` naming ``name``
+    and the value; where ``columns`` raises, each point of the block
+    takes ``series`` on its own, so that the first point that fails
+    raises its error."""
     def at(v, order, args):
         try:
             return series(v, order, *args)
         except _DOMAIN_ERRORS as exc:
             raise JetDomainError(f"{name} of value {v!r}: {exc}") from exc
 
+    def block(v, order, args):
+        try:
+            return np.array(columns(v, order, *args))
+        except (JetDomainError,) + _DOMAIN_ERRORS:
+            return np.array([at(x, order, args) for x in v.tolist()]).T
+
     def method(self, *args):
-        return self.compose(self._series(at, args))
+        return self.compose(self._series(at, block, args))
     method.__name__ = name
     return method
 
@@ -416,13 +511,13 @@ class Jet:
         c[0] = value
         return Jet(sp, c)
 
-    def _series(self, at, args):
-        """``at(v, order, args)`` of ``_analytic`` at this jet's value, for
-        each point of a block on its own."""
+    def _series(self, at, block, args):
+        """The series of ``_analytic`` at this jet's value: ``at(v, order,
+        args)`` of one point, ``block(v, order, args)`` of a block."""
         v = self.coeffs[0]
         if v.ndim == 0:
             return at(float(v), self.order, args)
-        return np.array([at(p, self.order, args) for p in v.tolist()]).T
+        return block(v, self.order, args)
 
     def _like(self, value):
         """The constant ``value`` in this jet's space and point shape."""
@@ -567,13 +662,17 @@ class Jet:
             out.coeffs[0] += series[k]
         return out
 
-    reciprocal = _analytic("reciprocal", _reciprocal_series)
-    sqrt = _analytic("sqrt", _sqrt_series)
-    exp = _analytic("exp", _exp_series)
-    log = _analytic("log", _log_series)
-    sin = _analytic("sin", _sin_series)
-    cos = _analytic("cos", _cos_series)
-    _real_pow = _analytic("powf", _pow_series)
+    reciprocal = _analytic("reciprocal", _reciprocal_series,
+                           _reciprocal_columns)
+    sqrt = _analytic("sqrt", _sqrt_series,
+                     functools.partial(_pow_columns, p=0.5))
+    exp = _analytic("exp", _exp_series, _exp_columns)
+    log = _analytic("log", _log_series, _log_columns)
+    sin = _analytic("sin", _sin_series,
+                    functools.partial(_shifted_columns, math.sin))
+    cos = _analytic("cos", _cos_series,
+                    functools.partial(_shifted_columns, math.cos))
+    _real_pow = _analytic("powf", _pow_series, _pow_columns)
 
     def powf(self, p):
         """Real power; integer exponents work for any base value, other
@@ -901,7 +1000,7 @@ class _Recorder(Jet):
             raise _Unreplayable("division by a zero constant")
         return self._new([self.tape.apply("/", c, s) for c in self.coeffs])
 
-    def _series(self, at, args):
+    def _series(self, at, block, args):
         """Names bound, at run time, to the series of ``at`` at the value."""
         tape = self.tape
         f = tape.funcs.setdefault(at, f"f{len(tape.funcs)}")

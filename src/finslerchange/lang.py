@@ -110,11 +110,17 @@ _COMPILED = {}
 
 
 def evaluate(node, env):
-    """Evaluate an expression over floats or Jets.
+    """Evaluate an expression over floats, float arrays or Jets.
 
-    ``env`` maps variable names to values; both plain numbers and Jet
-    instances flow through the same code.  The first call compiles the
-    expression into nested closures, which later calls reuse.
+    ``env`` maps variable names to values; plain numbers, arrays of
+    float64 and Jet instances flow through the same code.  An array is a
+    stack of points: ``+``, ``-``, ``*``, ``/`` and negation are the IEEE
+    operations of Python floats at each element, and ``^`` and function
+    calls take each element in Python floats and ``math``, so that every
+    element is bit for bit the float of its point.  Where an element
+    raises, which element raises first is not defined.  The first call
+    compiles the expression into nested closures, which later calls
+    reuse.
     """
     hit = _COMPILED.get(id(node))
     if hit is None:
@@ -163,10 +169,27 @@ def _divide(lhs, rhs):
             if not isinstance(a, Jet):
                 return b.reciprocal() * a
             return a / b
-        if b == 0.0:
+        if not b.all() if isinstance(b, np.ndarray) else b == 0.0:
             raise JetDomainError("division by zero")
         return a / b
     return divide
+
+
+def _elementwise(fn, *args):
+    """``fn`` of Python floats at each element of the broadcast arrays
+    and floats ``args``, as an array."""
+    arrays = np.broadcast_arrays(*args)
+    return np.array(list(map(fn, *(a.tolist() for a in arrays))),
+                    dtype=float).reshape(arrays[0].shape)
+
+
+def _float_power(a, b):
+    try:
+        if a < 0.0 and b != int(b):
+            raise JetDomainError(f"power {b} of negative value {a}")
+        return float(a) ** float(b)
+    except (OverflowError, ValueError, ZeroDivisionError) as exc:
+        raise JetDomainError(f"power {b} of {a}: {exc}") from exc
 
 
 def _power(lhs, rhs):
@@ -176,12 +199,9 @@ def _power(lhs, rhs):
             return a.powf(b)
         if isinstance(b, Jet):
             return b._like(a).powf(b)
-        try:
-            if a < 0.0 and b != int(b):
-                raise JetDomainError(f"power {b} of negative value {a}")
-            return float(a) ** float(b)
-        except (OverflowError, ValueError, ZeroDivisionError) as exc:
-            raise JetDomainError(f"power {b} of {a}: {exc}") from exc
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            return _elementwise(_float_power, a, b)
+        return _float_power(a, b)
     return power
 
 
@@ -196,16 +216,21 @@ _BINARY = {
 def _compile_call(node):
     (arg,) = [_compile(a) for a in node.args]
     name = node.fn
-    jet_fn, float_fn = getattr(Jet, name), getattr(math, name)
+    jet_fn, math_fn = getattr(Jet, name), getattr(math, name)
+
+    def float_fn(val):
+        try:
+            return math_fn(val)
+        except (OverflowError, ValueError) as exc:
+            raise JetDomainError(f"{name} domain error: {exc}") from exc
 
     def call(env):
         val = arg(env)
         if isinstance(val, Jet):
             return jet_fn(val)
-        try:
-            return float_fn(val)
-        except (OverflowError, ValueError) as exc:
-            raise JetDomainError(f"{name} domain error: {exc}") from exc
+        if isinstance(val, np.ndarray):
+            return _elementwise(float_fn, val)
+        return float_fn(val)
     return call
 
 

@@ -22,6 +22,7 @@ building its ``HyperPoint``, and returns those.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -41,17 +42,24 @@ class SamplingError(Exception):
     pass
 
 
+# Draws spell out ``rng.uniform(lo, hi)`` as ``lo + (hi - lo)`` times
+# ``rng.random``, and ``np.linalg.norm`` of a vector as the square root of
+# its dot with itself: the same numbers from the same calls of the
+# generator, without those functions' checks of their arguments.
+
 def _draw_x(rng, box):
-    return rng.uniform(box[:, 0], box[:, 1])
+    lo = box[:, 0]
+    return lo + (box[:, 1] - lo) * rng.random(len(box))
 
 
 def _draw_y(rng, n, annulus):
     v = rng.normal(size=n)
-    norm = np.linalg.norm(v)
+    norm = math.sqrt(v.dot(v))
     while norm < 1e-12:           # essentially never
         v = rng.normal(size=n)
-        norm = np.linalg.norm(v)
-    return v / norm * rng.uniform(annulus[0], annulus[1])
+        norm = math.sqrt(v.dot(v))
+    lo, hi = annulus
+    return v / norm * (lo + (hi - lo) * rng.random())
 
 
 def _rejection_loop(count, admit, what):

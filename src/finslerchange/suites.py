@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .change import ChangedPair, changed_blocks
-from .core import central_partial, dot, matvec
+from .core import FALLBACK_ERRORS, central_partial, dot, matvec
 from .geodesics import (GeodesicError, curve_set_deviation,
                         integrate_geodesic, retrace_deviation)
 from .hypersurface import ChangedHyperPoint, ChangedHypersurface
@@ -382,16 +382,27 @@ def _fd(probe):
 
 
 def _homogeneity(run, tol):
+    """L at (x, lam y) against lam L at each sample, one ``lam`` drawn
+    per sample in sample order, from one stacked float ``l2`` per side.
+    Where one raises, the samples are evaluated one by one, base before
+    the changed side, so that the first that fails raises its error."""
     rng = np.random.default_rng([run.cfg.seed, 11])
-    values = [Ls for cb in run.cblocks()
-              for Ls in zip(cb.base.L().tolist(), cb.star.L().tolist())]
-
-    def pairs():
-        for (x, y), Ls in zip(run.coords(), values, strict=True):
-            lam = rng.uniform(0.5, 2.0)
-            for space, L in zip((run.pair.base, run.pair.starred), Ls):
-                yield np.sqrt(space.l2(x, lam * y)), lam * L
-    return _judge(len(values), pairs(), tol)
+    coords = run.coords()
+    lam = rng.uniform(0.5, 2.0, size=len(coords))
+    x = np.transpose([c[0] for c in coords])
+    y = np.transpose([c[1] for c in coords]) * lam
+    spaces = (run.pair.base, run.pair.starred)
+    try:
+        got = [np.sqrt(space.l2(x, y)) for space in spaces]
+    except FALLBACK_ERRORS:
+        for p in range(len(coords)):
+            for space in spaces:
+                space.l2(x[:, p], y[:, p])
+        raise
+    want = [lam * np.concatenate([getattr(cb, side).L()
+                                  for cb in run.cblocks()])
+            for side in ("base", "star")]
+    return _verdict(len(coords), stacked_errors(zip(got, want)), tol)
 
 
 def _regularity(run, tol):

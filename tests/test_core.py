@@ -368,6 +368,78 @@ def test_l2_program_is_the_jets_bit_for_bit():
                     spec.name, x, y)
 
 
+# Every kind of node of the float route: non-integer powers of arrays, of
+# a float by an array and of arrays by arrays, the four functions,
+# division and negation.
+INLINE_L2 = parse_spec_text(
+    "dim 2\nL2 = (y1^2 + y2^2)^0.75 * exp(0.3 * sin(x1)) * (2 + cos(x2 * y1))"
+    " + log(1.5 + x1 * x2) * y2^2 / (2 + x1) + 2^x1 * (1 + y1^2)^(x2 + 1.5)"
+    " - -sqrt(1.25 + x1) * y1 * y2 / 3\n", name="inline")
+
+
+def _lone_l2(space, x, y):
+    try:
+        return space.l2(x, y)
+    except JetDomainError:
+        return None
+
+
+def test_stacked_l2_is_each_points_float_bit_for_bit():
+    specs = [space.spec for pair in _pairs_of_matching_dimension()
+             for space in (pair.base, pair.starred)] + [INLINE_L2]
+    rng = np.random.default_rng(5)
+    for spec in specs:
+        space = FinslerSpace(spec)
+        # the points of the box where the spec has a value (sqrt2's box
+        # reaches beyond its root's domain)
+        pts = [(x, y) for x, y in (rand_point(spec, rng) for _ in range(200))
+               if _lone_l2(space, x, y) is not None]
+        assert len(pts) > 100, spec.name
+        got = space.l2(np.transpose([x for x, _ in pts]),
+                       np.transpose([y for _, y in pts]))
+        want = np.array([space.l2(x, y) for x, y in pts])
+        assert got.shape == (len(pts),)
+        assert got.tobytes() == want.tobytes(), spec.name
+
+
+@pytest.mark.parametrize("text, x1, x2, match", [
+    # the power's node comes first, so the block meets the third point's
+    # error first; the second point's is the one to raise
+    ("L2 = (y1^2 + y2^2) * (x1^0.5 + 1 / x2)", [0.5, 0.5, -0.5, 0.4],
+     [1.0, 0.0, 1.0, 0.0], "division by zero"),
+    ("L2 = (y1^2 + y2^2) * (x1^0.5 + 1 / x2)", [0.5, -0.7, -0.5, 0.4],
+     [1.0, 1.0, 0.0, 0.0], "power 0.5 of negative value -0.7"),
+    ("L2 = (y1^2 + y2^2) * (2 + log(x1) + exp(x2))", [0.5, 0.3, 0.0, 0.4],
+     [1.0, 800.0, 1.0, 1.0], "exp domain error"),
+    ("L2 = (y1^2 + y2^2) * (3 + sin(x2 * 1e308 * 10) + sqrt(x1))",
+     [0.5, -0.1, 0.5, 0.4], [0.0, 0.0, 1.0, 0.0], "sqrt domain error"),
+])
+def test_stacked_l2_raises_the_first_failing_points_error(text, x1, x2,
+                                                          match):
+    space = FinslerSpace(parse_spec_text("dim 2\n" + text + "\n"))
+    x = np.array([x1, x2])
+    y = np.full((2, 4), 0.6)
+    with pytest.raises(JetDomainError) as alone:
+        for p in range(4):
+            space.l2(x[:, p], y[:, p])
+    assert match in str(alone.value)
+    with pytest.raises(JetDomainError) as block:
+        space.l2(x, y)
+    assert str(block.value) == str(alone.value)
+
+
+def test_stacked_l2_silences_what_python_floats_never_warn():
+    # overflow and inf - inf give infs and NaN quietly, as floats do
+    space = FinslerSpace(parse_spec_text(
+        "dim 2\nL2 = y1^2 + y2^2 + x1 * 1e308 * 10 - x2 * 1e308 * 10\n"))
+    x = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+    y = np.ones((2, 3))
+    got = space.l2(x, y)
+    want = np.array([space.l2(x[:, p], y[:, p]) for p in range(3)])
+    assert got.tobytes() == want.tobytes()
+    assert got[0] == np.inf and np.isnan(got[1]) and got[2] == -np.inf
+
+
 # At x2 = 1e300 the value of (x1 + x2) * (y1 + x2) overflows and its other
 # coefficients do not; times the constant jet x2^0 it meets structural
 # zeros, whose pairs the program skips and the jets turn into NaN.

@@ -407,6 +407,58 @@ SQRT2 = parse_spec_text("dim 2\nL2 = (y1^2 + y2^2) * sqrt(x1 + 0.3)\n"
                         "x_box = -1 1 -1 1\n", name="sqrt2")
 
 
+def _homogeneity_by_points(run, tol):
+    """Reference for ``valid.homogeneity``: one ``lam`` and two lone
+    float ``l2`` per sample, base before the changed side, judged pair by
+    pair."""
+    rng = np.random.default_rng([run.cfg.seed, 11])
+    values = [Ls for cb in run.cblocks()
+              for Ls in zip(cb.base.L().tolist(), cb.star.L().tolist())]
+    pairs = []
+    for (x, y), Ls in zip(run.coords(), values, strict=True):
+        lam = rng.uniform(0.5, 2.0)
+        for space, L in zip((run.pair.base, run.pair.starred), Ls):
+            pairs.append((np.sqrt(space.l2(x, lam * y)), lam * L))
+    return _judge_by_pairs(len(values), pairs, tol)
+
+
+# Admitted at |y|^2 >= 0.36, its L^2 is negative at |lam y|^2 < 0.3, where
+# the changed side's sqrt raises, and its power raises at |lam y|^2 < 0.2.
+SHRINKING = parse_spec_text(
+    "dim 2\nL2 = y1^2 + y2^2 - 0.3 + 0 * (y1^2 + y2^2 - 0.2)^0.5\n"
+    "y_annulus = 0.6 1.5\n", name="shrinking")
+
+
+@pytest.mark.parametrize("metric, change, samples, seed", [
+    ("randers2", "projective", 300, 1), (SQRT2, "projective", 300, 1),
+    ("sphere2", "conformal", 50, 108), (SHRINKING, "projective", 20, 1)],
+    ids=["randers2", "sqrt2", "sphere2", "shrinking"])
+def test_homogeneity_equals_the_per_point_probes(metric, change, samples,
+                                                 seed):
+    metric = resolve_spec(metric) if isinstance(metric, str) else metric
+    cfg = SuiteConfig(metric=metric, change=resolve_spec(change),
+                      samples=samples, seed=seed)
+    run = SuiteRun(cfg)
+    tol = cfg.tol("euler")
+    if metric is not SHRINKING:
+        got = suites._homogeneity(run, tol)
+        assert repr(got) == repr(_homogeneity_by_points(run, tol))
+        return
+    # a sample whose changed side raises comes before the first whose
+    # base raises: the row raises the changed side's error, as the
+    # samples taken one by one do
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(JetDomainError, match="sqrt domain") as want:
+            _homogeneity_by_points(run, tol)
+        with pytest.raises(JetDomainError) as got:
+            suites._homogeneity(run, tol)
+    assert str(got.value) == str(want.value)
+    lam = np.random.default_rng([seed, 11]).uniform(0.5, 2.0, size=samples)
+    with pytest.raises(JetDomainError, match="power 0.5 of negative"):
+        run.pair.base.l2(np.transpose([x for x, _ in run.coords()]),
+                         np.transpose([y for _, y in run.coords()]) * lam)
+
+
 def _lone_pairs(cp):
     """The (got, want) values of each sampled row at a lone
     ``ChangedPoint``, as the rows computed them point by point: one-point

@@ -404,6 +404,147 @@ def test_block_products_equal_point_products_bit_for_bit(args):
             assert block.coeffs[:, p].tobytes() == alone.coeffs.tobytes()
 
 
+def _full_table_products(sp, a, b):
+    """The product of each column of ``a`` and ``b`` by the one-point
+    product, which multiplies every pair of ``mul_table``."""
+    return [(Jet(sp, a[:, p].copy()) * Jet(sp, b[:, p].copy())).coeffs
+            for p in range(a.shape[1])]
+
+
+def _sparse_factors(rng, sp, points, zero_rows):
+    """Two coefficient arrays with ``zero_rows`` zero at every point (+0.0
+    in one factor, -0.0 in the other), other rows zero at some points,
+    and signed zeros scattered elsewhere."""
+    a = _random_coeffs(rng, sp.size, points)
+    b = _random_coeffs(rng, sp.size, points)
+    a[zero_rows] = 0.0
+    b[zero_rows] = -0.0
+    some = rng.choice(sp.size, size=sp.size // 3, replace=False)
+    a[some, ::3] = 0.0
+    b[some, 1::2] = -0.0
+    return a, b
+
+
+@pytest.mark.parametrize("args", [(4, 2), (4, 3, 2), (4, 4, 2), (6, 4, 2)],
+                         ids=lambda args: "-".join(map(str, args)))
+def test_products_that_skip_zero_rows_equal_full_table_products(args):
+    # rows zero at every point leave their pairs out of a product wider
+    # than one budget slice; the pairs left, P of them per slice, decide
+    # the slices, so the widths sit at, below and above one slice
+    sp = _space(*args)
+    rng = np.random.default_rng(args)
+    ia, ib, _ = sp.mul_table()
+    zero_rows = np.flatnonzero(rng.uniform(size=sp.size) < 0.6)
+    zero_rows = zero_rows[zero_rows > 0]
+    nonzero = np.ones(sp.size, dtype=bool)
+    nonzero[zero_rows] = False
+    kept = int(np.count_nonzero(nonzero[ia] & nonzero[ib]))
+    assert 0 < kept < ia.size
+    width = PRODUCT_BUDGET // kept
+    assert width > PRODUCT_BUDGET // ia.size
+    for points in (PRODUCT_BUDGET // ia.size + 1, width - 1, width,
+                   width + 1, 2 * width + 1):
+        a, b = _sparse_factors(rng, sp, points, zero_rows)
+        assert sp._pairs(a, b)[0].size == kept
+        block = (Jet(sp, a) * Jet(sp, b)).coeffs
+        assert block.shape == (sp.size, points)
+        for p, alone in enumerate(_full_table_products(sp, a, b)):
+            assert block[:, p].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_product_with_a_non_finite_factor_keeps_every_pair(bad):
+    # an inf or a NaN that a zero row faces makes the full table's NaN of
+    # 0 * inf (or carries the NaN); skipping the pair would give 0.0
+    sp = _space(4, 4, 2)
+    ia, ib, io = sp.mul_table()
+    points = PRODUCT_BUDGET // ia.size + 5
+    rng = np.random.default_rng(7)
+    i, j = 1, 2
+    assert np.any((ia == i) & (ib == j))
+    for inf_side in (0, 1):
+        a, b = _sparse_factors(rng, sp, points, [i])
+        (b if inf_side == 0 else a)[i] = 0.0
+        (b if inf_side == 0 else a)[j, 3] = bad
+        with np.errstate(invalid="ignore"):
+            block = (Jet(sp, a) * Jet(sp, b)).coeffs
+            want = _full_table_products(sp, a, b)
+        assert np.isnan(block[io[(ia == i) & (ib == j)][0], 3])
+        for p, alone in enumerate(want):
+            assert block[:, p].tobytes() == alone.tobytes()
+
+
+def test_product_of_an_all_zero_factor_is_float_zeros():
+    # no pair left: +0.0 floats, as the full table's sums from +0.0
+    sp = _space(6, 4, 2)
+    points = PRODUCT_BUDGET // sp.mul_table()[0].size + 1
+    b = _random_coeffs(np.random.default_rng(3), sp.size, points)
+    for zero in (np.zeros((sp.size, points)), np.full((sp.size, points), -0.0)):
+        for a, c in ((zero, b), (b, zero)):
+            block = (Jet(sp, a) * Jet(sp, c)).coeffs
+            assert block.dtype == np.float64
+            assert block.tobytes() == np.zeros((sp.size, points)).tobytes()
+            for p, alone in enumerate(_full_table_products(sp, a, c)):
+                assert block[:, p].tobytes() == alone.tobytes()
+
+
+# The analytic functions of jets: name, exponent, domain, values near the
+# largest or smallest floats whose series up to order 4 are finite, and
+# values whose series at order 2 raise (outside the domain, overflow, or
+# a power that underflows to a zero divisor).
+ANALYTIC = [
+    ("reciprocal", (), (-3.0, 3.0), [1e-61, -1e-61, 1e61],
+     [0.0, -0.0, 1e-110]),
+    ("sqrt", (), (0.01, 4.0), [1e-87, 1e300], [0.0, -1.0, 1e-300]),
+    ("exp", (), (-5.0, 5.0), [709.0, -745.0], [710.0, 1e300]),
+    ("log", (), (0.01, 4.0), [1e-77, 1e76], [0.0, -1.0, 1e-170]),
+    ("sin", (), (-7.0, 7.0), [1e300, -1e300], [np.inf, -np.inf]),
+    ("cos", (), (-7.0, 7.0), [1e300, 5e-324], [-np.inf, np.inf]),
+    ("powf", (2.7,), (0.01, 4.0), [1e-57, 1e113], [0.0, -2.0, 1e300]),
+    ("powf", (-1.3,), (0.01, 4.0), [1e-57, 1e113], [0.0, -2.0, 1e-300]),
+]
+
+
+def _series_of(name, args, values, order):
+    """The jet ``name(*args)`` of the seed jet at ``values``: a block of
+    points for a list, one point for a float."""
+    (jet,) = lift([values], order)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return getattr(jet, name)(*args).coeffs
+
+
+def _analytic_id(case):
+    return case[0] + "".join(f"-{a}" for a in case[1])
+
+
+@pytest.mark.parametrize("case", ANALYTIC, ids=_analytic_id)
+def test_block_series_by_columns_equal_point_series_bit_for_bit(case):
+    # 400 values find any column whose series rounds unlike its point's
+    # (numpy's exp and power differ from math's in a few percent of them)
+    name, args, domain, near, _ = case
+    rng = np.random.default_rng(len(name))
+    values = np.concatenate([rng.uniform(*domain, size=400), near])
+    for order in (0, 2, 4):
+        block = _series_of(name, args, values, order)
+        for p, v in enumerate(values.tolist()):
+            alone = _series_of(name, args, v, order)
+            assert block[:, p].tobytes() == alone.tobytes(), (order, v)
+
+
+@pytest.mark.parametrize("case", ANALYTIC, ids=_analytic_id)
+def test_block_series_raise_the_first_failing_points_error(case):
+    name, args, domain, _, raising = case
+    good = np.random.default_rng(1).uniform(*domain, size=5).tolist()
+    for bad in raising:
+        later = raising[-1] if bad != raising[-1] else raising[0]
+        with pytest.raises(JetDomainError) as alone:
+            _series_of(name, args, bad, 2)
+        with pytest.raises(JetDomainError) as block:
+            _series_of(name, args, good[:2] + [bad] + good[2:] + [later], 2)
+        assert str(block.value) == str(alone.value)
+        assert type(block.value.__cause__) is type(alone.value.__cause__)
+
+
 def test_one_point_and_block_jets_do_not_combine():
     (one,) = lift([0.5], order=2)
     (block,) = lift([[0.5, 0.7, 0.9]], order=2)

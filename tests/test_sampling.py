@@ -290,3 +290,36 @@ def test_exhausted_budget_raises_after_the_same_attempts():
         sample_points(pair, 5, 5)
     assert "of 500 candidate points" in str(want.value)
     assert str(got.value) == str(want.value)
+
+
+def _draws_by_uniform(rng, box, annulus, count):
+    """Reference for the draws: ``rng.uniform`` and ``np.linalg.norm``."""
+    out = []
+    for _ in range(count):
+        x = rng.uniform(box[:, 0], box[:, 1])
+        v = rng.normal(size=len(box))
+        norm = np.linalg.norm(v)
+        while norm < 1e-12:
+            v = rng.normal(size=len(box))
+            norm = np.linalg.norm(v)
+        out.append((x, v / norm * rng.uniform(annulus[0], annulus[1])))
+    return out
+
+
+@pytest.mark.parametrize("box, annulus", [
+    (resolve_spec("randers2").x_box, resolve_spec("randers2").y_annulus),
+    (resolve_spec("sphere3").x_box, resolve_spec("sphere3").y_annulus),
+    (np.array([[-0.3, 1.7], [0.1, 0.2], [-5.0, -4.5]]), (0.2, 3.0)),
+    (resolve_spec("parabola2").u_box, resolve_spec("parabola2").v_annulus),
+], ids=["2d", "3d", "asymmetric", "hypersurface"])
+def test_draws_equal_uniform_draws_bit_for_bit(box, annulus):
+    for seed in range(20):
+        want_rng = np.random.default_rng(seed)
+        got_rng = np.random.default_rng(seed)
+        want = _draws_by_uniform(want_rng, box, annulus, 200)
+        for x, y in want:
+            assert sampling._draw_x(got_rng, box).tobytes() == x.tobytes()
+            got_y = sampling._draw_y(got_rng, len(box), annulus)
+            assert got_y.tobytes() == y.tobytes()
+        # the generator made the same calls
+        assert got_rng.random() == want_rng.random()

@@ -81,11 +81,12 @@ SQRT2 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "specs",
 # two are also the pinned configurations of the verify-degenerate and
 # verify-regular-3d benchmark workloads; the seventh is verify-many-2d at
 # benchmark seed 1.  The eighth and ninth are the 3D hypersurface chain,
-# where every hypersurface check is measured, and a non-projective,
-# irreversible change with a closed curve.  The tenth is a metric whose
-# block evaluations raise, so sampling clears the columns of its blocks.
-# The last measures every row that reads block forms in 3D, on one full
-# chunk and a tail of 44 points.
+# where every hypersurface check is measured, and a non-projective change
+# with a closed curve: its drift (-0.1 x2, 0.1 x1) cancels the drift of
+# the irreversible randers2, so the changed side is Euclidean.  The tenth
+# is a metric whose block evaluations raise, so sampling clears the
+# columns of its blocks.  The last measures every row that reads block
+# forms in 3D, on one full chunk and a tail of 44 points.
 CONFIGS = (
     ("euclid2+tangent_parabola+parabola2 n12 s108",
      "euclid2", "tangent_parabola", "parabola2", 12, 108),
