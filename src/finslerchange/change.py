@@ -10,11 +10,11 @@ full jet pipeline applies to it unchanged), and provides the closed-form
 predictions for the changed tensors in terms of base-space data, next to
 the directly computed values, so the two routes can be compared.  The
 predictions of ``ChangedPoint`` are written over an optional leading
-point axis: a ``ChangedBlock`` holds the admitted columns of one chunk of
-sampled draws, built from the chunk's base and changed
-``core.PointBlock`` and its ``sigma`` and ``b`` arrays, and evaluates
-each prediction once for all of them, bit for bit the value at each
-point alone.
+point axis: a ``ChangedBlock`` holds the admitted draws of one chunk of
+samples, built from a base and a changed ``core.PointBlock`` at those
+draws and their ``sigma`` and ``b`` arrays, and evaluates each
+prediction once for all of them, bit for bit the value at each point
+alone.
 """
 
 from __future__ import annotations
@@ -307,22 +307,22 @@ class ChangedPoint:
 
 
 class ChangedBlock(ChangedPoint):
-    """The admitted columns of one sampled chunk as one ``ChangedPoint``
-    with a leading point axis.  Its ``base`` and ``star`` are the
-    ``core.PointRows`` of those columns of the chunk's base and changed
-    ``PointBlock``; ``change`` is (sigma, its gradient, b, db) at them,
-    point axis first.  ``y`` and the numbers of construction (``esig``,
-    ``beta``, ``Lstar``, ``L``, ``tau``) are computed from those arrays
-    with the one-point formulas, so that every formula of
+    """The admitted draws of one sampled chunk as one ``ChangedPoint``
+    with a leading point axis.  ``base`` and ``star`` are the
+    ``core.PointRows`` of a base and a changed ``PointBlock`` whose
+    columns are those draws; ``change`` is (sigma, its gradient, b, db)
+    at them, point axis first.  ``y`` and the numbers of construction
+    (``esig``, ``beta``, ``Lstar``, ``L``, ``tau``) are computed from
+    those arrays with the one-point formulas, so that every formula of
     ``ChangedPoint`` runs once on arrays, bit for bit its value at each
     point alone."""
 
-    def __init__(self, pair, base, star, columns, change):
+    def __init__(self, pair, base, star, change):
         self._cache = {}
         self.pair = pair
         self.n = pair.n
-        self.base = PointRows(base, columns)
-        self.star = PointRows(star, columns)
+        self.base = PointRows(base)
+        self.star = PointRows(star)
         self.y = self.base.y
         self.sigma, self.grad_sigma, self.b_low, self.db = change
         self.esig = np.exp(self.sigma)
@@ -330,9 +330,3 @@ class ChangedBlock(ChangedPoint):
         self.L = self.base.L()
         self.Lstar = self.esig * self.L + self.beta
         self.tau = self.esig * self.Lstar / self.L
-
-
-def changed_blocks(points):
-    """The ``ChangedBlock``s of sampled points (``sampling.sample_points``),
-    one per chunk with an admitted draw, in sample order."""
-    return points.blocks

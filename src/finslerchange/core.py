@@ -24,24 +24,24 @@ A lone point computes every layer after its order-2 ``L^2`` jet at the
 layer's top order, the highest that any tensor reads from it, so that a
 full tensor stack computes each layer once: a lower order is a cut of the
 top order, bit for bit.  Sampled points are columns of ``PointBlock``s: a
-block is the sampler's chunk of candidate draws as one point with a point
-axis.  It is built from its order-2 jet of L^2, as a point is, and runs
-the same code for the light jet layers (those ``riemann`` needs) on jets
-whose coefficients carry that axis, each layer reading the block's own
-lower layers, at the orders asked for.  A column whose ``L^2`` jet fails
-its check, or whose draw is not admitted, is left out, and a block
-evaluation that raises leaves out every column (``PointBlock.evaluate``).
+block is a chunk of sampled draws as one point with a point axis, its
+columns fixed at construction.  It is built from its order-2 jet of L^2,
+as a point is, and runs the same code for the light jet layers (those
+``riemann`` needs) on jets whose coefficients carry that axis, each
+layer reading the block's own lower layers, at the orders asked for.  A
+block is all or nothing: its ``_check_l2`` raises where any column
+fails, and a block evaluation that raises fails the whole block
+(``PointBlock.evaluate``), whose points are then computed alone.
 
 The light tensors (``ROW_TENSORS``, ``L2`` to ``riemann``) are written
 once over an optional leading point axis, on the class both share: a
 point's are its own arrays, a block's have one row per column, read from
-its cached layers.  ``PointRows`` gives the rows of some columns of a
-block, or, where the block has left them out, the stacked tensors of
-lone points at their coordinates, so that checks over many sampled
-points measure arrays, not points.  The module's formulas over that axis
-(``dot``, ``matvec``, ``outer``, ``per_point``, ``float_pow``,
-``horizontal_covariant``) round as their one-point forms do at every
-point.
+its cached layers.  ``PointRows`` gives the rows of a block, or, where
+the block has failed, the stacked tensors of lone points at its
+coordinates, so that checks over many sampled points measure arrays,
+not points.  The module's formulas over that axis (``dot``, ``matvec``,
+``outer``, ``per_point``, ``float_pow``, ``horizontal_covariant``) round
+as their one-point forms do at every point.
 
 Index conventions: arrays are 0-based; for a connection-like array ``T``
 the first axis is the upper index.  Jet variable slots are ``i`` for x^i
@@ -64,7 +64,7 @@ from .jets import (Jet, JetDomainError, JetError, compiled, jet_linear_solve,
 from .lang import MetricSpec, SpecError, _l2
 from .memo import cached
 
-# The errors of a block evaluation that clear every column of the block
+# The errors of a block evaluation that fail the whole block
 # (``PointBlock.evaluate``), so that each of its points is computed alone
 # and raises its own.
 FALLBACK_ERRORS = (JetError, SpecError, ValueError, ArithmeticError)
@@ -513,35 +513,35 @@ class PointBlock(JetLayers):
     up to order 2 and ``_riemann_jets(0)``, once per order, with
     ``PointGeometry``'s code on the block's own cache, so that a layer
     reads the block's lower layers.  ``x`` and ``y`` have shape ``(n,
-    P)``.  Construction reads the order-2 jet of L^2 under ``evaluate``,
-    as a point's does.
+    P)``, fixed at construction, which reads the order-2 jet of L^2 under
+    ``evaluate``, as a point's does.
 
-    ``ok`` marks the columns whose values stand for their points: it
-    clears the columns whose ``L^2`` jet fails its check, all columns
-    where a block evaluation raises, and those ``keep`` leaves out; such
-    points are computed alone (``PointRows``), so they raise their own
-    errors.  The light tensors (``ROW_TENSORS``) of a block are arrays
-    whose first axis indexes its columns, read from its layers with the
-    code a point runs (``JetLayers``)."""
+    A block is all or nothing.  ``ok`` is cleared, once and for good, by
+    the first evaluation that raises one of ``FALLBACK_ERRORS``, among
+    them the ``_check_l2`` of any column; the block's points are then
+    computed alone (``PointRows``), so they raise their own errors.  The
+    light tensors (``ROW_TENSORS``) of a block are arrays whose first axis
+    indexes its columns, read from its layers with the code a point runs
+    (``JetLayers``)."""
 
     def __init__(self, space, x, y):
         self.space = space
         self.n = space.n
         self.x = np.array(x, dtype=float)
         self.y = np.array(y, dtype=float)
-        self.ok = np.ones(self.x.shape[1], dtype=bool)
+        self.ok = True
         self._cache = {}
         self.evaluate("_f2", 2)
 
     def evaluate(self, name, *args):
         """The block's jet layer or tensor ``name``, called with ``args``;
-        None, with every column cleared, where it raises one of
+        None, with ``ok`` cleared, where it raises one of
         ``FALLBACK_ERRORS``: a failure belongs to a column, which its
         point, computed alone, finds."""
         try:
             return getattr(self, name)(*args)
         except FALLBACK_ERRORS:
-            self.ok[:] = False
+            self.ok = False
             return None
 
     def _lead(self, a):
@@ -553,36 +553,15 @@ class PointBlock(JetLayers):
         """A number of each point, as an array."""
         return np.array(v)
 
-    def keep(self, columns):
-        """Set ``ok`` to exactly ``columns``, also where construction
-        cleared every column, and give the other columns the coordinates
-        and the order-2 ``L^2`` jet of a kept one: neither a later layer
-        nor a tensor of the block meets a draw that was rejected."""
-        self.ok[:] = False
-        self.ok[columns] = True
-        arrays = [self.x, self.y]
-        if "_f2" in self._cache:
-            seeds, f2 = self._cache["_f2"][1]
-            arrays += [j.coeffs for j in seeds + [f2]]
-        self._fill(*arrays)
-
     def _check_l2(self, f2, order):
-        """Clear ``ok`` where ``L^2`` is not positive with finite
-        coefficients, and give the failed columns the coefficients and
-        coordinates of an ``ok`` one.  Only the coefficients the jet
-        holds count: one of x-degree above ``L2_XCAP`` fails no column."""
+        """Raise where ``L^2`` is not positive with finite coefficients at
+        some column, as that column's point would: no later layer of the
+        block meets an inf.  Only the coefficients the jet holds count:
+        one of x-degree above ``L2_XCAP`` fails no column."""
         c = f2.coeffs
-        self.ok &= (c[0] > 0.0) & np.isfinite(c).all(axis=0)
-        self._fill(c, self.x, self.y)
-
-    def _fill(self, *arrays):
-        """Give the columns of ``arrays`` outside ``ok`` the values of the
-        first ``ok`` one: no row is read from them again, and their infs
-        would meet zeros in the block's later layers."""
-        if self.ok.any() and not self.ok.all():
-            good = [int(np.argmax(self.ok))]
-            for a in arrays:
-                a[:, ~self.ok] = a[:, good]
+        if not ((c[0] > 0.0).all() and np.isfinite(c).all()):
+            raise JetDomainError(f"L^2 is not positive with finite "
+                                 f"order-{order} coefficients in a block")
 
 
 # The light tensors of ``PointRows`` and of a ``PointBlock``: those read
@@ -593,24 +572,21 @@ ROW_TENSORS = ("L2", "L", "y_low", "l_low", "g_low", "det_g", "g_up",
 
 
 class PointRows:
-    """The light tensors at some columns of a ``PointBlock``, as arrays
-    whose first axis indexes those columns: ``rows.g_low()`` and so on for
-    each name in ``ROW_TENSORS``, cached.  ``x`` and ``y`` are the
-    columns' coordinates, point axis first, as they stood at
-    construction.
+    """The light tensors at the columns of a ``PointBlock``, as arrays
+    whose first axis indexes them: ``rows.g_low()`` and so on for each
+    name in ``ROW_TENSORS``, cached.  ``x`` and ``y`` are the block's
+    coordinates, point axis first.
 
-    A tensor is the block's rows while every one of the columns is
-    ``ok``, so the block computes it only where it is read.  Otherwise
-    (the block left a column out, or its evaluation raised) it is the
-    stacked tensors of lone points built at ``x`` and ``y``, once, which
-    raise their own errors.  Either way each row is bit for bit the lone
-    point's tensor."""
+    A tensor is the block's own array while the block is ``ok``, so the
+    block computes it only where it is read.  Otherwise (the block's
+    evaluation raised, now or before) it is the stacked tensors of lone
+    points built at ``x`` and ``y``, once, which raise their own errors.
+    Either way each row is bit for bit the lone point's tensor."""
 
-    def __init__(self, block, columns):
+    def __init__(self, block):
         self.block = block
-        self.columns = np.asarray(columns, dtype=int)
-        self.x = np.ascontiguousarray(block.x[:, self.columns].T)
-        self.y = np.ascontiguousarray(block.y[:, self.columns].T)
+        self.x = np.ascontiguousarray(block.x.T)
+        self.y = np.ascontiguousarray(block.y.T)
         self._cache = {}
 
     def __getattr__(self, name):
@@ -620,10 +596,10 @@ class PointRows:
 
     def _rows(self, name):
         if name not in self._cache:
-            block, columns = self.block, self.columns
-            value = block.evaluate(name) if block.ok[columns].all() else None
+            block = self.block
+            value = block.evaluate(name) if block.ok else None
             self._cache[name] = (
-                value[columns] if block.ok[columns].all() else
+                value if block.ok else
                 np.array([getattr(pg, name)() for pg in self.points()]))
         return self._cache[name]
 

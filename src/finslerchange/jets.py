@@ -49,7 +49,8 @@ numpy's vector ``exp``, ``log`` and ``power`` round differently; a block
 takes them by columns, each term one list over its points, after one
 check of the domain, and point by point where a value fails it or a
 term overflows, so that the first point that fails raises its error.
-``jet_linear_solve`` pivots point by point.
+``jet_linear_solve`` picks each point's pivot as Python's ``max`` would,
+for all points of a block at once.
 
 ``straight_line`` compiles a function of one-point jets into Python code
 of floats: it runs the function once on recording jets, whose
@@ -758,24 +759,27 @@ def _swapped(here, top, low):
 
 def _pivot(M, b, col):
     """Bring the pivot of column ``col`` to row ``col`` of ``M`` and ``b``:
-    the first row at or below it whose value is largest in magnitude.  A
-    block picks it point by point and swaps, in the points whose pivot is
-    another row, the entries that elimination still reads."""
+    the first row at or below it whose value is largest in magnitude, as
+    Python's ``max`` chooses it, at every point of a block at once.  A NaN
+    never wins over a number (no comparison with it is true), and one at
+    row ``col`` keeps that row.  A block swaps, in the points whose pivot
+    is another row, the entries that elimination still reads."""
     n = len(b)
-    if M[col][col].coeffs.ndim == 1:
-        piv = max(range(col, n), key=lambda r: abs(M[r][col].value))
-        if abs(M[piv][col].value) == 0.0:
-            raise JetDomainError("singular jet matrix in linear solve")
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            b[col], b[piv] = b[piv], b[col]
-        return
-    values = [M[r][col].coeffs[0].tolist() for r in range(col, n)]
-    piv = [max(range(col, n), key=lambda r: abs(values[r - col][p]))
-           for p in range(len(values[0]))]
-    if any(abs(values[r - col][p]) == 0.0 for p, r in enumerate(piv)):
+    mag = np.abs([M[r][col].coeffs[0] for r in range(col, n)])
+    # a NaN reads as -1 below row col and as inf at it, so that argmax
+    # picks as max does; the largest key is 0 only where the pivot is
+    # zero
+    key = np.fmax(mag, -1.0)
+    key[0] = np.fmin(mag[0], np.inf)
+    if not key.max(axis=0).all():
         raise JetDomainError("singular jet matrix in linear solve")
-    piv = np.array(piv)
+    piv = key.argmax(axis=0) + col
+    if piv.ndim == 0:
+        r = int(piv)
+        if r != col:
+            M[col], M[r] = M[r], M[col]
+            b[col], b[r] = b[r], b[col]
+        return
     for r in range(col + 1, n):
         here = piv == r
         if here.any():

@@ -11,12 +11,13 @@ makes the same calls in the same order as one draw at a time would.
 ``sample_points`` makes a chunk's base and changed ``core.PointBlock``,
 each built from its order-2 ``L^2`` jet, and evaluates its ``sigma`` and
 ``b`` as blocks too; it judges the chunk's draws from the rows of those
-blocks, and its admitted draws stay columns of them, which evaluate
-their light jet layers together (``change.ChangedBlock``).  Where draws
-are rejected, a block has columns it leaves out, and the next chunk is
-smaller.  A chunk where one of the three block evaluations raises is
-judged draw by draw, each draw as a lone point, which raises its own
-errors or is admitted.  A hypersurface sampler admits each draw by
+blocks, and its admitted draws are the columns of blocks that evaluate
+their light jet layers together (``change.ChangedBlock``).  A block is
+all or nothing, so a chunk where one of the three block evaluations
+raises is judged draw by draw, each draw as a lone point, which raises
+its own errors or is admitted.  Where draws are rejected, the chunk's
+blocks are built again at the draws it keeps, and the next chunk is
+smaller.  A hypersurface sampler admits each draw by
 building its ``HyperPoint``, and returns those.
 """
 
@@ -86,7 +87,7 @@ def _rejection_loop(count, admit, what):
 class Samples(Sequence):
     """The admitted samples of a ``ChangedPair``, in draw order: ``coords``
     holds the (x, y) of each, and ``blocks`` the ``ChangedBlock`` of each
-    chunk with an admitted draw, whose columns are those samples, in the
+    chunk with an admitted draw, whose points are those samples, in the
     same order.  Item ``i`` is the lone ``ChangedPoint`` at ``coords[i]``,
     built by ``pair.at`` on each request and not kept."""
 
@@ -105,15 +106,16 @@ class Samples(Sequence):
 
 
 def _admit_block(pair, draws):
-    """(admitted draws, ``ChangedBlock`` of their columns) of a chunk of
-    draws, in draw order.  The base jets, ``sigma`` and ``b`` of all draws
-    are each one block evaluation, and the changed jets one more, on the
-    base block's filled coordinates.  The draws whose ``L^2`` jets pass
-    their checks are tried, and admitted where their rows are
-    ``_regular``.  Where one of the three evaluations raises (a block left
-    with no ``ok`` column), a draw is tried where the lone point
-    ``pair.at`` builds raises nothing, and the blocks keep the tried
-    columns, to evaluate them again."""
+    """(admitted draws, ``ChangedBlock`` of them) of a chunk of draws, in
+    draw order, or ([], None).  The base jets, ``sigma`` and ``b`` of all
+    draws are each one block evaluation, and the changed jets one more;
+    the draws are admitted where the rows of their ``ChangedBlock`` are
+    ``_regular``.  Where one of the three evaluations raises (a block is
+    all or nothing), a draw is tried where the lone point ``pair.at``
+    builds raises nothing.  A chunk that keeps every draw returns the
+    ``ChangedBlock`` it judged; one that leaves draws out builds its
+    blocks again at the draws it keeps (``_blocks``), so that no block
+    holds a draw that was left out."""
     x = np.stack([d[0] for d in draws], axis=1)
     y = np.stack([d[1] for d in draws], axis=1)
     base = PointBlock(pair.base, x, y)
@@ -121,30 +123,37 @@ def _admit_block(pair, draws):
         change = [np.moveaxis(a, -1, 0) for a in pair.change.at(x)]
     except FALLBACK_ERRORS:
         change = None
-    star = PointBlock(pair.starred, base.x, base.y)
-    if change is not None and base.ok.any() and star.ok.any():
-        tried = np.flatnonzero(base.ok & star.ok)
-        change = [a[tried] for a in change]
-    else:
+    star = PointBlock(pair.starred, x, y)
+    kept = np.arange(len(draws))
+    if change is None or not (base.ok and star.ok):
         cps = {}
         for p, draw in enumerate(draws):
             try:
                 cps[p] = pair.at(*draw)
             except (ValueError, ZeroDivisionError, JetDomainError):
                 pass
-        tried = np.array(list(cps), dtype=int)
+        if not cps:
+            return [], None
+        kept = np.array(list(cps), dtype=int)
         change = [np.array([getattr(cp, name) for cp in cps.values()])
                   for name in ("sigma", "grad_sigma", "b_low", "db")]
-        base.keep(tried)
-        star.keep(tried)
-    if not tried.size:
-        return [], None
-    good = _regular(ChangedBlock(pair, base, star, tried, change))
-    base.keep(tried[good])
-    star.keep(tried[good])
-    return ([draws[p] for p in tried[good]],
-            ChangedBlock(pair, base, star, tried[good],
-                         [a[good] for a in change]) if good.any() else None)
+    cb = ChangedBlock(pair, *_blocks(pair, base, star, kept), change)
+    good = _regular(cb)
+    if not good.all():
+        kept = kept[good]
+        cb = ChangedBlock(pair, *_blocks(pair, base, star, kept),
+                          [a[good] for a in change]) if good.any() else None
+    return [draws[p] for p in kept], cb
+
+
+def _blocks(pair, base, star, kept):
+    """The base and changed ``PointBlock`` of the columns ``kept`` of the
+    chunk's blocks ``base`` and ``star``: those blocks where they are all
+    of their columns, else new blocks at those columns' coordinates."""
+    if len(kept) == base.x.shape[1]:
+        return base, star
+    x, y = base.x[:, kept], base.y[:, kept]
+    return PointBlock(pair.base, x, y), PointBlock(pair.starred, x, y)
 
 
 def _regular(cb):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .change import ChangedPair, changed_blocks
+from .change import ChangedPair
 from .core import FALLBACK_ERRORS, central_partial, dot, matvec
 from .geodesics import (GeodesicError, curve_set_deviation,
                         integrate_geodesic, retrace_deviation)
@@ -119,7 +119,7 @@ class SuiteRun:
     def cblocks(self):
         """The samples as ``ChangedBlock``s, one per sampled chunk, in
         sample order."""
-        return changed_blocks(self.sampled()[0])
+        return self.sampled()[0].blocks
 
     def lone(self, count):
         """The lone ``ChangedPoint``s of the first ``count`` samples, each

@@ -1078,7 +1078,7 @@ def test_block_tensors_equal_single_points_bit_for_bit(monkeypatch, metric,
     # lower orders are cuts of the higher ones it computed first
     for names in (LIGHT_TENSORS, LIGHT_TENSORS[::-1]):
         points, _ = sample_points(pair, count, 11)
-        assert all(cb.base.block.ok.size <= block_size
+        assert all(cb.base.block.x.shape[1] <= block_size
                    for cb in points.blocks)
         got = {}
         for name in names:
@@ -1113,13 +1113,14 @@ def _steep_block(L2, x):
     return space, xs, y, block
 
 
-@pytest.mark.parametrize("L2,x,match", [
-    OVERFLOW + ("finite order-3",),
-    # 1/x1 at x1 = 1e-90: x1^4 underflows in the order-3 series, so the
-    # block's evaluation raises and every column's point computes alone
-    ("1e-200 / x1 * y1^2", [1e-90, 0.0], "reciprocal of value 1e-90"),
-])
-def test_block_member_raises_its_own_error(monkeypatch, L2, x, match):
+def _block_at(space, xs, y):
+    """The block of ``space`` at the x of ``xs``, each with ``y``."""
+    return PointBlock(space, np.transpose(xs), np.transpose([y] * len(xs)))
+
+
+def _counting_eval_l2(monkeypatch):
+    """A list that records (order, point shape) of every ``L^2``
+    evaluation from now on."""
     calls = []
     eval_l2 = MetricSpec.eval_l2
 
@@ -1127,54 +1128,65 @@ def test_block_member_raises_its_own_error(monkeypatch, L2, x, match):
         calls.append((env["x1"].order, env["x1"].coeffs.shape[1:]))
         return eval_l2(self, env)
 
+    monkeypatch.setattr(MetricSpec, "eval_l2", counting)
+    return calls
+
+
+@pytest.mark.parametrize("L2,x,match", [
+    OVERFLOW + ("finite order-3",),
+    # 1/x1 at x1 = 1e-90: x1^4 underflows in the order-3 series, so the
+    # block's evaluation raises
+    ("1e-200 / x1 * y1^2", [1e-90, 0.0], "reciprocal of value 1e-90"),
+])
+def test_block_member_raises_its_own_error(monkeypatch, L2, x, match):
     with np.errstate(over="ignore", invalid="ignore"):
         space, xs, y, block = _steep_block(L2, x)
         with pytest.raises(JetDomainError, match=match) as info:
             space.point(x, y).C_low()
-        want = [space.point(xv, y).C_low() for xv in (xs[0], xs[2])]
-        monkeypatch.setattr(MetricSpec, "eval_l2", counting)
-        # the rows of every column: the failed column's point, computed
-        # alone, raises its own error
+        calls = _counting_eval_l2(monkeypatch)
+        # the block fails whole, and its rows are the lone points': the
+        # failed column's raises its own error
         with pytest.raises(JetDomainError) as own:
-            PointRows(block, [0, 1, 2]).C_low()
+            PointRows(block).C_low()
         assert str(own.value) == str(info.value)
-        got = PointRows(block, [0, 2]).C_low()
-    for row, ref in zip(got, want, strict=True):
-        assert row.tobytes() == ref.tobytes()
-    # the block's order-3 evaluation runs once, raising or not; the
-    # columns it leaves are computed alone
-    assert [call for call in calls if call[1]] == [(3, (3,))]
+        assert not block.ok
+        # a failed block is not evaluated again: its rows of the Berwald
+        # connection, from L^2 at order 4, raise from the lone points too
+        with pytest.raises(JetDomainError) as own:
+            PointRows(block).berwald()
+        with pytest.raises(JetDomainError) as info:
+            space.point(x, y).berwald()
+        assert str(own.value) == str(info.value)
+        # its order-3 evaluation ran once
+        assert [call for call in calls if call[1]] == [(3, (3,))]
+        got = PointRows(_block_at(space, [xs[0], xs[2]], y)).C_low()
+    for row, xv in zip(got, (xs[0], xs[2]), strict=True):
+        assert row.tobytes() == space.point(xv, y).C_low().tobytes()
 
 
 @pytest.mark.parametrize("names", [("riemann", "berwald"),
                                    ("berwald", "riemann")])
 def test_block_layer_that_raises_is_evaluated_once(monkeypatch, names):
-    calls = []
-    eval_l2 = MetricSpec.eval_l2
-
-    def counting(self, env):
-        calls.append((env["x1"].order, env["x1"].coeffs.shape[1:]))
-        return eval_l2(self, env)
-
     # 1/x1 at x1 = 1e-65: x1^5 underflows in the order-4 series, so the
     # block's L^2 at order 4 raises, inside the spray jets that both the
     # R jets and berwald read
     space, xs, y, block = _steep_block("1e-200 / x1 * y1^2", [1e-65, 0.0])
-    monkeypatch.setattr(MetricSpec, "eval_l2", counting)
-    bad, rows = PointRows(block, [1]), PointRows(block, [0, 2])
+    calls = _counting_eval_l2(monkeypatch)
+    rows = PointRows(block)
+    healthy = PointRows(_block_at(space, [xs[0], xs[2]], y))
     for name in names:
         with pytest.raises(JetDomainError, match="1e-65") as want:
             getattr(space.point(xs[1], y), name)()
         with pytest.raises(JetDomainError) as got:
-            getattr(bad, name)()
+            getattr(rows, name)()
         assert str(got.value) == str(want.value)
-        for p, row in zip((0, 2), getattr(rows, name)()):
-            alone = getattr(space.point(xs[p], y), name)()
+        for xv, row in zip((xs[0], xs[2]), getattr(healthy, name)()):
+            alone = getattr(space.point(xv, y), name)()
             assert row.tobytes() == alone.tobytes()
-    assert calls.count((4, (3,))) == 1
+    assert calls.count((4, (3,))) == 1 and not block.ok
 
 
-def test_failing_column_spares_the_other_members(monkeypatch):
+def test_failing_column_fails_the_whole_block(monkeypatch):
     solves = []
     solve = core.jet_linear_solve
 
@@ -1183,71 +1195,65 @@ def test_failing_column_spares_the_other_members(monkeypatch):
         return solve(A, rhs)
 
     # the failed column's order-3 overflow is expected; an inf of it that
-    # met a zero in a later layer of the block would raise here
+    # met a zero in a later layer of a block would raise here
     with np.errstate(over="ignore", invalid="raise"):
         space, xs, y, block = _steep_block(*OVERFLOW)
         monkeypatch.setattr(core, "jet_linear_solve", counting)
-        # rows keep their columns' coordinates from construction, before
-        # the block gives the failed column a healthy one's
-        rows, bad = PointRows(block, [0, 2]), PointRows(block, [1])
-        got = (rows.n_conn(), rows.berwald(), rows.riemann())
-        # one block solve per spray order, none for a single point
-        assert solves == [(3,), (3,)]
-        assert block.ok.tolist() == [True, False, True]
-        assert block.x[:, 1].tolist() == xs[0] and bad.x.tolist() == [xs[1]]
-        with pytest.raises(JetDomainError, match="finite order-3"):
-            bad.n_conn()
-        for p, N, B, R in zip((0, 2), *got):
-            alone = space.point(xs[p], y)
+        rows = PointRows(block)
+        with pytest.raises(JetDomainError, match="finite order-3") as got:
+            rows.n_conn()
+        with pytest.raises(JetDomainError) as want:
+            space.point(xs[1], y).n_conn()
+        assert str(got.value) == str(want.value)
+        # the check failed the block before its spray solve: the solves
+        # are the lone points'
+        assert not block.ok and all(shape == () for shape in solves)
+        solves.clear()
+        healthy = PointRows(_block_at(space, [xs[0], xs[2]], y))
+        got = (healthy.n_conn(), healthy.berwald(), healthy.riemann())
+        # one block solve per spray order
+        assert solves == [(2,), (2,)]
+        for xv, N, B, R in zip((xs[0], xs[2]), *got):
+            alone = space.point(xv, y)
             assert N.tobytes() == alone.n_conn().tobytes()
             assert B.tobytes() == alone.berwald().tobytes()
             assert R.tobytes() == alone.riemann().tobytes()
-    # the block gave the failed column a healthy one's values
+    # the failed block keeps the coordinates of its construction, and no
+    # layer of it holds the overflowing coefficients
+    assert block.x.T.tolist() == xs and rows.x.tolist() == xs
     for name, (_, layer) in _layers(block):
         assert all(np.isfinite(j.coeffs).all() for j in _jets_in(layer))
 
 
-def test_columns_keep_leaves_out_never_reach_the_blocks_later_layers():
-    space, xs, y, block = _steep_block(*OVERFLOW)
-    block.keep([0, 2])
-    assert block.ok.tolist() == [True, False, True]
-    assert block.x[:, 1].tolist() == xs[0]
-    # the left-out column's order-3 coefficients would overflow
-    with np.errstate(all="raise"):
-        got = PointRows(block, [0, 2]).C_low()
-    assert block._cache["_f2"][0] == 3
-    for p, C in zip((0, 2), got):
-        assert C.tobytes() == space.point(xs[p], y).C_low().tobytes()
-    # nor its tensors: g is singular at the left-out draw, whose order-2
-    # jet, from construction, the block's rows of g^ij would otherwise read
-    space = FinslerSpace(parse_spec_text("dim 2\nL2 = y1^2 + x1^2 * y2^2\n",
-                                         name="flat-at-x1-0"))
-    xs = [[0.5, 0.1], [0.0, 0.2], [0.25, -0.3]]
-    block = PointBlock(space, np.transpose(xs), np.transpose([y] * 3))
-    block.keep([0, 2])
-    rows = PointRows(block, [0, 2])
-    got = rows.g_up()
-    assert block.ok.tolist() == [True, False, True]
-    for p, g_up in zip((0, 2), got):
-        want = space.point(xs[p], y).g_up()
-        assert g_up.tobytes() == want.tobytes()
-    # a block whose order-2 evaluation raised at the middle point only
-    # cleared every column; once kept, its rows come from the block again:
-    # the Cartan tensor from L^2 at order 3, the Berwald connection from
-    # the spray at order 2 and L^2 at order 4
-    space = FinslerSpace(parse_spec_text(
-        "dim 2\nL2 = (y1^2 + y2^2) * sqrt(x1 + 0.3)\n", name="rooted"))
-    xs = [[0.5, 0.1], [-0.8, 0.9], [0.25, -0.3]]
-    block = PointBlock(space, np.transpose(xs), np.transpose([y] * 3))
-    assert block.ok.tolist() == [False] * 3 and not block._cache
-    block.keep([0, 2])
-    rows = PointRows(block, [0, 2])
-    for name in ("C_low", "berwald"):
-        for p, row in zip((0, 2), getattr(rows, name)()):
-            want = getattr(space.point(xs[p], y), name)()
-            assert row.tobytes() == want.tobytes()
-    assert block.ok.tolist() == [True, False, True]
-    assert block._cache["_f2"][0] == 4 and "points" not in rows._cache
+@pytest.mark.parametrize("L2,xs,name", [
+    # the middle draw's order-3 coefficients overflow
+    ("y1^2 + y2^2 + " + OVERFLOW[0], [[0.5, 0.1], OVERFLOW[1], [0.25, -0.3]],
+     "C_low"),
+    # g is singular at the middle draw, so the block's g^ij raises
+    ("y1^2 + x1^2 * y2^2", [[0.5, 0.1], [0.0, 0.2], [0.25, -0.3]], "g_up"),
+    # sqrt leaves its domain at the middle draw: construction raises
+    ("(y1^2 + y2^2) * sqrt(x1 + 0.3)",
+     [[0.5, 0.1], [-0.8, 0.9], [0.25, -0.3]], "berwald")],
+    ids=["overflow", "singular-g", "sqrt-domain"])
+def test_block_of_the_kept_draws_never_meets_a_left_out_one(L2, xs, name):
+    space = FinslerSpace(parse_spec_text(f"dim 2\nL2 = {L2}\n", name="m"))
+    y = [1.0, 0.5]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        block = _block_at(space, xs, y)
+        with pytest.raises((JetDomainError, ValueError, ArithmeticError)):
+            getattr(PointRows(block), name)()
+    assert not block.ok
+    # the block of the other draws, the one admission builds where draws
+    # are left out, evaluates its layers without meeting an inf or a NaN,
+    # and its rows are its own, bit for bit the lone points'
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        kept = _block_at(space, [xs[0], xs[2]], y)
+        rows = PointRows(kept)
+        for tensor in ("C_low", "g_up", "berwald"):
+            for xv, row in zip((xs[0], xs[2]), getattr(rows, tensor)()):
+                want = getattr(space.point(xv, y), tensor)()
+                assert row.tobytes() == want.tobytes()
+    assert kept.ok and "points" not in rows._cache
 
 
 def _jets_in(value):
@@ -1271,14 +1277,14 @@ def test_block_members_keep_no_views_of_the_blocks_layers():
     block = cb.base.block
     got = [getattr(cb.base, name)() for name in core.ROW_TENSORS]
     assert {"_f2", "_spray_jets", "_riemann_jets"} <= set(block._cache)
-    block_arrays = [j.coeffs for _, (_, layer) in _layers(block)
-                    for j in _jets_in(layer)]
-    block_arrays += [v for name, v in block._cache.items()
-                     if not name.startswith("_")]
-    # the rows are arrays of their own: no view of a block's jet or tensor
-    for value in got:
+    jet_arrays = [j.coeffs for _, (_, layer) in _layers(block)
+                  for j in _jets_in(layer)]
+    # the rows are the block's tensors, arrays of their own: no view of a
+    # block's jet, which would keep its layers alive
+    for name, value in zip(core.ROW_TENSORS, got):
+        assert value is block._cache[name]
         assert isinstance(value, np.ndarray) and value.shape[0] == 5
-        assert not any(np.shares_memory(value, a) for a in block_arrays)
+        assert not any(np.shares_memory(value, a) for a in jet_arrays)
     # a cached seed jet keeps no other seed's coefficients alive
     assert all(j.coeffs.base is None for j in block._cache["_f2"][1][0])
     assert all(j.coeffs.base is None

@@ -13,6 +13,7 @@ from finslerchange.jets import (
     JetDomainError,
     JetError,
     JetOrderError,
+    _pivot,
     _space,
     jet_linear_solve,
     lift,
@@ -251,6 +252,66 @@ def test_linear_solve_matches_numpy_values_and_derivatives():
     for i in range(n):
         assert x[i].value == pytest.approx(x0[i], rel=1e-12)
         assert x[i].partials(1)[0] == pytest.approx(dx[i], rel=1e-6)
+
+
+# Values whose magnitudes tie, order and fail to compare (NaN) in every
+# way a pivot column can hold them.
+PIVOT_VALUES = (np.nan, np.inf, -np.inf, 0.0, -0.0, 0.5, 1.0, 2.0)
+
+
+def _max_pivot(values, col):
+    """The pivot rule the solve was written with: Python's ``max`` of the
+    magnitudes at and below ``col``, its first maximum; None where the
+    chosen magnitude is zero, as the solve raises there."""
+    piv = max(range(col, len(values)), key=lambda r: abs(values[r]))
+    return None if abs(values[piv]) == 0.0 else piv
+
+
+def _pivoted(column, col):
+    """``_pivot`` of a system whose column ``col`` holds ``column``, an
+    array of shape (n,) for a point or (n, P) for a block: the rows of
+    ``b``, labelled by their index, after it, or None where it raised."""
+    n = len(column)
+    space = _space(1, 0)
+
+    def jet(v):
+        return Jet(space, np.array([v]) if np.ndim(v) == 0
+                   else np.asarray(v, dtype=float)[None])
+
+    labels = [jet(np.full(np.shape(column[0]), float(r))) for r in range(n)]
+    M = [[jet(column[r]) if c == col else labels[r] for c in range(n)]
+         for r in range(n)]
+    b = list(labels)
+    try:
+        _pivot(M, b, col)
+    except JetDomainError:
+        return None
+    return np.array([v.coeffs[0] for v in b])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pivot_is_pythons_max_at_every_point(n):
+    rng = np.random.default_rng(n)
+    cases = rng.choice(PIVOT_VALUES, size=(2000, n))
+    for col in range(n):
+        want = [_max_pivot(case.tolist(), col) for case in cases]
+        # one point at a time: the row brought up, or the singular error
+        for case, piv in zip(cases, want):
+            got = _pivoted(case, col)
+            assert (got is None) == (piv is None), (case, col)
+            if piv is not None:
+                assert got[col] == piv and got[piv] == col, (case, col)
+        # a block of the cases the rule finds a pivot in: each point's
+        # rows col and pivot swapped, the others in place
+        ok = [p for p, piv in enumerate(want) if piv is not None]
+        got = _pivoted(cases[ok].T, col)
+        expect = np.tile(np.arange(n, dtype=float)[:, None], len(ok))
+        for k, p in enumerate(ok):
+            expect[[col, want[p]], k] = expect[[want[p], col], k]
+        assert got.tobytes() == expect.tobytes(), col
+        # and a block with one singular point raises
+        if len(ok) < len(cases):
+            assert _pivoted(cases.T, col) is None
 
 
 def test_truncation_is_prefix():

@@ -66,15 +66,15 @@ def _reference(pair, count, seed):
 
 def _sample(monkeypatch, pair, count, seed):
     """``sample_points`` with the number of blocks whose construction
-    cleared every column: a block caches its order-2 ``L^2`` jet at
-    construction unless that evaluation raised."""
+    raised, which fails the whole block: a block caches its order-2
+    ``L^2`` jet at construction unless that evaluation raised."""
     cleared = []
     init = PointBlock.__init__
 
     def counting(block, *args):
         init(block, *args)
         if not block._cache:
-            assert not block.ok.any()
+            assert not block.ok
             cleared.append(block)
 
     monkeypatch.setattr(PointBlock, "__init__", counting)
@@ -83,17 +83,17 @@ def _sample(monkeypatch, pair, count, seed):
 
 
 # (metric, change, the rejection cause it exercises, whether the block
-# evaluation of a chunk raises, so its columns are cleared and each draw
-# is judged alone)
+# evaluation of a chunk raises, so the block fails and each draw is judged
+# alone; a draw whose L^2 jet fails its check fails its block)
 CASES = {
     "L2 not positive": ("L2 = (y1^2 + y2^2) * (x1 + 0.5)", "sigma = 0.2 * x2",
-                        "L2", False),
+                        "L2", True),
     "block domain error": ("L2 = (y1^2 + y2^2) * sqrt(x1 + 0.3)",
                            "b1 = 0.1 * x2", "domain", True),
     "L* not positive": ("a_11 = 1\na_22 = 1", "b1 = 1.4 * x1", "L*", False),
     # e^(2 sigma) stays finite, its second coefficients do not everywhere
     "changed L2 not finite": ("a_11 = 1\na_22 = 1",
-                              "sigma = 350 * sin(50 * x1)", "L2", False),
+                              "sigma = 350 * sin(50 * x1)", "L2", True),
     "det g": ("a_11 = 1\na_22 = x1^8", "sigma = 0.1 * x1", "det", False),
     # sigma and b of a block raise, so each draw evaluates its own
     "change domain error": ("a_11 = 1\na_22 = 1", "b1 = 0.1 * sqrt(x2 + 0.3)",
@@ -105,7 +105,7 @@ CASES = {
                                    "b1 = 1e-8 * x2", "domain", True),
     # a block takes jet exponents as each column does
     "jet exponent": ("L2 = (y1^2 + y2^2) * e^x1 * (x2 + 0.5)",
-                     "b1 = 0.1 * 2^x2", "L2", False),
+                     "b1 = 0.1 * 2^x2", "L2", True),
 }
 
 
@@ -158,9 +158,9 @@ def _assert_same_points(got, want):
 
 
 def test_blocks_that_raise_admit_what_single_draws_admit(monkeypatch):
-    # L^2 of block jets raises on both sides, so every block's
-    # construction clears its columns; building the blocks again on the
-    # admitted draws would raise again
+    # L^2 of block jets raises on both sides, so every block fails at
+    # construction; the blocks built again at the admitted draws of a
+    # chunk that rejects some raise again
     pair = ChangedPair(*map(resolve_spec, ["sphere2", "tangent_parabola"]))
     eval_l2 = MetricSpec.eval_l2
 
@@ -177,12 +177,14 @@ def test_blocks_that_raise_admit_what_single_draws_admit(monkeypatch):
     assert rejected == want_rejected == causes["L*"] == 3
     _assert_same_points(got, want)
     sides = [rows for cb in got.blocks for rows in (cb.base, cb.star)]
-    # every block was cleared at construction, kept its admitted columns,
-    # and raised again when its rows were read, so they are lone points'
-    assert cleared == len({id(rows.block) for rows in sides}) == 10
+    # two blocks for each of the five chunks, and two more for each of the
+    # two chunks with a rejected draw: every one failed at construction,
+    # so the rows are lone points'
+    assert len({id(rows.block) for rows in sides}) == 10
+    assert cleared == 14
     for rows in sides:
-        assert not rows.block.ok.any()
-        assert len(rows.points()) == len(rows.columns)
+        assert not rows.block.ok
+        assert len(rows.points()) == len(rows.x)
 
 
 def test_changed_block_that_raises_leaves_each_draw_to_its_changed_point(
@@ -205,7 +207,12 @@ def test_changed_block_that_raises_leaves_each_draw_to_its_changed_point(
     got, rejected, cleared = _sample(monkeypatch, pair, 100, 1)
     want, want_rejected, causes = _reference(pair, 100, 1)
     assert rejected == want_rejected == causes["domain"] > 0
-    assert cleared == len(got.blocks)
+    # the changed block of each of the six chunks fails, and so does the
+    # one built again at the kept draws of each of the five that reject
+    # some; no base block fails
+    assert len(got.blocks) == 6 and cleared == 11
+    assert all(cb.base.block.ok and not cb.star.block.ok
+               for cb in got.blocks)
     _assert_same_points(got, want)
 
 
@@ -241,10 +248,11 @@ def test_rejected_draws_never_reach_a_blocks_later_layers(monkeypatch, case):
         got = {(side, name): np.concatenate([getattr(rows, name)()
                                              for rows in sides[side]])
                for side in sides for name in LIGHT_TENSORS}
-    # the rows are the blocks', whose layers never met a rejected draw,
-    # also where a block's construction raised
+    # the rows are the blocks', whose layers never met a rejected draw:
+    # a chunk that rejects draws builds its blocks again at the kept
+    # ones, also where its blocks' construction raised
     for rows in sides["base"] + sides["star"]:
-        assert rows.block.ok.sum() == len(rows.columns)
+        assert rows.block.ok
         assert "points" not in rows._cache
         for name, cached in rows.block._cache.items():
             if name.startswith("_"):

@@ -29,7 +29,7 @@ stack`` hashes the same tensors of both sides at the points
 ``sample_points`` returns for ``SAMPLED``, requested tensor by tensor
 over all points, as ``verify``'s checks request them: each light tensor
 (``core.ROW_TENSORS``) is read as the rows of the samples' blocks
-(``change.changed_blocks``), which must match the one-point tensors bit
+(``sampling.Samples.blocks``), which must match the one-point tensors bit
 for bit, since a report's maxima could hide a difference in the last
 bit, and each other tensor on a lone point.  The bytes go tensor by
 tensor, then point by point, base before changed side, as the lone
@@ -84,9 +84,10 @@ SQRT2 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "specs",
 # where every hypersurface check is measured, and a non-projective change
 # with a closed curve: its drift (-0.1 x2, 0.1 x1) cancels the drift of
 # the irreversible randers2, so the changed side is Euclidean.  The tenth
-# is a metric whose block evaluations raise, so sampling clears the
-# columns of its blocks.  The last measures every row that reads block
-# forms in 3D, on one full chunk and a tail of 44 points.
+# is a metric whose block evaluations raise, so sampling judges those
+# chunks draw by draw and builds their blocks again at the kept draws.
+# The last measures every row that reads block forms in 3D, on one full
+# chunk and a tail of 44 points.
 CONFIGS = (
     ("euclid2+tangent_parabola+parabola2 n12 s108",
      "euclid2", "tangent_parabola", "parabola2", 12, 108),
@@ -145,8 +146,8 @@ FALLBACK_YS = ((1.0, 0.5), (1.0, 1.0))
 # (metric, change, samples, seed) of the sampled tensor digest: the
 # configurations of verify-many-2d's 200-sample digest line and of
 # verify-regular-3d, and the one bundled pair whose sampler rejects draws
-# (3 of 203, where L* <= 0), so that blocks with left-out columns are
-# covered.
+# (3 of 203, where L* <= 0), so that blocks built again at the draws a
+# chunk keeps are covered.
 SAMPLED = (("randers2", "projective", 200, 1),
            ("curved3", "projective3", 12, 108),
            ("sphere2", "tangent_parabola", 200, 1))
@@ -212,7 +213,7 @@ def _sampled(configs, tensors):
     returns for ``configs``, {tensor name: sha256}), requested tensor by
     tensor over all points: a light tensor as the rows of the samples'
     blocks, any other on a lone point of each side, built once."""
-    from finslerchange.change import ChangedPair, changed_blocks
+    from finslerchange.change import ChangedPair
     from finslerchange.core import ROW_TENSORS
     from finslerchange.lang import resolve_spec
     from finslerchange.sampling import sample_pair_points, sample_points
@@ -221,7 +222,7 @@ def _sampled(configs, tensors):
     for metric, change, samples, seed in configs:
         pair = ChangedPair(resolve_spec(metric, expect="metric"),
                            resolve_spec(change, expect="change"))
-        blocks = changed_blocks(sample_points(pair, samples, seed)[0])
+        blocks = sample_points(pair, samples, seed)[0].blocks
         lone = []
         for name in tensors:
             if name in ROW_TENSORS:
