@@ -11,18 +11,18 @@ predictions for the changed tensors in terms of base-space data, next to
 the directly computed values, so the two routes can be compared.  The
 predictions of ``ChangedPoint`` are written over an optional leading
 point axis: a ``ChangedBlock`` holds the admitted draws of one chunk of
-samples, built from a base and a changed ``core.PointBlock`` at those
-draws and their ``sigma`` and ``b`` arrays, and evaluates each
-prediction once for all of them, bit for bit the value at each point
-alone.
+samples: a base and a changed ``core.PointBlock`` at those draws, read
+as its ``base`` and ``star``, and their ``sigma`` and ``b`` arrays.  It
+evaluates each prediction once for all of them, bit for bit the value
+at each point alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import (FinslerSpace, PointRows, dot, float_pow,
-                   horizontal_covariant, matvec, outer, per_point)
+from .core import (FinslerSpace, dot, float_pow, horizontal_covariant,
+                   matvec, outer, per_point)
 from .jets import Jet, JetDomainError, lift_env
 from .lang import (
     Bin,
@@ -308,22 +308,23 @@ class ChangedPoint:
 
 class ChangedBlock(ChangedPoint):
     """The admitted draws of one sampled chunk as one ``ChangedPoint``
-    with a leading point axis.  ``base`` and ``star`` are the
-    ``core.PointRows`` of a base and a changed ``PointBlock`` whose
-    columns are those draws; ``change`` is (sigma, its gradient, b, db)
-    at them, point axis first.  ``y`` and the numbers of construction
-    (``esig``, ``beta``, ``Lstar``, ``L``, ``tau``) are computed from
-    those arrays with the one-point formulas, so that every formula of
-    ``ChangedPoint`` runs once on arrays, bit for bit its value at each
-    point alone."""
+    with a leading point axis.  ``base`` and ``star`` are a base and a
+    changed ``core.PointBlock`` whose columns are those draws, read as
+    rows of light tensors; ``change`` is (sigma, its gradient, b, db) at
+    them, point axis first.  ``y`` (a contiguous copy, since the bits of
+    a stacked matmul depend on the layout) and the numbers of
+    construction (``esig``, ``beta``, ``Lstar``, ``L``, ``tau``) are
+    computed from those arrays with the one-point formulas, so that
+    every formula of ``ChangedPoint`` runs once on arrays, bit for bit
+    its value at each point alone."""
 
     def __init__(self, pair, base, star, change):
         self._cache = {}
         self.pair = pair
         self.n = pair.n
-        self.base = PointRows(base)
-        self.star = PointRows(star)
-        self.y = self.base.y
+        self.base = base
+        self.star = star
+        self.y = np.ascontiguousarray(base.y.T)
         self.sigma, self.grad_sigma, self.b_low, self.db = change
         self.esig = np.exp(self.sigma)
         self.beta = dot(self.b_low, self.y)

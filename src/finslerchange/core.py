@@ -29,19 +29,21 @@ columns fixed at construction.  It is built from its order-2 jet of L^2,
 as a point is, and runs the same code for the light jet layers (those
 ``riemann`` needs) on jets whose coefficients carry that axis, each
 layer reading the block's own lower layers, at the orders asked for.  A
-block is all or nothing: its ``_check_l2`` raises where any column
-fails, and a block evaluation that raises fails the whole block
-(``PointBlock.evaluate``), whose points are then computed alone.
+block is judged once, at construction: it raises there where any
+column's point would, and a later layer that raises at some column
+raises out of the block.  Either way the error is the one that the
+first column failing at that step raises as a lone point
+(``PointBlock._check_l2``, and the per-point replay of block series in
+``jets``).
 
 The light tensors (``ROW_TENSORS``, ``L2`` to ``riemann``) are written
 once over an optional leading point axis, on the class both share: a
 point's are its own arrays, a block's have one row per column, read from
-its cached layers.  ``PointRows`` gives the rows of a block, or, where
-the block has failed, the stacked tensors of lone points at its
-coordinates, so that checks over many sampled points measure arrays,
-not points.  The module's formulas over that axis (``dot``, ``matvec``,
-``outer``, ``per_point``, ``float_pow``, ``horizontal_covariant``) round
-as their one-point forms do at every point.
+its cached layers, so that checks over many sampled points measure
+arrays, not points.  The module's formulas over that axis (``dot``,
+``matvec``, ``outer``, ``per_point``, ``float_pow``,
+``horizontal_covariant``) round as their one-point forms do at every
+point.
 
 Index conventions: arrays are 0-based; for a connection-like array ``T``
 the first axis is the upper index.  Jet variable slots are ``i`` for x^i
@@ -64,9 +66,10 @@ from .jets import (Jet, JetDomainError, JetError, compiled, jet_linear_solve,
 from .lang import MetricSpec, SpecError, _l2
 from .memo import cached
 
-# The errors of a block evaluation that fail the whole block
-# (``PointBlock.evaluate``), so that each of its points is computed alone
-# and raises its own.
+# The errors of a jet or float evaluation on which a caller falls back to
+# a narrower one: a point's top-order attempt (``_layer``), a chunk of
+# sampled draws judged draw by draw (``sampling._admit_block``), and
+# stacked float probes evaluated point by point.
 FALLBACK_ERRORS = (JetError, SpecError, ValueError, ArithmeticError)
 
 # The x-degree that jets of L^2 keep.  No tensor reads more than two
@@ -330,7 +333,9 @@ class JetLayers:
     coordinates of shape ``(n, P)`` carry a point axis into every jet and,
     put first by ``_lead``, into every tensor.  ``_top`` is set on a
     point after construction, while it builds its layers at their top
-    orders; a block builds them at the orders asked for."""
+    orders; a block builds them at the orders asked for, and a layer
+    that raises at one of its columns raises that column's point's
+    error, evaluated again if asked again."""
 
     _top = False
 
@@ -513,36 +518,23 @@ class PointBlock(JetLayers):
     up to order 2 and ``_riemann_jets(0)``, once per order, with
     ``PointGeometry``'s code on the block's own cache, so that a layer
     reads the block's lower layers.  ``x`` and ``y`` have shape ``(n,
-    P)``, fixed at construction, which reads the order-2 jet of L^2 under
-    ``evaluate``, as a point's does.
+    P)``, fixed at construction, which reads the order-2 jet of L^2 and
+    raises where that raises, as a point's does.
 
-    A block is all or nothing.  ``ok`` is cleared, once and for good, by
-    the first evaluation that raises one of ``FALLBACK_ERRORS``, among
-    them the ``_check_l2`` of any column; the block's points are then
-    computed alone (``PointRows``), so they raise their own errors.  The
-    light tensors (``ROW_TENSORS``) of a block are arrays whose first axis
-    indexes its columns, read from its layers with the code a point runs
-    (``JetLayers``)."""
+    A block is all or nothing: an evaluation that raises at any column
+    raises out of the block, at the first step that fails, with the
+    error that the first column failing there raises as a lone point.
+    The light tensors (``ROW_TENSORS``) of a block are arrays whose first
+    axis indexes its columns, read from its layers with the code a point
+    runs (``JetLayers``)."""
 
     def __init__(self, space, x, y):
         self.space = space
         self.n = space.n
         self.x = np.array(x, dtype=float)
         self.y = np.array(y, dtype=float)
-        self.ok = True
         self._cache = {}
-        self.evaluate("_f2", 2)
-
-    def evaluate(self, name, *args):
-        """The block's jet layer or tensor ``name``, called with ``args``;
-        None, with ``ok`` cleared, where it raises one of
-        ``FALLBACK_ERRORS``: a failure belongs to a column, which its
-        point, computed alone, finds."""
-        try:
-            return getattr(self, name)(*args)
-        except FALLBACK_ERRORS:
-            self.ok = False
-            return None
+        self._f2(2)
 
     def _lead(self, a):
         """``a``, read from jets, with the point axis moved from last to
@@ -555,59 +547,23 @@ class PointBlock(JetLayers):
 
     def _check_l2(self, f2, order):
         """Raise where ``L^2`` is not positive with finite coefficients at
-        some column, as that column's point would: no later layer of the
-        block meets an inf.  Only the coefficients the jet holds count:
-        one of x-degree above ``L2_XCAP`` fails no column."""
+        some column, the error of the module's ``_check_l2`` at the first
+        such column: no later layer of the block meets an inf.  Only the
+        coefficients the jet holds count: one of x-degree above
+        ``L2_XCAP`` fails no column."""
         c = f2.coeffs
-        if not ((c[0] > 0.0).all() and np.isfinite(c).all()):
-            raise JetDomainError(f"L^2 is not positive with finite "
-                                 f"order-{order} coefficients in a block")
+        bad = ~((c[0] > 0.0) & np.isfinite(c).all(axis=0))
+        if bad.any():
+            p = int(np.argmax(bad))
+            _check_l2(c[:, p], order, self.x[:, p].tolist(),
+                      self.y[:, p].tolist())
 
 
-# The light tensors of ``PointRows`` and of a ``PointBlock``: those read
-# from the jet layers that blocks evaluate.
+# The light tensors of a ``PointBlock``, those read from the jet layers
+# that blocks evaluate, as rows over its columns.
 ROW_TENSORS = ("L2", "L", "y_low", "l_low", "g_low", "det_g", "g_up",
                "h_low", "C_low", "C_up", "spray", "n_conn", "berwald",
                "cartan_hconn", "riemann")
-
-
-class PointRows:
-    """The light tensors at the columns of a ``PointBlock``, as arrays
-    whose first axis indexes them: ``rows.g_low()`` and so on for each
-    name in ``ROW_TENSORS``, cached.  ``x`` and ``y`` are the block's
-    coordinates, point axis first.
-
-    A tensor is the block's own array while the block is ``ok``, so the
-    block computes it only where it is read.  Otherwise (the block's
-    evaluation raised, now or before) it is the stacked tensors of lone
-    points built at ``x`` and ``y``, once, which raise their own errors.
-    Either way each row is bit for bit the lone point's tensor."""
-
-    def __init__(self, block):
-        self.block = block
-        self.x = np.ascontiguousarray(block.x.T)
-        self.y = np.ascontiguousarray(block.y.T)
-        self._cache = {}
-
-    def __getattr__(self, name):
-        if name not in ROW_TENSORS:
-            raise AttributeError(name)
-        return functools.partial(self._rows, name)
-
-    def _rows(self, name):
-        if name not in self._cache:
-            block = self.block
-            value = block.evaluate(name) if block.ok else None
-            self._cache[name] = (
-                value if block.ok else
-                np.array([getattr(pg, name)() for pg in self.points()]))
-        return self._cache[name]
-
-    @cached
-    def points(self):
-        """The lone points at the rows' coordinates."""
-        space = self.block.space
-        return [space.point(x, y) for x, y in zip(self.x, self.y)]
 
 
 class PointGeometry(JetLayers):

@@ -13,11 +13,12 @@ each built from its order-2 ``L^2`` jet, and evaluates its ``sigma`` and
 ``b`` as blocks too; it judges the chunk's draws from the rows of those
 blocks, and its admitted draws are the columns of blocks that evaluate
 their light jet layers together (``change.ChangedBlock``).  A block is
-all or nothing, so a chunk where one of the three block evaluations
-raises is judged draw by draw, each draw as a lone point, which raises
-its own errors or is admitted.  Where draws are rejected, the chunk's
-blocks are built again at the draws it keeps, and the next chunk is
-smaller.  A hypersurface sampler admits each draw by
+judged once, at construction, and raises where any column's point
+would, so a chunk where one of the three block evaluations raises is
+judged draw by draw, each draw as a lone point, which raises its own
+errors or is admitted.  Where a chunk was judged so, or draws are
+rejected, its blocks are built again at the draws it keeps, and the
+next chunk is smaller.  A hypersurface sampler admits each draw by
 building its ``HyperPoint``, and returns those.
 """
 
@@ -88,8 +89,9 @@ class Samples(Sequence):
     """The admitted samples of a ``ChangedPair``, in draw order: ``coords``
     holds the (x, y) of each, and ``blocks`` the ``ChangedBlock`` of each
     chunk with an admitted draw, whose points are those samples, in the
-    same order.  Item ``i`` is the lone ``ChangedPoint`` at ``coords[i]``,
-    built by ``pair.at`` on each request and not kept."""
+    same order; no block is one whose construction raised.  Item ``i``
+    is the lone ``ChangedPoint`` at ``coords[i]``, built by ``pair.at``
+    on each request and not kept."""
 
     def __init__(self, pair, coords, blocks):
         self.pair = pair
@@ -110,22 +112,21 @@ def _admit_block(pair, draws):
     draw order, or ([], None).  The base jets, ``sigma`` and ``b`` of all
     draws are each one block evaluation, and the changed jets one more;
     the draws are admitted where the rows of their ``ChangedBlock`` are
-    ``_regular``.  Where one of the three evaluations raises (a block is
-    all or nothing), a draw is tried where the lone point ``pair.at``
-    builds raises nothing.  A chunk that keeps every draw returns the
-    ``ChangedBlock`` it judged; one that leaves draws out builds its
-    blocks again at the draws it keeps (``_blocks``), so that no block
-    holds a draw that was left out."""
+    ``_regular``.  Where one of the three evaluations raises (a block
+    raises where any column would), a draw is tried where the lone point
+    ``pair.at`` builds raises nothing, and new blocks are built at the
+    draws tried so.  A chunk that keeps every draw of its blocks returns
+    them; one that leaves draws out builds its blocks again at the draws
+    it keeps (``_blocks``), so that no block holds a draw that was left
+    out, and none is one that raised."""
     x = np.stack([d[0] for d in draws], axis=1)
     y = np.stack([d[1] for d in draws], axis=1)
-    base = PointBlock(pair.base, x, y)
-    try:
-        change = [np.moveaxis(a, -1, 0) for a in pair.change.at(x)]
-    except FALLBACK_ERRORS:
-        change = None
-    star = PointBlock(pair.starred, x, y)
     kept = np.arange(len(draws))
-    if change is None or not (base.ok and star.ok):
+    try:
+        base = PointBlock(pair.base, x, y)
+        change = [np.moveaxis(a, -1, 0) for a in pair.change.at(x)]
+        star = PointBlock(pair.starred, x, y)
+    except FALLBACK_ERRORS:
         cps = {}
         for p, draw in enumerate(draws):
             try:
@@ -137,22 +138,19 @@ def _admit_block(pair, draws):
         kept = np.array(list(cps), dtype=int)
         change = [np.array([getattr(cp, name) for cp in cps.values()])
                   for name in ("sigma", "grad_sigma", "b_low", "db")]
-    cb = ChangedBlock(pair, *_blocks(pair, base, star, kept), change)
+        base, star = _blocks(pair, x[:, kept], y[:, kept])
+    cb = ChangedBlock(pair, base, star, change)
     good = _regular(cb)
     if not good.all():
         kept = kept[good]
-        cb = ChangedBlock(pair, *_blocks(pair, base, star, kept),
+        cb = ChangedBlock(pair, *_blocks(pair, x[:, kept], y[:, kept]),
                           [a[good] for a in change]) if good.any() else None
     return [draws[p] for p in kept], cb
 
 
-def _blocks(pair, base, star, kept):
-    """The base and changed ``PointBlock`` of the columns ``kept`` of the
-    chunk's blocks ``base`` and ``star``: those blocks where they are all
-    of their columns, else new blocks at those columns' coordinates."""
-    if len(kept) == base.x.shape[1]:
-        return base, star
-    x, y = base.x[:, kept], base.y[:, kept]
+def _blocks(pair, x, y):
+    """The base and changed ``PointBlock`` at the coordinates ``x`` and
+    ``y``."""
     return PointBlock(pair.base, x, y), PointBlock(pair.starred, x, y)
 
 

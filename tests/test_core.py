@@ -12,7 +12,6 @@ from finslerchange.change import ChangedPair
 from finslerchange.core import (
     FinslerSpace,
     PointBlock,
-    PointRows,
     central_partial,
     horizontal_covariant,
 )
@@ -1078,7 +1077,7 @@ def test_block_tensors_equal_single_points_bit_for_bit(monkeypatch, metric,
     # lower orders are cuts of the higher ones it computed first
     for names in (LIGHT_TENSORS, LIGHT_TENSORS[::-1]):
         points, _ = sample_points(pair, count, 11)
-        assert all(cb.base.block.x.shape[1] <= block_size
+        assert all(cb.base.x.shape[1] <= block_size
                    for cb in points.blocks)
         got = {}
         for name in names:
@@ -1144,46 +1143,83 @@ def test_block_member_raises_its_own_error(monkeypatch, L2, x, match):
         with pytest.raises(JetDomainError, match=match) as info:
             space.point(x, y).C_low()
         calls = _counting_eval_l2(monkeypatch)
-        # the block fails whole, and its rows are the lone points': the
-        # failed column's raises its own error
+        # the block fails whole, with the failed column's own error
         with pytest.raises(JetDomainError) as own:
-            PointRows(block).C_low()
+            block.C_low()
         assert str(own.value) == str(info.value)
-        assert not block.ok
-        # a failed block is not evaluated again: its rows of the Berwald
-        # connection, from L^2 at order 4, raise from the lone points too
+        # its Berwald connection, from L^2 at order 4, raises the lone
+        # point's error too
         with pytest.raises(JetDomainError) as own:
-            PointRows(block).berwald()
+            block.berwald()
         with pytest.raises(JetDomainError) as info:
             space.point(x, y).berwald()
         assert str(own.value) == str(info.value)
-        # its order-3 evaluation ran once
-        assert [call for call in calls if call[1]] == [(3, (3,))]
-        got = PointRows(_block_at(space, [xs[0], xs[2]], y)).C_low()
+        # the block evaluated L^2 once at each of the two orders
+        assert [call for call in calls if call[1]] == [(3, (3,)), (4, (3,))]
+        got = _block_at(space, [xs[0], xs[2]], y).C_low()
     for row, xv in zip(got, (xs[0], xs[2]), strict=True):
         assert row.tobytes() == space.point(xv, y).C_low().tobytes()
 
 
 @pytest.mark.parametrize("names", [("riemann", "berwald"),
                                    ("berwald", "riemann")])
-def test_block_layer_that_raises_is_evaluated_once(monkeypatch, names):
+def test_block_layer_that_raises_is_evaluated_on_each_request(monkeypatch,
+                                                              names):
     # 1/x1 at x1 = 1e-65: x1^5 underflows in the order-4 series, so the
     # block's L^2 at order 4 raises, inside the spray jets that both the
     # R jets and berwald read
     space, xs, y, block = _steep_block("1e-200 / x1 * y1^2", [1e-65, 0.0])
     calls = _counting_eval_l2(monkeypatch)
-    rows = PointRows(block)
-    healthy = PointRows(_block_at(space, [xs[0], xs[2]], y))
+    healthy = _block_at(space, [xs[0], xs[2]], y)
     for name in names:
         with pytest.raises(JetDomainError, match="1e-65") as want:
             getattr(space.point(xs[1], y), name)()
         with pytest.raises(JetDomainError) as got:
-            getattr(rows, name)()
+            getattr(block, name)()
         assert str(got.value) == str(want.value)
         for xv, row in zip((xs[0], xs[2]), getattr(healthy, name)()):
             alone = getattr(space.point(xv, y), name)()
             assert row.tobytes() == alone.tobytes()
-    assert calls.count((4, (3,))) == 1 and not block.ok
+    # a block keeps no failure: each request evaluates the layer again
+    assert calls.count((4, (3,))) == 2
+
+
+@pytest.mark.parametrize("name", ["C_low", "berwald", "riemann"])
+@pytest.mark.parametrize("L2,x", [
+    OVERFLOW, ("1e-200 / x1 * y1^2", [1e-90, 0.0])],
+    ids=["overflow", "reciprocal"])
+def test_block_layers_raise_the_lone_points_error(L2, x, name):
+    with np.errstate(over="ignore", invalid="ignore"):
+        space, xs, y, block = _steep_block(L2, x)
+        with pytest.raises(JetDomainError) as want:
+            getattr(space.point(x, y), name)()
+        with pytest.raises(JetDomainError) as got:
+            getattr(block, name)()
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("L2,bad", [
+    # L^2 < 0 where x1 < -0.5: construction's order-2 check fails
+    ("(y1^2 + y2^2) * (x1 + 0.5)", [[-0.7, 0.2], [-0.9, -0.4]]),
+    # order-3 coefficients beyond the float range where x1 y1 is large
+    (OVERFLOW[0], [[0.864, 0.0], [0.87, 0.1]])],
+    ids=["construction", "order-3"])
+def test_block_raises_its_first_failing_columns_error(L2, bad):
+    space = FinslerSpace(parse_spec_text(f"dim 2\nL2 = {L2}\n", name="m"))
+    y = [1.0, 0.5]
+    errors = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for xv in bad:
+            with pytest.raises(JetDomainError) as info:
+                space.point(xv, y).C_low()
+            errors.append(str(info.value))
+        # the two failing columns' points raise different texts
+        assert errors[0] != errors[1]
+        for order in (bad, bad[::-1]):
+            xs = [[0.5, 0.1], order[0], [0.25, -0.3], order[1]]
+            with pytest.raises(JetDomainError) as got:
+                _block_at(space, xs, y).C_low()
+            assert str(got.value) == errors[bad.index(order[0])]
 
 
 def test_failing_column_fails_the_whole_block(monkeypatch):
@@ -1199,17 +1235,16 @@ def test_failing_column_fails_the_whole_block(monkeypatch):
     with np.errstate(over="ignore", invalid="raise"):
         space, xs, y, block = _steep_block(*OVERFLOW)
         monkeypatch.setattr(core, "jet_linear_solve", counting)
-        rows = PointRows(block)
         with pytest.raises(JetDomainError, match="finite order-3") as got:
-            rows.n_conn()
+            block.n_conn()
         with pytest.raises(JetDomainError) as want:
             space.point(xs[1], y).n_conn()
         assert str(got.value) == str(want.value)
         # the check failed the block before its spray solve: the solves
-        # are the lone points'
-        assert not block.ok and all(shape == () for shape in solves)
+        # are the lone point's
+        assert all(shape == () for shape in solves)
         solves.clear()
-        healthy = PointRows(_block_at(space, [xs[0], xs[2]], y))
+        healthy = _block_at(space, [xs[0], xs[2]], y)
         got = (healthy.n_conn(), healthy.berwald(), healthy.riemann())
         # one block solve per spray order
         assert solves == [(2,), (2,)]
@@ -1220,7 +1255,7 @@ def test_failing_column_fails_the_whole_block(monkeypatch):
             assert R.tobytes() == alone.riemann().tobytes()
     # the failed block keeps the coordinates of its construction, and no
     # layer of it holds the overflowing coefficients
-    assert block.x.T.tolist() == xs and rows.x.tolist() == xs
+    assert block.x.T.tolist() == xs
     for name, (_, layer) in _layers(block):
         assert all(np.isfinite(j.coeffs).all() for j in _jets_in(layer))
 
@@ -1238,22 +1273,24 @@ def test_failing_column_fails_the_whole_block(monkeypatch):
 def test_block_of_the_kept_draws_never_meets_a_left_out_one(L2, xs, name):
     space = FinslerSpace(parse_spec_text(f"dim 2\nL2 = {L2}\n", name="m"))
     y = [1.0, 0.5]
+    failures = (JetDomainError, ValueError, ArithmeticError)
+    # the block with the middle draw raises that draw's own error
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        block = _block_at(space, xs, y)
-        with pytest.raises((JetDomainError, ValueError, ArithmeticError)):
-            getattr(PointRows(block), name)()
-    assert not block.ok
+        with pytest.raises(failures) as got:
+            getattr(_block_at(space, xs, y), name)()
+        with pytest.raises(failures) as want:
+            getattr(space.point(xs[1], y), name)()
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
     # the block of the other draws, the one admission builds where draws
     # are left out, evaluates its layers without meeting an inf or a NaN,
-    # and its rows are its own, bit for bit the lone points'
+    # and its rows are bit for bit the lone points'
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         kept = _block_at(space, [xs[0], xs[2]], y)
-        rows = PointRows(kept)
         for tensor in ("C_low", "g_up", "berwald"):
-            for xv, row in zip((xs[0], xs[2]), getattr(rows, tensor)()):
+            for xv, row in zip((xs[0], xs[2]), getattr(kept, tensor)()):
                 want = getattr(space.point(xv, y), tensor)()
                 assert row.tobytes() == want.tobytes()
-    assert kept.ok and "points" not in rows._cache
 
 
 def _jets_in(value):
@@ -1274,8 +1311,8 @@ def test_block_members_keep_no_views_of_the_blocks_layers():
     pair = ChangedPair(resolve_spec("randers2"), resolve_spec("projective"))
     points, _ = sample_points(pair, 5, 11)
     (cb,) = points.blocks
-    block = cb.base.block
-    got = [getattr(cb.base, name)() for name in core.ROW_TENSORS]
+    block = cb.base
+    got = [getattr(block, name)() for name in core.ROW_TENSORS]
     assert {"_f2", "_spray_jets", "_riemann_jets"} <= set(block._cache)
     jet_arrays = [j.coeffs for _, (_, layer) in _layers(block)
                   for j in _jets_in(layer)]

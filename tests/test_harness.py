@@ -405,6 +405,13 @@ SAMPLED_ROWS = ("valid.regularity",) + tuple(
     + suites.CHECKS["change-identities"] + suites.CHECKS["projectivity"][1:2])
 SQRT2 = parse_spec_text("dim 2\nL2 = (y1^2 + y2^2) * sqrt(x1 + 0.3)\n"
                         "x_box = -1 1 -1 1\n", name="sqrt2")
+# A 3D Randers metric: its Cartan tensor and Berwald connection depend on
+# y, so the rows that contract them with a block's y see its layout (a
+# transposed view of the block's y sums in another order than the lone
+# point's y in numpy's einsum)
+RANDERS3 = parse_spec_text(
+    "dim 3\nL = sqrt(y1^2 + y2^2 + y3^2) + 0.1 * (x2 * y1 - x1 * y2)"
+    " + 0.05 * x1 * y3\nx_box = -1 1 -1 1 -1 1\n", name="randers3")
 
 
 def _homogeneity_by_points(run, tol):
@@ -532,8 +539,10 @@ def _lone_pairs(cp):
     # rejected draws: blocks built again at the kept draws
     ("sphere2", "tangent_parabola", 200, 1),
     # most blocks' construction raises
-    (SQRT2, "projective", 300, 1)],
-    ids=["randers2-n2000", "curved3-n30", "sphere2-n200", "sqrt2-n300"])
+    (SQRT2, "projective", 300, 1),
+    (RANDERS3, "projective3", 30, 108)],
+    ids=["randers2-n2000", "curved3-n30", "sphere2-n200", "sqrt2-n300",
+         "randers3-n30"])
 def test_block_rows_equal_lone_rows_bit_for_bit(monkeypatch, metric, change,
                                                 samples, seed):
     run = SuiteRun(SuiteConfig(

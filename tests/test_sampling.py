@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from finslerchange import sampling
-from finslerchange.change import ChangedPair
-from finslerchange.core import PointBlock
+from finslerchange.change import ChangedPair, RandersChange
+from finslerchange.core import FALLBACK_ERRORS, PointBlock
 from finslerchange.jets import Jet, JetDomainError
 from finslerchange.lang import MetricSpec, parse_spec_text, resolve_spec
 from finslerchange.sampling import SamplingError, sample_points
@@ -65,26 +65,36 @@ def _reference(pair, count, seed):
 
 
 def _sample(monkeypatch, pair, count, seed):
-    """``sample_points`` with the number of blocks whose construction
-    raised, which fails the whole block: a block caches its order-2
-    ``L^2`` jet at construction unless that evaluation raised."""
-    cleared = []
-    init = PointBlock.__init__
+    """``sample_points`` with the number of block evaluations that raised,
+    each of which fails its chunk's blocks: a block's construction, or
+    ``RandersChange.at`` at a chunk's coordinates."""
+    failed = []
+    init, change_at = PointBlock.__init__, RandersChange.at
 
     def counting(block, *args):
-        init(block, *args)
-        if not block._cache:
-            assert not block.ok
-            cleared.append(block)
+        try:
+            init(block, *args)
+        except FALLBACK_ERRORS:
+            failed.append(block)
+            raise
+
+    def counting_at(change, x):
+        try:
+            return change_at(change, x)
+        except FALLBACK_ERRORS:
+            if np.ndim(x) > 1:
+                failed.append(change)
+            raise
 
     monkeypatch.setattr(PointBlock, "__init__", counting)
+    monkeypatch.setattr(RandersChange, "at", counting_at)
     points, rejected = sample_points(pair, count, seed)
-    return points, rejected, len(cleared)
+    return points, rejected, len(failed)
 
 
-# (metric, change, the rejection cause it exercises, whether the block
-# evaluation of a chunk raises, so the block fails and each draw is judged
-# alone; a draw whose L^2 jet fails its check fails its block)
+# (metric, change, the rejection cause it exercises, whether a block
+# evaluation of a chunk raises, so each draw is judged alone; a draw whose
+# L^2 jet fails its check fails its block)
 CASES = {
     "L2 not positive": ("L2 = (y1^2 + y2^2) * (x1 + 0.5)", "sigma = 0.2 * x2",
                         "L2", True),
@@ -117,12 +127,12 @@ def test_chunks_admit_what_single_draws_admit(monkeypatch, case, count):
     monkeypatch.setattr(sampling, "BLOCK_SIZE", 64)
     # the overflowing coefficients of a rejected changed jet are expected
     with np.errstate(over="ignore", invalid="ignore"):
-        got, rejected, cleared = _sample(monkeypatch, pair, count, 7)
+        got, rejected, failed = _sample(monkeypatch, pair, count, 7)
         want, want_rejected, causes = _reference(pair, count, 7)
     assert rejected == want_rejected
     if count > 1:
         assert causes[cause] > 0
-        assert (cleared > 0) == raises
+        assert (failed > 0) == raises
     assert len(got) == len(want) == count
     _assert_same_points(got, want)
 
@@ -157,63 +167,105 @@ def _assert_same_points(got, want):
             ).tobytes(), (side, name)
 
 
-def test_blocks_that_raise_admit_what_single_draws_admit(monkeypatch):
-    # L^2 of block jets raises on both sides, so every block fails at
-    # construction; the blocks built again at the admitted draws of a
-    # chunk that rejects some raise again
-    pair = ChangedPair(*map(resolve_spec, ["sphere2", "tangent_parabola"]))
-    eval_l2 = MetricSpec.eval_l2
+def _first_blocks_raise(monkeypatch):
+    """Make ``L^2`` raise on block jets, except in the blocks that
+    admission builds again at the kept draws (``sampling._blocks``),
+    while the list it returns is not empty."""
+    active, again = [True], []
+    eval_l2, blocks = MetricSpec.eval_l2, sampling._blocks
 
-    def one_point_only(spec, env):
-        if any(isinstance(v, Jet) and v.coeffs.ndim > 1
-               for v in env.values()):
+    def first_raise(spec, env):
+        if active and not again and any(
+                isinstance(v, Jet) and v.coeffs.ndim > 1
+                for v in env.values()):
             raise ValueError("no block jets")
         return eval_l2(spec, env)
 
-    monkeypatch.setattr(MetricSpec, "eval_l2", one_point_only)
+    def built_again(*args):
+        again.append(True)
+        try:
+            return blocks(*args)
+        finally:
+            again.pop()
+
+    monkeypatch.setattr(MetricSpec, "eval_l2", first_raise)
+    monkeypatch.setattr(sampling, "_blocks", built_again)
+    return active
+
+
+def test_blocks_that_raise_admit_what_single_draws_admit(monkeypatch):
+    # the first base block of every chunk raises, so each chunk is judged
+    # draw by draw, and its blocks are built again at the kept draws
+    pair = ChangedPair(*map(resolve_spec, ["sphere2", "tangent_parabola"]))
+    active = _first_blocks_raise(monkeypatch)
     monkeypatch.setattr(sampling, "BLOCK_SIZE", 64)
-    got, rejected, cleared = _sample(monkeypatch, pair, 200, 1)
+    got, rejected, failed = _sample(monkeypatch, pair, 200, 1)
+    active.clear()
     want, want_rejected, causes = _reference(pair, 200, 1)
     assert rejected == want_rejected == causes["L*"] == 3
     _assert_same_points(got, want)
-    sides = [rows for cb in got.blocks for rows in (cb.base, cb.star)]
-    # two blocks for each of the five chunks, and two more for each of the
-    # two chunks with a rejected draw: every one failed at construction,
-    # so the rows are lone points'
-    assert len({id(rows.block) for rows in sides}) == 10
-    assert cleared == 14
-    for rows in sides:
-        assert not rows.block.ok
-        assert len(rows.points()) == len(rows.x)
+    # one failed base block for each of the five chunks, which stops the
+    # chunk's block evaluations; two new blocks for each
+    assert failed == 5
+    blocks = [block for cb in got.blocks for block in (cb.base, cb.star)]
+    assert len({id(block) for block in blocks}) == 10
+    _assert_rows_are_lone_points(pair, got)
+
+
+def test_chunk_whose_change_raises_builds_new_blocks_at_every_draw(
+        monkeypatch):
+    # sigma and b of the chunk raise, and of no draw alone: every draw is
+    # kept, and new blocks are built at all of them
+    pair = ChangedPair(*map(resolve_spec, ["randers2", "projective"]))
+    change_at = RandersChange.at
+    built = []
+    init = PointBlock.__init__
+
+    def block_raises(change, x):
+        if np.ndim(x) > 1:
+            raise ValueError("no block change")
+        return change_at(change, x)
+
+    def counted(block, *args):
+        init(block, *args)
+        built.append(block)
+
+    monkeypatch.setattr(RandersChange, "at", block_raises)
+    monkeypatch.setattr(PointBlock, "__init__", counted)
+    got, rejected, failed = _sample(monkeypatch, pair, 20, 1)
+    want, want_rejected, _ = _reference(pair, 20, 1)
+    assert rejected == want_rejected == 0 and failed == 1
+    _assert_same_points(got, want)
+    # the base block built before the change raised is not reused
+    (cb,) = got.blocks
+    assert len(built) == 3 and [cb.base, cb.star] == built[1:]
+    _assert_rows_are_lone_points(pair, got)
 
 
 def test_changed_block_that_raises_leaves_each_draw_to_its_changed_point(
         monkeypatch):
-    # the changed L^2 raises on block jets, and alone where x1 > 0.3: the
-    # base block judges those draws regular, but each is judged with its
-    # own changed point, which rejects it
+    # the changed L^2 raises where x1 > 0.3, so a changed block with such
+    # a draw raises: the base block judges those draws regular, but each
+    # is judged with its own changed point, which rejects it
     pair = ChangedPair(*map(resolve_spec, ["randers2", "projective"]))
     eval_l2 = MetricSpec.eval_l2
 
     def changed_raises(spec, env):
-        x1 = env["x1"]
-        if spec is pair.starred_spec and (x1.coeffs.ndim > 1
-                                          or x1.value > 0.3):
+        if spec is pair.starred_spec and np.any(env["x1"].coeffs[0] > 0.3):
             raise ValueError("changed L^2 raises")
         return eval_l2(spec, env)
 
     monkeypatch.setattr(MetricSpec, "eval_l2", changed_raises)
     monkeypatch.setattr(sampling, "BLOCK_SIZE", 64)
-    got, rejected, cleared = _sample(monkeypatch, pair, 100, 1)
+    got, rejected, failed = _sample(monkeypatch, pair, 100, 1)
     want, want_rejected, causes = _reference(pair, 100, 1)
     assert rejected == want_rejected == causes["domain"] > 0
-    # the changed block of each of the six chunks fails, and so does the
-    # one built again at the kept draws of each of the five that reject
-    # some; no base block fails
-    assert len(got.blocks) == 6 and cleared == 11
-    assert all(cb.base.block.ok and not cb.star.block.ok
-               for cb in got.blocks)
+    # the changed block of each of the five chunks that rejects draws
+    # fails, and nothing else; the blocks built again at their kept draws
+    # hold no draw with x1 > 0.3
+    assert len(got.blocks) == 6 and failed == 5
     _assert_same_points(got, want)
+    _assert_rows_are_lone_points(pair, got)
 
 
 def _jets_in(value):
@@ -228,6 +280,30 @@ LIGHT_TENSORS = ("g_low", "C_low", "spray", "n_conn", "berwald",
                  "cartan_hconn", "riemann")
 
 
+def _assert_rows_are_lone_points(pair, points, case=None):
+    """Every light tensor of the samples' blocks, requested with
+    floating-point errors raised, is bit for bit the lone points', and no
+    layer of a block holds an inf or a NaN."""
+    sides = {"base": [cb.base for cb in points.blocks],
+             "star": [cb.star for cb in points.blocks]}
+    with np.errstate(all="raise"):
+        got = {(side, name): np.concatenate([getattr(block, name)()
+                                             for block in sides[side]])
+               for side in sides for name in LIGHT_TENSORS}
+    for block in sides["base"] + sides["star"]:
+        for name, cached in block._cache.items():
+            if name.startswith("_"):
+                assert all(np.isfinite(j.coeffs).all()
+                           for j in _jets_in(cached[1]))
+    for i, (x, y) in enumerate(points.coords):
+        for side, space in (("base", pair.base), ("star", pair.starred)):
+            lone = space.point(x, y)
+            for name in LIGHT_TENSORS:
+                want = getattr(lone, name)()
+                assert got[side, name][i].tobytes() == want.tobytes(), (
+                    case, side, name)
+
+
 # sphere2 + tangent_parabola rejects 3 of 203 draws at seed 1, L* <= 0
 @pytest.mark.parametrize("case", ["sphere2+tangent_parabola", "det g",
                                   "block domain error"])
@@ -239,32 +315,13 @@ def test_rejected_draws_never_reach_a_blocks_later_layers(monkeypatch, case):
         monkeypatch.setattr(sampling, "BLOCK_SIZE", 64)
     else:
         pair = ChangedPair(*map(resolve_spec, case.split("+")))
-    points, rejected, cleared = _sample(monkeypatch, pair, 200, 1)
+    points, rejected, failed = _sample(monkeypatch, pair, 200, 1)
     assert rejected > 0
-    assert (cleared > 0) == raises
-    sides = {"base": [cb.base for cb in points.blocks],
-             "star": [cb.star for cb in points.blocks]}
-    with np.errstate(all="raise"):
-        got = {(side, name): np.concatenate([getattr(rows, name)()
-                                             for rows in sides[side]])
-               for side in sides for name in LIGHT_TENSORS}
+    assert (failed > 0) == raises
     # the rows are the blocks', whose layers never met a rejected draw:
     # a chunk that rejects draws builds its blocks again at the kept
     # ones, also where its blocks' construction raised
-    for rows in sides["base"] + sides["star"]:
-        assert rows.block.ok
-        assert "points" not in rows._cache
-        for name, cached in rows.block._cache.items():
-            if name.startswith("_"):
-                assert all(np.isfinite(j.coeffs).all()
-                           for j in _jets_in(cached[1]))
-    for i, (x, y) in enumerate(points.coords):
-        for side, space in (("base", pair.base), ("star", pair.starred)):
-            lone = space.point(x, y)
-            for name in LIGHT_TENSORS:
-                want = getattr(lone, name)()
-                assert got[side, name][i].tobytes() == want.tobytes(), (
-                    case, side, name)
+    _assert_rows_are_lone_points(pair, points, case)
 
 
 def test_regular_takes_the_power_in_python_floats():
