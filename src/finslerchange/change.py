@@ -10,19 +10,20 @@ full jet pipeline applies to it unchanged), and provides the closed-form
 predictions for the changed tensors in terms of base-space data, next to
 the directly computed values, so the two routes can be compared.  The
 predictions of ``ChangedPoint`` are written over an optional leading
-point axis: a ``ChangedBlock`` holds the admitted draws of one chunk of
-samples: a base and a changed ``core.PointBlock`` at those draws, read
-as its ``base`` and ``star``, and their ``sigma`` and ``b`` arrays.  It
-evaluates each prediction once for all of them, bit for bit the value
-at each point alone.
+point axis: a ``ChangedBlock``, built by ``ChangedPair.block``, holds
+points of the pair (a sampled chunk's admitted draws, or the first
+samples that the heavy checks read) as a base and a changed
+``core.PointBlock``, read as its ``base`` and ``star``, and their
+``sigma`` and ``b`` arrays.  It evaluates each prediction and tensor
+once for all of them, bit for bit the value at each point alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import (FinslerSpace, dot, float_pow, horizontal_covariant,
-                   matvec, outer, per_point)
+from .core import (FinslerSpace, PointBlock, dot, float_pow,
+                   horizontal_covariant, matvec, outer, per_point)
 from .jets import Jet, JetDomainError, lift_env
 from .lang import (
     Bin,
@@ -141,6 +142,15 @@ class ChangedPair:
         if base is None:
             base = self.base.point(x, y)
         return ChangedPoint(self, base, self.change.at(base.x))
+
+    def block(self, x, y):
+        """The ``ChangedBlock`` at the columns of ``x`` and ``y``, of
+        shape ``(n, P)``: its base block, the change there and its changed
+        block raise, in that order, the error of the first column failing
+        there as a lone point; L* > 0 is left to ``sampling._regular``."""
+        base = PointBlock(self.base, x, y)
+        return ChangedBlock(self, base, self.change.at(base.x),
+                            PointBlock(self.starred, x, y))
 
 
 class ChangedPoint:
@@ -307,25 +317,26 @@ class ChangedPoint:
 
 
 class ChangedBlock(ChangedPoint):
-    """The admitted draws of one sampled chunk as one ``ChangedPoint``
-    with a leading point axis.  ``base`` and ``star`` are a base and a
-    changed ``core.PointBlock`` whose columns are those draws, read as
-    rows of light tensors; ``change`` is (sigma, its gradient, b, db) at
-    them, point axis first.  ``y`` (a contiguous copy, since the bits of
-    a stacked matmul depend on the layout) and the numbers of
-    construction (``esig``, ``beta``, ``Lstar``, ``L``, ``tau``) are
-    computed from those arrays with the one-point formulas, so that
-    every formula of ``ChangedPoint`` runs once on arrays, bit for bit
-    its value at each point alone."""
+    """Points of a pair as one ``ChangedPoint`` with a leading point
+    axis, built by ``ChangedPair.block``.  ``base`` and ``star`` are a
+    base and a changed ``core.PointBlock`` whose columns are those
+    points, read as rows of tensors; ``change`` is ``RandersChange.at``
+    at them, (sigma, its gradient, b, db) with a last point axis.
+    ``y`` (a contiguous copy, since the bits of a stacked matmul depend
+    on the layout) and the numbers of construction (``esig``, ``beta``,
+    ``Lstar``, ``L``, ``tau``) are computed from those arrays with the
+    one-point formulas, so that every formula of ``ChangedPoint`` runs
+    once on arrays, bit for bit its value at each point alone."""
 
-    def __init__(self, pair, base, star, change):
+    def __init__(self, pair, base, change, star):
         self._cache = {}
         self.pair = pair
         self.n = pair.n
         self.base = base
         self.star = star
         self.y = np.ascontiguousarray(base.y.T)
-        self.sigma, self.grad_sigma, self.b_low, self.db = change
+        self.sigma, self.grad_sigma, self.b_low, self.db = (
+            np.moveaxis(a, -1, 0) for a in change)
         self.esig = np.exp(self.sigma)
         self.beta = dot(self.b_low, self.y)
         self.L = self.base.L()

@@ -24,26 +24,24 @@ A lone point computes every layer after its order-2 ``L^2`` jet at the
 layer's top order, the highest that any tensor reads from it, so that a
 full tensor stack computes each layer once: a lower order is a cut of the
 top order, bit for bit.  Sampled points are columns of ``PointBlock``s: a
-block is a chunk of sampled draws as one point with a point axis, its
-columns fixed at construction.  It is built from its order-2 jet of L^2,
-as a point is, and runs the same code for the light jet layers (those
-``riemann`` needs) on jets whose coefficients carry that axis, each
-layer reading the block's own lower layers, at the orders asked for.  A
-block is judged once, at construction: it raises there where any
-column's point would, and a later layer that raises at some column
-raises out of the block.  Either way the error is the one that the
-first column failing at that step raises as a lone point
-(``PointBlock._check_l2``, and the per-point replay of block series in
-``jets``).
+block is sampled points as one point with a point axis, its columns
+fixed at construction.  It is built from its order-2 jet of L^2, as a
+point is, and runs the same code for every jet layer on jets whose
+coefficients carry that axis, each layer reading the block's own lower
+layers, at the orders asked for.  A block is judged once, at
+construction: it raises there where any column's point would, and a
+later layer that raises at some column raises out of the block.  Either
+way the error is the one that the first column failing at that step
+raises as a lone point (``PointBlock._check_l2``, and the per-point
+replay of block series in ``jets``).
 
-The light tensors (``ROW_TENSORS``, ``L2`` to ``riemann``) are written
-once over an optional leading point axis, on the class both share: a
+Every tensor but the float spray of a lone point is written once over an
+optional leading point axis, on the class both share (``JetLayers``): a
 point's are its own arrays, a block's have one row per column, read from
-its cached layers, so that checks over many sampled points measure
-arrays, not points.  The module's formulas over that axis (``dot``,
-``matvec``, ``outer``, ``per_point``, ``float_pow``,
-``horizontal_covariant``) round as their one-point forms do at every
-point.
+its cached layers, so that checks over sampled points measure arrays,
+not points.  The module's formulas over that axis (``dot``, ``matvec``,
+``outer``, ``per_point``, ``float_pow``, ``horizontal_covariant``) round
+as their one-point forms do at every point.
 
 Index conventions: arrays are 0-based; for a connection-like array ``T``
 the first axis is the upper index.  Jet variable slots are ``i`` for x^i
@@ -327,15 +325,16 @@ def horizontal_covariant(F, b, db):
 
 class JetLayers:
     """The jet layers of a point with ``space``, ``n``, coordinates ``x``
-    and ``y``, a ``_cache`` dict and a ``_check_l2`` method, and the light
-    tensors read from them (``ROW_TENSORS``).  The same code serves one
-    point, with coordinates of shape ``(n,)``, and a ``PointBlock``, whose
-    coordinates of shape ``(n, P)`` carry a point axis into every jet and,
-    put first by ``_lead``, into every tensor.  ``_top`` is set on a
-    point after construction, while it builds its layers at their top
-    orders; a block builds them at the orders asked for, and a layer
-    that raises at one of its columns raises that column's point's
-    error, evaluated again if asked again."""
+    and ``y``, a ``_cache`` dict and a ``_check_l2`` method, and every
+    tensor read from them (``ROW_TENSORS`` and the heavy ones).  The
+    same code serves one point, with coordinates of shape ``(n,)``, and
+    a ``PointBlock``, whose coordinates of shape ``(n, P)`` carry a
+    point axis into every jet and, put first by ``_lead``, into every
+    tensor.  ``_top`` is set on a point after construction, while it
+    builds its layers at their top orders; a block builds them at the
+    orders asked for, and a layer that raises at one of its columns
+    raises that column's point's error, evaluated again if asked
+    again."""
 
     _top = False
 
@@ -511,22 +510,66 @@ class JetLayers:
         return self._lead(np.array([[Rik.coeffs[0] for Rik in row]
                                     for row in self._riemann_jets(0)]))
 
+    @cached
+    def ric(self):
+        return self._number(np.trace(self.riemann(), axis1=-2, axis2=-1))
+
+    @cached
+    def douglas(self):
+        """Douglas tensor: third y-derivatives of the trace-adjusted spray,
+        D^h_ijk = d3/dy^i dy^j dy^k (G^h - (dG^m/dy^m) y^h / (n + 1))."""
+        n = self.n
+        # y-derivatives only: x-degree 0 holds them
+        G = [Gh.truncated(4, 0) for Gh in self._spray_jets(4)]
+        yj = [v.truncated(3, 0) for v in self._f2(6)[0]]
+        tr = reduce(add, (G[m].deriv(n + m) for m in range(n)))
+        P = [G[h].truncated(3) - yj[h] * tr * (1.0 / (n + 1))
+             for h in range(n)]
+        return self._lead(np.array([Ph.partials(3)[n:, n:, n:] for Ph in P]))
+
+    @cached
+    def weyl_proj(self):
+        """Projectively invariant part of the curvature deviation, read
+        from the order-1 Weyl jets that ``weyl_torsion`` needs: every
+        check that asks for W also asks for the Weyl torsion (``inv5``)
+        or the Douglas tensor (``core.*-structure``), and both need the
+        order-6 jet of L^2 that these jets are cut from."""
+        return self._lead(np.array([[Wik.coeffs[0] for Wik in row]
+                                    for row in self._weyl_jets(1)]))
+
+    @cached
+    def weyl_torsion(self):
+        """Antisymmetrised y-derivative of the projective curvature,
+        (1/3)(d W^h_j / dy^i - d W^h_i / dy^j)."""
+        n = self.n
+        # dW[..., h, j, i] = d W^h_j / dy^i
+        dW = self._lead(np.array([[Wj.partials(1)[n:] for Wj in Wh]
+                                  for Wh in self._weyl_jets(1)]))
+        i, j = np.triu_indices(n, 1)
+        v = (dW[..., j, i] - dW[..., i, j]) / 3.0
+        out = np.zeros(dW.shape)
+        # v and -v written apart keep signed zeros; (dW - dW^T) / 3 would not
+        out[..., i, j] = v
+        out[..., j, i] = -v
+        return out
+
 
 class PointBlock(JetLayers):
-    """Points of one space as one point with a point axis, whose light jet
-    layers are evaluated together: ``_f2`` up to order 4, ``_spray_jets``
-    up to order 2 and ``_riemann_jets(0)``, once per order, with
-    ``PointGeometry``'s code on the block's own cache, so that a layer
-    reads the block's lower layers.  ``x`` and ``y`` have shape ``(n,
-    P)``, fixed at construction, which reads the order-2 jet of L^2 and
-    raises where that raises, as a point's does.
+    """Points of one space as one point with a point axis, whose jet
+    layers are evaluated together, once per order asked for, with a
+    point's code (``JetLayers``) on the block's own cache, so that a
+    layer reads the block's lower layers: a sampled chunk's light ones
+    (``_f2`` up to order 4, ``_spray_jets`` up to order 2,
+    ``_riemann_jets(0)``), and every layer of the heavy checks' block.
+    ``x`` and ``y`` have shape ``(n, P)``, fixed at construction, which
+    reads the order-2 jet of L^2 and raises where that raises, as a
+    point's does.
 
     A block is all or nothing: an evaluation that raises at any column
     raises out of the block, at the first step that fails, with the
     error that the first column failing there raises as a lone point.
-    The light tensors (``ROW_TENSORS``) of a block are arrays whose first
-    axis indexes its columns, read from its layers with the code a point
-    runs (``JetLayers``)."""
+    The tensors of a block are arrays whose first axis indexes its
+    columns."""
 
     def __init__(self, space, x, y):
         self.space = space
@@ -559,15 +602,17 @@ class PointBlock(JetLayers):
                       self.y[:, p].tolist())
 
 
-# The light tensors of a ``PointBlock``, those read from the jet layers
-# that blocks evaluate, as rows over its columns.
+# The light tensors, read from the jet layers up to ``riemann``'s, which
+# the checks read at every sample, as rows of the sampled chunks' blocks.
 ROW_TENSORS = ("L2", "L", "y_low", "l_low", "g_low", "det_g", "g_up",
                "h_low", "C_low", "C_up", "spray", "n_conn", "berwald",
                "cartan_hconn", "riemann")
 
 
 class PointGeometry(JetLayers):
-    """Lazily computed tensors of a Finsler space at one (x, y).
+    """Lazily computed tensors of a Finsler space at one (x, y), those of
+    ``JetLayers`` with the spray solved in floats: the points of the
+    finite-difference checks, hypersurfaces and the spray fallback.
 
     Construction reads the order-2 jet of L^2, raising where ``_f2`` does;
     jets stay cached at their highest order, tensors by name, in
@@ -601,47 +646,3 @@ class PointGeometry(JetLayers):
         f2 = self._f2(2)[1].truncated(2)
         G, _ = _spray_tail(f2.space)(f2.coeffs.tolist(), *self.y.tolist())
         return np.array(G)
-
-    @cached
-    def douglas(self):
-        """Douglas tensor: third y-derivatives of the trace-adjusted spray,
-        D^h_ijk = d3/dy^i dy^j dy^k (G^h - (dG^m/dy^m) y^h / (n + 1))."""
-        n = self.n
-        # y-derivatives only: x-degree 0 holds them
-        G = [Gh.truncated(4, 0) for Gh in self._spray_jets(4)]
-        yj = [v.truncated(3, 0) for v in self._f2(6)[0]]
-        tr = reduce(add, (G[m].deriv(n + m) for m in range(n)))
-        P = [G[h].truncated(3) - yj[h] * tr * (1.0 / (n + 1))
-             for h in range(n)]
-        return np.array([Ph.partials(3)[n:, n:, n:] for Ph in P])
-
-    @cached
-    def ric(self):
-        return float(np.trace(self.riemann()))
-
-    @cached
-    def weyl_proj(self):
-        """Projectively invariant part of the curvature deviation, read
-        from the order-1 Weyl jets that ``weyl_torsion`` needs: every
-        check that asks for W at a point also asks there for the Weyl
-        torsion (``inv5``) or the Douglas tensor (``core.weyl-structure``
-        and ``core.douglas-structure`` run on the same heavy points), and
-        both need the order-6 jet of L^2 that these jets are cut from."""
-        return np.array([[Wik.value for Wik in row]
-                         for row in self._weyl_jets(1)])
-
-    @cached
-    def weyl_torsion(self):
-        """Antisymmetrised y-derivative of the projective curvature,
-        (1/3)(d W^h_j / dy^i - d W^h_i / dy^j)."""
-        n = self.n
-        # dW[h, j, i] = d W^h_j / dy^i
-        dW = np.array([[Wj.partials(1)[n:] for Wj in Wh]
-                       for Wh in self._weyl_jets(1)])
-        i, j = np.triu_indices(n, 1)
-        v = (dW[:, j, i] - dW[:, i, j]) / 3.0
-        out = np.zeros((n, n, n))
-        # v and -v written apart keep signed zeros; (dW - dW^T) / 3 would not
-        out[:, i, j] = v
-        out[:, j, i] = -v
-        return out

@@ -8,18 +8,16 @@ above 99% raises, since it means the declared domain is unusable.
 Draws are made and judged in chunks of at most ``BLOCK_SIZE``, never more
 than the points still wanted or the attempts left, so the generator
 makes the same calls in the same order as one draw at a time would.
-``sample_points`` makes a chunk's base and changed ``core.PointBlock``,
-each built from its order-2 ``L^2`` jet, and evaluates its ``sigma`` and
-``b`` as blocks too; it judges the chunk's draws from the rows of those
-blocks, and its admitted draws are the columns of blocks that evaluate
-their light jet layers together (``change.ChangedBlock``).  A block is
-judged once, at construction, and raises where any column's point
-would, so a chunk where one of the three block evaluations raises is
-judged draw by draw, each draw as a lone point, which raises its own
-errors or is admitted.  Where a chunk was judged so, or draws are
-rejected, its blocks are built again at the draws it keeps, and the
-next chunk is smaller.  A hypersurface sampler admits each draw by
-building its ``HyperPoint``, and returns those.
+``sample_points`` makes each chunk's ``change.ChangedBlock`` with
+``ChangedPair.block`` and judges the chunk's draws from its rows; its
+admitted draws are the columns of blocks that evaluate their light jet
+layers together.  A block is judged once, at construction, and raises
+where any column's point would, so a chunk whose block raises is judged
+draw by draw, each draw as a lone point, which raises its own errors or
+is admitted.  Where a chunk was judged so, or draws are rejected, its
+block is built again at the draws it keeps, and the next chunk is
+smaller.  A hypersurface sampler admits each draw by building its
+``HyperPoint``, and returns those.
 """
 
 from __future__ import annotations
@@ -29,8 +27,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .change import ChangedBlock
-from .core import FALLBACK_ERRORS, PointBlock, float_pow
+from .core import FALLBACK_ERRORS, float_pow
 from .jets import JetDomainError
 
 _MAX_TRIES_PER_POINT = 100
@@ -109,49 +106,36 @@ class Samples(Sequence):
 
 def _admit_block(pair, draws):
     """(admitted draws, ``ChangedBlock`` of them) of a chunk of draws, in
-    draw order, or ([], None).  The base jets, ``sigma`` and ``b`` of all
-    draws are each one block evaluation, and the changed jets one more;
-    the draws are admitted where the rows of their ``ChangedBlock`` are
-    ``_regular``.  Where one of the three evaluations raises (a block
-    raises where any column would), a draw is tried where the lone point
-    ``pair.at`` builds raises nothing, and new blocks are built at the
-    draws tried so.  A chunk that keeps every draw of its blocks returns
-    them; one that leaves draws out builds its blocks again at the draws
-    it keeps (``_blocks``), so that no block holds a draw that was left
-    out, and none is one that raised."""
+    draw order, or ([], None).  The draws' block (``pair.block``) is
+    built once, and they are admitted where its rows are ``_regular``.
+    Where the block raises (it raises where any column would), a draw is
+    tried where the lone point ``pair.at`` builds raises nothing.  A
+    chunk that keeps every draw of its block returns it; one that was
+    tried draw by draw, or leaves draws out, gets a new block at the
+    draws it keeps, so that no block holds a draw that was left out, and
+    none is one that raised."""
     x = np.stack([d[0] for d in draws], axis=1)
     y = np.stack([d[1] for d in draws], axis=1)
     kept = np.arange(len(draws))
     try:
-        base = PointBlock(pair.base, x, y)
-        change = [np.moveaxis(a, -1, 0) for a in pair.change.at(x)]
-        star = PointBlock(pair.starred, x, y)
+        cb = pair.block(x, y)
     except FALLBACK_ERRORS:
-        cps = {}
+        kept = []
         for p, draw in enumerate(draws):
             try:
-                cps[p] = pair.at(*draw)
+                pair.at(*draw)
             except (ValueError, ZeroDivisionError, JetDomainError):
-                pass
-        if not cps:
+                continue
+            kept.append(p)
+        if not kept:
             return [], None
-        kept = np.array(list(cps), dtype=int)
-        change = [np.array([getattr(cp, name) for cp in cps.values()])
-                  for name in ("sigma", "grad_sigma", "b_low", "db")]
-        base, star = _blocks(pair, x[:, kept], y[:, kept])
-    cb = ChangedBlock(pair, base, star, change)
+        kept = np.array(kept)
+        cb = pair.block(x[:, kept], y[:, kept])
     good = _regular(cb)
     if not good.all():
         kept = kept[good]
-        cb = ChangedBlock(pair, *_blocks(pair, x[:, kept], y[:, kept]),
-                          [a[good] for a in change]) if good.any() else None
+        cb = pair.block(x[:, kept], y[:, kept]) if good.any() else None
     return [draws[p] for p in kept], cb
-
-
-def _blocks(pair, x, y):
-    """The base and changed ``PointBlock`` at the coordinates ``x`` and
-    ``y``."""
-    return PointBlock(pair.base, x, y), PointBlock(pair.starred, x, y)
 
 
 def _regular(cb):
@@ -181,8 +165,9 @@ def sample_points(pair, count, seed):
     which hold every coefficient, and a higher tensor of an admitted
     point raises only where a coefficient of x-degree at most
     ``core.L2_XCAP`` is not finite.  Each chunk of draws is judged from
-    block evaluations of its order-2 ``L^2`` jets and its ``sigma`` and
-    ``b``; where one of those raises, the chunk's draws are judged alone.
+    its block (``ChangedPair.block``): its order-2 ``L^2`` jets and its
+    ``sigma`` and ``b``; where that raises, the chunk's draws are judged
+    alone.
     Either way the same draws are admitted as one draw at a time, and a
     block's rows are bit for bit the lone points' values."""
     rng = np.random.default_rng(seed)

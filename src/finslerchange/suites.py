@@ -10,13 +10,13 @@ turns a row into its record, so every configuration emits the same ids
 in the same order, each with its own tolerance.  Adding a check means
 adding a row.
 
-The rows over every sampled point (``_sampled``) measure the samples'
-block forms, ``SuiteRun.cblocks``: arrays whose first axis indexes
-points, each point's error reduced before the maximum
-(``report.stacked_errors``).  The rows over a few points (heavy,
-invariant and finite-difference points, geodesics, hypersurface points)
-measure point by point (``_each``), on lone points built once per run
-(``SuiteRun.lone``).
+Every row over the sampled points (``_sampled``) measures block forms,
+``change.ChangedBlock``s: arrays whose first axis indexes points, each
+point's error reduced before the maximum (``report.stacked_errors``),
+over every sample (``SuiteRun.cblocks``) or, for the heavy rows (Weyl,
+Douglas, ``inv5``), whose order-6 jets cost more, over the first
+samples, as one block (``SuiteRun.heavy``).  The finite-difference,
+geodesic and hypersurface rows measure point by point (``_each``).
 
 Verdict policy: ``fail`` is reserved for violations of laws the
 configuration is supposed to satisfy (these drive the exit status).
@@ -91,6 +91,12 @@ class SuiteConfig:
         return float(self.tols.get(name, DEFAULT_TOLS[name]))
 
 
+# How many first samples the heavy rows (Weyl, Douglas) read, the columns
+# of ``SuiteRun.heavy``, and how many of those the invariant rows read,
+# in 2D and from 3D on: the order-6 jets of L^2 cost more in 3D.
+_HEAVY, _INVARIANT = (25, 10), (25, 8)
+
+
 class SuiteRun:
     """Shared state for one verification run: the changed pair, the
     sampled points (their coordinates and ``ChangedBlock``s), and the
@@ -121,26 +127,19 @@ class SuiteRun:
         sample order."""
         return self.sampled()[0].blocks
 
-    def lone(self, count):
-        """The lone ``ChangedPoint``s of the first ``count`` samples, each
-        built once per run."""
-        points = self._cache.setdefault("lone", [])
-        for x, y in self.coords()[len(points):count]:
-            points.append(self.pair.at(x, y))
-        return points[:count]
+    @cached
+    def heavy(self):
+        """The ``ChangedBlock`` of the first samples (``_HEAVY``), which
+        the heavy and invariant rows read."""
+        x, y = (np.stack(c, axis=1)
+                for c in zip(*self.coords()[:_HEAVY[self.n >= 3]]))
+        return self.pair.block(x, y)
 
-    def heavy_points(self):
-        """The samples the costly core checks (Weyl, Douglas) run on."""
-        return self.lone(10 if self.n >= 3 else 25)
-
-    def invariant_points(self):
-        """The samples the projective-invariant comparisons run on."""
-        return self.lone(8 if self.n >= 3 else 25)
-
+    @cached
     def fd_points(self):
         """Base-space geometry at the first two samples, probed by the
         finite-difference cross-checks."""
-        return [cp.base for cp in self.lone(2)]
+        return [self.pair.base.point(x, y) for x, y in self.coords()[:2]]
 
     @cached
     def chpoints(self):
@@ -325,15 +324,18 @@ def _each(points, pairs, residual=False, notes=""):
     return measure
 
 
-def _sampled(pairs, residual=False, notes=""):
+def _sampled(pairs, residual=False, notes="", first=None):
     """Measurement over the sampled points, on their block forms
     (``SuiteRun.cblocks``): ``pairs(cb)`` lists the (got, want) arrays
     compared at the points of ``cb``, point axis first
-    (``report.stacked_errors``)."""
+    (``report.stacked_errors``).  With ``first`` (``_HEAVY`` or
+    ``_INVARIANT``), over the first rows of ``SuiteRun.heavy`` only."""
     def measure(run, tol):
-        return _verdict(len(run.coords()), stacked_errors(
-            pair for cb in run.cblocks() for pair in pairs(cb)), tol,
-            residual, notes)
+        k = None if first is None else first[run.n >= 3]
+        blocks = run.cblocks() if first is None else [run.heavy()]
+        return _verdict(len(run.coords()[:k]), stacked_errors(
+            tuple(v[:k] if np.ndim(v) else v for v in pair)
+            for cb in blocks for pair in pairs(cb)), tol, residual, notes)
     return measure
 
 
@@ -471,18 +473,22 @@ def _fd_curvature(pg):
     return [(pg.riemann(), r_fd)]
 
 
-def _weyl_structure(cp):
-    W = cp.base.weyl_proj()
-    return [(np.trace(W), 0.0), (W @ cp.y, 0.0)]
+def _weyl_structure(cb):
+    W = cb.base.weyl_proj()
+    return [(np.trace(W, axis1=-2, axis2=-1), 0.0), (matvec(W, cb.y), 0.0)]
 
 
 def _weyl_invariance(run, tol):
     notes = ("holds trivially: both Weyl tensors vanish identically in "
              "dimension 2" if run.n == 2 else "")
-    return _each("invariant_points", lambda cp: [
-        (cp.star.weyl_proj(), cp.base.weyl_proj()),
-        (cp.star.weyl_torsion(), cp.base.weyl_torsion())],
-        notes=notes)(run, tol)
+    return _sampled(lambda cb: [
+        (cb.star.weyl_proj(), cb.base.weyl_proj()),
+        (cb.star.weyl_torsion(), cb.base.weyl_torsion())],
+        notes=notes, first=_INVARIANT)(run, tol)
+
+
+_riemannian_douglas = _sampled(lambda cb: [(cb.base.douglas(), 0.0)],
+                               first=_INVARIANT)
 
 
 def _base_weyl_size(run, tol):
@@ -494,10 +500,8 @@ def _base_weyl_size(run, tol):
     (Berwald 1941).  A quadratic base has D = 0, so D is evaluated, and
     judged with the ``riemannian-douglas`` tolerance, only on the
     others."""
-    pts = run.invariant_points()
-    if not (run.cfg.metric.is_quadratic
-            or _judge(len(pts), ((cp.base.douglas(), 0.0) for cp in pts),
-                      run.cfg.tol("riemannian-douglas"))[3] == "pass"):
+    if not (run.cfg.metric.is_quadratic or _riemannian_douglas(
+            run, run.cfg.tol("riemannian-douglas"))[3] == "pass"):
         notes = "Douglas tensor nonzero: not projectively flat"
     elif run.n == 2:
         notes = ("Weyl vanishes identically in dimension 2; flatness not "
@@ -505,17 +509,16 @@ def _base_weyl_size(run, tol):
     else:
         notes = ("projectively flat at samples",
                  "nonzero projective curvature at samples")
-    return _each("invariant_points", lambda cp: [
-        (cp.base.weyl_proj(), 0.0), (cp.base.weyl_torsion(), 0.0)],
-        residual=True, notes=notes)(run, tol)
+    return _sampled(lambda cb: [
+        (cb.base.weyl_proj(), 0.0), (cb.base.weyl_torsion(), 0.0)],
+        residual=True, notes=notes, first=_INVARIANT)(run, tol)
 
 
-def _douglas_structure(cp):
-    D = cp.base.douglas()
-    return [(D, np.transpose(D, (0, 2, 1, 3))),
-            (D, np.transpose(D, (0, 3, 2, 1))),
-            (np.einsum("hhjk->jk", D), 0.0),
-            (np.einsum("hijk,k->hij", D, cp.y), 0.0)]
+def _douglas_structure(cb):
+    D = cb.base.douglas()
+    return [(D, np.swapaxes(D, -3, -2)), (D, np.swapaxes(D, -3, -1)),
+            (np.einsum("phhjk->pjk", D), 0.0),
+            (np.einsum("phijk,pk->phij", D, cb.y), 0.0)]
 
 
 # --------------------------------------------------------------------------
@@ -567,9 +570,9 @@ CHECKS["core-identities"] = (
     ("core.curvature-kills-support", "curvature-annihilates-support", "euler",
      (), _sampled(lambda cb: [(matvec(cb.base.riemann(), cb.y), 0.0)])),
     ("core.weyl-structure", "weyl-tensor-trace-free-and-kills-support",
-     "euler", (), _each("heavy_points", _weyl_structure)),
+     "euler", (), _sampled(_weyl_structure, first=_HEAVY)),
     ("core.douglas-structure", "douglas-symmetric-trace-free-kills-support",
-     "euler", (), _each("heavy_points", _douglas_structure)),
+     "euler", (), _sampled(_douglas_structure, first=_HEAVY)),
     ("core.fd-fundamental", _FD, "fd-cross-check", (),
      _fd(lambda pg, i, j, k: (pg.g_low()[i, j], 0.5 * _fd2(
          lambda yy: pg.space.l2(pg.x, yy), pg.y, i, j)))),
@@ -667,13 +670,13 @@ CHECKS["hypersurface"] = (
 )
 CHECKS["invariants-5"] = (
     ("inv5.douglas-invariance", "douglas-tensor-unchanged",
-     "douglas-invariance", (_projective,), _each("invariant_points",
-     lambda cp: [(cp.star.douglas(), cp.base.douglas())])),
+     "douglas-invariance", (_projective,), _sampled(
+         lambda cb: [(cb.star.douglas(), cb.base.douglas())],
+         first=_INVARIANT)),
     ("inv5.weyl-invariance", "weyl-tensors-unchanged", "weyl-invariance",
      (_projective,), _weyl_invariance),
     ("inv5.riemannian-douglas", "douglas-vanishes-on-quadratic-metric",
-     "riemannian-douglas", (_quadratic,),
-     _each("invariant_points", lambda cp: [(cp.base.douglas(), 0.0)])),
+     "riemannian-douglas", (_quadratic,), _riemannian_douglas),
     ("inv5.base-weyl-size", "weyl-size-as-flatness-test", "flat-weyl", (),
      _base_weyl_size),
 )

@@ -10,6 +10,7 @@ from finslerchange.change import ChangedPair, ChangedPoint, changed_metric_spec
 from finslerchange.core import FinslerSpace, central_partial
 from finslerchange.jets import JetDomainError
 from finslerchange.lang import parse_spec_text, resolve_spec
+from finslerchange.sampling import sample_points
 
 EUCLID2 = parse_spec_text("dim 2\na_11 = 1\na_22 = 1\n", name="euclid2")
 POLAR = parse_spec_text(
@@ -332,3 +333,53 @@ def test_nonprojective_3d_conformal_breaks_weyl_equality_check():
     x, y = rand_point(CURVED3)
     cp = pair.at(x, y)
     assert np.max(np.abs(cp.d_vector())) > 1e-3
+
+
+# The numbers a ``ChangedBlock`` holds for each of its points.
+BLOCK_NUMBERS = ("y", "sigma", "grad_sigma", "b_low", "db", "esig", "beta",
+                 "Lstar", "L", "tau")
+
+
+def test_pair_block_is_the_sampled_chunks_block():
+    # the block sampling admits a chunk with is ``ChangedPair.block`` at
+    # its draws: the same numbers and rows, bit for bit
+    pair = ChangedPair(resolve_spec("randers2"), resolve_spec("projective"))
+    points, _ = sample_points(pair, 30, 1)
+    (sampled,) = points.blocks
+    x, y = (np.stack(c, axis=1) for c in zip(*points.coords))
+    cb = pair.block(x, y)
+    for name in BLOCK_NUMBERS:
+        assert getattr(cb, name).tobytes() == getattr(sampled, name).tobytes()
+    for side in ("base", "star"):
+        for name in core.ROW_TENSORS:
+            got = getattr(getattr(cb, side), name)()
+            want = getattr(getattr(sampled, side), name)()
+            assert got.tobytes() == want.tobytes(), (side, name)
+
+
+@pytest.mark.parametrize("metric,change,xs", [
+    # the base block: sqrt leaves its domain at the last two columns
+    ("L2 = (y1^2 + y2^2) * sqrt(x1 + 0.3)", "b1 = 0.1 * x2",
+     [[0.5, 0.1], [-0.8, 0.2], [-0.9, 0.3]]),
+    # the change: sqrt of x2 + 0.3 at the last two columns
+    ("a_11 = 1\na_22 = 1", "b1 = 0.1 * sqrt(x2 + 0.3)",
+     [[0.5, 0.1], [0.2, -0.8], [0.1, -0.9]]),
+    # the changed block: the series of sqrt(L^2) at a value below 1e-250
+    # leaves the float range, where L* > 0 and the base passes
+    ("L2 = (y1^2 + y2^2) * exp(-700 * x1^2)", "b1 = 1e-8 * x2",
+     [[0.1, 0.1], [0.95, 0.5], [0.97, 0.6]])],
+    ids=["base", "change", "changed"])
+def test_pair_block_raises_the_first_failing_columns_error(metric, change,
+                                                          xs):
+    pair = ChangedPair(parse_spec_text(f"dim 2\n{metric}\n", name="m"),
+                       parse_spec_text(change + "\n", name="c"))
+    y = [1.0, 0.5]
+    with pytest.raises(JetDomainError) as got:
+        pair.block(np.transpose(xs), np.transpose([y] * len(xs)))
+    pair.at(np.array(xs[0]), np.array(y))
+    with pytest.raises(JetDomainError) as want:
+        pair.at(np.array(xs[1]), np.array(y))
+    assert str(got.value) == str(want.value)
+    with pytest.raises(JetDomainError) as later:
+        pair.at(np.array(xs[2]), np.array(y))
+    assert str(later.value) != str(want.value)

@@ -1094,6 +1094,38 @@ def test_block_tensors_equal_single_points_bit_for_bit(monkeypatch, metric,
                         space.spec.name, names[0], i, name)
 
 
+# The tensors read from the order-6 jet of L^2, which the heavy rows read
+# from one block of the first samples (``suites.SuiteRun.heavy``), and the
+# report digests' 3D Randers base, whose Douglas tensor is nonzero.
+HEAVY_TENSORS = ("douglas", "ric", "weyl_proj", "weyl_torsion")
+RANDERS3 = os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                        "specs", "randers3.fspec")
+
+
+@pytest.mark.parametrize("metric,change,count", [
+    ("randers2", "projective", 25), ("curved3", "projective3", 10),
+    (RANDERS3, "projective3", 10)], ids=["randers2", "curved3", "randers3"])
+def test_heavy_block_tensors_equal_single_points_bit_for_bit(metric, change,
+                                                              count):
+    pair = ChangedPair(resolve_spec(metric), resolve_spec(change))
+    points, _ = sample_pair_points(pair, count, 11)
+    x, y = (np.stack(c, axis=1) for c in zip(*points))
+    alone = {side: [space.point(*p) for p in points]
+             for side, space in (("base", pair.base), ("star", pair.starred))}
+    # tensor by tensor, in both orders, on a new block each time
+    for names in (HEAVY_TENSORS, HEAVY_TENSORS[::-1]):
+        cb = pair.block(x, y)
+        for name in names:
+            for side, pgs in alone.items():
+                rows = getattr(getattr(cb, side), name)()
+                assert len(rows) == count
+                for i, (row, pg) in enumerate(zip(rows, pgs)):
+                    want = np.asarray(getattr(pg, name)())
+                    assert row.tobytes() == want.tobytes(), (side, name, i)
+    if metric == RANDERS3:
+        assert np.max(np.abs(cb.base.douglas())) > 1e-3
+
+
 # e^(800 x1 y1) at x1 = 0.864, y1 = 1: finite order-2 coefficients, and
 # of the order-3 ones x1^2 y1 and x1 y1^2 beyond the float range, so the
 # middle column fails its check.  x1^3 stays finite: the coefficients
@@ -1330,17 +1362,24 @@ def test_block_members_keep_no_views_of_the_blocks_layers():
 
 # per-block L^2 evaluations of 200 points, admitted in chunks of 64, 64, 64
 # and 8 draws (none is rejected) at order 2 on each side, whose blocks then
-# evaluate the light orders of the core-identities suite and of all six
+# evaluate the light orders of the core-identities suite and of all six.
+# The heavy block of the first 25 samples is built at order 2 on each side
+# and evaluates order 6 once per side that a heavy row reads: the base for
+# the core-identities suite, both for all six (inv5 reads the changed
+# Douglas and Weyl tensors).
 L2_ADMISSION_CALLS = {
     ("randers2", 2, 64): 3, ("randers2", 2, 8): 1,
     ("randers2*projective", 2, 64): 3, ("randers2*projective", 2, 8): 1}
+L2_HEAVY_CALLS = {("randers2", 2, 25): 1, ("randers2*projective", 2, 25): 1,
+                  ("randers2", 6, 25): 1}
 L2_BLOCK_CALLS = (
     (["core-identities"], {
-        **L2_ADMISSION_CALLS,
+        **L2_ADMISSION_CALLS, **L2_HEAVY_CALLS,
         ("randers2", 3, 64): 3, ("randers2", 3, 8): 1,
         ("randers2", 4, 64): 3, ("randers2", 4, 8): 1}),
     (list(suites.SUITE_NAMES), {
-        **L2_ADMISSION_CALLS,
+        **L2_ADMISSION_CALLS, **L2_HEAVY_CALLS,
+        ("randers2*projective", 6, 25): 1,
         ("randers2", 3, 64): 3, ("randers2", 3, 8): 1,
         ("randers2", 4, 64): 3, ("randers2", 4, 8): 1,
         ("randers2*projective", 3, 64): 3,
@@ -1376,8 +1415,8 @@ def test_blocks_evaluate_l2_once_per_light_order(monkeypatch):
                                  seed=1)
         suites.run_suites(cfg, selected)
         # each admission chunk's block evaluates L^2 once at order 2 per
-        # side, on admission, and once at each light order its members
-        # ask for
+        # side, on admission, and once at each light order its rows ask
+        # for; the heavy block once at order 2 and once at order 6
         assert Counter(call for call in calls if call[2] > 1) == blocks, (
             selected)
         # no one-point call is at a light order: the finite-difference

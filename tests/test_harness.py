@@ -224,10 +224,10 @@ def test_cached_geodesic_errors_hold_no_frames(monkeypatch):
         assert exc.__cause__ is None and exc.__context__ is None
 
 
-RANDERS3 = parse_spec_text(
-    "dim 3\nL = sqrt(y1^2 + y2^2 + y3^2) + 0.1 * (x2 * y1 - x1 * y2)"
-    " + 0.05 * x1 * y3\nx_box = -0.5 0.5 -0.5 0.5 -0.5 0.5\n",
-    name="randers3")
+# The report digests' 3D Randers base, box +-0.5: not quadratic, so its
+# Douglas tensor is nonzero.
+DIGEST_RANDERS3 = resolve_spec(str(pathlib.Path(__file__).parent.parent
+                                   / "tools" / "specs" / "randers3.fspec"))
 
 
 @pytest.mark.parametrize("metric,change,weyl_size,weyl_invariance", [
@@ -241,8 +241,8 @@ RANDERS3 = parse_spec_text(
      "identically in dimension 2"),
     ("curved3", "projective3", "nonzero projective curvature at samples", ""),
     ("euclid3", "projective3", "projectively flat at samples", ""),
-    (RANDERS3, "projective3", "Douglas tensor nonzero: not projectively "
-     "flat", ""),
+    (DIGEST_RANDERS3, "projective3", "Douglas tensor nonzero: not "
+     "projectively flat", ""),
 ], ids=("randers2", "sphere2", "curved3", "euclid3", "randers3"))
 def test_flatness_note_reads_douglas_and_dimension(metric, change, weyl_size,
                                                    weyl_invariance):
@@ -403,6 +403,17 @@ def test_judge_matches_errors_between_pair_by_pair():
 SAMPLED_ROWS = ("valid.regularity",) + tuple(
     row[0] for row in suites.CHECKS["core-identities"][:8]
     + suites.CHECKS["change-identities"] + suites.CHECKS["projectivity"][1:2])
+# The rows that measure the first samples on the rows of one block
+# (``SuiteRun.heavy``), and the tensors they read.
+HEAVY_ROWS = ("core.weyl-structure", "core.douglas-structure") + tuple(
+    row[0] for row in suites.CHECKS["invariants-5"])
+HEAVY_TENSORS = ("douglas", "ric", "weyl_proj", "weyl_torsion")
+# How many first samples the heavy rows of each prefix read, by dimension.
+HEAVY_COUNTS = {"core": {2: 25, 3: 10}, "inv5": {2: 25, 3: 8}}
+# The rows whose gates skip them on some of the configurations below: off
+# projective changes, and off quadratic bases.
+MAY_SKIP = ("proj.collinearity", "inv5.douglas-invariance",
+            "inv5.weyl-invariance", "inv5.riemannian-douglas")
 SQRT2 = parse_spec_text("dim 2\nL2 = (y1^2 + y2^2) * sqrt(x1 + 0.3)\n"
                         "x_box = -1 1 -1 1\n", name="sqrt2")
 # A 3D Randers metric: its Cartan tensor and Berwald connection depend on
@@ -532,6 +543,25 @@ def _lone_pairs(cp):
     }
 
 
+def _lone_heavy_pairs(cp):
+    """The (got, want) values of each heavy and invariant row at a lone
+    ``ChangedPoint``, as the rows computed them point by point."""
+    b, s, y = cp.base, cp.star, cp.y
+    W, D, T = b.weyl_proj(), b.douglas(), b.weyl_torsion()
+    return {
+        "core.weyl-structure": [(np.trace(W), 0.0), (W @ y, 0.0)],
+        "core.douglas-structure": [
+            (D, np.transpose(D, (0, 2, 1, 3))),
+            (D, np.transpose(D, (0, 3, 2, 1))),
+            (np.einsum("hhjk->jk", D), 0.0),
+            (np.einsum("hijk,k->hij", D, y), 0.0)],
+        "inv5.douglas-invariance": [(s.douglas(), D)],
+        "inv5.weyl-invariance": [(s.weyl_proj(), W), (s.weyl_torsion(), T)],
+        "inv5.riemannian-douglas": [(D, 0.0)],
+        "inv5.base-weyl-size": [(W, 0.0), (T, 0.0)],
+    }
+
+
 @pytest.mark.parametrize("metric,change,samples,seed", [
     # seven full chunks and a tail of 208 points
     ("randers2", "projective", 2000, 1),
@@ -548,7 +578,11 @@ def test_block_rows_equal_lone_rows_bit_for_bit(monkeypatch, metric, change,
     run = SuiteRun(SuiteConfig(
         resolve_spec(metric) if isinstance(metric, str) else metric,
         resolve_spec(change), samples=samples, seed=seed))
-    lone = [_lone_pairs(run.pair.at(x, y)) for x, y in run.coords()]
+    lone = []
+    for p, (x, y) in enumerate(run.coords()):
+        cp = run.pair.at(x, y)
+        lone.append({**_lone_pairs(cp), **(
+            _lone_heavy_pairs(cp) if p < HEAVY_COUNTS["core"][run.n] else {})})
     measured = []
     stacked_errors = suites.stacked_errors
 
@@ -568,20 +602,30 @@ def test_block_rows_equal_lone_rows_bit_for_bit(monkeypatch, metric, change,
     monkeypatch.setattr(MetricSpec, "eval_l2", counting)
     rows = {row[0]: row for rows in suites.CHECKS.values() for row in rows}
     rows["valid.regularity"] = suites._VALIDATION[2]
-    for check_id in SAMPLED_ROWS:
+    for check_id in SAMPLED_ROWS + HEAVY_ROWS:
         measured.clear()
         record = suites._record(run, rows[check_id])
-        want = [pair for point in lone for pair in point[check_id]]
+        # a heavy row reads the first samples only
+        points = lone if check_id in SAMPLED_ROWS else lone[
+            :HEAVY_COUNTS[check_id.split(".")[0]][run.n]]
+        want = [pair for point in points for pair in point[check_id]]
         if check_id == "valid.regularity":
             floor = min([np.inf] + [got for got, _ in want])
             assert record.notes == f"min |det g| = {floor:.3e}"
             continue
         if record.verdict == "skipped":
-            assert check_id == "proj.collinearity"
+            assert check_id in MAY_SKIP, check_id
             continue
         # per point: the block forms' arrays, point axis first, in sample
-        # order, and the same values at the lone point, bit for bit
-        (stacks,) = measured
+        # order, and the same values at the lone point, bit for bit; off a
+        # quadratic base, the base Weyl size measures the Douglas tensor
+        # first, for its note
+        if check_id == "inv5.base-weyl-size":
+            assert len(measured) == (
+                1 if run.cfg.metric.is_quadratic else 2), check_id
+            stacks = measured[-1]
+        else:
+            (stacks,) = measured
         per_point = len(lone[0][check_id])
         for k in range(per_point):
             for side in (0, 1):
@@ -589,39 +633,47 @@ def test_block_rows_equal_lone_rows_bit_for_bit(monkeypatch, metric, change,
                     np.full(len(pair[0]), pair[side]) if np.ndim(pair[side])
                     == 0 else np.asarray(pair[side], dtype=float)
                     for pair in stacks[k::per_point]])
-                assert len(column) == len(lone), check_id
-                for p, point in enumerate(lone):
+                assert len(column) == len(points), check_id
+                for p, point in enumerate(points):
                     ref = np.asarray(point[check_id][k][side], dtype=float)
                     assert column[p].tobytes() == ref.tobytes(), (
                         check_id, k, side, p)
         # each point's error reduced before the maximum, as pair by pair
         residual = check_id in ("change.inverse-closed-form",
-                                "change.mixed-cartan-closed-form")
+                                "change.mixed-cartan-closed-form",
+                                "inv5.base-weyl-size")
+        # the notes of the heavy rows depend on the configuration alone
+        notes = (suites._FIT if residual and check_id in SAMPLED_ROWS
+                 else record.notes if check_id in HEAVY_ROWS else "")
         with np.errstate(invalid="ignore"):
             reference = _judge_by_pairs(
-                len(lone), want, record.tol, residual,
-                suites._FIT if residual else "")
+                len(points), want, record.tol, residual, notes)
         assert repr(reference) == repr((
             record.samples, record.max_abs_err, record.max_rel_err,
             record.verdict, record.notes)), check_id
     assert run.projectivity_defect() == max(point["A"] for point in lone)
-    # no point or block evaluated its order-2 jet after admission: where
-    # a block's construction raised (in most chunks of sqrt2), admission
-    # built it again at the kept draws, and no row reads a lone point
-    assert not [call for call in calls if call[0] == 2], calls
+    # after admission only the heavy block, one per side, evaluated its
+    # order-2 jet: where a block's construction raised (in most chunks of
+    # sqrt2), admission built it again at the kept draws, and no row reads
+    # a lone point
+    heavy = min(len(lone), HEAVY_COUNTS["core"][run.n])
+    assert [call for call in calls if call[0] == 2] == [(2, (heavy,))] * 2, (
+        calls)
 
 
 def test_sampled_rows_stay_on_blocks(monkeypatch):
     # sampling judges the draws from the rows of their blocks, and the rows
-    # that measure the sampled points read the blocks' tensors: no point is
-    # built and none computes a light tensor of its own
+    # that measure the sampled points, the heavy and invariant rows among
+    # them, read the blocks' tensors: no point is built and none computes
+    # a tensor of its own
     config = SuiteConfig(resolve_spec("randers2"), resolve_spec("projective"),
                          samples=300, seed=1)
     built, at, lone = [], [], []
     init, pair_at = PointGeometry.__init__, ChangedPair.at
 
     def counted_init(self, space, x, y):
-        built.append(space)
+        built.append((space.spec, np.asarray(x, dtype=float).tobytes(),
+                      np.asarray(y, dtype=float).tobytes()))
         init(self, space, x, y)
 
     def counted_at(self, x, y, *args):
@@ -630,7 +682,7 @@ def test_sampled_rows_stay_on_blocks(monkeypatch):
 
     monkeypatch.setattr(PointGeometry, "__init__", counted_init)
     monkeypatch.setattr(ChangedPair, "at", counted_at)
-    for name in core.ROW_TENSORS:
+    for name in core.ROW_TENSORS + HEAVY_TENSORS:
         def tensor(self, _method=getattr(PointGeometry, name), _name=name):
             lone.append(_name)
             return _method(self)
@@ -643,17 +695,29 @@ def test_sampled_rows_stay_on_blocks(monkeypatch):
     rows = {row[0]: row for rows in suites.CHECKS.values() for row in rows}
     rows["valid.regularity"] = suites._VALIDATION[2]
     records = [suites._record(run, rows[check_id])
-               for check_id in SAMPLED_ROWS + ("proj.obstruction",)]
-    assert [r.verdict for r in records].count("skipped") == 0
+               for check_id in SAMPLED_ROWS + HEAVY_ROWS
+               + ("proj.obstruction",)]
+    # randers2 is not quadratic: base-weyl-size measures its Douglas
+    # tensor in place of the skipped row
+    assert [r.check_id for r in records if r.verdict == "skipped"] == [
+        "inv5.riemannian-douglas"]
     assert built == [] and at == [] and lone == []
-    # the per-point rows read lone points
+    # the finite-difference rows read lone base points
     suites._record(run, rows["core.fd-cartan"])
-    assert built and at and lone
-    # a whole run builds the lone point of each of the first 25 samples
-    # once, which the heavy, invariant and finite-difference rows share
-    at.clear()
+    assert built and lone and at == []
+    # a whole run calls no ``ChangedPair.at``: its lone points are the base
+    # points of the first two samples, built once and shared by the
+    # finite-difference rows, and their probes, each moved off them in x
+    # or in y alone
+    built.clear()
     run_suites(config)
-    assert at == [(x.tobytes(), y.tobytes()) for x, y in points.coords[:25]]
+    assert at == []
+    coords = [(x.tobytes(), y.tobytes()) for x, y in points.coords]
+    fd = coords[:2]
+    assert [(x, y) for _, x, y in built if (x, y) in coords] == fd
+    assert all(spec is config.metric for spec, *_ in built)
+    assert all(x in {fx for fx, _ in fd} or y in {fy for _, fy in fd}
+               for _, x, y in built)
 
 
 def test_suite_selection_subset():

@@ -168,11 +168,12 @@ def _assert_same_points(got, want):
 
 
 def _first_blocks_raise(monkeypatch):
-    """Make ``L^2`` raise on block jets, except in the blocks that
-    admission builds again at the kept draws (``sampling._blocks``),
-    while the list it returns is not empty."""
+    """Make ``L^2`` raise on block jets in the first block of each chunk
+    (``ChangedPair.block``), but not in the block that admission builds
+    again at the draws it keeps, while the list it returns is not
+    empty."""
     active, again = [True], []
-    eval_l2, blocks = MetricSpec.eval_l2, sampling._blocks
+    eval_l2, block = MetricSpec.eval_l2, ChangedPair.block
 
     def first_raise(spec, env):
         if active and not again and any(
@@ -181,15 +182,18 @@ def _first_blocks_raise(monkeypatch):
             raise ValueError("no block jets")
         return eval_l2(spec, env)
 
-    def built_again(*args):
-        again.append(True)
+    def built_again(pair, x, y):
+        # the block after one that raised is built at the kept draws
         try:
-            return blocks(*args)
-        finally:
-            again.pop()
+            cb = block(pair, x, y)
+        except ValueError:
+            again.append(True)
+            raise
+        again.clear()
+        return cb
 
     monkeypatch.setattr(MetricSpec, "eval_l2", first_raise)
-    monkeypatch.setattr(sampling, "_blocks", built_again)
+    monkeypatch.setattr(ChangedPair, "block", built_again)
     return active
 
 
@@ -214,16 +218,20 @@ def test_blocks_that_raise_admit_what_single_draws_admit(monkeypatch):
 
 def test_chunk_whose_change_raises_builds_new_blocks_at_every_draw(
         monkeypatch):
-    # sigma and b of the chunk raise, and of no draw alone: every draw is
-    # kept, and new blocks are built at all of them
+    # sigma and b of the chunk's first block raise, and of no draw alone:
+    # every draw is kept, and new blocks are built at all of them, whose
+    # change raises nothing, as a real change raises only where a column
+    # does
     pair = ChangedPair(*map(resolve_spec, ["randers2", "projective"]))
     change_at = RandersChange.at
-    built = []
+    built, raised = [], []
     init = PointBlock.__init__
 
     def block_raises(change, x):
         if np.ndim(x) > 1:
-            raise ValueError("no block change")
+            raised.append(np.shape(x))
+            if len(raised) == 1:
+                raise ValueError("no block change")
         return change_at(change, x)
 
     def counted(block, *args):
@@ -239,6 +247,8 @@ def test_chunk_whose_change_raises_builds_new_blocks_at_every_draw(
     # the base block built before the change raised is not reused
     (cb,) = got.blocks
     assert len(built) == 3 and [cb.base, cb.star] == built[1:]
+    # the new block's sigma and b are one evaluation at its columns
+    assert raised == [(2, 20), (2, 20)]
     _assert_rows_are_lone_points(pair, got)
 
 

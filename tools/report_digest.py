@@ -73,9 +73,10 @@ import subprocess
 import sys
 import tempfile
 
-# A metric spec kept beside this script, passed to ``verify`` by path.
-SQRT2 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "specs",
-                     "sqrt2.fspec")
+# Metric specs kept beside this script, passed to ``verify`` by path.
+SPECS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "specs")
+SQRT2 = os.path.join(SPECS, "sqrt2.fspec")
+RANDERS3 = os.path.join(SPECS, "randers3.fspec")
 
 # (label, metric, change, hypersurface or None, samples, seed).  The first
 # two are also the pinned configurations of the verify-degenerate and
@@ -86,8 +87,11 @@ SQRT2 = os.path.join(os.path.dirname(os.path.abspath(__file__)), "specs",
 # the irreversible randers2, so the changed side is Euclidean.  The tenth
 # is a metric whose block evaluations raise, so sampling judges those
 # chunks draw by draw and builds their blocks again at the kept draws.
-# The last measures every row that reads block forms in 3D, on one full
-# chunk and a tail of 44 points.
+# The eleventh measures every row that reads block forms in 3D, on one
+# full chunk and a tail of 44 points.  The last is a non-quadratic 3D
+# base: its blocks sum ``C y`` and ``berwald y`` in the order a lone
+# point does only where their ``y`` is laid out as its own, and its
+# Douglas tensor is nonzero, so the heavy rows measure more than zeros.
 CONFIGS = (
     ("euclid2+tangent_parabola+parabola2 n12 s108",
      "euclid2", "tangent_parabola", "parabola2", 12, 108),
@@ -103,6 +107,7 @@ CONFIGS = (
      "randers2", "randers_nonclosed", "circle2", 20, 108),
     ("sqrt2+projective n300 s1", SQRT2, "projective", None, 300, 1),
     ("sphere3+projective3 n300 s1", "sphere3", "projective3", None, 300, 1),
+    ("randers3+projective3 n30 s108", RANDERS3, "projective3", None, 30, 108),
 )
 
 # (metric, change) pairs of the tensor digest, each at TENSOR_POINTS points
