@@ -8,14 +8,15 @@ with a position-dependent scale exponent sigma and a drift covector b.
 This module builds the changed metric as a first-class metric spec (so the
 full jet pipeline applies to it unchanged), and provides the closed-form
 predictions for the changed tensors in terms of base-space data, next to
-the directly computed values, so the two routes can be compared.  The
-predictions of ``ChangedPoint`` are written over an optional leading
-point axis: a ``ChangedBlock``, built by ``ChangedPair.block``, holds
-points of the pair (a sampled chunk's admitted draws, or the first
-samples that the heavy checks read) as a base and a changed
+the directly computed values, so the two routes can be compared.  A
+``ChangedBlock``, built by ``ChangedPair.block``, holds points of the
+pair (a sampled chunk's admitted draws, the first samples that the heavy
+checks read, or a hypersurface's points) as a base and a changed
 ``core.PointBlock``, read as its ``base`` and ``star``, and their
-``sigma`` and ``b`` arrays.  It evaluates each prediction and tensor
-once for all of them, bit for bit the value at each point alone.
+``sigma`` and ``b`` arrays.  Its predictions are written over a leading
+point axis and evaluate each prediction and tensor once for all of the
+points, bit for bit the value at each point alone; one point is a
+one-column block.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .core import (FinslerSpace, PointBlock, dot, float_pow,
                    horizontal_covariant, matvec, outer, per_point)
-from .jets import Jet, JetDomainError, lift_env
+from .jets import Jet, lift_env
 from .lang import (
     Bin,
     Call,
@@ -93,7 +94,7 @@ def changed_metric_spec(metric: MetricSpec, change: ChangeSpec) -> MetricSpec:
 
 
 class RandersChange:
-    """sigma and b bound to a dimension, evaluated pointwise by ``at``."""
+    """sigma and b bound to a dimension, evaluated at points by ``at``."""
 
     def __init__(self, spec: ChangeSpec, dim: int):
         self.n = dim
@@ -101,11 +102,11 @@ class RandersChange:
         self.b_exprs = spec.b_list(dim)
 
     def at(self, x):
-        """(sigma, grad sigma, b, db) at x, from one order-1 jet of each
-        expression; db[i, j] is the partial of b_i along x^j.  For x of
-        shape (n, P), the same arrays with a last axis over the columns,
-        from jets of a block: bit for bit what ``at`` gives at each column
-        alone."""
+        """(sigma, grad sigma, b, db) at the columns of x, of shape
+        (n, P), each with a last axis over the columns, from one order-1
+        jet of each expression over them; db[i, j] is the partial of b_i
+        along x^j.  Jet arithmetic is elementwise, so a column's values do
+        not depend on the others."""
         x = np.asarray(x, dtype=float)
         points = x.shape[1:]
         env = lift_env(1, x=x)
@@ -119,8 +120,6 @@ class RandersChange:
 
         sigma, grad_sigma = value_and_gradient(self.sigma_expr)
         b, db = map(np.array, zip(*map(value_and_gradient, self.b_exprs)))
-        if not points:
-            return float(sigma), grad_sigma, b, db
         return sigma, grad_sigma, b, db
 
 
@@ -136,51 +135,41 @@ class ChangedPair:
         self.starred_spec = changed_metric_spec(metric_spec, change_spec)
         self.starred = FinslerSpace(self.starred_spec)
 
-    def at(self, x, y, base=None):
-        """The lone ``ChangedPoint`` at (x, y); a caller that holds the
-        base point already passes it as ``base``."""
-        if base is None:
-            base = self.base.point(x, y)
-        return ChangedPoint(self, base, self.change.at(base.x))
-
     def block(self, x, y):
         """The ``ChangedBlock`` at the columns of ``x`` and ``y``, of
         shape ``(n, P)``: its base block, the change there and its changed
         block raise, in that order, the error of the first column failing
-        there as a lone point; L* > 0 is left to ``sampling._regular``."""
+        there as a lone point; L* > 0 is left to its callers
+        (``sampling._regular``, ``suites.SuiteRun.chpoints``)."""
         base = PointBlock(self.base, x, y)
         return ChangedBlock(self, base, self.change.at(base.x),
                             PointBlock(self.starred, x, y))
 
 
-class ChangedPoint:
-    """All pointwise data of a change: base tensors, directly computed
-    changed tensors, and the closed-form predictions.  ``base`` is the
-    base space's geometry at the point; the arrays that several checks
-    read are cached in ``_cache``.  Built by ``ChangedPair.at`` from the
-    base point and the values of ``RandersChange.at`` there.  Raises
-    ``JetDomainError`` where the changed ``L^2`` jet fails its check or
-    L* = e^sigma L + b_i y^i is not positive, before the changed point
-    ``star`` is built: the changed spec stores only the squared value,
-    which cannot see a sign flip.  Each formula is written over an
-    optional leading point axis, which ``ChangedBlock`` carries."""
+class ChangedBlock:
+    """All the data of a change at points of a pair, point axis first:
+    base tensors, directly computed changed tensors, and the closed-form
+    predictions.  ``base`` and ``star`` are a base and a changed
+    ``core.PointBlock`` whose columns are the points; ``change`` is
+    ``RandersChange.at`` there.  ``y`` (a contiguous copy, since the bits
+    of a stacked matmul depend on the layout), the numbers of
+    construction and every formula are one-point formulas run on arrays,
+    bit for bit their value at each point alone; the arrays that several
+    checks read are cached in ``_cache``."""
 
-    def __init__(self, pair: ChangedPair, base, change):
+    def __init__(self, pair, base, change, star):
         self._cache = {}
         self.pair = pair
         self.n = pair.n
-        self.x, self.y = base.x, base.y
         self.base = base
-        self.sigma, self.grad_sigma, self.b_low, self.db = change
-        self.esig = float(np.exp(self.sigma))
-        self.beta = float(self.b_low @ self.y)
-        self.L = base.L()
+        self.star = star
+        self.y = np.ascontiguousarray(base.y.T)
+        self.sigma, self.grad_sigma, self.b_low, self.db = (
+            np.moveaxis(a, -1, 0) for a in change)
+        self.esig = np.exp(self.sigma)
+        self.beta = dot(self.b_low, self.y)
+        self.L = self.base.L()
         self.Lstar = self.esig * self.L + self.beta
-        if not self.Lstar > 0.0:
-            raise JetDomainError(
-                f"changed metric value {self.Lstar:.6g} not positive at "
-                f"x={self.x.tolist()}, y={self.y.tolist()}")
-        self.star = pair.starred.point(self.x, self.y)
         self.tau = self.esig * self.Lstar / self.L
 
     # -- scalars ---------------------------------------------------------
@@ -315,30 +304,3 @@ class ChangedPoint:
         bc = self.b_hcov()
         return 0.5 * (bc - np.swapaxes(bc, -1, -2))
 
-
-class ChangedBlock(ChangedPoint):
-    """Points of a pair as one ``ChangedPoint`` with a leading point
-    axis, built by ``ChangedPair.block``.  ``base`` and ``star`` are a
-    base and a changed ``core.PointBlock`` whose columns are those
-    points, read as rows of tensors; ``change`` is ``RandersChange.at``
-    at them, (sigma, its gradient, b, db) with a last point axis.
-    ``y`` (a contiguous copy, since the bits of a stacked matmul depend
-    on the layout) and the numbers of construction (``esig``, ``beta``,
-    ``Lstar``, ``L``, ``tau``) are computed from those arrays with the
-    one-point formulas, so that every formula of ``ChangedPoint`` runs
-    once on arrays, bit for bit its value at each point alone."""
-
-    def __init__(self, pair, base, change, star):
-        self._cache = {}
-        self.pair = pair
-        self.n = pair.n
-        self.base = base
-        self.star = star
-        self.y = np.ascontiguousarray(base.y.T)
-        self.sigma, self.grad_sigma, self.b_low, self.db = (
-            np.moveaxis(a, -1, 0) for a in change)
-        self.esig = np.exp(self.sigma)
-        self.beta = dot(self.b_low, self.y)
-        self.L = self.base.L()
-        self.Lstar = self.esig * self.L + self.beta
-        self.tau = self.esig * self.Lstar / self.L

@@ -300,6 +300,11 @@ def matvec(m, v):
     return (m @ v[..., None])[..., 0]
 
 
+def vecmat(v, m):
+    """v^i m_ij, as ``v @ m`` at each point."""
+    return (v[..., None, :] @ m)[..., 0, :]
+
+
 def outer(a, b):
     """a_i b_j, as ``np.outer(a, b)`` at each point."""
     return a[..., :, None] * b[..., None, :]
@@ -612,7 +617,8 @@ ROW_TENSORS = ("L2", "L", "y_low", "l_low", "g_low", "det_g", "g_up",
 class PointGeometry(JetLayers):
     """Lazily computed tensors of a Finsler space at one (x, y), those of
     ``JetLayers`` with the spray solved in floats: the points of the
-    finite-difference checks, hypersurfaces and the spray fallback.
+    spray fallback, the hypersurface sampler's draws and the tensor
+    benchmark.
 
     Construction reads the order-2 jet of L^2, raising where ``_f2`` does;
     jets stay cached at their highest order, tensors by name, in

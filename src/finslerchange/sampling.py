@@ -13,17 +13,17 @@ makes the same calls in the same order as one draw at a time would.
 admitted draws are the columns of blocks that evaluate their light jet
 layers together.  A block is judged once, at construction, and raises
 where any column's point would, so a chunk whose block raises is judged
-draw by draw, each draw as a lone point, which raises its own errors or
-is admitted.  Where a chunk was judged so, or draws are rejected, its
-block is built again at the draws it keeps, and the next chunk is
-smaller.  A hypersurface sampler admits each draw by building its
-``HyperPoint``, and returns those.
+draw by draw, each draw on a one-column block, which raises its own
+errors or is judged from its rows as every block's draws are.  Where a
+chunk was judged so, or draws are rejected, its block is built again at
+the draws it keeps, and the next chunk is smaller (``_admit_block``,
+which ``suites.SuiteRun.chpoints`` shares).  A hypersurface sampler
+admits each draw by building its ``HyperPoint``, and returns those.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -82,60 +82,49 @@ def _rejection_loop(count, admit, what):
     return out, attempts - count
 
 
-class Samples(Sequence):
+class Samples:
     """The admitted samples of a ``ChangedPair``, in draw order: ``coords``
     holds the (x, y) of each, and ``blocks`` the ``ChangedBlock`` of each
     chunk with an admitted draw, whose points are those samples, in the
-    same order; no block is one whose construction raised.  Item ``i``
-    is the lone ``ChangedPoint`` at ``coords[i]``, built by ``pair.at``
-    on each request and not kept."""
+    same order; no block is one whose construction raised."""
 
-    def __init__(self, pair, coords, blocks):
-        self.pair = pair
+    def __init__(self, coords, blocks):
         self.coords = coords
         self.blocks = blocks
 
     def __len__(self):
         return len(self.coords)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self.pair.at(x, y) for x, y in self.coords[i]]
-        return self.pair.at(*self.coords[i])
 
-
-def _admit_block(pair, draws):
-    """(admitted draws, ``ChangedBlock`` of them) of a chunk of draws, in
-    draw order, or ([], None).  The draws' block (``pair.block``) is
-    built once, and they are admitted where its rows are ``_regular``.
-    Where the block raises (it raises where any column would), a draw is
-    tried where the lone point ``pair.at`` builds raises nothing.  A
-    chunk that keeps every draw of its block returns it; one that was
-    tried draw by draw, or leaves draws out, gets a new block at the
-    draws it keeps, so that no block holds a draw that was left out, and
-    none is one that raised."""
-    x = np.stack([d[0] for d in draws], axis=1)
-    y = np.stack([d[1] for d in draws], axis=1)
-    kept = np.arange(len(draws))
+def _admit_block(pair, x, y, keep, errors):
+    """(kept columns, ``ChangedBlock`` of them or None) of the columns of
+    ``x`` and ``y``, of shape ``(n, P)``, in order.  Their block
+    (``pair.block``) is built once, and keeps a column where
+    ``keep(block)`` holds.  Where it raises (it raises where any column
+    would), each column is judged on a one-column block, and dropped
+    where that raises one of ``errors``.  A block that drops columns, or
+    was judged column by column, is built again at the columns kept, so
+    that no block holds a dropped column, and none is one that raised."""
+    kept = np.arange(x.shape[1])
     try:
         cb = pair.block(x, y)
     except FALLBACK_ERRORS:
         kept = []
-        for p, draw in enumerate(draws):
+        for p in range(x.shape[1]):
             try:
-                pair.at(*draw)
-            except (ValueError, ZeroDivisionError, JetDomainError):
+                pair.block(x[:, p:p + 1], y[:, p:p + 1])
+            except errors:
                 continue
             kept.append(p)
         if not kept:
             return [], None
         kept = np.array(kept)
         cb = pair.block(x[:, kept], y[:, kept])
-    good = _regular(cb)
+    good = keep(cb)
     if not good.all():
         kept = kept[good]
         cb = pair.block(x[:, kept], y[:, kept]) if good.any() else None
-    return [draws[p] for p in kept], cb
+    return kept, cb
 
 
 def _regular(cb):
@@ -167,9 +156,9 @@ def sample_points(pair, count, seed):
     ``core.L2_XCAP`` is not finite.  Each chunk of draws is judged from
     its block (``ChangedPair.block``): its order-2 ``L^2`` jets and its
     ``sigma`` and ``b``; where that raises, the chunk's draws are judged
-    alone.
-    Either way the same draws are admitted as one draw at a time, and a
-    block's rows are bit for bit the lone points' values."""
+    on one-column blocks.  Either way the same draws are admitted as one
+    draw at a time, and a block's rows are bit for bit the lone points'
+    values."""
     rng = np.random.default_rng(seed)
     space = pair.base
     box = space.spec.x_box
@@ -177,15 +166,17 @@ def sample_points(pair, count, seed):
     blocks = []
 
     def admit(k):
-        coords, block = _admit_block(pair, [
-            (_draw_x(rng, box), _draw_y(rng, space.n, annulus))
-            for _ in range(k)])
+        draws = [(_draw_x(rng, box), _draw_y(rng, space.n, annulus))
+                 for _ in range(k)]
+        kept, block = _admit_block(
+            pair, *(np.stack(d, axis=1) for d in zip(*draws)), _regular,
+            (ValueError, ZeroDivisionError, JetDomainError))
         if block is not None:
             blocks.append(block)
-        return coords
+        return [draws[p] for p in kept]
 
     coords, rejected = _rejection_loop(count, admit, "points")
-    return Samples(pair, coords, blocks), rejected
+    return Samples(coords, blocks), rejected
 
 
 def sample_pair_points(pair, count, seed):

@@ -15,8 +15,11 @@ Every row over the sampled points (``_sampled``) measures block forms,
 point's error reduced before the maximum (``report.stacked_errors``),
 over every sample (``SuiteRun.cblocks``) or, for the heavy rows (Weyl,
 Douglas, ``inv5``), whose order-6 jets cost more, over the first
-samples, as one block (``SuiteRun.heavy``).  The finite-difference,
-geodesic and hypersurface rows measure point by point (``_each``).
+samples, as one block (``SuiteRun.heavy``).  The hypersurface rows
+(``_hyper``) measure the block form of the hypersurface's points
+(``SuiteRun.chpoints``), and the finite-difference rows probe one
+``core.PointBlock`` or float values; only the geodesic rows measure
+path by path.
 
 Verdict policy: ``fail`` is reserved for violations of laws the
 configuration is supposed to satisfy (these drive the exit status).
@@ -32,14 +35,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .change import ChangedPair
-from .core import FALLBACK_ERRORS, central_partial, dot, matvec
+from .core import FALLBACK_ERRORS, PointBlock, central_partial, dot, matvec
 from .geodesics import (GeodesicError, curve_set_deviation,
                         integrate_geodesic, retrace_deviation)
 from .hypersurface import ChangedHyperPoint, ChangedHypersurface
 from .jets import JetDomainError
 from .memo import cached
 from .report import CheckRecord, stacked_errors, worst_errors
-from .sampling import sample_hyper_points, sample_points
+from .sampling import _admit_block, sample_hyper_points, sample_points
 
 DEFAULT_TOLS = {
     "euler": 1e-10,             # homogeneity/contraction identities
@@ -136,24 +139,19 @@ class SuiteRun:
         return self.pair.block(x, y)
 
     @cached
-    def fd_points(self):
-        """Base-space geometry at the first two samples, probed by the
-        finite-difference cross-checks."""
-        return [self.pair.base.point(x, y) for x, y in self.coords()[:2]]
-
-    @cached
     def chpoints(self):
-        """Changed-hypersurface points; drops draws where the changed
-        metric leaves its domain along the surface."""
+        """The changed-hypersurface points as one ``ChangedHyperPoint``,
+        or None: the hypersurface sampler's draws, less those where the
+        changed metric leaves its domain along the surface (its ``L^2``
+        raises ``JetDomainError``, or L* > 0 fails)."""
         draws, _ = sample_hyper_points(
             self.hyper.base_h, min(self.cfg.samples, 40), self.cfg.seed)
-        out = []
-        for hp in draws:
-            try:
-                out.append(ChangedHyperPoint(self.pair, hp))
-            except JetDomainError:
-                pass
-        return out
+        kept, cb = _admit_block(
+            self.pair, *(np.stack([getattr(hp, k) for hp in draws], axis=1)
+                         for k in "xy"),
+            lambda cb: cb.Lstar > 0.0, JetDomainError)
+        return (None if cb is None
+                else ChangedHyperPoint(cb, [draws[p] for p in kept]))
 
     @cached
     def projectivity_defect(self):
@@ -165,8 +163,7 @@ class SuiteRun:
     @cached
     def tangency(self):
         """max |b_i N^i| over the hypersurface samples."""
-        return max([0.0] + [abs(chp.b_dot_normal())
-                            for chp in self.chpoints()])
+        return max([0.0] + np.abs(self.chpoints().b_dot_normal()).tolist())
 
     def geodesic_ics(self):
         return self.coords()[:5]
@@ -252,9 +249,8 @@ _projective = _within(
     "projective-defect", lambda run: run.projectivity_defect(),
     "gated on projectivity; obstruction {0:.2e} exceeds {1:.0e}")
 _base_flat = _within(
-    "flat-hypersurface", lambda run: max([0.0] + [
-        float(np.max(np.abs(chp.base.normal_curvature())))
-        for chp in run.chpoints()]),
+    "flat-hypersurface", lambda run: max([0.0] + np.max(np.abs(
+        run.chpoints().base.normal_curvature()), axis=-1).tolist()),
     "base hypersurface is not totally geodesic (max |H| = {0:.2e})")
 
 
@@ -314,16 +310,6 @@ def _verdict(samples, errors, tol, residual=False, notes=""):
     return samples, abs_err, rel_err, verdict, notes
 
 
-def _each(points, pairs, residual=False, notes=""):
-    """Measurement over a point set (a ``SuiteRun`` method name):
-    ``pairs(p)`` lists the (got, want) values compared at point ``p``."""
-    def measure(run, tol):
-        pts = getattr(run, points)()
-        return _judge(len(pts), (pair for p in pts for pair in pairs(p)),
-                      tol, residual, notes)
-    return measure
-
-
 def _sampled(pairs, residual=False, notes="", first=None):
     """Measurement over the sampled points, on their block forms
     (``SuiteRun.cblocks``): ``pairs(cb)`` lists the (got, want) arrays
@@ -336,6 +322,16 @@ def _sampled(pairs, residual=False, notes="", first=None):
         return _verdict(len(run.coords()[:k]), stacked_errors(
             tuple(v[:k] if np.ndim(v) else v for v in pair)
             for cb in blocks for pair in pairs(cb)), tol, residual, notes)
+    return measure
+
+
+def _hyper(pairs, residual=False, notes=""):
+    """``_sampled`` over the block form of the hypersurface points
+    (``SuiteRun.chpoints``)."""
+    def measure(run, tol):
+        chp = run.chpoints()
+        return _verdict(len(chp), stacked_errors(pairs(chp)), tol,
+                        residual, notes)
     return measure
 
 
@@ -371,16 +367,59 @@ def _geodesics(results, notes=""):
     return measure
 
 
-def _fd(probe):
-    """Finite-difference cross-check: ``probe(pg, i, j, k)`` gives (jet
-    value, difference quotient) for three random index triples at each
-    of the ``fd_points``; every such check draws the same triples."""
+# The step of the difference quotients, ``central_partial``'s default.
+_H = 1e-5
+
+
+def _first_rows(run, name):
+    """The base tensor ``name`` at the first two samples, read from the
+    sampled blocks, which can be two."""
+    return np.concatenate([getattr(cb.base, name)()
+                           for cb in run.cblocks()[:2]])[:2]
+
+
+def _block_partials(run, name, points, axis):
+    """``central_partial`` of the base tensor ``name`` along coordinate k
+    of x (``axis`` 0) or of y (1) at each (x, y, k) of ``points``, from
+    one ``PointBlock`` of the moved points, +h before -h."""
+    moved = []
+    for *xy, k in points:
+        for h in (_H, -_H):
+            z = [np.array(v, dtype=float) for v in xy]
+            z[axis][k] = float(xy[axis][k]) + h
+            moved.append(z)
+    x, y = (np.stack(c, axis=1) for c in zip(*moved))
+    T = getattr(PointBlock(run.pair.base, x, y), name)()
+    return (T[0::2] - T[1::2]) / (2.0 * _H)
+
+
+def _fd(name, quotients):
+    """Finite-difference cross-check of the base tensor ``name`` at three
+    random index triples (i, j, k) at each of the first two samples,
+    drawn in that order; every such check draws the same triples.
+    ``quotients(run, probes)`` lists the difference quotient that the
+    entry (i, j) or (i, j, k) should equal at each probe (x, y, i, j, k)."""
     def measure(run, tol):
         rng = np.random.default_rng([run.cfg.seed, 7])
-        pts = run.fd_points()
-        return _judge(len(pts), (probe(pg, *rng.integers(0, run.n, size=3))
-                                 for pg in pts for _ in range(3)), tol)
+        coords = run.coords()[:2]
+        probes = [(x, y, *rng.integers(0, run.n, size=3))
+                  for x, y in coords for _ in range(3)]
+        rows = _first_rows(run, name)
+        jet = [rows[p // 3][probe[2:rows.ndim + 1]]
+               for p, probe in enumerate(probes)]
+        return _judge(len(coords), zip(jet, quotients(run, probes)), tol)
     return measure
+
+
+def _y_partials(name, scale):
+    """``quotients`` of ``_fd``: ``scale`` times the entry (i, j) of
+    ``_block_partials`` of ``name`` along y^k at each probe."""
+    def quotients(run, probes):
+        d = _block_partials(run, name,
+                            [(x, y, k) for x, y, _, _, k in probes], 1)
+        return [scale * d[p][i, j]
+                for p, (_, _, i, j, _) in enumerate(probes)]
+    return quotients
 
 
 def _homogeneity(run, tol):
@@ -416,11 +455,12 @@ def _regularity(run, tol):
 
 
 def _frame_rank(run, tol):
-    chps = run.chpoints()
-    smin = min([np.inf] + [float(np.linalg.svd(chp.base.B,
-                                               compute_uv=False)[-1])
-                           for chp in chps])
-    return (len(chps), 0.0, 0.0, "pass" if smin > 1e-10 else "fail",
+    """The least singular value of the tangent frames, by Python's min."""
+    chp = run.chpoints()
+    s = ([] if chp is None else
+         np.linalg.svd(chp.base.B, compute_uv=False)[:, -1].tolist())
+    smin = min([np.inf] + s)
+    return (len(s), 0.0, 0.0, "pass" if smin > 1e-10 else "fail",
             f"min singular value of the tangent frame = {smin:.3e}")
 
 
@@ -458,19 +498,25 @@ def _fd2(f, y, i, j, h=1e-4):
     return (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4 * h * h)
 
 
-def _fd_curvature(pg):
-    """R and its finite-difference value from the spray and connection."""
-    space, x, y, n = pg.space, pg.x, pg.y, pg.n
-    G, N, B = pg.spray(), pg.n_conn(), pg.berwald()
-    dG = np.stack([central_partial(
-        lambda xv: space.spray_values(xv, y), x, k, 1e-5)
-        for k in range(n)], axis=-1)
-    dN = np.stack([central_partial(
-        lambda xv: space.point(xv, y).n_conn(), x, j, 1e-5)
-        for j in range(n)], axis=-1)
-    r_fd = (2 * dG - np.einsum("j,ikj->ik", y, dN)
-            + 2 * np.einsum("j,ijk->ik", G, B) - N @ N)
-    return [(pg.riemann(), r_fd)]
+def _fd_curvature(run, tol):
+    """R and its finite-difference value from the spray and connection
+    at the first two samples."""
+    space, n = run.pair.base, run.n
+    coords = run.coords()[:2]
+    G, N, B, R = (_first_rows(run, name)
+                  for name in ("spray", "n_conn", "berwald", "riemann"))
+    dN = _block_partials(run, "n_conn", [(x, y, j) for x, y in coords
+                                         for j in range(n)], 0)
+    pairs = []
+    for p, (x, y) in enumerate(coords):
+        dG = np.stack([central_partial(
+            lambda xv: space.spray_values(xv, y), x, k, _H)
+            for k in range(n)], axis=-1)
+        dNp = np.stack(list(dN[p * n:(p + 1) * n]), axis=-1)
+        r_fd = (2 * dG - np.einsum("j,ikj->ik", y, dNp)
+                + 2 * np.einsum("j,ijk->ik", G[p], B[p]) - N[p] @ N[p])
+        pairs.append((R[p], r_fd))
+    return _judge(len(coords), pairs, tol)
 
 
 def _weyl_structure(cb):
@@ -574,19 +620,18 @@ CHECKS["core-identities"] = (
     ("core.douglas-structure", "douglas-symmetric-trace-free-kills-support",
      "euler", (), _sampled(_douglas_structure, first=_HEAVY)),
     ("core.fd-fundamental", _FD, "fd-cross-check", (),
-     _fd(lambda pg, i, j, k: (pg.g_low()[i, j], 0.5 * _fd2(
-         lambda yy: pg.space.l2(pg.x, yy), pg.y, i, j)))),
+     _fd("g_low", lambda run, probes: [0.5 * _fd2(
+         lambda yy: run.pair.base.l2(x, yy), y, i, j)
+         for x, y, i, j, k in probes])),
     ("core.fd-cartan", _FD, "fd-cross-check", (),
-     _fd(lambda pg, i, j, k: (pg.C_low()[i, j, k], 0.5 * central_partial(
-         lambda yy: pg.space.point(pg.x, yy).g_low()[i, j], pg.y, k, 1e-5)))),
+     _fd("C_low", _y_partials("g_low", 0.5))),
     ("core.fd-connection", _FD, "fd-cross-check", (),
-     _fd(lambda pg, i, j, k: (pg.n_conn()[i, j], central_partial(
-         lambda yy: pg.space.spray_values(pg.x, yy)[i], pg.y, j, 1e-5)))),
+     _fd("n_conn", lambda run, probes: [central_partial(
+         lambda yy: run.pair.base.spray_values(x, yy)[i], y, j, _H)
+         for x, y, i, j, k in probes])),
     ("core.fd-berwald", _FD, "fd-cross-check", (),
-     _fd(lambda pg, i, j, k: (pg.berwald()[i, j, k], central_partial(
-         lambda yy: pg.space.point(pg.x, yy).n_conn()[i, j], pg.y, k, 1e-5)))),
-    ("core.fd-curvature", _FD, "fd-cross-check", (),
-     _each("fd_points", _fd_curvature)),
+     _fd("berwald", _y_partials("n_conn", 1.0))),
+    ("core.fd-curvature", _FD, "fd-cross-check", (), _fd_curvature),
 )
 CHECKS["change-identities"] = (
     ("change.value-closed-form", "changed-value-and-support-closed-forms",
@@ -630,43 +675,43 @@ CHECKS["projectivity"] = (
 )
 CHECKS["hypersurface"] = (
     ("hyper.frame-identities", "frame-relations-hold", "frame", _HYPER,
-     _each("chpoints", lambda chp: [(chp.base.frame_residuals(), 0.0)])),
+     _hyper(lambda chp: [(chp.base.frame_residuals(), 0.0)])),
     ("hyper.frame-identities-changed", "frame-relations-hold-after-change",
      "frame", _HYPER,
-     _each("chpoints", lambda chp: [(chp.star.frame_residuals(), 0.0)])),
+     _hyper(lambda chp: [(chp.star.frame_residuals(), 0.0)])),
     ("hyper.normal-value", "changed-metric-on-normal-closed-form",
-     "ambient-identity", _HYPER, _each("chpoints", lambda chp: [
+     "ambient-identity", _HYPER, _hyper(lambda chp: [
          (chp.gstar_on_normal(), chp.gstar_on_normal_closed())])),
     ("hyper.tangency", "drift-tangent-to-hypersurface", "tangency", _HYPER,
      _tangency),
     ("hyper.normal-transfer", "normal-rescales-by-root-tau", "normal-transfer",
-     _TANGENTIAL, _each("chpoints", lambda chp: [
+     _TANGENTIAL, _hyper(lambda chp: [
          (chp.star.normal_up(), chp.normal_transfer_closed()),
          (chp.star.normal_low(), chp.conormal_transfer_closed())])),
     ("hyper.curvature-decomposition",
      "normal-curvature-decomposes-under-tangential-drift",
-     "curvature-transfer", _TANGENTIAL, _each("chpoints", lambda chp: [
+     "curvature-transfer", _TANGENTIAL, _hyper(lambda chp: [
          (chp.hstar_decomposition_residual(), 0.0)])),
     ("hyper.curvature-scale-reported",
      "normal-curvature-relation-without-scaled-correction", "residual",
-     _TANGENTIAL, _each("chpoints", lambda chp: [
+     _TANGENTIAL, _hyper(lambda chp: [
          (chp.hstar_reported_residual(), 0.0)], residual=True,
          notes="correction term enters unscaled; residual vanishes only "
                "when the correction itself does")),
     ("hyper.curvature-transfer", "normal-curvature-rescales-by-root-tau",
      "curvature-transfer", _TANGENTIAL + (_projective,),
-     _each("chpoints", lambda chp: [
+     _hyper(lambda chp: [
          (chp.star.normal_curvature(),
-          np.sqrt(chp.cp.tau) * chp.base.normal_curvature())])),
+          chp.root_tau() * chp.base.normal_curvature())])),
     ("hyper.normal-projective-contraction",
      "normal-contraction-of-spray-difference-vanishes", "curvature-transfer",
      _TANGENTIAL + (_projective,),
-     _each("chpoints", lambda chp: [(chp.d_term(), 0.0)])),
+     _hyper(lambda chp: [(chp.d_term(), 0.0)])),
     ("hyper.flat-preserved",
      "totally-geodesic-preserved-under-tangential-drift", "flat-hypersurface",
      _HYPER + (_base_flat,),
-     _each("chpoints", lambda chp: [(chp.star.normal_curvature(), 0.0)],
-           notes="base normal curvature vanishes at samples")),
+     _hyper(lambda chp: [(chp.star.normal_curvature(), 0.0)],
+            notes="base normal curvature vanishes at samples")),
 )
 CHECKS["invariants-5"] = (
     ("inv5.douglas-invariance", "douglas-tensor-unchanged",

@@ -7,6 +7,7 @@ implementation happens to produce.
 """
 
 import numpy as np
+from column import column, columns
 
 from finslerchange.change import ChangedPair
 from finslerchange.core import central_partial
@@ -41,7 +42,14 @@ def sample_base(mname, count, seed):
     """Geometry of one bundled metric at sampled points; the identity
     change admits the draws the metric alone admits."""
     pts, _ = sample_points(ChangedPair(S[mname], CH["identity"]), count, seed)
-    return [cp.base for cp in pts]
+    return [cp.base for cp in columns(pts.blocks)]
+
+
+def changed_hyper_point(chs, hp):
+    """The ``ChangedHyperPoint`` of a ``ChangedHypersurface`` at the base
+    ``HyperPoint`` ``hp``, on the pair's block of its one point."""
+    return ChangedHyperPoint(chs.pair.block(hp.x[:, None], hp.y[:, None]),
+                             [hp])
 
 
 # -- 1: Euler/homogeneity chain on every bundled metric -----------------------
@@ -51,7 +59,7 @@ def test_criterion_1_euler_homogeneity():
     for name in METRICS:
         pair = ChangedPair(S[name], CH["projective"])
         pts, _ = sample_points(pair, 100, seed=101)
-        for cp in pts:
+        for cp in columns(pts.blocks):
             pg, y = cp.base, cp.y
             L = pg.L()
             worst = max(
@@ -77,7 +85,7 @@ def test_criterion_2_two_path_closed_forms():
                    "homothety"):
         pair = ChangedPair(S["euclid2"], CH[chname])
         pts, _ = sample_points(pair, 100, seed=102)
-        for cp in pts:
+        for cp in columns(pts.blocks):
             star = cp.star
             algebraic = max(
                 algebraic,
@@ -119,7 +127,7 @@ def test_criterion_3_reductions():
     pair = ChangedPair(S["sphere2"], CH["identity"])
     assert pair.starred_spec is pair.metric_spec
     pts, _ = sample_points(pair, 40, seed=103)
-    for cp in pts[:10]:
+    for cp in columns(pts.blocks)[:10]:
         assert np.array_equal(cp.base.g_low(), cp.star.g_low())
         assert np.array_equal(cp.base.C_low(), cp.star.C_low())
         assert np.array_equal(cp.base.spray(), cp.star.spray())
@@ -129,8 +137,8 @@ def test_criterion_3_reductions():
     scale_err = 0.0
     for chname in ("homothety", "conformal"):
         pair = ChangedPair(S["sphere2"], CH[chname])
-        for p in pts[:20]:
-            cp = pair.at(p.x, p.y)
+        for x, y in pts.coords[:20]:
+            cp = column(pair, x, y)
             e2s = float(np.exp(2.0 * cp.sigma))
             scale_err = max(
                 scale_err,
@@ -144,8 +152,8 @@ def test_criterion_3_reductions():
     # scale = 0: the value is additive and every closed form is exact
     drift_err = 0.0
     pair = ChangedPair(S["sphere2"], CH["randers_closed"])
-    for p in pts[:20]:
-        cp = pair.at(p.x, p.y)
+    for x, y in pts.coords[:20]:
+        cp = column(pair, x, y)
         drift_err = max(
             drift_err,
             rel(cp.star.L(), cp.base.L() + cp.beta),
@@ -163,21 +171,22 @@ def test_criterion_3_reductions():
 def test_criterion_4_projectivity():
     pair = ChangedPair(S["euclid2"], CH["projective"])
     pts, _ = sample_points(pair, 100, seed=104)
-    defect = max(float(np.max(np.abs(cp.A_low()))) for cp in pts)
+    defect = max(float(np.max(np.abs(cp.A_low())))
+                 for cp in columns(pts.blocks))
     assert defect <= 1e-12, f"projectivity obstruction {defect:.3e}"
-    coll = max(cp.collinearity_defect() for cp in pts)
+    coll = max(cp.collinearity_defect() for cp in columns(pts.blocks))
     assert coll <= 1e-8, f"collinearity defect {coll:.3e}"
 
     deviation = 0.0
-    for cp in pts[:10]:
-        base = integrate_geodesic(pair.base, cp.x, cp.y, 10.0, tol=1e-10)
-        star = integrate_geodesic(pair.starred, cp.x, cp.y, 10.0, tol=1e-10)
+    for x, y in pts.coords[:10]:
+        base = integrate_geodesic(pair.base, x, y, 10.0, tol=1e-10)
+        star = integrate_geodesic(pair.starred, x, y, 10.0, tol=1e-10)
         deviation = max(deviation, curve_set_deviation(base, star))
     assert deviation <= 1e-5, f"geodesic point-set deviation {deviation:.3e}"
 
     bad = ChangedPair(S["euclid2"], CH["conformal"])
-    bad_defect = max(float(np.max(np.abs(bad.at(cp.x, cp.y).A_low())))
-                     for cp in pts)
+    bad_defect = max(float(np.max(np.abs(column(bad, x, y).A_low())))
+                     for x, y in pts.coords)
     assert bad_defect > 1e-3, f"non-constant scaling defect {bad_defect:.3e}"
     cfg = SuiteConfig(S["euclid2"], CH["conformal"], samples=20, seed=104)
     by_id = {r.check_id: r for r in run_suites(cfg, ["projectivity"])}
@@ -198,9 +207,9 @@ def test_criterion_5_hypersurfaces():
                                resolve_spec("circle2"))
     upts, _ = sample_hyper_points(circ.base_h, 40, seed=105)
     for hp in upts:
-        chp = ChangedHyperPoint(circ.pair, hp)
-        frame_err = max(frame_err, chp.base.frame_residuals(),
-                        chp.star.frame_residuals())
+        chp = changed_hyper_point(circ, hp)
+        frame_err = max(frame_err, float(chp.base.frame_residuals()[0]),
+                        float(chp.star.frame_residuals()[0]))
         value_err = max(value_err, rel(chp.gstar_on_normal(),
                                        chp.gstar_on_normal_closed()))
     assert frame_err <= 1e-10, f"frame relations {frame_err:.3e}"
@@ -211,12 +220,12 @@ def test_criterion_5_hypersurfaces():
     pb = ChangedHypersurface(S["euclid2"], CH["tangent_parabola"],
                              resolve_spec("parabola2"))
     ppts, _ = sample_hyper_points(pb.base_h, 40, seed=105)
-    chps = [ChangedHyperPoint(pb.pair, hp) for hp in ppts]
+    chps = [changed_hyper_point(pb, hp) for hp in ppts]
     proj_defect = max(float(np.max(np.abs(chp.cp.A_low()))) for chp in chps)
     assert proj_defect <= 1e-12, "change must be verified projective"
     tang = transfer = curv = 0.0
     for chp in chps:
-        tang = max(tang, abs(chp.b_dot_normal()))
+        tang = max(tang, abs(float(chp.b_dot_normal()[0])))
         transfer = max(
             transfer,
             rel(chp.star.normal_up(), chp.normal_transfer_closed()),
@@ -234,7 +243,7 @@ def test_criterion_5_hypersurfaces():
     plpts, _ = sample_hyper_points(pl.base_h, 25, seed=105)
     flat = 0.0
     for hp in plpts:
-        chp = ChangedHyperPoint(pl.pair, hp)
+        chp = changed_hyper_point(pl, hp)
         flat = max(flat, float(np.max(np.abs(chp.base.normal_curvature()))),
                    float(np.max(np.abs(chp.star.normal_curvature()))))
     assert flat <= 1e-10, f"hyperplane curvature {flat:.3e}"
@@ -253,7 +262,7 @@ def test_criterion_6_projective_invariants():
                                  ("sphere3", "projective3", 5)):
         pair = ChangedPair(S[mname], CH[chname])
         pts, _ = sample_points(pair, count, seed=106)
-        for cp in pts:
+        for cp in columns(pts.blocks):
             d_inv = max(d_inv, float(np.max(np.abs(
                 cp.star.douglas() - cp.base.douglas()))))
             w_inv = max(w_inv, float(np.max(np.abs(
@@ -413,10 +422,10 @@ def test_criterion_7_fd_cross_checks():
     # change-level derivative objects
     pair = ChangedPair(S["sphere2"], CH["randers_nonclosed"])
     cpts, _ = sample_points(pair, 2, seed=107)
-    for cp in cpts:
-        x, y = cp.x, cp.y
-        db_fd = np.stack([central_partial(lambda xv: pair.change.at(xv)[2],
-                                          x, kk, 1e-6)
+    for cp in columns(cpts.blocks):
+        x, y = cp.base.x, cp.base.y
+        db_fd = np.stack([central_partial(
+            lambda xv: pair.change.at(xv[:, None])[2][:, 0], x, kk, 1e-6)
                           for kk in range(pair.n)], axis=-1)
         spot("drift-jacobian", rel(cp.db, db_fd))
         dj_fd = np.stack([central_partial(

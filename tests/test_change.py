@@ -5,12 +5,15 @@ import sys
 import numpy as np
 import pytest
 
-from finslerchange import core, suites
-from finslerchange.change import ChangedPair, ChangedPoint, changed_metric_spec
+from column import column
+
+from finslerchange import core, sampling, suites
+from finslerchange.change import ChangedBlock, ChangedPair, changed_metric_spec
 from finslerchange.core import FinslerSpace, central_partial
 from finslerchange.jets import JetDomainError
 from finslerchange.lang import parse_spec_text, resolve_spec
 from finslerchange.sampling import sample_points
+from finslerchange.suites import SuiteConfig, SuiteRun
 
 EUCLID2 = parse_spec_text("dim 2\na_11 = 1\na_22 = 1\n", name="euclid2")
 POLAR = parse_spec_text(
@@ -73,7 +76,7 @@ def test_changed_l_two_routes():
         pair = ChangedPair(base, change)
         for _ in range(3):
             x, y = rand_point(base)
-            cp = pair.at(x, y)
+            cp = column(pair, x, y)
             assert cp.star.L() == pytest.approx(cp.Lstar, rel=1e-13)
 
 
@@ -88,7 +91,7 @@ def test_closed_forms_match_direct_computation(base, change):
     pair = ChangedPair(base, change)
     for _ in range(4):
         x, y = rand_point(base)
-        cp = pair.at(x, y)
+        cp = column(pair, x, y)
         assert rel_err(cp.lstar_closed(), cp.star.l_low()) < 1e-11
         assert rel_err(cp.hstar_closed(), cp.star.h_low()) < 1e-11
         assert rel_err(cp.gstar_closed(), cp.star.g_low()) < 1e-11
@@ -98,7 +101,7 @@ def test_closed_forms_match_direct_computation(base, change):
 def test_identity_change_point_tensors_bitwise():
     pair = ChangedPair(RANDERS, IDENT)
     x, y = rand_point(RANDERS)
-    cp = pair.at(x, y)
+    cp = column(pair, x, y)
     assert np.array_equal(cp.star.g_low(), cp.base.g_low())
     assert np.array_equal(cp.star.C_low(), cp.base.C_low())
     assert np.array_equal(cp.star.spray(), cp.base.spray())
@@ -109,12 +112,12 @@ def test_inverse_closed_form_exact_in_reduced_cases():
     # scale only
     pair = ChangedPair(POLAR, CONFORMAL)
     x, y = rand_point(POLAR)
-    cp = pair.at(x, y)
+    cp = column(pair, x, y)
     assert rel_err(cp.ginv_star_closed(), np.linalg.inv(cp.star.g_low())) < 1e-11
     # drift only
     pair = ChangedPair(EUCLID2, DRIFT_CURL)
     x, y = rand_point(EUCLID2)
-    cp = pair.at(x, y)
+    cp = column(pair, x, y)
     assert rel_err(cp.ginv_star_closed(), np.linalg.inv(cp.star.g_low())) < 1e-11
 
 
@@ -125,7 +128,7 @@ def test_inverse_closed_form_drifts_when_scale_and_drift_combine():
     worst = 0.0
     for _ in range(5):
         x, y = rand_point(EUCLID2)
-        cp = pair.at(x, y)
+        cp = column(pair, x, y)
         resid = np.max(np.abs(cp.ginv_star_closed()
                               - np.linalg.inv(cp.star.g_low())))
         worst = max(worst, resid)
@@ -137,14 +140,14 @@ def test_mixed_cartan_closed_form_follows_inverse():
     for base, change in [(RANDERS, DRIFT_CURL), (RANDERS, CONFORMAL)]:
         pair = ChangedPair(base, change)
         x, y = rand_point(base)
-        cp = pair.at(x, y)
+        cp = column(pair, x, y)
         assert rel_err(cp.cstar_mixed_closed(), cp.cstar_mixed_direct()) < 1e-10
     # ...and inherits its drift otherwise
     pair = ChangedPair(RANDERS, PROJ)
     worst = 0.0
     for _ in range(5):
         x, y = rand_point(RANDERS)
-        cp = pair.at(x, y)
+        cp = column(pair, x, y)
         worst = max(worst, np.max(np.abs(
             cp.cstar_mixed_closed() - cp.cstar_mixed_direct())))
     assert 1e-8 < worst < 1e-3
@@ -153,7 +156,7 @@ def test_mixed_cartan_closed_form_follows_inverse():
 def test_a_covector_orthogonal_to_y():
     pair = ChangedPair(RANDERS, PROJ)
     x, y = rand_point(RANDERS)
-    cp = pair.at(x, y)
+    cp = column(pair, x, y)
     assert abs(cp.a_low() @ y) < 1e-13
     assert abs(cp.base.h_low() @ y).max() < 1e-12
 
@@ -163,10 +166,10 @@ def test_tau_y_gradient_identity():
     for base, change in [(EUCLID2, PROJ), (SPHERE, DRIFT_CURL)]:
         pair = ChangedPair(base, change)
         x, y = rand_point(base)
-        cp = pair.at(x, y)
+        cp = column(pair, x, y)
 
         def tau_at(yv):
-            return pair.at(x, yv).tau
+            return column(pair, x, yv).tau
         fd = np.array([central_partial(tau_at, y, k, 1e-6)
                        for k in range(base.dim)])
         want = -(cp.esig / cp.L) * cp.a_low()
@@ -178,28 +181,28 @@ def test_projection_obstruction_vanishes_iff_projective():
     pair = ChangedPair(SPHERE, PROJ)
     for _ in range(4):
         x, y = rand_point(SPHERE)
-        cp = pair.at(x, y)
+        cp = column(pair, x, y)
         assert np.max(np.abs(cp.A_low())) < 1e-13
         assert cp.collinearity_defect() < 1e-12
     # varying sigma: nonzero obstruction, spray difference leaves span(y)
     pair = ChangedPair(SPHERE, CONFORMAL)
     x, y = rand_point(SPHERE)
-    cp = pair.at(x, y)
+    cp = column(pair, x, y)
     assert np.max(np.abs(cp.A_low())) > 1e-3
     assert cp.collinearity_defect() > 1e-3
     # curl drift: also non-projective
     pair = ChangedPair(EUCLID2, DRIFT_CURL)
-    cp = pair.at(*rand_point(EUCLID2))
+    cp = column(pair, *rand_point(EUCLID2))
     assert np.max(np.abs(cp.A_low())) > 1e-3
 
 
 def test_d_jacobian_is_connection_difference():
     pair = ChangedPair(SPHERE, PROJ)
     x, y = rand_point(SPHERE)
-    cp = pair.at(x, y)
+    cp = column(pair, x, y)
     # FD of the spray difference in y reproduces the connection difference
     def dvec(yv):
-        cc = pair.at(x, yv)
+        cc = column(pair, x, yv)
         return cc.d_vector()
     fd = np.stack([central_partial(dvec, y, j, 1e-6) for j in range(2)],
                   axis=-1)
@@ -210,12 +213,12 @@ def test_drift_covariant_derivative_symmetry():
     # closed drift: antisymmetric part F vanishes even on a curved base
     pair = ChangedPair(RANDERS, DRIFT_CLOSED)
     x, y = rand_point(RANDERS)
-    cp = pair.at(x, y)
+    cp = column(pair, x, y)
     assert np.max(np.abs(cp.F_low())) < 1e-12
     assert np.allclose(cp.E_low(), cp.b_hcov(), atol=1e-12)
     # curl drift: F is the half-curl of b, here constant
     pair = ChangedPair(EUCLID2, DRIFT_CURL)
-    cp = pair.at(*rand_point(EUCLID2))
+    cp = column(pair, *rand_point(EUCLID2))
     F = cp.F_low()
     assert F[0, 1] == pytest.approx(-0.1, abs=1e-12)
     assert np.allclose(F, -F.T, atol=1e-14)
@@ -228,7 +231,7 @@ def test_changed_point_evaluates_shared_arrays_once():
     # transparent; the suite's rows read the samples' block form, one
     # ChangedBlock for the four points of one pair of blocks
     names = ("a_low", "a_up", "b_up", "b_hcov")
-    codes = {inspect.unwrap(getattr(ChangedPoint, name)).__code__: name
+    codes = {inspect.unwrap(getattr(ChangedBlock, name)).__code__: name
              for name in names}
     calls = collections.Counter()
 
@@ -257,14 +260,14 @@ def test_douglas_invariance_under_projective_change():
     pair = ChangedPair(RANDERS, PROJ)
     for _ in range(3):
         x, y = rand_point(RANDERS)
-        cp = pair.at(x, y)
+        cp = column(pair, x, y)
         assert rel_err(cp.star.douglas(), cp.base.douglas()) < 1e-9
 
 
 def test_douglas_not_invariant_under_nonprojective_change():
     pair = ChangedPair(EUCLID2, DRIFT_CURL)
     x, y = rand_point(EUCLID2)
-    cp = pair.at(x, y)
+    cp = column(pair, x, y)
     assert np.allclose(cp.base.douglas(), 0.0, atol=1e-12)
     assert np.max(np.abs(cp.star.douglas())) > 1e-4
 
@@ -273,7 +276,7 @@ def test_weyl_invariance_under_projective_change_3d():
     pair = ChangedPair(CURVED3, PROJ3)
     for _ in range(2):
         x, y = rand_point(CURVED3)
-        cp = pair.at(x, y)
+        cp = column(pair, x, y)
         assert np.max(np.abs(cp.base.weyl_torsion())) > 1e-2
         assert rel_err(cp.star.weyl_torsion(), cp.base.weyl_torsion()) < 1e-8
         assert rel_err(cp.star.weyl_proj(), cp.base.weyl_proj()) < 1e-8
@@ -294,32 +297,48 @@ def test_flat_space_invariants_vanish():
 
 
 def test_positivity_validation_catches_large_drift():
-    # |y| + 2 y1 = -1 at y = (-1, 0): the changed value is negative
-    bad = parse_spec_text("b1 = 2\n", name="bad")
-    pair = ChangedPair(EUCLID2, bad)
+    # |y| + 2 y1 = -1 at y = (-1, 0): the changed value is negative.  The
+    # block of the three draws raises (sqrt leaves its domain at the
+    # second), so each is judged on a one-column block: the first builds,
+    # and ``_regular`` rejects it by its value, as any block's draw
+    pair = ChangedPair(parse_spec_text(
+        "dim 2\nL2 = (y1^2 + y2^2) * sqrt(x1 + 0.3)\n", name="sqrt2"),
+        parse_spec_text("b1 = 2\n", name="bad"))
+    x = np.array([[0.3, -0.8, 0.5], [-0.2, 0.1, 0.1]])
+    y = np.array([[-1.0, 1.0, 1.0], [0.0, 0.5, 0.5]])
     with pytest.raises(JetDomainError):
-        pair.at([0.3, -0.2], [-1.0, 0.0])
+        pair.block(x, y)
+    first = pair.block(x[:, :1], y[:, :1])
+    assert first.Lstar[0] < 0.0 and sampling._regular(first).tolist() == [
+        False]
+    kept, cb = sampling._admit_block(
+        pair, x, y, sampling._regular,
+        (ValueError, ZeroDivisionError, JetDomainError))
+    assert kept.tolist() == [2]
+    assert cb.y.tobytes() == y[:, 2].tobytes() and cb.Lstar[0] > 0.0
 
 
-def test_nonpositive_changed_value_builds_no_changed_geometry(monkeypatch):
-    built = []
-    init = core.PointGeometry.__init__
-
-    def recording(self, space, x, y):
-        built.append(space)
-        init(self, space, x, y)
-
-    monkeypatch.setattr(core.PointGeometry, "__init__", recording)
-    pair = ChangedPair(EUCLID2, parse_spec_text("b1 = 2\n", name="bad"))
-    with pytest.raises(JetDomainError):
-        pair.at([0.3, -0.2], [-1.0, 0.0])
-    assert built == [pair.base]
+def test_nonpositive_changed_value_drops_the_hypersurface_draw():
+    # |y| + 2 y1 turns negative along the circle where its tangent points
+    # against x1: ``chpoints`` builds the block of every draw and keeps
+    # those where L* > 0, in draw order
+    config = SuiteConfig(EUCLID2, parse_spec_text("b1 = 2\n", name="bad"),
+                         resolve_spec("circle2"), samples=20, seed=3)
+    run = SuiteRun(config)
+    draws, _ = sampling.sample_hyper_points(run.hyper.base_h, 20, 3)
+    lstar = [column(run.pair, hp.x, hp.y).Lstar for hp in draws]
+    kept = [hp for hp, value in zip(draws, lstar) if value > 0.0]
+    assert 0 < len(kept) < len(draws)
+    chp = run.chpoints()
+    assert len(chp) == len(kept)
+    assert chp.base.u.tobytes() == np.array([hp.u for hp in kept]).tobytes()
+    assert (chp.cp.Lstar > 0.0).all()
 
 
 def test_homothety_scales_metric_exactly():
     pair = ChangedPair(SPHERE, HOMOTHETY)
     x, y = rand_point(SPHERE)
-    cp = pair.at(x, y)
+    cp = column(pair, x, y)
     scale = np.exp(0.6)
     assert rel_err(cp.star.g_low(), scale * cp.base.g_low()) < 1e-13
     # homothety is projective
@@ -331,7 +350,7 @@ def test_nonprojective_3d_conformal_breaks_weyl_equality_check():
     # sanity: a non-projective change does move the spray
     pair = ChangedPair(CURVED3, CONF3)
     x, y = rand_point(CURVED3)
-    cp = pair.at(x, y)
+    cp = column(pair, x, y)
     assert np.max(np.abs(cp.d_vector())) > 1e-3
 
 
@@ -373,13 +392,22 @@ def test_pair_block_raises_the_first_failing_columns_error(metric, change,
                                                           xs):
     pair = ChangedPair(parse_spec_text(f"dim 2\n{metric}\n", name="m"),
                        parse_spec_text(change + "\n", name="c"))
-    y = [1.0, 0.5]
+    y = np.array([1.0, 0.5])
+
+    def lone(x):
+        # the pieces of a point of the pair, in the order a block builds
+        # them: the base point, the change, the changed point
+        x = np.array(x)
+        pair.base.point(x, y)
+        pair.change.at(x[:, None])
+        pair.starred.point(x, y)
+
     with pytest.raises(JetDomainError) as got:
         pair.block(np.transpose(xs), np.transpose([y] * len(xs)))
-    pair.at(np.array(xs[0]), np.array(y))
+    lone(xs[0])
     with pytest.raises(JetDomainError) as want:
-        pair.at(np.array(xs[1]), np.array(y))
+        lone(xs[1])
     assert str(got.value) == str(want.value)
     with pytest.raises(JetDomainError) as later:
-        pair.at(np.array(xs[2]), np.array(y))
+        lone(xs[2])
     assert str(later.value) != str(want.value)

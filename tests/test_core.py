@@ -308,7 +308,7 @@ def test_point_evaluates_l2_once_per_side(monkeypatch):
     calls = []
     _count_l2(monkeypatch, calls)
     pair = ChangedPair(resolve_spec("randers2"), resolve_spec("projective"))
-    cp = pair.at([0.2, -0.3], [0.8, 0.6])
+    cp = pair.block([[0.2], [-0.3]], [[0.8], [0.6]])
     for pg in (cp.base, cp.star):
         for name in ("L2", "L", "y_low", "l_low", "g_low", "g_up", "h_low",
                      "spray"):
@@ -1372,59 +1372,54 @@ L2_ADMISSION_CALLS = {
     ("randers2*projective", 2, 64): 3, ("randers2*projective", 2, 8): 1}
 L2_HEAVY_CALLS = {("randers2", 2, 25): 1, ("randers2*projective", 2, 25): 1,
                   ("randers2", 6, 25): 1}
+# The finite-difference rows' probe blocks of the base: fd-cartan's 12
+# columns (y moved by +h and -h along one axis, for three index triples
+# at each of two samples) at order 2, for g, fd-berwald's 12 at orders 2
+# and 3, for N, and fd-curvature's 8 (x moved by +h and -h along each
+# axis at two samples) at orders 2 and 3, for N.
+L2_FD_CALLS = Counter({("randers2", 2, 12): 2, ("randers2", 3, 12): 1,
+                       ("randers2", 2, 8): 1, ("randers2", 3, 8): 1})
 L2_BLOCK_CALLS = (
-    (["core-identities"], {
+    (["core-identities"], Counter({
         **L2_ADMISSION_CALLS, **L2_HEAVY_CALLS,
         ("randers2", 3, 64): 3, ("randers2", 3, 8): 1,
-        ("randers2", 4, 64): 3, ("randers2", 4, 8): 1}),
-    (list(suites.SUITE_NAMES), {
+        ("randers2", 4, 64): 3, ("randers2", 4, 8): 1}) + L2_FD_CALLS),
+    (list(suites.SUITE_NAMES), Counter({
         **L2_ADMISSION_CALLS, **L2_HEAVY_CALLS,
         ("randers2*projective", 6, 25): 1,
         ("randers2", 3, 64): 3, ("randers2", 3, 8): 1,
         ("randers2", 4, 64): 3, ("randers2", 4, 8): 1,
         ("randers2*projective", 3, 64): 3,
-        ("randers2*projective", 3, 8): 1}),
+        ("randers2*projective", 3, 8): 1}) + L2_FD_CALLS),
 )
 
 
 def test_blocks_evaluate_l2_once_per_light_order(monkeypatch):
-    calls, probes = [], []
+    calls = []
     eval_l2 = MetricSpec.eval_l2
     pair = ChangedPair(resolve_spec("randers2"), resolve_spec("projective"))
-    cps, _ = sample_points(pair, 200, 1)
-    sampled = {tuple(cp.x.tolist() + cp.y.tolist()) for cp in cps}
 
     def counting(self, env):
         x1 = env["x1"]
         if isinstance(x1, Jet):
             points = x1.coeffs.shape[1] if x1.coeffs.ndim > 1 else 1
             calls.append((self.name, x1.order, points))
-            # a one-point call off the samples above order 2 is a probe's
-            if points == 1 and x1.order > 2 and tuple(
-                    v.value for v in env.values()) not in sampled:
-                probes.append((self.name, x1.order))
         return eval_l2(self, env)
 
     monkeypatch.setattr(MetricSpec, "eval_l2", counting)
     monkeypatch.setattr(sampling, "BLOCK_SIZE", 64)
     for selected, blocks in L2_BLOCK_CALLS:
         calls.clear()
-        probes.clear()
         cfg = suites.SuiteConfig(resolve_spec("randers2"),
                                  resolve_spec("projective"), samples=200,
                                  seed=1)
         suites.run_suites(cfg, selected)
         # each admission chunk's block evaluates L^2 once at order 2 per
         # side, on admission, and once at each light order its rows ask
-        # for; the heavy block once at order 2 and once at order 6
-        assert Counter(call for call in calls if call[2] > 1) == blocks, (
-            selected)
-        # no one-point call is at a light order: the finite-difference
-        # probes, which build points of their own, build their layers at
-        # the top order after the order-2 jet of construction
-        assert not [call for call in calls
-                    if call[2] == 1 and call[1] in (3, 4)], selected
-        assert Counter(probes) == {("randers2", 6): 20}, selected
+        # for; the heavy block once at order 2 and once at order 6, and
+        # each probe block of the finite-difference rows once at order 2
+        # and once at the light order its tensor asks for
+        assert Counter(calls) == blocks, selected
     # admission makes no one-point evaluation
     calls.clear()
     sample_points(pair, 200, 1)

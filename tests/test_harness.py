@@ -6,13 +6,14 @@ import time
 
 import numpy as np
 import pytest
+from column import column
 
-from finslerchange import core, hypersurface, suites
+from finslerchange import core, hypersurface, sampling, suites
 from finslerchange.change import ChangedPair
 from finslerchange.cli import main
-from finslerchange.core import FinslerSpace, PointGeometry
+from finslerchange.core import FinslerSpace, PointGeometry, central_partial
 from finslerchange.geodesics import GeodesicError
-from finslerchange.hypersurface import HypersurfaceGeometry
+from finslerchange.hypersurface import HyperPoint, HypersurfaceGeometry
 from finslerchange.jets import JetDomainError
 from finslerchange.lang import (MetricSpec, parse_spec_text,
                                 resolve_spec)
@@ -95,18 +96,18 @@ def test_sampling_deterministic():
     one, rej1 = sample_points(pair, 10, seed=1)
     two, rej2 = sample_points(pair, 10, seed=1)
     assert rej1 == rej2 == 0
-    for cp1, cp2 in zip(one, two):
-        assert np.array_equal(cp1.x, cp2.x) and np.array_equal(cp1.y, cp2.y)
+    for (x1, y1), (x2, y2) in zip(one.coords, two.coords, strict=True):
+        assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
     other, _ = sample_points(pair, 10, seed=2)
-    assert not np.array_equal(one[0].x, other[0].x)
+    assert not np.array_equal(one.coords[0][0], other.coords[0][0])
 
 
 def test_sampling_respects_domains():
     pts, _ = sample_points(ChangedPair(SPHERE2, IDENT), 50, seed=3)
     box = SPHERE2.x_box
-    for cp in pts:
-        assert np.all(cp.x >= box[:, 0]) and np.all(cp.x <= box[:, 1])
-        assert 0.5 <= np.linalg.norm(cp.y) <= 1.5
+    for x, y in pts.coords:
+        assert np.all(x >= box[:, 0]) and np.all(x <= box[:, 1])
+        assert 0.5 <= np.linalg.norm(y) <= 1.5
 
 
 def test_sampling_rejects_hopeless_domain():
@@ -478,10 +479,10 @@ def test_homogeneity_equals_the_per_point_probes(metric, change, samples,
 
 
 def _lone_pairs(cp):
-    """The (got, want) values of each sampled row at a lone
-    ``ChangedPoint``, as the rows computed them point by point: one-point
-    numpy and Python floats (``L ** 3``, ``a @ b``), from the point's
-    tensors and its sigma and b.  The reference of the block forms' rows,
+    """The (got, want) values of each sampled row at one sample, its
+    one-column block read as one point (``column``), as the rows computed
+    them point by point: one-point numpy and Python floats (``L ** 3``,
+    ``a @ b``), from the point's tensors and its sigma and b.  The reference of the block forms' rows,
     with |A_i| of the obstruction under "A"."""
     b, s, y = cp.base, cp.star, cp.y
     bl, g_up, h, yl, C = cp.b_low, b.g_up(), b.h_low(), b.y_low(), b.C_low()
@@ -544,8 +545,9 @@ def _lone_pairs(cp):
 
 
 def _lone_heavy_pairs(cp):
-    """The (got, want) values of each heavy and invariant row at a lone
-    ``ChangedPoint``, as the rows computed them point by point."""
+    """The (got, want) values of each heavy and invariant row at one
+    sample, as ``_lone_pairs``, as the rows computed them point by
+    point."""
     b, s, y = cp.base, cp.star, cp.y
     W, D, T = b.weyl_proj(), b.douglas(), b.weyl_torsion()
     return {
@@ -562,25 +564,135 @@ def _lone_heavy_pairs(cp):
     }
 
 
-@pytest.mark.parametrize("metric,change,samples,seed", [
+def _lone_fd_pairs(run):
+    """The (jet value, difference quotient) pairs of each finite-difference
+    row, as the rows computed them point by point: the jet side on a lone
+    point at each of the first two samples, and each probe a lone point
+    of its own."""
+    space, n = run.pair.base, run.n
+    rng = np.random.default_rng([run.cfg.seed, 7])
+    pts = [space.point(x, y) for x, y in run.coords()[:2]]
+    out = {}
+    for pg in pts:
+        x, y = pg.x, pg.y
+        for _ in range(3):
+            i, j, k = rng.integers(0, n, size=3)
+            for check_id, pair in (
+                    ("core.fd-fundamental", (pg.g_low()[i, j], 0.5 * (
+                        suites._fd2(lambda yy: space.l2(x, yy), y, i, j)))),
+                    ("core.fd-cartan", (pg.C_low()[i, j, k], 0.5 * (
+                        central_partial(lambda yy: space.point(
+                            x, yy).g_low()[i, j], y, k, 1e-5)))),
+                    ("core.fd-connection", (pg.n_conn()[i, j], (
+                        central_partial(lambda yy: space.spray_values(
+                            x, yy)[i], y, j, 1e-5)))),
+                    ("core.fd-berwald", (pg.berwald()[i, j, k], (
+                        central_partial(lambda yy: space.point(
+                            x, yy).n_conn()[i, j], y, k, 1e-5))))):
+                out.setdefault(check_id, []).append(pair)
+        G, N, B = pg.spray(), pg.n_conn(), pg.berwald()
+        dG = np.stack([central_partial(
+            lambda xv: space.spray_values(xv, y), x, k, 1e-5)
+            for k in range(n)], axis=-1)
+        dN = np.stack([central_partial(
+            lambda xv: space.point(xv, y).n_conn(), x, j, 1e-5)
+            for j in range(n)], axis=-1)
+        r_fd = (2 * dG - np.einsum("j,ikj->ik", y, dN)
+                + 2 * np.einsum("j,ijk->ik", G, B) - N @ N)
+        out.setdefault("core.fd-curvature", []).append((pg.riemann(), r_fd))
+    return len(pts), out
+
+
+def _lone_hyper_pairs(run):
+    """The (got, want) values of each hypersurface row at each draw of
+    the hypersurface sampler, as the rows computed them point by point:
+    the base side on the sampler's lone ``HyperPoint``, the changed side
+    on one with its embedding data on a lone changed point, and the
+    change's numbers in one-point floats; with |b.N|, max |H| and the
+    least singular value of B under "tangency", "flat" and "rank"."""
+    pair = run.pair
+    draws, _ = sample_hyper_points(run.hyper.base_h,
+                                   min(run.cfg.samples, 40), run.cfg.seed)
+    out = []
+    for base in draws:
+        sigma, _, b, _ = pair.change.at(base.x[:, None])
+        b = np.ascontiguousarray(b[:, 0])
+        esig, L, beta = float(np.exp(sigma[0])), base.pg.L(), float(b @ base.y)
+        Lstar = esig * L + beta
+        # these configurations keep every draw
+        assert Lstar > 0.0
+        tau = esig * Lstar / L
+        star = HyperPoint(base.spec, base.u, base.v, base.B, base.B2,
+                          pair.starred.point(base.x, base.y))
+        N, Nl = base.normal_up(), base.normal_low()
+        H, Hs = base.normal_curvature(), star.normal_curvature()
+        d = Nl @ (star.pg.n_conn() - base.pg.n_conn()) @ base.B
+        bdn, root = float(b @ N), np.sqrt(tau)
+        out.append({
+            "hyper.frame-identities": [(base.frame_residuals(), 0.0)],
+            "hyper.frame-identities-changed": [(star.frame_residuals(), 0.0)],
+            "hyper.normal-value": [(float(N @ star.pg.g_low() @ N),
+                                    tau + bdn ** 2)],
+            "hyper.normal-transfer": [(star.normal_up(), N / root),
+                                      (star.normal_low(), root * Nl)],
+            "hyper.curvature-decomposition": [
+                (np.max(np.abs(Hs - root * (H + d))), 0.0)],
+            "hyper.curvature-scale-reported": [
+                (np.max(np.abs(Hs - (root * H + d))), 0.0)],
+            "hyper.curvature-transfer": [(Hs, root * H)],
+            "hyper.normal-projective-contraction": [(d, 0.0)],
+            "hyper.flat-preserved": [(Hs, 0.0)],
+            "tangency": abs(bdn), "flat": float(np.max(np.abs(H))),
+            "rank": float(np.linalg.svd(base.B, compute_uv=False)[-1])})
+    return out
+
+
+def _assert_stacks_are_lone_pairs(stacks, points, check_id):
+    """The (got, want) arrays a row measured, point axis first, are the
+    lone pairs of ``points`` (``check_id`` of each), point by point, bit
+    for bit."""
+    per_point = len(points[0][check_id])
+    for k in range(per_point):
+        for side in (0, 1):
+            column = np.concatenate([
+                np.full(len(pair[0]), pair[side]) if np.ndim(pair[side])
+                == 0 else np.asarray(pair[side], dtype=float)
+                for pair in stacks[k::per_point]])
+            assert len(column) == len(points), check_id
+            for p, point in enumerate(points):
+                ref = np.asarray(point[check_id][k][side], dtype=float)
+                assert column[p].tobytes() == ref.tobytes(), (
+                    check_id, k, side, p)
+
+
+# The hypersurface rows that the gates of each configuration below skip:
+# the parabola is not totally geodesic.
+HYPER_SKIPS = {"parabola2": ["hyper.flat-preserved"], "plane3": []}
+
+
+@pytest.mark.parametrize("metric,change,hyper,samples,seed", [
     # seven full chunks and a tail of 208 points
-    ("randers2", "projective", 2000, 1),
-    ("curved3", "projective3", 30, 108),
+    ("randers2", "projective", None, 2000, 1),
+    ("curved3", "projective3", None, 30, 108),
     # rejected draws: blocks built again at the kept draws
-    ("sphere2", "tangent_parabola", 200, 1),
+    ("sphere2", "tangent_parabola", None, 200, 1),
     # most blocks' construction raises
-    (SQRT2, "projective", 300, 1),
-    (RANDERS3, "projective3", 30, 108)],
+    (SQRT2, "projective", None, 300, 1),
+    (RANDERS3, "projective3", None, 30, 108),
+    # the hypersurface rows, in 2D and 3D
+    ("euclid2", "tangent_parabola", "parabola2", 12, 108),
+    ("curved3", "projective3", "plane3", 12, 108)],
     ids=["randers2-n2000", "curved3-n30", "sphere2-n200", "sqrt2-n300",
-         "randers3-n30"])
+         "randers3-n30", "euclid2-parabola2-n12", "curved3-plane3-n12"])
 def test_block_rows_equal_lone_rows_bit_for_bit(monkeypatch, metric, change,
-                                                samples, seed):
+                                                hyper, samples, seed):
     run = SuiteRun(SuiteConfig(
         resolve_spec(metric) if isinstance(metric, str) else metric,
-        resolve_spec(change), samples=samples, seed=seed))
+        resolve_spec(change), resolve_spec(hyper) if hyper else None,
+        samples=samples, seed=seed))
     lone = []
     for p, (x, y) in enumerate(run.coords()):
-        cp = run.pair.at(x, y)
+        cp = column(run.pair, x, y)
         lone.append({**_lone_pairs(cp), **(
             _lone_heavy_pairs(cp) if p < HEAVY_COUNTS["core"][run.n] else {})})
     measured = []
@@ -627,17 +739,7 @@ def test_block_rows_equal_lone_rows_bit_for_bit(monkeypatch, metric, change,
         else:
             (stacks,) = measured
         per_point = len(lone[0][check_id])
-        for k in range(per_point):
-            for side in (0, 1):
-                column = np.concatenate([
-                    np.full(len(pair[0]), pair[side]) if np.ndim(pair[side])
-                    == 0 else np.asarray(pair[side], dtype=float)
-                    for pair in stacks[k::per_point]])
-                assert len(column) == len(points), check_id
-                for p, point in enumerate(points):
-                    ref = np.asarray(point[check_id][k][side], dtype=float)
-                    assert column[p].tobytes() == ref.tobytes(), (
-                        check_id, k, side, p)
+        _assert_stacks_are_lone_pairs(stacks, points, check_id)
         # each point's error reduced before the maximum, as pair by pair
         residual = check_id in ("change.inverse-closed-form",
                                 "change.mixed-cartan-closed-form",
@@ -659,6 +761,93 @@ def test_block_rows_equal_lone_rows_bit_for_bit(monkeypatch, metric, change,
     heavy = min(len(lone), HEAVY_COUNTS["core"][run.n])
     assert [call for call in calls if call[0] == 2] == [(2, (heavy,))] * 2, (
         calls)
+    monkeypatch.setattr(MetricSpec, "eval_l2", eval_l2)
+    # the finite-difference rows: each (jet value, difference quotient)
+    # pair is a lone point's, bit for bit; their jet side comes from the
+    # sampled blocks and their probes from one block per row
+    judged = []
+    worst_errors = suites.worst_errors
+
+    def capture_judged(pairs):
+        judged.append(list(pairs))
+        return worst_errors(judged[-1])
+
+    monkeypatch.setattr(suites, "worst_errors", capture_judged)
+    count, fd_pairs = _lone_fd_pairs(run)
+    for check_id, want in fd_pairs.items():
+        judged.clear()
+        record = suites._record(run, rows[check_id])
+        (got,) = judged
+        assert len(got) == len(want), check_id
+        for pair, ref in zip(got, want):
+            for side in (0, 1):
+                assert (np.asarray(pair[side], dtype=float).tobytes()
+                        == np.asarray(ref[side], dtype=float).tobytes()), (
+                    check_id, side)
+        assert repr(_judge_by_pairs(count, want, record.tol)) == repr((
+            record.samples, record.max_abs_err, record.max_rel_err,
+            record.verdict, record.notes)), check_id
+    if hyper is not None:
+        _assert_hyper_rows_are_lone_rows(run, hyper, measured)
+
+
+def _assert_hyper_rows_are_lone_rows(run, hyper, measured):
+    """The hypersurface rows measure the block form of the hypersurface's
+    points (``SuiteRun.chpoints``), whose arrays are the lone pairs of
+    ``_lone_hyper_pairs``, bit for bit; the frame rank, the tangency and
+    the flatness gate reduce the lone values with Python's ``min`` and
+    ``max``."""
+    points = _lone_hyper_pairs(run)
+    # the stacked embedding data is laid out as each point's: on this
+    # numpy a transposed B gives the same bits, which a later one need not
+    chp = run.chpoints()
+    assert all(a.flags.c_contiguous for a in (chp.base.B, chp.base.B2))
+    smin = min([np.inf] + [point["rank"] for point in points])
+    rank = suites._record(run, suites._FRAME_RANK)
+    assert (rank.samples, rank.verdict, rank.notes) == (
+        len(points), "pass" if smin > 1e-10 else "fail",
+        f"min singular value of the tangent frame = {smin:.3e}")
+    assert run.tangency() == max([0.0] + [pt["tangency"] for pt in points])
+    flat = max([0.0] + [point["flat"] for point in points])
+    tol = run.cfg.tol("flat-hypersurface")
+    assert suites._base_flat(run) == (
+        None if flat <= tol else "base hypersurface is not totally "
+        f"geodesic (max |H| = {flat:.2e})")
+    skipped = []
+    for row in suites.CHECKS["hypersurface"]:
+        check_id = row[0]
+        measured.clear()
+        record = suites._record(run, row)
+        if record.verdict == "skipped" or check_id == "hyper.tangency":
+            skipped += [check_id] if record.verdict == "skipped" else []
+            continue
+        (stacks,) = measured
+        _assert_stacks_are_lone_pairs(stacks, points, check_id)
+        want = [pair for point in points for pair in point[check_id]]
+        reference = _judge_by_pairs(
+            len(points), want, record.tol,
+            check_id == "hyper.curvature-scale-reported", record.notes)
+        assert repr(reference) == repr((
+            record.samples, record.max_abs_err, record.max_rel_err,
+            record.verdict, record.notes)), check_id
+    assert skipped == HYPER_SKIPS[hyper]
+
+
+def test_fd_rows_read_the_first_two_samples_across_blocks(monkeypatch):
+    # with one draw per chunk, the first two samples are the rows of two
+    # blocks: the finite-difference records are those of one block
+    config = SuiteConfig(resolve_spec("curved3"), resolve_spec("projective3"),
+                         samples=12, seed=108)
+    fd_rows = [row for row in suites.CHECKS["core-identities"]
+               if row[0].startswith("core.fd-")]
+    run = SuiteRun(config)
+    want = [suites._record(run, row) for row in fd_rows]
+    assert len(run.cblocks()) == 1
+    monkeypatch.setattr(sampling, "BLOCK_SIZE", 1)
+    run = SuiteRun(config)
+    got = [suites._record(run, row) for row in fd_rows]
+    assert len(run.cblocks()) == 12
+    assert [repr(r) for r in got] == [repr(r) for r in want]
 
 
 def test_sampled_rows_stay_on_blocks(monkeypatch):
@@ -668,20 +857,15 @@ def test_sampled_rows_stay_on_blocks(monkeypatch):
     # a tensor of its own
     config = SuiteConfig(resolve_spec("randers2"), resolve_spec("projective"),
                          samples=300, seed=1)
-    built, at, lone = [], [], []
-    init, pair_at = PointGeometry.__init__, ChangedPair.at
+    built, lone = [], []
+    init = PointGeometry.__init__
 
     def counted_init(self, space, x, y):
         built.append((space.spec, np.asarray(x, dtype=float).tobytes(),
                       np.asarray(y, dtype=float).tobytes()))
         init(self, space, x, y)
 
-    def counted_at(self, x, y, *args):
-        at.append((x.tobytes(), y.tobytes()))
-        return pair_at(self, x, y, *args)
-
     monkeypatch.setattr(PointGeometry, "__init__", counted_init)
-    monkeypatch.setattr(ChangedPair, "at", counted_at)
     for name in core.ROW_TENSORS + HEAVY_TENSORS:
         def tensor(self, _method=getattr(PointGeometry, name), _name=name):
             lone.append(_name)
@@ -689,7 +873,7 @@ def test_sampled_rows_stay_on_blocks(monkeypatch):
         monkeypatch.setattr(PointGeometry, name, tensor)
     points, _ = sample_points(ChangedPair(config.metric, config.change),
                               300, 1)
-    assert len(points) == 300 and built == [] and at == []
+    assert len(points) == 300 and built == []
     run = SuiteRun(config)
     assert len(run.coords()) == 300
     rows = {row[0]: row for rows in suites.CHECKS.values() for row in rows}
@@ -701,23 +885,26 @@ def test_sampled_rows_stay_on_blocks(monkeypatch):
     # tensor in place of the skipped row
     assert [r.check_id for r in records if r.verdict == "skipped"] == [
         "inv5.riemannian-douglas"]
-    assert built == [] and at == [] and lone == []
-    # the finite-difference rows read lone base points
+    assert built == [] and lone == []
+    # the finite-difference rows read the sampled blocks and probe blocks
     suites._record(run, rows["core.fd-cartan"])
-    assert built and lone and at == []
-    # a whole run calls no ``ChangedPair.at``: its lone points are the base
-    # points of the first two samples, built once and shared by the
-    # finite-difference rows, and their probes, each moved off them in x
-    # or in y alone
-    built.clear()
+    assert built == [] and lone == []
+    # a whole run builds no point
     run_suites(config)
-    assert at == []
-    coords = [(x.tobytes(), y.tobytes()) for x, y in points.coords]
-    fd = coords[:2]
-    assert [(x, y) for _, x, y in built if (x, y) in coords] == fd
-    assert all(spec is config.metric for spec, *_ in built)
-    assert all(x in {fx for fx, _ in fd} or y in {fy for _, fy in fd}
-               for _, x, y in built)
+    assert built == [] and lone == []
+    # with a hypersurface, the only points are the hypersurface sampler's
+    # base points, one per draw
+    metric, change = resolve_spec("euclid2"), resolve_spec("tangent_parabola")
+    parabola = resolve_spec("parabola2")
+    run_suites(SuiteConfig(metric, change, parabola, samples=12, seed=108))
+    from_run = list(built)
+    built.clear()
+    sample_hyper_points(HypersurfaceGeometry(parabola, FinslerSpace(metric)),
+                        12, 108)
+    assert from_run == built and len(built) >= 12
+    assert all(spec is metric for spec, *_ in built)
+    # the sampler admits a draw by its normal, which reads g alone
+    assert set(lone) == {"g_low"}
 
 
 def test_suite_selection_subset():

@@ -111,9 +111,12 @@ def test_normal_orthogonality_in_randers_ambient():
 
 
 def _changed_at(ch, u, v):
-    """The ``ChangedHyperPoint`` of a ``ChangedHypersurface`` at (u, v),
-    built as the suites build it."""
-    return ChangedHyperPoint(ch.pair, ch.base_h.at(u, v))
+    """The ``ChangedHyperPoint`` of a ``ChangedHypersurface`` at the one
+    point (u, v), built as the suites build it: on the block of the pair
+    at its ambient point and element, here of one column."""
+    hp = ch.base_h.at(u, v)
+    return ChangedHyperPoint(ch.pair.block(hp.x[:, None], hp.y[:, None]),
+                             [hp])
 
 
 def test_tangential_drift_fields_are_tangential():
@@ -217,3 +220,26 @@ def test_changed_point_evaluates_the_embedding_once():
     assert hp.B2.tobytes() == chp.star.B2.tobytes()
     assert (hp.normal_curvature().tobytes()
             == chp.base.normal_curvature().tobytes())
+
+
+def test_frame_residuals_take_pythons_max_at_each_point():
+    # a block's frame residual at each point is Python's max(r1, r2, r3,
+    # r4) of the one-point code: a NaN after r1, planted here in r3 and r4
+    # through the normal, is dropped, where numpy's maximum would keep it
+    ch = ChangedHypersurface(EUCLID2, PARABOLA_TANGENT, PARABOLA)
+    hps = [ch.base_h.at(*rand_uv(PARABOLA)) for _ in range(3)]
+    x, y = (np.stack([getattr(hp, k) for hp in hps], axis=1) for k in "xy")
+    base = ChangedHyperPoint(ch.pair.block(x, y), hps).base
+    Binv, Nl = base.tangent_inverse(), base.normal_low()
+    N = base.normal_up().copy()
+    N[1, 0] = np.nan
+    base._cache["normal_up"] = N
+    got = base.frame_residuals()
+    for p, hp in enumerate(hps):
+        B = hp.B
+        r = [np.max(np.abs(Binv[p] @ B - np.eye(1))),
+             np.max(np.abs(Nl[p] @ B)), abs(float(N[p] @ Nl[p]) - 1.0),
+             np.max(np.abs(B @ Binv[p] + np.outer(N[p], Nl[p]) - np.eye(2)))]
+        assert np.isnan(r[2]) == np.isnan(r[3]) == (p == 1)
+        assert got[p].tobytes() == np.float64(max(r)).tobytes()
+    assert not np.isnan(got).any()

@@ -1,13 +1,15 @@
 """Chunked admission of ``sample_points`` against a sampler that admits one
-draw at a time with ``ChangedPair.at``: the same points, whose blocks'
-rows and numbers are the lone points' values bit for bit, the same
-rejections and the same errors, for each cause of rejection."""
+draw at a time, each on its one-column ``ChangedPair.block``: the same
+points, whose blocks' rows and numbers are the lone points' values bit
+for bit, the same rejections and the same errors, for each cause of
+rejection."""
 
 from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from column import column
 
 from finslerchange import sampling
 from finslerchange.change import ChangedPair, RandersChange
@@ -28,8 +30,9 @@ def _change(body):
 
 
 def _reference(pair, count, seed):
-    """One draw at a time: ``pair.at``, then the value and ``det g``
-    tests.  Returns (points, rejected draws, rejections by cause)."""
+    """One draw at a time: its one-column block, then the sign of L*,
+    the value and the ``det g`` tests, in one-point floats.  Returns
+    (points, rejected draws, rejections by cause)."""
     rng = np.random.default_rng(seed)
     space = pair.base
     box, annulus = space.spec.x_box, space.spec.y_annulus
@@ -44,12 +47,13 @@ def _reference(pair, count, seed):
         x = sampling._draw_x(rng, box)
         y = sampling._draw_y(rng, space.n, annulus)
         try:
-            cp = pair.at(x, y)
+            cp = column(pair, x, y)
         except (ValueError, ZeroDivisionError, JetDomainError) as exc:
-            text = str(exc)
-            causes["L*" if "changed metric value" in text
-                   else "L2" if "not positive with finite" in text
+            causes["L2" if "not positive with finite" in str(exc)
                    else "domain"] += 1
+            continue
+        if not cp.Lstar > 0.0:
+            causes["L*"] += 1
             continue
         if not all(np.isfinite(v) and v > 1e-12
                    for v in (cp.base.L2(), cp.Lstar)):
@@ -145,12 +149,12 @@ ADMISSION_ROWS = {"base": ("L2", "g_low", "det_g"), "star": ("L2",)}
 
 
 def _assert_same_points(got, want):
-    """The samples ``got`` are the ``ChangedPoint``s ``want``: the same
+    """The samples ``got`` are the one-column blocks ``want``: the same
     coordinates, and their blocks' numbers and admission rows are the
-    lone points' values, bit for bit."""
+    columns' values, bit for bit."""
     assert len(got.coords) == len(want)
     for (x, y), ref in zip(got.coords, want):
-        assert x.tobytes() == ref.x.tobytes()
+        assert x.tobytes() == ref.base.x.tobytes()
         assert y.tobytes() == ref.y.tobytes()
     blocks = got.blocks
     assert sum(len(cb.y) for cb in blocks) == len(want)
@@ -169,31 +173,27 @@ def _assert_same_points(got, want):
 
 def _first_blocks_raise(monkeypatch):
     """Make ``L^2`` raise on block jets in the first block of each chunk
-    (``ChangedPair.block``), but not in the block that admission builds
-    again at the draws it keeps, while the list it returns is not
+    (the first ``ChangedPair.block`` of each ``sampling._admit_block``),
+    but not in the one-column blocks that judge its draws or the blocks
+    built again at the draws it keeps, while the list it returns is not
     empty."""
-    active, again = [True], []
-    eval_l2, block = MetricSpec.eval_l2, ChangedPair.block
+    active, first = [True], []
+    eval_l2, admit = MetricSpec.eval_l2, sampling._admit_block
 
     def first_raise(spec, env):
-        if active and not again and any(
+        if active and first and any(
                 isinstance(v, Jet) and v.coeffs.ndim > 1
                 for v in env.values()):
+            first.clear()
             raise ValueError("no block jets")
         return eval_l2(spec, env)
 
-    def built_again(pair, x, y):
-        # the block after one that raised is built at the kept draws
-        try:
-            cb = block(pair, x, y)
-        except ValueError:
-            again.append(True)
-            raise
-        again.clear()
-        return cb
+    def admitting(*args):
+        first.append(True)
+        return admit(*args)
 
     monkeypatch.setattr(MetricSpec, "eval_l2", first_raise)
-    monkeypatch.setattr(ChangedPair, "block", built_again)
+    monkeypatch.setattr(sampling, "_admit_block", admitting)
     return active
 
 
@@ -241,14 +241,18 @@ def test_chunk_whose_change_raises_builds_new_blocks_at_every_draw(
     monkeypatch.setattr(RandersChange, "at", block_raises)
     monkeypatch.setattr(PointBlock, "__init__", counted)
     got, rejected, failed = _sample(monkeypatch, pair, 20, 1)
-    want, want_rejected, _ = _reference(pair, 20, 1)
-    assert rejected == want_rejected == 0 and failed == 1
-    _assert_same_points(got, want)
-    # the base block built before the change raised is not reused
+    assert rejected == 0 and failed == 1
+    # the base block built before the change raised is not reused: each
+    # draw is judged on a one-column block, base and changed, and the
+    # new block is built after them
     (cb,) = got.blocks
-    assert len(built) == 3 and [cb.base, cb.star] == built[1:]
+    assert len(built) == 1 + 2 * 20 + 2 and [cb.base, cb.star] == built[-2:]
+    assert all(b.x.shape == (2, 1) for b in built[1:-2])
     # the new block's sigma and b are one evaluation at its columns
-    assert raised == [(2, 20), (2, 20)]
+    assert raised == [(2, 20)] + [(2, 1)] * 20 + [(2, 20)]
+    want, want_rejected, _ = _reference(pair, 20, 1)
+    assert want_rejected == 0
+    _assert_same_points(got, want)
     _assert_rows_are_lone_points(pair, got)
 
 
@@ -271,9 +275,10 @@ def test_changed_block_that_raises_leaves_each_draw_to_its_changed_point(
     want, want_rejected, causes = _reference(pair, 100, 1)
     assert rejected == want_rejected == causes["domain"] > 0
     # the changed block of each of the five chunks that rejects draws
-    # fails, and nothing else; the blocks built again at their kept draws
-    # hold no draw with x1 > 0.3
-    assert len(got.blocks) == 6 and failed == 5
+    # fails, and the one-column changed block of each draw it rejects,
+    # and nothing else; the blocks built again at their kept draws hold
+    # no draw with x1 > 0.3
+    assert len(got.blocks) == 6 and failed == 5 + rejected
     _assert_same_points(got, want)
     _assert_rows_are_lone_points(pair, got)
 

@@ -15,8 +15,12 @@ that a difference names the check ids behind it.  A line per tree,
 ``tensor stack``, hashes the bytes of every ``PointGeometry`` tensor of
 base and changed space at the sampled points of ``TENSOR_PAIRS``, and
 the frame data (``x``, ``B``, ``B2``, normal, normal curvature) of both
-sides of ``HYPER``, so that tensors no report prints are covered too;
-each tensor name is hashed on its own in the same way.  A line
+sides of ``HYPER`` on lone points: the hypersurface sampler's
+``HyperPoint``, and one with its embedding data on a changed
+``PointGeometry`` where the changed metric keeps the draw (``L*`` > 0
+from ``RandersChange.at``, and the changed point builds), so that
+tensors no report prints are covered too; each tensor name is hashed on
+its own in the same way.  A line
 ``fresh tensor stack`` hashes the same tensors at the same points, each
 on its own new ``PointGeometry``: a tensor there reads no jet that
 another tensor left cached, so a result that depends on the order of
@@ -290,8 +294,9 @@ def tensor_stack():
     """(sha256 of the tensor stack, {tensor name: sha256 of its arrays}),
     computed with the package on the import path; run in a child process
     by ``tensor_digest``.  Frame data names carry a ``hyper.`` prefix."""
-    from finslerchange.hypersurface import (ChangedHyperPoint,
-                                            ChangedHypersurface)
+    import numpy as np
+
+    from finslerchange.hypersurface import ChangedHypersurface, HyperPoint
     from finslerchange.jets import JetDomainError
     from finslerchange.lang import resolve_spec
     from finslerchange.sampling import sample_hyper_points
@@ -308,11 +313,15 @@ def tensor_stack():
                               resolve_spec(hyper, expect="hypersurface"))
     draws, _ = sample_hyper_points(chs.base_h, TENSOR_POINTS, TENSOR_SEED)
     for draw in draws:
+        sigma, _, b, _ = chs.pair.change.at(draw.x[:, None])
+        if not float(np.exp(sigma[0])) * draw.pg.L() + b[:, 0] @ draw.y > 0:
+            continue
         try:
-            chp = ChangedHyperPoint(chs.pair, draw)
+            star = HyperPoint(draw.spec, draw.u, draw.v, draw.B, draw.B2,
+                              chs.pair.starred.point(draw.x, draw.y))
         except JetDomainError:
             continue
-        for side in (chp.base, chp.star):
+        for side in (draw, star):
             for name in HYPER_DATA:
                 value = getattr(side, name)
                 add("hyper." + name, value() if callable(value) else value)
